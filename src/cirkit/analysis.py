@@ -133,6 +133,16 @@ def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     return float(np.median(quartile))
 
 
+def default_noise_floor(pdp: PowerDelayProfile) -> float:
+    """The attached noise floor, else the estimate when the profile has at
+    least 16 bins, else 0 (too few bins to estimate one)."""
+    if pdp.noise_floor_linear is not None:
+        return pdp.noise_floor_linear
+    if len(pdp) >= 16:
+        return estimate_noise_floor(pdp)
+    return 0.0
+
+
 def threshold_pdp(pdp: PowerDelayProfile, margin_db: float = DEFAULT_MARGIN_DB) -> PowerDelayProfile:
     """Zero every bin below noise_floor * 10^(margin_db/10); grid is preserved."""
     thresh = _threshold_value(pdp, margin_db)
@@ -176,6 +186,18 @@ def second_moment(pdp: PowerDelayProfile) -> float:
     """Power-weighted mean squared delay, sum P(tau)*tau^2 / sum P(tau)."""
     total = _total_power(pdp)
     return float(np.sum(pdp.powers_linear * pdp.delays_s**2) / total)
+
+
+def discrete_delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """RMS delay spread of discrete (delay, power) sets along the last axis.
+
+    Rows are sets of paths, for example a cluster set with its LOS term;
+    powers need not sum to 1. A negative rounding residue clamps to 0.
+    """
+    total = powers.sum(axis=-1)
+    m1 = np.sum(powers * delays_s, axis=-1) / total
+    m2 = np.sum(powers * delays_s**2, axis=-1) / total
+    return np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
 
 
 def rms_delay_spread(pdp: PowerDelayProfile) -> float:
@@ -276,14 +298,6 @@ def extract_parameters(
     )
 
 
-def _floor_or_default(pdp: PowerDelayProfile) -> float:
-    if pdp.noise_floor_linear is not None:
-        return pdp.noise_floor_linear
-    if len(pdp) >= 16:
-        return estimate_noise_floor(pdp)
-    return 0.0
-
-
 def _require_normalized(name: str, pdp: PowerDelayProfile) -> None:
     if abs(float(np.max(pdp.powers_linear)) - 1.0) > 1e-9 or pdp.delays_s[0] != 0.0:
         raise ValidationError(f"{name} PDP must be normalized (peak 1 at delay 0)")
@@ -306,8 +320,8 @@ def compare_pdps(
     """
     _require_normalized("measured", measured)
     _require_normalized("simulated", simulated)
-    measured = measured.with_noise_floor(_floor_or_default(measured))
-    simulated = simulated.with_noise_floor(_floor_or_default(simulated))
+    measured = measured.with_noise_floor(default_noise_floor(measured))
+    simulated = simulated.with_noise_floor(default_noise_floor(simulated))
 
     ds_m = rms_delay_spread(threshold_pdp(measured, margin_db))
     ds_s = rms_delay_spread(threshold_pdp(simulated, margin_db))

@@ -85,7 +85,7 @@ def _estimate_pdp(rx: IqSignal, waveform, regularization, taper, margin_db):
     with _stage("average"):
         raw = sounder.average_pdp(cirs)
     with _stage("normalize"):
-        floor = analysis.estimate_noise_floor(raw) if len(raw) >= 16 else 0.0
+        floor = analysis.default_noise_floor(raw)
         return analysis.normalize_pdp(raw.with_noise_floor(floor), margin_db)
 
 
@@ -172,9 +172,7 @@ def _cmd_dataset(args) -> int:
     with _stage("load-config"):
         config = _load_config(args.config)
     with _stage("dataset"):
-        dataset = gbsm.generate_dataset(
-            config, args.count, args.seed, path=args.out, workers=args.workers
-        )
+        dataset = gbsm.generate_dataset(config, args.count, args.seed, path=args.out)
     print(
         f"wrote {dataset.snapshot_count} snapshots x {dataset.cir_length_taps} taps "
         f"to {args.out}"
@@ -274,10 +272,7 @@ def _cmd_loopback(args) -> int:
     with _stage("extract"):
         params = analysis.extract_parameters(pdp, los_flag=True, margin_db=args.margin_db)
 
-    total = true_powers.sum()
-    m1 = float(np.sum(true_powers * true_delays)) / total
-    m2 = float(np.sum(true_powers * true_delays**2)) / total
-    true_ds = math.sqrt(max(m2 - m1 * m1, 0.0))
+    true_ds = float(analysis.discrete_delay_spread(true_delays, true_powers))
     bin_s = 1.0 / args.sample_rate
     ds_err = abs(params.rms_delay_spread_s - true_ds)
     tolerance = args.ds_tolerance_bins * bin_s
@@ -399,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--count", type=int, required=True, help="number of snapshots")
     p.add_argument("--out", required=True, help="output dataset path")
-    p.add_argument("--workers", type=int, default=1, help="parallel snapshot workers")
     p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser(

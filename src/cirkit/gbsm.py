@@ -9,25 +9,38 @@ grid.
 
 All randomness flows from caller-provided seeds through numpy's PCG64
 generator; identical inputs give bit-identical outputs regardless of
-internal parallelism.
+how the work is split into array blocks.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __about__
-from .analysis import DEFAULT_MARGIN_DB, ChannelParameters, PowerDelayProfile, estimate_noise_floor, normalize_pdp
+from .analysis import (
+    DEFAULT_MARGIN_DB,
+    ChannelParameters,
+    PowerDelayProfile,
+    default_noise_floor,
+    discrete_delay_spread,
+    normalize_pdp,
+)
 from .errors import ValidationError
-from .sounder import ChannelImpulseResponse, average_pdp
+from .sounder import ChannelImpulseResponse
 
 DEFAULT_R_TAU = 2.3
 DEFAULT_SHADOWING_DB = 3.0
 KERNEL_HALF_WIDTH = 8
+
+# snapshots (or realizations) drawn and rendered per array block; output
+# does not depend on it, peak memory and speed do
+CHUNK_ROWS = 256
+# cluster draws per snapshot before a CIR-span overflow becomes an error
+MAX_CLUSTER_DRAWS = 8
 
 ENFORCEMENT_EXACT = "exact"
 ENFORCEMENT_SINGLE_CLUSTER = "skipped-single-cluster"
@@ -164,10 +177,7 @@ class ClusterSet:
         """Exact RMS delay spread of the discrete set including the LOS term."""
         delays = np.append(self.delays, 0.0)
         powers = np.append(self.powers, self.los_power_linear)
-        total = powers.sum()
-        m1 = float(np.sum(powers * delays) / total)
-        m2 = float(np.sum(powers * delays**2) / total)
-        return math.sqrt(max(m2 - m1 * m1, 0.0))
+        return float(discrete_delay_spread(delays, powers))
 
 
 def subseed(root_seed: int, *path: int) -> np.random.SeedSequence:
@@ -213,13 +223,6 @@ def draw_large_scale(config: ScenarioConfig, rng_seed) -> tuple[float, float | N
     return float(ds), kf
 
 
-def _weighted_sigma(delays: np.ndarray, powers: np.ndarray) -> float:
-    total = powers.sum()
-    m1 = float(np.sum(powers * delays) / total)
-    m2 = float(np.sum(powers * delays**2) / total)
-    return math.sqrt(max(m2 - m1 * m1, 0.0))
-
-
 def _preserve_fixed_scale(
     delays: np.ndarray, powers: np.ndarray, scale_mask: np.ndarray, ds_target: float
 ) -> float:
@@ -245,6 +248,124 @@ def _preserve_fixed_scale(
     return max((-b + math.sqrt(disc)) / (2.0 * a), 0.0)
 
 
+class _ClusterBlock(NamedTuple):
+    """Cluster sets of S snapshots as arrays; row r is one ``ClusterSet``."""
+
+    delays: np.ndarray  # (S, K) seconds
+    powers: np.ndarray  # (S, K)
+    fixed: np.ndarray  # (S, K) bool
+    los: np.ndarray  # (S,)
+    enforcement: str
+
+
+def _draw_clusters(
+    ds: np.ndarray,
+    los: np.ndarray,
+    seeds: list,
+    config: ScenarioConfig,
+    preserve_fixed_delays: bool,
+) -> _ClusterBlock:
+    """``generate_clusters`` for S rows: row r draws from ``seeds[r]``; the
+    arithmetic after the draws runs on (S, K) arrays."""
+    rows = ds.size
+    n_stoch = config.num_clusters - len(config.fixed_clusters)
+    u = np.empty((rows, n_stoch))
+    shadowing = np.empty((rows, n_stoch))
+    if n_stoch > 0:
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            u[row] = rng.random(n_stoch)  # 1-u is uniform on (0, 1]
+            shadowing[row] = rng.normal(0.0, config.per_cluster_shadowing_db, n_stoch)
+    r_tau = config.delay_proportionality_r_tau
+    raw = (-r_tau * ds)[:, None] * np.log1p(-u)
+    raw.sort(axis=-1)
+    stoch_delays = raw - raw[:, :1]
+    stoch_weights = np.exp(-stoch_delays * (r_tau - 1.0) / (r_tau * ds)[:, None]) * 10.0 ** (
+        -shadowing / 10.0
+    )
+
+    fixed_delays = [d for d, _ in config.fixed_clusters]
+    fixed_weights = [p for _, p in config.fixed_clusters]
+    delays = np.concatenate([stoch_delays, np.tile(fixed_delays, (rows, 1))], axis=1)
+    weights = np.concatenate([stoch_weights, np.tile(fixed_weights, (rows, 1))], axis=1)
+    fixed = np.zeros(delays.shape, dtype=bool)
+    fixed[:, n_stoch:] = True
+    order = np.argsort(delays, axis=-1, kind="stable")
+    delays = np.take_along_axis(delays, order, axis=-1)
+    weights = np.take_along_axis(weights, order, axis=-1)
+    fixed = np.take_along_axis(fixed, order, axis=-1)
+    powers = weights / weights.sum(axis=-1, keepdims=True) * (1.0 - los)[:, None]
+
+    if config.num_clusters == 1:
+        return _ClusterBlock(delays, powers, fixed, los, ENFORCEMENT_SINGLE_CLUSTER)
+    all_delays = np.concatenate([delays, np.zeros((rows, 1))], axis=1)
+    all_powers = np.concatenate([powers, los[:, None]], axis=1)
+    sigma = discrete_delay_spread(all_delays, all_powers)
+    if np.any(sigma == 0.0):
+        raise ValidationError("degenerate cluster set (all delays equal); cannot scale")
+    if preserve_fixed_delays and config.fixed_clusters:
+        for row in range(rows):
+            scale_mask = np.append(~fixed[row], False)
+            alpha = _preserve_fixed_scale(all_delays[row], all_powers[row], scale_mask, ds[row])
+            delays[row] = np.where(fixed[row], delays[row], delays[row] * alpha)
+        return _ClusterBlock(delays, powers, fixed, los, ENFORCEMENT_RELAXED_FIXED)
+    delays = delays * (ds / sigma)[:, None]
+    return _ClusterBlock(delays, powers, fixed, los, ENFORCEMENT_EXACT)
+
+
+def _redraw_seed(seed, attempt: int) -> np.random.SeedSequence:
+    """Seed of cluster draw number ``attempt``: ``attempt`` appended to the
+    entropy of ``seed``, so ``subseed(root, i, 1)`` redraws from
+    ``subseed(root, i, 1, attempt)``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.SeedSequence([seed.entropy, attempt], spawn_key=seed.spawn_key)
+
+
+def _cluster_block(
+    ds: np.ndarray,
+    kf: list,
+    config: ScenarioConfig,
+    seeds: list,
+    preserve_fixed_delays: bool = False,
+    first_index: int = 0,
+) -> _ClusterBlock:
+    """Draw the cluster sets of S snapshots; row r uses ``seeds[r]``.
+
+    A row whose largest delay does not fit the CIR span is drawn again from
+    ``_redraw_seed(seeds[r], attempt)``, keeping its DS and K-factor, up to
+    ``MAX_CLUSTER_DRAWS`` draws in all; other rows are untouched.
+    ``first_index`` numbers the rows in the error raised when the draws run
+    out.
+    """
+    if np.any(ds <= 0):
+        raise ValidationError("ds_s must be > 0")
+    los = np.zeros(ds.size)
+    for row, kf_db in enumerate(kf):
+        if kf_db is not None:
+            k_linear = 10.0 ** (kf_db / 10.0)
+            los[row] = k_linear / (k_linear + 1.0)
+    span = config.cir_length_taps / config.sample_rate_hz
+
+    block = _draw_clusters(ds, los, seeds, config, preserve_fixed_delays)
+    over = np.nonzero(block.delays.max(axis=-1) >= span)[0]
+    for attempt in range(1, MAX_CLUSTER_DRAWS):
+        if over.size == 0:
+            break
+        retry_seeds = [_redraw_seed(seeds[r], attempt) for r in over]
+        redo = _draw_clusters(ds[over], los[over], retry_seeds, config, preserve_fixed_delays)
+        block.delays[over] = redo.delays
+        block.powers[over] = redo.powers
+        block.fixed[over] = redo.fixed
+        over = over[redo.delays.max(axis=-1) >= span]
+    if over.size:
+        raise ValidationError(
+            f"config {config.label!r}, snapshot {first_index + int(over[0])}: cluster delays "
+            f"overflow the {span} s CIR span in {MAX_CLUSTER_DRAWS} draws"
+        )
+    return block
+
+
 def generate_clusters(
     ds_s: float,
     kf_db: float | None,
@@ -262,71 +383,69 @@ def generate_clusters(
     delays (stochastic only, when ``preserve_fixed_delays``) are rescaled by
     one factor so the exact RMS delay spread of the discrete set equals
     ``ds_s``.
+
+    The draw is conditioned on fitting the CIR span: when the largest
+    rescaled delay is at or past ``cir_length_taps / sample_rate_hz``, the
+    delays and shadowing are drawn again (same DS and K-factor) from
+    ``rng_seed``'s entropy with the attempt number 1, 2, ... appended, and
+    ``ValidationError`` is raised after ``MAX_CLUSTER_DRAWS`` draws.
     """
-    if ds_s <= 0:
-        raise ValidationError("ds_s must be > 0")
-    n_fixed = len(config.fixed_clusters)
-    n_stoch = config.num_clusters - n_fixed
-    if n_stoch < 0:
-        raise ValidationError("num_clusters smaller than the number of fixed clusters")
-
-    rng = np.random.default_rng(rng_seed)
-    r_tau = config.delay_proportionality_r_tau
-    if n_stoch > 0:
-        u = rng.random(n_stoch)  # 1-u is uniform on (0, 1]
-        raw = -r_tau * ds_s * np.log1p(-u)
-        raw.sort()
-        stoch_delays = raw - raw[0]
-        shadowing = rng.normal(0.0, config.per_cluster_shadowing_db, n_stoch)
-        stoch_weights = np.exp(-stoch_delays * (r_tau - 1.0) / (r_tau * ds_s)) * 10.0 ** (
-            -shadowing / 10.0
-        )
-    else:
-        stoch_delays = np.empty(0)
-        stoch_weights = np.empty(0)
-
-    delays = np.concatenate([stoch_delays, [d for d, _ in config.fixed_clusters]])
-    weights = np.concatenate([stoch_weights, [p for _, p in config.fixed_clusters]])
-    fixed_mask = np.zeros(delays.size, dtype=bool)
-    fixed_mask[n_stoch:] = True
-    order = np.argsort(delays, kind="stable")
-    delays, weights, fixed_mask = delays[order], weights[order], fixed_mask[order]
-
-    if kf_db is not None:
-        k_linear = 10.0 ** (kf_db / 10.0)
-        los_power = k_linear / (k_linear + 1.0)
-    else:
-        los_power = 0.0
-    powers = weights / weights.sum() * (1.0 - los_power)
-
-    all_delays = np.append(delays, 0.0)
-    all_powers = np.append(powers, los_power)
-    enforcement = ENFORCEMENT_EXACT
-    if config.num_clusters == 1:
-        enforcement = ENFORCEMENT_SINGLE_CLUSTER
-    else:
-        sigma = _weighted_sigma(all_delays, all_powers)
-        if sigma == 0.0:
-            raise ValidationError("degenerate cluster set (all delays equal); cannot scale")
-        if preserve_fixed_delays and n_fixed > 0:
-            scale_mask = np.append(~fixed_mask, False)
-            alpha = _preserve_fixed_scale(all_delays, all_powers, scale_mask, ds_s)
-            delays = np.where(fixed_mask, delays, delays * alpha)
-            enforcement = ENFORCEMENT_RELAXED_FIXED
-        else:
-            delays = delays * (ds_s / sigma)
-
-    clusters = tuple(
-        Cluster(float(d), float(p), bool(f)) for d, p, f in zip(delays, powers, fixed_mask)
+    block = _cluster_block(
+        np.array([float(ds_s)]), [kf_db], config, [rng_seed], preserve_fixed_delays
     )
-    return ClusterSet(clusters, float(los_power), enforcement)
+    clusters = tuple(
+        Cluster(float(d), float(p), bool(f))
+        for d, p, f in zip(block.delays[0], block.powers[0], block.fixed[0])
+    )
+    return ClusterSet(clusters, float(block.los[0]), block.enforcement)
 
 
-def _kernel(offsets: np.ndarray) -> np.ndarray:
-    """Unit-energy windowed-sinc interpolation kernel at the given offsets."""
+def _render_block(
+    delays: np.ndarray, amplitudes: np.ndarray, los_amplitude: np.ndarray, config: ScenarioConfig
+) -> np.ndarray:
+    """Render S CIRs from (S, K) complex cluster amplitudes at (S, K) delays,
+    or at (1, K) delays that all S rows share.
+
+    Each path is a unit-energy windowed-sinc kernel of half-width 8 taps
+    around its fractional position: 17 slots from ceil(pos - 8), the last
+    used only while it is not past floor(pos + 8), that is for an integer
+    position. Taps outside the CIR are dropped. The LOS term, with the real
+    amplitude ``los_amplitude`` ((S,) or (1,)) at delay 0, is added after
+    the clusters when any row has one. Each tap sums its contributions in
+    path order, so a row equals adding the paths one by one into a zero CIR.
+    """
+    n_taps = config.cir_length_taps
+    rows = amplitudes.shape[0]
+    if np.any(los_amplitude > 0.0):
+        delays = np.concatenate([delays, np.zeros((delays.shape[0], 1))], axis=1)
+        los_column = np.broadcast_to(los_amplitude, (rows,))[:, None]
+        amplitudes = np.concatenate([amplitudes, los_column], axis=1)
+    pos = delays * config.sample_rate_hz
+    idx = np.ceil(pos - KERNEL_HALF_WIDTH)[..., None] + np.arange(2 * KERNEL_HALF_WIDTH + 1)
+    offsets = idx - pos[..., None]
     window = 0.5 * (1.0 + np.cos(np.pi * offsets / KERNEL_HALF_WIDTH))
-    taps = np.sinc(offsets) * window
-    return taps / math.sqrt(float(np.sum(taps**2)))
+    kern = np.sinc(offsets) * window
+    used = idx <= np.floor(pos + KERNEL_HALF_WIDTH)[..., None]
+    kern[~used] = 0.0
+    kern /= np.sqrt(np.sum(kern**2, axis=-1, keepdims=True))
+
+    # one spare column per row collects the unused slots and off-CIR taps
+    col = np.where(used & (idx >= 0) & (idx < n_taps), idx, n_taps).astype(np.intp)
+    flat = (col + (np.arange(rows) * (n_taps + 1))[:, None, None]).ravel()
+    size = rows * (n_taps + 1)
+    taps = np.empty((rows, n_taps), dtype=np.complex128)
+    for part, values in (("real", amplitudes.real), ("imag", amplitudes.imag)):
+        summed = np.bincount(flat, (values[..., None] * kern).ravel(), size)
+        setattr(taps, part, summed.reshape(rows, n_taps + 1)[:, :n_taps])
+    return taps
+
+
+def _phase_amplitudes(powers: np.ndarray, seeds) -> np.ndarray:
+    """sqrt(power) times a uniform phase per cluster, one phase stream per row."""
+    phases = np.array(
+        [np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, powers.shape[-1]) for s in seeds]
+    )
+    return np.sqrt(powers) * np.exp(1j * phases)
 
 
 def synthesize_cir(
@@ -346,31 +465,16 @@ def synthesize_cir(
     adds exactly, which is what the PDP sees).
     """
     fs = config.sample_rate_hz
-    n_taps = config.cir_length_taps
-    span = n_taps / fs
+    span = config.cir_length_taps / fs
     max_delay = float(np.max(clusters.delays))
     if max_delay >= span:
         raise ValidationError(
             f"cluster delay {max_delay} s overflows the {span} s CIR span"
         )
-    rng = np.random.default_rng(rng_seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, len(clusters.clusters))
-    taps = np.zeros(n_taps, dtype=np.complex128)
-
-    def place(amplitude: complex, delay_s: float) -> None:
-        pos = delay_s * fs
-        lo = math.ceil(pos - KERNEL_HALF_WIDTH)
-        hi = math.floor(pos + KERNEL_HALF_WIDTH)
-        idx = np.arange(lo, hi + 1)
-        kern = _kernel(idx - pos)
-        valid = (idx >= 0) & (idx < n_taps)
-        taps[idx[valid]] += amplitude * kern[valid]
-
-    for cluster, phase in zip(clusters.clusters, phases):
-        place(math.sqrt(cluster.power_linear) * np.exp(1j * phase), cluster.delay_s)
-    if clusters.los_power_linear > 0.0:
-        place(math.sqrt(clusters.los_power_linear), 0.0)
-    return ChannelImpulseResponse(taps, 1.0 / fs, timestamp_index=timestamp_index)
+    amplitudes = _phase_amplitudes(clusters.powers, [rng_seed])
+    los_amplitude = np.array([math.sqrt(clusters.los_power_linear)])
+    taps = _render_block(clusters.delays[None], amplitudes, los_amplitude, config)
+    return ChannelImpulseResponse(taps[0], 1.0 / fs, timestamp_index=timestamp_index)
 
 
 def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> PowerDelayProfile:
@@ -383,59 +487,71 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
     ds, kf = draw_large_scale(config, subseed(rng_seed, 0))
-    clusters = generate_clusters(ds, kf, config, subseed(rng_seed, 1))
-    cirs = [
-        synthesize_cir(clusters, config, subseed(rng_seed, 2, i), timestamp_index=i)
-        for i in range(n_realizations)
-    ]
-    pdp = average_pdp(cirs)
-    floor = estimate_noise_floor(pdp) if len(pdp) >= 16 else 0.0
-    return normalize_pdp(pdp.with_noise_floor(floor), DEFAULT_MARGIN_DB)
+    block = _cluster_block(np.array([ds]), [kf], config, [subseed(rng_seed, 1)])
+    power = np.zeros(config.cir_length_taps)
+    for start in range(0, n_realizations, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n_realizations)
+        seeds = [subseed(rng_seed, 2, i) for i in range(start, stop)]
+        amplitudes = _phase_amplitudes(block.powers, seeds)
+        taps = _render_block(block.delays, amplitudes, np.sqrt(block.los), config)
+        for row in np.abs(taps) ** 2:  # row by row: the same sum as averaging CIR by CIR
+            power += row
+    delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
+    pdp = PowerDelayProfile(delays, power / n_realizations)
+    return normalize_pdp(pdp.with_noise_floor(default_noise_floor(pdp)), DEFAULT_MARGIN_DB)
 
 
-def _snapshot_taps(config: ScenarioConfig, rng_seed: int, index: int) -> np.ndarray:
-    ds, kf = draw_large_scale(config, subseed(rng_seed, index, 0))
-    clusters = generate_clusters(ds, kf, config, subseed(rng_seed, index, 1))
-    cir = synthesize_cir(clusters, config, subseed(rng_seed, index, 2), timestamp_index=index)
-    return cir.taps
+def _snapshot_block(config: ScenarioConfig, rng_seed: int, start: int, stop: int) -> np.ndarray:
+    """Taps of snapshots ``start`` to ``stop - 1``; snapshot i draws its DS
+    and K-factor, its clusters and its phases from ``subseed(rng_seed, i, 0)``,
+    ``(i, 1)`` and ``(i, 2)``."""
+    index = range(start, stop)
+    large_scale = [draw_large_scale(config, subseed(rng_seed, i, 0)) for i in index]
+    block = _cluster_block(
+        np.array([ds for ds, _ in large_scale]),
+        [kf for _, kf in large_scale],
+        config,
+        [subseed(rng_seed, i, 1) for i in index],
+        first_index=start,
+    )
+    amplitudes = _phase_amplitudes(block.powers, [subseed(rng_seed, i, 2) for i in index])
+    return _render_block(block.delays, amplitudes, np.sqrt(block.los), config)
 
 
-def generate_dataset(
-    config: ScenarioConfig,
-    count: int,
-    rng_seed: int,
-    path=None,
-    workers: int = 1,
-):
+def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=None):
     """Generate ``count`` independent channel snapshots, optionally writing them.
 
     Every snapshot draws fresh large-scale parameters, clusters and phases
-    from a seed derived from (root seed, snapshot index), so the output is
-    identical no matter how many workers run. Returns the in-memory dataset;
+    from a seed derived from (root seed, snapshot index), so the first n
+    snapshots are the same for any ``count`` >= n. Snapshots are drawn and
+    rendered ``CHUNK_ROWS`` at a time. Returns the in-memory dataset;
     writes the container file when ``path`` is given.
     """
     from . import io as cirkit_io  # deferred: io needs this module's types
 
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
-    if workers == 1:
-        snapshots = [_snapshot_taps(config, rng_seed, i) for i in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            snapshots = list(
-                pool.map(lambda i: _snapshot_taps(config, rng_seed, i), range(count))
-            )
+    if count > cirkit_io.MAX_DATASET_SNAPSHOTS:
+        raise ValidationError(
+            f"count {count} exceeds the {cirkit_io.MAX_DATASET_SNAPSHOTS} snapshots "
+            "a dataset file can hold"
+        )
+    snapshots = np.empty((count, config.cir_length_taps), dtype=np.complex128)
+    for start in range(0, count, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, count)
+        snapshots[start:stop] = _snapshot_block(config, rng_seed, start, stop)
     blob = cirkit_io.config_to_text(
         config,
         comments=(f"seed={rng_seed}", f"generator_version={__about__.__version__}"),
     )
     dataset = cirkit_io.Dataset(
-        snapshots=np.vstack(snapshots),
+        snapshots=snapshots,
         sample_rate_hz=config.sample_rate_hz,
         config_text=blob,
     )
+    # Dataset holds a copy; freeing the block lets the writer's buffers reuse
+    # its memory instead of faulting in fresh pages
+    del snapshots
     if path is not None:
         cirkit_io.write_dataset(path, dataset)
     return dataset

@@ -31,6 +31,7 @@ DATASET_MAGIC = b"CHDS"
 DATASET_VERSION = 1
 _HEADER_FMT = "<4sHIIdI"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)  # 26 bytes
+MAX_DATASET_SNAPSHOTS = 2**32 - 1  # the header stores the count as uint32
 
 # canonical key order; identical configs produce identical bytes
 _CONFIG_KEYS = (

@@ -109,7 +109,7 @@ class TestSimulateAndDataset:
         out = tmp_path / "train.chds"
         rc = main(
             ["dataset", "--config", "urban-nlos", "--seed", "1", "--count", "4",
-             "--out", str(out), "--workers", "2"]
+             "--out", str(out)]
         )
         assert rc == 0
         ds = io.read_dataset(out)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from cirkit.gbsm import (
     subseed,
     synthesize_cir,
 )
+from cirkit.io import read_dataset
+from cirkit.sounder import ChannelImpulseResponse, average_pdp
 
 NS = 1e-9
 URBAN_NLOS = PRESETS["urban-nlos"]
@@ -245,7 +248,7 @@ class TestSynthesizeCir:
         step = 1.0 / URBAN_NLOS.sample_rate_hz
         cs = self._manual_set([(0.0, 0.5), (100 * NS, 0.5)])
         cir = synthesize_cir(cs, URBAN_NLOS, 1)
-        pdp = gbsm.average_pdp([cir])
+        pdp = average_pdp([cir])
         sigma = cluster_sigma(pdp.delays_s, pdp.powers_linear)
         assert abs(sigma - 50 * NS) < 20 * NS
         assert step == pytest.approx(39.0625 * NS)
@@ -313,12 +316,13 @@ class TestGenerateDataset:
         generate_dataset(URBAN_NLOS, 5, 9, path=b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        serial = tmp_path / "serial.chds"
-        threaded = tmp_path / "threaded.chds"
-        generate_dataset(URBAN_NLOS, 12, 4, path=serial, workers=1)
-        generate_dataset(URBAN_NLOS, 12, 4, path=threaded, workers=4)
-        assert serial.read_bytes() == threaded.read_bytes()
+    def test_chunk_partition_does_not_change_output(self, tmp_path):
+        long = tmp_path / "long.chds"
+        short = tmp_path / "short.chds"
+        generate_dataset(URBAN_NLOS, gbsm.CHUNK_ROWS + 1, 4, path=long)
+        generate_dataset(URBAN_NLOS, 16, 4, path=short)
+        prefix = read_dataset(long).snapshots[:16]
+        assert prefix.tobytes() == read_dataset(short).snapshots.tobytes()
 
     def test_metadata_records_seed_and_version(self, tmp_path):
         ds = generate_dataset(URBAN_NLOS, 1, 77)
@@ -331,9 +335,7 @@ class TestGenerateDataset:
         ds = generate_dataset(URBAN_NLOS, 1000, 21)
         values = []
         for taps in ds.snapshots:
-            pdp = gbsm.average_pdp(
-                [gbsm.ChannelImpulseResponse(taps, 1.0 / URBAN_NLOS.sample_rate_hz)]
-            )
+            pdp = average_pdp([ChannelImpulseResponse(taps, 1.0 / URBAN_NLOS.sample_rate_hz)])
             params = extract_parameters(pdp, los_flag=False)
             values.append(params.rms_delay_spread_s)
         median = float(np.median(values))
@@ -342,6 +344,16 @@ class TestGenerateDataset:
     def test_invalid_count_rejected(self):
         with pytest.raises(ValidationError):
             generate_dataset(URBAN_NLOS, 0, 0)
+
+    def test_count_beyond_file_header_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="count 4294967296"):
+                generate_dataset(URBAN_NLOS, 2**32, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_subseed_rejects_negative():

@@ -1,0 +1,232 @@
+"""The batched generator against the loop it replaced.
+
+The functions prefixed ``loop_`` render one snapshot at a time and place one
+cluster at a time, exactly as the generator did before it worked on array
+blocks. The batched code must reproduce them bit for bit (``np.array_equal``),
+so any change to a rendered value fails here.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from cirkit import gbsm, io
+from cirkit.analysis import DEFAULT_MARGIN_DB, estimate_noise_floor, normalize_pdp
+from cirkit.cli import main
+from cirkit.errors import ValidationError
+from cirkit.gbsm import PRESETS, Cluster, ClusterSet, draw_large_scale, subseed
+from cirkit.sounder import ChannelImpulseResponse, average_pdp
+
+NS = 1e-9
+
+
+def loop_sigma(delays, powers):
+    total = powers.sum()
+    m1 = float(np.sum(powers * delays) / total)
+    m2 = float(np.sum(powers * delays**2) / total)
+    return math.sqrt(max(m2 - m1 * m1, 0.0))
+
+
+def loop_generate_clusters(ds_s, kf_db, config, rng_seed, preserve_fixed_delays=False):
+    n_fixed = len(config.fixed_clusters)
+    n_stoch = config.num_clusters - n_fixed
+    rng = np.random.default_rng(rng_seed)
+    r_tau = config.delay_proportionality_r_tau
+    if n_stoch > 0:
+        u = rng.random(n_stoch)
+        raw = -r_tau * ds_s * np.log1p(-u)
+        raw.sort()
+        stoch_delays = raw - raw[0]
+        shadowing = rng.normal(0.0, config.per_cluster_shadowing_db, n_stoch)
+        stoch_weights = np.exp(-stoch_delays * (r_tau - 1.0) / (r_tau * ds_s)) * 10.0 ** (
+            -shadowing / 10.0
+        )
+    else:
+        stoch_delays = np.empty(0)
+        stoch_weights = np.empty(0)
+    delays = np.concatenate([stoch_delays, [d for d, _ in config.fixed_clusters]])
+    weights = np.concatenate([stoch_weights, [p for _, p in config.fixed_clusters]])
+    fixed_mask = np.zeros(delays.size, dtype=bool)
+    fixed_mask[n_stoch:] = True
+    order = np.argsort(delays, kind="stable")
+    delays, weights, fixed_mask = delays[order], weights[order], fixed_mask[order]
+    if kf_db is not None:
+        k_linear = 10.0 ** (kf_db / 10.0)
+        los_power = k_linear / (k_linear + 1.0)
+    else:
+        los_power = 0.0
+    powers = weights / weights.sum() * (1.0 - los_power)
+    all_delays = np.append(delays, 0.0)
+    all_powers = np.append(powers, los_power)
+    enforcement = gbsm.ENFORCEMENT_EXACT
+    if config.num_clusters == 1:
+        enforcement = gbsm.ENFORCEMENT_SINGLE_CLUSTER
+    else:
+        sigma = loop_sigma(all_delays, all_powers)
+        if preserve_fixed_delays and n_fixed > 0:
+            scale_mask = np.append(~fixed_mask, False)
+            alpha = gbsm._preserve_fixed_scale(all_delays, all_powers, scale_mask, ds_s)
+            delays = np.where(fixed_mask, delays, delays * alpha)
+            enforcement = gbsm.ENFORCEMENT_RELAXED_FIXED
+        else:
+            delays = delays * (ds_s / sigma)
+    clusters = tuple(
+        Cluster(float(d), float(p), bool(f)) for d, p, f in zip(delays, powers, fixed_mask)
+    )
+    return ClusterSet(clusters, float(los_power), enforcement)
+
+
+def loop_kernel(offsets):
+    window = 0.5 * (1.0 + np.cos(np.pi * offsets / gbsm.KERNEL_HALF_WIDTH))
+    taps = np.sinc(offsets) * window
+    return taps / math.sqrt(float(np.sum(taps**2)))
+
+
+def loop_synthesize_cir(clusters, config, rng_seed, timestamp_index=0):
+    fs = config.sample_rate_hz
+    n_taps = config.cir_length_taps
+    rng = np.random.default_rng(rng_seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, len(clusters.clusters))
+    taps = np.zeros(n_taps, dtype=np.complex128)
+
+    def place(amplitude, delay_s):
+        pos = delay_s * fs
+        lo = math.ceil(pos - gbsm.KERNEL_HALF_WIDTH)
+        hi = math.floor(pos + gbsm.KERNEL_HALF_WIDTH)
+        idx = np.arange(lo, hi + 1)
+        kern = loop_kernel(idx - pos)
+        valid = (idx >= 0) & (idx < n_taps)
+        taps[idx[valid]] += amplitude * kern[valid]
+
+    for cluster, phase in zip(clusters.clusters, phases):
+        place(math.sqrt(cluster.power_linear) * np.exp(1j * phase), cluster.delay_s)
+    if clusters.los_power_linear > 0.0:
+        place(math.sqrt(clusters.los_power_linear), 0.0)
+    return ChannelImpulseResponse(taps, 1.0 / fs, timestamp_index=timestamp_index)
+
+
+def loop_fitting_clusters(ds, kf, config, root, *path):
+    """Cluster draw conditioned on the CIR span: redraw from (*path, attempt)."""
+    span = config.cir_length_taps / config.sample_rate_hz
+    for attempt in range(gbsm.MAX_CLUSTER_DRAWS):
+        seed = subseed(root, *path) if attempt == 0 else subseed(root, *path, attempt)
+        clusters = loop_generate_clusters(ds, kf, config, seed)
+        if np.max(clusters.delays) < span:
+            return clusters
+    raise ValidationError("no fitting draw")
+
+
+def loop_snapshot(config, root, index):
+    ds, kf = draw_large_scale(config, subseed(root, index, 0))
+    clusters = loop_fitting_clusters(ds, kf, config, root, index, 1)
+    return loop_synthesize_cir(clusters, config, subseed(root, index, 2), index).taps
+
+
+def loop_generate_dataset(config, count, root):
+    return np.vstack([loop_snapshot(config, root, i) for i in range(count)])
+
+
+def loop_simulate_pdp(config, root, n_realizations):
+    ds, kf = draw_large_scale(config, subseed(root, 0))
+    clusters = loop_fitting_clusters(ds, kf, config, root, 1)
+    cirs = [
+        loop_synthesize_cir(clusters, config, subseed(root, 2, i), i)
+        for i in range(n_realizations)
+    ]
+    pdp = average_pdp(cirs)
+    floor = estimate_noise_floor(pdp) if len(pdp) >= 16 else 0.0
+    return normalize_pdp(pdp.with_noise_floor(floor), DEFAULT_MARGIN_DB)
+
+
+FIXED = dataclasses.replace(
+    PRESETS["urban-los"], fixed_clusters=((200 * NS, 0.3), (90 * NS, 0.1), (0.0, 0.05))
+)
+SINGLE = dataclasses.replace(PRESETS["urban-nlos"], num_clusters=1)
+SINGLE_LOS = dataclasses.replace(PRESETS["urban-los"], num_clusters=1)
+SPREAD = dataclasses.replace(PRESETS["campus-los"], ds_sigma_log10=0.15, kf_sigma_db=4.0)
+CONFIGS = {**PRESETS, "fixed": FIXED, "single": SINGLE, "single-los": SINGLE_LOS, "spread": SPREAD}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_dataset_equals_loop_reference(name):
+    config = CONFIGS[name]
+    count = gbsm.CHUNK_ROWS + 40  # crosses one chunk boundary
+    batched = gbsm.generate_dataset(config, count, 13).snapshots
+    assert np.array_equal(batched, loop_generate_dataset(config, count, 13))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_simulate_pdp_equals_loop_reference(name):
+    config = CONFIGS[name]
+    for seed in range(6):
+        batched = gbsm.simulate_pdp(config, seed, 40)
+        loop = loop_simulate_pdp(config, seed, 40)
+        assert np.array_equal(batched.delays_s, loop.delays_s)
+        assert np.array_equal(batched.powers_linear, loop.powers_linear)
+        assert batched.noise_floor_linear == loop.noise_floor_linear
+
+
+def test_simulate_pdp_realizations_cross_chunks():
+    config = PRESETS["urban-nlos"]
+    n = 2 * gbsm.CHUNK_ROWS + 3
+    batched = gbsm.simulate_pdp(config, 4, n)
+    assert np.array_equal(batched.powers_linear, loop_simulate_pdp(config, 4, n).powers_linear)
+
+
+@pytest.mark.parametrize("preserve", [False, True])
+def test_generate_clusters_equals_loop_reference(preserve):
+    for name, config in CONFIGS.items():
+        for seed in range(10):
+            ds = config.ds_median_s
+            batched = gbsm.generate_clusters(ds, config.kf_median_db, config, seed, preserve)
+            loop = loop_generate_clusters(ds, config.kf_median_db, config, seed, preserve)
+            assert batched == loop, (name, seed)
+
+
+def test_synthesize_cir_equals_loop_reference():
+    step = 1.0 / PRESETS["urban-nlos"].sample_rate_hz
+    # integer, fractional, edge-clipped and LOS positions
+    cs = ClusterSet(
+        (
+            Cluster(0.0, 0.2, False),
+            Cluster(3.25 * step, 0.2, False),
+            Cluster(40 * step, 0.2, False),
+            Cluster(350.5 * step, 0.1, False),
+        ),
+        0.3,
+    )
+    for seed in range(5):
+        batched = gbsm.synthesize_cir(cs, PRESETS["urban-los"], seed, 3)
+        loop = loop_synthesize_cir(cs, PRESETS["urban-los"], seed, 3)
+        assert np.array_equal(batched.taps, loop.taps)
+        assert batched.timestamp_index == 3
+
+
+def test_span_overflow_redraws_only_that_snapshot(tmp_path):
+    # snapshot 1907 of this command overflowed the CIR span before clusters
+    # were redrawn; every other snapshot keeps its first draw
+    out = tmp_path / "x.chds"
+    cmd = ["dataset", "--config", "campus-los", "--seed", "1", "--count", "2000"]
+    assert main([*cmd, "--out", str(out)]) == 0
+    assert io.read_dataset(out).snapshot_count == 2000
+
+    config = PRESETS["campus-los"]
+    span = config.cir_length_taps / config.sample_rate_hz
+    ds, kf = draw_large_scale(config, subseed(1, 1907, 0))
+    first = loop_generate_clusters(ds, kf, config, subseed(1, 1907, 1))
+    assert np.max(first.delays) >= span
+
+    batched = gbsm.generate_dataset(config, 2000, 1).snapshots
+    assert np.array_equal(batched, loop_generate_dataset(config, 2000, 1))
+
+
+def test_span_overflow_gives_up_naming_snapshot_and_config():
+    # a 20 us delay spread needs delays of at least 40 us: no draw fits
+    config = dataclasses.replace(PRESETS["urban-nlos"], label="wide", ds_median_s=20e-6)
+    message = rf"'wide', snapshot 0: .* in {gbsm.MAX_CLUSTER_DRAWS} draws"
+    with pytest.raises(ValidationError, match=message):
+        gbsm.generate_dataset(config, 3, 0)
+    with pytest.raises(ValidationError, match="overflow"):
+        gbsm.simulate_pdp(config, 0, 4)
