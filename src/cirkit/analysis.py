@@ -337,21 +337,16 @@ def compare_pdps(
         measured, margin_db, min_separation_bins
     )
 
-    fine, coarse = measured, simulated
-    if simulated.delay_step_s and (
-        not measured.delay_step_s or simulated.delay_step_s < measured.delay_step_s
-    ):
-        fine, coarse = simulated, measured
-    aligned_fine, aligned_coarse = align_profiles(fine, coarse)
-    fine_above = aligned_fine > _threshold_value(fine, margin_db)
-    coarse_above = aligned_coarse > _threshold_value(coarse, margin_db)
-    union = fine_above | coarse_above
+    _, aligned_m, aligned_s = align_to_finer_grid(measured, simulated)
+    union = (aligned_m > _threshold_value(measured, margin_db)) | (
+        aligned_s > _threshold_value(simulated, margin_db)
+    )
     if not np.any(union):
         raise EmptyProfileError("no bin above threshold in either profile")
     tiny = 1e-30
     dev = np.abs(
-        10.0 * np.log10(np.maximum(aligned_fine[union], tiny))
-        - 10.0 * np.log10(np.maximum(aligned_coarse[union], tiny))
+        10.0 * np.log10(np.maximum(aligned_m[union], tiny))
+        - 10.0 * np.log10(np.maximum(aligned_s[union], tiny))
     )
     return ComparisonReport(
         ds_error_s=float(ds_error),
@@ -361,17 +356,26 @@ def compare_pdps(
     )
 
 
-def align_profiles(
-    fine: PowerDelayProfile, coarse: PowerDelayProfile
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resample ``coarse`` onto ``fine``'s delay grid by nearest bin.
+def align_to_finer_grid(
+    measured: PowerDelayProfile, simulated: PowerDelayProfile
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resample the coarser profile onto the finer one's delay grid by nearest bin.
 
-    Returns the pair of power vectors on the fine grid. Delays outside the
-    coarse profile's span clamp to its edge bins.
+    Returns the finer grid's delays, then the measured and the simulated
+    powers on it. The measured grid counts as the finer one unless the
+    simulated step is strictly smaller. Delays outside the coarser profile's
+    span clamp to its edge bins.
     """
+    fine, coarse = measured, simulated
+    if simulated.delay_step_s and (
+        not measured.delay_step_s or simulated.delay_step_s < measured.delay_step_s
+    ):
+        fine, coarse = simulated, measured
     if len(coarse) == 1:
-        return fine.powers_linear, np.full(len(fine), coarse.powers_linear[0])
-    step = coarse.delay_step_s
-    idx = np.rint((fine.delays_s - coarse.delays_s[0]) / step).astype(int)
-    idx = np.clip(idx, 0, len(coarse) - 1)
-    return fine.powers_linear, coarse.powers_linear[idx]
+        resampled = np.full(len(fine), coarse.powers_linear[0])
+    else:
+        idx = np.rint((fine.delays_s - coarse.delays_s[0]) / coarse.delay_step_s).astype(int)
+        resampled = coarse.powers_linear[np.clip(idx, 0, len(coarse) - 1)]
+    if fine is measured:
+        return fine.delays_s, fine.powers_linear, resampled
+    return fine.delays_s, resampled, fine.powers_linear

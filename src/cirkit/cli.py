@@ -180,12 +180,12 @@ def _cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _write_aligned_csv(path, fine, aligned_fine, aligned_coarse) -> None:
+def _write_aligned_csv(path, delays_s, measured, simulated) -> None:
     with np.errstate(divide="ignore"):
-        fine_db = 10.0 * np.log10(aligned_fine)
-        coarse_db = 10.0 * np.log10(aligned_coarse)
+        measured_db = 10.0 * np.log10(measured)
+        simulated_db = 10.0 * np.log10(simulated)
     rows = ["delay_ns,measured_db,simulated_db"]
-    for t, a, b in zip(fine.delays_s * 1e9, fine_db, coarse_db):
+    for t, a, b in zip(delays_s * 1e9, measured_db, simulated_db):
         rows.append(f"{t:.6f},{a:.6f},{b:.6f}")
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
@@ -210,16 +210,7 @@ def _cmd_compare(args) -> int:
         svgplot.write_pdp_comparison_svg(
             args.plot_out, [("measured", measured), ("simulated", simulated)]
         )
-        fine, coarse = measured, simulated
-        if simulated.delay_step_s and (
-            not measured.delay_step_s or simulated.delay_step_s < measured.delay_step_s
-        ):
-            fine, coarse = simulated, measured
-        aligned = analysis.align_profiles(fine, coarse)
-        if fine is measured:
-            _write_aligned_csv(csv_out, fine, aligned[0], aligned[1])
-        else:
-            _write_aligned_csv(csv_out, fine, aligned[1], aligned[0])
+        _write_aligned_csv(csv_out, *analysis.align_to_finer_grid(measured, simulated))
     print(
         f"ds_error={report.ds_error_s * 1e9:.2f} ns "
         f"ds_relative_error={report.ds_relative_error:.4f} "

@@ -452,9 +452,9 @@ def synthesize_cir(
     clusters: ClusterSet,
     config: ScenarioConfig,
     rng_seed,
-    timestamp_index: int = 0,
 ) -> ChannelImpulseResponse:
-    """Render one CIR realization of a cluster set on the sample grid.
+    """Render one CIR realization of a cluster set on the sample grid, as a
+    one-row block.
 
     Each cluster contributes sqrt(power) with an independent uniform phase
     (the LOS phase is fixed at 0), placed at its fractional delay with a
@@ -474,7 +474,7 @@ def synthesize_cir(
     amplitudes = _phase_amplitudes(clusters.powers, [rng_seed])
     los_amplitude = np.array([math.sqrt(clusters.los_power_linear)])
     taps = _render_block(clusters.delays[None], amplitudes, los_amplitude, config)
-    return ChannelImpulseResponse(taps[0], 1.0 / fs, timestamp_index=timestamp_index)
+    return ChannelImpulseResponse(taps, 1.0 / fs)
 
 
 def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> PowerDelayProfile:

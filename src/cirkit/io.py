@@ -78,6 +78,9 @@ def read_iq(path) -> IqSignal:
         raise CorruptFileError(
             f"{path}: odd float count {floats.size}; interleaved I/Q expected"
         )
+    if not np.isfinite(floats).all():
+        first = int(np.argmin(np.isfinite(floats))) // 2
+        raise CorruptFileError(f"{path}: sample {first} is not finite")
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise MissingSidecarError(f"missing IQ metadata sidecar: {meta_path}")

@@ -14,7 +14,10 @@ from .errors import ValidationError
 
 
 def _frozen_complex(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
+    try:
+        arr = np.array(values, dtype=np.complex128)
+    except ValueError as err:  # ragged rows or non-numeric values
+        raise ValidationError(f"not an array of complex values: {err}") from err
     arr.setflags(write=False)
     return arr
 

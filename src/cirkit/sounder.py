@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import PowerDelayProfile
 from .errors import ValidationError
-from .signal import IqSignal, _frozen_complex, is_prime, zadoff_chu
+from .signal import IqSignal, _frozen_complex, circular_cross_correlate, is_prime, zadoff_chu
 
 DEFAULT_SEQUENCE_LENGTH = 353
 DEFAULT_ROOT = 1
@@ -68,21 +68,20 @@ def zadoff_chu_waveform(
 
 @dataclass(frozen=True)
 class ChannelImpulseResponse:
-    """One estimation snapshot: complex taps on a uniform delay grid."""
+    """A block of CIR snapshots: complex taps on a uniform delay grid.
+
+    ``taps`` has shape ``(snapshots, delay_taps)``; row p is snapshot p.
+    """
 
     taps: np.ndarray
     delay_step_s: float
-    timestamp_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "taps", _frozen_complex(self.taps))
-        if self.taps.ndim != 1 or self.taps.size == 0:
-            raise ValidationError("CIR taps must be a non-empty 1-D vector")
+        if self.taps.ndim != 2 or self.taps.size == 0:
+            raise ValidationError("CIR taps must be a non-empty 2-D (snapshots, taps) block")
         if self.delay_step_s <= 0:
             raise ValidationError("delay_step_s must be positive")
-
-    def __len__(self) -> int:
-        return self.taps.size
 
 
 def build_sounding_signal(
@@ -131,8 +130,7 @@ def synchronize(rx: IqSignal, waveform: SoundingWaveform) -> int:
         raise ValidationError(
             f"capture too short to synchronize: {len(rx)} samples < 2 x {n}"
         )
-    window = rx.samples[:n]
-    corr = np.fft.ifft(np.fft.fft(window) * np.conj(np.fft.fft(waveform.base_sequence)))
+    corr = circular_cross_correlate(rx.samples[:n], waveform.base_sequence)
     return int(np.argmax(np.abs(corr)))
 
 
@@ -159,14 +157,15 @@ def estimate_cirs(
     waveform: SoundingWaveform,
     regularization: float | None = None,
     taper_fraction: float = DEFAULT_TAPER_FRACTION,
-) -> list[ChannelImpulseResponse]:
+) -> ChannelImpulseResponse:
     """Estimate one CIR per complete sequence period in the capture.
 
     H[k] = Y[k] conj(X[k]) / (|X[k]|^2 + regularization), optionally edge
-    tapered, then inverse transformed. ``regularization=None`` selects the
-    default ridge term of 1e-6 times the mean reference spectral power;
-    pass 0 for plain division. If the capture holds fewer complete periods
-    than ``waveform.repetitions`` the shorter list is returned.
+    tapered, then inverse transformed; all periods go through one 2-D FFT.
+    ``regularization=None`` selects the default ridge term of 1e-6 times
+    the mean reference spectral power; pass 0 for plain division. Row p of
+    the returned block is period p; if the capture holds fewer complete
+    periods than ``waveform.repetitions`` the block has fewer rows.
 
     With tapering enabled each CIR is additionally rotated right by a small
     guard so the taper kernel's two-sided ringing lands at causal delays;
@@ -188,34 +187,22 @@ def estimate_cirs(
         raise ValidationError(f"capture holds no complete period of {n} samples")
 
     window = _taper_window(n, taper_fraction)
-    guard = min(_TAPER_GUARD_TAPS, n // 2) if window is not None else 0
-    denom = ref_power + regularization
-    step = 1.0 / rx.sample_rate_hz
-    cirs = []
-    for p in range(n_periods):
-        y_spec = np.fft.fft(rx.samples[p * n : (p + 1) * n])
-        h_spec = y_spec * np.conj(x_spec) / denom
-        if window is not None:
-            h_spec = h_spec * window
-        taps = np.fft.ifft(h_spec)
-        if guard:
-            taps = np.roll(taps, guard)
-        cirs.append(ChannelImpulseResponse(taps, step, timestamp_index=p))
-    return cirs
+    h = np.fft.fft(rx.samples[: n_periods * n].reshape(n_periods, n), axis=-1)
+    # two steps, as (Y conj(X)) / denom: folding conj(X) / denom into one
+    # factor changes the last bits
+    h *= np.conj(x_spec)
+    h /= ref_power + regularization
+    if window is not None:
+        h *= window
+    np.fft.ifft(h, axis=-1, out=h)
+    if window is not None:
+        h = np.roll(h, min(_TAPER_GUARD_TAPS, n // 2), axis=-1)
+    return ChannelImpulseResponse(h, 1.0 / rx.sample_rate_hz)
 
 
-def average_pdp(cirs: list[ChannelImpulseResponse]) -> PowerDelayProfile:
-    """Average squared CIR magnitudes into a power delay profile.
-
-    All snapshots must share length and delay step. The noise floor is left
-    unset; it is estimated downstream.
-    """
-    if not cirs:
-        raise ValidationError("average_pdp needs at least one CIR")
-    first = cirs[0]
-    for cir in cirs[1:]:
-        if len(cir) != len(first) or cir.delay_step_s != first.delay_step_s:
-            raise ValidationError("CIRs differ in length or delay step")
-    powers = np.mean([np.abs(c.taps) ** 2 for c in cirs], axis=0)
-    delays = np.arange(len(first)) * first.delay_step_s
+def average_pdp(cirs: ChannelImpulseResponse) -> PowerDelayProfile:
+    """Average squared CIR magnitudes over the snapshots into a power delay
+    profile. The noise floor is left unset; it is estimated downstream."""
+    powers = np.mean(np.abs(cirs.taps) ** 2, axis=0)
+    delays = np.arange(cirs.taps.shape[1]) * cirs.delay_step_s
     return PowerDelayProfile(delays, powers)

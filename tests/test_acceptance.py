@@ -97,9 +97,9 @@ def test_c04_estimator_fidelity():
     waveform, clean, positions, amplitudes = _three_path_setup()
 
     cirs = sounder.estimate_cirs(clean, waveform, regularization=0.0, taper_fraction=0.0)
-    assert len(cirs) == 3
-    for cir in cirs:
-        mags = np.abs(cir.taps)
+    assert len(cirs.taps) == 3
+    for taps in cirs.taps:
+        mags = np.abs(taps)
         assert set(np.argsort(mags)[-3:]) == set(positions)
         for pos, amp in zip(positions, amplitudes):
             assert abs(mags[pos] - amp) / amp < 1e-6

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cirkit import io
+from cirkit.analysis import PowerDelayProfile
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.cli import main
 from cirkit.sounder import build_sounding_signal, zadoff_chu_waveform
@@ -52,6 +53,15 @@ class TestEstimate:
 
     def test_missing_capture_is_io_error(self, tmp_path, capsys):
         rc = main(["estimate", "--rx", str(tmp_path / "nope.iq"), "--pdp-out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "read-iq" in capsys.readouterr().err
+
+    def test_nan_sample_fails_at_read_iq(self, tmp_path, capsys):
+        rx = make_capture(tmp_path)
+        floats = np.fromfile(rx, dtype="<f4")
+        floats[101] = np.nan
+        floats.tofile(rx)
+        rc = main(["estimate", "--rx", str(rx), "--pdp-out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "read-iq" in capsys.readouterr().err
 
@@ -137,6 +147,30 @@ class TestCompare:
         aligned = (tmp_path / "report.txt.aligned.csv").read_text().splitlines()
         assert aligned[0] == "delay_ns,measured_db,simulated_db"
         assert len(aligned) > 100
+
+    def test_finer_simulated_grid_keeps_measured_column_first(self, tmp_path):
+        measured, simulated = tmp_path / "m.csv", tmp_path / "s.csv"
+        main(["simulate", "--config", "urban-nlos", "--seed", "1", "--pdp-out", str(measured)])
+        coarse = io.read_pdp_csv(measured)
+        # a different profile on a third of the measured delay step, so that
+        # no fine bin ties between two coarse ones
+        delays = np.arange(3 * len(coarse)) * (coarse.delay_step_s / 3)
+        io.write_pdp_csv(simulated, PowerDelayProfile(delays, np.exp(-delays / 100e-9)))
+        report_path = tmp_path / "r.txt"
+        rc = main(
+            ["compare", "--measured", str(measured), "--simulated", str(simulated),
+             "--report-out", str(report_path), "--plot-out", str(tmp_path / "p.svg")]
+        )
+        assert rc == 0
+        aligned_path = tmp_path / "r.txt.aligned.csv"
+        assert aligned_path.read_text().splitlines()[0] == "delay_ns,measured_db,simulated_db"
+        aligned = np.loadtxt(aligned_path, delimiter=",", skiprows=1)
+        sim = np.loadtxt(simulated, delimiter=",", skiprows=1)
+        meas = np.loadtxt(measured, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(aligned[:, 0], sim[:, 0], atol=1e-5)  # the finer grid
+        np.testing.assert_allclose(aligned[:, 2], sim[:, 1], atol=1e-5)
+        nearest = np.clip(np.rint(aligned[:, 0] / meas[1, 0]).astype(int), 0, len(meas) - 1)
+        np.testing.assert_allclose(aligned[:, 1], meas[nearest, 1], atol=1e-5)
 
     def test_identical_inputs_all_zero(self, tmp_path):
         a = tmp_path / "a.csv"

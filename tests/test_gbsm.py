@@ -222,9 +222,9 @@ class TestSynthesizeCir:
     def test_integer_delay_is_kernel_identity(self):
         step = 1.0 / URBAN_NLOS.sample_rate_hz
         cs = self._manual_set([(40 * step, 1.0)])
-        cir = synthesize_cir(cs, URBAN_NLOS, 0)
-        assert abs(abs(cir.taps[40]) - 1.0) < 1e-6
-        assert np.max(np.abs(np.delete(cir.taps, 40))) < 1e-3
+        [taps] = synthesize_cir(cs, URBAN_NLOS, 0).taps
+        assert abs(abs(taps[40]) - 1.0) < 1e-6
+        assert np.max(np.abs(np.delete(taps, 40))) < 1e-3
 
     def test_energy_bound_for_separated_clusters(self):
         # clusters at least 3 bins apart: energy deviations come from kernel
@@ -248,7 +248,7 @@ class TestSynthesizeCir:
         step = 1.0 / URBAN_NLOS.sample_rate_hz
         cs = self._manual_set([(0.0, 0.5), (100 * NS, 0.5)])
         cir = synthesize_cir(cs, URBAN_NLOS, 1)
-        pdp = average_pdp([cir])
+        pdp = average_pdp(cir)
         sigma = cluster_sigma(pdp.delays_s, pdp.powers_linear)
         assert abs(sigma - 50 * NS) < 20 * NS
         assert step == pytest.approx(39.0625 * NS)
@@ -267,13 +267,13 @@ class TestSynthesizeCir:
         n = 10_000
         for i in range(n):
             cir = synthesize_cir(cs, URBAN_NLOS, subseed(3, 2, i))
-            acc += np.abs(cir.taps) ** 2
+            acc += np.abs(cir.taps[0]) ** 2
         acc /= n
         # per-cluster contributions rendered in isolation (magnitudes are
         # phase independent for a lone cluster)
         solo_a = synthesize_cir(self._manual_set([(20 * step, 1.0)]), URBAN_NLOS, 0)
         solo_b = synthesize_cir(self._manual_set([(20.5 * step, 1.0)]), URBAN_NLOS, 0)
-        expected_bin20 = 0.6 * abs(solo_a.taps[20]) ** 2 + 0.4 * abs(solo_b.taps[20]) ** 2
+        expected_bin20 = 0.6 * abs(solo_a.taps[0, 20]) ** 2 + 0.4 * abs(solo_b.taps[0, 20]) ** 2
         assert abs(acc[20] - expected_bin20) / expected_bin20 < 0.05
 
 
@@ -335,7 +335,7 @@ class TestGenerateDataset:
         ds = generate_dataset(URBAN_NLOS, 1000, 21)
         values = []
         for taps in ds.snapshots:
-            pdp = average_pdp([ChannelImpulseResponse(taps, 1.0 / URBAN_NLOS.sample_rate_hz)])
+            pdp = average_pdp(ChannelImpulseResponse([taps], 1.0 / URBAN_NLOS.sample_rate_hz))
             params = extract_parameters(pdp, los_flag=False)
             values.append(params.rms_delay_spread_s)
         median = float(np.median(values))

@@ -84,7 +84,7 @@ def loop_kernel(offsets):
     return taps / math.sqrt(float(np.sum(taps**2)))
 
 
-def loop_synthesize_cir(clusters, config, rng_seed, timestamp_index=0):
+def loop_synthesize_cir(clusters, config, rng_seed):
     fs = config.sample_rate_hz
     n_taps = config.cir_length_taps
     rng = np.random.default_rng(rng_seed)
@@ -104,7 +104,7 @@ def loop_synthesize_cir(clusters, config, rng_seed, timestamp_index=0):
         place(math.sqrt(cluster.power_linear) * np.exp(1j * phase), cluster.delay_s)
     if clusters.los_power_linear > 0.0:
         place(math.sqrt(clusters.los_power_linear), 0.0)
-    return ChannelImpulseResponse(taps, 1.0 / fs, timestamp_index=timestamp_index)
+    return ChannelImpulseResponse([taps], 1.0 / fs)
 
 
 def loop_fitting_clusters(ds, kf, config, root, *path):
@@ -121,7 +121,7 @@ def loop_fitting_clusters(ds, kf, config, root, *path):
 def loop_snapshot(config, root, index):
     ds, kf = draw_large_scale(config, subseed(root, index, 0))
     clusters = loop_fitting_clusters(ds, kf, config, root, index, 1)
-    return loop_synthesize_cir(clusters, config, subseed(root, index, 2), index).taps
+    return loop_synthesize_cir(clusters, config, subseed(root, index, 2)).taps[0]
 
 
 def loop_generate_dataset(config, count, root):
@@ -131,11 +131,11 @@ def loop_generate_dataset(config, count, root):
 def loop_simulate_pdp(config, root, n_realizations):
     ds, kf = draw_large_scale(config, subseed(root, 0))
     clusters = loop_fitting_clusters(ds, kf, config, root, 1)
-    cirs = [
-        loop_synthesize_cir(clusters, config, subseed(root, 2, i), i)
+    taps = [
+        loop_synthesize_cir(clusters, config, subseed(root, 2, i)).taps[0]
         for i in range(n_realizations)
     ]
-    pdp = average_pdp(cirs)
+    pdp = average_pdp(ChannelImpulseResponse(taps, 1.0 / config.sample_rate_hz))
     floor = estimate_noise_floor(pdp) if len(pdp) >= 16 else 0.0
     return normalize_pdp(pdp.with_noise_floor(floor), DEFAULT_MARGIN_DB)
 
@@ -198,10 +198,10 @@ def test_synthesize_cir_equals_loop_reference():
         0.3,
     )
     for seed in range(5):
-        batched = gbsm.synthesize_cir(cs, PRESETS["urban-los"], seed, 3)
-        loop = loop_synthesize_cir(cs, PRESETS["urban-los"], seed, 3)
+        batched = gbsm.synthesize_cir(cs, PRESETS["urban-los"], seed)
+        loop = loop_synthesize_cir(cs, PRESETS["urban-los"], seed)
         assert np.array_equal(batched.taps, loop.taps)
-        assert batched.timestamp_index == 3
+        assert batched.taps.shape == (1, PRESETS["urban-los"].cir_length_taps)
 
 
 def test_span_overflow_redraws_only_that_snapshot(tmp_path):

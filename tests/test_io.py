@@ -52,6 +52,18 @@ class TestIq:
         with pytest.raises(CorruptFileError, match="odd float count"):
             io.read_iq(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_named(self, tmp_path, value):
+        path = tmp_path / "bad.iq"
+        floats = np.ones(10, dtype="<f4")
+        floats[7] = value  # the Q part of sample 3
+        floats.tofile(path)
+        path.with_name(path.name + ".meta").write_text(
+            "sample_rate_hz=1.0\ncenter_frequency_hz=0.0\n"
+        )
+        with pytest.raises(CorruptFileError, match="sample 3 is not finite"):
+            io.read_iq(path)
+
     def test_missing_sidecar_names_path(self, tmp_path):
         path = tmp_path / "lonely.iq"
         np.array([1, 0], dtype="<f4").tofile(path)

@@ -102,20 +102,20 @@ class TestEstimateCirs:
         wf = small_waveform()
         rx = build_sounding_signal(wf)
         cirs = estimate_cirs(rx, wf, regularization=0.0, taper_fraction=0.0)
-        assert len(cirs) == 3
-        for cir in cirs:
-            assert abs(cir.taps[0] - 1.0) < 1e-9
-            assert np.max(np.abs(cir.taps[1:])) < 1e-9
+        assert len(cirs.taps) == 3
+        for taps in cirs.taps:
+            assert abs(taps[0] - 1.0) < 1e-9
+            assert np.max(np.abs(taps[1:])) < 1e-9
 
     def test_two_tap_channel_recovered(self):
         wf = small_waveform()
         tx = build_sounding_signal(wf)
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5]))
         cirs = estimate_cirs(rx, wf, regularization=0.0, taper_fraction=0.0)
-        for cir in cirs:
-            assert abs(cir.taps[0] - 1.0) < 1e-6
-            assert abs(cir.taps[2] - 0.5) < 1e-6
-            others = np.delete(cir.taps, [0, 2])
+        for taps in cirs.taps:
+            assert abs(taps[0] - 1.0) < 1e-6
+            assert abs(taps[2] - 0.5) < 1e-6
+            others = np.delete(taps, [0, 2])
             assert np.max(np.abs(others)) < 1e-6
 
     def test_matches_spectral_division_formula(self):
@@ -123,18 +123,21 @@ class TestEstimateCirs:
         rng = np.random.default_rng(5)
         rx = IqSignal(rng.standard_normal(wf.period) + 1j * rng.standard_normal(wf.period), RATE)
         reg = 0.3
-        [cir] = estimate_cirs(rx, wf, regularization=reg, taper_fraction=0.0)
+        [taps] = estimate_cirs(rx, wf, regularization=reg, taper_fraction=0.0).taps
         x = np.fft.fft(wf.base_sequence)
         expected = np.fft.ifft(np.fft.fft(rx.samples) * np.conj(x) / (np.abs(x) ** 2 + reg))
-        np.testing.assert_allclose(cir.taps, expected, atol=1e-12)
+        np.testing.assert_allclose(taps, expected, atol=1e-12)
 
     def test_partial_capture_returns_explicit_count(self):
         wf = small_waveform(repetitions=3)
         tx = build_sounding_signal(wf)
         rx = IqSignal(tx.samples[: 2 * wf.period + 10], RATE)
         cirs = estimate_cirs(rx, wf)
-        assert len(cirs) == 2
-        assert [c.timestamp_index for c in cirs] == [0, 1]
+        assert len(cirs.taps) == 2
+        # row p is period p
+        for p in range(2):
+            period = IqSignal(tx.samples[p * wf.period : (p + 1) * wf.period], RATE)
+            np.testing.assert_array_equal(cirs.taps[p], estimate_cirs(period, wf).taps[0])
 
     def test_zero_energy_reference_rejected(self):
         wf = SoundingWaveform(np.zeros(5), 3, RATE)
@@ -161,8 +164,8 @@ class TestEstimateCirs:
         scaled = IqSignal(c * rx.samples, RATE)
         base = estimate_cirs(rx, wf, regularization=0.0, taper_fraction=0.0)
         scaled_cirs = estimate_cirs(scaled, wf, regularization=0.0, taper_fraction=0.0)
-        for lhs, rhs in zip(scaled_cirs, base):
-            np.testing.assert_allclose(lhs.taps, c * rhs.taps, atol=1e-10)
+        for lhs, rhs in zip(scaled_cirs.taps, base.taps):
+            np.testing.assert_allclose(lhs, c * rhs, atol=1e-10)
 
     def test_taper_bounds_checked(self):
         wf = small_waveform()
@@ -171,16 +174,39 @@ class TestEstimateCirs:
             estimate_cirs(rx, wf, taper_fraction=0.9)
 
 
+class TestChannelImpulseResponse:
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValidationError):
+            ChannelImpulseResponse([np.ones(4), np.ones(5)], 1 / RATE)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError):
+            ChannelImpulseResponse(np.ones((0, 4)), 1 / RATE)
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            ChannelImpulseResponse(np.ones(4), 1 / RATE)
+
+    def test_nonpositive_step_rejected(self):
+        with pytest.raises(ValidationError, match="positive"):
+            ChannelImpulseResponse(np.ones((1, 4)), 0.0)
+
+    def test_taps_are_a_read_only_copy(self):
+        taps = np.ones((2, 4), dtype=np.complex128)
+        cir = ChannelImpulseResponse(taps, 1 / RATE)
+        taps[0, 0] = 5.0
+        assert cir.taps[0, 0] == 1.0
+        assert not cir.taps.flags.writeable
+
+
 class TestAveragePdp:
     def test_single_cir_squared_magnitude(self):
-        cir = ChannelImpulseResponse([1.0, 0.5j], 1 / RATE)
-        pdp = average_pdp([cir])
+        cir = ChannelImpulseResponse([[1.0, 0.5j]], 1 / RATE)
+        pdp = average_pdp(cir)
         np.testing.assert_allclose(pdp.powers_linear, [1.0, 0.25], atol=1e-15)
 
     def test_two_cir_mean(self):
-        a = ChannelImpulseResponse([1.0, 0.0], 1 / RATE)
-        b = ChannelImpulseResponse([0.0, 1.0], 1 / RATE)
-        pdp = average_pdp([a, b])
+        pdp = average_pdp(ChannelImpulseResponse([[1.0, 0.0], [0.0, 1.0]], 1 / RATE))
         np.testing.assert_allclose(pdp.powers_linear, [0.5, 0.5], atol=1e-15)
 
     def test_matches_direct_mean_oracle(self):
@@ -190,32 +216,20 @@ class TestAveragePdp:
         cirs = estimate_cirs(rx, wf)
         pdp = average_pdp(cirs)
         expected = [
-            sum(abs(c.taps[k]) ** 2 for c in cirs) / len(cirs) for k in range(wf.period)
+            sum(abs(taps[k]) ** 2 for taps in cirs.taps) / len(cirs.taps)
+            for k in range(wf.period)
         ]
         np.testing.assert_allclose(pdp.powers_linear, expected, rtol=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(11)
-        cirs = [
-            ChannelImpulseResponse(rng.standard_normal(8) + 1j * rng.standard_normal(8), 1 / RATE)
-            for _ in range(4)
-        ]
-        forward = average_pdp(cirs)
-        reverse = average_pdp(cirs[::-1])
+        rows = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(4)]
+        forward = average_pdp(ChannelImpulseResponse(rows, 1 / RATE))
+        reverse = average_pdp(ChannelImpulseResponse(rows[::-1], 1 / RATE))
         scale = np.max(forward.powers_linear)
         np.testing.assert_allclose(
             forward.powers_linear, reverse.powers_linear, atol=1e-14 * scale
         )
-
-    def test_mixed_lengths_rejected(self):
-        a = ChannelImpulseResponse(np.ones(4), 1 / RATE)
-        b = ChannelImpulseResponse(np.ones(5), 1 / RATE)
-        with pytest.raises(ValidationError):
-            average_pdp([a, b])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            average_pdp([])
 
 
 class TestEndToEnd:
