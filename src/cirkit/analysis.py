@@ -17,6 +17,10 @@ from .errors import EmptyProfileError, InternalConsistencyError, ValidationError
 DEFAULT_MARGIN_DB = 6.0
 DEFAULT_MIN_SEPARATION_BINS = 2
 
+# CIR rows (snapshots, periods or realizations) handled per array block;
+# output does not depend on it, peak memory and speed do
+CHUNK_ROWS = 256
+
 # |radicand| below this (in s^2) is treated as rounding noise and clamped to 0
 _RADICAND_EPS_S2 = 1e-18
 
@@ -186,6 +190,18 @@ def second_moment(pdp: PowerDelayProfile) -> float:
     """Power-weighted mean squared delay, sum P(tau)*tau^2 / sum P(tau)."""
     total = _total_power(pdp)
     return float(np.sum(pdp.powers_linear * pdp.delays_s**2) / total)
+
+
+def add_row_powers(power: np.ndarray, taps: np.ndarray) -> None:
+    """Add |taps|^2 of each row of a ``(rows, delay_taps)`` block into
+    ``power``, one row after another.
+
+    That is the order in which ``np.mean(..., axis=0)`` sums a C-ordered
+    block, so powers summed chunk by chunk and divided by the row count are
+    bit-identical to the mean over all rows at once.
+    """
+    for row in np.abs(taps) ** 2:
+        power += row
 
 
 def discrete_delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> np.ndarray:

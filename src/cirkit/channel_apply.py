@@ -50,10 +50,12 @@ def apply_channel(tx: IqSignal, channel: SyntheticChannel) -> IqSignal:
 def add_awgn(signal: IqSignal, snr_db: float, rng_seed) -> IqSignal:
     """Add circularly-symmetric complex Gaussian noise at the requested SNR.
 
-    ``snr_db=inf`` disables noise and returns the input unchanged. The noise
-    is a deterministic function of the seed.
+    ``snr_db=inf`` disables noise and returns the input unchanged; NaN and
+    ``-inf`` are rejected. The noise is a deterministic function of the seed.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValidationError(f"snr_db must be a number or +inf, got {snr_db}")
+    if snr_db == math.inf:
         return signal
     power = float(np.mean(np.abs(signal.samples) ** 2))
     if power <= 0.0:

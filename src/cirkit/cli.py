@@ -71,10 +71,15 @@ def _waveform(args) -> sounder.SoundingWaveform:
     )
 
 
-def _estimate_pdp(rx: IqSignal, waveform, regularization, taper, margin_db):
-    """Shared receive chain: mitigate, synchronize, estimate, average, normalize."""
+def _estimate_pdp(read_capture, waveform, regularization, taper, margin_db):
+    """Shared receive chain: mitigate, synchronize, estimate, average, normalize.
+
+    ``read_capture()`` returns the received signal. It is called here and
+    its result is handed straight to mitigation, so the raw capture is freed
+    once it is cleaned; the cleaned capture is freed once its CIRs exist.
+    """
     with _stage("mitigate"):
-        cleaned = sounder.mitigate_artifacts(rx)
+        cleaned = sounder.mitigate_artifacts(read_capture())
     with _stage("synchronize"):
         offset = sounder.synchronize(cleaned, waveform)
         aligned = IqSignal(
@@ -82,6 +87,7 @@ def _estimate_pdp(rx: IqSignal, waveform, regularization, taper, margin_db):
         )
     with _stage("estimate"):
         cirs = sounder.estimate_cirs(aligned, waveform, regularization, taper)
+    del cleaned, aligned
     with _stage("average"):
         raw = sounder.average_pdp(cirs)
     with _stage("normalize"):
@@ -106,11 +112,14 @@ def _cmd_generate_sounding(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    with _stage("read-iq"):
-        rx = io.read_iq(args.rx)
     waveform = _waveform(args)
     regularization = _parse_regularization(args.regularization)
-    pdp = _estimate_pdp(rx, waveform, regularization, args.taper, args.margin_db)
+
+    def read_capture() -> IqSignal:
+        with _stage("read-iq"):
+            return io.read_iq(args.rx)
+
+    pdp = _estimate_pdp(read_capture, waveform, regularization, args.taper, args.margin_db)
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)
     print(f"wrote {len(pdp)}-bin PDP to {args.pdp_out}")
@@ -254,12 +263,13 @@ def _cmd_loopback(args) -> int:
             raise ValidationError("channel span exceeds one sounding period")
     with _stage("build"):
         tx = sounder.build_sounding_signal(waveform)
-    with _stage("apply-channel"):
-        rx = apply_channel(tx, channel)
-        if not math.isinf(args.snr_db):
-            rx = add_awgn(rx, args.snr_db, args.seed)
     regularization = _parse_regularization(args.regularization)
-    pdp = _estimate_pdp(rx, waveform, regularization, args.taper, args.margin_db)
+
+    def received() -> IqSignal:
+        with _stage("apply-channel"):
+            return add_awgn(apply_channel(tx, channel), args.snr_db, args.seed)
+
+    pdp = _estimate_pdp(received, waveform, regularization, args.taper, args.margin_db)
     with _stage("extract"):
         params = analysis.extract_parameters(pdp, los_flag=True, margin_db=args.margin_db)
 

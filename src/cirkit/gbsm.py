@@ -22,9 +22,11 @@ import numpy as np
 
 from . import __about__
 from .analysis import (
+    CHUNK_ROWS,
     DEFAULT_MARGIN_DB,
     ChannelParameters,
     PowerDelayProfile,
+    add_row_powers,
     default_noise_floor,
     discrete_delay_spread,
     normalize_pdp,
@@ -35,10 +37,6 @@ from .sounder import ChannelImpulseResponse
 DEFAULT_R_TAU = 2.3
 DEFAULT_SHADOWING_DB = 3.0
 KERNEL_HALF_WIDTH = 8
-
-# snapshots (or realizations) drawn and rendered per array block; output
-# does not depend on it, peak memory and speed do
-CHUNK_ROWS = 256
 # cluster draws per snapshot before a CIR-span overflow becomes an error
 MAX_CLUSTER_DRAWS = 8
 
@@ -494,8 +492,7 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
         seeds = [subseed(rng_seed, 2, i) for i in range(start, stop)]
         amplitudes = _phase_amplitudes(block.powers, seeds)
         taps = _render_block(block.delays, amplitudes, np.sqrt(block.los), config)
-        for row in np.abs(taps) ** 2:  # row by row: the same sum as averaging CIR by CIR
-            power += row
+        add_row_powers(power, taps)
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
     pdp = PowerDelayProfile(delays, power / n_realizations)
     return normalize_pdp(pdp.with_noise_floor(default_noise_floor(pdp)), DEFAULT_MARGIN_DB)
@@ -544,14 +541,12 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=Non
         config,
         comments=(f"seed={rng_seed}", f"generator_version={__about__.__version__}"),
     )
+    snapshots.setflags(write=False)
     dataset = cirkit_io.Dataset(
         snapshots=snapshots,
         sample_rate_hz=config.sample_rate_hz,
         config_text=blob,
     )
-    # Dataset holds a copy; freeing the block lets the writer's buffers reuse
-    # its memory instead of faulting in fresh pages
-    del snapshots
     if path is not None:
         cirkit_io.write_dataset(path, dataset)
     return dataset

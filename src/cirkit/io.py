@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .gbsm import ScenarioConfig
-from .signal import IqSignal
+from .signal import IqSignal, _frozen_complex
 
 DATASET_MAGIC = b"CHDS"
 DATASET_VERSION = 1
@@ -99,7 +99,8 @@ def read_iq(path) -> IqSignal:
     for key in ("sample_rate_hz", "center_frequency_hz"):
         if key not in meta:
             raise CorruptFileError(f"{meta_path}: missing key {key}")
-    samples = floats[0::2].astype(np.float64) + 1j * floats[1::2].astype(np.float64)
+    samples = floats.view("<c8").astype(np.complex128)
+    samples.setflags(write=False)
     return IqSignal(samples, meta["sample_rate_hz"], meta["center_frequency_hz"])
 
 
@@ -291,8 +292,7 @@ class Dataset:
     config_text: str
 
     def __post_init__(self):
-        snaps = np.array(self.snapshots, dtype=np.complex128)
-        snaps.setflags(write=False)
+        snaps = _frozen_complex(self.snapshots)
         object.__setattr__(self, "snapshots", snaps)
         if snaps.ndim != 2 or snaps.size == 0:
             raise ValidationError("dataset snapshots must be a non-empty 2-D array")
@@ -320,10 +320,9 @@ def write_dataset(path, dataset: Dataset) -> None:
         dataset.sample_rate_hz,
         len(blob),
     )
-    payload = np.empty((dataset.snapshot_count, dataset.cir_length_taps, 2), dtype="<f4")
-    payload[..., 0] = dataset.snapshots.real
-    payload[..., 1] = dataset.snapshots.imag
-    Path(path).write_bytes(header + blob + payload.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header + blob)
+        fh.write(dataset.snapshots.astype("<c8"))
 
 
 def read_dataset(path) -> Dataset:
@@ -344,6 +343,7 @@ def read_dataset(path) -> Dataset:
             f"{path}: file is {len(raw)} bytes but header arithmetic gives {expected}"
         )
     blob = raw[_HEADER_SIZE : _HEADER_SIZE + blob_len].decode("utf-8")
-    floats = np.frombuffer(raw[_HEADER_SIZE + blob_len :], dtype="<f4")
-    pairs = floats.reshape(count, taps, 2).astype(np.float64)
-    return Dataset(pairs[..., 0] + 1j * pairs[..., 1], rate, blob)
+    pairs = np.frombuffer(raw, dtype="<c8", offset=_HEADER_SIZE + blob_len)
+    snapshots = pairs.reshape(count, taps).astype(np.complex128)
+    snapshots.setflags(write=False)
+    return Dataset(snapshots, rate, blob)

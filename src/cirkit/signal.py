@@ -1,7 +1,8 @@
 """Complex baseband primitives: Zadoff-Chu sequences, transforms, correlation.
 
 All functions are pure and all values are immutable after construction, so
-they are safe to share between threads.
+they are safe to share between threads. Domain objects adopt a frozen
+complex128 array as it is and copy anything else.
 """
 
 from __future__ import annotations
@@ -13,7 +14,25 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _is_frozen(arr: np.ndarray) -> bool:
+    """True when ``arr`` and every array in its ``.base`` chain are read-only
+    and the chain ends in an array that owns its data or in ``bytes``, so
+    its memory changes only if someone turns writing back on."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return isinstance(arr, bytes)
+
+
 def _frozen_complex(values) -> np.ndarray:
+    """A read-only complex128 array of ``values``: adopted without a copy when
+    it already is one and frozen, copied otherwise, so no caller can change a
+    domain object behind its back."""
+    if type(values) is np.ndarray and values.dtype == np.complex128 and _is_frozen(values):
+        return values
     try:
         arr = np.array(values, dtype=np.complex128)
     except ValueError as err:  # ragged rows or non-numeric values

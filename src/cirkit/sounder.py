@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import PowerDelayProfile
+from .analysis import CHUNK_ROWS, PowerDelayProfile, add_row_powers
 from .errors import ValidationError
 from .signal import IqSignal, _frozen_complex, circular_cross_correlate, is_prime, zadoff_chu
 
@@ -99,23 +99,28 @@ def mitigate_artifacts(rx: IqSignal, spike_threshold: float = _SPIKE_THRESHOLD) 
     ``spike_threshold`` times the median magnitude is replaced by linear
     interpolation of its neighbours. This is a deliberately simple stand-in
     for full iterative restoration of hardware artifacts.
+
+    Besides the input, this holds one cleaned capture and one float array
+    of magnitudes; spikes are repaired in the cleaned capture in place.
     """
-    x = rx.samples
-    if not np.any(x):
+    if not np.any(rx.samples):
         return rx
-    x = x - np.mean(x)
+    x = rx.samples - np.mean(rx.samples)
     mag = np.abs(x)
-    median = float(np.median(mag))
-    bad = mag > spike_threshold * median
-    if np.any(bad):
-        good = np.nonzero(~bad)[0]
-        if good.size == 0:
+    threshold = spike_threshold * float(np.median(mag, overwrite_input=True))
+    del mag  # reordered by the median
+    is_bad = np.abs(x) > threshold
+    bad = np.flatnonzero(is_bad)
+    if bad.size:
+        # the good samples next to a run of spikes are the ones that bracket
+        # it, so interpolating from them alone equals interpolating from all
+        near = np.concatenate([bad - 1, bad + 1])
+        near = near[(near >= 0) & (near < x.size)]
+        near = np.unique(near[~is_bad[near]])
+        if near.size == 0:
             raise ValidationError("every sample flagged as a spike; capture unusable")
-        idx = np.arange(x.size)
-        x = x.copy()
-        x[bad] = np.interp(idx[bad], good, x.real[good]) + 1j * np.interp(
-            idx[bad], good, x.imag[good]
-        )
+        x[bad] = np.interp(bad, near, x.real[near]) + 1j * np.interp(bad, near, x.imag[near])
+    x.setflags(write=False)
     return IqSignal(x, rx.sample_rate_hz, rx.center_frequency_hz)
 
 
@@ -161,7 +166,8 @@ def estimate_cirs(
     """Estimate one CIR per complete sequence period in the capture.
 
     H[k] = Y[k] conj(X[k]) / (|X[k]|^2 + regularization), optionally edge
-    tapered, then inverse transformed; all periods go through one 2-D FFT.
+    tapered, then inverse transformed; the periods go through 2-D FFTs of
+    ``CHUNK_ROWS`` rows into one preallocated block.
     ``regularization=None`` selects the default ridge term of 1e-6 times
     the mean reference spectral power; pass 0 for plain division. Row p of
     the returned block is period p; if the capture holds fewer complete
@@ -187,22 +193,39 @@ def estimate_cirs(
         raise ValidationError(f"capture holds no complete period of {n} samples")
 
     window = _taper_window(n, taper_fraction)
-    h = np.fft.fft(rx.samples[: n_periods * n].reshape(n_periods, n), axis=-1)
-    # two steps, as (Y conj(X)) / denom: folding conj(X) / denom into one
-    # factor changes the last bits
-    h *= np.conj(x_spec)
-    h /= ref_power + regularization
-    if window is not None:
-        h *= window
-    np.fft.ifft(h, axis=-1, out=h)
-    if window is not None:
-        h = np.roll(h, min(_TAPER_GUARD_TAPS, n // 2), axis=-1)
-    return ChannelImpulseResponse(h, 1.0 / rx.sample_rate_hz)
+    guard = min(_TAPER_GUARD_TAPS, n // 2) if window is not None else 0
+    denom = ref_power + regularization
+    periods = rx.samples[: n_periods * n].reshape(n_periods, n)
+    taps = np.empty((n_periods, n), dtype=np.complex128)
+    buffer = np.empty((min(CHUNK_ROWS, n_periods), n), dtype=np.complex128)
+    for start in range(0, n_periods, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n_periods)
+        h = buffer[: stop - start]
+        np.fft.fft(periods[start:stop], axis=-1, out=h)
+        # two steps, as (Y conj(X)) / denom: folding conj(X) / denom into one
+        # factor changes the last bits
+        h *= np.conj(x_spec)
+        h /= denom
+        if window is not None:
+            h *= window
+        np.fft.ifft(h, axis=-1, out=h)
+        # circular shift right by the guard
+        taps[start:stop, guard:] = h[:, : n - guard]
+        taps[start:stop, :guard] = h[:, n - guard :]
+    taps.setflags(write=False)
+    return ChannelImpulseResponse(taps, 1.0 / rx.sample_rate_hz)
 
 
 def average_pdp(cirs: ChannelImpulseResponse) -> PowerDelayProfile:
     """Average squared CIR magnitudes over the snapshots into a power delay
-    profile. The noise floor is left unset; it is estimated downstream."""
-    powers = np.mean(np.abs(cirs.taps) ** 2, axis=0)
-    delays = np.arange(cirs.taps.shape[1]) * cirs.delay_step_s
-    return PowerDelayProfile(delays, powers)
+    profile. The noise floor is left unset; it is estimated downstream.
+
+    Squared magnitudes are formed ``CHUNK_ROWS`` snapshots at a time and
+    summed row after row, the same sum as ``np.mean(..., axis=0)``.
+    """
+    rows, n = cirs.taps.shape
+    power = np.zeros(n)
+    for start in range(0, rows, CHUNK_ROWS):
+        add_row_powers(power, cirs.taps[start : start + CHUNK_ROWS])
+    delays = np.arange(n) * cirs.delay_step_s
+    return PowerDelayProfile(delays, power / rows)

@@ -98,3 +98,8 @@ class TestAddAwgn:
     def test_zero_energy_rejected(self):
         with pytest.raises(ValidationError):
             add_awgn(IqSignal(np.zeros(8), 1e6), 10.0, 0)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    def test_nan_and_negative_infinite_snr_rejected(self, snr_db):
+        with pytest.raises(ValidationError, match="snr_db"):
+            add_awgn(random_signal(np.random.default_rng(9)), snr_db, 0)

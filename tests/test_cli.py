@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from cirkit import io
 from cirkit.analysis import PowerDelayProfile
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.cli import main
+from cirkit.signal import IqSignal
 from cirkit.sounder import build_sounding_signal, zadoff_chu_waveform
 
 
@@ -64,6 +67,31 @@ class TestEstimate:
         rc = main(["estimate", "--rx", str(rx), "--pdp-out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "read-iq" in capsys.readouterr().err
+
+    def test_peak_memory_stays_below_three_captures(self, tmp_path):
+        """The raw capture, the cleaned capture and its magnitudes are the
+        most the receive chain holds at once."""
+        waveform = zadoff_chu_waveform(repetitions=1000)
+        rx = add_awgn(
+            apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.5])),
+            20.0,
+            1,
+        )
+        samples = rx.samples.copy()
+        samples[[0, 5000, 5001, 123456]] = 50.0
+        path = tmp_path / "rx.iq"
+        io.write_iq(path, IqSignal(samples, rx.sample_rate_hz))
+        capture_bytes = samples.nbytes
+        del rx, samples
+        tracemalloc.start()
+        try:
+            rc = main(["estimate", "--rx", str(path), "--repetitions", "1000",
+                       "--pdp-out", str(tmp_path / "pdp.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 3 * capture_bytes
 
 
 class TestExtract:
@@ -214,6 +242,12 @@ class TestLoopback:
         rc = main(["loopback", "--channel-spec", "0"])
         assert rc == 1
         assert "channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_non_numeric_snr_fails_at_apply_channel(self, capsys, snr):
+        rc = main(["loopback", f"--snr-db={snr}"])
+        assert rc == 1
+        assert "apply-channel: snr_db" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from cirkit.errors import ValidationError
+from cirkit.io import Dataset
 from cirkit.signal import IqSignal, circular_cross_correlate, dft, idft, is_prime, zadoff_chu
+from cirkit.sounder import ChannelImpulseResponse
 
 
 def direct_cross_correlate(a, b):
@@ -33,6 +35,56 @@ class TestIqSignal:
     def test_duration(self):
         sig = IqSignal(np.ones(256), 25.6e6)
         assert sig.duration_s == pytest.approx(1e-5)
+
+
+# each domain type that takes a complex array, and the array it then holds
+HOLDERS = {
+    "IqSignal": lambda values: IqSignal(values.ravel(), 1e6).samples,
+    "ChannelImpulseResponse": lambda values: ChannelImpulseResponse(values, 1e-6).taps,
+    "Dataset": lambda values: Dataset(values, 1e6, "label=test\n").snapshots,
+}
+
+
+def complex_block(seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+
+
+@pytest.mark.parametrize("holder", sorted(HOLDERS))
+class TestArrayAdoption:
+    def test_frozen_owned_array_adopted(self, holder):
+        values = complex_block()
+        values.setflags(write=False)
+        held = HOLDERS[holder](values)
+        assert np.shares_memory(held, values)
+        assert not held.flags.writeable
+
+    def test_frozen_view_of_bytes_adopted(self, holder):
+        values = np.frombuffer(complex_block().tobytes(), dtype=np.complex128).reshape(3, 4)
+        assert np.shares_memory(HOLDERS[holder](values), values)
+
+    def test_read_only_view_of_writable_array_copied(self, holder):
+        base = complex_block()
+        view = base[:]
+        view.setflags(write=False)
+        held = HOLDERS[holder](view)
+        expected = base.copy()
+        assert not np.shares_memory(held, base)
+        base[...] = 0.0
+        assert np.array_equal(held.reshape(expected.shape), expected)
+
+    def test_writable_array_copied(self, holder):
+        values = complex_block()
+        held = HOLDERS[holder](values)
+        assert not np.shares_memory(held, values)
+        assert not held.flags.writeable
+
+    def test_other_dtype_copied(self, holder):
+        values = complex_block().astype(np.complex64)
+        values.setflags(write=False)
+        held = HOLDERS[holder](values)
+        assert held.dtype == np.complex128
+        assert not np.shares_memory(held, values)
 
 
 class TestZadoffChu:
