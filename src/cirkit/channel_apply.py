@@ -34,16 +34,19 @@ def apply_channel(tx: IqSignal, channel: SyntheticChannel) -> IqSignal:
 
     Circular (not linear) convolution matches the periodic sounding
     waveform: every period sees the same steady-state channel and there are
-    no edge transients to discard.
+    no edge transients to discard. The product of the two spectra is formed
+    and transformed back in one buffer, which the result adopts, so the peak
+    is two signal-sized arrays.
     """
     n = len(tx)
     if channel.taps.size > n:
         raise ValidationError(
             f"channel ({channel.taps.size} taps) longer than signal ({n} samples)"
         )
-    h = np.zeros(n, dtype=np.complex128)
-    h[: channel.taps.size] = channel.taps
-    out = np.fft.ifft(np.fft.fft(tx.samples) * np.fft.fft(h))
+    spectrum = np.fft.fft(tx.samples)
+    spectrum *= np.fft.fft(channel.taps, n)
+    out = np.fft.ifft(spectrum, out=spectrum)
+    out.setflags(write=False)
     return IqSignal(out, tx.sample_rate_hz, tx.center_frequency_hz)
 
 
@@ -51,7 +54,9 @@ def add_awgn(signal: IqSignal, snr_db: float, rng_seed) -> IqSignal:
     """Add circularly-symmetric complex Gaussian noise at the requested SNR.
 
     ``snr_db=inf`` disables noise and returns the input unchanged; NaN and
-    ``-inf`` are rejected. The noise is a deterministic function of the seed.
+    ``-inf`` are rejected. The noise is a deterministic function of the seed:
+    n real parts, then n imaginary parts, drawn into the array that becomes
+    the result.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValidationError(f"snr_db must be a number or +inf, got {snr_db}")
@@ -62,10 +67,10 @@ def add_awgn(signal: IqSignal, snr_db: float, rng_seed) -> IqSignal:
         raise ValidationError("cannot set an SNR on a zero-energy signal")
     noise_var = power / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(rng_seed)
-    scale = math.sqrt(noise_var / 2.0)
-    noise = scale * (
-        rng.standard_normal(len(signal)) + 1j * rng.standard_normal(len(signal))
-    )
-    return IqSignal(
-        signal.samples + noise, signal.sample_rate_hz, signal.center_frequency_hz
-    )
+    out = np.empty(len(signal), dtype=np.complex128)
+    out.real = rng.standard_normal(len(signal))
+    out.imag = rng.standard_normal(len(signal))
+    out *= math.sqrt(noise_var / 2.0)
+    out += signal.samples
+    out.setflags(write=False)
+    return IqSignal(out, signal.sample_rate_hz, signal.center_frequency_hz)

@@ -164,6 +164,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    with _stage("seed"):
+        gbsm.check_seed(args.seed)
     with _stage("load-config"):
         config = _load_config(args.config)
     with _stage("simulate"):
@@ -178,6 +180,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
+    with _stage("seed"):
+        gbsm.check_seed(args.seed)
     with _stage("load-config"):
         config = _load_config(args.config)
     with _stage("dataset"):
@@ -254,6 +258,8 @@ def _parse_channel_spec(spec: str, sample_rate_hz: float) -> tuple[SyntheticChan
 
 
 def _cmd_loopback(args) -> int:
+    with _stage("seed"):
+        gbsm.check_seed(args.seed)
     waveform = _waveform(args)
     with _stage("channel-spec"):
         channel, true_delays, true_powers = _parse_channel_spec(

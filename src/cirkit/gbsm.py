@@ -7,9 +7,10 @@ LOS component), rescales delays so the realized RMS delay spread matches the
 drawn target exactly, and renders band-limited CIRs on the sounder's sample
 grid.
 
-All randomness flows from caller-provided seeds through numpy's PCG64
-generator; identical inputs give bit-identical outputs regardless of
-how the work is split into array blocks.
+Datasets and simulated PDPs draw from counter-based Philox streams keyed
+by (root seed, stream): snapshot i owns a fixed run of uniform words, so
+the output is bit-identical however the work is split into blocks. The
+single-row public functions read a row from ``default_rng(rng_seed)``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ DEFAULT_SHADOWING_DB = 3.0
 KERNEL_HALF_WIDTH = 8
 # cluster draws per snapshot before a CIR-span overflow becomes an error
 MAX_CLUSTER_DRAWS = 8
+# second Philox key word of each consumer's stream; draw attempts sit above bit 32
+DATASET_STREAM = 0
+SIMULATE_STREAM = 1
+# uniform words of the Box-Muller pair that gives a row's DS and K-factor
+LARGE_SCALE = slice(0, 2)
 
 ENFORCEMENT_EXACT = "exact"
 ENFORCEMENT_SINGLE_CLUSTER = "skipped-single-cluster"
@@ -69,11 +75,8 @@ class ScenarioConfig:
     cir_length_taps: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "fixed_clusters",
-            tuple((float(d), float(p)) for d, p in self.fixed_clusters),
-        )
+        fixed = tuple((float(d), float(p)) for d, p in self.fixed_clusters)
+        object.__setattr__(self, "fixed_clusters", fixed)
         if self.ds_median_s <= 0:
             raise ValidationError("ds_median_s must be > 0")
         if self.ds_sigma_log10 < 0 or self.kf_sigma_db < 0:
@@ -178,15 +181,44 @@ class ClusterSet:
         return float(discrete_delay_spread(delays, powers))
 
 
-def subseed(root_seed: int, *path: int) -> np.random.SeedSequence:
-    """Deterministic child seed for (root seed, index path).
+def check_seed(seed) -> int:
+    """``seed`` as an int in [0, 2**64): a root seed is the first Philox key word."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
-    Makes snapshot generation order-independent: stream i depends only on
-    the root seed and its own indices, never on scheduling.
-    """
-    if root_seed < 0 or any(p < 0 for p in path):
-        raise ValidationError("seeds and seed path entries must be non-negative")
-    return np.random.SeedSequence([int(root_seed), *[int(p) for p in path]])
+
+def _layout(config: ScenarioConfig) -> tuple[int, slice, slice]:
+    """(width, cluster words, phase words) of a snapshot's row of uniform
+    words: the ``LARGE_SCALE`` pair, a delay word per stochastic cluster,
+    its shadowing in Box-Muller pairs, one phase word per cluster, and
+    padding to a multiple of 4 words, one Philox block."""
+    n_stoch = config.num_clusters - len(config.fixed_clusters)
+    phases = LARGE_SCALE.stop + n_stoch + 2 * ((n_stoch + 1) // 2)
+    end = phases + config.num_clusters
+    return -(-end // 4) * 4, slice(LARGE_SCALE.stop, phases), slice(phases, end)
+
+
+def _stream_words(
+    root: int, stream: int, start: int, rows: int, width: int, attempt: int = 0
+) -> np.ndarray:
+    """Rows ``start`` to ``start + rows - 1``, ``width`` uniform words each,
+    of the Philox stream keyed (root, stream, attempt). Row i begins at
+    counter ``i * width / 4``, so a row's words do not depend on which rows
+    are drawn with it."""
+    key = np.array([root, attempt << 32 | stream], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key, counter=start * width // 4)
+    return np.random.Generator(bitgen).random((rows, width))
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normals from uniform words in [0, 1), two per pair (u1, u2)
+    along the last axis: sqrt(-2 ln(1 - u1)) times cos and sin of 2 pi u2."""
+    pairs = words.reshape(*words.shape[:-1], -1, 2)
+    radius = np.sqrt(-2.0 * np.log1p(-pairs[..., 0]))
+    angle = 2.0 * np.pi * pairs[..., 1]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return normals.reshape(words.shape)
 
 
 def config_from_parameters(params: ChannelParameters, defaults: ScenarioConfig) -> ScenarioConfig:
@@ -206,19 +238,23 @@ def config_from_parameters(params: ChannelParameters, defaults: ScenarioConfig) 
     )
 
 
-def draw_large_scale(config: ScenarioConfig, rng_seed) -> tuple[float, float | None]:
-    """Draw one (delay spread, K-factor) realization.
+def _large_scale(words: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """(DS, K-factor in dB) of S rows from their (S, 2) ``LARGE_SCALE`` words:
+    DS log-normal around its median, the K-factor normal in dB around its
+    median (log-normal in linear) and absent (None) for NLOS configs."""
+    z = _box_muller(words)
+    ds = 10.0 ** (math.log10(config.ds_median_s) + config.ds_sigma_log10 * z[:, 0])
+    if not config.los:
+        return ds, None
+    return ds, config.kf_median_db + config.kf_sigma_db * z[:, 1]
 
-    DS is log-normal around its median; the K-factor is normal in dB around
-    its median (equivalently log-normal in linear). NLOS configs always
-    yield an absent K-factor.
-    """
-    rng = np.random.default_rng(rng_seed)
-    ds = 10.0 ** (math.log10(config.ds_median_s) + config.ds_sigma_log10 * rng.standard_normal())
-    kf = None
-    if config.los:
-        kf = config.kf_median_db + config.kf_sigma_db * rng.standard_normal()
-    return float(ds), kf
+
+def draw_large_scale(config: ScenarioConfig, rng_seed) -> tuple[float, float | None]:
+    """Draw one (delay spread, K-factor) realization from the first row of
+    ``np.random.default_rng(rng_seed)``; see ``_large_scale``."""
+    words = np.random.default_rng(rng_seed).random((1, _layout(config)[0]))
+    ds, kf = _large_scale(words[:, LARGE_SCALE], config)
+    return float(ds[0]), None if kf is None else float(kf[0])
 
 
 def _preserve_fixed_scale(
@@ -257,30 +293,20 @@ class _ClusterBlock(NamedTuple):
 
 
 def _draw_clusters(
-    ds: np.ndarray,
-    los: np.ndarray,
-    seeds: list,
-    config: ScenarioConfig,
-    preserve_fixed_delays: bool,
+    ds: np.ndarray, los: np.ndarray, words: np.ndarray, config: ScenarioConfig, preserve: bool
 ) -> _ClusterBlock:
-    """``generate_clusters`` for S rows: row r draws from ``seeds[r]``; the
-    arithmetic after the draws runs on (S, K) arrays."""
+    """``generate_clusters`` for S rows from their (S, C) cluster words: a
+    delay uniform per stochastic cluster, then its shadowing by Box-Muller."""
     rows = ds.size
     n_stoch = config.num_clusters - len(config.fixed_clusters)
-    u = np.empty((rows, n_stoch))
-    shadowing = np.empty((rows, n_stoch))
-    if n_stoch > 0:
-        for row, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            u[row] = rng.random(n_stoch)  # 1-u is uniform on (0, 1]
-            shadowing[row] = rng.normal(0.0, config.per_cluster_shadowing_db, n_stoch)
+    u = words[:, :n_stoch]  # 1-u is uniform on (0, 1]
+    shadowing = config.per_cluster_shadowing_db * _box_muller(words[:, n_stoch:])[:, :n_stoch]
     r_tau = config.delay_proportionality_r_tau
     raw = (-r_tau * ds)[:, None] * np.log1p(-u)
     raw.sort(axis=-1)
     stoch_delays = raw - raw[:, :1]
-    stoch_weights = np.exp(-stoch_delays * (r_tau - 1.0) / (r_tau * ds)[:, None]) * 10.0 ** (
-        -shadowing / 10.0
-    )
+    decay = np.exp(-stoch_delays * (r_tau - 1.0) / (r_tau * ds)[:, None])
+    stoch_weights = decay * 10.0 ** (-shadowing / 10.0)
 
     fixed_delays = [d for d, _ in config.fixed_clusters]
     fixed_weights = [p for _, p in config.fixed_clusters]
@@ -301,7 +327,7 @@ def _draw_clusters(
     sigma = discrete_delay_spread(all_delays, all_powers)
     if np.any(sigma == 0.0):
         raise ValidationError("degenerate cluster set (all delays equal); cannot scale")
-    if preserve_fixed_delays and config.fixed_clusters:
+    if preserve and config.fixed_clusters:
         for row in range(rows):
             scale_mask = np.append(~fixed[row], False)
             alpha = _preserve_fixed_scale(all_delays[row], all_powers[row], scale_mask, ds[row])
@@ -311,47 +337,30 @@ def _draw_clusters(
     return _ClusterBlock(delays, powers, fixed, los, ENFORCEMENT_EXACT)
 
 
-def _redraw_seed(seed, attempt: int) -> np.random.SeedSequence:
-    """Seed of cluster draw number ``attempt``: ``attempt`` appended to the
-    entropy of ``seed``, so ``subseed(root, i, 1)`` redraws from
-    ``subseed(root, i, 1, attempt)``."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.SeedSequence([seed.entropy, attempt], spawn_key=seed.spawn_key)
-
-
 def _cluster_block(
-    ds: np.ndarray,
-    kf: list,
-    config: ScenarioConfig,
-    seeds: list,
-    preserve_fixed_delays: bool = False,
-    first_index: int = 0,
+    ds: np.ndarray, kf, draw, config: ScenarioConfig, preserve: bool = False, first_index: int = 0
 ) -> _ClusterBlock:
-    """Draw the cluster sets of S snapshots; row r uses ``seeds[r]``.
-
-    A row whose largest delay does not fit the CIR span is drawn again from
-    ``_redraw_seed(seeds[r], attempt)``, keeping its DS and K-factor, up to
+    """Cluster sets of S snapshots with (S,) DS and K-factors in dB (None for
+    NLOS) from ``draw(attempt)``, the (S, C) cluster words of draw number
+    ``attempt``. A row whose largest delay does not fit the CIR span is drawn
+    again from the next draw, keeping its DS and K-factor, up to
     ``MAX_CLUSTER_DRAWS`` draws in all; other rows are untouched.
-    ``first_index`` numbers the rows in the error raised when the draws run
-    out.
+    ``first_index`` numbers the rows in the error raised when draws run out.
     """
     if np.any(ds <= 0):
         raise ValidationError("ds_s must be > 0")
     los = np.zeros(ds.size)
-    for row, kf_db in enumerate(kf):
-        if kf_db is not None:
-            k_linear = 10.0 ** (kf_db / 10.0)
-            los[row] = k_linear / (k_linear + 1.0)
+    if kf is not None:
+        k_linear = 10.0 ** (kf / 10.0)
+        los = k_linear / (k_linear + 1.0)
     span = config.cir_length_taps / config.sample_rate_hz
 
-    block = _draw_clusters(ds, los, seeds, config, preserve_fixed_delays)
+    block = _draw_clusters(ds, los, draw(0), config, preserve)
     over = np.nonzero(block.delays.max(axis=-1) >= span)[0]
     for attempt in range(1, MAX_CLUSTER_DRAWS):
         if over.size == 0:
             break
-        retry_seeds = [_redraw_seed(seeds[r], attempt) for r in over]
-        redo = _draw_clusters(ds[over], los[over], retry_seeds, config, preserve_fixed_delays)
+        redo = _draw_clusters(ds[over], los[over], draw(attempt)[over], config, preserve)
         block.delays[over] = redo.delays
         block.powers[over] = redo.powers
         block.fixed[over] = redo.fixed
@@ -364,12 +373,25 @@ def _cluster_block(
     return block
 
 
+def _stream_block(
+    config: ScenarioConfig, root: int, stream: int, start: int, rows: int
+) -> tuple[np.ndarray, _ClusterBlock]:
+    """Phase words and cluster sets of rows ``start`` to ``start + rows - 1``
+    of the (root, stream) stream. Draw ``attempt`` of a row that overflows
+    the CIR span reads the same row of the (root, stream, attempt) stream."""
+    width, clusters, phases = _layout(config)
+    words = _stream_words(root, stream, start, rows, width)
+    ds, kf = _large_scale(words[:, LARGE_SCALE], config)
+
+    def draw(attempt: int) -> np.ndarray:
+        again = _stream_words(root, stream, start, rows, width, attempt) if attempt else words
+        return again[:, clusters]
+
+    return words[:, phases], _cluster_block(ds, kf, draw, config, first_index=start)
+
+
 def generate_clusters(
-    ds_s: float,
-    kf_db: float | None,
-    config: ScenarioConfig,
-    rng_seed,
-    preserve_fixed_delays: bool = False,
+    ds_s: float, kf_db: float | None, config: ScenarioConfig, rng_seed, preserve_fixed_delays=False
 ) -> ClusterSet:
     """Synthesize one cluster delay line with the requested delay spread.
 
@@ -382,15 +404,21 @@ def generate_clusters(
     one factor so the exact RMS delay spread of the discrete set equals
     ``ds_s``.
 
-    The draw is conditioned on fitting the CIR span: when the largest
-    rescaled delay is at or past ``cir_length_taps / sample_rate_hz``, the
-    delays and shadowing are drawn again (same DS and K-factor) from
-    ``rng_seed``'s entropy with the attempt number 1, 2, ... appended, and
+    The delays and shadowing come from the cluster words of the first row
+    of ``np.random.default_rng(rng_seed)``, laid out as a dataset row. The
+    draw is conditioned on fitting the CIR span: when the largest rescaled
+    delay is at or past ``cir_length_taps / sample_rate_hz``, they are drawn
+    again (same DS and K-factor) from the generator's next row, and
     ``ValidationError`` is raised after ``MAX_CLUSTER_DRAWS`` draws.
     """
-    block = _cluster_block(
-        np.array([float(ds_s)]), [kf_db], config, [rng_seed], preserve_fixed_delays
-    )
+    width, cluster_words, _ = _layout(config)
+    rng = np.random.default_rng(rng_seed)
+
+    def next_row(attempt: int) -> np.ndarray:
+        return rng.random((1, width))[:, cluster_words]
+
+    kf = None if kf_db is None else np.array([float(kf_db)])
+    block = _cluster_block(np.array([float(ds_s)]), kf, next_row, config, preserve_fixed_delays)
     clusters = tuple(
         Cluster(float(d), float(p), bool(f))
         for d, p, f in zip(block.delays[0], block.powers[0], block.fixed[0])
@@ -399,20 +427,23 @@ def generate_clusters(
 
 
 def _render_block(
-    delays: np.ndarray, amplitudes: np.ndarray, los_amplitude: np.ndarray, config: ScenarioConfig
+    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config
 ) -> np.ndarray:
-    """Render S CIRs from (S, K) complex cluster amplitudes at (S, K) delays,
-    or at (1, K) delays that all S rows share.
+    """Render S CIRs from (S, K) cluster delays and powers, or (1, K) ones
+    that all S rows share. Each cluster has amplitude sqrt(power) and phase
+    2 pi u from its (S, K) phase word u.
 
     Each path is a unit-energy windowed-sinc kernel of half-width 8 taps
     around its fractional position: 17 slots from ceil(pos - 8), the last
     used only while it is not past floor(pos + 8), that is for an integer
     position. Taps outside the CIR are dropped. The LOS term, with the real
-    amplitude ``los_amplitude`` ((S,) or (1,)) at delay 0, is added after
+    amplitude sqrt(``los_power``) ((S,) or (1,)) at delay 0, is added after
     the clusters when any row has one. Each tap sums its contributions in
     path order, so a row equals adding the paths one by one into a zero CIR.
     """
     n_taps = config.cir_length_taps
+    amplitudes = np.sqrt(powers) * np.exp(1j * (2.0 * np.pi * phase_words))
+    los_amplitude = np.sqrt(los_power)
     rows = amplitudes.shape[0]
     if np.any(los_amplitude > 0.0):
         delays = np.concatenate([delays, np.zeros((delays.shape[0], 1))], axis=1)
@@ -438,18 +469,8 @@ def _render_block(
     return taps
 
 
-def _phase_amplitudes(powers: np.ndarray, seeds) -> np.ndarray:
-    """sqrt(power) times a uniform phase per cluster, one phase stream per row."""
-    phases = np.array(
-        [np.random.default_rng(s).uniform(0.0, 2.0 * np.pi, powers.shape[-1]) for s in seeds]
-    )
-    return np.sqrt(powers) * np.exp(1j * phases)
-
-
 def synthesize_cir(
-    clusters: ClusterSet,
-    config: ScenarioConfig,
-    rng_seed,
+    clusters: ClusterSet, config: ScenarioConfig, rng_seed
 ) -> ChannelImpulseResponse:
     """Render one CIR realization of a cluster set on the sample grid, as a
     one-row block.
@@ -466,12 +487,10 @@ def synthesize_cir(
     span = config.cir_length_taps / fs
     max_delay = float(np.max(clusters.delays))
     if max_delay >= span:
-        raise ValidationError(
-            f"cluster delay {max_delay} s overflows the {span} s CIR span"
-        )
-    amplitudes = _phase_amplitudes(clusters.powers, [rng_seed])
-    los_amplitude = np.array([math.sqrt(clusters.los_power_linear)])
-    taps = _render_block(clusters.delays[None], amplitudes, los_amplitude, config)
+        raise ValidationError(f"cluster delay {max_delay} s overflows the {span} s CIR span")
+    words = np.random.default_rng(rng_seed).random((1, len(clusters.clusters)))
+    los = np.array([clusters.los_power_linear])
+    taps = _render_block(clusters.delays[None], clusters.powers, words, los, config)
     return ChannelImpulseResponse(taps, 1.0 / fs)
 
 
@@ -480,52 +499,37 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
 
     Cluster positions stay fixed across realizations; only the per-cluster
     phases are redrawn, mirroring consecutive snapshots of a static channel.
-    Deterministic per seed.
+    Row 0 of the (rng_seed, ``SIMULATE_STREAM``) stream gives the DS,
+    K-factor and clusters, and row i the phases of realization i.
     """
+    root = check_seed(rng_seed)
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
-    ds, kf = draw_large_scale(config, subseed(rng_seed, 0))
-    block = _cluster_block(np.array([ds]), [kf], config, [subseed(rng_seed, 1)])
+    _, block = _stream_block(config, root, SIMULATE_STREAM, 0, 1)
+    width, _, phases = _layout(config)
     power = np.zeros(config.cir_length_taps)
     for start in range(0, n_realizations, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n_realizations)
-        seeds = [subseed(rng_seed, 2, i) for i in range(start, stop)]
-        amplitudes = _phase_amplitudes(block.powers, seeds)
-        taps = _render_block(block.delays, amplitudes, np.sqrt(block.los), config)
+        rows = min(CHUNK_ROWS, n_realizations - start)
+        words = _stream_words(root, SIMULATE_STREAM, start, rows, width)[:, phases]
+        taps = _render_block(block.delays, block.powers, words, block.los, config)
         add_row_powers(power, taps)
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
     pdp = PowerDelayProfile(delays, power / n_realizations)
     return normalize_pdp(pdp.with_noise_floor(default_noise_floor(pdp)), DEFAULT_MARGIN_DB)
 
 
-def _snapshot_block(config: ScenarioConfig, rng_seed: int, start: int, stop: int) -> np.ndarray:
-    """Taps of snapshots ``start`` to ``stop - 1``; snapshot i draws its DS
-    and K-factor, its clusters and its phases from ``subseed(rng_seed, i, 0)``,
-    ``(i, 1)`` and ``(i, 2)``."""
-    index = range(start, stop)
-    large_scale = [draw_large_scale(config, subseed(rng_seed, i, 0)) for i in index]
-    block = _cluster_block(
-        np.array([ds for ds, _ in large_scale]),
-        [kf for _, kf in large_scale],
-        config,
-        [subseed(rng_seed, i, 1) for i in index],
-        first_index=start,
-    )
-    amplitudes = _phase_amplitudes(block.powers, [subseed(rng_seed, i, 2) for i in index])
-    return _render_block(block.delays, amplitudes, np.sqrt(block.los), config)
-
-
 def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=None):
     """Generate ``count`` independent channel snapshots, optionally writing them.
 
     Every snapshot draws fresh large-scale parameters, clusters and phases
-    from a seed derived from (root seed, snapshot index), so the first n
-    snapshots are the same for any ``count`` >= n. Snapshots are drawn and
-    rendered ``CHUNK_ROWS`` at a time. Returns the in-memory dataset;
-    writes the container file when ``path`` is given.
+    from its own fixed run of words of one counter-based stream keyed by the
+    root seed, so the first n snapshots are the same for any ``count`` >= n.
+    Snapshots are drawn and rendered ``CHUNK_ROWS`` at a time. Returns the
+    in-memory dataset; writes the container file when ``path`` is given.
     """
     from . import io as cirkit_io  # deferred: io needs this module's types
 
+    root = check_seed(rng_seed)
     if count < 1:
         raise ValidationError("count must be >= 1")
     if count > cirkit_io.MAX_DATASET_SNAPSHOTS:
@@ -536,17 +540,12 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=Non
     snapshots = np.empty((count, config.cir_length_taps), dtype=np.complex128)
     for start in range(0, count, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, count)
-        snapshots[start:stop] = _snapshot_block(config, rng_seed, start, stop)
-    blob = cirkit_io.config_to_text(
-        config,
-        comments=(f"seed={rng_seed}", f"generator_version={__about__.__version__}"),
-    )
+        phases, block = _stream_block(config, root, DATASET_STREAM, start, stop - start)
+        snapshots[start:stop] = _render_block(block.delays, block.powers, phases, block.los, config)
+    comments = (f"seed={root}", f"generator_version={__about__.__version__}")
+    blob = cirkit_io.config_to_text(config, comments=comments)
     snapshots.setflags(write=False)
-    dataset = cirkit_io.Dataset(
-        snapshots=snapshots,
-        sample_rate_hz=config.sample_rate_hz,
-        config_text=blob,
-    )
+    dataset = cirkit_io.Dataset(snapshots, config.sample_rate_hz, blob)
     if path is not None:
         cirkit_io.write_dataset(path, dataset)
     return dataset

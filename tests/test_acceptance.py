@@ -24,7 +24,7 @@ from cirkit.errors import (
     MissingSidecarError,
     SizeMismatchError,
 )
-from cirkit.gbsm import PRESETS, draw_large_scale, generate_clusters, simulate_pdp, subseed
+from cirkit.gbsm import PRESETS, draw_large_scale, generate_clusters, simulate_pdp
 from cirkit.signal import IqSignal, circular_cross_correlate, zadoff_chu
 
 NS = 1e-9
@@ -128,8 +128,8 @@ def test_c05_closed_loop_delay_spread_recovery(name):
     started = time.monotonic()
 
     for seed in range(20):
-        ds, kf = draw_large_scale(preset, subseed(seed, 0))
-        clusters = generate_clusters(ds, kf, preset, subseed(seed, 1))
+        ds, kf = draw_large_scale(preset, np.random.SeedSequence([seed, 0]))
+        clusters = generate_clusters(ds, kf, preset, np.random.SeedSequence([seed, 1]))
         assert abs(clusters.rms_delay_spread() - ds) / ds < 1e-9
 
     pdp = simulate_pdp(preset, 11, 200)
@@ -179,8 +179,8 @@ def test_c07_cluster_set_construction_identities(name):
         kf_median_db=None if not preset.los else preset.kf_median_db,
     )
     for seed in range(1000):
-        ds, kf = draw_large_scale(preset, subseed(seed, 0))
-        clusters = generate_clusters(ds, kf, preset, subseed(seed, 1))
+        ds, kf = draw_large_scale(preset, np.random.SeedSequence([seed, 0]))
+        clusters = generate_clusters(ds, kf, preset, np.random.SeedSequence([seed, 1]))
         total = sum(c.power_linear for c in clusters.clusters) + clusters.los_power_linear
         assert abs(total - 1.0) < 1e-12
         if preset.los:
@@ -190,7 +190,8 @@ def test_c07_cluster_set_construction_identities(name):
 
     if not preset.los:
         for seed in range(200):
-            clusters = generate_clusters(preset.ds_median_s, None, plain, subseed(seed, 1))
+            seed_seq = np.random.SeedSequence([seed, 1])
+            clusters = generate_clusters(preset.ds_median_s, None, plain, seed_seq)
             powers = [c.power_linear for c in clusters.clusters]
             assert all(a >= b for a, b in zip(powers, powers[1:]))
     report(7, f"{name}: 1000-seed construction identities hold")

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,3 +106,53 @@ class TestAddAwgn:
     def test_nan_and_negative_infinite_snr_rejected(self, snr_db):
         with pytest.raises(ValidationError, match="snr_db"):
             add_awgn(random_signal(np.random.default_rng(9)), snr_db, 0)
+
+
+def old_apply_channel(tx, taps):
+    """The zero-padded product of spectra that ``apply_channel`` replaced."""
+    h = np.zeros(len(tx), dtype=np.complex128)
+    h[: len(taps)] = taps
+    return np.fft.ifft(np.fft.fft(tx.samples) * np.fft.fft(h))
+
+
+def old_add_awgn(signal, snr_db, seed):
+    """The separately drawn and summed noise that ``add_awgn`` replaced."""
+    power = float(np.mean(np.abs(signal.samples) ** 2))
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0)
+    noise = scale * (rng.standard_normal(len(signal)) + 1j * rng.standard_normal(len(signal)))
+    return signal.samples + noise
+
+
+def test_in_place_spectra_and_noise_keep_the_bytes():
+    rng = np.random.default_rng(11)
+    for n, n_taps in ((64, 1), (353 * 3, 40), (4096, 353)):
+        sig = random_signal(rng, n=n)
+        taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
+        out = apply_channel(sig, SyntheticChannel(taps)).samples
+        assert out.tobytes() == old_apply_channel(sig, taps).tobytes()
+        for snr_db, seed in ((20.0, 3), (-5.0, 2**63)):
+            noisy = add_awgn(sig, snr_db, seed).samples
+            assert noisy.tobytes() == old_add_awgn(sig, snr_db, seed).tobytes()
+
+
+@pytest.mark.parametrize("stage", ["apply_channel", "add_awgn"])
+def test_peak_memory_within_2_2_outputs(stage):
+    # the replaced code peaked near 3x its output: spectra, padded taps and
+    # product for apply_channel; two normal draws, their sum and the noisy
+    # copy for add_awgn
+    n = 2**18
+    sig = random_signal(np.random.default_rng(12), n=n)
+    channel = SyntheticChannel(np.array([1.0, 0.5j, 0.25]))
+    run = {
+        "apply_channel": lambda: apply_channel(sig, channel),
+        "add_awgn": lambda: add_awgn(sig, 10.0, 4),
+    }[stage]
+    tracemalloc.start()
+    try:
+        out = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not out.samples.flags.writeable
+    assert peak <= 2.2 * out.samples.nbytes, peak / out.samples.nbytes

@@ -250,6 +250,23 @@ class TestLoopback:
         assert "apply-channel: snr_db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["loopback", "--seed", "-1", "--snr-db", "20"],
+        ["loopback", "--seed", "-1"],
+        ["simulate", "--config", "urban-nlos", "--seed", "-1", "--pdp-out", "{tmp}/p.csv"],
+        ["dataset", "--config", "urban-nlos", "--seed", str(2**64), "--count", "1",
+         "--out", "{tmp}/d.chds"],
+    ],
+)
+def test_seed_outside_key_range_fails_at_seed_stage(tmp_path, capsys, argv):
+    rc = main([arg.format(tmp=tmp_path) for arg in argv])
+    assert rc == 1
+    assert "seed: seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 class TestHelp:
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

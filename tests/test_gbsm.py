@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from cirkit.gbsm import (
     generate_clusters,
     generate_dataset,
     simulate_pdp,
-    subseed,
     synthesize_cir,
 )
 from cirkit.io import read_dataset
@@ -130,7 +130,9 @@ class TestDrawLargeScale:
 
     def test_median_of_lognormal_draws(self):
         config = dataclasses.replace(URBAN_NLOS, ds_sigma_log10=0.2)
-        rng_draws = [draw_large_scale(config, subseed(0, i))[0] for i in range(10_000)]
+        rng_draws = [
+            draw_large_scale(config, np.random.SeedSequence([0, i]))[0] for i in range(10_000)
+        ]
         median = float(np.median(rng_draws))
         assert abs(median - 125 * NS) / (125 * NS) < 0.05
 
@@ -239,7 +241,7 @@ class TestSynthesizeCir:
             raw = rng.uniform(0.2, 1.0, 8)
             powers = raw / raw.sum()
             cs = self._manual_set(list(zip(delays, powers)))
-            cir = synthesize_cir(cs, URBAN_NLOS, subseed(seed, 2))
+            cir = synthesize_cir(cs, URBAN_NLOS, np.random.SeedSequence([seed, 2]))
             energies.append(float(np.sum(np.abs(cir.taps) ** 2)))
         assert min(energies) >= 0.89
         assert max(energies) <= 1.12
@@ -266,7 +268,7 @@ class TestSynthesizeCir:
         acc = np.zeros(URBAN_NLOS.cir_length_taps)
         n = 10_000
         for i in range(n):
-            cir = synthesize_cir(cs, URBAN_NLOS, subseed(3, 2, i))
+            cir = synthesize_cir(cs, URBAN_NLOS, np.random.SeedSequence([3, 2, i]))
             acc += np.abs(cir.taps[0]) ** 2
         acc /= n
         # per-cluster contributions rendered in isolation (magnitudes are
@@ -356,8 +358,69 @@ class TestGenerateDataset:
         assert peak < 1_000_000
 
 
-def test_subseed_rejects_negative():
-    with pytest.raises(ValidationError):
-        subseed(-1)
-    with pytest.raises(ValidationError):
-        subseed(1, -2)
+# two-sided Kolmogorov-Smirnov critical value at alpha = 0.01 is
+# KS_C_ALPHA / sqrt(n) for large n, with KS_C_ALPHA = sqrt(ln(2 / alpha) / 2)
+KS_ALPHA = 0.01
+KS_C_ALPHA = math.sqrt(math.log(2.0 / KS_ALPHA) / 2.0)
+
+
+def ks_distance_to_normal(values):
+    x = np.sort(np.ravel(values))
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    n = x.size
+    return max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+
+
+class TestSnapshotStreams:
+    """The Box-Muller normals of 10^4 dataset rows against the normal CDF."""
+
+    N = 10_000
+    CONFIG = dataclasses.replace(URBAN_LOS, ds_sigma_log10=0.2, kf_sigma_db=3.0)
+
+    def _rows(self):
+        width, _, _ = gbsm._layout(self.CONFIG)
+        return gbsm._stream_words(5, gbsm.DATASET_STREAM, 0, self.N, width)
+
+    def test_ds_and_k_factor_normals(self):
+        ds, kf = gbsm._large_scale(self._rows()[:, gbsm.LARGE_SCALE], self.CONFIG)
+        z_ds = (np.log10(ds) - math.log10(self.CONFIG.ds_median_s)) / 0.2
+        z_kf = (kf - self.CONFIG.kf_median_db) / 3.0
+        bound = KS_C_ALPHA / math.sqrt(self.N)
+        assert ks_distance_to_normal(z_ds) < bound
+        assert ks_distance_to_normal(z_kf) < bound
+        # DS and K of a row share one pair, as cos and sin: uncorrelated
+        assert abs(np.corrcoef(z_ds, z_kf)[0, 1]) < 4.0 / math.sqrt(self.N)
+
+    def test_shadowing_normals(self):
+        _, clusters, _ = gbsm._layout(self.CONFIG)
+        n_stoch = self.CONFIG.num_clusters
+        z = gbsm._box_muller(self._rows()[:, clusters][:, n_stoch:])[:, :n_stoch]
+        assert ks_distance_to_normal(z) < KS_C_ALPHA / math.sqrt(z.size)
+
+    def test_snapshot_words_are_disjoint(self):
+        width, clusters, phases = gbsm._layout(self.CONFIG)
+        used = np.zeros(width, dtype=int)
+        for words in (gbsm.LARGE_SCALE, clusters, phases):
+            used[words] += 1
+        assert used.max() == 1 and width % 4 == 0
+        assert used.sum() == 2 + 15 + 16 + 15
+
+    def test_prefix_for_any_count(self):
+        full = generate_dataset(URBAN_LOS, 3 * gbsm.CHUNK_ROWS + 5, 8).snapshots
+        rng = np.random.default_rng(0)
+        counts = {1, gbsm.CHUNK_ROWS, gbsm.CHUNK_ROWS + 1, *rng.integers(1, full.shape[0], 6)}
+        for count in counts:
+            short = generate_dataset(URBAN_LOS, int(count), 8).snapshots
+            assert short.tobytes() == full[:count].tobytes(), count
+
+
+def test_check_seed_rejects_out_of_range():
+    assert gbsm.check_seed(0) == 0
+    assert gbsm.check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+    for bad in (-1, 2**64, 1.0, True, "3"):
+        with pytest.raises(ValidationError, match=r"\[0, 2\*\*64\)"):
+            gbsm.check_seed(bad)
+    with pytest.raises(ValidationError, match="seed"):
+        generate_dataset(URBAN_NLOS, 1, -1)
+    with pytest.raises(ValidationError, match="seed"):
+        simulate_pdp(URBAN_NLOS, 2**64, 1)

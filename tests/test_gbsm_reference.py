@@ -1,12 +1,15 @@
-"""The batched generator against the loop it replaced.
+"""The batched generator against a loop that draws one snapshot at a time.
 
-The functions prefixed ``loop_`` render one snapshot at a time and place one
-cluster at a time, exactly as the generator did before it worked on array
-blocks. The batched code must reproduce them bit for bit (``np.array_equal``),
-so any change to a rendered value fails here.
+The functions prefixed ``loop_`` open one Philox stream per snapshot at that
+snapshot's counter, turn its uniform words into normals one Box-Muller pair
+at a time, and place one cluster at a time, as a per-snapshot generator
+would. The chunked code must reproduce them bit for bit (``np.array_equal``),
+so any change to a drawn or rendered value fails here. The word layout of a
+row is written out here on its own, so a change to it fails here too.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -16,7 +19,7 @@ from cirkit import gbsm, io
 from cirkit.analysis import DEFAULT_MARGIN_DB, estimate_noise_floor, normalize_pdp
 from cirkit.cli import main
 from cirkit.errors import ValidationError
-from cirkit.gbsm import PRESETS, Cluster, ClusterSet, draw_large_scale, subseed
+from cirkit.gbsm import PRESETS, Cluster, ClusterSet
 from cirkit.sounder import ChannelImpulseResponse, average_pdp
 
 NS = 1e-9
@@ -29,19 +32,55 @@ def loop_sigma(delays, powers):
     return math.sqrt(max(m2 - m1 * m1, 0.0))
 
 
-def loop_generate_clusters(ds_s, kf_db, config, rng_seed, preserve_fixed_delays=False):
+def row_layout(config):
+    """(width, delay words, shadowing words, phase words) of one row: DS and
+    K pair, a delay word per stochastic cluster, shadowing in whole
+    Box-Muller pairs, a phase word per cluster, padded to 4 words."""
+    n_stoch = config.num_clusters - len(config.fixed_clusters)
+    delays = slice(2, 2 + n_stoch)
+    shadowing = slice(delays.stop, delays.stop + 2 * math.ceil(n_stoch / 2))
+    phases = slice(shadowing.stop, shadowing.stop + config.num_clusters)
+    return 4 * math.ceil(phases.stop / 4), delays, shadowing, phases
+
+
+def loop_row(config, root, stream, index, attempt=0):
+    """Row ``index`` of the (root, stream, attempt) stream, from its own Philox."""
+    width = row_layout(config)[0]
+    key = np.array([root, attempt * 2**32 + stream], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key, counter=index * width // 4)
+    return np.random.Generator(bitgen).random(width)
+
+
+def loop_normals(words):
+    normals = []
+    for u1, u2 in zip(words[0::2], words[1::2]):
+        radius = np.sqrt(-2.0 * np.log1p(-u1))
+        normals += [radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)]
+    return np.array(normals)
+
+
+def loop_large_scale(config, row):
+    z_ds, z_kf = loop_normals(row[:2])
+    # a one-element array takes numpy's vectorized pow, which can differ from
+    # the C library's scalar pow in the last bit
+    [ds] = 10.0 ** np.array([math.log10(config.ds_median_s) + config.ds_sigma_log10 * z_ds])
+    kf = config.kf_median_db + config.kf_sigma_db * z_kf if config.los else None
+    return float(ds), kf
+
+
+def loop_clusters(ds_s, kf_db, config, row, preserve_fixed_delays=False):
+    _, delay_words, shadowing_words, _ = row_layout(config)
     n_fixed = len(config.fixed_clusters)
     n_stoch = config.num_clusters - n_fixed
-    rng = np.random.default_rng(rng_seed)
     r_tau = config.delay_proportionality_r_tau
     if n_stoch > 0:
-        u = rng.random(n_stoch)
+        u = row[delay_words]
         raw = -r_tau * ds_s * np.log1p(-u)
         raw.sort()
         stoch_delays = raw - raw[0]
-        shadowing = rng.normal(0.0, config.per_cluster_shadowing_db, n_stoch)
+        shadowing = config.per_cluster_shadowing_db * loop_normals(row[shadowing_words])
         stoch_weights = np.exp(-stoch_delays * (r_tau - 1.0) / (r_tau * ds_s)) * 10.0 ** (
-            -shadowing / 10.0
+            -shadowing[:n_stoch] / 10.0
         )
     else:
         stoch_delays = np.empty(0)
@@ -78,17 +117,33 @@ def loop_generate_clusters(ds_s, kf_db, config, rng_seed, preserve_fixed_delays=
     return ClusterSet(clusters, float(los_power), enforcement)
 
 
+def loop_fitting_clusters(ds, kf, config, rows, preserve_fixed_delays=False):
+    """The first cluster draw that fits the CIR span; draw a reads ``rows(a)``."""
+    span = config.cir_length_taps / config.sample_rate_hz
+    for attempt in range(gbsm.MAX_CLUSTER_DRAWS):
+        clusters = loop_clusters(ds, kf, config, rows(attempt), preserve_fixed_delays)
+        if np.max(clusters.delays) < span:
+            return clusters
+    raise ValidationError("no fitting draw")
+
+
+def loop_generate_clusters(ds_s, kf_db, config, rng_seed, preserve_fixed_delays=False):
+    rng = np.random.default_rng(rng_seed)
+    width = row_layout(config)[0]
+    return loop_fitting_clusters(
+        ds_s, kf_db, config, lambda _: rng.random(width), preserve_fixed_delays
+    )
+
+
 def loop_kernel(offsets):
     window = 0.5 * (1.0 + np.cos(np.pi * offsets / gbsm.KERNEL_HALF_WIDTH))
     taps = np.sinc(offsets) * window
     return taps / math.sqrt(float(np.sum(taps**2)))
 
 
-def loop_synthesize_cir(clusters, config, rng_seed):
+def loop_synthesize_cir(clusters, config, phases):
     fs = config.sample_rate_hz
     n_taps = config.cir_length_taps
-    rng = np.random.default_rng(rng_seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, len(clusters.clusters))
     taps = np.zeros(n_taps, dtype=np.complex128)
 
     def place(amplitude, delay_s):
@@ -107,21 +162,21 @@ def loop_synthesize_cir(clusters, config, rng_seed):
     return ChannelImpulseResponse([taps], 1.0 / fs)
 
 
-def loop_fitting_clusters(ds, kf, config, root, *path):
-    """Cluster draw conditioned on the CIR span: redraw from (*path, attempt)."""
-    span = config.cir_length_taps / config.sample_rate_hz
-    for attempt in range(gbsm.MAX_CLUSTER_DRAWS):
-        seed = subseed(root, *path) if attempt == 0 else subseed(root, *path, attempt)
-        clusters = loop_generate_clusters(ds, kf, config, seed)
-        if np.max(clusters.delays) < span:
-            return clusters
-    raise ValidationError("no fitting draw")
+def loop_stream_clusters(config, root, stream, index):
+    """DS, K-factor and fitting clusters of row ``index`` of a stream."""
+    ds, kf = loop_large_scale(config, loop_row(config, root, stream, index))
+    rows = functools.partial(loop_row, config, root, stream, index)
+    return loop_fitting_clusters(ds, kf, config, rows)
+
+
+def loop_phases(config, root, stream, index):
+    return 2.0 * np.pi * loop_row(config, root, stream, index)[row_layout(config)[3]]
 
 
 def loop_snapshot(config, root, index):
-    ds, kf = draw_large_scale(config, subseed(root, index, 0))
-    clusters = loop_fitting_clusters(ds, kf, config, root, index, 1)
-    return loop_synthesize_cir(clusters, config, subseed(root, index, 2)).taps[0]
+    clusters = loop_stream_clusters(config, root, gbsm.DATASET_STREAM, index)
+    phases = loop_phases(config, root, gbsm.DATASET_STREAM, index)
+    return loop_synthesize_cir(clusters, config, phases).taps[0]
 
 
 def loop_generate_dataset(config, count, root):
@@ -129,10 +184,10 @@ def loop_generate_dataset(config, count, root):
 
 
 def loop_simulate_pdp(config, root, n_realizations):
-    ds, kf = draw_large_scale(config, subseed(root, 0))
-    clusters = loop_fitting_clusters(ds, kf, config, root, 1)
+    stream = gbsm.SIMULATE_STREAM
+    clusters = loop_stream_clusters(config, root, stream, 0)
     taps = [
-        loop_synthesize_cir(clusters, config, subseed(root, 2, i)).taps[0]
+        loop_synthesize_cir(clusters, config, loop_phases(config, root, stream, i)).taps[0]
         for i in range(n_realizations)
     ]
     pdp = average_pdp(ChannelImpulseResponse(taps, 1.0 / config.sample_rate_hz))
@@ -152,9 +207,12 @@ CONFIGS = {**PRESETS, "fixed": FIXED, "single": SINGLE, "single-los": SINGLE_LOS
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_dataset_equals_loop_reference(name):
     config = CONFIGS[name]
-    count = gbsm.CHUNK_ROWS + 40  # crosses one chunk boundary
-    batched = gbsm.generate_dataset(config, count, 13).snapshots
-    assert np.array_equal(batched, loop_generate_dataset(config, count, 13))
+    # one short chunk, one full chunk and one row, two full chunks and 3 rows
+    counts = (gbsm.CHUNK_ROWS - 1, gbsm.CHUNK_ROWS + 1, 2 * gbsm.CHUNK_ROWS + 3)
+    loop = loop_generate_dataset(config, max(counts), 13)
+    for count in counts:
+        batched = gbsm.generate_dataset(config, count, 13).snapshots
+        assert np.array_equal(batched, loop[:count]), count
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -199,14 +257,16 @@ def test_synthesize_cir_equals_loop_reference():
     )
     for seed in range(5):
         batched = gbsm.synthesize_cir(cs, PRESETS["urban-los"], seed)
-        loop = loop_synthesize_cir(cs, PRESETS["urban-los"], seed)
+        # the phases are drawn as the 0.1.0 generator drew them
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, len(cs.clusters))
+        loop = loop_synthesize_cir(cs, PRESETS["urban-los"], phases)
         assert np.array_equal(batched.taps, loop.taps)
         assert batched.taps.shape == (1, PRESETS["urban-los"].cir_length_taps)
 
 
 def test_span_overflow_redraws_only_that_snapshot(tmp_path):
-    # snapshot 1907 of this command overflowed the CIR span before clusters
-    # were redrawn; every other snapshot keeps its first draw
+    # snapshot 1474 of this command overflows the CIR span on its first
+    # draw; it alone is redrawn, every other snapshot keeps its first draw
     out = tmp_path / "x.chds"
     cmd = ["dataset", "--config", "campus-los", "--seed", "1", "--count", "2000"]
     assert main([*cmd, "--out", str(out)]) == 0
@@ -214,9 +274,9 @@ def test_span_overflow_redraws_only_that_snapshot(tmp_path):
 
     config = PRESETS["campus-los"]
     span = config.cir_length_taps / config.sample_rate_hz
-    ds, kf = draw_large_scale(config, subseed(1, 1907, 0))
-    first = loop_generate_clusters(ds, kf, config, subseed(1, 1907, 1))
-    assert np.max(first.delays) >= span
+    row = loop_row(config, 1, gbsm.DATASET_STREAM, 1474)
+    ds, kf = loop_large_scale(config, row)
+    assert np.max(loop_clusters(ds, kf, config, row).delays) >= span
 
     batched = gbsm.generate_dataset(config, 2000, 1).snapshots
     assert np.array_equal(batched, loop_generate_dataset(config, 2000, 1))
