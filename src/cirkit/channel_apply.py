@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .gbsm import seeded_rng
 from .signal import IqSignal, _frozen_complex
 
 
@@ -66,7 +67,7 @@ def add_awgn(signal: IqSignal, snr_db: float, rng_seed) -> IqSignal:
     if power <= 0.0:
         raise ValidationError("cannot set an SNR on a zero-energy signal")
     noise_var = power / 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(rng_seed)
+    rng = seeded_rng(rng_seed)
     out = np.empty(len(signal), dtype=np.complex128)
     out.real = rng.standard_normal(len(signal))
     out.imag = rng.standard_normal(len(signal))

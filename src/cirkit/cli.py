@@ -71,25 +71,30 @@ def _waveform(args) -> sounder.SoundingWaveform:
     )
 
 
-def _estimate_pdp(read_capture, waveform, regularization, taper, margin_db):
-    """Shared receive chain: mitigate, synchronize, estimate, average, normalize.
+class _CaptureFile(io.IqReader):
+    """A capture file whose every read, in whichever stage, fails as the
+    read-iq stage."""
 
-    ``read_capture()`` returns the received signal. It is called here and
-    its result is handed straight to mitigation, so the raw capture is freed
-    once it is cleaned; the cleaned capture is freed once its CIRs exist.
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        with _stage("read-iq"):
+            return super().read(lo, hi)
+
+
+def _estimate_pdp(read_capture, waveform, regularization, taper, margin_db):
+    """Shared receive chain: mitigate, synchronize, estimate and average,
+    normalize.
+
+    ``read_capture()`` returns the received signal, in memory or as a
+    ``_CaptureFile``. It is called here and its result is handed straight
+    to mitigation, so an in-memory capture is freed once it is cleaned; a
+    file is streamed through every stage a chunk at a time.
     """
     with _stage("mitigate"):
         cleaned = sounder.mitigate_artifacts(read_capture())
     with _stage("synchronize"):
         offset = sounder.synchronize(cleaned, waveform)
-        aligned = IqSignal(
-            cleaned.samples[offset:], cleaned.sample_rate_hz, cleaned.center_frequency_hz
-        )
     with _stage("estimate"):
-        cirs = sounder.estimate_cirs(aligned, waveform, regularization, taper)
-    del cleaned, aligned
-    with _stage("average"):
-        raw = sounder.average_pdp(cirs)
+        raw = sounder.estimate_pdp(cleaned, waveform, regularization, taper, start=offset)
     with _stage("normalize"):
         floor = analysis.default_noise_floor(raw)
         return analysis.normalize_pdp(raw.with_noise_floor(floor), margin_db)
@@ -115,9 +120,9 @@ def _cmd_estimate(args) -> int:
     waveform = _waveform(args)
     regularization = _parse_regularization(args.regularization)
 
-    def read_capture() -> IqSignal:
+    def read_capture() -> _CaptureFile:
         with _stage("read-iq"):
-            return io.read_iq(args.rx)
+            return _CaptureFile(args.rx)
 
     pdp = _estimate_pdp(read_capture, waveform, regularization, args.taper, args.margin_db)
     with _stage("write-pdp"):

@@ -188,6 +188,15 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def seeded_rng(rng_seed) -> np.random.Generator:
+    """``np.random.default_rng(rng_seed)`` for the single-row functions: an
+    integer seed must pass ``check_seed``; a ``np.random.SeedSequence`` is
+    taken as it is."""
+    if isinstance(rng_seed, (int, np.integer)):
+        rng_seed = check_seed(rng_seed)
+    return np.random.default_rng(rng_seed)
+
+
 def _layout(config: ScenarioConfig) -> tuple[int, slice, slice]:
     """(width, cluster words, phase words) of a snapshot's row of uniform
     words: the ``LARGE_SCALE`` pair, a delay word per stochastic cluster,
@@ -252,7 +261,7 @@ def _large_scale(words: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray,
 def draw_large_scale(config: ScenarioConfig, rng_seed) -> tuple[float, float | None]:
     """Draw one (delay spread, K-factor) realization from the first row of
     ``np.random.default_rng(rng_seed)``; see ``_large_scale``."""
-    words = np.random.default_rng(rng_seed).random((1, _layout(config)[0]))
+    words = seeded_rng(rng_seed).random((1, _layout(config)[0]))
     ds, kf = _large_scale(words[:, LARGE_SCALE], config)
     return float(ds[0]), None if kf is None else float(kf[0])
 
@@ -412,7 +421,7 @@ def generate_clusters(
     ``ValidationError`` is raised after ``MAX_CLUSTER_DRAWS`` draws.
     """
     width, cluster_words, _ = _layout(config)
-    rng = np.random.default_rng(rng_seed)
+    rng = seeded_rng(rng_seed)
 
     def next_row(attempt: int) -> np.ndarray:
         return rng.random((1, width))[:, cluster_words]
@@ -488,7 +497,7 @@ def synthesize_cir(
     max_delay = float(np.max(clusters.delays))
     if max_delay >= span:
         raise ValidationError(f"cluster delay {max_delay} s overflows the {span} s CIR span")
-    words = np.random.default_rng(rng_seed).random((1, len(clusters.clusters)))
+    words = seeded_rng(rng_seed).random((1, len(clusters.clusters)))
     los = np.array([clusters.los_power_linear])
     taps = _render_block(clusters.delays[None], clusters.powers, words, los, config)
     return ChannelImpulseResponse(taps, 1.0 / fs)

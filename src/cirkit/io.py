@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .gbsm import ScenarioConfig
-from .signal import IqSignal, _frozen_complex
+from .signal import IqSignal, _frozen_complex, check_capture
 
 DATASET_MAGIC = b"CHDS"
 DATASET_VERSION = 1
@@ -68,24 +68,21 @@ def write_iq(path, signal: IqSignal) -> None:
     )
 
 
-def read_iq(path) -> IqSignal:
-    """Read an interleaved float32 IQ file and its metadata sidecar."""
+def _read_text(path, error=CorruptFileError) -> str:
+    """A text file's UTF-8 contents; undecodable bytes raise ``error`` naming the file."""
     raw = Path(path).read_bytes()
-    if len(raw) % 4 != 0:
-        raise CorruptFileError(f"{path}: size {len(raw)} is not a whole number of floats")
-    floats = np.frombuffer(raw, dtype="<f4")
-    if floats.size % 2 != 0:
-        raise CorruptFileError(
-            f"{path}: odd float count {floats.size}; interleaved I/Q expected"
-        )
-    if not np.isfinite(floats).all():
-        first = int(np.argmin(np.isfinite(floats))) // 2
-        raise CorruptFileError(f"{path}: sample {first} is not finite")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def _read_meta(path) -> dict[str, float]:
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise MissingSidecarError(f"missing IQ metadata sidecar: {meta_path}")
     meta: dict[str, float] = {}
-    for line_no, line in enumerate(meta_path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(_read_text(meta_path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -99,9 +96,62 @@ def read_iq(path) -> IqSignal:
     for key in ("sample_rate_hz", "center_frequency_hz"):
         if key not in meta:
             raise CorruptFileError(f"{meta_path}: missing key {key}")
-    samples = floats.view("<c8").astype(np.complex128)
+    return meta
+
+
+class IqReader:
+    """A raw IQ capture opened for reading by sample range.
+
+    Opening checks the file size, the float count and the ``.meta``
+    sidecar; each ``read`` checks that the samples it returns are finite.
+    Reads are positioned file reads, so a reader holds no samples itself
+    and a capture larger than RAM can be processed range by range.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        size = Path(path).stat().st_size
+        if size % 4 != 0:
+            raise CorruptFileError(f"{path}: size {size} is not a whole number of floats")
+        if size // 4 % 2 != 0:
+            raise CorruptFileError(
+                f"{path}: odd float count {size // 4}; interleaved I/Q expected"
+            )
+        meta = _read_meta(path)
+        self._samples = size // 8
+        self.sample_rate_hz = meta["sample_rate_hz"]
+        self.center_frequency_hz = meta["center_frequency_hz"]
+        check_capture(self._samples, self.sample_rate_hz, self.center_frequency_hz)
+
+    def __len__(self) -> int:
+        return self._samples
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples ``lo`` to ``hi`` as a new complex128 array."""
+        if not 0 <= lo <= hi <= self._samples:
+            raise ValidationError(f"{self.path}: no samples [{lo}, {hi}) in {self._samples}")
+        with open(self.path, "rb") as fh:
+            fh.seek(8 * lo)
+            floats = np.fromfile(fh, dtype="<f4", count=2 * (hi - lo))
+        if floats.size != 2 * (hi - lo):
+            raise CorruptFileError(f"{self.path}: file shrank below sample {hi}")
+        finite = np.isfinite(floats)
+        if not finite.all():
+            first = lo + int(np.argmin(finite)) // 2
+            raise CorruptFileError(f"{self.path}: sample {first} is not finite")
+        return floats.view("<c8").astype(np.complex128)
+
+
+def read_iq(path) -> IqSignal:
+    """Read a whole interleaved float32 IQ file and its metadata sidecar.
+
+    This is ``IqReader`` reading every sample at once; use the reader
+    itself to stream a capture that should not be held in memory.
+    """
+    reader = IqReader(path)
+    samples = reader.read(0, len(reader))
     samples.setflags(write=False)
-    return IqSignal(samples, meta["sample_rate_hz"], meta["center_frequency_hz"])
+    return IqSignal(samples, reader.sample_rate_hz, reader.center_frequency_hz)
 
 
 def _format_value(key: str, value) -> str:
@@ -214,7 +264,7 @@ def write_config(path, config: ScenarioConfig, comments: tuple[str, ...] = ()) -
 
 
 def read_config(path) -> ScenarioConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+    return parse_config_text(_read_text(path, ValidationError), source=str(path))
 
 
 def write_pdp_csv(path, pdp: PowerDelayProfile) -> None:
@@ -231,7 +281,7 @@ def read_pdp_csv(path) -> PowerDelayProfile:
     """Read a PDP CSV back; the uniform delay grid is snapped to its mean step."""
     lines = [
         line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in _read_text(path).splitlines()
         if line.strip() and not line.startswith("#")
     ]
     if not lines or lines[0] != "delay_ns,power_db":
@@ -245,7 +295,7 @@ def read_pdp_csv(path) -> PowerDelayProfile:
         try:
             delays_ns.append(float(parts[0]))
             powers.append(10.0 ** (float(parts[1]) / 10.0))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise CorruptFileError(f"{path}:{line_no}: bad number") from exc
     if not delays_ns:
         raise CorruptFileError(f"{path}: no data rows")
@@ -274,12 +324,15 @@ def write_report(path, report: ComparisonReport, comments: tuple[str, ...] = ())
 
 def read_report(path) -> dict[str, float]:
     values: dict[str, float] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        values[key.strip()] = float(value.strip())
+        try:
+            values[key.strip()] = float(value.strip())
+        except ValueError as exc:
+            raise CorruptFileError(f"{path}:{line_no}: bad number for {key}") from exc
     return values
 
 
@@ -342,7 +395,10 @@ def read_dataset(path) -> Dataset:
         raise SizeMismatchError(
             f"{path}: file is {len(raw)} bytes but header arithmetic gives {expected}"
         )
-    blob = raw[_HEADER_SIZE : _HEADER_SIZE + blob_len].decode("utf-8")
+    try:
+        blob = raw[_HEADER_SIZE : _HEADER_SIZE + blob_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{path}: config blob is not UTF-8 text") from exc
     pairs = np.frombuffer(raw, dtype="<c8", offset=_HEADER_SIZE + blob_len)
     snapshots = pairs.reshape(count, taps).astype(np.complex128)
     snapshots.setflags(write=False)

@@ -41,6 +41,17 @@ def _frozen_complex(values) -> np.ndarray:
     return arr
 
 
+def check_capture(samples: int, sample_rate_hz: float, center_frequency_hz: float) -> None:
+    """The checks every capture passes, in memory or on disk: at least one
+    sample, a finite positive rate and a non-negative carrier."""
+    if samples == 0:
+        raise ValidationError("IqSignal requires a non-empty 1-D sample vector")
+    if not np.isfinite(sample_rate_hz) or sample_rate_hz <= 0:
+        raise ValidationError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
+    if center_frequency_hz < 0:
+        raise ValidationError("center_frequency_hz must be >= 0")
+
+
 @dataclass(frozen=True)
 class IqSignal:
     """Complex baseband sample stream.
@@ -55,17 +66,18 @@ class IqSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_complex(self.samples))
-        if self.samples.ndim != 1 or self.samples.size == 0:
+        if self.samples.ndim != 1:
             raise ValidationError("IqSignal requires a non-empty 1-D sample vector")
-        if not np.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0:
-            raise ValidationError(
-                f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}"
-            )
-        if self.center_frequency_hz < 0:
-            raise ValidationError("center_frequency_hz must be >= 0")
+        check_capture(self.samples.size, self.sample_rate_hz, self.center_frequency_hz)
 
     def __len__(self) -> int:
         return self.samples.size
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples ``lo`` to ``hi`` as a read-only view: the range read that
+        ``io.IqReader`` offers for a capture on disk, so the receive chain
+        takes either."""
+        return self.samples[lo:hi]
 
     @property
     def duration_s(self) -> float:

@@ -92,7 +92,53 @@ def build_sounding_signal(
     return IqSignal(samples, waveform.sample_rate_hz, center_frequency_hz)
 
 
-def mitigate_artifacts(rx: IqSignal, spike_threshold: float = _SPIKE_THRESHOLD) -> IqSignal:
+# samples per mitigation chunk: CHUNK_ROWS periods of the default sequence
+# (at least 64, the longest run numpy sums without splitting it)
+_CHUNK_SAMPLES = CHUNK_ROWS * DEFAULT_SEQUENCE_LENGTH
+# the median's histogram counts the top 20 bits of each magnitude (sign,
+# exponent and 8 mantissa bits: 256 bins an octave), then narrows an
+# oversized bin 16 bits at a time
+_TOP_BITS = 20
+_KEY_BITS = 16
+
+
+@dataclass(frozen=True)
+class CleanedCapture:
+    """A capture read through its mitigation: each range read has the mean
+    subtracted and the spikes at ``spike_index`` set to ``spike_value``.
+
+    ``source`` is anything with ``len``, ``read(lo, hi)``,
+    ``sample_rate_hz`` and ``center_frequency_hz``: an ``IqSignal`` or an
+    ``io.IqReader``.
+    """
+
+    source: object
+    mean: complex
+    spike_index: np.ndarray
+    spike_value: np.ndarray
+
+    @property
+    def sample_rate_hz(self) -> float:
+        return self.source.sample_rate_hz
+
+    @property
+    def center_frequency_hz(self) -> float:
+        return self.source.center_frequency_hz
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Cleaned samples ``lo`` to ``hi`` as a new array."""
+        x = self.source.read(lo, hi) - self.mean
+        first, last = np.searchsorted(self.spike_index, (lo, hi))
+        x[self.spike_index[first:last] - lo] = self.spike_value[first:last]
+        return x
+
+
+def mitigate_artifacts(
+    rx, spike_threshold: float = _SPIKE_THRESHOLD
+) -> IqSignal | CleanedCapture:
     """Simplified capture clean-up: DC offset removal and spike suppression.
 
     The complex mean is subtracted, then any sample whose magnitude exceeds
@@ -100,42 +146,202 @@ def mitigate_artifacts(rx: IqSignal, spike_threshold: float = _SPIKE_THRESHOLD) 
     interpolation of its neighbours. This is a deliberately simple stand-in
     for full iterative restoration of hardware artifacts.
 
-    Besides the input, this holds one cleaned capture and one float array
-    of magnitudes; spikes are repaired in the cleaned capture in place.
+    The capture is read in chunks of ``_CHUNK_SAMPLES`` samples, a few
+    times over: once for the mean (summed pairwise exactly as ``np.mean``
+    does), once for a histogram of the magnitudes' top bits, and once or
+    more to find the exact median inside the histogram and gather the
+    spikes. Besides one chunk this holds the spike list and nothing that
+    grows with the capture; the result equals the whole-array formulas bit
+    for bit. An ``IqSignal`` comes back as a cleaned ``IqSignal``. Any
+    other capture, such as an ``io.IqReader``, comes back as a
+    ``CleanedCapture`` that cleans each range as it is read, so a capture
+    larger than RAM streams through.
     """
-    if not np.any(rx.samples):
-        return rx
-    x = rx.samples - np.mean(rx.samples)
-    mag = np.abs(x)
-    threshold = spike_threshold * float(np.median(mag, overwrite_input=True))
-    del mag  # reordered by the median
-    is_bad = np.abs(x) > threshold
-    bad = np.flatnonzero(is_bad)
-    if bad.size:
-        # the good samples next to a run of spikes are the ones that bracket
-        # it, so interpolating from them alone equals interpolating from all
-        near = np.concatenate([bad - 1, bad + 1])
-        near = near[(near >= 0) & (near < x.size)]
-        near = np.unique(near[~is_bad[near]])
-        if near.size == 0:
-            raise ValidationError("every sample flagged as a spike; capture unusable")
-        x[bad] = np.interp(bad, near, x.real[near]) + 1j * np.interp(bad, near, x.imag[near])
+    if not spike_threshold >= 0:
+        raise ValidationError(f"spike_threshold must be >= 0, got {spike_threshold}")
+    n = len(rx)
+    total = _pairwise_sum(rx, 0, n)
+    mean = total.dtype.type(total / np.intp(n))  # as np.mean divides
+    spike_index, spike_value = _spike_repairs(rx, mean, spike_threshold)
+    cleaned = CleanedCapture(rx, mean, spike_index, spike_value)
+    if not isinstance(rx, IqSignal):
+        return cleaned
+    x = cleaned.read(0, n)
     x.setflags(write=False)
     return IqSignal(x, rx.sample_rate_hz, rx.center_frequency_hz)
 
 
-def synchronize(rx: IqSignal, waveform: SoundingWaveform) -> int:
+def _pairwise_sum(rx, lo: int, hi: int) -> np.complex128:
+    """``np.add.reduce`` of samples ``lo`` to ``hi``, bit for bit, reading at
+    most one chunk at a time.
+
+    numpy sums complex values pairwise over their float count: a run longer
+    than 128 floats splits at half its floats, rounded down to a multiple
+    of 8. Splitting the same way until a run fits a chunk and handing that
+    run to numpy gives the same tree of additions.
+    """
+    if hi - lo <= _CHUNK_SAMPLES:
+        return np.add.reduce(rx.read(lo, hi))
+    floats = hi - lo  # half the float count of the run
+    mid = lo + (floats - floats % 8) // 2
+    return _pairwise_sum(rx, lo, mid) + _pairwise_sum(rx, mid, hi)
+
+
+def _magnitude_chunks(rx, mean, pad: int = 0):
+    """(offset, start, x, |x|) of each chunk of ``_CHUNK_SAMPLES`` samples of
+    the mean-free capture, widened by up to ``pad`` samples on either side:
+    ``x`` starts at sample ``start`` and the chunk ``offset`` samples into it."""
+    n = len(rx)
+    for lo in range(0, n, _CHUNK_SAMPLES):
+        start = max(lo - pad, 0)
+        x = rx.read(start, min(lo + _CHUNK_SAMPLES + pad, n)) - mean
+        yield lo - start, start, x, np.abs(x)
+
+
+def _spike_repairs(rx, mean, spike_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and repaired values of the samples whose ``|x - mean|``
+    exceeds ``spike_threshold`` times its median."""
+    histogram = _top_key_counts(rx, mean)
+    if histogram is None:  # np.median is NaN, and nothing exceeds it
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.complex128)
+    median, index, samples = _median_and_candidates(rx, mean, *histogram, spike_threshold)
+    threshold = spike_threshold * float(median)
+
+    is_bad = np.abs(samples) > threshold
+    bad = index[is_bad]
+    if bad.size == 0:
+        return bad, np.empty(0, dtype=np.complex128)
+    # the good samples next to a run of spikes are the ones that bracket
+    # it, so interpolating from them alone equals interpolating from all
+    near = np.concatenate([bad - 1, bad + 1])
+    near = near[(near >= 0) & (near < len(rx))]
+    near = np.unique(near[~is_bad[np.searchsorted(index, near)]])
+    if near.size == 0:
+        raise ValidationError("every sample flagged as a spike; capture unusable")
+    near_samples = samples[np.searchsorted(index, near)]
+    repaired = np.interp(bad, near, near_samples.real) + 1j * np.interp(
+        bad, near, near_samples.imag
+    )
+    return bad, repaired
+
+
+def _top_key_counts(rx, mean) -> tuple[int, np.ndarray] | None:
+    """Counts of the top ``_TOP_BITS`` bits of every ``|x - mean|``, as the
+    first key seen and the counts from it on, or None when a magnitude is
+    NaN. The counts span only the keys seen, a few thousand for a capture
+    with a few octaves of magnitudes."""
+    first, counts = None, None
+    for _, _, _, mag in _magnitude_chunks(rx, mean):
+        if np.isnan(mag).any():
+            return None
+        keys = (mag.view(np.uint64) >> (64 - _TOP_BITS)).view(np.int64)
+        low = int(keys.min())
+        part = np.bincount(keys - low)
+        if counts is None:
+            first, counts = low, part
+            continue
+        start, end = min(first, low), max(first + counts.size, low + part.size)
+        if end - start > counts.size:
+            grown = np.zeros(end - start, dtype=np.int64)
+            grown[first - start : first - start + counts.size] = counts
+            first, counts = start, grown
+        counts[low - first : low - first + part.size] += part
+    return first, counts
+
+
+def _narrow(counts: np.ndarray, rank: int) -> tuple[int, int, int]:
+    """The bin of ``counts`` that holds ``rank``, the rank within that bin,
+    and the bin's count."""
+    cum = np.cumsum(counts)
+    key = int(np.searchsorted(cum, rank, side="right"))
+    return key, rank - int(cum[key] - counts[key]), int(counts[key])
+
+
+def _median_and_candidates(
+    rx, mean, first_key: int, counts: np.ndarray, spike_threshold: float
+):
+    """The exact median of ``|x - mean|``, and the sorted indices and values
+    of a superset of the spikes and of the samples that bracket them.
+
+    Non-negative floats sort like their bits read as ``uint64``. So each
+    middle rank is found in the bin of ``counts`` (keys from ``first_key``
+    on) that holds it, by ``np.partition`` of the values in that bin; a bin
+    of more than one chunk of values is first narrowed on its next 16 bits,
+    pass by pass.
+    The first pass also keeps every sample above ``spike_threshold`` times
+    the lower edge of the median's bin, with its neighbours.
+    """
+    n = len(rx)
+    # each middle rank narrows to the values whose bits above ``shift``
+    # equal ``prefix``: its rank among them is ``within``, their number ``count``
+    ranks = sorted({(n - 1) // 2, n // 2})
+    state = {}
+    for rank in ranks:
+        key, within, count = _narrow(counts, rank)
+        state[rank] = (64 - _TOP_BITS, first_key + key, within, count)
+    shift, prefix = state[ranks[0]][:2]
+    floor = spike_threshold * float(np.uint64(prefix << shift).view(np.float64))
+    values: dict[int, float] = {}
+    near_index, near_value = [], []
+    first_pass = True
+    while len(values) < len(ranks):
+        groups = {state[rank][:2]: state[rank][3] for rank in ranks if rank not in values}
+        gathered = {group: [] for group in groups}
+        refined = {group: np.zeros(1 << _KEY_BITS, dtype=np.int64) for group in groups}
+        for offset, start, x, mag in _magnitude_chunks(rx, mean, pad=int(first_pass)):
+            core = mag[offset : offset + _CHUNK_SAMPLES]
+            keys = core.view(np.uint64)
+            for (shift, prefix), count in groups.items():
+                in_group = keys[(keys >> shift) == prefix]
+                if count <= _CHUNK_SAMPLES:
+                    gathered[shift, prefix].append(in_group.view(np.float64))
+                else:
+                    bits = min(_KEY_BITS, shift)
+                    sub = (in_group >> (shift - bits)) & ((1 << bits) - 1)
+                    refined[shift, prefix] += np.bincount(
+                        sub.view(np.int64), minlength=1 << _KEY_BITS
+                    )
+            if first_pass:
+                hits = np.flatnonzero(core > floor) + offset
+                near = np.unique(np.concatenate([hits - 1, hits, hits + 1]))
+                near = near[(near >= 0) & (near < x.size)]
+                near_index.append(near + start)
+                near_value.append(x[near])
+        first_pass = False
+        for rank in ranks:
+            if rank in values:
+                continue
+            shift, prefix, within, count = state[rank]
+            if count <= _CHUNK_SAMPLES:
+                group = np.concatenate(gathered[shift, prefix])
+                values[rank] = np.partition(group, within)[within]
+                continue
+            bits = min(_KEY_BITS, shift)
+            sub, within, count = _narrow(refined[shift, prefix], within)
+            shift, prefix = shift - bits, (prefix << bits) | sub
+            state[rank] = (shift, prefix, within, count)
+            if shift == 0:  # every bit is known
+                values[rank] = np.uint64(prefix).view(np.float64)
+    # np.median: the mean of the middle value or values
+    median = np.mean(np.array([values[rank] for rank in ranks]))
+    index, first = np.unique(np.concatenate(near_index), return_index=True)
+    return median, index, np.concatenate(near_value)[first]
+
+
+def synchronize(rx, waveform: SoundingWaveform) -> int:
     """Locate the start of the first sequence period in the capture.
 
     Correlates the first full window against the base sequence and returns
-    the lag with the largest correlation magnitude, in [0, period).
+    the lag with the largest correlation magnitude, in [0, period). ``rx``
+    is an ``IqSignal`` or any capture read by range; only the first period
+    is read.
     """
     n = waveform.period
     if len(rx) < 2 * n:
         raise ValidationError(
             f"capture too short to synchronize: {len(rx)} samples < 2 x {n}"
         )
-    corr = circular_cross_correlate(rx.samples[:n], waveform.base_sequence)
+    corr = circular_cross_correlate(rx.read(0, n), waveform.base_sequence)
     return int(np.argmax(np.abs(corr)))
 
 
@@ -178,6 +384,37 @@ def estimate_cirs(
     downstream normalization re-references delay zero, so only the raw tap
     indices shift.
     """
+    taps = np.empty((len(rx) // waveform.period, waveform.period), dtype=np.complex128)
+    row = 0
+    for block in _cir_chunks(rx, waveform, regularization, taper_fraction):
+        taps[row : row + len(block)] = block
+        row += len(block)
+    taps.setflags(write=False)
+    return ChannelImpulseResponse(taps, 1.0 / rx.sample_rate_hz)
+
+
+def estimate_pdp(
+    rx,
+    waveform: SoundingWaveform,
+    regularization: float | None = None,
+    taper_fraction: float = DEFAULT_TAPER_FRACTION,
+    start: int = 0,
+) -> PowerDelayProfile:
+    """``average_pdp(estimate_cirs(...))`` of the capture from sample
+    ``start`` on, without the CIR block: each chunk of ``CHUNK_ROWS``
+    periods is read, deconvolved and added into the powers, so the memory
+    is one chunk whatever the capture length. ``rx`` is an ``IqSignal`` or
+    any capture read by range, such as ``mitigate_artifacts``' result for
+    an ``io.IqReader``. The powers equal the two-step result bit for bit.
+    """
+    blocks = _cir_chunks(rx, waveform, regularization, taper_fraction, start)
+    return _average_blocks(blocks, waveform.period, 1.0 / rx.sample_rate_hz)
+
+
+def _cir_chunks(rx, waveform, regularization, taper_fraction, start=0):
+    """Yield the CIRs of the complete periods from sample ``start`` on,
+    ``CHUNK_ROWS`` at a time, as ``(rows, period)`` blocks that reuse one
+    buffer; see ``estimate_cirs`` for the formula."""
     n = waveform.period
     x_spec = np.fft.fft(waveform.base_sequence)
     ref_power = np.abs(x_spec) ** 2
@@ -188,20 +425,22 @@ def estimate_cirs(
     if regularization < 0:
         raise ValidationError("regularization must be >= 0")
 
-    n_periods = len(rx) // n
-    if n_periods == 0:
+    n_periods = (len(rx) - start) // n
+    if n_periods <= 0:
         raise ValidationError(f"capture holds no complete period of {n} samples")
 
     window = _taper_window(n, taper_fraction)
     guard = min(_TAPER_GUARD_TAPS, n // 2) if window is not None else 0
     denom = ref_power + regularization
-    periods = rx.samples[: n_periods * n].reshape(n_periods, n)
-    taps = np.empty((n_periods, n), dtype=np.complex128)
     buffer = np.empty((min(CHUNK_ROWS, n_periods), n), dtype=np.complex128)
-    for start in range(0, n_periods, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n_periods)
-        h = buffer[: stop - start]
-        np.fft.fft(periods[start:stop], axis=-1, out=h)
+    rotated = np.empty_like(buffer) if guard else buffer
+    for first in range(0, n_periods, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, n_periods - first)
+        lo = start + first * n
+        periods = rx.read(lo, lo + rows * n).reshape(rows, n)
+        h = buffer[:rows]
+        np.fft.fft(periods, axis=-1, out=h)
+        del periods
         # two steps, as (Y conj(X)) / denom: folding conj(X) / denom into one
         # factor changes the last bits
         h *= np.conj(x_spec)
@@ -209,11 +448,10 @@ def estimate_cirs(
         if window is not None:
             h *= window
         np.fft.ifft(h, axis=-1, out=h)
-        # circular shift right by the guard
-        taps[start:stop, guard:] = h[:, : n - guard]
-        taps[start:stop, :guard] = h[:, n - guard :]
-    taps.setflags(write=False)
-    return ChannelImpulseResponse(taps, 1.0 / rx.sample_rate_hz)
+        if guard:  # circular shift right by the guard
+            rotated[:rows, guard:] = h[:, : n - guard]
+            rotated[:rows, :guard] = h[:, n - guard :]
+        yield rotated[:rows]
 
 
 def average_pdp(cirs: ChannelImpulseResponse) -> PowerDelayProfile:
@@ -224,8 +462,14 @@ def average_pdp(cirs: ChannelImpulseResponse) -> PowerDelayProfile:
     summed row after row, the same sum as ``np.mean(..., axis=0)``.
     """
     rows, n = cirs.taps.shape
+    blocks = (cirs.taps[first : first + CHUNK_ROWS] for first in range(0, rows, CHUNK_ROWS))
+    return _average_blocks(blocks, n, cirs.delay_step_s)
+
+
+def _average_blocks(blocks, n: int, delay_step_s: float) -> PowerDelayProfile:
     power = np.zeros(n)
-    for start in range(0, rows, CHUNK_ROWS):
-        add_row_powers(power, cirs.taps[start : start + CHUNK_ROWS])
-    delays = np.arange(n) * cirs.delay_step_s
-    return PowerDelayProfile(delays, power / rows)
+    rows = 0
+    for block in blocks:
+        add_row_powers(power, block)
+        rows += len(block)
+    return PowerDelayProfile(np.arange(n) * delay_step_s, power / rows)

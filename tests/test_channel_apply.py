@@ -102,6 +102,10 @@ class TestAddAwgn:
         with pytest.raises(ValidationError):
             add_awgn(IqSignal(np.zeros(8), 1e6), 10.0, 0)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            add_awgn(random_signal(np.random.default_rng(9)), 10.0, -1)
+
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
     def test_nan_and_negative_infinite_snr_rejected(self, snr_db):
         with pytest.raises(ValidationError, match="snr_db"):

@@ -69,8 +69,9 @@ class TestEstimate:
         assert "read-iq" in capsys.readouterr().err
 
     def test_peak_memory_stays_below_three_captures(self, tmp_path):
-        """The raw capture, the cleaned capture and its magnitudes are the
-        most the receive chain holds at once."""
+        """The streamed receive chain holds one chunk and the spike list;
+        three captures, the raw one, the cleaned one and its magnitudes,
+        was the most the whole-array chain held and stays the ceiling."""
         waveform = zadoff_chu_waveform(repetitions=1000)
         rx = add_awgn(
             apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.5])),

@@ -424,3 +424,21 @@ def test_check_seed_rejects_out_of_range():
         generate_dataset(URBAN_NLOS, 1, -1)
     with pytest.raises(ValidationError, match="seed"):
         simulate_pdp(URBAN_NLOS, 2**64, 1)
+
+
+def test_single_row_functions_check_integer_seeds():
+    clusters = generate_clusters(50 * NS, None, URBAN_NLOS, 1)
+    calls = {
+        "draw_large_scale": lambda seed: draw_large_scale(URBAN_LOS, seed),
+        "generate_clusters": lambda seed: generate_clusters(50 * NS, None, URBAN_NLOS, seed),
+        "synthesize_cir": lambda seed: synthesize_cir(clusters, URBAN_NLOS, seed),
+    }
+    for name, call in calls.items():
+        for bad in (-1, 2**64):
+            with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                call(bad)
+        call(np.random.SeedSequence([4, 2]))  # taken as it is
+        call(np.uint64(2**64 - 1))
+    spread = dataclasses.replace(URBAN_LOS, ds_sigma_log10=0.2, kf_sigma_db=3.0)
+    assert draw_large_scale(spread, 7) == draw_large_scale(spread, np.random.SeedSequence(7))
+    assert draw_large_scale(spread, 7) != draw_large_scale(spread, 8)

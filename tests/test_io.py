@@ -264,3 +264,104 @@ class TestDataset:
         path.write_bytes(bytes(raw))
         with pytest.raises(SizeMismatchError):
             io.read_dataset(path)
+
+
+class TestNonUtf8Text:
+    """Undecodable text fails with a named error that names the file."""
+
+    def test_config(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(io.config_to_text(PRESETS["urban-los"]).encode() + b"# \xff\n")
+        with pytest.raises(ValidationError, match="bad.cfg: not UTF-8"):
+            io.read_config(path)
+
+    def test_pdp_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"delay_ns,power_db\n0.0,\xff\n")
+        with pytest.raises(CorruptFileError, match="bad.csv: not UTF-8"):
+            io.read_pdp_csv(path)
+
+    def test_iq_sidecar(self, tmp_path):
+        path = tmp_path / "bad.iq"
+        np.array([1, 0], dtype="<f4").tofile(path)
+        path.with_name(path.name + ".meta").write_bytes(b"sample_rate_hz=1.0\xff\n")
+        with pytest.raises(CorruptFileError, match=r"bad.iq.meta: not UTF-8"):
+            io.read_iq(path)
+
+    def test_dataset_config_blob(self, tmp_path):
+        path = tmp_path / "bad.chds"
+        io.write_dataset(path, io.Dataset(np.ones((1, 2)), 1.0, "x"))
+        raw = bytearray(path.read_bytes())
+        raw[struct.calcsize("<4sHIIdI")] = 0xFF  # the one-byte config blob
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFileError, match="bad.chds: config blob is not UTF-8"):
+            io.read_dataset(path)
+
+    def test_report(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"ds_error_s=1\xff\n")
+        with pytest.raises(CorruptFileError, match="bad.txt: not UTF-8"):
+            io.read_report(path)
+        path.write_text("ds_error_s=abc\n")
+        with pytest.raises(CorruptFileError, match="bad.txt:1: bad number for ds_error_s"):
+            io.read_report(path)
+
+    def test_pdp_csv_overflowing_power(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("delay_ns,power_db\n0.0,1e308\n")
+        with pytest.raises(CorruptFileError, match="big.csv:2: bad number"):
+            io.read_pdp_csv(path)
+
+
+class TestIqReader:
+    def test_ranges_equal_the_whole_read(self, tmp_path):
+        sig = f32_signal(np.random.default_rng(3), n=1001)
+        path = tmp_path / "capture.iq"
+        io.write_iq(path, sig)
+        reader = io.IqReader(path)
+        assert len(reader) == 1001
+        assert reader.sample_rate_hz == sig.sample_rate_hz
+        assert reader.center_frequency_hz == sig.center_frequency_hz
+        for lo, hi in [(0, 1001), (0, 0), (500, 501), (17, 999)]:
+            assert np.array_equal(reader.read(lo, hi), sig.samples[lo:hi])
+            assert np.array_equal(sig.read(lo, hi), sig.samples[lo:hi])
+        for lo, hi in [(-1, 5), (5, 4), (0, 1002)]:
+            with pytest.raises(ValidationError, match=r"no samples \["):
+                reader.read(lo, hi)
+
+    def test_open_checks_size_and_sidecar_but_not_samples(self, tmp_path):
+        path = tmp_path / "late-nan.iq"
+        floats = np.ones(10, dtype="<f4")
+        floats[9] = np.nan
+        floats.tofile(path)
+        path.with_name(path.name + ".meta").write_text(
+            "sample_rate_hz=1.0\ncenter_frequency_hz=0.0\n"
+        )
+        reader = io.IqReader(path)
+        assert np.array_equal(reader.read(0, 4), np.full(4, 1 + 1j))
+        with pytest.raises(CorruptFileError, match="sample 4 is not finite"):
+            reader.read(3, 5)
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ("sample_rate_hz=0.0\ncenter_frequency_hz=0.0\n", "sample_rate_hz must be"),
+            ("sample_rate_hz=1.0\ncenter_frequency_hz=-1.0\n", "center_frequency_hz must be"),
+        ],
+    )
+    def test_open_checks_metadata_like_iq_signal(self, tmp_path, meta, message):
+        path = tmp_path / "meta.iq"
+        np.array([1, 0], dtype="<f4").tofile(path)
+        path.with_name(path.name + ".meta").write_text(meta)
+        for parse in (io.IqReader, io.read_iq):
+            with pytest.raises(ValidationError, match=message):
+                parse(path)
+
+    def test_empty_file_rejected_at_open(self, tmp_path):
+        path = tmp_path / "empty.iq"
+        path.write_bytes(b"")
+        path.with_name(path.name + ".meta").write_text(
+            "sample_rate_hz=1.0\ncenter_frequency_hz=0.0\n"
+        )
+        with pytest.raises(ValidationError, match="non-empty"):
+            io.IqReader(path)
