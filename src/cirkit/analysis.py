@@ -51,8 +51,8 @@ class PowerDelayProfile:
             raise ValidationError("PDP needs non-empty, equal-length delay and power vectors")
         if np.any(powers < 0) or not np.all(np.isfinite(powers)):
             raise ValidationError("PDP powers must be finite and non-negative")
-        if delays[0] < 0:
-            raise ValidationError("PDP delays must be >= 0")
+        if delays[0] < 0 or not np.all(np.isfinite(delays)):
+            raise ValidationError("PDP delays must be finite and >= 0")
         if delays.size > 1:
             steps = np.diff(delays)
             step = (delays[-1] - delays[0]) / (delays.size - 1)
@@ -173,23 +173,31 @@ def normalize_pdp(pdp: PowerDelayProfile, margin_db: float = DEFAULT_MARGIN_DB) 
     return PowerDelayProfile(delays, powers / peak, floor)
 
 
-def _total_power(pdp: PowerDelayProfile) -> float:
+def _moments(delays_s: np.ndarray, powers: np.ndarray, total) -> tuple:
+    """The power-weighted mean delay and mean squared delay along the last
+    axis, sum P(tau)*tau / total and sum P(tau)*tau^2 / total."""
+    return (
+        np.sum(powers * delays_s, axis=-1) / total,
+        np.sum(powers * delays_s**2, axis=-1) / total,
+    )
+
+
+def _pdp_moments(pdp: PowerDelayProfile) -> tuple[float, float]:
     total = float(np.sum(pdp.powers_linear))
     if total <= 0.0:
         raise ValidationError("PDP has zero total power")
-    return total
+    m1, m2 = _moments(pdp.delays_s, pdp.powers_linear, total)
+    return float(m1), float(m2)
 
 
 def mean_excess_delay(pdp: PowerDelayProfile) -> float:
     """Power-weighted mean delay, sum P(tau)*tau / sum P(tau)."""
-    total = _total_power(pdp)
-    return float(np.sum(pdp.powers_linear * pdp.delays_s) / total)
+    return _pdp_moments(pdp)[0]
 
 
 def second_moment(pdp: PowerDelayProfile) -> float:
     """Power-weighted mean squared delay, sum P(tau)*tau^2 / sum P(tau)."""
-    total = _total_power(pdp)
-    return float(np.sum(pdp.powers_linear * pdp.delays_s**2) / total)
+    return _pdp_moments(pdp)[1]
 
 
 def add_row_powers(power: np.ndarray, taps: np.ndarray) -> None:
@@ -210,16 +218,12 @@ def discrete_delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> np.ndarra
     Rows are sets of paths, for example a cluster set with its LOS term;
     powers need not sum to 1. A negative rounding residue clamps to 0.
     """
-    total = powers.sum(axis=-1)
-    m1 = np.sum(powers * delays_s, axis=-1) / total
-    m2 = np.sum(powers * delays_s**2, axis=-1) / total
+    m1, m2 = _moments(delays_s, powers, powers.sum(axis=-1))
     return np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
 
 
-def rms_delay_spread(pdp: PowerDelayProfile) -> float:
-    """Square root of the second central moment of the PDP."""
-    m1 = mean_excess_delay(pdp)
-    m2 = second_moment(pdp)
+def _spread(m1: float, m2: float) -> float:
+    """sqrt(m2 - m1^2); a negative radicand beyond rounding is an error."""
     radicand = m2 - m1 * m1
     if radicand < 0.0:
         if radicand < -_RADICAND_EPS_S2:
@@ -228,6 +232,11 @@ def rms_delay_spread(pdp: PowerDelayProfile) -> float:
             )
         radicand = 0.0
     return float(np.sqrt(radicand))
+
+
+def rms_delay_spread(pdp: PowerDelayProfile) -> float:
+    """Square root of the second central moment of the PDP."""
+    return _spread(*_pdp_moments(pdp))
 
 
 def k_factor(pdp: PowerDelayProfile) -> float | None:
@@ -299,9 +308,8 @@ def extract_parameters(
     if pdp.noise_floor_linear is None:
         pdp = pdp.with_noise_floor(estimate_noise_floor(pdp))
     cleaned = normalize_pdp(threshold_pdp(pdp, margin_db), margin_db)
-    m1 = mean_excess_delay(cleaned)
-    m2 = second_moment(cleaned)
-    ds = rms_delay_spread(cleaned)
+    m1, m2 = _pdp_moments(cleaned)
+    ds = _spread(m1, m2)
     kf = k_factor(cleaned) if los_flag else None
     clusters = count_clusters(cleaned, margin_db, min_separation_bins)
     return ChannelParameters(

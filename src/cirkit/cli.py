@@ -57,7 +57,7 @@ def _parse_regularization(value: str) -> float | None:
     if value == "auto":
         return None
     reg = float(value)
-    if reg < 0:
+    if not reg >= 0:
         raise ValidationError("--regularization must be >= 0 or 'auto'")
     return reg
 
@@ -198,16 +198,6 @@ def _cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _write_aligned_csv(path, delays_s, measured, simulated) -> None:
-    with np.errstate(divide="ignore"):
-        measured_db = 10.0 * np.log10(measured)
-        simulated_db = 10.0 * np.log10(simulated)
-    rows = ["delay_ns,measured_db,simulated_db"]
-    for t, a, b in zip(delays_s * 1e9, measured_db, simulated_db):
-        rows.append(f"{t:.6f},{a:.6f},{b:.6f}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
 def _cmd_compare(args) -> int:
     with _stage("read-pdp"):
         measured = io.read_pdp_csv(args.measured)
@@ -228,7 +218,7 @@ def _cmd_compare(args) -> int:
         svgplot.write_pdp_comparison_svg(
             args.plot_out, [("measured", measured), ("simulated", simulated)]
         )
-        _write_aligned_csv(csv_out, *analysis.align_to_finer_grid(measured, simulated))
+        io.write_aligned_csv(csv_out, *analysis.align_to_finer_grid(measured, simulated))
     print(
         f"ds_error={report.ds_error_s * 1e9:.2f} ns "
         f"ds_relative_error={report.ds_relative_error:.4f} "
@@ -250,8 +240,8 @@ def _parse_channel_spec(spec: str, sample_rate_hz: float) -> tuple[SyntheticChan
             )
         delays.append(float(parts[0]))
         amps.append(float(parts[1]))
-    if any(d < 0 for d in delays):
-        raise ValidationError("channel delays must be >= 0")
+    if not all(0 <= d < math.inf for d in delays):
+        raise ValidationError("channel delays must be finite and >= 0")
     if all(a == 0 for a in amps):
         raise ValidationError("channel must have at least one nonzero amplitude")
     positions = np.rint(np.asarray(delays) * sample_rate_hz).astype(int)

@@ -77,15 +77,15 @@ class ScenarioConfig:
     def __post_init__(self):
         fixed = tuple((float(d), float(p)) for d, p in self.fixed_clusters)
         object.__setattr__(self, "fixed_clusters", fixed)
-        if self.ds_median_s <= 0:
+        if not self.ds_median_s > 0:
             raise ValidationError("ds_median_s must be > 0")
-        if self.ds_sigma_log10 < 0 or self.kf_sigma_db < 0:
+        if not (self.ds_sigma_log10 >= 0 and self.kf_sigma_db >= 0):
             raise ValidationError("spread parameters must be >= 0")
         if self.num_clusters < 1:
             raise ValidationError("num_clusters must be >= 1")
-        if self.delay_proportionality_r_tau <= 1.0:
+        if not self.delay_proportionality_r_tau > 1.0:
             raise ValidationError("delay proportionality factor r_tau must be > 1")
-        if self.per_cluster_shadowing_db < 0:
+        if not self.per_cluster_shadowing_db >= 0:
             raise ValidationError("per_cluster_shadowing_db must be >= 0")
         if self.sample_rate_hz <= 0 or not math.isfinite(self.sample_rate_hz):
             raise ValidationError("sample_rate_hz must be finite and positive")
@@ -95,16 +95,20 @@ class ScenarioConfig:
             raise ValidationError("LOS scenario requires kf_median_db")
         if not self.los and self.kf_median_db is not None:
             raise ValidationError("NLOS scenario must not carry kf_median_db")
+        floats = (self.ds_median_s, self.ds_sigma_log10, self.kf_median_db or 0.0, self.kf_sigma_db,
+                  self.delay_proportionality_r_tau, self.per_cluster_shadowing_db)
+        if not all(map(math.isfinite, floats)):
+            raise ValidationError("scenario parameters must be finite")
         if self.num_clusters < len(self.fixed_clusters):
             raise ValidationError("num_clusters smaller than the number of fixed clusters")
         span = self.cir_length_taps / self.sample_rate_hz
         for delay, power in self.fixed_clusters:
-            if delay < 0 or delay >= span:
+            if not 0 <= delay < span:
                 raise ValidationError(
                     f"fixed cluster delay {delay} s not representable in {span} s CIR span"
                 )
-            if power <= 0:
-                raise ValidationError("fixed cluster power must be > 0")
+            if not 0 < power < math.inf:
+                raise ValidationError("fixed cluster power must be finite and > 0")
 
 
 def _table_preset(label: str, ds_ns: float, kf_db: float | None, clusters: int) -> ScenarioConfig:

@@ -5,12 +5,17 @@ with a ``<path>.meta`` text sidecar, for interoperability with common SDR
 tooling. Scenario configs are hand-editable ``key=value`` text. Datasets are
 a small binary container ("CHDS") holding float32 CIR snapshots plus the
 generating config as an embedded text blob.
+
+Every text format goes through one layer: one line reader (blank lines and
+``#`` comments skipped, ``key=value`` split), one parser of finite numbers
+that names ``file:line``, one ``key=value`` writer and one dB row writer.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,22 +38,26 @@ _HEADER_FMT = "<4sHIIdI"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)  # 26 bytes
 MAX_DATASET_SNAPSHOTS = 2**32 - 1  # the header stores the count as uint32
 
-# canonical key order; identical configs produce identical bytes
-_CONFIG_KEYS = (
-    "label",
-    "ds_median_s",
-    "ds_sigma_log10",
-    "kf_median_db",
-    "kf_sigma_db",
-    "num_clusters",
-    "r_tau",
-    "per_cluster_shadowing_db",
-    "los",
-    "sample_rate_hz",
-    "cir_length_taps",
-    "fixed_cluster",
-)
-_MANDATORY_KEYS = frozenset(_CONFIG_KEYS) - {"kf_median_db", "fixed_cluster"}
+# file key -> (ScenarioConfig field, kind), in the canonical key order of the
+# text; identical configs produce identical bytes. A ``tuple`` key repeats,
+# one line per (delay_s, power_linear) pair.
+_CONFIG_TABLE = {
+    "label": ("label", str),
+    "ds_median_s": ("ds_median_s", float),
+    "ds_sigma_log10": ("ds_sigma_log10", float),
+    "kf_median_db": ("kf_median_db", float),
+    "kf_sigma_db": ("kf_sigma_db", float),
+    "num_clusters": ("num_clusters", int),
+    "r_tau": ("delay_proportionality_r_tau", float),
+    "per_cluster_shadowing_db": ("per_cluster_shadowing_db", float),
+    "los": ("los", bool),
+    "sample_rate_hz": ("sample_rate_hz", float),
+    "cir_length_taps": ("cir_length_taps", int),
+    "fixed_cluster": ("fixed_clusters", tuple),
+}
+# the fields whose keys a config may leave out, and their values then
+_CONFIG_ABSENT = {"kf_median_db": None, "fixed_clusters": ()}
+_META_KEYS = ("sample_rate_hz", "center_frequency_hz")
 
 
 def _meta_path(path) -> Path:
@@ -62,9 +71,7 @@ def write_iq(path, signal: IqSignal) -> None:
     interleaved[1::2] = signal.samples.imag
     Path(path).write_bytes(interleaved.tobytes())
     _meta_path(path).write_text(
-        f"sample_rate_hz={signal.sample_rate_hz!r}\n"
-        f"center_frequency_hz={signal.center_frequency_hz!r}\n",
-        encoding="utf-8",
+        _key_value_text((key, getattr(signal, key)) for key in _META_KEYS), encoding="utf-8"
     )
 
 
@@ -77,23 +84,91 @@ def _read_text(path, error=CorruptFileError) -> str:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
+def _lines(text: str):
+    """``(line_no, line)`` for every line of ``text`` that is neither blank
+    nor a ``#`` comment, stripped; line numbers count from 1 in the file."""
+    for line_no, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _key_values(text: str, source, error):
+    """``(line_no, key, value)`` for every ``key=value`` line, both sides
+    stripped; any other content line raises ``error``."""
+    for line_no, line in _lines(text):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{source}:{line_no}: expected key=value")
+        yield line_no, key.strip(), value.strip()
+
+
+def _finite(text: str, source, line_no: int, what="bad number", error=CorruptFileError, kind=float):
+    """``kind(text)`` when that is a finite number, else ``error`` saying
+    ``source:line_no: what``.
+
+    ``kind`` is ``float``, ``int`` or another conversion of text, such as
+    dB to linear power, whose overflow is a bad number too.
+    """
+    try:
+        number = kind(text)
+        if -math.inf < number < math.inf:
+            return number
+    except (ValueError, OverflowError):
+        pass
+    raise error(f"{source}:{line_no}: {what}")
+
+
+def _db_to_linear(text: str) -> float:
+    return 10.0 ** (float(text) / 10.0)
+
+
+def _read_numbers(path) -> dict[str, float]:
+    """The values of a ``key=value`` file whose every value is a number."""
+    return {
+        key: _finite(value, path, line_no, f"bad number for {key}")
+        for line_no, key, value in _key_values(_read_text(path), path, CorruptFileError)
+    }
+
+
+def _format_value(value) -> str:
+    """``value`` as text: a flag, an integer, the text itself, a pair joined
+    by a comma, or the float's shortest round-trip repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ",".join(map(_format_value, value))
+    return repr(float(value))
+
+
+def _key_value_text(pairs, comments: tuple[str, ...] = ()) -> str:
+    """``# comment`` lines, then one ``key=value`` line per pair."""
+    lines = [f"# {comment}" for comment in comments]
+    lines += [f"{key}={_format_value(value)}" for key, value in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def _write_db_rows(path, header: str, delays_s, *powers) -> None:
+    """Write ``header``, then one row per delay: the delay in ns and each
+    power in dB, all at six decimals (a zero power is ``-inf``)."""
+    # Python floats format faster than numpy scalars, to the same text
+    with np.errstate(divide="ignore"):
+        columns = [(delays_s * 1e9).tolist()] + [(10.0 * np.log10(p)).tolist() for p in powers]
+    row = ",".join(["{:.6f}"] * len(columns))
+    rows = [header] + [row.format(*values) for values in zip(*columns)]
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 def _read_meta(path) -> dict[str, float]:
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise MissingSidecarError(f"missing IQ metadata sidecar: {meta_path}")
-    meta: dict[str, float] = {}
-    for line_no, line in enumerate(_read_text(meta_path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CorruptFileError(f"{meta_path}:{line_no}: expected key=value")
-        try:
-            meta[key.strip()] = float(value.strip())
-        except ValueError as exc:
-            raise CorruptFileError(f"{meta_path}:{line_no}: bad number for {key}") from exc
-    for key in ("sample_rate_hz", "center_frequency_hz"):
+    meta = _read_numbers(meta_path)
+    for key in _META_KEYS:
         if key not in meta:
             raise CorruptFileError(f"{meta_path}: missing key {key}")
     return meta
@@ -154,109 +229,55 @@ def read_iq(path) -> IqSignal:
     return IqSignal(samples, reader.sample_rate_hz, reader.center_frequency_hz)
 
 
-def _format_value(key: str, value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 def config_to_text(config: ScenarioConfig, comments: tuple[str, ...] = ()) -> str:
     """Serialize a scenario config in canonical key order."""
-    lines = [f"# {comment}" for comment in comments]
-    values = {
-        "label": config.label,
-        "ds_median_s": config.ds_median_s,
-        "ds_sigma_log10": config.ds_sigma_log10,
-        "kf_median_db": config.kf_median_db,
-        "kf_sigma_db": config.kf_sigma_db,
-        "num_clusters": config.num_clusters,
-        "r_tau": config.delay_proportionality_r_tau,
-        "per_cluster_shadowing_db": config.per_cluster_shadowing_db,
-        "los": config.los,
-        "sample_rate_hz": config.sample_rate_hz,
-        "cir_length_taps": config.cir_length_taps,
-    }
-    for key in _CONFIG_KEYS:
-        if key == "fixed_cluster":
-            for delay, power in config.fixed_clusters:
-                lines.append(f"fixed_cluster={delay!r},{power!r}")
-            continue
-        value = values[key]
-        if key == "kf_median_db" and value is None:
-            continue
-        if key == "label":
-            lines.append(f"label={value}")
-        else:
-            lines.append(f"{key}={_format_value(key, value)}")
-    return "\n".join(lines) + "\n"
+    pairs = []
+    for key, (field, kind) in _CONFIG_TABLE.items():
+        value = getattr(config, field)
+        if kind is tuple:
+            pairs += [(key, pair) for pair in value]
+        elif value is not None:
+            pairs.append((key, value))
+    return _key_value_text(pairs, comments)
+
+
+def _config_value(kind, key: str, value: str, source: str, line_no: int):
+    """A config value as ``kind``: the text itself, a flag or a finite number."""
+    if kind is str:
+        return value
+    if kind is bool:
+        if value not in ("true", "false"):
+            raise ValidationError(
+                f"{source}:{line_no}: {key} must be true or false, got {value!r}"
+            )
+        return value == "true"
+    what = f"cannot parse {key} value {value!r}"
+    return _finite(value, source, line_no, what, ValidationError, kind)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse ``key=value`` scenario-config text into a validated config."""
-    seen: dict[str, str] = {}
-    fixed: list[tuple[float, float]] = []
-
-    def number(key: str, value: str, line_no: int, kind=float):
-        try:
-            return kind(value)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{source}:{line_no}: cannot parse {key} value {value!r}"
-            ) from exc
-
-    for line_no, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep:
-            raise ValidationError(f"{source}:{line_no}: expected key=value")
-        if key not in _CONFIG_KEYS:
-            raise ValidationError(f"{source}:{line_no}: unknown key {key!r}")
-        if key == "fixed_cluster":
+    found: dict = {}
+    for line_no, key, value in _key_values(text, source, ValidationError):
+        where = f"{source}:{line_no}"
+        if key not in _CONFIG_TABLE:
+            raise ValidationError(f"{where}: unknown key {key!r}")
+        field, kind = _CONFIG_TABLE[key]
+        if kind is tuple:
             parts = value.split(",")
             if len(parts) != 2:
-                raise ValidationError(
-                    f"{source}:{line_no}: fixed_cluster needs <delay_s>,<power_linear>"
-                )
-            fixed.append(
-                (number(key, parts[0], line_no), number(key, parts[1], line_no))
-            )
-            continue
-        if key in seen:
-            raise ValidationError(f"{source}:{line_no}: duplicate key {key!r}")
-        seen[key] = value
-        seen[f"{key}:line"] = str(line_no)
-
-    for key in sorted(_MANDATORY_KEYS):
-        if key not in seen:
-            raise ValidationError(f"{source}: missing mandatory key {key!r}")
-
-    def num(key: str, kind=float):
-        return number(key, seen[key], int(seen[f"{key}:line"]), kind)
-
-    los_raw = seen["los"]
-    if los_raw not in ("true", "false"):
-        raise ValidationError(
-            f"{source}:{seen['los:line']}: los must be true or false, got {los_raw!r}"
-        )
-    return ScenarioConfig(
-        label=seen["label"],
-        ds_median_s=num("ds_median_s"),
-        ds_sigma_log10=num("ds_sigma_log10"),
-        kf_median_db=num("kf_median_db") if "kf_median_db" in seen else None,
-        kf_sigma_db=num("kf_sigma_db"),
-        num_clusters=num("num_clusters", int),
-        delay_proportionality_r_tau=num("r_tau"),
-        per_cluster_shadowing_db=num("per_cluster_shadowing_db"),
-        los=los_raw == "true",
-        fixed_clusters=tuple(fixed),
-        sample_rate_hz=num("sample_rate_hz"),
-        cir_length_taps=num("cir_length_taps", int),
-    )
+                raise ValidationError(f"{where}: {key} needs <delay_s>,<power_linear>")
+            pair = tuple(_config_value(float, key, part, source, line_no) for part in parts)
+            found.setdefault(field, []).append(pair)
+        elif field in found:
+            raise ValidationError(f"{where}: duplicate key {key!r}")
+        else:
+            found[field] = _config_value(kind, key, value, source, line_no)
+    fields = {**_CONFIG_ABSENT, **found}
+    missing = sorted(key for key, (field, _) in _CONFIG_TABLE.items() if field not in fields)
+    if missing:
+        raise ValidationError(f"{source}: missing mandatory key {missing[0]!r}")
+    return ScenarioConfig(**fields)
 
 
 def write_config(path, config: ScenarioConfig, comments: tuple[str, ...] = ()) -> None:
@@ -269,34 +290,27 @@ def read_config(path) -> ScenarioConfig:
 
 def write_pdp_csv(path, pdp: PowerDelayProfile) -> None:
     """Write a normalized PDP as ``delay_ns,power_db`` rows."""
-    with np.errstate(divide="ignore"):
-        power_db = 10.0 * np.log10(pdp.powers_linear)
-    rows = ["delay_ns,power_db"]
-    for delay, db in zip(pdp.delays_s * 1e9, power_db):
-        rows.append(f"{delay:.6f},{db:.6f}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_db_rows(path, "delay_ns,power_db", pdp.delays_s, pdp.powers_linear)
+
+
+def write_aligned_csv(path, delays_s, measured, simulated) -> None:
+    """Write two profiles on one delay grid as ``delay_ns,measured_db,simulated_db`` rows."""
+    _write_db_rows(path, "delay_ns,measured_db,simulated_db", delays_s, measured, simulated)
 
 
 def read_pdp_csv(path) -> PowerDelayProfile:
     """Read a PDP CSV back; the uniform delay grid is snapped to its mean step."""
-    lines = [
-        line.strip()
-        for line in _read_text(path).splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    if not lines or lines[0] != "delay_ns,power_db":
+    lines = _lines(_read_text(path))
+    if next(lines, (0, ""))[1] != "delay_ns,power_db":
         raise CorruptFileError(f"{path}: missing 'delay_ns,power_db' header")
     delays_ns = []
     powers = []
-    for line_no, line in enumerate(lines[1:], 2):
+    for line_no, line in lines:
         parts = line.split(",")
         if len(parts) != 2:
             raise CorruptFileError(f"{path}:{line_no}: expected two columns")
-        try:
-            delays_ns.append(float(parts[0]))
-            powers.append(10.0 ** (float(parts[1]) / 10.0))
-        except (ValueError, OverflowError) as exc:
-            raise CorruptFileError(f"{path}:{line_no}: bad number") from exc
+        delays_ns.append(_finite(parts[0], path, line_no))
+        powers.append(_finite(parts[1], path, line_no, kind=_db_to_linear))
     if not delays_ns:
         raise CorruptFileError(f"{path}: no data rows")
     n = len(delays_ns)
@@ -312,28 +326,11 @@ def read_pdp_csv(path) -> PowerDelayProfile:
 
 def write_report(path, report: ComparisonReport, comments: tuple[str, ...] = ()) -> None:
     """Write a comparison report as ``key=value`` lines."""
-    lines = [f"# {comment}" for comment in comments]
-    lines += [
-        f"ds_error_s={report.ds_error_s!r}",
-        f"ds_relative_error={report.ds_relative_error!r}",
-        f"cluster_count_diff={report.cluster_count_diff}",
-        f"mean_abs_db_deviation={report.mean_abs_db_deviation!r}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(_key_value_text(asdict(report).items(), comments), encoding="utf-8")
 
 
 def read_report(path) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        try:
-            values[key.strip()] = float(value.strip())
-        except ValueError as exc:
-            raise CorruptFileError(f"{path}:{line_no}: bad number for {key}") from exc
-    return values
+    return _read_numbers(path)
 
 
 @dataclass(frozen=True)
@@ -349,8 +346,8 @@ class Dataset:
         object.__setattr__(self, "snapshots", snaps)
         if snaps.ndim != 2 or snaps.size == 0:
             raise ValidationError("dataset snapshots must be a non-empty 2-D array")
-        if self.sample_rate_hz <= 0:
-            raise ValidationError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValidationError("sample_rate_hz must be finite and positive")
 
     @property
     def snapshot_count(self) -> int:

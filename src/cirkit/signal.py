@@ -48,7 +48,7 @@ def check_capture(samples: int, sample_rate_hz: float, center_frequency_hz: floa
         raise ValidationError("IqSignal requires a non-empty 1-D sample vector")
     if not np.isfinite(sample_rate_hz) or sample_rate_hz <= 0:
         raise ValidationError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
-    if center_frequency_hz < 0:
+    if not center_frequency_hz >= 0:
         raise ValidationError("center_frequency_hz must be >= 0")
 
 

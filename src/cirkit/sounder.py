@@ -422,7 +422,7 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start=0):
         raise ValidationError("reference sequence has zero energy")
     if regularization is None:
         regularization = _AUTO_REGULARIZATION * float(np.mean(ref_power))
-    if regularization < 0:
+    if not regularization >= 0:
         raise ValidationError("regularization must be >= 0")
 
     n_periods = (len(rx) - start) // n

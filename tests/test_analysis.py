@@ -52,6 +52,17 @@ class TestPowerDelayProfile:
         with pytest.raises(ValidationError):
             PowerDelayProfile([1e-9, 0.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_delay_rejected(self, index, value):
+        delays = [0.0, 1e-9, 2e-9]
+        delays[index] = value
+        with pytest.raises(ValidationError, match="PDP delay"):
+            PowerDelayProfile(delays, [1.0, 1.0, 1.0])
+        if index == 0:
+            with pytest.raises(ValidationError, match="PDP delay"):
+                PowerDelayProfile([value], [1.0])
+
 
 class TestNoiseFloor:
     def test_constant_profile(self):
@@ -164,6 +175,15 @@ class TestMoments:
         for fn in (mean_excess_delay, second_moment, rms_delay_spread):
             with pytest.raises(ValidationError):
                 fn(pdp)
+
+    def test_extraction_moments_equal_the_public_functions(self):
+        rng = np.random.default_rng(4)
+        pdp = make_pdp(rng.uniform(0.0, 1.0, 64) ** 4, floor=1e-3)
+        params = extract_parameters(pdp, los_flag=False)
+        cleaned = normalize_pdp(threshold_pdp(pdp))
+        assert params.mean_excess_delay_s == mean_excess_delay(cleaned)
+        assert params.second_moment_s2 == second_moment(cleaned)
+        assert params.rms_delay_spread_s == rms_delay_spread(cleaned)
 
 
 class TestKFactor:

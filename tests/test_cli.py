@@ -244,6 +244,18 @@ class TestLoopback:
         assert rc == 1
         assert "channel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--channel-spec=nan,1", "channel delays must be finite"),
+            ("--channel-spec=0,1;inf,1", "channel delays must be finite"),
+            ("--regularization=nan", "--regularization must be"),
+        ],
+    )
+    def test_nan_flags_fail_by_name(self, capsys, flag, message):
+        assert main(["loopback", flag]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("snr", ["nan", "-inf"])
     def test_non_numeric_snr_fails_at_apply_channel(self, capsys, snr):
         rc = main(["loopback", f"--snr-db={snr}"])

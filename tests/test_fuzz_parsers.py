@@ -1,10 +1,11 @@
 """Seeded fuzz of the four text and binary parsers.
 
 Each test mutates a valid file (byte replacements, insertions, deletions,
-truncation, with tokens that parsers trip over: non-UTF-8 bytes, ``nan``,
-huge exponents, separators) and requires that the parser either returns a
-value or raises a named ``FileFormatError`` or ``ValidationError``, never a
-raw numpy, struct, codec or arithmetic error.
+truncation and whole values replaced, with tokens that parsers trip over:
+non-UTF-8 bytes, ``nan``, huge exponents, separators) and requires that the
+parser either returns a value or raises a named ``FileFormatError`` or
+``ValidationError``, never a raw numpy, struct, codec or arithmetic error.
+Every number in a returned value is finite.
 """
 
 import numpy as np
@@ -34,9 +35,15 @@ FUZZ = settings(
 def mutated(draw, base: bytes) -> bytes:
     data = bytearray(base)
     for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "replace", "delete", "truncate", "value"]))
+        starts = [i + 1 for i, byte in enumerate(data) if byte in b"=,\n"]
+        if op == "value" and starts:  # a whole field: from a separator to the next ',' or line end
+            start = draw(st.sampled_from(starts))
+            end = next((i for i in range(start, len(data)) if data[i] in b",\n"), len(data))
+            data[start:end] = draw(st.sampled_from(TOKENS))
+            continue
         pos = draw(st.integers(0, len(data)))
         piece = draw(st.one_of(st.sampled_from(TOKENS), st.binary(min_size=1, max_size=4)))
-        op = draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
         if op == "insert":
             data[pos:pos] = piece
         elif op == "replace":
@@ -46,6 +53,10 @@ def mutated(draw, base: bytes) -> bytes:
         else:
             del data[pos:]
     return bytes(data)
+
+
+def assert_finite(numbers) -> None:
+    assert np.all(np.isfinite(np.asarray(list(numbers), dtype=float)))
 
 
 def valid_config() -> bytes:
@@ -71,9 +82,13 @@ def test_config_parser(tmp_path, data):
     path = tmp_path / "fuzz.cfg"
     path.write_bytes(data.draw(mutated(valid_config())))
     try:
-        io.read_config(path)
+        config = io.read_config(path)
     except ValidationError as err:
         assert str(path) in str(err) or "must" in str(err) or "requires" in str(err)
+    else:
+        fields = vars(config).values()
+        assert_finite(v for v in fields if isinstance(v, (int, float)))
+        assert_finite(x for pair in config.fixed_clusters for x in pair)
 
 
 @FUZZ
@@ -82,11 +97,14 @@ def test_pdp_csv_parser(tmp_path, data):
     path = tmp_path / "fuzz.csv"
     path.write_bytes(data.draw(mutated(valid_pdp_csv(tmp_path))))
     try:
-        io.read_pdp_csv(path)
+        pdp = io.read_pdp_csv(path)
     except FileFormatError as err:
         assert str(path) in str(err)
     except ValidationError as err:  # a delay or power out of range
         assert "PDP" in str(err)
+    else:
+        assert_finite(pdp.delays_s)
+        assert_finite(pdp.powers_linear)
 
 
 @FUZZ
@@ -98,11 +116,13 @@ def test_iq_meta_parser(tmp_path, data):
     meta.write_bytes(data.draw(mutated(meta.read_bytes())))
     for parse in (io.read_iq, io.IqReader):
         try:
-            parse(path)
+            capture = parse(path)
         except FileFormatError as err:
             assert str(meta) in str(err)
         except ValidationError as err:  # a rate or carrier out of range
             assert "must" in str(err)
+        else:
+            assert_finite([capture.sample_rate_hz, capture.center_frequency_hz])
 
 
 @FUZZ
@@ -113,8 +133,11 @@ def test_dataset_header_parser(tmp_path, data):
     path = tmp_path / "fuzz.chds"
     path.write_bytes(data.draw(mutated(base[:header_end])) + base[header_end:])
     try:
-        io.read_dataset(path)
+        dataset = io.read_dataset(path)
     except FileFormatError as err:
         assert str(path) in str(err)
     except ValidationError as err:  # a header rate or shape out of range
         assert "must" in str(err)
+    else:
+        assert_finite([dataset.sample_rate_hz])
+        assert np.all(np.isfinite(dataset.snapshots))

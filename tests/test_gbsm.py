@@ -74,6 +74,30 @@ class TestScenarioConfig:
                 URBAN_NLOS, num_clusters=1, fixed_clusters=((0.0, 1.0), (1e-7, 1.0))
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "ds_median_s",
+            "ds_sigma_log10",
+            "kf_median_db",
+            "kf_sigma_db",
+            "delay_proportionality_r_tau",
+            "per_cluster_shadowing_db",
+            "sample_rate_hz",
+        ],
+    )
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="must"):
+            dataclasses.replace(URBAN_LOS, **{field: value})
+
+    @pytest.mark.parametrize(
+        "pair", [(math.nan, 1.0), (math.inf, 1.0), (1e-7, math.nan), (1e-7, math.inf)]
+    )
+    def test_non_finite_fixed_cluster_rejected(self, pair):
+        with pytest.raises(ValidationError, match="fixed cluster"):
+            dataclasses.replace(URBAN_NLOS, fixed_clusters=(pair,))
+
 
 class TestConfigFromParameters:
     def test_urban_nlos_row(self):

@@ -70,6 +70,14 @@ class TestIq:
         with pytest.raises(MissingSidecarError, match="lonely.iq.meta"):
             io.read_iq(path)
 
+    def test_numpy_scalar_metadata_round_trips(self, tmp_path):
+        path = tmp_path / "np.iq"
+        io.write_iq(path, IqSignal([1.0], np.float64(25.6e6), np.float64(2.48e9)))
+        assert path.with_name("np.iq.meta").read_text() == (
+            "sample_rate_hz=25600000.0\ncenter_frequency_hz=2480000000.0\n"
+        )
+        assert io.read_iq(path).sample_rate_hz == 25.6e6
+
     def test_rewrites_are_deterministic(self, tmp_path):
         sig = f32_signal(np.random.default_rng(1))
         a, b = tmp_path / "a.iq", tmp_path / "b.iq"
@@ -183,6 +191,37 @@ class TestPdpCsv:
         with pytest.raises(CorruptFileError, match="header"):
             io.read_pdp_csv(path)
 
+    def test_error_names_the_file_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("# made by hand\ndelay_ns,power_db\n\n0.0,0.0\n# note\n\n1.0,x\n")
+        with pytest.raises(CorruptFileError, match="p.csv:7: bad number"):
+            io.read_pdp_csv(path)
+
+    def test_indented_comment_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("  # made by hand\ndelay_ns,power_db\n0.0,0.0\n\t# note\n1.0,-3.0\n")
+        back = io.read_pdp_csv(path)
+        np.testing.assert_array_equal(back.delays_s, [0.0, 1e-9])
+        np.testing.assert_array_equal(back.powers_linear, [1.0, 10.0 ** -0.3])
+
+    def test_zero_power_round_trips_as_minus_inf_db(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        io.write_pdp_csv(path, PowerDelayProfile([0.0, 1e-8], [1.0, 0.0]))
+        assert path.read_text() == "delay_ns,power_db\n0.000000,0.000000\n10.000000,-inf\n"
+        np.testing.assert_array_equal(io.read_pdp_csv(path).powers_linear, [1.0, 0.0])
+
+
+class TestAlignedCsv:
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "aligned.csv"
+        delays, measured, simulated = np.array([[0.0, 2.5e-9], [1.0, 0.5], [0.0, 1.0]])
+        io.write_aligned_csv(path, delays, measured, simulated)
+        assert path.read_text() == (
+            "delay_ns,measured_db,simulated_db\n"
+            "0.000000,0.000000,-inf\n"
+            "2.500000,-3.010300,0.000000\n"
+        )
+
 
 class TestReport:
     def test_round_trip(self, tmp_path):
@@ -194,6 +233,83 @@ class TestReport:
         assert values["ds_relative_error"] == 0.012
         assert values["cluster_count_diff"] == -2
         assert values["mean_abs_db_deviation"] == 3.75
+
+
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e999"]
+CONFIG_FLOAT_KEYS = [
+    "ds_median_s",
+    "ds_sigma_log10",
+    "kf_median_db",
+    "kf_sigma_db",
+    "r_tau",
+    "per_cluster_shadowing_db",
+    "sample_rate_hz",
+]
+
+
+def replace_value(text: str, key: str, value: str) -> tuple[str, int]:
+    """``text`` with ``key``'s value replaced, and the file line of that key."""
+    lines = text.splitlines()
+    line_no = next(i for i, line in enumerate(lines, 1) if line.startswith(key + "="))
+    lines[line_no - 1] = f"{key}={value}"
+    return "\n".join(lines) + "\n", line_no
+
+
+class TestNonFiniteNumbers:
+    """Every text format rejects NaN and infinite numbers, naming file:line."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("key", CONFIG_FLOAT_KEYS)
+    def test_config_float_keys(self, tmp_path, key, value):
+        text = io.config_to_text(PRESETS["urban-los"], ("two", "comments"))
+        text, line_no = replace_value(text, key, value)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=rf"bad.cfg:{line_no}: cannot parse {key} value"):
+            io.read_config(path)
+
+    @pytest.mark.parametrize("pair", ["nan,0.5", "1e-7,nan", "inf,0.5", "1e-7,inf", "1e-7,-inf"])
+    def test_config_fixed_cluster(self, tmp_path, pair):
+        path = tmp_path / "bad.cfg"
+        text = io.config_to_text(PRESETS["urban-nlos"])
+        path.write_text(text + f"fixed_cluster={pair}\n")
+        line_no = len(text.splitlines()) + 1
+        message = rf"bad.cfg:{line_no}: cannot parse fixed_cluster"
+        with pytest.raises(ValidationError, match=message):
+            io.read_config(path)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("line_no, key", [(1, "sample_rate_hz"), (2, "center_frequency_hz")])
+    def test_iq_sidecar(self, tmp_path, line_no, key, value):
+        path = tmp_path / "bad.iq"
+        io.write_iq(path, IqSignal([1.0, 1j], 25.6e6, 2.48e9))
+        meta = path.with_name(path.name + ".meta")
+        meta.write_text(replace_value(meta.read_text(), key, value)[0])
+        message = rf"bad.iq.meta:{line_no}: bad number for {key}"
+        for parse in (io.read_iq, io.IqReader):
+            with pytest.raises(CorruptFileError, match=message):
+                parse(path)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "key", ["ds_error_s", "ds_relative_error", "cluster_count_diff", "mean_abs_db_deviation"]
+    )
+    def test_report(self, tmp_path, key, value):
+        path = tmp_path / "bad.txt"
+        io.write_report(path, ComparisonReport(1.5e-9, 0.012, -2, 3.75), comments=("c",))
+        text, line_no = replace_value(path.read_text(), key, value)
+        path.write_text(text)
+        with pytest.raises(CorruptFileError, match=rf"bad.txt:{line_no}: bad number for {key}"):
+            io.read_report(path)
+
+    @pytest.mark.parametrize(
+        "row", ["nan,0.0", "inf,0.0", "-inf,0.0", "1e999,0.0", "10.0,nan", "10.0,inf", "10.0,1e999"]
+    )
+    def test_pdp_csv(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"delay_ns,power_db\n0.0,0.0\n{row}\n20.0,-3.0\n")
+        with pytest.raises(CorruptFileError, match="bad.csv:3: bad number"):
+            io.read_pdp_csv(path)
 
 
 class TestDataset:
@@ -247,6 +363,17 @@ class TestDataset:
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(SizeMismatchError):
+            io.read_dataset(path)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_header_rate_rejected(self, tmp_path, rate):
+        ds = self._dataset(np.random.default_rng(9), count=1, taps=4)
+        path = tmp_path / "rate.chds"
+        io.write_dataset(path, ds)
+        raw = bytearray(path.read_bytes())
+        raw[14:22] = struct.pack("<d", rate)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="sample_rate_hz must be finite"):
             io.read_dataset(path)
 
     def test_header_smaller_than_minimum(self, tmp_path):

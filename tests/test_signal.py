@@ -27,6 +27,10 @@ class TestIqSignal:
         with pytest.raises(ValidationError):
             IqSignal([1.0], float("nan"))
 
+    def test_nan_carrier_rejected(self):
+        with pytest.raises(ValidationError, match="center_frequency_hz must be"):
+            IqSignal([1.0], 1e6, float("nan"))
+
     def test_samples_are_immutable(self):
         sig = IqSignal([1.0, 2.0], 1e6)
         with pytest.raises(ValueError):

@@ -156,6 +156,11 @@ class TestEstimateCirs:
         with pytest.raises(ValidationError):
             estimate_cirs(rx, wf, regularization=-1.0)
 
+    def test_nan_regularization_rejected(self):
+        wf = small_waveform()
+        with pytest.raises(ValidationError, match="regularization must be"):
+            estimate_cirs(build_sounding_signal(wf), wf, regularization=float("nan"))
+
     def test_linearity_in_capture(self):
         wf = small_waveform()
         tx = build_sounding_signal(wf)
