@@ -8,6 +8,7 @@ the configuration inputs for the stochastic channel generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,6 +119,11 @@ class ComparisonReport:
     ds_relative_error: float
     cluster_count_diff: int
     mean_abs_db_deviation: float
+
+    def __post_init__(self):
+        floats = (self.ds_error_s, self.ds_relative_error, self.mean_abs_db_deviation)
+        if not all(map(math.isfinite, floats)):
+            raise ValidationError("comparison report fields must be finite")
 
 
 def _threshold_value(pdp: PowerDelayProfile, margin_db: float) -> float:
@@ -340,7 +346,9 @@ def compare_pdps(
     dB-domain deviation over the union of above-threshold bins after
     nearest-bin resampling of the coarser grid onto the finer one.
     Resampling is nearest-bin rather than interpolation because PDPs are
-    power histograms and interpolation would invent energy.
+    power histograms and interpolation would invent energy. When the
+    measured delay spread is 0 and the simulated one is not, the relative
+    error is undefined and a ``ValidationError`` is raised.
     """
     _require_normalized("measured", measured)
     _require_normalized("simulated", simulated)
@@ -355,7 +363,7 @@ def compare_pdps(
     elif ds_m > 0.0:
         ds_rel = ds_error / ds_m
     else:
-        ds_rel = np.inf
+        raise ValidationError("measured delay spread is 0; relative error undefined")
 
     cluster_diff = count_clusters(simulated, margin_db, min_separation_bins) - count_clusters(
         measured, margin_db, min_separation_bins

@@ -9,6 +9,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -327,7 +328,11 @@ def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: building it costs milliseconds, and ``parse_args`` reads it
+    without changing it."""
     parser = argparse.ArgumentParser(
         prog="cirkit",
         description="Channel sounding, PDP analysis and cluster-based channel simulation.",

@@ -58,6 +58,11 @@ _CONFIG_TABLE = {
 # the fields whose keys a config may leave out, and their values then
 _CONFIG_ABSENT = {"kf_median_db": None, "fixed_clusters": ()}
 _META_KEYS = ("sample_rate_hz", "center_frequency_hz")
+# how far a PDP-CSV delay may sit from its snapped grid: the six-decimal
+# rounding of the row and of the two end rows that set the grid, plus
+# float rounding relative to the delay
+_GRID_TOLERANCE_NS = 1e-6
+_GRID_TOLERANCE_REL = 1e-9
 
 
 def _meta_path(path) -> Path:
@@ -299,16 +304,22 @@ def write_aligned_csv(path, delays_s, measured, simulated) -> None:
 
 
 def read_pdp_csv(path) -> PowerDelayProfile:
-    """Read a PDP CSV back; the uniform delay grid is snapped to its mean step."""
+    """Read a PDP CSV back; the uniform delay grid is snapped to its mean step.
+
+    Every row's delay must lie on that grid, to within the six-decimal
+    rounding of :func:`write_pdp_csv`.
+    """
     lines = _lines(_read_text(path))
     if next(lines, (0, ""))[1] != "delay_ns,power_db":
         raise CorruptFileError(f"{path}: missing 'delay_ns,power_db' header")
+    line_nos = []
     delays_ns = []
     powers = []
     for line_no, line in lines:
         parts = line.split(",")
         if len(parts) != 2:
             raise CorruptFileError(f"{path}:{line_no}: expected two columns")
+        line_nos.append(line_no)
         delays_ns.append(_finite(parts[0], path, line_no))
         powers.append(_finite(parts[1], path, line_no, kind=_db_to_linear))
     if not delays_ns:
@@ -320,7 +331,13 @@ def read_pdp_csv(path) -> PowerDelayProfile:
         step_ns = (delays_ns[-1] - delays_ns[0]) / (n - 1)
         if step_ns <= 0:
             raise CorruptFileError(f"{path}: delays not increasing")
-        delays_s = (delays_ns[0] + np.arange(n) * step_ns) * 1e-9
+        grid_ns = delays_ns[0] + np.arange(n) * step_ns
+        tolerance_ns = _GRID_TOLERANCE_NS + _GRID_TOLERANCE_REL * np.abs(grid_ns)
+        off = np.abs(np.array(delays_ns) - grid_ns) > tolerance_ns
+        if off.any():
+            first = int(np.argmax(off))
+            raise CorruptFileError(f"{path}:{line_nos[first]}: delay off the uniform delay grid")
+        delays_s = grid_ns * 1e-9
     return PowerDelayProfile(delays_s, np.array(powers))
 
 

@@ -27,8 +27,7 @@ def _to_db(pdp: PowerDelayProfile) -> np.ndarray:
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return [float(v) for v in raw]
+    return np.linspace(lo, hi, count).tolist()
 
 
 def write_pdp_comparison_svg(
@@ -46,10 +45,11 @@ def write_pdp_comparison_svg(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(us: float) -> float:
+    # sx and sy map a number or, element by element, an array
+    def sx(us):
         return _MARGIN_L + plot_w * us / x_max
 
-    def sy(db: float) -> float:
+    def sy(db):
         return _MARGIN_T + plot_h * (y_hi - db) / (y_hi - y_lo)
 
     parts = [
@@ -95,10 +95,9 @@ def write_pdp_comparison_svg(
     # polylines and legend
     for i, (label, pdp) in enumerate(profiles):
         color = _COLORS[i % len(_COLORS)]
-        db = _to_db(pdp)
-        points = " ".join(
-            f"{sx(t * 1e6):.2f},{sy(v):.2f}" for t, v in zip(pdp.delays_s, db)
-        )
+        # Python floats format faster than numpy scalars, to the same text
+        xs, ys = sx(pdp.delays_s * 1e6).tolist(), sy(_to_db(pdp)).tolist()
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

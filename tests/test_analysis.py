@@ -378,3 +378,9 @@ class TestComparePdps:
         pdp = make_pdp([4.0, 1.0], floor=0.1)
         with pytest.raises(ValidationError, match="normalized"):
             compare_pdps(pdp, pdp)
+
+    def test_zero_measured_delay_spread_rejected(self):
+        single = make_pdp([1.0])
+        with pytest.raises(ValidationError, match="measured delay spread is 0; relative error"):
+            compare_pdps(single, make_pdp([1.0, 0.5]))
+        assert compare_pdps(single, single).ds_relative_error == 0.0

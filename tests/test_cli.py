@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cirkit
 from cirkit import io
 from cirkit.analysis import PowerDelayProfile
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
@@ -214,6 +219,18 @@ class TestCompare:
         assert values["ds_error_s"] == 0.0
         assert values["mean_abs_db_deviation"] == 0.0
 
+    def test_zero_measured_delay_spread_fails_at_compare(self, tmp_path, capsys):
+        measured, simulated = tmp_path / "m.csv", tmp_path / "s.csv"
+        measured.write_text("delay_ns,power_db\n0.0,0.0\n")
+        simulated.write_text("delay_ns,power_db\n0.0,0.0\n10.0,-3.0\n")
+        rc = main(
+            ["compare", "--measured", str(measured), "--simulated", str(simulated),
+             "--report-out", str(tmp_path / "r.txt"), "--plot-out", str(tmp_path / "p.svg")]
+        )
+        assert rc == 1
+        assert "compare: measured delay spread is 0" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.csv", "s.csv"]
+
 
 class TestLoopback:
     def test_identity_channel_noiseless(self, capsys):
@@ -288,3 +305,100 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "353" in text  # default sequence length printed
         assert "default" in text
+
+
+COMMANDS = ["generate-sounding", "estimate", "extract", "simulate", "dataset", "compare",
+            "loopback"]
+SRC = Path(cirkit.__file__).resolve().parents[1]
+
+
+def run_fresh(argv, cwd):
+    """``cirkit argv`` in a fresh interpreter: exit code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-m", "cirkit.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_in_process(argv, capsys):
+    """``main(argv)`` in this process: exit code (argparse's too), stdout, stderr."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        """Counts the argparse parsers made by an import and by two calls."""
+        script = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import cirkit.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cirkit.cli.main(['loopback']) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        # the top-level parser and one per subcommand, once
+        assert done.stdout.strip() == f"[0, {1 + len(COMMANDS)}, {1 + len(COMMANDS)}]"
+
+    def test_in_process_sequence_matches_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        """One process running a sequence of commands, with an argparse error
+        and a stage failure among them, writes the same bytes and prints the
+        same text as a fresh process per command."""
+        sequence = [
+            ["estimate", "--rx", "rx.iq", "--pdp-out", "e.csv"],
+            ["estimate", "--rx", "rx.iq", "--taper", "0", "--pdp-out", "e0.csv"],
+            ["extract", "--pdp", "e.csv", "--los", "--out-config", "c.cfg",
+             "--defaults", "urban-los"],
+            ["simulate", "--config", "c.cfg", "--seed", "1", "--realizations", "20",
+             "--pdp-out", "s1.csv"],
+            ["simulate", "--config", "c.cfg", "--seed", "one", "--pdp-out", "x.csv"],
+            ["simulate", "--config", "c.cfg", "--seed", "2", "--realizations", "20",
+             "--pdp-out", "s2.csv"],
+            ["simulate", "--config", "mars-los", "--pdp-out", "x.csv"],
+            ["compare", "--measured", "e.csv", "--simulated", "s1.csv",
+             "--report-out", "r.txt", "--plot-out", "p.svg"],
+            ["dataset", "--config", "c.cfg", "--seed", "3", "--count", "5", "--out", "d.chds"],
+            ["loopback", "--channel-spec", "0,1;1e-7,0.5", "--snr-db", "30"],
+        ]
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        for work in (fresh, reused):
+            work.mkdir()
+            make_capture(work, snr_db=25.0)
+        expected = [run_fresh(argv, fresh) for argv in sequence]
+        monkeypatch.chdir(reused)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage message to it
+        got = [run_in_process(argv, capsys) for argv in sequence]
+        assert [rc for rc, _, _ in got] == [0, 0, 0, 0, 2, 0, 1, 0, 0, 0]
+        assert got == expected
+        names = sorted(path.name for path in fresh.iterdir())
+        assert names == sorted(path.name for path in reused.iterdir())
+        assert "x.csv" not in names
+        for name in names:
+            assert (fresh / name).read_bytes() == (reused / name).read_bytes(), name
+
+    def test_help_text_matches_a_fresh_process(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in [["--help"]] + [[command, "--help"] for command in COMMANDS]:
+            expected = run_fresh(argv, tmp_path)
+            assert expected[0] == 0 and expected[1].startswith("usage: cirkit")
+            # twice, so that the second call reads the parser the first built
+            assert run_in_process(argv, capsys) == expected
+            assert run_in_process(argv, capsys) == expected

@@ -210,6 +210,26 @@ class TestPdpCsv:
         assert path.read_text() == "delay_ns,power_db\n0.000000,0.000000\n10.000000,-inf\n"
         np.testing.assert_array_equal(io.read_pdp_csv(path).powers_linear, [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "rows, line_no",
+        [("0.0,0.0\n999.0,0.0\n20.0,0.0", 3), ("0.0,0.0\n10.0,0.0\n20.0,0.0\n21.0,0.0\n40.0,0.0", 5)],
+    )
+    def test_middle_delay_off_the_grid_rejected(self, tmp_path, rows, line_no):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"delay_ns,power_db\n{rows}\n")
+        with pytest.raises(CorruptFileError, match=f"bad.csv:{line_no}: delay off the uniform"):
+            io.read_pdp_csv(path)
+
+    @pytest.mark.parametrize("rate_hz", [25.6e6, 30.72e6, 61.44e6, 1e9, 3e5])
+    @pytest.mark.parametrize("bins", [2, 353, 4096])
+    def test_written_grids_read_back(self, tmp_path, rate_hz, bins):
+        """The six-decimal rounding of a written grid stays inside the
+        reader's grid tolerance."""
+        delays = np.arange(bins) / rate_hz
+        path = tmp_path / "pdp.csv"
+        io.write_pdp_csv(path, PowerDelayProfile(delays, np.linspace(1.0, 0.0, bins)))
+        np.testing.assert_allclose(io.read_pdp_csv(path).delays_s, delays, rtol=0, atol=1e-15)
+
 
 class TestAlignedCsv:
     def test_exact_bytes(self, tmp_path):
@@ -233,6 +253,13 @@ class TestReport:
         assert values["ds_relative_error"] == 0.012
         assert values["cluster_count_diff"] == -2
         assert values["mean_abs_db_deviation"] == 3.75
+
+    @pytest.mark.parametrize("field", ["ds_error_s", "ds_relative_error", "mean_abs_db_deviation"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        report = ComparisonReport(1.5e-9, 0.012, -2, 3.75)
+        with pytest.raises(ValidationError, match="must be finite"):
+            dataclasses.replace(report, **{field: value})
 
 
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e999"]
