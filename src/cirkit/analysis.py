@@ -25,6 +25,9 @@ CHUNK_ROWS = 256
 # |radicand| below this (in s^2) is treated as rounding noise and clamped to 0
 _RADICAND_EPS_S2 = 1e-18
 
+# how far a PDP delay step may stray from the mean step, relative to the
+# largest delay: float64 rounding of a grid such as ``np.arange(n) / fs``
+# grows with the delays, not with the step
 _STEP_JITTER_REL = 1e-12
 
 
@@ -59,7 +62,7 @@ class PowerDelayProfile:
             step = (delays[-1] - delays[0]) / (delays.size - 1)
             if step <= 0:
                 raise ValidationError("PDP delays must be strictly increasing")
-            if np.max(np.abs(steps - step)) > _STEP_JITTER_REL * step:
+            if np.max(np.abs(steps - step)) > _STEP_JITTER_REL * delays[-1]:
                 raise ValidationError("PDP delay grid is not uniform")
         if self.noise_floor_linear is not None and self.noise_floor_linear < 0:
             raise ValidationError("noise floor must be >= 0")
@@ -214,8 +217,25 @@ def add_row_powers(power: np.ndarray, taps: np.ndarray) -> None:
     block, so powers summed chunk by chunk and divided by the row count are
     bit-identical to the mean over all rows at once.
     """
-    for row in np.abs(taps) ** 2:
-        power += row
+    add_rows(power, np.abs(taps) ** 2)
+
+
+def add_rows(power: np.ndarray, rows: np.ndarray) -> None:
+    """Add each row of the float block ``rows`` into ``power``, one row after
+    another, as ``for row in rows: power += row`` does; ``rows`` is changed.
+
+    The running total goes into row 0, then numpy adds the rows up in one
+    call. ``np.add.reduce(rows, axis=0)`` adds a C-ordered block of two or
+    more columns row after row, and is the fastest such call; on a
+    one-column block it adds pairwise, so that one goes through
+    ``np.add.accumulate``, which always adds in order but reads a wide
+    block column by column, six times slower than the reduction.
+    """
+    rows[0] += power
+    if rows.shape[1] > 1:
+        np.add.reduce(rows, axis=0, out=power)
+    else:
+        power[...] = np.add.accumulate(rows, axis=0, out=rows)[-1]
 
 
 def discrete_delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> np.ndarray:

@@ -73,12 +73,12 @@ def _waveform(args) -> sounder.SoundingWaveform:
 
 
 class _CaptureFile(io.IqReader):
-    """A capture file whose every read, in whichever stage, fails as the
-    read-iq stage."""
+    """A capture file whose every read, in whichever stage or worker thread,
+    fails as the read-iq stage; ``read`` goes through ``read_into``."""
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
+    def read_into(self, lo: int, out: np.ndarray) -> None:
         with _stage("read-iq"):
-            return super().read(lo, hi)
+            super().read_into(lo, out)
 
 
 def _estimate_pdp(read_capture, waveform, regularization, taper, margin_db):

@@ -183,7 +183,7 @@ class IqReader:
     """A raw IQ capture opened for reading by sample range.
 
     Opening checks the file size, the float count and the ``.meta``
-    sidecar; each ``read`` checks that the samples it returns are finite.
+    sidecar; each read checks that the samples it returns are finite.
     Reads are positioned file reads, so a reader holds no samples itself
     and a capture larger than RAM can be processed range by range.
     """
@@ -206,20 +206,45 @@ class IqReader:
     def __len__(self) -> int:
         return self._samples
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples ``lo`` to ``hi`` as a new complex128 array."""
+    def _check_range(self, lo: int, hi: int) -> None:
         if not 0 <= lo <= hi <= self._samples:
             raise ValidationError(f"{self.path}: no samples [{lo}, {hi}) in {self._samples}")
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples ``lo`` to ``hi`` as a new complex128 array."""
+        self._check_range(lo, hi)
+        out = np.empty(hi - lo, dtype=np.complex128)
+        self.read_into(lo, out)
+        return out
+
+    def read_into(self, lo: int, out: np.ndarray) -> None:
+        """Fill the contiguous complex128 array ``out`` with the samples from
+        ``lo`` on, allocating nothing of its size.
+
+        The file's float32 pairs are read into the upper half of ``out``'s
+        bytes and widened to complex128 front first, in pieces that each end
+        before their own source begins.
+        """
+        size = out.size
+        hi = lo + size
+        self._check_range(lo, hi)
+        floats = out.view("<f4")[2 * size :]
         with open(self.path, "rb") as fh:
             fh.seek(8 * lo)
-            floats = np.fromfile(fh, dtype="<f4", count=2 * (hi - lo))
-        if floats.size != 2 * (hi - lo):
+            got = fh.readinto(floats)
+        if got != floats.nbytes:
             raise CorruptFileError(f"{self.path}: file shrank below sample {hi}")
-        finite = np.isfinite(floats)
-        if not finite.all():
-            first = lo + int(np.argmin(finite)) // 2
+        # max and min are NaN, or infinite, when any float is; no temporary
+        if not (math.isfinite(floats.max(initial=0.0)) and math.isfinite(floats.min(initial=0.0))):
+            first = lo + int(np.argmin(np.isfinite(floats))) // 2
             raise CorruptFileError(f"{self.path}: sample {first} is not finite")
-        return floats.view("<c8").astype(np.complex128)
+        pairs = floats.view("<c8")
+        done = 0
+        while size - done > 1:
+            end = (size + done) // 2  # out[done:end] ends where pairs[done] begins, or before
+            out[done:end] = pairs[done:end]
+            done = end
+        out[done:] = pairs[done:]  # the last pair overlaps its own output: numpy copies it
 
 
 def read_iq(path) -> IqSignal:
@@ -309,36 +334,51 @@ def read_pdp_csv(path) -> PowerDelayProfile:
     Every row's delay must lie on that grid, to within the six-decimal
     rounding of :func:`write_pdp_csv`.
     """
-    lines = _lines(_read_text(path))
-    if next(lines, (0, ""))[1] != "delay_ns,power_db":
+    rows = list(_lines(_read_text(path)))
+    if not rows or rows[0][1] != "delay_ns,power_db":
         raise CorruptFileError(f"{path}: missing 'delay_ns,power_db' header")
-    line_nos = []
-    delays_ns = []
-    powers = []
-    for line_no, line in lines:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise CorruptFileError(f"{path}:{line_no}: expected two columns")
-        line_nos.append(line_no)
-        delays_ns.append(_finite(parts[0], path, line_no))
-        powers.append(_finite(parts[1], path, line_no, kind=_db_to_linear))
-    if not delays_ns:
+    rows = rows[1:]
+    delays_ns, powers = _pdp_columns(path, rows)
+    if not rows:
         raise CorruptFileError(f"{path}: no data rows")
-    n = len(delays_ns)
+    n = len(rows)
     if n == 1:
-        delays_s = np.array([delays_ns[0] * 1e-9])
+        delays_s = delays_ns * 1e-9
     else:
         step_ns = (delays_ns[-1] - delays_ns[0]) / (n - 1)
         if step_ns <= 0:
             raise CorruptFileError(f"{path}: delays not increasing")
         grid_ns = delays_ns[0] + np.arange(n) * step_ns
         tolerance_ns = _GRID_TOLERANCE_NS + _GRID_TOLERANCE_REL * np.abs(grid_ns)
-        off = np.abs(np.array(delays_ns) - grid_ns) > tolerance_ns
+        off = np.abs(delays_ns - grid_ns) > tolerance_ns
         if off.any():
-            first = int(np.argmax(off))
-            raise CorruptFileError(f"{path}:{line_nos[first]}: delay off the uniform delay grid")
+            line_no = rows[int(np.argmax(off))][0]
+            raise CorruptFileError(f"{path}:{line_no}: delay off the uniform delay grid")
         delays_s = grid_ns * 1e-9
-    return PowerDelayProfile(delays_s, np.array(powers))
+    return PowerDelayProfile(delays_s, powers)
+
+
+def _pdp_columns(path, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The delays in ns and the linear powers of the ``(line_no, line)``
+    rows of a PDP CSV: a column at a time, then row by row only to name the
+    first bad row. Powers are converted one by one, as ``10.0 ** x``: numpy's
+    vectorised power differs from it in the last bit on some values."""
+    try:
+        pairs = [line.split(",") for _, line in rows]
+        delays_ns = np.array([float(delay) for delay, _ in pairs])
+        powers = np.array([_db_to_linear(db) for _, db in pairs])
+        if np.isfinite(delays_ns).all() and np.isfinite(powers).all():
+            return delays_ns, powers
+    except (ValueError, OverflowError):
+        pass
+    delays_ns, powers = [], []
+    for line_no, line in rows:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CorruptFileError(f"{path}:{line_no}: expected two columns")
+        delays_ns.append(_finite(parts[0], path, line_no))
+        powers.append(_finite(parts[1], path, line_no, kind=_db_to_linear))
+    return np.array(delays_ns), np.array(powers)
 
 
 def write_report(path, report: ComparisonReport, comments: tuple[str, ...] = ()) -> None:

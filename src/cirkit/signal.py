@@ -79,6 +79,12 @@ class IqSignal:
         takes either."""
         return self.samples[lo:hi]
 
+    def read_into(self, lo: int, out: np.ndarray) -> None:
+        """Copy the samples from ``lo`` on into ``out``, as ``io.IqReader`` fills it."""
+        if not 0 <= lo <= lo + out.size <= self.samples.size:
+            raise ValidationError(f"no samples [{lo}, {lo + out.size}) in {self.samples.size}")
+        out[...] = self.samples[lo : lo + out.size]
+
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz

@@ -8,11 +8,14 @@ delay profile.
 
 from __future__ import annotations
 
+import collections
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CHUNK_ROWS, PowerDelayProfile, add_row_powers
+from .analysis import CHUNK_ROWS, PowerDelayProfile, add_rows
 from .errors import ValidationError
 from .signal import IqSignal, _frozen_complex, circular_cross_correlate, is_prime, zadoff_chu
 
@@ -101,13 +104,83 @@ _CHUNK_SAMPLES = CHUNK_ROWS * DEFAULT_SEQUENCE_LENGTH
 _TOP_BITS = 20
 _KEY_BITS = 16
 
+# chunk tasks that run at once; each holds one set of chunk buffers, so the
+# receive chain holds this many chunks whatever the capture length
+_MAX_WORKERS = 2
+
+
+@functools.cache
+def _pool():
+    # imported here, not with the module: the import costs milliseconds and
+    # a one-chunk capture never needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="cirkit-chunks")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_chunks(kernel, items, make_buffers):
+    """``kernel(item, buffers)`` for each of ``items``, yielded in order.
+
+    Up to ``_MAX_WORKERS`` calls run at once on a thread pool, each with its
+    own set of ``make_buffers()``, made here in the calling thread; numpy's
+    FFTs and array loops release the GIL, so the calls share the cores. A
+    result may be a view of its buffers: they go to a later call only once
+    the caller has asked for the next result. With one item or one usable
+    CPU the calls run inline on one set of buffers. Kernels write into their
+    buffers and allocate nothing large, since memory a worker thread
+    allocates stays in that thread's malloc arena. When a call fails or the
+    caller stops early, every call not yet started is cancelled and every
+    running one waited for, its result dropped, so no task outlives this
+    and keeps a buffer.
+    """
+    items = list(items)
+    slots = min(_MAX_WORKERS, len(items), _usable_cpus())
+    if slots <= 1:
+        buffers = make_buffers()
+        for item in items:
+            yield kernel(item, buffers)
+        return
+    from concurrent.futures import wait
+
+    pool = _pool()
+    buffers = [make_buffers() for _ in range(slots)]
+    running = collections.deque()
+    try:
+        for i, item in enumerate(items):
+            if len(running) == slots:
+                yield running.popleft().result()
+            running.append(pool.submit(kernel, item, buffers[i % slots]))
+        while running:
+            yield running.popleft().result()
+    finally:
+        for future in running:
+            future.cancel()
+        wait(running)
+
+
+def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One mitigation task's buffers: a chunk widened by a sample on either
+    side, its magnitudes, and two rows of flags."""
+    size = _CHUNK_SAMPLES + 2
+    return (
+        np.empty(size, dtype=np.complex128),
+        np.empty(size),
+        np.empty((2, size), dtype=bool),
+    )
+
 
 @dataclass(frozen=True)
 class CleanedCapture:
     """A capture read through its mitigation: each range read has the mean
     subtracted and the spikes at ``spike_index`` set to ``spike_value``.
 
-    ``source`` is anything with ``len``, ``read(lo, hi)``,
+    ``source`` is anything with ``len``, ``read_into(lo, out)``,
     ``sample_rate_hz`` and ``center_frequency_hz``: an ``IqSignal`` or an
     ``io.IqReader``.
     """
@@ -130,10 +203,16 @@ class CleanedCapture:
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Cleaned samples ``lo`` to ``hi`` as a new array."""
-        x = self.source.read(lo, hi) - self.mean
-        first, last = np.searchsorted(self.spike_index, (lo, hi))
-        x[self.spike_index[first:last] - lo] = self.spike_value[first:last]
-        return x
+        out = np.empty(hi - lo, dtype=np.complex128)
+        self.read_into(lo, out)
+        return out
+
+    def read_into(self, lo: int, out: np.ndarray) -> None:
+        """Fill the complex128 array ``out`` with the cleaned samples from ``lo`` on."""
+        self.source.read_into(lo, out)
+        out -= self.mean
+        first, last = np.searchsorted(self.spike_index, (lo, lo + out.size))
+        out[self.spike_index[first:last] - lo] = self.spike_value[first:last]
 
 
 def mitigate_artifacts(
@@ -150,12 +229,13 @@ def mitigate_artifacts(
     times over: once for the mean (summed pairwise exactly as ``np.mean``
     does), once for a histogram of the magnitudes' top bits, and once or
     more to find the exact median inside the histogram and gather the
-    spikes. Besides one chunk this holds the spike list and nothing that
-    grows with the capture; the result equals the whole-array formulas bit
-    for bit. An ``IqSignal`` comes back as a cleaned ``IqSignal``. Any
-    other capture, such as an ``io.IqReader``, comes back as a
-    ``CleanedCapture`` that cleans each range as it is read, so a capture
-    larger than RAM streams through.
+    spikes. The chunks of each pass go through ``_map_chunks`` and are
+    combined in chunk order. Besides a few chunks this holds the spike list
+    and nothing that grows with the capture; the result equals the
+    whole-array formulas bit for bit. An ``IqSignal`` comes back as a
+    cleaned ``IqSignal``. Any other capture, such as an ``io.IqReader``,
+    comes back as a ``CleanedCapture`` that cleans each range as it is
+    read, so a capture larger than RAM streams through.
     """
     if not spike_threshold >= 0:
         raise ValidationError(f"spike_threshold must be >= 0, got {spike_threshold}")
@@ -177,25 +257,54 @@ def _pairwise_sum(rx, lo: int, hi: int) -> np.complex128:
 
     numpy sums complex values pairwise over their float count: a run longer
     than 128 floats splits at half its floats, rounded down to a multiple
-    of 8. Splitting the same way until a run fits a chunk and handing that
-    run to numpy gives the same tree of additions.
+    of 8. Splitting the same way until a run fits a chunk, handing each
+    such run to numpy and adding the sums up the same tree gives the same
+    additions.
     """
-    if hi - lo <= _CHUNK_SAMPLES:
-        return np.add.reduce(rx.read(lo, hi))
+
+    def leaf_sum(run, buffers):
+        x = buffers[0][: run[1] - run[0]]
+        rx.read_into(run[0], x)
+        return np.add.reduce(x)
+
+    sums = _map_chunks(leaf_sum, _pairwise_runs(lo, hi), _chunk_buffers)
+    return _pairwise_combine(lo, hi, sums)
+
+
+def _pairwise_split(lo: int, hi: int) -> int:
     floats = hi - lo  # half the float count of the run
-    mid = lo + (floats - floats % 8) // 2
-    return _pairwise_sum(rx, lo, mid) + _pairwise_sum(rx, mid, hi)
+    return lo + (floats - floats % 8) // 2
 
 
-def _magnitude_chunks(rx, mean, pad: int = 0):
-    """(offset, start, x, |x|) of each chunk of ``_CHUNK_SAMPLES`` samples of
-    the mean-free capture, widened by up to ``pad`` samples on either side:
-    ``x`` starts at sample ``start`` and the chunk ``offset`` samples into it."""
-    n = len(rx)
-    for lo in range(0, n, _CHUNK_SAMPLES):
-        start = max(lo - pad, 0)
-        x = rx.read(start, min(lo + _CHUNK_SAMPLES + pad, n)) - mean
-        yield lo - start, start, x, np.abs(x)
+def _pairwise_runs(lo: int, hi: int):
+    """The runs of at most a chunk that ``_pairwise_sum`` hands to numpy, in order."""
+    if hi - lo <= _CHUNK_SAMPLES:
+        yield lo, hi
+        return
+    mid = _pairwise_split(lo, hi)
+    yield from _pairwise_runs(lo, mid)
+    yield from _pairwise_runs(mid, hi)
+
+
+def _pairwise_combine(lo: int, hi: int, sums) -> np.complex128:
+    """Add the runs' ``sums``, taken in order, up the tree of ``_pairwise_runs``."""
+    if hi - lo <= _CHUNK_SAMPLES:
+        return next(sums)
+    mid = _pairwise_split(lo, hi)
+    return _pairwise_combine(lo, mid, sums) + _pairwise_combine(mid, hi, sums)
+
+
+def _read_magnitudes(rx, mean, lo: int, pad: int, buffers):
+    """Read the chunk of ``_CHUNK_SAMPLES`` samples from ``lo``, widened by up
+    to ``pad`` samples on either side, into ``buffers`` as ``x - mean`` and
+    ``|x - mean|``; returns (offset, start, x, |x|): ``x`` starts at sample
+    ``start`` and the chunk ``offset`` samples into it."""
+    start = max(lo - pad, 0)
+    size = min(lo + _CHUNK_SAMPLES + pad, len(rx)) - start
+    x = buffers[0][:size]
+    rx.read_into(start, x)
+    x -= mean
+    return lo - start, start, x, np.abs(x, out=buffers[1][:size])
 
 
 def _spike_repairs(rx, mean, spike_threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -225,18 +334,31 @@ def _spike_repairs(rx, mean, spike_threshold: float) -> tuple[np.ndarray, np.nda
     return bad, repaired
 
 
+def _chunk_key_counts(rx, mean, lo: int, buffers) -> tuple[int, np.ndarray] | None:
+    """The lowest top-bits key of the chunk from ``lo`` and the counts of its
+    keys from that one on, or None when a magnitude is NaN."""
+    mag = _read_magnitudes(rx, mean, lo, 0, buffers)[3]
+    if np.isnan(mag.max()):
+        return None
+    keys = mag.view(np.uint64)
+    np.right_shift(keys, np.uint64(64 - _TOP_BITS), out=keys)
+    keys = keys.view(np.int64)
+    low = int(keys.min())
+    keys -= low
+    return low, np.bincount(keys)
+
+
 def _top_key_counts(rx, mean) -> tuple[int, np.ndarray] | None:
     """Counts of the top ``_TOP_BITS`` bits of every ``|x - mean|``, as the
     first key seen and the counts from it on, or None when a magnitude is
     NaN. The counts span only the keys seen, a few thousand for a capture
     with a few octaves of magnitudes."""
     first, counts = None, None
-    for _, _, _, mag in _magnitude_chunks(rx, mean):
-        if np.isnan(mag).any():
+    kernel = functools.partial(_chunk_key_counts, rx, mean)
+    for part in _map_chunks(kernel, range(0, len(rx), _CHUNK_SAMPLES), _chunk_buffers):
+        if part is None:
             return None
-        keys = (mag.view(np.uint64) >> (64 - _TOP_BITS)).view(np.int64)
-        low = int(keys.min())
-        part = np.bincount(keys - low)
+        low, part = part
         if counts is None:
             first, counts = low, part
             continue
@@ -255,6 +377,40 @@ def _narrow(counts: np.ndarray, rank: int) -> tuple[int, int, int]:
     cum = np.cumsum(counts)
     key = int(np.searchsorted(cum, rank, side="right"))
     return key, rank - int(cum[key] - counts[key]), int(counts[key])
+
+
+def _scan_chunk(rx, mean, groups: dict, floor: float | None, lo: int, buffers):
+    """One chunk's part of a median pass.
+
+    For each group ``(shift, prefix): count`` of magnitudes whose bits above
+    ``shift`` equal ``prefix``: the chunk's values in it when ``count`` fits
+    a chunk, else the counts of their next ``_KEY_BITS`` bits. With a
+    ``floor``, also the indices and values of the samples above it and of
+    their neighbours.
+    """
+    offset, start, x, mag = _read_magnitudes(rx, mean, lo, int(floor is not None), buffers)
+    core = mag[offset : offset + _CHUNK_SAMPLES]
+    keys = core.view(np.uint64)
+    flags, below = buffers[2][:, : keys.size]
+    parts = {}
+    for (shift, prefix), count in groups.items():
+        # (keys >> shift) == prefix, without a temporary of the keys' size
+        np.greater_equal(keys, np.uint64(prefix << shift), out=flags)
+        np.less(keys, np.uint64((prefix + 1) << shift), out=below)
+        flags &= below
+        in_group = keys[flags]
+        if count <= _CHUNK_SAMPLES:
+            parts[shift, prefix] = in_group.view(np.float64)
+        else:
+            bits = min(_KEY_BITS, shift)
+            sub = (in_group >> np.uint64(shift - bits)) & np.uint64((1 << bits) - 1)
+            parts[shift, prefix] = np.bincount(sub.view(np.int64), minlength=1 << _KEY_BITS)
+    if floor is None:
+        return parts, None
+    hits = np.flatnonzero(np.greater(core, floor, out=flags)) + offset
+    near = np.unique(np.concatenate([hits - 1, hits, hits + 1]))
+    near = near[(near >= 0) & (near < x.size)]
+    return parts, (near + start, x[near])
 
 
 def _median_and_candidates(
@@ -283,31 +439,21 @@ def _median_and_candidates(
     floor = spike_threshold * float(np.uint64(prefix << shift).view(np.float64))
     values: dict[int, float] = {}
     near_index, near_value = [], []
-    first_pass = True
     while len(values) < len(ranks):
         groups = {state[rank][:2]: state[rank][3] for rank in ranks if rank not in values}
         gathered = {group: [] for group in groups}
         refined = {group: np.zeros(1 << _KEY_BITS, dtype=np.int64) for group in groups}
-        for offset, start, x, mag in _magnitude_chunks(rx, mean, pad=int(first_pass)):
-            core = mag[offset : offset + _CHUNK_SAMPLES]
-            keys = core.view(np.uint64)
-            for (shift, prefix), count in groups.items():
-                in_group = keys[(keys >> shift) == prefix]
-                if count <= _CHUNK_SAMPLES:
-                    gathered[shift, prefix].append(in_group.view(np.float64))
+        kernel = functools.partial(_scan_chunk, rx, mean, groups, floor)
+        for parts, near in _map_chunks(kernel, range(0, n, _CHUNK_SAMPLES), _chunk_buffers):
+            for group, part in parts.items():
+                if groups[group] <= _CHUNK_SAMPLES:
+                    gathered[group].append(part)
                 else:
-                    bits = min(_KEY_BITS, shift)
-                    sub = (in_group >> (shift - bits)) & ((1 << bits) - 1)
-                    refined[shift, prefix] += np.bincount(
-                        sub.view(np.int64), minlength=1 << _KEY_BITS
-                    )
-            if first_pass:
-                hits = np.flatnonzero(core > floor) + offset
-                near = np.unique(np.concatenate([hits - 1, hits, hits + 1]))
-                near = near[(near >= 0) & (near < x.size)]
-                near_index.append(near + start)
-                near_value.append(x[near])
-        first_pass = False
+                    refined[group] += part
+            if near is not None:
+                near_index.append(near[0])
+                near_value.append(near[1])
+        floor = None  # the spike candidates are gathered in the first pass only
         for rank in ranks:
             if rank in values:
                 continue
@@ -373,7 +519,8 @@ def estimate_cirs(
 
     H[k] = Y[k] conj(X[k]) / (|X[k]|^2 + regularization), optionally edge
     tapered, then inverse transformed; the periods go through 2-D FFTs of
-    ``CHUNK_ROWS`` rows into one preallocated block.
+    ``CHUNK_ROWS`` rows, on the chunk pool of ``_map_chunks``, into one
+    preallocated block.
     ``regularization=None`` selects the default ridge term of 1e-6 times
     the mean reference spectral power; pass 0 for plain division. Row p of
     the returned block is period p; if the capture holds fewer complete
@@ -384,11 +531,16 @@ def estimate_cirs(
     downstream normalization re-references delay zero, so only the raw tap
     indices shift.
     """
-    taps = np.empty((len(rx) // waveform.period, waveform.period), dtype=np.complex128)
-    row = 0
-    for block in _cir_chunks(rx, waveform, regularization, taper_fraction):
-        taps[row : row + len(block)] = block
-        row += len(block)
+    n = waveform.period
+    taps = np.empty((len(rx) // n, n), dtype=np.complex128)
+
+    def store(first, h, guard, _):
+        rows = taps[first : first + len(h)]
+        rows[:, guard:] = h[:, : n - guard]
+        rows[:, :guard] = h[:, n - guard :]
+
+    for _ in _cir_chunks(rx, waveform, regularization, taper_fraction, 0, store, lambda _: None):
+        pass
     taps.setflags(write=False)
     return ChannelImpulseResponse(taps, 1.0 / rx.sample_rate_hz)
 
@@ -402,19 +554,35 @@ def estimate_pdp(
 ) -> PowerDelayProfile:
     """``average_pdp(estimate_cirs(...))`` of the capture from sample
     ``start`` on, without the CIR block: each chunk of ``CHUNK_ROWS``
-    periods is read, deconvolved and added into the powers, so the memory
-    is one chunk whatever the capture length. ``rx`` is an ``IqSignal`` or
-    any capture read by range, such as ``mitigate_artifacts``' result for
-    an ``io.IqReader``. The powers equal the two-step result bit for bit.
+    periods is read, deconvolved and squared, and the squared magnitudes
+    are added into the powers in chunk order, so the memory is a few chunks
+    whatever the capture length. ``rx`` is an ``IqSignal`` or any capture
+    read by range, such as ``mitigate_artifacts``' result for an
+    ``io.IqReader``. The powers equal the two-step result bit for bit.
     """
-    blocks = _cir_chunks(rx, waveform, regularization, taper_fraction, start)
-    return _average_blocks(blocks, waveform.period, 1.0 / rx.sample_rate_hz)
+    n = waveform.period
+
+    def squared(first, h, guard, out):
+        out = out[: len(h)]
+        np.abs(h[:, : n - guard], out=out[:, guard:])
+        np.abs(h[:, n - guard :], out=out[:, :guard])
+        return np.square(out, out=out)
+
+    blocks = _cir_chunks(rx, waveform, regularization, taper_fraction, start, squared, np.empty)
+    return _average_powers(blocks, n, 1.0 / rx.sample_rate_hz)
 
 
-def _cir_chunks(rx, waveform, regularization, taper_fraction, start=0):
-    """Yield the CIRs of the complete periods from sample ``start`` on,
-    ``CHUNK_ROWS`` at a time, as ``(rows, period)`` blocks that reuse one
-    buffer; see ``estimate_cirs`` for the formula."""
+def _cir_chunks(rx, waveform, regularization, taper_fraction, start, finish, make_out):
+    """Deconvolve the complete periods from sample ``start`` on,
+    ``CHUNK_ROWS`` at a time, through ``_map_chunks``; see ``estimate_cirs``
+    for the formula.
+
+    Each chunk is read into a ``(rows, period)`` block and turned in place
+    into its CIRs, not yet rotated by the guard. The results of
+    ``finish(first, h, guard, out)`` are yielded in chunk order: ``first`` is
+    the chunk's first period, ``h`` the block and ``out`` a buffer of the
+    chunk made by ``make_out((rows, period))``.
+    """
     n = waveform.period
     x_spec = np.fft.fft(waveform.base_sequence)
     ref_power = np.abs(x_spec) ** 2
@@ -431,27 +599,27 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start=0):
 
     window = _taper_window(n, taper_fraction)
     guard = min(_TAPER_GUARD_TAPS, n // 2) if window is not None else 0
+    conj_spectrum = np.conj(x_spec)
     denom = ref_power + regularization
-    buffer = np.empty((min(CHUNK_ROWS, n_periods), n), dtype=np.complex128)
-    rotated = np.empty_like(buffer) if guard else buffer
-    for first in range(0, n_periods, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, n_periods - first)
-        lo = start + first * n
-        periods = rx.read(lo, lo + rows * n).reshape(rows, n)
-        h = buffer[:rows]
-        np.fft.fft(periods, axis=-1, out=h)
-        del periods
+    shape = (min(CHUNK_ROWS, n_periods), n)
+
+    def deconvolve(first, buffers):
+        h = buffers[0][: min(CHUNK_ROWS, n_periods - first)]
+        rx.read_into(start + first * n, h.reshape(-1))
+        np.fft.fft(h, axis=-1, out=h)
         # two steps, as (Y conj(X)) / denom: folding conj(X) / denom into one
         # factor changes the last bits
-        h *= np.conj(x_spec)
+        h *= conj_spectrum
         h /= denom
         if window is not None:
             h *= window
         np.fft.ifft(h, axis=-1, out=h)
-        if guard:  # circular shift right by the guard
-            rotated[:rows, guard:] = h[:, : n - guard]
-            rotated[:rows, :guard] = h[:, n - guard :]
-        yield rotated[:rows]
+        return finish(first, h, guard, buffers[1])
+
+    def make_buffers():
+        return np.empty(shape, dtype=np.complex128), make_out(shape)
+
+    return _map_chunks(deconvolve, range(0, n_periods, CHUNK_ROWS), make_buffers)
 
 
 def average_pdp(cirs: ChannelImpulseResponse) -> PowerDelayProfile:
@@ -462,14 +630,18 @@ def average_pdp(cirs: ChannelImpulseResponse) -> PowerDelayProfile:
     summed row after row, the same sum as ``np.mean(..., axis=0)``.
     """
     rows, n = cirs.taps.shape
-    blocks = (cirs.taps[first : first + CHUNK_ROWS] for first in range(0, rows, CHUNK_ROWS))
-    return _average_blocks(blocks, n, cirs.delay_step_s)
+    blocks = (
+        np.abs(cirs.taps[first : first + CHUNK_ROWS]) ** 2 for first in range(0, rows, CHUNK_ROWS)
+    )
+    return _average_powers(blocks, n, cirs.delay_step_s)
 
 
-def _average_blocks(blocks, n: int, delay_step_s: float) -> PowerDelayProfile:
+def _average_powers(blocks, n: int, delay_step_s: float) -> PowerDelayProfile:
+    """The mean of the rows of the squared-magnitude ``blocks``, summed row
+    after row into a profile of ``n`` bins."""
     power = np.zeros(n)
     rows = 0
     for block in blocks:
-        add_row_powers(power, block)
+        add_rows(power, block)
         rows += len(block)
     return PowerDelayProfile(np.arange(n) * delay_step_s, power / rows)

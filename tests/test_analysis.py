@@ -3,8 +3,11 @@ import pytest
 
 from cirkit import gbsm
 from cirkit.analysis import (
+    CHUNK_ROWS,
     ChannelParameters,
     PowerDelayProfile,
+    add_row_powers,
+    add_rows,
     compare_pdps,
     count_clusters,
     estimate_noise_floor,
@@ -51,6 +54,22 @@ class TestPowerDelayProfile:
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValidationError):
             PowerDelayProfile([1e-9, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bins", [2, 4096, 8192, 65536])
+    @pytest.mark.parametrize("rate_hz", [25.6e6, 100e6, 3e6])
+    def test_long_uniform_grid_accepted(self, bins, rate_hz):
+        # float64 rounding of n / fs grows with n; 8192 bins at 25.6 MS/s
+        # was once rejected as not uniform
+        pdp = PowerDelayProfile(np.arange(bins) / rate_hz, np.ones(bins))
+        assert len(pdp) == bins
+        normalized = normalize_pdp(make_pdp(np.r_[np.zeros(5000), np.ones(3192)], 1 / rate_hz, 0.1))
+        assert len(normalized) == 3192
+
+    def test_long_grid_with_one_bad_step_rejected(self):
+        delays = np.arange(8192) / 25.6e6
+        delays[4000] += 1e-6 * delays[1]
+        with pytest.raises(ValidationError, match="not uniform"):
+            PowerDelayProfile(delays, np.ones(8192))
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -384,3 +403,34 @@ class TestComparePdps:
         with pytest.raises(ValidationError, match="measured delay spread is 0; relative error"):
             compare_pdps(single, make_pdp([1.0, 0.5]))
         assert compare_pdps(single, single).ds_relative_error == 0.0
+
+
+class TestRowPowers:
+    """``add_row_powers`` and ``add_rows`` against the row loop they replaced."""
+
+    @pytest.mark.parametrize("columns", [1, 2, 17, 353])
+    @pytest.mark.parametrize("rows", [1, 2, 8, 128, CHUNK_ROWS, CHUNK_ROWS + 1, 1000])
+    def test_equal_to_the_row_loop(self, columns, rows):
+        rng = np.random.default_rng(rows * 1000 + columns)
+        taps = rng.standard_normal((rows, columns)) * np.exp(rng.uniform(-20, 20, (rows, 1)))
+        taps = taps + 1j * rng.standard_normal((rows, columns))
+        start = rng.uniform(0.0, 1e3, columns)
+        looped = start.copy()
+        for row in np.abs(taps) ** 2:
+            looped += row
+        power = start.copy()
+        add_row_powers(power, taps)
+        assert power.tobytes() == looped.tobytes()
+        squared = np.abs(taps) ** 2
+        power = start.copy()
+        add_rows(power, squared)
+        assert power.tobytes() == looped.tobytes()
+
+    def test_mean_of_chunks_equals_numpy_mean(self):
+        rng = np.random.default_rng(5)
+        taps = rng.standard_normal((2 * CHUNK_ROWS + 3, 7)) + 1j * rng.standard_normal((2 * CHUNK_ROWS + 3, 7))
+        power = np.zeros(7)
+        for first in range(0, len(taps), CHUNK_ROWS):
+            add_row_powers(power, taps[first : first + CHUNK_ROWS])
+        expected = np.mean(np.abs(taps) ** 2, axis=0)
+        assert (power / len(taps)).tobytes() == expected.tobytes()
