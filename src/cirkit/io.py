@@ -334,51 +334,36 @@ def read_pdp_csv(path) -> PowerDelayProfile:
     Every row's delay must lie on that grid, to within the six-decimal
     rounding of :func:`write_pdp_csv`.
     """
-    rows = list(_lines(_read_text(path)))
-    if not rows or rows[0][1] != "delay_ns,power_db":
+    lines = _lines(_read_text(path))
+    if next(lines, (0, ""))[1] != "delay_ns,power_db":
         raise CorruptFileError(f"{path}: missing 'delay_ns,power_db' header")
-    rows = rows[1:]
-    delays_ns, powers = _pdp_columns(path, rows)
-    if not rows:
+    line_nos = []
+    delays_ns = []
+    powers = []
+    for line_no, line in lines:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CorruptFileError(f"{path}:{line_no}: expected two columns")
+        line_nos.append(line_no)
+        delays_ns.append(_finite(parts[0], path, line_no))
+        powers.append(_finite(parts[1], path, line_no, kind=_db_to_linear))
+    if not delays_ns:
         raise CorruptFileError(f"{path}: no data rows")
-    n = len(rows)
+    n = len(delays_ns)
     if n == 1:
-        delays_s = delays_ns * 1e-9
+        delays_s = np.array([delays_ns[0] * 1e-9])
     else:
         step_ns = (delays_ns[-1] - delays_ns[0]) / (n - 1)
         if step_ns <= 0:
             raise CorruptFileError(f"{path}: delays not increasing")
         grid_ns = delays_ns[0] + np.arange(n) * step_ns
         tolerance_ns = _GRID_TOLERANCE_NS + _GRID_TOLERANCE_REL * np.abs(grid_ns)
-        off = np.abs(delays_ns - grid_ns) > tolerance_ns
+        off = np.abs(np.array(delays_ns) - grid_ns) > tolerance_ns
         if off.any():
-            line_no = rows[int(np.argmax(off))][0]
-            raise CorruptFileError(f"{path}:{line_no}: delay off the uniform delay grid")
+            first = int(np.argmax(off))
+            raise CorruptFileError(f"{path}:{line_nos[first]}: delay off the uniform delay grid")
         delays_s = grid_ns * 1e-9
-    return PowerDelayProfile(delays_s, powers)
-
-
-def _pdp_columns(path, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The delays in ns and the linear powers of the ``(line_no, line)``
-    rows of a PDP CSV: a column at a time, then row by row only to name the
-    first bad row. Powers are converted one by one, as ``10.0 ** x``: numpy's
-    vectorised power differs from it in the last bit on some values."""
-    try:
-        pairs = [line.split(",") for _, line in rows]
-        delays_ns = np.array([float(delay) for delay, _ in pairs])
-        powers = np.array([_db_to_linear(db) for _, db in pairs])
-        if np.isfinite(delays_ns).all() and np.isfinite(powers).all():
-            return delays_ns, powers
-    except (ValueError, OverflowError):
-        pass
-    delays_ns, powers = [], []
-    for line_no, line in rows:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise CorruptFileError(f"{path}:{line_no}: expected two columns")
-        delays_ns.append(_finite(parts[0], path, line_no))
-        powers.append(_finite(parts[1], path, line_no, kind=_db_to_linear))
-    return np.array(delays_ns), np.array(powers)
+    return PowerDelayProfile(delays_s, np.array(powers))
 
 
 def write_report(path, report: ComparisonReport, comments: tuple[str, ...] = ()) -> None:

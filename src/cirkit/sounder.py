@@ -118,6 +118,12 @@ def _pool():
     return ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="cirkit-chunks")
 
 
+# a forked child inherits the pool but not its threads, and an idle pool
+# starts none for new work: the child must make its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

@@ -142,6 +142,28 @@ def test_one_usable_cpu_runs_inline(monkeypatch, thread_names, tmp_path):
     assert set(thread_names) == {threading.main_thread().name}
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_makes_its_own_pool(tmp_path, pooled):
+    """A child forked after a pooled run has none of the pool's threads; its
+    own pooled run must not wait on them."""
+    import multiprocessing
+
+    path = write_capture(tmp_path, noisy_samples(2 * ROWS + 5))
+    powers = streamed_powers(path)
+
+    def child():
+        if not np.array_equal(streamed_powers(path), powers):
+            raise SystemExit(1)
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=60)
+    if process.is_alive():
+        process.kill()
+        process.join()
+    assert process.exitcode == 0
+
+
 class TestMapChunks:
     """The helper itself: order, buffers, errors and early exits."""
 
