@@ -54,13 +54,27 @@ def _load_config(spec: str) -> gbsm.ScenarioConfig:
     )
 
 
+def _finite_flag(flag: str, value: float, minimum: float | None = None) -> float:
+    """``value`` of the number flag ``flag``; a NaN, an infinity or a value
+    below ``minimum`` is rejected by name, before any work."""
+    if not math.isfinite(value) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" and >= {minimum:g}"
+        raise ValidationError(f"{flag} must be finite{bound}, got {value!r}")
+    return value
+
+
 def _parse_regularization(value: str) -> float | None:
     if value == "auto":
         return None
-    reg = float(value)
-    if not reg >= 0:
-        raise ValidationError("--regularization must be >= 0 or 'auto'")
-    return reg
+    return _finite_flag("--regularization", float(value), 0.0)
+
+
+def _estimation_flags(args) -> float | None:
+    """Check the flags of ``_add_estimation_flags``; returns the
+    regularization, None for 'auto'."""
+    _finite_flag("--taper", args.taper, 0.0)
+    _finite_flag("--margin-db", args.margin_db)
+    return _parse_regularization(args.regularization)
 
 
 def _waveform(args) -> sounder.SoundingWaveform:
@@ -118,8 +132,8 @@ def _cmd_generate_sounding(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    regularization = _estimation_flags(args)
     waveform = _waveform(args)
-    regularization = _parse_regularization(args.regularization)
 
     def read_capture() -> _CaptureFile:
         with _stage("read-iq"):
@@ -141,6 +155,7 @@ def _parameters_row(label: str, params: analysis.ChannelParameters) -> str:
 
 
 def _cmd_extract(args) -> int:
+    _finite_flag("--margin-db", args.margin_db)
     with _stage("read-pdp"):
         pdp = io.read_pdp_csv(args.pdp)
     with _stage("load-defaults"):
@@ -200,6 +215,7 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _finite_flag("--margin-db", args.margin_db)
     with _stage("read-pdp"):
         measured = io.read_pdp_csv(args.measured)
         simulated = io.read_pdp_csv(args.simulated)
@@ -254,6 +270,8 @@ def _parse_channel_spec(spec: str, sample_rate_hz: float) -> tuple[SyntheticChan
 
 
 def _cmd_loopback(args) -> int:
+    regularization = _estimation_flags(args)
+    _finite_flag("--ds-tolerance-bins", args.ds_tolerance_bins, 0.0)
     with _stage("seed"):
         gbsm.check_seed(args.seed)
     waveform = _waveform(args)
@@ -265,7 +283,6 @@ def _cmd_loopback(args) -> int:
             raise ValidationError("channel span exceeds one sounding period")
     with _stage("build"):
         tx = sounder.build_sounding_signal(waveform)
-    regularization = _parse_regularization(args.regularization)
 
     def received() -> IqSignal:
         with _stage("apply-channel"):

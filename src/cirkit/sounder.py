@@ -170,10 +170,11 @@ def _map_chunks(kernel, items, make_buffers):
         wait(running)
 
 
-def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One mitigation task's buffers: a chunk widened by a sample on either
-    side, its magnitudes, and two rows of flags."""
-    size = _CHUNK_SAMPLES + 2
+def _chunk_buffers(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One mitigation task's buffers for a capture of ``samples``: a chunk
+    widened by a sample on either side, or the whole capture when it is
+    shorter, its magnitudes, and two rows of flags."""
+    size = min(samples, _CHUNK_SAMPLES + 2)
     return (
         np.empty(size, dtype=np.complex128),
         np.empty(size),
@@ -273,7 +274,9 @@ def _pairwise_sum(rx, lo: int, hi: int) -> np.complex128:
         rx.read_into(run[0], x)
         return np.add.reduce(x)
 
-    sums = _map_chunks(leaf_sum, _pairwise_runs(lo, hi), _chunk_buffers)
+    sums = _map_chunks(
+        leaf_sum, _pairwise_runs(lo, hi), functools.partial(_chunk_buffers, hi - lo)
+    )
     return _pairwise_combine(lo, hi, sums)
 
 
@@ -361,7 +364,8 @@ def _top_key_counts(rx, mean) -> tuple[int, np.ndarray] | None:
     with a few octaves of magnitudes."""
     first, counts = None, None
     kernel = functools.partial(_chunk_key_counts, rx, mean)
-    for part in _map_chunks(kernel, range(0, len(rx), _CHUNK_SAMPLES), _chunk_buffers):
+    buffers = functools.partial(_chunk_buffers, len(rx))
+    for part in _map_chunks(kernel, range(0, len(rx), _CHUNK_SAMPLES), buffers):
         if part is None:
             return None
         low, part = part
@@ -450,7 +454,8 @@ def _median_and_candidates(
         gathered = {group: [] for group in groups}
         refined = {group: np.zeros(1 << _KEY_BITS, dtype=np.int64) for group in groups}
         kernel = functools.partial(_scan_chunk, rx, mean, groups, floor)
-        for parts, near in _map_chunks(kernel, range(0, n, _CHUNK_SAMPLES), _chunk_buffers):
+        buffers = functools.partial(_chunk_buffers, n)
+        for parts, near in _map_chunks(kernel, range(0, n, _CHUNK_SAMPLES), buffers):
             for group, part in parts.items():
                 if groups[group] <= _CHUNK_SAMPLES:
                     gathered[group].append(part)
@@ -501,18 +506,33 @@ def _taper_window(n: int, taper_fraction: float) -> np.ndarray | None:
     """Raised-cosine roll-off over the outer ``taper_fraction`` of band edges.
 
     Built on the shifted (monotonic-frequency) axis and returned in DFT bin
-    order; None when the taper is disabled.
+    order; None when ``taper_fraction`` is 0, which disables the taper.
     """
-    if taper_fraction <= 0.0:
+    if taper_fraction == 0.0:
         return None
     if not 0.0 < taper_fraction <= 0.5:
-        raise ValidationError("taper fraction must lie in (0, 0.5]")
+        raise ValidationError(
+            f"taper fraction must be 0 or lie in (0, 0.5], got {taper_fraction}"
+        )
     edge = max(1, int(round(n * taper_fraction)))
     window = np.ones(n)
     ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(edge) + 0.5) / edge))
     window[:edge] = ramp
     window[n - edge :] = ramp[::-1]
     return np.fft.ifftshift(window)
+
+
+def _smooth_length(size: int) -> int:
+    """The smallest 2^a 3^b 5^c >= ``size``: a length numpy transforms
+    without the Bluestein detour a prime length takes."""
+    while True:
+        rest = size
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return size
+        size += 1
 
 
 def estimate_cirs(
@@ -523,10 +543,14 @@ def estimate_cirs(
 ) -> ChannelImpulseResponse:
     """Estimate one CIR per complete sequence period in the capture.
 
-    H[k] = Y[k] conj(X[k]) / (|X[k]|^2 + regularization), optionally edge
-    tapered, then inverse transformed; the periods go through 2-D FFTs of
-    ``CHUNK_ROWS`` rows, on the chunk pool of ``_map_chunks``, into one
-    preallocated block.
+    Each period y is circularly convolved with the kernel
+    g = IDFT(conj(X[k]) W[k] / (|X[k]|^2 + regularization)), X the DFT of the
+    base sequence and W the edge taper (1 without it): the spectral division
+    H = Y conj(X) / (|X|^2 + regularization), tapered, done in the delay
+    domain. The convolution is a linear one of [y, y[:N-1]] with g, through
+    FFTs of the smallest 2^a 3^b 5^c length M >= 2N - 1, since the prime
+    period N itself has no fast transform; see ``_cir_chunks``. The result
+    equals the per-period DFT formula to rounding (within 1e-12 of the peak).
     ``regularization=None`` selects the default ridge term of 1e-6 times
     the mean reference spectral power; pass 0 for plain division. Row p of
     the returned block is period p; if the capture holds fewer complete
@@ -539,14 +563,12 @@ def estimate_cirs(
     """
     n = waveform.period
     taps = np.empty((len(rx) // n, n), dtype=np.complex128)
-
-    def store(first, h, guard, _):
-        rows = taps[first : first + len(h)]
-        rows[:, guard:] = h[:, : n - guard]
-        rows[:, :guard] = h[:, n - guard :]
-
-    for _ in _cir_chunks(rx, waveform, regularization, taper_fraction, 0, store, lambda _: None):
-        pass
+    first = 0
+    for block in _cir_chunks(
+        rx, waveform, regularization, taper_fraction, 0, np.copyto, np.complex128
+    ):
+        taps[first : first + len(block)] = block
+        first += len(block)
     taps.setflags(write=False)
     return ChannelImpulseResponse(taps, 1.0 / rx.sample_rate_hz)
 
@@ -566,28 +588,34 @@ def estimate_pdp(
     read by range, such as ``mitigate_artifacts``' result for an
     ``io.IqReader``. The powers equal the two-step result bit for bit.
     """
-    n = waveform.period
 
-    def squared(first, h, guard, out):
-        out = out[: len(h)]
-        np.abs(h[:, : n - guard], out=out[:, guard:])
-        np.abs(h[:, n - guard :], out=out[:, :guard])
-        return np.square(out, out=out)
+    def squared(out, h):
+        np.abs(h, out=out)
+        np.square(out, out=out)
 
-    blocks = _cir_chunks(rx, waveform, regularization, taper_fraction, start, squared, np.empty)
-    return _average_powers(blocks, n, 1.0 / rx.sample_rate_hz)
+    blocks = _cir_chunks(rx, waveform, regularization, taper_fraction, start, squared, np.float64)
+    return _average_powers(blocks, waveform.period, 1.0 / rx.sample_rate_hz)
 
 
-def _cir_chunks(rx, waveform, regularization, taper_fraction, start, finish, make_out):
+# periods transformed at once inside a chunk: 64 padded rows of about two
+# periods hold about as much as a chunk's 256 rows of squared magnitudes
+_FFT_ROWS = 64
+
+
+def _cir_chunks(rx, waveform, regularization, taper_fraction, start, finish, dtype):
     """Deconvolve the complete periods from sample ``start`` on,
-    ``CHUNK_ROWS`` at a time, through ``_map_chunks``; see ``estimate_cirs``
-    for the formula.
+    ``CHUNK_ROWS`` at a time, through ``_map_chunks``.
 
-    Each chunk is read into a ``(rows, period)`` block and turned in place
-    into its CIRs, not yet rotated by the guard. The results of
-    ``finish(first, h, guard, out)`` are yielded in chunk order: ``first`` is
-    the chunk's first period, ``h`` the block and ``out`` a buffer of the
-    chunk made by ``make_out((rows, period))``.
+    The kernel g of ``estimate_cirs`` is built once per call and rotated
+    right by the taper guard less one, and G is the DFT of g zero-padded to
+    M, the smallest 2^a 3^b 5^c >= 2N - 1. Each period y of N samples is
+    written into a row of M as [y, y[:N-1], 0, ...], transformed, multiplied
+    by G and transformed back: that is the linear convolution with the
+    rotated g, and its columns N-1 to 2N-2 are the period's CIR, already
+    rotated by the guard. ``_FFT_ROWS`` periods go through the transforms at
+    once. ``finish(out, h)`` writes each such block of CIRs ``h`` into the
+    matching rows of a chunk's ``(rows, period)`` buffer of ``dtype``; the
+    chunks' buffers are yielded in chunk order.
     """
     n = waveform.period
     x_spec = np.fft.fft(waveform.base_sequence)
@@ -596,8 +624,8 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start, finish, mak
         raise ValidationError("reference sequence has zero energy")
     if regularization is None:
         regularization = _AUTO_REGULARIZATION * float(np.mean(ref_power))
-    if not regularization >= 0:
-        raise ValidationError("regularization must be >= 0")
+    if not 0 <= regularization < np.inf:
+        raise ValidationError(f"regularization must be finite and >= 0, got {regularization}")
 
     n_periods = (len(rx) - start) // n
     if n_periods <= 0:
@@ -605,25 +633,38 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start, finish, mak
 
     window = _taper_window(n, taper_fraction)
     guard = min(_TAPER_GUARD_TAPS, n // 2) if window is not None else 0
-    conj_spectrum = np.conj(x_spec)
-    denom = ref_power + regularization
-    shape = (min(CHUNK_ROWS, n_periods), n)
+    spectrum = np.conj(x_spec) if window is None else np.conj(x_spec) * window
+    spectrum /= ref_power + regularization
+    m = _smooth_length(2 * n - 1)
+    kernel = np.zeros(m, dtype=np.complex128)
+    kernel[:n] = np.roll(np.fft.ifft(spectrum), guard - 1)
+    np.fft.fft(kernel, out=kernel)
+
+    chunk_rows = min(CHUNK_ROWS, n_periods)
+    fft_rows = min(_FFT_ROWS, chunk_rows)
 
     def deconvolve(first, buffers):
-        h = buffers[0][: min(CHUNK_ROWS, n_periods - first)]
-        rx.read_into(start + first * n, h.reshape(-1))
-        np.fft.fft(h, axis=-1, out=h)
-        # two steps, as (Y conj(X)) / denom: folding conj(X) / denom into one
-        # factor changes the last bits
-        h *= conj_spectrum
-        h /= denom
-        if window is not None:
-            h *= window
-        np.fft.ifft(h, axis=-1, out=h)
-        return finish(first, h, guard, buffers[1])
+        padded, periods, out = buffers
+        rows = min(CHUNK_ROWS, n_periods - first)
+        for lo in range(0, rows, fft_rows):
+            z = padded[: min(fft_rows, rows - lo)]
+            y = periods[: len(z)]
+            rx.read_into(start + (first + lo) * n, y.reshape(-1))
+            z[:, :n] = y
+            z[:, n : 2 * n - 1] = y[:, : n - 1]
+            z[:, 2 * n - 1 :] = 0
+            np.fft.fft(z, axis=-1, out=z)
+            z *= kernel
+            np.fft.ifft(z, axis=-1, out=z)
+            finish(out[lo : lo + len(z)], z[:, n - 1 : 2 * n - 1])
+        return out[:rows]
 
     def make_buffers():
-        return np.empty(shape, dtype=np.complex128), make_out(shape)
+        return (
+            np.empty((fft_rows, m), dtype=np.complex128),
+            np.empty((fft_rows, n), dtype=np.complex128),
+            np.empty((chunk_rows, n), dtype=dtype),
+        )
 
     return _map_chunks(deconvolve, range(0, n_periods, CHUNK_ROWS), make_buffers)
 

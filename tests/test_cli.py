@@ -280,6 +280,61 @@ class TestLoopback:
         assert "apply-channel: snr_db" in capsys.readouterr().err
 
 
+BAD_NUMBER_FLAGS = [
+    ("--taper=-0.2", "--taper must be finite and >= 0, got -0.2"),
+    ("--taper=nan", "--taper must be finite and >= 0, got nan"),
+    ("--taper=inf", "--taper must be finite and >= 0, got inf"),
+    ("--margin-db=nan", "--margin-db must be finite, got nan"),
+    ("--margin-db=inf", "--margin-db must be finite, got inf"),
+    ("--margin-db=-inf", "--margin-db must be finite, got -inf"),
+    ("--regularization=inf", "--regularization must be finite and >= 0, got inf"),
+    ("--regularization=-1", "--regularization must be finite and >= 0, got -1.0"),
+]
+MISSING = {
+    "estimate": ["--rx", "{tmp}/missing.iq", "--pdp-out", "{tmp}/p.csv"],
+    "extract": ["--pdp", "{tmp}/missing.csv", "--out-config", "{tmp}/c.cfg"],
+    "compare": ["--measured", "{tmp}/m.csv", "--simulated", "{tmp}/s.csv",
+                "--report-out", "{tmp}/r.txt", "--plot-out", "{tmp}/p.svg"],
+    "loopback": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [("estimate", *case) for case in BAD_NUMBER_FLAGS]
+    + [("loopback", *case) for case in BAD_NUMBER_FLAGS]
+    + [
+        (command, flag, f"--margin-db must be finite, got {flag.split('=')[1]}")
+        for command in ["extract", "compare"]
+        for flag in ["--margin-db=nan", "--margin-db=inf"]
+    ]
+    + [
+        ("loopback", "--ds-tolerance-bins=nan", "--ds-tolerance-bins must be finite and >= 0, got nan"),
+        ("loopback", "--ds-tolerance-bins=inf", "--ds-tolerance-bins must be finite and >= 0, got inf"),
+        ("loopback", "--ds-tolerance-bins=-1", "--ds-tolerance-bins must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_bad_number_flag_fails_by_name_before_any_work(tmp_path, capsys, command, flag, message):
+    """Named before the missing input files are opened or the loopback runs."""
+    rc = main([command, flag, *(arg.format(tmp=tmp_path) for arg in MISSING[command])])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"cirkit {command}: {message}\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_zero_taper_is_off_and_a_tiny_one_is_on(tmp_path):
+    rx = make_capture(tmp_path, snr_db=20.0)
+    outputs = {}
+    for taper in ["0", "-0", "1e-9", "0.1"]:
+        out = tmp_path / f"pdp{taper}.csv"
+        assert main(["estimate", "--rx", str(rx), "--taper", taper, "--pdp-out", str(out)]) == 0
+        outputs[taper] = out.read_bytes()
+    assert outputs["-0"] == outputs["0"]
+    assert outputs["1e-9"] != outputs["0"]  # the smallest edge, one bin, and the guard
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -161,6 +161,18 @@ class TestEstimateCirs:
         with pytest.raises(ValidationError, match="regularization must be"):
             estimate_cirs(build_sounding_signal(wf), wf, regularization=float("nan"))
 
+    def test_infinite_regularization_rejected(self):
+        wf = small_waveform()
+        with pytest.raises(ValidationError, match="regularization must be finite"):
+            estimate_cirs(build_sounding_signal(wf), wf, regularization=float("inf"))
+
+    # only exactly 0 turns the taper off
+    @pytest.mark.parametrize("taper", [-0.2, -1e-9])
+    def test_negative_taper_rejected(self, taper):
+        wf = small_waveform()
+        with pytest.raises(ValidationError, match="taper fraction must be 0 or lie in"):
+            estimate_cirs(build_sounding_signal(wf), wf, taper_fraction=taper)
+
     def test_linearity_in_capture(self):
         wf = small_waveform()
         tx = build_sounding_signal(wf)

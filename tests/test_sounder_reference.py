@@ -1,50 +1,95 @@
 """The receive chain against the plain implementations it replaced.
 
-``loop_estimate_cirs`` deconvolves one period at a time, exactly as
-``sounder.estimate_cirs`` did before it worked on ``(periods, taps)``
-blocks. ``reference_mitigate`` cleans a capture as ``mitigate_artifacts``
-did before it repaired spikes in place: the median of a copy of the
-magnitudes, and interpolation over every good sample. The production code
-must reproduce both bit for bit (``np.array_equal``).
+``loop_estimate_cirs`` deconvolves one period at a time by the formula of
+``sounder.estimate_cirs``: the period, followed by its first N-1 samples,
+convolved with the guard-rotated kernel through transforms of the padded
+length M. ``dft_estimate_cirs`` is the textbook per-period spectral
+division through DFTs of the period itself. ``reference_mitigate`` cleans a
+capture as ``mitigate_artifacts`` did before it repaired spikes in place:
+the median of a copy of the magnitudes, and interpolation over every good
+sample. The production code must reproduce ``loop_estimate_cirs`` and
+``reference_mitigate`` bit for bit (``np.array_equal``), and come within
+``DFT_TOLERANCE`` of the peak of ``dft_estimate_cirs``.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cirkit import sounder
 from cirkit.analysis import CHUNK_ROWS
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.errors import ValidationError
-from cirkit.signal import IqSignal
+from cirkit.signal import IqSignal, is_prime
 from cirkit.sounder import (
     average_pdp,
     build_sounding_signal,
     estimate_cirs,
+    estimate_pdp,
     mitigate_artifacts,
     zadoff_chu_waveform,
 )
 
+# largest |h - h_dft| allowed, as a fraction of the largest |h_dft|
+DFT_TOLERANCE = 1e-12
 
-def loop_estimate_cirs(rx, waveform, regularization, taper_fraction):
-    n = waveform.period
+
+def smooth_length(size):
+    """The least 2^a 3^b 5^c >= ``size``, by trying every such product."""
+    top = size.bit_length() + 1
+    return min(
+        2**a * 3**b * 5**c
+        for a in range(top)
+        for b in range(top)
+        for c in range(top)
+        if 2**a * 3**b * 5**c >= size
+    )
+
+
+def ridge_and_guard(waveform, regularization, taper_fraction):
     x_spec = np.fft.fft(waveform.base_sequence)
     ref_power = np.abs(x_spec) ** 2
     if regularization is None:
         regularization = sounder._AUTO_REGULARIZATION * float(np.mean(ref_power))
-    window = sounder._taper_window(n, taper_fraction)
-    guard = min(sounder._TAPER_GUARD_TAPS, n // 2) if window is not None else 0
-    denom = ref_power + regularization
+    window = sounder._taper_window(waveform.period, taper_fraction)
+    guard = min(sounder._TAPER_GUARD_TAPS, waveform.period // 2) if window is not None else 0
+    return x_spec, ref_power + regularization, window, guard
+
+
+def loop_estimate_cirs(rx, waveform, regularization, taper_fraction):
+    n = waveform.period
+    x_spec, denom, window, guard = ridge_and_guard(waveform, regularization, taper_fraction)
+    spectrum = np.conj(x_spec) if window is None else np.conj(x_spec) * window
+    g = np.roll(np.fft.ifft(spectrum / denom), guard - 1)
+    m = smooth_length(2 * n - 1)
+    kernel = np.fft.fft(np.concatenate([g, np.zeros(m - n)]))
+    rows = []
+    for p in range(len(rx) // n):
+        y = rx.samples[p * n : (p + 1) * n]
+        padded = np.concatenate([y, y[: n - 1], np.zeros(m - (2 * n - 1))])
+        rows.append(np.fft.ifft(np.fft.fft(padded) * kernel)[n - 1 : 2 * n - 1])
+    return rows
+
+
+def dft_estimate_cirs(rx, waveform, regularization, taper_fraction):
+    n = waveform.period
+    x_spec, denom, window, guard = ridge_and_guard(waveform, regularization, taper_fraction)
     rows = []
     for p in range(len(rx) // n):
         y_spec = np.fft.fft(rx.samples[p * n : (p + 1) * n])
         h_spec = y_spec * np.conj(x_spec) / denom
         if window is not None:
             h_spec = h_spec * window
-        taps = np.fft.ifft(h_spec)
-        if guard:
-            taps = np.roll(taps, guard)
-        rows.append(taps)
+        rows.append(np.roll(np.fft.ifft(h_spec), guard))
     return rows
+
+
+def assert_near_dft(rows, dft_rows):
+    error = np.max(np.abs(np.array(rows) - np.array(dft_rows)))
+    assert error <= DFT_TOLERANCE * np.max(np.abs(np.array(dft_rows)))
 
 
 def reference_mitigate(rx, spike_threshold=sounder._SPIKE_THRESHOLD):
@@ -90,6 +135,7 @@ def assert_block_equals_loop(rx, waveform, regularization, taper):
     assert block.delay_step_s == 1.0 / rx.sample_rate_hz
     assert np.array_equal(block.taps, np.array(rows))
     assert np.array_equal(average_pdp(block).powers_linear, loop_average_powers(rows))
+    assert_near_dft(rows, dft_estimate_cirs(rx, waveform, regularization, taper))
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
@@ -118,6 +164,56 @@ def test_one_period_equals_loop_reference(taper):
 def test_chunk_boundary_equals_loop_reference(taper, periods):
     rx, waveform = capture(periods=periods, seed=6)
     assert_block_equals_loop(rx, waveform, None, taper)
+
+
+def test_padded_length_is_the_smallest_smooth_length():
+    assert smooth_length(2 * 353 - 1) == 720
+    assert smooth_length(2 * 8191 - 1) == 16384
+    for size in [3, 5, 7, 11, 13, 705, 721, 3997, 16381]:
+        assert sounder._smooth_length(size) == smooth_length(size)
+
+
+PRIMES = [p for p in range(2, 2000) if is_prime(p)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.sampled_from(PRIMES),
+    taper=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True)),
+    regularization=st.sampled_from([0.0, None, 1e6]),
+    periods=st.integers(1, 9),
+    extra=st.floats(0.0, 1.0, exclude_max=True),
+    start=st.floats(0.0, 1.0, exclude_max=True),
+    chunk_rows=st.integers(1, 4),
+    fft_rows=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    n=8191, taper=sounder.DEFAULT_TAPER_FRACTION, regularization=None, periods=3, extra=0.5,
+    start=0.25, chunk_rows=2, fft_rows=1, seed=0,
+)
+def test_any_prime_equals_loop_reference(
+    n, taper, regularization, periods, extra, start, chunk_rows, fft_rows, seed
+):
+    """Any prime period, taper and ridge; a partial last period, a start
+    inside the first period, and chunks and transform blocks of a few rows,
+    so that either may end part-way."""
+    waveform = zadoff_chu_waveform(length=n, repetitions=periods)
+    start, extra = int(start * n), int(extra * n)
+    rng = np.random.default_rng(seed)
+    size = start + periods * n + extra
+    samples = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    rx = IqSignal(samples, 1e6)
+    aligned = IqSignal(samples[start:], 1e6)
+    with mock.patch.object(sounder, "CHUNK_ROWS", chunk_rows), mock.patch.object(
+        sounder, "_FFT_ROWS", fft_rows
+    ):
+        block = estimate_cirs(aligned, waveform, regularization, taper).taps
+        powers = estimate_pdp(rx, waveform, regularization, taper, start).powers_linear
+    rows = loop_estimate_cirs(aligned, waveform, regularization, taper)
+    assert np.array_equal(block, np.array(rows))
+    assert np.array_equal(powers, loop_average_powers(rows))
+    assert_near_dft(rows, dft_estimate_cirs(aligned, waveform, regularization, taper))
 
 
 def spiked(positions, seed=7):

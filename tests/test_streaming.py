@@ -5,14 +5,21 @@ time. Its raw averaged powers and its PDP CSV must equal, byte for byte,
 the chain that holds the whole capture: ``read_iq``, the reference
 mitigation (``np.mean``, ``np.median``, ``np.interp`` over every good
 sample), ``np.argmax`` synchronisation and the per-period loop estimate of
-``test_sounder_reference``.
+``test_sounder_reference``, whose CIRs lie within ``DFT_TOLERANCE`` of the
+textbook per-period DFT formula's.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from test_sounder_reference import loop_average_powers, loop_estimate_cirs, reference_mitigate
+from test_sounder_reference import (
+    assert_near_dft,
+    dft_estimate_cirs,
+    loop_average_powers,
+    loop_estimate_cirs,
+    reference_mitigate,
+)
 
 from cirkit import analysis, io, sounder
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
@@ -52,6 +59,7 @@ def whole_chain_powers(path, taper):
     offset = int(np.argmax(np.abs(corr)))
     aligned = IqSignal(cleaned.samples[offset:], cleaned.sample_rate_hz)
     rows = loop_estimate_cirs(aligned, zadoff_chu_waveform(), None, taper)
+    assert_near_dft(rows, dft_estimate_cirs(aligned, zadoff_chu_waveform(), None, taper))
     return loop_average_powers(rows)
 
 
