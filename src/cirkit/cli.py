@@ -66,13 +66,19 @@ def _finite_flag(flag: str, value: float, minimum: float | None = None) -> float
 def _parse_regularization(value: str) -> float | None:
     if value == "auto":
         return None
-    return _finite_flag("--regularization", float(value), 0.0)
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValidationError(
+            f"--regularization must be 'auto' or a finite number >= 0, got {value!r}"
+        ) from None
+    return _finite_flag("--regularization", number, 0.0)
 
 
 def _estimation_flags(args) -> float | None:
     """Check the flags of ``_add_estimation_flags``; returns the
     regularization, None for 'auto'."""
-    _finite_flag("--taper", args.taper, 0.0)
+    sounder.check_taper(_finite_flag("--taper", args.taper, 0.0), "--taper")
     _finite_flag("--margin-db", args.margin_db)
     return _parse_regularization(args.regularization)
 

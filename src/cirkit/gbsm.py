@@ -33,7 +33,7 @@ from .analysis import (
     normalize_pdp,
 )
 from .errors import ValidationError
-from .sounder import ChannelImpulseResponse
+from .sounder import ChannelImpulseResponse, _map_chunks
 
 DEFAULT_R_TAU = 2.3
 DEFAULT_SHADOWING_DB = 3.0
@@ -45,6 +45,9 @@ DATASET_STREAM = 0
 SIMULATE_STREAM = 1
 # uniform words of the Box-Muller pair that gives a row's DS and K-factor
 LARGE_SCALE = slice(0, 2)
+# dataset rows rendered at once inside a chunk: each temporary of the
+# kernel, (rows, paths, 17) floats, stays near 200 KB
+_RENDER_ROWS = 64
 
 ENFORCEMENT_EXACT = "exact"
 ENFORCEMENT_SINGLE_CLUSTER = "skipped-single-cluster"
@@ -440,11 +443,12 @@ def generate_clusters(
 
 
 def _render_block(
-    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config
+    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
 ) -> np.ndarray:
     """Render S CIRs from (S, K) cluster delays and powers, or (1, K) ones
-    that all S rows share. Each cluster has amplitude sqrt(power) and phase
-    2 pi u from its (S, K) phase word u.
+    that all S rows share, into ``out`` ((S, taps) complex128) or a new
+    array. Each cluster has amplitude sqrt(power) and phase 2 pi u from its
+    (S, K) phase word u.
 
     Each path is a unit-energy windowed-sinc kernel of half-width 8 taps
     around its fractional position: 17 slots from ceil(pos - 8), the last
@@ -475,7 +479,7 @@ def _render_block(
     col = np.where(used & (idx >= 0) & (idx < n_taps), idx, n_taps).astype(np.intp)
     flat = (col + (np.arange(rows) * (n_taps + 1))[:, None, None]).ravel()
     size = rows * (n_taps + 1)
-    taps = np.empty((rows, n_taps), dtype=np.complex128)
+    taps = np.empty((rows, n_taps), dtype=np.complex128) if out is None else out
     for part, values in (("real", amplitudes.real), ("imag", amplitudes.imag)):
         summed = np.bincount(flat, (values[..., None] * kern).ravel(), size)
         setattr(taps, part, summed.reshape(rows, n_taps + 1)[:, :n_taps])
@@ -537,8 +541,12 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=Non
     Every snapshot draws fresh large-scale parameters, clusters and phases
     from its own fixed run of words of one counter-based stream keyed by the
     root seed, so the first n snapshots are the same for any ``count`` >= n.
-    Snapshots are drawn and rendered ``CHUNK_ROWS`` at a time. Returns the
-    in-memory dataset; writes the container file when ``path`` is given.
+    Snapshots are drawn and rendered ``CHUNK_ROWS`` at a time, each chunk a
+    task of ``sounder._map_chunks`` that writes its own rows of the returned
+    block; the bytes do not depend on how many run at once. When ``path`` is
+    given, each chunk is written to the container file as soon as it is
+    rendered, and a failure leaves ``path`` as it was. Returns the in-memory
+    dataset.
     """
     from . import io as cirkit_io  # deferred: io needs this module's types
 
@@ -551,14 +559,29 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=Non
             "a dataset file can hold"
         )
     snapshots = np.empty((count, config.cir_length_taps), dtype=np.complex128)
-    for start in range(0, count, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, count)
-        phases, block = _stream_block(config, root, DATASET_STREAM, start, stop - start)
-        snapshots[start:stop] = _render_block(block.delays, block.powers, phases, block.los, config)
+
+    def render_chunk(start: int, _) -> np.ndarray:
+        rows = min(CHUNK_ROWS, count - start)
+        phases, block = _stream_block(config, root, DATASET_STREAM, start, rows)
+        out = snapshots[start : start + rows]
+        # a few rows at a time: a worker thread keeps what it allocates
+        for lo in range(0, rows, _RENDER_ROWS):
+            part = slice(lo, lo + _RENDER_ROWS)
+            _render_block(block.delays[part], block.powers[part], phases[part], block.los[part],
+                          config, out[part])
+        return out
+
     comments = (f"seed={root}", f"generator_version={__about__.__version__}")
     blob = cirkit_io.config_to_text(config, comments=comments)
+    chunks = _map_chunks(render_chunk, range(0, count, CHUNK_ROWS), lambda: None)
+    try:
+        if path is None:
+            for _ in chunks:
+                pass
+        else:
+            cirkit_io._write_chds(path, count, config.cir_length_taps, config.sample_rate_hz,
+                                  blob, chunks)
+    finally:
+        chunks.close()
     snapshots.setflags(write=False)
-    dataset = cirkit_io.Dataset(snapshots, config.sample_rate_hz, blob)
-    if path is not None:
-        cirkit_io.write_dataset(path, dataset)
-    return dataset
+    return cirkit_io.Dataset(snapshots, config.sample_rate_hz, blob)

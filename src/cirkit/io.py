@@ -14,13 +14,15 @@ that names ``file:line``, one ``key=value`` writer and one dB row writer.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import ComparisonReport, PowerDelayProfile
+from .analysis import CHUNK_ROWS, ComparisonReport, PowerDelayProfile
 from .errors import (
     BadMagicError,
     BadVersionError,
@@ -402,19 +404,50 @@ class Dataset:
 
 def write_dataset(path, dataset: Dataset) -> None:
     """Write the CHDS container: fixed header, config blob, float32 payload."""
-    blob = dataset.config_text.encode("utf-8")
+    snapshots = dataset.snapshots
+    blocks = (snapshots[i : i + CHUNK_ROWS] for i in range(0, len(snapshots), CHUNK_ROWS))
+    _write_chds(path, dataset.snapshot_count, dataset.cir_length_taps, dataset.sample_rate_hz,
+                dataset.config_text, blocks)
+
+
+def _write_chds(path, count: int, taps: int, sample_rate_hz: float, config_text: str, blocks):
+    """Write a CHDS container whose ``count`` snapshots of ``taps`` taps
+    arrive as ``blocks``, 2-D complex arrays in snapshot order.
+
+    The header and config blob go first, then each block as ``<c8`` pairs
+    as it arrives, so the caller may still be making the later blocks. The
+    file is written beside ``path`` under a temporary name and moved onto
+    ``path`` once every block is in: when a block or a write fails, the
+    temporary file is removed and ``path`` is left as it was. A ``path``
+    that exists but is not a regular file, such as a device or a pipe, is
+    written in place.
+    """
+    blob = config_text.encode("utf-8")
     header = struct.pack(
-        _HEADER_FMT,
-        DATASET_MAGIC,
-        DATASET_VERSION,
-        dataset.snapshot_count,
-        dataset.cir_length_taps,
-        dataset.sample_rate_hz,
-        len(blob),
+        _HEADER_FMT, DATASET_MAGIC, DATASET_VERSION, count, taps, sample_rate_hz, len(blob)
     )
-    with open(path, "wb") as fh:
-        fh.write(header + blob)
-        fh.write(dataset.snapshots.astype("<c8"))
+    target = os.path.realpath(path)
+    temporary = None
+    if os.path.isfile(target) or not os.path.exists(target):
+        folder, name = os.path.split(target)
+        temporary = os.path.join(folder, f".{name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            fh = open(temporary, "xb")
+        except OSError as err:  # name the file asked for, not the temporary one
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+    else:
+        fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(header + blob)
+            for block in blocks:
+                fh.write(block.astype("<c8"))
+        if temporary is not None:
+            os.replace(temporary, target)
+    except BaseException:
+        if temporary is not None:
+            os.unlink(temporary)
+        raise
 
 
 def read_dataset(path) -> Dataset:

@@ -133,17 +133,19 @@ def _usable_cpus() -> int:
 def _map_chunks(kernel, items, make_buffers):
     """``kernel(item, buffers)`` for each of ``items``, yielded in order.
 
-    Up to ``_MAX_WORKERS`` calls run at once on a thread pool, each with its
-    own set of ``make_buffers()``, made here in the calling thread; numpy's
-    FFTs and array loops release the GIL, so the calls share the cores. A
-    result may be a view of its buffers: they go to a later call only once
-    the caller has asked for the next result. With one item or one usable
-    CPU the calls run inline on one set of buffers. Kernels write into their
-    buffers and allocate nothing large, since memory a worker thread
-    allocates stays in that thread's malloc arena. When a call fails or the
-    caller stops early, every call not yet started is cancelled and every
-    running one waited for, its result dropped, so no task outlives this
-    and keeps a buffer.
+    It serves both the receive chain (mitigation and estimation) and the
+    dataset generator (``gbsm.generate_dataset``). Up to ``_MAX_WORKERS``
+    calls run at once on a thread pool, each with its own set of
+    ``make_buffers()``, made here in the calling thread; numpy's FFTs and
+    array loops release the GIL, so the calls share the cores. A result may
+    be a view of its buffers: they go to a later call only once the caller
+    has asked for the next result. With one item or one usable CPU the
+    calls run inline on one set of buffers. Kernels write into their
+    buffers, or into rows the caller made, and allocate nothing large,
+    since memory a worker thread allocates stays in that thread's malloc
+    arena. When a call fails or the caller stops early, every call not yet
+    started is cancelled and every running one waited for, its result
+    dropped, so no task outlives this and keeps a buffer.
     """
     items = list(items)
     slots = min(_MAX_WORKERS, len(items), _usable_cpus())
@@ -502,18 +504,22 @@ def synchronize(rx, waveform: SoundingWaveform) -> int:
     return int(np.argmax(np.abs(corr)))
 
 
+def check_taper(taper_fraction: float, name: str = "taper fraction") -> float:
+    """``taper_fraction`` when it is 0, which disables the taper, or lies in
+    (0, 0.5]; anything else raises ``ValidationError`` naming ``name``."""
+    if taper_fraction != 0.0 and not 0.0 < taper_fraction <= 0.5:
+        raise ValidationError(f"{name} must be 0 or lie in (0, 0.5], got {taper_fraction}")
+    return taper_fraction
+
+
 def _taper_window(n: int, taper_fraction: float) -> np.ndarray | None:
     """Raised-cosine roll-off over the outer ``taper_fraction`` of band edges.
 
     Built on the shifted (monotonic-frequency) axis and returned in DFT bin
     order; None when ``taper_fraction`` is 0, which disables the taper.
     """
-    if taper_fraction == 0.0:
+    if check_taper(taper_fraction) == 0.0:
         return None
-    if not 0.0 < taper_fraction <= 0.5:
-        raise ValidationError(
-            f"taper fraction must be 0 or lie in (0, 0.5], got {taper_fraction}"
-        )
     edge = max(1, int(round(n * taper_fraction)))
     window = np.ones(n)
     ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(edge) + 0.5) / edge))

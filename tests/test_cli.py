@@ -289,6 +289,8 @@ BAD_NUMBER_FLAGS = [
     ("--margin-db=-inf", "--margin-db must be finite, got -inf"),
     ("--regularization=inf", "--regularization must be finite and >= 0, got inf"),
     ("--regularization=-1", "--regularization must be finite and >= 0, got -1.0"),
+    ("--regularization=abc", "--regularization must be 'auto' or a finite number >= 0, got 'abc'"),
+    ("--taper=0.7", "--taper must be 0 or lie in (0, 0.5], got 0.7"),
 ]
 MISSING = {
     "estimate": ["--rx", "{tmp}/missing.iq", "--pdp-out", "{tmp}/p.csv"],
