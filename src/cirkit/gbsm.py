@@ -38,6 +38,12 @@ from .sounder import ChannelImpulseResponse, _map_chunks
 DEFAULT_R_TAU = 2.3
 DEFAULT_SHADOWING_DB = 3.0
 KERNEL_HALF_WIDTH = 8
+# kernel slot m of a path at tap position pos sits at tap ceil(pos) + m;
+# per slot: m, (-1)^m, cos(pi m / 8) and sin(pi m / 8)
+_SLOTS = np.arange(-KERNEL_HALF_WIDTH, KERNEL_HALF_WIDTH)
+_SLOT_SIGN = np.where(_SLOTS % 2 == 0, 1.0, -1.0)
+_SLOT_COS = np.cos(np.pi / KERNEL_HALF_WIDTH * _SLOTS)
+_SLOT_SIN = np.sin(np.pi / KERNEL_HALF_WIDTH * _SLOTS)
 # cluster draws per snapshot before a CIR-span overflow becomes an error
 MAX_CLUSTER_DRAWS = 8
 # second Philox key word of each consumer's stream; draw attempts sit above bit 32
@@ -46,7 +52,7 @@ SIMULATE_STREAM = 1
 # uniform words of the Box-Muller pair that gives a row's DS and K-factor
 LARGE_SCALE = slice(0, 2)
 # dataset rows rendered at once inside a chunk: each temporary of the
-# kernel, (rows, paths, 17) floats, stays near 200 KB
+# kernel, (rows, paths, 16) floats, stays near 200 KB
 _RENDER_ROWS = 64
 
 ENFORCEMENT_EXACT = "exact"
@@ -354,14 +360,15 @@ def _draw_clusters(
 
 
 def _cluster_block(
-    ds: np.ndarray, kf, draw, config: ScenarioConfig, preserve: bool = False, first_index: int = 0
+    ds: np.ndarray, kf, draw, config: ScenarioConfig, preserve: bool = False, name_row=None
 ) -> _ClusterBlock:
     """Cluster sets of S snapshots with (S,) DS and K-factors in dB (None for
     NLOS) from ``draw(attempt)``, the (S, C) cluster words of draw number
     ``attempt``. A row whose largest delay does not fit the CIR span is drawn
     again from the next draw, keeping its DS and K-factor, up to
-    ``MAX_CLUSTER_DRAWS`` draws in all; other rows are untouched.
-    ``first_index`` numbers the rows in the error raised when draws run out.
+    ``MAX_CLUSTER_DRAWS`` draws in all; other rows are untouched. The
+    error raised when draws run out names the row by ``name_row(row)``,
+    when given.
     """
     if np.any(ds <= 0):
         raise ValidationError("ds_s must be > 0")
@@ -382,9 +389,11 @@ def _cluster_block(
         block.fixed[over] = redo.fixed
         over = over[redo.delays.max(axis=-1) >= span]
     if over.size:
+        where = f"config {config.label!r}"
+        if name_row is not None:
+            where += f", {name_row(int(over[0]))}"
         raise ValidationError(
-            f"config {config.label!r}, snapshot {first_index + int(over[0])}: cluster delays "
-            f"overflow the {span} s CIR span in {MAX_CLUSTER_DRAWS} draws"
+            f"{where}: cluster delays overflow the {span} s CIR span in {MAX_CLUSTER_DRAWS} draws"
         )
     return block
 
@@ -394,7 +403,9 @@ def _stream_block(
 ) -> tuple[np.ndarray, _ClusterBlock]:
     """Phase words and cluster sets of rows ``start`` to ``start + rows - 1``
     of the (root, stream) stream. Draw ``attempt`` of a row that overflows
-    the CIR span reads the same row of the (root, stream, attempt) stream."""
+    the CIR span reads the same row of the (root, stream, attempt) stream.
+    The error raised when no draw fits names a dataset row as its snapshot
+    and ``simulate_pdp``'s one row by its seed."""
     width, clusters, phases = _layout(config)
     words = _stream_words(root, stream, start, rows, width)
     ds, kf = _large_scale(words[:, LARGE_SCALE], config)
@@ -403,7 +414,12 @@ def _stream_block(
         again = _stream_words(root, stream, start, rows, width, attempt) if attempt else words
         return again[:, clusters]
 
-    return words[:, phases], _cluster_block(ds, kf, draw, config, first_index=start)
+    def name_row(row: int) -> str:
+        if stream == DATASET_STREAM:
+            return f"snapshot {start + row}"
+        return f"cluster set of simulate seed {root}"
+
+    return words[:, phases], _cluster_block(ds, kf, draw, config, name_row=name_row)
 
 
 def generate_clusters(
@@ -442,6 +458,34 @@ def generate_clusters(
     return ClusterSet(clusters, float(block.los[0]), block.enforcement)
 
 
+def _kernel(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first tap, values) of the unit-energy windowed-sinc kernels of paths
+    at tap positions ``pos`` >= 0: sinc(x) times the window
+    0.5 (1 + cos(pi x / 8)) at taps ceil(pos) + m, m = -8..7, for offsets
+    x = m + frac with frac = ceil(pos) - pos. frac is exact for pos >= 0.5
+    and lies in [0, 1]; it is 1 where 1 - pos rounds to 1. Returns
+    ceil(pos) as intp, the tap of slot m = 0, and the values with a
+    trailing axis of the 16 slots; nothing is clipped to a CIR.
+
+    The values are in closed form, three transcendentals per path:
+    sin(pi x) is (-1)^m sin(pi frac), and cos(pi x / 8) expands through the
+    constants cos(pi m / 8) and sin(pi m / 8). The sinc is 1 at x = 0,
+    which only frac = 0 or 1 gives. Slot m = 8 is left out: it is inside
+    the half-width only at an integer position, where its value is 0.
+    """
+    first = np.ceil(pos)
+    frac = first - pos
+    x = frac[..., None] + _SLOTS
+    sin_pi = np.sin(np.pi * frac)[..., None]
+    angle = (np.pi / KERNEL_HALF_WIDTH) * frac
+    cos_angle, sin_angle = np.cos(angle)[..., None], np.sin(angle)[..., None]
+    window = 0.5 * (1.0 + _SLOT_COS * cos_angle - _SLOT_SIN * sin_angle)
+    sinc = np.divide(_SLOT_SIGN * sin_pi, np.pi * x, out=np.ones_like(x), where=x != 0.0)
+    kern = sinc * window
+    kern /= np.sqrt(np.sum(kern**2, axis=-1, keepdims=True))
+    return first.astype(np.intp), kern
+
+
 def _render_block(
     delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
 ) -> np.ndarray:
@@ -450,13 +494,13 @@ def _render_block(
     array. Each cluster has amplitude sqrt(power) and phase 2 pi u from its
     (S, K) phase word u.
 
-    Each path is a unit-energy windowed-sinc kernel of half-width 8 taps
-    around its fractional position: 17 slots from ceil(pos - 8), the last
-    used only while it is not past floor(pos + 8), that is for an integer
-    position. Taps outside the CIR are dropped. The LOS term, with the real
-    amplitude sqrt(``los_power``) ((S,) or (1,)) at delay 0, is added after
-    the clusters when any row has one. Each tap sums its contributions in
-    path order, so a row equals adding the paths one by one into a zero CIR.
+    Each path is the 16-slot kernel of ``_kernel`` at its fractional
+    position. The slots are scattered into rows padded by 8 columns on each
+    side, and the padding is sliced off, so taps outside the CIR are
+    dropped. The LOS term, with the real amplitude sqrt(``los_power``)
+    ((S,) or (1,)) at delay 0, is added after the clusters when any row has
+    one. Each tap sums its contributions in path order, so a row equals
+    adding the paths one by one into a zero CIR.
     """
     n_taps = config.cir_length_taps
     amplitudes = np.sqrt(powers) * np.exp(1j * (2.0 * np.pi * phase_words))
@@ -466,23 +510,18 @@ def _render_block(
         delays = np.concatenate([delays, np.zeros((delays.shape[0], 1))], axis=1)
         los_column = np.broadcast_to(los_amplitude, (rows,))[:, None]
         amplitudes = np.concatenate([amplitudes, los_column], axis=1)
-    pos = delays * config.sample_rate_hz
-    idx = np.ceil(pos - KERNEL_HALF_WIDTH)[..., None] + np.arange(2 * KERNEL_HALF_WIDTH + 1)
-    offsets = idx - pos[..., None]
-    window = 0.5 * (1.0 + np.cos(np.pi * offsets / KERNEL_HALF_WIDTH))
-    kern = np.sinc(offsets) * window
-    used = idx <= np.floor(pos + KERNEL_HALF_WIDTH)[..., None]
-    kern[~used] = 0.0
-    kern /= np.sqrt(np.sum(kern**2, axis=-1, keepdims=True))
+    first, kern = _kernel(delays * config.sample_rate_hz)
 
-    # one spare column per row collects the unused slots and off-CIR taps
-    col = np.where(used & (idx >= 0) & (idx < n_taps), idx, n_taps).astype(np.intp)
-    flat = (col + (np.arange(rows) * (n_taps + 1))[:, None, None]).ravel()
-    size = rows * (n_taps + 1)
+    # in a row padded by 8 columns each side, slot m = -8 of a path lands
+    # in column ceil(pos)
+    pad = KERNEL_HALF_WIDTH
+    width = n_taps + 2 * pad
+    start = first + (np.arange(rows) * width)[:, None]
+    flat = (start[..., None] + np.arange(_SLOTS.size)).ravel()
     taps = np.empty((rows, n_taps), dtype=np.complex128) if out is None else out
     for part, values in (("real", amplitudes.real), ("imag", amplitudes.imag)):
-        summed = np.bincount(flat, (values[..., None] * kern).ravel(), size)
-        setattr(taps, part, summed.reshape(rows, n_taps + 1)[:, :n_taps])
+        summed = np.bincount(flat, (values[..., None] * kern).ravel(), rows * width)
+        setattr(taps, part, summed.reshape(rows, width)[:, pad : pad + n_taps])
     return taps
 
 
@@ -493,12 +532,13 @@ def synthesize_cir(
     one-row block.
 
     Each cluster contributes sqrt(power) with an independent uniform phase
-    (the LOS phase is fixed at 0), placed at its fractional delay with a
-    windowed-sinc kernel of half-width 8 taps. Kernel truncation and
-    boundary clipping keep the total tap energy within about +-0.5 dB of 1
-    when clusters sit a few bins apart; clusters sharing bins additionally
-    interfere realization-by-realization (their phase-averaged power still
-    adds exactly, which is what the PDP sees).
+    (the LOS phase is fixed at 0), placed at its fractional delay with the
+    unit-energy windowed-sinc kernel of ``_kernel``: 16 taps of half-width
+    8 around the delay, with taps off the CIR dropped. Boundary clipping
+    and residual tail interference keep the total tap energy within about
+    +-0.5 dB of 1 when clusters sit a few bins apart; clusters sharing bins
+    additionally interfere realization-by-realization (their phase-averaged
+    power still adds exactly, which is what the PDP sees).
     """
     fs = config.sample_rate_hz
     span = config.cir_length_taps / fs

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cirkit import gbsm
+from cirkit import __about__, gbsm
 from cirkit.analysis import extract_parameters
 from cirkit.errors import ValidationError
 from cirkit.gbsm import (
@@ -353,7 +355,13 @@ class TestGenerateDataset:
     def test_metadata_records_seed_and_version(self, tmp_path):
         ds = generate_dataset(URBAN_NLOS, 1, 77)
         assert "# seed=77" in ds.config_text
-        assert "# generator_version=" in ds.config_text
+        assert f"# generator_version={__about__.__version__}\n" in ds.config_text
+
+    def test_package_version_matches_pyproject(self):
+        # a regex, not tomllib: Python 3.10 has no TOML parser
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        [version] = re.findall(r'^version = "([^"]*)"$', text, flags=re.MULTILINE)
+        assert version == __about__.__version__
 
     def test_snapshot_ds_distribution(self):
         # per-snapshot profiles are single realizations; the extracted DS

@@ -6,14 +6,19 @@ at a time, and place one cluster at a time, as a per-snapshot generator
 would. The chunked code must reproduce them bit for bit (``np.array_equal``),
 so any change to a drawn or rendered value fails here. The word layout of a
 row is written out here on its own, so a change to it fails here too.
+``sinc_kernel`` keeps the 0.2.0 kernel formula (``np.sinc`` times the
+raised-cosine window), which the render must match to rounding.
 """
 
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cirkit import gbsm, io
 from cirkit.analysis import DEFAULT_MARGIN_DB, estimate_noise_floor, normalize_pdp
@@ -135,23 +140,46 @@ def loop_generate_clusters(ds_s, kf_db, config, rng_seed, preserve_fixed_delays=
     )
 
 
-def loop_kernel(offsets):
-    window = 0.5 * (1.0 + np.cos(np.pi * offsets / gbsm.KERNEL_HALF_WIDTH))
-    taps = np.sinc(offsets) * window
-    return taps / math.sqrt(float(np.sum(taps**2)))
+SLOTS = np.arange(-8, 8)
+SLOT_SIGN = np.array([(-1.0) ** m for m in range(-8, 8)])
+SLOT_COS = np.cos(np.pi / 8 * SLOTS)
+SLOT_SIN = np.sin(np.pi / 8 * SLOTS)
 
 
-def loop_synthesize_cir(clusters, config, phases):
+def loop_kernel(pos):
+    """Taps and values of one path's kernel at ``pos`` taps, in the closed
+    form: 16 slots at taps ceil(pos) + m, m = -8..7, offsets x = m + frac,
+    sin(pi x) = (-1)^m sin(pi frac), and the window's cos(pi x / 8) expanded
+    through cos(pi m / 8) and sin(pi m / 8)."""
+    first = math.ceil(pos)
+    frac = first - pos
+    x = frac + SLOTS
+    sin_pi = np.sin(np.pi * frac)
+    angle = np.pi / 8 * frac
+    window = 0.5 * (1.0 + SLOT_COS * np.cos(angle) - SLOT_SIN * np.sin(angle))
+    sinc = np.array([1.0 if xm == 0 else sign * sin_pi / (np.pi * xm)
+                     for sign, xm in zip(SLOT_SIGN, x)])
+    kern = sinc * window
+    return first + SLOTS, kern / math.sqrt(float(np.sum(kern**2)))
+
+
+def sinc_kernel(pos):
+    """The 0.2.0 kernel, ``np.sinc`` times the raised-cosine window over the
+    taps from ceil(pos - 8) to floor(pos + 8): equal to ``loop_kernel`` up
+    to rounding."""
+    idx = np.arange(math.ceil(pos - 8), math.floor(pos + 8) + 1)
+    offsets = idx - pos
+    taps = np.sinc(offsets) * (0.5 * (1.0 + np.cos(np.pi * offsets / 8)))
+    return idx, taps / math.sqrt(float(np.sum(taps**2)))
+
+
+def loop_synthesize_cir(clusters, config, phases, kernel=loop_kernel):
     fs = config.sample_rate_hz
     n_taps = config.cir_length_taps
     taps = np.zeros(n_taps, dtype=np.complex128)
 
     def place(amplitude, delay_s):
-        pos = delay_s * fs
-        lo = math.ceil(pos - gbsm.KERNEL_HALF_WIDTH)
-        hi = math.floor(pos + gbsm.KERNEL_HALF_WIDTH)
-        idx = np.arange(lo, hi + 1)
-        kern = loop_kernel(idx - pos)
+        idx, kern = kernel(delay_s * fs)
         valid = (idx >= 0) & (idx < n_taps)
         taps[idx[valid]] += amplitude * kern[valid]
 
@@ -173,14 +201,14 @@ def loop_phases(config, root, stream, index):
     return 2.0 * np.pi * loop_row(config, root, stream, index)[row_layout(config)[3]]
 
 
-def loop_snapshot(config, root, index):
+def loop_snapshot(config, root, index, kernel=loop_kernel):
     clusters = loop_stream_clusters(config, root, gbsm.DATASET_STREAM, index)
     phases = loop_phases(config, root, gbsm.DATASET_STREAM, index)
-    return loop_synthesize_cir(clusters, config, phases).taps[0]
+    return loop_synthesize_cir(clusters, config, phases, kernel).taps[0]
 
 
-def loop_generate_dataset(config, count, root):
-    return np.vstack([loop_snapshot(config, root, i) for i in range(count)])
+def loop_generate_dataset(config, count, root, kernel=loop_kernel):
+    return np.vstack([loop_snapshot(config, root, i, kernel) for i in range(count)])
 
 
 def loop_simulate_pdp(config, root, n_realizations):
@@ -213,6 +241,16 @@ def test_dataset_equals_loop_reference(name):
     for count in counts:
         batched = gbsm.generate_dataset(config, count, 13).snapshots
         assert np.array_equal(batched, loop[:count]), count
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_dataset_within_rounding_of_sinc_kernel(name):
+    config = CONFIGS[name]
+    count = gbsm.CHUNK_ROWS + 1
+    batched = gbsm.generate_dataset(config, count, 13).snapshots
+    reference = loop_generate_dataset(config, count, 13, kernel=sinc_kernel)
+    peak = np.max(np.abs(reference), axis=1, keepdims=True)
+    assert np.all(np.abs(batched - reference) <= 1e-14 * peak)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -264,6 +302,56 @@ def test_synthesize_cir_equals_loop_reference():
         assert batched.taps.shape == (1, PRESETS["urban-los"].cir_length_taps)
 
 
+@st.composite
+def path_positions(draw):
+    """(CIR length, path position in taps): whole taps, the floats either
+    side of one, positions below half a tap, where 1 - pos can round to 1,
+    the last float before the span end, and anywhere in the span."""
+    n_taps = draw(st.sampled_from([4, 17, 353]))
+    beside = st.builds(math.nextafter, st.integers(0, n_taps).map(float),
+                       st.sampled_from([-math.inf, math.inf]))
+    pos = draw(st.one_of(
+        st.integers(0, n_taps - 1).map(float),
+        beside.filter(lambda p: 0.0 <= p < n_taps),
+        st.floats(0.0, 0.5, exclude_max=True),
+        st.just(math.nextafter(n_taps, 0.0)),
+        st.floats(0.0, n_taps, exclude_max=True),
+    ))
+    return n_taps, pos
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(path_positions())
+@example((353, 0.0))
+@example((4, 1e-20))
+@example((17, math.nextafter(3.0, math.inf)))
+@example((17, math.nextafter(3.0, 0.0)))
+@example((4, math.nextafter(4.0, 0.0)))
+def test_kernel_at_any_position(path):
+    n_taps, pos = path
+    config = dataclasses.replace(PRESETS["urban-nlos"], sample_rate_hz=1.0, cir_length_taps=n_taps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [first], [kern] = gbsm._kernel(np.array([pos]))
+        [row] = gbsm._render_block(np.array([[pos]]), np.ones((1, 1)), np.zeros((1, 1)),
+                                   np.zeros(1), config)
+    # unit energy before clipping
+    assert abs(float(np.sum(kern**2)) - 1.0) <= 1e-14
+    # the np.sinc formula, over the union of both kernels' taps
+    idx, values = sinc_kernel(pos)
+    ours, theirs = dict(zip(first + SLOTS, kern)), dict(zip(idx, values))
+    peak = max(abs(v) for v in values)
+    for tap in ours.keys() | theirs.keys():
+        assert abs(ours.get(tap, 0.0) - theirs.get(tap, 0.0)) <= 1e-14 * peak, tap
+    # the render keeps the slots on the CIR, each exactly, and drops the rest
+    expected = np.zeros(n_taps)
+    for tap, value in ours.items():
+        if 0 <= tap < n_taps:
+            expected[tap] = value
+    assert np.array_equal(row.real, expected)
+    assert not np.any(row.imag)
+
+
 def test_span_overflow_redraws_only_that_snapshot(tmp_path):
     # snapshot 1474 of this command overflows the CIR span on its first
     # draw; it alone is redrawn, every other snapshot keeps its first draw
@@ -288,5 +376,8 @@ def test_span_overflow_gives_up_naming_snapshot_and_config():
     message = rf"'wide', snapshot 0: .* in {gbsm.MAX_CLUSTER_DRAWS} draws"
     with pytest.raises(ValidationError, match=message):
         gbsm.generate_dataset(config, 3, 0)
-    with pytest.raises(ValidationError, match="overflow"):
-        gbsm.simulate_pdp(config, 0, 4)
+    message = rf"^config 'wide', cluster set of simulate seed 5: .* in {gbsm.MAX_CLUSTER_DRAWS} "
+    with pytest.raises(ValidationError, match=message):
+        gbsm.simulate_pdp(config, 5, 4)
+    with pytest.raises(ValidationError, match=r"^config 'wide': cluster delays overflow"):
+        gbsm.generate_clusters(config.ds_median_s, None, config, 0)
