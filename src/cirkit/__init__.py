@@ -38,37 +38,27 @@ from .errors import (
 )
 from .gbsm import (
     PRESETS,
-    Cluster,
-    ClusterSet,
     ScenarioConfig,
     config_from_parameters,
-    draw_large_scale,
-    generate_clusters,
     generate_dataset,
     simulate_pdp,
-    synthesize_cir,
 )
 from .io import (
     Dataset,
     IqReader,
     read_config,
     read_dataset,
-    read_iq,
     read_pdp_csv,
     write_config,
-    write_dataset,
     write_iq,
     write_pdp_csv,
     write_report,
 )
 from .signal import IqSignal, circular_cross_correlate, dft, idft, is_prime, zadoff_chu
 from .sounder import (
-    ChannelImpulseResponse,
     CleanedCapture,
     SoundingWaveform,
-    average_pdp,
     build_sounding_signal,
-    estimate_cirs,
     estimate_pdp,
     mitigate_artifacts,
     synchronize,
@@ -79,11 +69,8 @@ __all__ = [
     "__version__",
     "BadMagicError",
     "BadVersionError",
-    "ChannelImpulseResponse",
     "ChannelParameters",
     "CleanedCapture",
-    "Cluster",
-    "ClusterSet",
     "ComparisonReport",
     "CorruptFileError",
     "Dataset",
@@ -102,19 +89,15 @@ __all__ = [
     "ValidationError",
     "add_awgn",
     "apply_channel",
-    "average_pdp",
     "build_sounding_signal",
     "circular_cross_correlate",
     "compare_pdps",
     "config_from_parameters",
     "count_clusters",
     "dft",
-    "draw_large_scale",
-    "estimate_cirs",
     "estimate_noise_floor",
     "estimate_pdp",
     "extract_parameters",
-    "generate_clusters",
     "generate_dataset",
     "idft",
     "is_prime",
@@ -124,16 +107,13 @@ __all__ = [
     "normalize_pdp",
     "read_config",
     "read_dataset",
-    "read_iq",
     "read_pdp_csv",
     "rms_delay_spread",
     "second_moment",
     "simulate_pdp",
     "synchronize",
-    "synthesize_cir",
     "threshold_pdp",
     "write_config",
-    "write_dataset",
     "write_iq",
     "write_pdp_csv",
     "write_report",

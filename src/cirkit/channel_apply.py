@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gbsm import seeded_rng
 from .signal import IqSignal, _frozen_complex
 
 
@@ -28,6 +27,21 @@ class SyntheticChannel:
             raise ValidationError("channel taps must be a non-empty 1-D vector")
         if not np.all(np.isfinite(self.taps)):
             raise ValidationError("channel taps must be finite")
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int in [0, 2**64): a root seed is the first Philox key word."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
+def seeded_rng(rng_seed) -> np.random.Generator:
+    """``np.random.default_rng(rng_seed)``: an integer seed must pass
+    ``check_seed``; a ``np.random.SeedSequence`` is taken as it is."""
+    if isinstance(rng_seed, (int, np.integer)):
+        rng_seed = check_seed(rng_seed)
+    return np.random.default_rng(rng_seed)
 
 
 def apply_channel(tx: IqSignal, channel: SyntheticChannel) -> IqSignal:
@@ -55,18 +69,30 @@ def add_awgn(signal: IqSignal, snr_db: float, rng_seed) -> IqSignal:
     """Add circularly-symmetric complex Gaussian noise at the requested SNR.
 
     ``snr_db=inf`` disables noise and returns the input unchanged; NaN and
-    ``-inf`` are rejected. The noise is a deterministic function of the seed:
-    n real parts, then n imaginary parts, drawn into the array that becomes
-    the result.
+    ``-inf`` are rejected, and so is a finite SNR whose linear ratio
+    10^(snr_db / 10) is not a finite, non-zero double (above about 3082 dB
+    or below about -3233 dB) or whose noise variance overflows. The noise is
+    a deterministic function of the seed: n real parts, then n imaginary
+    parts, drawn into the array that becomes the result.
     """
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValidationError(f"snr_db must be a number or +inf, got {snr_db}")
     if snr_db == math.inf:
         return signal
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValidationError(
+            f"snr_db {snr_db} is out of range: 10^(snr_db / 10) is not a finite, non-zero double"
+        )
     power = float(np.mean(np.abs(signal.samples) ** 2))
     if power <= 0.0:
         raise ValidationError("cannot set an SNR on a zero-energy signal")
-    noise_var = power / 10.0 ** (snr_db / 10.0)
+    noise_var = power / ratio
+    if noise_var == math.inf:
+        raise ValidationError(f"snr_db {snr_db} is out of range: the noise variance overflows")
     rng = seeded_rng(rng_seed)
     out = np.empty(len(signal), dtype=np.complex128)
     out.real = rng.standard_normal(len(signal))

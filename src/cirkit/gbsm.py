@@ -9,8 +9,7 @@ grid.
 
 Datasets and simulated PDPs draw from counter-based Philox streams keyed
 by (root seed, stream): snapshot i owns a fixed run of uniform words, so
-the output is bit-identical however the work is split into blocks. The
-single-row public functions read a row from ``default_rng(rng_seed)``.
+the output is bit-identical however the work is split into blocks.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from .analysis import (
     discrete_delay_spread,
     normalize_pdp,
 )
+from .channel_apply import check_seed
 from .errors import ValidationError
-from .sounder import ChannelImpulseResponse, _map_chunks
+from .sounder import _map_chunks
 
 DEFAULT_R_TAU = 2.3
 DEFAULT_SHADOWING_DB = 3.0
@@ -55,10 +55,6 @@ LARGE_SCALE = slice(0, 2)
 # kernel, (rows, paths, 16) floats, stays near 200 KB
 _RENDER_ROWS = 64
 
-ENFORCEMENT_EXACT = "exact"
-ENFORCEMENT_SINGLE_CLUSTER = "skipped-single-cluster"
-ENFORCEMENT_RELAXED_FIXED = "relaxed-fixed-delays"
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -66,8 +62,9 @@ class ScenarioConfig:
 
     ``ds_sigma_log10`` is the standard deviation of log10(DS/1s);
     ``kf_sigma_db`` the standard deviation of the K-factor in dB (normal in
-    dB is log-normal in linear). ``fixed_clusters`` holds user-pinned
-    (delay_s, relative_power_linear) pairs for known real-world scatterers.
+    dB is log-normal in linear). ``fixed_clusters`` holds
+    (delay_s, relative_power_linear) pairs that join every draw's stochastic
+    clusters; the delay-spread rescaling scales their delays with the rest.
     """
 
     label: str
@@ -147,69 +144,6 @@ PRESETS: dict[str, ScenarioConfig] = {
 }
 
 
-@dataclass(frozen=True)
-class Cluster:
-    delay_s: float
-    power_linear: float
-    fixed: bool
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """Discrete scatterer set: (delay, power) clusters plus a LOS component.
-
-    Total power (clusters plus LOS) is 1. ``ds_enforcement`` records whether
-    the delay-spread rescaling ran exactly, was skipped for a single-cluster
-    set, or was relaxed because fixed-cluster delays were preserved.
-    """
-
-    clusters: tuple[Cluster, ...]
-    los_power_linear: float
-    ds_enforcement: str = ENFORCEMENT_EXACT
-
-    def __post_init__(self):
-        if not self.clusters:
-            raise ValidationError("cluster set must contain at least one cluster")
-        if self.los_power_linear < 0:
-            raise ValidationError("LOS power must be >= 0")
-        for c in self.clusters:
-            if c.delay_s < 0 or c.power_linear <= 0:
-                raise ValidationError("clusters need delay >= 0 and power > 0")
-        total = sum(c.power_linear for c in self.clusters) + self.los_power_linear
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"cluster set power sums to {total}, expected 1")
-
-    @property
-    def delays(self) -> np.ndarray:
-        return np.array([c.delay_s for c in self.clusters])
-
-    @property
-    def powers(self) -> np.ndarray:
-        return np.array([c.power_linear for c in self.clusters])
-
-    def rms_delay_spread(self) -> float:
-        """Exact RMS delay spread of the discrete set including the LOS term."""
-        delays = np.append(self.delays, 0.0)
-        powers = np.append(self.powers, self.los_power_linear)
-        return float(discrete_delay_spread(delays, powers))
-
-
-def check_seed(seed) -> int:
-    """``seed`` as an int in [0, 2**64): a root seed is the first Philox key word."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
-
-
-def seeded_rng(rng_seed) -> np.random.Generator:
-    """``np.random.default_rng(rng_seed)`` for the single-row functions: an
-    integer seed must pass ``check_seed``; a ``np.random.SeedSequence`` is
-    taken as it is."""
-    if isinstance(rng_seed, (int, np.integer)):
-        rng_seed = check_seed(rng_seed)
-    return np.random.default_rng(rng_seed)
-
-
 def _layout(config: ScenarioConfig) -> tuple[int, slice, slice]:
     """(width, cluster words, phase words) of a snapshot's row of uniform
     words: the ``LARGE_SCALE`` pair, a delay word per stochastic cluster,
@@ -271,54 +205,30 @@ def _large_scale(words: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray,
     return ds, config.kf_median_db + config.kf_sigma_db * z[:, 1]
 
 
-def draw_large_scale(config: ScenarioConfig, rng_seed) -> tuple[float, float | None]:
-    """Draw one (delay spread, K-factor) realization from the first row of
-    ``np.random.default_rng(rng_seed)``; see ``_large_scale``."""
-    words = seeded_rng(rng_seed).random((1, _layout(config)[0]))
-    ds, kf = _large_scale(words[:, LARGE_SCALE], config)
-    return float(ds[0]), None if kf is None else float(kf[0])
-
-
-def _preserve_fixed_scale(
-    delays: np.ndarray, powers: np.ndarray, scale_mask: np.ndarray, ds_target: float
-) -> float:
-    """Scale factor for the scalable delays so the set's sigma hits the target.
-
-    sigma^2 is a quadratic in the scale factor, so this solves it in closed
-    form; when the target is below the minimum achievable sigma the vertex
-    (closest achievable) is returned.
-    """
-    w = powers / powers.sum()
-    m1s = float(np.sum(w[scale_mask] * delays[scale_mask]))
-    m2s = float(np.sum(w[scale_mask] * delays[scale_mask] ** 2))
-    m1f = float(np.sum(w[~scale_mask] * delays[~scale_mask]))
-    m2f = float(np.sum(w[~scale_mask] * delays[~scale_mask] ** 2))
-    a = m2s - m1s * m1s
-    b = -2.0 * m1s * m1f
-    c = m2f - m1f * m1f - ds_target * ds_target
-    if a <= 0.0:
-        return 1.0
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return -b / (2.0 * a)
-    return max((-b + math.sqrt(disc)) / (2.0 * a), 0.0)
-
-
 class _ClusterBlock(NamedTuple):
-    """Cluster sets of S snapshots as arrays; row r is one ``ClusterSet``."""
+    """Cluster sets of S snapshots as arrays: row r holds snapshot r's
+    clusters in delay order and its LOS power, which sits at delay 0."""
 
     delays: np.ndarray  # (S, K) seconds
     powers: np.ndarray  # (S, K)
-    fixed: np.ndarray  # (S, K) bool
     los: np.ndarray  # (S,)
-    enforcement: str
 
 
 def _draw_clusters(
-    ds: np.ndarray, los: np.ndarray, words: np.ndarray, config: ScenarioConfig, preserve: bool
+    ds: np.ndarray, los: np.ndarray, words: np.ndarray, config: ScenarioConfig
 ) -> _ClusterBlock:
-    """``generate_clusters`` for S rows from their (S, C) cluster words: a
-    delay uniform per stochastic cluster, then its shadowing by Box-Muller."""
+    """Cluster delay lines of S rows with (S,) delay spreads and LOS powers
+    from their (S, C) cluster words: a delay word per stochastic cluster,
+    then its shadowing by Box-Muller.
+
+    Stochastic delays are drawn exponentially with proportionality factor
+    r_tau, sorted and shifted to start at 0; powers decay exponentially in
+    delay with log-normal per-cluster shadowing. Fixed clusters enter
+    verbatim. The cluster powers are scaled to 1 less the LOS power, and
+    then every delay, fixed ones included, is rescaled by one factor so the
+    exact RMS delay spread of the row's discrete set, LOS term included,
+    equals its DS. A single-cluster set has no spread to rescale.
+    """
     rows = ds.size
     n_stoch = config.num_clusters - len(config.fixed_clusters)
     u = words[:, :n_stoch]  # 1-u is uniform on (0, 1]
@@ -334,128 +244,65 @@ def _draw_clusters(
     fixed_weights = [p for _, p in config.fixed_clusters]
     delays = np.concatenate([stoch_delays, np.tile(fixed_delays, (rows, 1))], axis=1)
     weights = np.concatenate([stoch_weights, np.tile(fixed_weights, (rows, 1))], axis=1)
-    fixed = np.zeros(delays.shape, dtype=bool)
-    fixed[:, n_stoch:] = True
     order = np.argsort(delays, axis=-1, kind="stable")
     delays = np.take_along_axis(delays, order, axis=-1)
     weights = np.take_along_axis(weights, order, axis=-1)
-    fixed = np.take_along_axis(fixed, order, axis=-1)
     powers = weights / weights.sum(axis=-1, keepdims=True) * (1.0 - los)[:, None]
 
     if config.num_clusters == 1:
-        return _ClusterBlock(delays, powers, fixed, los, ENFORCEMENT_SINGLE_CLUSTER)
+        return _ClusterBlock(delays, powers, los)
     all_delays = np.concatenate([delays, np.zeros((rows, 1))], axis=1)
     all_powers = np.concatenate([powers, los[:, None]], axis=1)
     sigma = discrete_delay_spread(all_delays, all_powers)
     if np.any(sigma == 0.0):
         raise ValidationError("degenerate cluster set (all delays equal); cannot scale")
-    if preserve and config.fixed_clusters:
-        for row in range(rows):
-            scale_mask = np.append(~fixed[row], False)
-            alpha = _preserve_fixed_scale(all_delays[row], all_powers[row], scale_mask, ds[row])
-            delays[row] = np.where(fixed[row], delays[row], delays[row] * alpha)
-        return _ClusterBlock(delays, powers, fixed, los, ENFORCEMENT_RELAXED_FIXED)
-    delays = delays * (ds / sigma)[:, None]
-    return _ClusterBlock(delays, powers, fixed, los, ENFORCEMENT_EXACT)
-
-
-def _cluster_block(
-    ds: np.ndarray, kf, draw, config: ScenarioConfig, preserve: bool = False, name_row=None
-) -> _ClusterBlock:
-    """Cluster sets of S snapshots with (S,) DS and K-factors in dB (None for
-    NLOS) from ``draw(attempt)``, the (S, C) cluster words of draw number
-    ``attempt``. A row whose largest delay does not fit the CIR span is drawn
-    again from the next draw, keeping its DS and K-factor, up to
-    ``MAX_CLUSTER_DRAWS`` draws in all; other rows are untouched. The
-    error raised when draws run out names the row by ``name_row(row)``,
-    when given.
-    """
-    if np.any(ds <= 0):
-        raise ValidationError("ds_s must be > 0")
-    los = np.zeros(ds.size)
-    if kf is not None:
-        k_linear = 10.0 ** (kf / 10.0)
-        los = k_linear / (k_linear + 1.0)
-    span = config.cir_length_taps / config.sample_rate_hz
-
-    block = _draw_clusters(ds, los, draw(0), config, preserve)
-    over = np.nonzero(block.delays.max(axis=-1) >= span)[0]
-    for attempt in range(1, MAX_CLUSTER_DRAWS):
-        if over.size == 0:
-            break
-        redo = _draw_clusters(ds[over], los[over], draw(attempt)[over], config, preserve)
-        block.delays[over] = redo.delays
-        block.powers[over] = redo.powers
-        block.fixed[over] = redo.fixed
-        over = over[redo.delays.max(axis=-1) >= span]
-    if over.size:
-        where = f"config {config.label!r}"
-        if name_row is not None:
-            where += f", {name_row(int(over[0]))}"
-        raise ValidationError(
-            f"{where}: cluster delays overflow the {span} s CIR span in {MAX_CLUSTER_DRAWS} draws"
-        )
-    return block
+    return _ClusterBlock(delays * (ds / sigma)[:, None], powers, los)
 
 
 def _stream_block(
     config: ScenarioConfig, root: int, stream: int, start: int, rows: int
 ) -> tuple[np.ndarray, _ClusterBlock]:
     """Phase words and cluster sets of rows ``start`` to ``start + rows - 1``
-    of the (root, stream) stream. Draw ``attempt`` of a row that overflows
-    the CIR span reads the same row of the (root, stream, attempt) stream.
-    The error raised when no draw fits names a dataset row as its snapshot
-    and ``simulate_pdp``'s one row by its seed."""
+    of the (root, stream) stream.
+
+    A row's DS and K-factor come from its ``LARGE_SCALE`` words; for LOS
+    configs the LOS power is K/(K+1). Its clusters come from its cluster
+    words. A row whose largest delay does not fit the CIR span is drawn
+    again, keeping its DS and K-factor, from the same row of the (root,
+    stream, attempt) stream, up to ``MAX_CLUSTER_DRAWS`` draws in all;
+    other rows are untouched. The error raised when no draw fits names a
+    dataset row as its snapshot and ``simulate_pdp``'s one row by its seed.
+    """
     width, clusters, phases = _layout(config)
     words = _stream_words(root, stream, start, rows, width)
     ds, kf = _large_scale(words[:, LARGE_SCALE], config)
+    if np.any(ds <= 0):
+        raise ValidationError(f"config {config.label!r}: a drawn delay spread is not > 0")
+    los = np.zeros(rows)
+    if kf is not None:
+        k_linear = 10.0 ** (kf / 10.0)
+        los = k_linear / (k_linear + 1.0)
+    span = config.cir_length_taps / config.sample_rate_hz
 
-    def draw(attempt: int) -> np.ndarray:
-        again = _stream_words(root, stream, start, rows, width, attempt) if attempt else words
-        return again[:, clusters]
-
-    def name_row(row: int) -> str:
-        if stream == DATASET_STREAM:
-            return f"snapshot {start + row}"
-        return f"cluster set of simulate seed {root}"
-
-    return words[:, phases], _cluster_block(ds, kf, draw, config, name_row=name_row)
-
-
-def generate_clusters(
-    ds_s: float, kf_db: float | None, config: ScenarioConfig, rng_seed, preserve_fixed_delays=False
-) -> ClusterSet:
-    """Synthesize one cluster delay line with the requested delay spread.
-
-    Stochastic delays are drawn exponentially with proportionality factor
-    r_tau, sorted and shifted to start at 0; powers decay exponentially in
-    delay with log-normal per-cluster shadowing. Fixed clusters enter
-    verbatim. For LOS scenarios the scattered power is scaled to 1/(K+1)
-    and a LOS component of power K/(K+1) sits at delay 0. Finally all
-    delays (stochastic only, when ``preserve_fixed_delays``) are rescaled by
-    one factor so the exact RMS delay spread of the discrete set equals
-    ``ds_s``.
-
-    The delays and shadowing come from the cluster words of the first row
-    of ``np.random.default_rng(rng_seed)``, laid out as a dataset row. The
-    draw is conditioned on fitting the CIR span: when the largest rescaled
-    delay is at or past ``cir_length_taps / sample_rate_hz``, they are drawn
-    again (same DS and K-factor) from the generator's next row, and
-    ``ValidationError`` is raised after ``MAX_CLUSTER_DRAWS`` draws.
-    """
-    width, cluster_words, _ = _layout(config)
-    rng = seeded_rng(rng_seed)
-
-    def next_row(attempt: int) -> np.ndarray:
-        return rng.random((1, width))[:, cluster_words]
-
-    kf = None if kf_db is None else np.array([float(kf_db)])
-    block = _cluster_block(np.array([float(ds_s)]), kf, next_row, config, preserve_fixed_delays)
-    clusters = tuple(
-        Cluster(float(d), float(p), bool(f))
-        for d, p, f in zip(block.delays[0], block.powers[0], block.fixed[0])
-    )
-    return ClusterSet(clusters, float(block.los[0]), block.enforcement)
+    block = _draw_clusters(ds, los, words[:, clusters], config)
+    over = np.nonzero(block.delays.max(axis=-1) >= span)[0]
+    for attempt in range(1, MAX_CLUSTER_DRAWS):
+        if over.size == 0:
+            break
+        again = _stream_words(root, stream, start, rows, width, attempt)[over, clusters]
+        redo = _draw_clusters(ds[over], los[over], again, config)
+        block.delays[over] = redo.delays
+        block.powers[over] = redo.powers
+        over = over[redo.delays.max(axis=-1) >= span]
+    if over.size:
+        row = f"snapshot {start + int(over[0])}"
+        if stream != DATASET_STREAM:
+            row = f"cluster set of simulate seed {root}"
+        raise ValidationError(
+            f"config {config.label!r}, {row}: cluster delays overflow the {span} s CIR span "
+            f"in {MAX_CLUSTER_DRAWS} draws"
+        )
+    return words[:, phases], block
 
 
 def _kernel(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,7 +347,10 @@ def _render_block(
     dropped. The LOS term, with the real amplitude sqrt(``los_power``)
     ((S,) or (1,)) at delay 0, is added after the clusters when any row has
     one. Each tap sums its contributions in path order, so a row equals
-    adding the paths one by one into a zero CIR.
+    adding the paths one by one into a zero CIR. Boundary clipping and
+    residual tail interference keep a row's energy within about +-0.5 dB of
+    the power sum when clusters sit a few taps apart; clusters sharing taps
+    also interfere row by row, but their phase-averaged power still adds.
     """
     n_taps = config.cir_length_taps
     amplitudes = np.sqrt(powers) * np.exp(1j * (2.0 * np.pi * phase_words))
@@ -523,32 +373,6 @@ def _render_block(
         summed = np.bincount(flat, (values[..., None] * kern).ravel(), rows * width)
         setattr(taps, part, summed.reshape(rows, width)[:, pad : pad + n_taps])
     return taps
-
-
-def synthesize_cir(
-    clusters: ClusterSet, config: ScenarioConfig, rng_seed
-) -> ChannelImpulseResponse:
-    """Render one CIR realization of a cluster set on the sample grid, as a
-    one-row block.
-
-    Each cluster contributes sqrt(power) with an independent uniform phase
-    (the LOS phase is fixed at 0), placed at its fractional delay with the
-    unit-energy windowed-sinc kernel of ``_kernel``: 16 taps of half-width
-    8 around the delay, with taps off the CIR dropped. Boundary clipping
-    and residual tail interference keep the total tap energy within about
-    +-0.5 dB of 1 when clusters sit a few bins apart; clusters sharing bins
-    additionally interfere realization-by-realization (their phase-averaged
-    power still adds exactly, which is what the PDP sees).
-    """
-    fs = config.sample_rate_hz
-    span = config.cir_length_taps / fs
-    max_delay = float(np.max(clusters.delays))
-    if max_delay >= span:
-        raise ValidationError(f"cluster delay {max_delay} s overflows the {span} s CIR span")
-    words = seeded_rng(rng_seed).random((1, len(clusters.clusters)))
-    los = np.array([clusters.los_power_linear])
-    taps = _render_block(clusters.delays[None], clusters.powers, words, los, config)
-    return ChannelImpulseResponse(taps, 1.0 / fs)
 
 
 def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> PowerDelayProfile:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import CHUNK_ROWS, ComparisonReport, PowerDelayProfile
+from .analysis import ComparisonReport, PowerDelayProfile
 from .errors import (
     BadMagicError,
     BadVersionError,
@@ -249,18 +249,6 @@ class IqReader:
         out[done:] = pairs[done:]  # the last pair overlaps its own output: numpy copies it
 
 
-def read_iq(path) -> IqSignal:
-    """Read a whole interleaved float32 IQ file and its metadata sidecar.
-
-    This is ``IqReader`` reading every sample at once; use the reader
-    itself to stream a capture that should not be held in memory.
-    """
-    reader = IqReader(path)
-    samples = reader.read(0, len(reader))
-    samples.setflags(write=False)
-    return IqSignal(samples, reader.sample_rate_hz, reader.center_frequency_hz)
-
-
 def config_to_text(config: ScenarioConfig, comments: tuple[str, ...] = ()) -> str:
     """Serialize a scenario config in canonical key order."""
     pairs = []
@@ -400,14 +388,6 @@ class Dataset:
     @property
     def cir_length_taps(self) -> int:
         return self.snapshots.shape[1]
-
-
-def write_dataset(path, dataset: Dataset) -> None:
-    """Write the CHDS container: fixed header, config blob, float32 payload."""
-    snapshots = dataset.snapshots
-    blocks = (snapshots[i : i + CHUNK_ROWS] for i in range(0, len(snapshots), CHUNK_ROWS))
-    _write_chds(path, dataset.snapshot_count, dataset.cir_length_taps, dataset.sample_rate_hz,
-                dataset.config_text, blocks)
 
 
 def _write_chds(path, count: int, taps: int, sample_rate_hz: float, config_text: str, blocks):

@@ -69,24 +69,6 @@ def zadoff_chu_waveform(
     return SoundingWaveform(zadoff_chu(root, length), repetitions, sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class ChannelImpulseResponse:
-    """A block of CIR snapshots: complex taps on a uniform delay grid.
-
-    ``taps`` has shape ``(snapshots, delay_taps)``; row p is snapshot p.
-    """
-
-    taps: np.ndarray
-    delay_step_s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps", _frozen_complex(self.taps))
-        if self.taps.ndim != 2 or self.taps.size == 0:
-            raise ValidationError("CIR taps must be a non-empty 2-D (snapshots, taps) block")
-        if self.delay_step_s <= 0:
-            raise ValidationError("delay_step_s must be positive")
-
-
 def build_sounding_signal(
     waveform: SoundingWaveform, center_frequency_hz: float = 0.0
 ) -> IqSignal:
@@ -541,44 +523,6 @@ def _smooth_length(size: int) -> int:
         size += 1
 
 
-def estimate_cirs(
-    rx: IqSignal,
-    waveform: SoundingWaveform,
-    regularization: float | None = None,
-    taper_fraction: float = DEFAULT_TAPER_FRACTION,
-) -> ChannelImpulseResponse:
-    """Estimate one CIR per complete sequence period in the capture.
-
-    Each period y is circularly convolved with the kernel
-    g = IDFT(conj(X[k]) W[k] / (|X[k]|^2 + regularization)), X the DFT of the
-    base sequence and W the edge taper (1 without it): the spectral division
-    H = Y conj(X) / (|X|^2 + regularization), tapered, done in the delay
-    domain. The convolution is a linear one of [y, y[:N-1]] with g, through
-    FFTs of the smallest 2^a 3^b 5^c length M >= 2N - 1, since the prime
-    period N itself has no fast transform; see ``_cir_chunks``. The result
-    equals the per-period DFT formula to rounding (within 1e-12 of the peak).
-    ``regularization=None`` selects the default ridge term of 1e-6 times
-    the mean reference spectral power; pass 0 for plain division. Row p of
-    the returned block is period p; if the capture holds fewer complete
-    periods than ``waveform.repetitions`` the block has fewer rows.
-
-    With tapering enabled each CIR is additionally rotated right by a small
-    guard so the taper kernel's two-sided ringing lands at causal delays;
-    downstream normalization re-references delay zero, so only the raw tap
-    indices shift.
-    """
-    n = waveform.period
-    taps = np.empty((len(rx) // n, n), dtype=np.complex128)
-    first = 0
-    for block in _cir_chunks(
-        rx, waveform, regularization, taper_fraction, 0, np.copyto, np.complex128
-    ):
-        taps[first : first + len(block)] = block
-        first += len(block)
-    taps.setflags(write=False)
-    return ChannelImpulseResponse(taps, 1.0 / rx.sample_rate_hz)
-
-
 def estimate_pdp(
     rx,
     waveform: SoundingWaveform,
@@ -586,21 +530,40 @@ def estimate_pdp(
     taper_fraction: float = DEFAULT_TAPER_FRACTION,
     start: int = 0,
 ) -> PowerDelayProfile:
-    """``average_pdp(estimate_cirs(...))`` of the capture from sample
-    ``start`` on, without the CIR block: each chunk of ``CHUNK_ROWS``
-    periods is read, deconvolved and squared, and the squared magnitudes
-    are added into the powers in chunk order, so the memory is a few chunks
-    whatever the capture length. ``rx`` is an ``IqSignal`` or any capture
-    read by range, such as ``mitigate_artifacts``' result for an
-    ``io.IqReader``. The powers equal the two-step result bit for bit.
+    """Estimate one CIR per complete sequence period of the capture from
+    sample ``start`` on, and average their squared magnitudes into a power
+    delay profile. The noise floor is left unset; it is estimated
+    downstream.
+
+    Each period y is circularly convolved with the kernel
+    g = IDFT(conj(X[k]) W[k] / (|X[k]|^2 + regularization)), X the DFT of the
+    base sequence and W the edge taper (1 without it): the spectral division
+    H = Y conj(X) / (|X|^2 + regularization), tapered, done in the delay
+    domain. The convolution is a linear one of [y, y[:N-1]] with g, through
+    FFTs of the smallest 2^a 3^b 5^c length M >= 2N - 1, since the prime
+    period N itself has no fast transform; see ``_cir_chunks``. Each CIR
+    equals the per-period DFT formula to rounding (within 1e-12 of the
+    peak). ``regularization=None`` selects the default ridge term of 1e-6
+    times the mean reference spectral power; pass 0 for plain division.
+    With tapering enabled each CIR is additionally rotated right by a small
+    guard so the taper kernel's two-sided ringing lands at causal delays;
+    downstream normalization re-references delay zero, so only the raw tap
+    indices shift.
+
+    Each chunk of ``CHUNK_ROWS`` periods is read, deconvolved and squared,
+    and the squared magnitudes are added into the powers row after row in
+    chunk order, the order in which ``np.mean(..., axis=0)`` adds up all
+    periods at once. The memory is a few chunks whatever the capture
+    length. ``rx`` is an ``IqSignal`` or any capture read by range, such as
+    ``mitigate_artifacts``' result for an ``io.IqReader``.
     """
-
-    def squared(out, h):
-        np.abs(h, out=out)
-        np.square(out, out=out)
-
-    blocks = _cir_chunks(rx, waveform, regularization, taper_fraction, start, squared, np.float64)
-    return _average_powers(blocks, waveform.period, 1.0 / rx.sample_rate_hz)
+    n = waveform.period
+    power = np.zeros(n)
+    rows = 0
+    for block in _cir_chunks(rx, waveform, regularization, taper_fraction, start):
+        add_rows(power, block)
+        rows += len(block)
+    return PowerDelayProfile(np.arange(n) * (1.0 / rx.sample_rate_hz), power / rows)
 
 
 # periods transformed at once inside a chunk: 64 padded rows of about two
@@ -608,20 +571,21 @@ def estimate_pdp(
 _FFT_ROWS = 64
 
 
-def _cir_chunks(rx, waveform, regularization, taper_fraction, start, finish, dtype):
+def _cir_chunks(rx, waveform, regularization, taper_fraction, start):
     """Deconvolve the complete periods from sample ``start`` on,
-    ``CHUNK_ROWS`` at a time, through ``_map_chunks``.
+    ``CHUNK_ROWS`` at a time, through ``_map_chunks``, and square the
+    CIRs' magnitudes.
 
-    The kernel g of ``estimate_cirs`` is built once per call and rotated
+    The kernel g of ``estimate_pdp`` is built once per call and rotated
     right by the taper guard less one, and G is the DFT of g zero-padded to
     M, the smallest 2^a 3^b 5^c >= 2N - 1. Each period y of N samples is
     written into a row of M as [y, y[:N-1], 0, ...], transformed, multiplied
     by G and transformed back: that is the linear convolution with the
     rotated g, and its columns N-1 to 2N-2 are the period's CIR, already
     rotated by the guard. ``_FFT_ROWS`` periods go through the transforms at
-    once. ``finish(out, h)`` writes each such block of CIRs ``h`` into the
-    matching rows of a chunk's ``(rows, period)`` buffer of ``dtype``; the
-    chunks' buffers are yielded in chunk order.
+    once, and |h|^2 of each such block of CIRs h goes into the matching
+    rows of a chunk's ``(rows, period)`` buffer; the chunks' buffers are
+    yielded in chunk order.
     """
     n = waveform.period
     x_spec = np.fft.fft(waveform.base_sequence)
@@ -662,39 +626,16 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start, finish, dty
             np.fft.fft(z, axis=-1, out=z)
             z *= kernel
             np.fft.ifft(z, axis=-1, out=z)
-            finish(out[lo : lo + len(z)], z[:, n - 1 : 2 * n - 1])
+            squared = out[lo : lo + len(z)]
+            np.abs(z[:, n - 1 : 2 * n - 1], out=squared)
+            np.square(squared, out=squared)
         return out[:rows]
 
     def make_buffers():
         return (
             np.empty((fft_rows, m), dtype=np.complex128),
             np.empty((fft_rows, n), dtype=np.complex128),
-            np.empty((chunk_rows, n), dtype=dtype),
+            np.empty((chunk_rows, n)),
         )
 
     return _map_chunks(deconvolve, range(0, n_periods, CHUNK_ROWS), make_buffers)
-
-
-def average_pdp(cirs: ChannelImpulseResponse) -> PowerDelayProfile:
-    """Average squared CIR magnitudes over the snapshots into a power delay
-    profile. The noise floor is left unset; it is estimated downstream.
-
-    Squared magnitudes are formed ``CHUNK_ROWS`` snapshots at a time and
-    summed row after row, the same sum as ``np.mean(..., axis=0)``.
-    """
-    rows, n = cirs.taps.shape
-    blocks = (
-        np.abs(cirs.taps[first : first + CHUNK_ROWS]) ** 2 for first in range(0, rows, CHUNK_ROWS)
-    )
-    return _average_powers(blocks, n, cirs.delay_step_s)
-
-
-def _average_powers(blocks, n: int, delay_step_s: float) -> PowerDelayProfile:
-    """The mean of the rows of the squared-magnitude ``blocks``, summed row
-    after row into a profile of ``n`` bins."""
-    power = np.zeros(n)
-    rows = 0
-    for block in blocks:
-        add_rows(power, block)
-        rows += len(block)
-    return PowerDelayProfile(np.arange(n) * delay_step_s, power / rows)

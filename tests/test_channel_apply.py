@@ -1,10 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
+from cirkit.cli import main
 from cirkit.errors import ValidationError
 from cirkit.signal import IqSignal
 
@@ -106,10 +108,44 @@ class TestAddAwgn:
         with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             add_awgn(random_signal(np.random.default_rng(9)), 10.0, -1)
 
+    def test_seed_contract(self):
+        # an integer seed must lie in [0, 2**64); a SeedSequence is taken as
+        # it is, and an integer draws what its SeedSequence draws
+        sig = random_signal(np.random.default_rng(10))
+        for bad in (-1, 2**64):
+            with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                add_awgn(sig, 10.0, bad)
+        add_awgn(sig, 10.0, np.random.SeedSequence([4, 2]))
+        add_awgn(sig, 10.0, np.uint64(2**64 - 1))
+        same = add_awgn(sig, 10.0, np.random.SeedSequence(7)).samples
+        assert add_awgn(sig, 10.0, 7).samples.tobytes() == same.tobytes()
+        assert add_awgn(sig, 10.0, 8).samples.tobytes() != same.tobytes()
+
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
     def test_nan_and_negative_infinite_snr_rejected(self, snr_db):
         with pytest.raises(ValidationError, match="snr_db"):
             add_awgn(random_signal(np.random.default_rng(9)), snr_db, 0)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, 3090.0, -4000.0, -3240.0, 1e308, -1e308])
+    def test_snr_without_a_finite_non_zero_ratio_rejected(self, snr_db):
+        # 10^(snr_db / 10) overflows above about 3082 dB and is 0 below
+        # about -3233 dB
+        message = rf"snr_db {re.escape(str(snr_db))} is out of range: 10\^"
+        with pytest.raises(ValidationError, match=message):
+            add_awgn(random_signal(np.random.default_rng(9)), snr_db, 0)
+
+    def test_snr_whose_noise_variance_overflows_rejected(self):
+        # a subnormal ratio, 1e-320, divides the signal power past the
+        # largest double
+        with pytest.raises(ValidationError, match="noise variance overflows"):
+            add_awgn(random_signal(np.random.default_rng(9)), -3200.0, 0)
+
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_extreme_snr_fails_by_name_in_loopback(self, snr_db, capsys):
+        argv = ["loopback", "--channel-spec", "0,1", "--repetitions", "5", f"--snr-db={snr_db}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"apply-channel: snr_db {float(snr_db)} is out of range" in err
 
 
 def old_apply_channel(tx, taps):
@@ -135,7 +171,7 @@ def test_in_place_spectra_and_noise_keep_the_bytes():
         taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
         out = apply_channel(sig, SyntheticChannel(taps)).samples
         assert out.tobytes() == old_apply_channel(sig, taps).tobytes()
-        for snr_db, seed in ((20.0, 3), (-5.0, 2**63)):
+        for snr_db, seed in ((20.0, 3), (-5.0, 2**63), (3080.0, 1), (-3000.0, 5)):
             noisy = add_awgn(sig, snr_db, seed).samples
             assert noisy.tobytes() == old_add_awgn(sig, snr_db, seed).tobytes()
 

@@ -31,9 +31,9 @@ class TestGenerateSounding:
     def test_defaults_write_tiled_waveform(self, tmp_path, capsys):
         out = tmp_path / "tx.iq"
         assert main(["generate-sounding", "--out", str(out)]) == 0
-        sig = io.read_iq(out)
-        assert len(sig) == 3 * 353
-        assert sig.sample_rate_hz == 25.6e6
+        capture = io.IqReader(out)
+        assert len(capture) == 3 * 353
+        assert capture.sample_rate_hz == 25.6e6
 
     def test_non_prime_length_fails_with_message(self, tmp_path, capsys):
         rc = main(["generate-sounding", "--zc-length", "354", "--out", str(tmp_path / "x.iq")])
@@ -46,7 +46,7 @@ class TestGenerateSounding:
         captured = capsys.readouterr()
         assert rc == 0
         assert "degenerate" in captured.err
-        assert len(io.read_iq(out)) == 353
+        assert len(io.IqReader(out)) == 353
 
 
 class TestEstimate:

@@ -8,22 +8,16 @@ import numpy as np
 import pytest
 
 from cirkit import __about__, gbsm
-from cirkit.analysis import extract_parameters
+from cirkit.analysis import PowerDelayProfile, extract_parameters
 from cirkit.errors import ValidationError
 from cirkit.gbsm import (
     PRESETS,
-    Cluster,
-    ClusterSet,
     ScenarioConfig,
     config_from_parameters,
-    draw_large_scale,
-    generate_clusters,
     generate_dataset,
     simulate_pdp,
-    synthesize_cir,
 )
 from cirkit.io import read_dataset
-from cirkit.sounder import ChannelImpulseResponse, average_pdp
 
 NS = 1e-9
 URBAN_NLOS = PRESETS["urban-nlos"]
@@ -36,6 +30,44 @@ def cluster_sigma(delays, powers):
     m1 = sum(p * t for p, t in zip(powers, delays)) / total
     m2 = sum(p * t * t for p, t in zip(powers, delays)) / total
     return np.sqrt(max(m2 - m1 * m1, 0.0))
+
+
+def large_scale(config, rows, seed=0):
+    """(DS, K-factor in dB or None) of the first ``rows`` rows of the
+    dataset stream of ``seed``."""
+    width, _, _ = gbsm._layout(config)
+    words = gbsm._stream_words(seed, gbsm.DATASET_STREAM, 0, rows, width)
+    return gbsm._large_scale(words[:, gbsm.LARGE_SCALE], config)
+
+
+def stream_clusters(config, rows, seed=0):
+    """(DS, K-factor in dB or None, cluster block) of the first ``rows``
+    rows of the dataset stream of ``seed``, as ``generate_dataset`` draws
+    them."""
+    _, block = gbsm._stream_block(config, seed, gbsm.DATASET_STREAM, 0, rows)
+    return *large_scale(config, rows, seed), block
+
+
+def fixed_pair(delays, powers):
+    """(i, j) of the only two clusters whose delays relate as 90 ns to
+    200 ns and whose powers relate as 0.1 to 0.3: the fixed clusters of
+    ``FIXED_PAIR`` after the delay-spread rescaling."""
+    same_scale = np.isclose(delays[None, :], delays[:, None] * (200 / 90), rtol=1e-12, atol=0.0)
+    same_scale &= delays[:, None] > 0.0
+    [(i, j)] = [(i, j) for i, j in zip(*np.nonzero(same_scale))
+                if powers[j] / powers[i] == pytest.approx(3.0, rel=1e-12)]
+    return i, j
+
+
+def render(pairs, phase_words):
+    """One ``URBAN_NLOS`` CIR of the (delay_s, power) ``pairs`` and their
+    phase words, without a LOS term."""
+    delays, powers = np.array(pairs, dtype=float).T
+    return gbsm._render_block(delays[None], powers[None], np.reshape(phase_words, (1, -1)),
+                              np.zeros(1), URBAN_NLOS)[0]
+
+
+FIXED_PAIR = dataclasses.replace(URBAN_NLOS, fixed_clusters=((200 * NS, 0.3), (90 * NS, 0.1)))
 
 
 class TestScenarioConfig:
@@ -144,113 +176,92 @@ class TestConfigFromParameters:
 
 
 class TestDrawLargeScale:
+    """The DS and K-factor of each dataset-stream row (``gbsm._large_scale``)."""
+
     def test_degenerate_spread_returns_medians(self):
-        ds, kf = draw_large_scale(URBAN_LOS, 0)
-        assert ds == pytest.approx(URBAN_LOS.ds_median_s, rel=1e-12)
-        assert kf == pytest.approx(13.0, abs=1e-12)
+        ds, kf = large_scale(URBAN_LOS, 20)
+        np.testing.assert_allclose(ds, URBAN_LOS.ds_median_s, rtol=1e-12)
+        np.testing.assert_allclose(kf, 13.0, rtol=0.0, atol=1e-12)
 
     def test_nlos_kf_always_absent(self):
         for seed in range(20):
-            _, kf = draw_large_scale(URBAN_NLOS, seed)
+            _, kf = large_scale(URBAN_NLOS, 1, seed)
             assert kf is None
+        _, _, block = stream_clusters(URBAN_NLOS, 20)
+        assert not np.any(block.los)
 
     def test_median_of_lognormal_draws(self):
         config = dataclasses.replace(URBAN_NLOS, ds_sigma_log10=0.2)
-        rng_draws = [
-            draw_large_scale(config, np.random.SeedSequence([0, i]))[0] for i in range(10_000)
-        ]
-        median = float(np.median(rng_draws))
+        median = float(np.median(large_scale(config, 10_000)[0]))
         assert abs(median - 125 * NS) / (125 * NS) < 0.05
 
 
 class TestGenerateClusters:
+    """The cluster sets of dataset-stream rows (``gbsm._stream_block``)."""
+
     def test_power_sums_to_one(self):
-        for seed in range(50):
-            cs = generate_clusters(125 * NS, None, URBAN_NLOS, seed)
-            total = sum(c.power_linear for c in cs.clusters) + cs.los_power_linear
-            assert abs(total - 1.0) < 1e-12
+        _, _, block = stream_clusters(URBAN_NLOS, 50)
+        assert np.all(np.abs(block.powers.sum(axis=1) + block.los - 1.0) < 1e-12)
 
     def test_ds_enforced_exactly(self):
-        for seed in range(50):
-            cs = generate_clusters(125 * NS, None, URBAN_NLOS, seed)
-            sigma = cluster_sigma(
-                list(cs.delays) + [0.0], list(cs.powers) + [cs.los_power_linear]
-            )
+        ds, _, block = stream_clusters(URBAN_NLOS, 50)
+        for target, delays, powers, los in zip(ds, block.delays, block.powers, block.los):
+            sigma = cluster_sigma(list(delays) + [0.0], list(powers) + [los])
+            assert abs(sigma - target) / target < 1e-9
             assert abs(sigma - 125 * NS) / (125 * NS) < 1e-9
-            assert cs.ds_enforcement == gbsm.ENFORCEMENT_EXACT
 
     def test_los_ratio_identity(self):
-        cs = generate_clusters(45 * NS, 13.0, URBAN_LOS, 7)
-        scattered = sum(c.power_linear for c in cs.clusters)
-        assert cs.los_power_linear / scattered == pytest.approx(10 ** 1.3, rel=1e-12)
+        _, _, block = stream_clusters(URBAN_LOS, 20, seed=7)
+        scattered = block.powers.sum(axis=1)
+        np.testing.assert_allclose(block.los / scattered, 10**1.3, rtol=1e-12)
 
     def test_single_cluster_marker(self):
+        # a single-cluster set has no spread to rescale: its one cluster
+        # sits at delay 0 with all the power
         config = dataclasses.replace(URBAN_NLOS, num_clusters=1)
-        cs = generate_clusters(125 * NS, None, config, 3)
-        assert cs.ds_enforcement == gbsm.ENFORCEMENT_SINGLE_CLUSTER
-        assert len(cs.clusters) == 1
-        assert cs.clusters[0].delay_s == 0.0
-        assert cs.clusters[0].power_linear == pytest.approx(1.0)
-        assert cs.rms_delay_spread() == 0.0
+        _, _, block = stream_clusters(config, 20, seed=3)
+        assert block.delays.shape == (20, 1)
+        assert not np.any(block.delays)
+        np.testing.assert_allclose(block.powers, 1.0, rtol=1e-15)
 
     def test_minimum_delay_is_zero(self):
-        cs = generate_clusters(125 * NS, None, URBAN_NLOS, 11)
-        assert min(c.delay_s for c in cs.clusters) == 0.0
+        _, _, block = stream_clusters(URBAN_NLOS, 50, seed=11)
+        assert np.all(block.delays.min(axis=1) == 0.0)
 
     def test_monotone_powers_without_shadowing(self):
         config = dataclasses.replace(URBAN_NLOS, per_cluster_shadowing_db=0.0)
-        for seed in range(20):
-            cs = generate_clusters(125 * NS, None, config, seed)
-            powers = [c.power_linear for c in cs.clusters]
-            assert all(a >= b for a, b in zip(powers, powers[1:]))
+        _, _, block = stream_clusters(config, 20)
+        assert np.all(np.diff(block.powers, axis=1) <= 0.0)
 
     def test_fixed_clusters_scale_in_exact_mode(self):
-        config = dataclasses.replace(
-            URBAN_NLOS, fixed_clusters=((200 * NS, 0.3), (90 * NS, 0.1))
-        )
-        cs = generate_clusters(125 * NS, None, config, 5)
-        assert cs.ds_enforcement == gbsm.ENFORCEMENT_EXACT
-        assert abs(cs.rms_delay_spread() - 125 * NS) / (125 * NS) < 1e-9
-
-    def test_preserve_fixed_delays(self):
-        config = dataclasses.replace(
-            URBAN_NLOS, fixed_clusters=((200 * NS, 0.3), (90 * NS, 0.1))
-        )
-        for seed in range(20):
-            cs = generate_clusters(125 * NS, None, config, seed, preserve_fixed_delays=True)
-            assert cs.ds_enforcement == gbsm.ENFORCEMENT_RELAXED_FIXED
-            fixed = sorted(c.delay_s for c in cs.clusters if c.fixed)
-            assert fixed == pytest.approx([90 * NS, 200 * NS], rel=1e-12)
-            assert abs(cs.rms_delay_spread() - 125 * NS) / (125 * NS) < 0.05
+        # the rescaling to the exact DS moves the fixed clusters with the
+        # stochastic ones: their delays keep their ratio, not their values
+        ds, _, block = stream_clusters(FIXED_PAIR, 20, seed=5)
+        for target, delays, powers in zip(ds, block.delays, block.powers):
+            assert abs(cluster_sigma(delays, powers) - target) / target < 1e-9
+            i, j = fixed_pair(delays, powers)
+            assert delays[i] != pytest.approx(90 * NS, rel=1e-3)
 
     def test_fixed_power_ratio_preserved(self):
-        config = dataclasses.replace(
-            URBAN_NLOS, fixed_clusters=((200 * NS, 0.3), (90 * NS, 0.1))
-        )
-        cs = generate_clusters(125 * NS, None, config, 5)
-        fixed = sorted(
-            ((c.delay_s, c.power_linear) for c in cs.clusters if c.fixed),
-            key=lambda item: item[0],
-        )
-        assert fixed[1][1] / fixed[0][1] == pytest.approx(3.0, rel=1e-12)
+        _, _, block = stream_clusters(FIXED_PAIR, 20, seed=5)
+        for delays, powers in zip(block.delays, block.powers):
+            i, j = fixed_pair(delays, powers)
+            assert powers[j] / powers[i] == pytest.approx(3.0, rel=1e-12)
 
     def test_all_zero_delays_rejected(self):
         config = dataclasses.replace(
             URBAN_NLOS, num_clusters=2, fixed_clusters=((0.0, 1.0), (0.0, 2.0))
         )
         with pytest.raises(ValidationError, match="degenerate"):
-            generate_clusters(125 * NS, None, config, 0)
+            generate_dataset(config, 1, 0)
 
 
 class TestSynthesizeCir:
-    def _manual_set(self, pairs, los=0.0):
-        clusters = tuple(Cluster(d, p, False) for d, p in pairs)
-        return ClusterSet(clusters, los, gbsm.ENFORCEMENT_EXACT)
+    """Hand-made cluster sets rendered by ``gbsm._render_block``."""
 
     def test_integer_delay_is_kernel_identity(self):
         step = 1.0 / URBAN_NLOS.sample_rate_hz
-        cs = self._manual_set([(40 * step, 1.0)])
-        [taps] = synthesize_cir(cs, URBAN_NLOS, 0).taps
+        taps = render([(40 * step, 1.0)], [0.0])
         assert abs(abs(taps[40]) - 1.0) < 1e-6
         assert np.max(np.abs(np.delete(taps, 40))) < 1e-3
 
@@ -266,42 +277,45 @@ class TestSynthesizeCir:
             delays = (bins - bins[0] + frac - frac[0]) * step
             raw = rng.uniform(0.2, 1.0, 8)
             powers = raw / raw.sum()
-            cs = self._manual_set(list(zip(delays, powers)))
-            cir = synthesize_cir(cs, URBAN_NLOS, np.random.SeedSequence([seed, 2]))
-            energies.append(float(np.sum(np.abs(cir.taps) ** 2)))
+            phases = np.random.default_rng(np.random.SeedSequence([seed, 2])).random(8)
+            taps = render(list(zip(delays, powers)), phases)
+            energies.append(float(np.sum(np.abs(taps) ** 2)))
         assert min(energies) >= 0.89
         assert max(energies) <= 1.12
 
     def test_two_cluster_sigma_on_grid(self):
         step = 1.0 / URBAN_NLOS.sample_rate_hz
-        cs = self._manual_set([(0.0, 0.5), (100 * NS, 0.5)])
-        cir = synthesize_cir(cs, URBAN_NLOS, 1)
-        pdp = average_pdp(cir)
+        taps = render([(0.0, 0.5), (100 * NS, 0.5)], np.random.default_rng(1).random(2))
+        pdp = PowerDelayProfile(np.arange(taps.size) * step, np.abs(taps) ** 2)
         sigma = cluster_sigma(pdp.delays_s, pdp.powers_linear)
         assert abs(sigma - 50 * NS) < 20 * NS
         assert step == pytest.approx(39.0625 * NS)
 
     def test_delay_overflow_rejected(self):
-        cs = self._manual_set([(13.9e-6, 1.0)])
+        # two fixed clusters 1 us apart rescaled to a 10 us DS sit 20 us
+        # apart, past the 13.8 us CIR span, in every draw
+        config = dataclasses.replace(
+            URBAN_NLOS, ds_median_s=10e-6, num_clusters=2, fixed_clusters=((0.0, 1.0), (1e-6, 1.0))
+        )
         with pytest.raises(ValidationError, match="overflow"):
-            synthesize_cir(cs, URBAN_NLOS, 0)
+            generate_dataset(config, 1, 0)
 
     def test_phase_averaging_converges_to_cluster_power(self):
         # two clusters sharing the same bin neighbourhood interfere per
         # realization; the average over phases recovers the power sum
         step = 1.0 / URBAN_NLOS.sample_rate_hz
-        cs = self._manual_set([(20 * step, 0.6), (20.5 * step, 0.4)])
-        acc = np.zeros(URBAN_NLOS.cir_length_taps)
         n = 10_000
-        for i in range(n):
-            cir = synthesize_cir(cs, URBAN_NLOS, np.random.SeedSequence([3, 2, i]))
-            acc += np.abs(cir.taps[0]) ** 2
-        acc /= n
+        phases = np.array([
+            np.random.default_rng(np.random.SeedSequence([3, 2, i])).random(2) for i in range(n)
+        ])
+        taps = gbsm._render_block(np.array([[20 * step, 20.5 * step]]), np.array([[0.6, 0.4]]),
+                                  phases, np.zeros(1), URBAN_NLOS)
+        acc = np.mean(np.abs(taps) ** 2, axis=0)
         # per-cluster contributions rendered in isolation (magnitudes are
         # phase independent for a lone cluster)
-        solo_a = synthesize_cir(self._manual_set([(20 * step, 1.0)]), URBAN_NLOS, 0)
-        solo_b = synthesize_cir(self._manual_set([(20.5 * step, 1.0)]), URBAN_NLOS, 0)
-        expected_bin20 = 0.6 * abs(solo_a.taps[0, 20]) ** 2 + 0.4 * abs(solo_b.taps[0, 20]) ** 2
+        solo_a = render([(20 * step, 1.0)], [0.0])
+        solo_b = render([(20.5 * step, 1.0)], [0.0])
+        expected_bin20 = 0.6 * abs(solo_a[20]) ** 2 + 0.4 * abs(solo_b[20]) ** 2
         assert abs(acc[20] - expected_bin20) / expected_bin20 < 0.05
 
 
@@ -368,8 +382,9 @@ class TestGenerateDataset:
         # median over many snapshots stays near the configured median
         ds = generate_dataset(URBAN_NLOS, 1000, 21)
         values = []
+        delays = np.arange(URBAN_NLOS.cir_length_taps) * (1.0 / URBAN_NLOS.sample_rate_hz)
         for taps in ds.snapshots:
-            pdp = average_pdp(ChannelImpulseResponse([taps], 1.0 / URBAN_NLOS.sample_rate_hz))
+            pdp = PowerDelayProfile(delays, np.abs(taps) ** 2)
             params = extract_parameters(pdp, los_flag=False)
             values.append(params.rms_delay_spread_s)
         median = float(np.median(values))
@@ -456,21 +471,3 @@ def test_check_seed_rejects_out_of_range():
         generate_dataset(URBAN_NLOS, 1, -1)
     with pytest.raises(ValidationError, match="seed"):
         simulate_pdp(URBAN_NLOS, 2**64, 1)
-
-
-def test_single_row_functions_check_integer_seeds():
-    clusters = generate_clusters(50 * NS, None, URBAN_NLOS, 1)
-    calls = {
-        "draw_large_scale": lambda seed: draw_large_scale(URBAN_LOS, seed),
-        "generate_clusters": lambda seed: generate_clusters(50 * NS, None, URBAN_NLOS, seed),
-        "synthesize_cir": lambda seed: synthesize_cir(clusters, URBAN_NLOS, seed),
-    }
-    for name, call in calls.items():
-        for bad in (-1, 2**64):
-            with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
-                call(bad)
-        call(np.random.SeedSequence([4, 2]))  # taken as it is
-        call(np.uint64(2**64 - 1))
-    spread = dataclasses.replace(URBAN_LOS, ds_sigma_log10=0.2, kf_sigma_db=3.0)
-    assert draw_large_scale(spread, 7) == draw_large_scale(spread, np.random.SeedSequence(7))
-    assert draw_large_scale(spread, 7) != draw_large_scale(spread, 8)

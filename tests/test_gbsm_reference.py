@@ -21,11 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cirkit import gbsm, io
-from cirkit.analysis import DEFAULT_MARGIN_DB, estimate_noise_floor, normalize_pdp
+from cirkit.analysis import (
+    DEFAULT_MARGIN_DB,
+    PowerDelayProfile,
+    estimate_noise_floor,
+    normalize_pdp,
+)
 from cirkit.cli import main
 from cirkit.errors import ValidationError
-from cirkit.gbsm import PRESETS, Cluster, ClusterSet
-from cirkit.sounder import ChannelImpulseResponse, average_pdp
+from cirkit.gbsm import PRESETS
 
 NS = 1e-9
 
@@ -73,7 +77,8 @@ def loop_large_scale(config, row):
     return float(ds), kf
 
 
-def loop_clusters(ds_s, kf_db, config, row, preserve_fixed_delays=False):
+def loop_clusters(ds_s, kf_db, config, row):
+    """(delays, powers, LOS power) of one cluster set drawn from ``row``."""
     _, delay_words, shadowing_words, _ = row_layout(config)
     n_fixed = len(config.fixed_clusters)
     n_stoch = config.num_clusters - n_fixed
@@ -92,52 +97,28 @@ def loop_clusters(ds_s, kf_db, config, row, preserve_fixed_delays=False):
         stoch_weights = np.empty(0)
     delays = np.concatenate([stoch_delays, [d for d, _ in config.fixed_clusters]])
     weights = np.concatenate([stoch_weights, [p for _, p in config.fixed_clusters]])
-    fixed_mask = np.zeros(delays.size, dtype=bool)
-    fixed_mask[n_stoch:] = True
     order = np.argsort(delays, kind="stable")
-    delays, weights, fixed_mask = delays[order], weights[order], fixed_mask[order]
+    delays, weights = delays[order], weights[order]
     if kf_db is not None:
         k_linear = 10.0 ** (kf_db / 10.0)
         los_power = k_linear / (k_linear + 1.0)
     else:
         los_power = 0.0
     powers = weights / weights.sum() * (1.0 - los_power)
-    all_delays = np.append(delays, 0.0)
-    all_powers = np.append(powers, los_power)
-    enforcement = gbsm.ENFORCEMENT_EXACT
-    if config.num_clusters == 1:
-        enforcement = gbsm.ENFORCEMENT_SINGLE_CLUSTER
-    else:
-        sigma = loop_sigma(all_delays, all_powers)
-        if preserve_fixed_delays and n_fixed > 0:
-            scale_mask = np.append(~fixed_mask, False)
-            alpha = gbsm._preserve_fixed_scale(all_delays, all_powers, scale_mask, ds_s)
-            delays = np.where(fixed_mask, delays, delays * alpha)
-            enforcement = gbsm.ENFORCEMENT_RELAXED_FIXED
-        else:
-            delays = delays * (ds_s / sigma)
-    clusters = tuple(
-        Cluster(float(d), float(p), bool(f)) for d, p, f in zip(delays, powers, fixed_mask)
-    )
-    return ClusterSet(clusters, float(los_power), enforcement)
+    if config.num_clusters > 1:
+        sigma = loop_sigma(np.append(delays, 0.0), np.append(powers, los_power))
+        delays = delays * (ds_s / sigma)
+    return delays, powers, float(los_power)
 
 
-def loop_fitting_clusters(ds, kf, config, rows, preserve_fixed_delays=False):
+def loop_fitting_clusters(ds, kf, config, rows):
     """The first cluster draw that fits the CIR span; draw a reads ``rows(a)``."""
     span = config.cir_length_taps / config.sample_rate_hz
     for attempt in range(gbsm.MAX_CLUSTER_DRAWS):
-        clusters = loop_clusters(ds, kf, config, rows(attempt), preserve_fixed_delays)
-        if np.max(clusters.delays) < span:
+        clusters = loop_clusters(ds, kf, config, rows(attempt))
+        if np.max(clusters[0]) < span:
             return clusters
     raise ValidationError("no fitting draw")
-
-
-def loop_generate_clusters(ds_s, kf_db, config, rng_seed, preserve_fixed_delays=False):
-    rng = np.random.default_rng(rng_seed)
-    width = row_layout(config)[0]
-    return loop_fitting_clusters(
-        ds_s, kf_db, config, lambda _: rng.random(width), preserve_fixed_delays
-    )
 
 
 SLOTS = np.arange(-8, 8)
@@ -174,6 +155,9 @@ def sinc_kernel(pos):
 
 
 def loop_synthesize_cir(clusters, config, phases, kernel=loop_kernel):
+    """One CIR of the (delays, powers, LOS power) ``clusters``, cluster k
+    at phase ``phases[k]`` in radians."""
+    delays, powers, los_power = clusters
     fs = config.sample_rate_hz
     n_taps = config.cir_length_taps
     taps = np.zeros(n_taps, dtype=np.complex128)
@@ -183,11 +167,11 @@ def loop_synthesize_cir(clusters, config, phases, kernel=loop_kernel):
         valid = (idx >= 0) & (idx < n_taps)
         taps[idx[valid]] += amplitude * kern[valid]
 
-    for cluster, phase in zip(clusters.clusters, phases):
-        place(math.sqrt(cluster.power_linear) * np.exp(1j * phase), cluster.delay_s)
-    if clusters.los_power_linear > 0.0:
-        place(math.sqrt(clusters.los_power_linear), 0.0)
-    return ChannelImpulseResponse([taps], 1.0 / fs)
+    for delay_s, power, phase in zip(delays, powers, phases):
+        place(math.sqrt(power) * np.exp(1j * phase), delay_s)
+    if los_power > 0.0:
+        place(math.sqrt(los_power), 0.0)
+    return taps
 
 
 def loop_stream_clusters(config, root, stream, index):
@@ -204,7 +188,7 @@ def loop_phases(config, root, stream, index):
 def loop_snapshot(config, root, index, kernel=loop_kernel):
     clusters = loop_stream_clusters(config, root, gbsm.DATASET_STREAM, index)
     phases = loop_phases(config, root, gbsm.DATASET_STREAM, index)
-    return loop_synthesize_cir(clusters, config, phases, kernel).taps[0]
+    return loop_synthesize_cir(clusters, config, phases, kernel)
 
 
 def loop_generate_dataset(config, count, root, kernel=loop_kernel):
@@ -214,11 +198,12 @@ def loop_generate_dataset(config, count, root, kernel=loop_kernel):
 def loop_simulate_pdp(config, root, n_realizations):
     stream = gbsm.SIMULATE_STREAM
     clusters = loop_stream_clusters(config, root, stream, 0)
-    taps = [
-        loop_synthesize_cir(clusters, config, loop_phases(config, root, stream, i)).taps[0]
-        for i in range(n_realizations)
-    ]
-    pdp = average_pdp(ChannelImpulseResponse(taps, 1.0 / config.sample_rate_hz))
+    power = np.zeros(config.cir_length_taps)
+    for i in range(n_realizations):
+        phases = loop_phases(config, root, stream, i)
+        power += np.abs(loop_synthesize_cir(clusters, config, phases)) ** 2
+    delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
+    pdp = PowerDelayProfile(delays, power / n_realizations)
     floor = estimate_noise_floor(pdp) if len(pdp) >= 16 else 0.0
     return normalize_pdp(pdp.with_noise_floor(floor), DEFAULT_MARGIN_DB)
 
@@ -271,35 +256,33 @@ def test_simulate_pdp_realizations_cross_chunks():
     assert np.array_equal(batched.powers_linear, loop_simulate_pdp(config, 4, n).powers_linear)
 
 
-@pytest.mark.parametrize("preserve", [False, True])
-def test_generate_clusters_equals_loop_reference(preserve):
-    for name, config in CONFIGS.items():
-        for seed in range(10):
-            ds = config.ds_median_s
-            batched = gbsm.generate_clusters(ds, config.kf_median_db, config, seed, preserve)
-            loop = loop_generate_clusters(ds, config.kf_median_db, config, seed, preserve)
-            assert batched == loop, (name, seed)
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_stream_block_clusters_equal_loop_reference(name):
+    config = CONFIGS[name]
+    for stream in (gbsm.DATASET_STREAM, gbsm.SIMULATE_STREAM):
+        rows = 2 * gbsm.CHUNK_ROWS + 3
+        phases, block = gbsm._stream_block(config, 13, stream, 0, rows)
+        for index in range(rows):
+            delays, powers, los = loop_stream_clusters(config, 13, stream, index)
+            assert np.array_equal(block.delays[index], delays), (stream, index)
+            assert np.array_equal(block.powers[index], powers), (stream, index)
+            assert block.los[index] == los, (stream, index)
+            loop = loop_phases(config, 13, stream, index)
+            assert np.array_equal(2.0 * np.pi * phases[index], loop), (stream, index)
 
 
 def test_synthesize_cir_equals_loop_reference():
-    step = 1.0 / PRESETS["urban-nlos"].sample_rate_hz
+    config = PRESETS["urban-los"]
+    step = 1.0 / config.sample_rate_hz
     # integer, fractional, edge-clipped and LOS positions
-    cs = ClusterSet(
-        (
-            Cluster(0.0, 0.2, False),
-            Cluster(3.25 * step, 0.2, False),
-            Cluster(40 * step, 0.2, False),
-            Cluster(350.5 * step, 0.1, False),
-        ),
-        0.3,
-    )
+    delays = np.array([0.0, 3.25 * step, 40 * step, 350.5 * step])
+    powers = np.array([0.2, 0.2, 0.2, 0.1])
     for seed in range(5):
-        batched = gbsm.synthesize_cir(cs, PRESETS["urban-los"], seed)
-        # the phases are drawn as the 0.1.0 generator drew them
-        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, len(cs.clusters))
-        loop = loop_synthesize_cir(cs, PRESETS["urban-los"], phases)
-        assert np.array_equal(batched.taps, loop.taps)
-        assert batched.taps.shape == (1, PRESETS["urban-los"].cir_length_taps)
+        words = np.random.default_rng(seed).random((1, delays.size))
+        batched = gbsm._render_block(delays[None], powers[None], words, np.array([0.3]), config)
+        loop = loop_synthesize_cir((delays, powers, 0.3), config, 2.0 * np.pi * words[0])
+        assert np.array_equal(batched, loop[None])
+        assert batched.shape == (1, config.cir_length_taps)
 
 
 @st.composite
@@ -364,7 +347,7 @@ def test_span_overflow_redraws_only_that_snapshot(tmp_path):
     span = config.cir_length_taps / config.sample_rate_hz
     row = loop_row(config, 1, gbsm.DATASET_STREAM, 1474)
     ds, kf = loop_large_scale(config, row)
-    assert np.max(loop_clusters(ds, kf, config, row).delays) >= span
+    assert np.max(loop_clusters(ds, kf, config, row)[0]) >= span
 
     batched = gbsm.generate_dataset(config, 2000, 1).snapshots
     assert np.array_equal(batched, loop_generate_dataset(config, 2000, 1))
@@ -379,5 +362,3 @@ def test_span_overflow_gives_up_naming_snapshot_and_config():
     message = rf"^config 'wide', cluster set of simulate seed 5: .* in {gbsm.MAX_CLUSTER_DRAWS} "
     with pytest.raises(ValidationError, match=message):
         gbsm.simulate_pdp(config, 5, 4)
-    with pytest.raises(ValidationError, match=r"^config 'wide': cluster delays overflow"):
-        gbsm.generate_clusters(config.ds_median_s, None, config, 0)

@@ -18,6 +18,19 @@ from cirkit.gbsm import PRESETS
 from cirkit.signal import IqSignal
 
 
+def write_chds(path, dataset):
+    """Write ``dataset`` through the CHDS writer of ``cirkit dataset``."""
+    io._write_chds(path, dataset.snapshot_count, dataset.cir_length_taps,
+                   dataset.sample_rate_hz, dataset.config_text, [dataset.snapshots])
+
+
+def read_whole(path):
+    """Every sample of a capture, read through ``io.IqReader``."""
+    reader = io.IqReader(path)
+    return IqSignal(reader.read(0, len(reader)), reader.sample_rate_hz,
+                    reader.center_frequency_hz)
+
+
 def f32_signal(rng, n=1000, rate=25.6e6):
     """Random signal whose samples are exactly float32 representable."""
     samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
@@ -29,7 +42,7 @@ class TestIq:
         sig = f32_signal(np.random.default_rng(0))
         path = tmp_path / "capture.iq"
         io.write_iq(path, sig)
-        back = io.read_iq(path)
+        back = read_whole(path)
         np.testing.assert_array_equal(back.samples, sig.samples)
         assert back.sample_rate_hz == sig.sample_rate_hz
         assert back.center_frequency_hz == sig.center_frequency_hz
@@ -40,7 +53,7 @@ class TestIq:
         path.with_name(path.name + ".meta").write_text(
             "sample_rate_hz=25600000.0\ncenter_frequency_hz=0.0\n"
         )
-        sig = io.read_iq(path)
+        sig = read_whole(path)
         np.testing.assert_array_equal(sig.samples, [1.0, 1j, -1.0])
 
     def test_odd_float_count_rejected(self, tmp_path):
@@ -50,7 +63,7 @@ class TestIq:
             "sample_rate_hz=1.0\ncenter_frequency_hz=0.0\n"
         )
         with pytest.raises(CorruptFileError, match="odd float count"):
-            io.read_iq(path)
+            io.IqReader(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_sample_named(self, tmp_path, value):
@@ -62,13 +75,13 @@ class TestIq:
             "sample_rate_hz=1.0\ncenter_frequency_hz=0.0\n"
         )
         with pytest.raises(CorruptFileError, match="sample 3 is not finite"):
-            io.read_iq(path)
+            read_whole(path)
 
     def test_missing_sidecar_names_path(self, tmp_path):
         path = tmp_path / "lonely.iq"
         np.array([1, 0], dtype="<f4").tofile(path)
         with pytest.raises(MissingSidecarError, match="lonely.iq.meta"):
-            io.read_iq(path)
+            io.IqReader(path)
 
     def test_numpy_scalar_metadata_round_trips(self, tmp_path):
         path = tmp_path / "np.iq"
@@ -76,7 +89,7 @@ class TestIq:
         assert path.with_name("np.iq.meta").read_text() == (
             "sample_rate_hz=25600000.0\ncenter_frequency_hz=2480000000.0\n"
         )
-        assert io.read_iq(path).sample_rate_hz == 25.6e6
+        assert io.IqReader(path).sample_rate_hz == 25.6e6
 
     def test_rewrites_are_deterministic(self, tmp_path):
         sig = f32_signal(np.random.default_rng(1))
@@ -313,9 +326,8 @@ class TestNonFiniteNumbers:
         meta = path.with_name(path.name + ".meta")
         meta.write_text(replace_value(meta.read_text(), key, value)[0])
         message = rf"bad.iq.meta:{line_no}: bad number for {key}"
-        for parse in (io.read_iq, io.IqReader):
-            with pytest.raises(CorruptFileError, match=message):
-                parse(path)
+        with pytest.raises(CorruptFileError, match=message):
+            io.IqReader(path)
 
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize(
@@ -348,25 +360,25 @@ class TestDataset:
     def test_size_arithmetic(self, tmp_path):
         ds = self._dataset(np.random.default_rng(3), count=1, taps=4)
         path = tmp_path / "tiny.chds"
-        io.write_dataset(path, ds)
+        write_chds(path, ds)
         assert path.stat().st_size == 26 + len(ds.config_text.encode()) + 32
 
     def test_round_trip_bit_identical(self, tmp_path):
         ds = self._dataset(np.random.default_rng(4))
         path = tmp_path / "ds.chds"
-        io.write_dataset(path, ds)
+        write_chds(path, ds)
         back = io.read_dataset(path)
         np.testing.assert_array_equal(back.snapshots, ds.snapshots)
         assert back.sample_rate_hz == ds.sample_rate_hz
         assert back.config_text == ds.config_text
         second = tmp_path / "ds2.chds"
-        io.write_dataset(second, back)
+        write_chds(second, back)
         assert second.read_bytes() == path.read_bytes()
 
     def test_bad_magic_named_error(self, tmp_path):
         ds = self._dataset(np.random.default_rng(5))
         path = tmp_path / "bad.chds"
-        io.write_dataset(path, ds)
+        write_chds(path, ds)
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -376,7 +388,7 @@ class TestDataset:
     def test_bad_version_named_error(self, tmp_path):
         ds = self._dataset(np.random.default_rng(6))
         path = tmp_path / "badv.chds"
-        io.write_dataset(path, ds)
+        write_chds(path, ds)
         raw = bytearray(path.read_bytes())
         raw[4:6] = struct.pack("<H", 9)
         path.write_bytes(bytes(raw))
@@ -386,7 +398,7 @@ class TestDataset:
     def test_truncated_payload_named_error(self, tmp_path):
         ds = self._dataset(np.random.default_rng(7))
         path = tmp_path / "short.chds"
-        io.write_dataset(path, ds)
+        write_chds(path, ds)
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(SizeMismatchError):
@@ -396,7 +408,7 @@ class TestDataset:
     def test_non_finite_header_rate_rejected(self, tmp_path, rate):
         ds = self._dataset(np.random.default_rng(9), count=1, taps=4)
         path = tmp_path / "rate.chds"
-        io.write_dataset(path, ds)
+        write_chds(path, ds)
         raw = bytearray(path.read_bytes())
         raw[14:22] = struct.pack("<d", rate)
         path.write_bytes(bytes(raw))
@@ -412,7 +424,7 @@ class TestDataset:
     def test_blob_length_beyond_file_never_overreads(self, tmp_path):
         ds = self._dataset(np.random.default_rng(8), count=1, taps=4)
         path = tmp_path / "lying.chds"
-        io.write_dataset(path, ds)
+        write_chds(path, ds)
         raw = bytearray(path.read_bytes())
         raw[22:26] = struct.pack("<I", 10**6)  # declared blob far beyond EOF
         path.write_bytes(bytes(raw))
@@ -440,11 +452,11 @@ class TestNonUtf8Text:
         np.array([1, 0], dtype="<f4").tofile(path)
         path.with_name(path.name + ".meta").write_bytes(b"sample_rate_hz=1.0\xff\n")
         with pytest.raises(CorruptFileError, match=r"bad.iq.meta: not UTF-8"):
-            io.read_iq(path)
+            io.IqReader(path)
 
     def test_dataset_config_blob(self, tmp_path):
         path = tmp_path / "bad.chds"
-        io.write_dataset(path, io.Dataset(np.ones((1, 2)), 1.0, "x"))
+        write_chds(path, io.Dataset(np.ones((1, 2)), 1.0, "x"))
         raw = bytearray(path.read_bytes())
         raw[struct.calcsize("<4sHIIdI")] = 0xFF  # the one-byte config blob
         path.write_bytes(bytes(raw))
@@ -507,9 +519,8 @@ class TestIqReader:
         path = tmp_path / "meta.iq"
         np.array([1, 0], dtype="<f4").tofile(path)
         path.with_name(path.name + ".meta").write_text(meta)
-        for parse in (io.IqReader, io.read_iq):
-            with pytest.raises(ValidationError, match=message):
-                parse(path)
+        with pytest.raises(ValidationError, match=message):
+            io.IqReader(path)
 
     def test_empty_file_rejected_at_open(self, tmp_path):
         path = tmp_path / "empty.iq"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from cirkit.channel_apply import SyntheticChannel
 from cirkit.errors import ValidationError
 from cirkit.io import Dataset
 from cirkit.signal import IqSignal, circular_cross_correlate, dft, idft, is_prime, zadoff_chu
-from cirkit.sounder import ChannelImpulseResponse
 
 
 def direct_cross_correlate(a, b):
@@ -44,8 +44,8 @@ class TestIqSignal:
 # each domain type that takes a complex array, and the array it then holds
 HOLDERS = {
     "IqSignal": lambda values: IqSignal(values.ravel(), 1e6).samples,
-    "ChannelImpulseResponse": lambda values: ChannelImpulseResponse(values, 1e-6).taps,
     "Dataset": lambda values: Dataset(values, 1e6, "label=test\n").snapshots,
+    "SyntheticChannel": lambda values: SyntheticChannel(values.ravel()).taps,
 }
 
 

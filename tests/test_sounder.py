@@ -5,11 +5,9 @@ from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.errors import ValidationError
 from cirkit.signal import IqSignal, zadoff_chu
 from cirkit.sounder import (
-    ChannelImpulseResponse,
     SoundingWaveform,
-    average_pdp,
     build_sounding_signal,
-    estimate_cirs,
+    estimate_pdp,
     mitigate_artifacts,
     synchronize,
     zadoff_chu_waveform,
@@ -98,80 +96,84 @@ class TestSynchronize:
 
 
 class TestEstimateCirs:
+    """Per-period deconvolution, seen through ``estimate_pdp``'s average."""
+
     def test_identity_channel(self):
         wf = small_waveform()
         rx = build_sounding_signal(wf)
-        cirs = estimate_cirs(rx, wf, regularization=0.0, taper_fraction=0.0)
-        assert len(cirs.taps) == 3
-        for taps in cirs.taps:
-            assert abs(taps[0] - 1.0) < 1e-9
-            assert np.max(np.abs(taps[1:])) < 1e-9
+        powers = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0).powers_linear
+        assert abs(powers[0] - 1.0) < 1e-9
+        assert np.max(powers[1:]) < 1e-18
 
     def test_two_tap_channel_recovered(self):
         wf = small_waveform()
         tx = build_sounding_signal(wf)
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5]))
-        cirs = estimate_cirs(rx, wf, regularization=0.0, taper_fraction=0.0)
-        for taps in cirs.taps:
-            assert abs(taps[0] - 1.0) < 1e-6
-            assert abs(taps[2] - 0.5) < 1e-6
-            others = np.delete(taps, [0, 2])
-            assert np.max(np.abs(others)) < 1e-6
+        powers = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0).powers_linear
+        assert abs(np.sqrt(powers[0]) - 1.0) < 1e-6
+        assert abs(np.sqrt(powers[2]) - 0.5) < 1e-6
+        others = np.delete(powers, [0, 2])
+        assert np.max(np.sqrt(others)) < 1e-6
 
     def test_matches_spectral_division_formula(self):
         wf = small_waveform(repetitions=1)
         rng = np.random.default_rng(5)
         rx = IqSignal(rng.standard_normal(wf.period) + 1j * rng.standard_normal(wf.period), RATE)
         reg = 0.3
-        [taps] = estimate_cirs(rx, wf, regularization=reg, taper_fraction=0.0).taps
+        powers = estimate_pdp(rx, wf, regularization=reg, taper_fraction=0.0).powers_linear
         x = np.fft.fft(wf.base_sequence)
         expected = np.fft.ifft(np.fft.fft(rx.samples) * np.conj(x) / (np.abs(x) ** 2 + reg))
-        np.testing.assert_allclose(taps, expected, atol=1e-12)
+        # h within 1e-12 of the formula's e puts |h|^2 within
+        # (|e| + 1e-12)^2 - |e|^2 of |e|^2
+        bound = 2e-12 * np.abs(expected) + 1e-24
+        assert np.all(np.abs(powers - np.abs(expected) ** 2) <= bound)
 
     def test_partial_capture_returns_explicit_count(self):
+        # the partial third period is left out: the profile is the mean of
+        # the first two periods' own profiles
         wf = small_waveform(repetitions=3)
         tx = build_sounding_signal(wf)
         rx = IqSignal(tx.samples[: 2 * wf.period + 10], RATE)
-        cirs = estimate_cirs(rx, wf)
-        assert len(cirs.taps) == 2
-        # row p is period p
-        for p in range(2):
-            period = IqSignal(tx.samples[p * wf.period : (p + 1) * wf.period], RATE)
-            np.testing.assert_array_equal(cirs.taps[p], estimate_cirs(period, wf).taps[0])
+        periods = [
+            estimate_pdp(IqSignal(tx.samples[p * wf.period : (p + 1) * wf.period], RATE), wf)
+            for p in range(2)
+        ]
+        expected = (periods[0].powers_linear + periods[1].powers_linear) / 2
+        assert np.array_equal(estimate_pdp(rx, wf).powers_linear, expected)
 
     def test_zero_energy_reference_rejected(self):
         wf = SoundingWaveform(np.zeros(5), 3, RATE)
         rx = IqSignal(np.ones(15), RATE)
         with pytest.raises(ValidationError, match="zero energy"):
-            estimate_cirs(rx, wf)
+            estimate_pdp(rx, wf)
 
     def test_no_complete_period_rejected(self):
         wf = small_waveform()
         with pytest.raises(ValidationError, match="period"):
-            estimate_cirs(IqSignal(np.ones(10), RATE), wf)
+            estimate_pdp(IqSignal(np.ones(10), RATE), wf)
 
     def test_negative_regularization_rejected(self):
         wf = small_waveform()
         rx = build_sounding_signal(wf)
         with pytest.raises(ValidationError):
-            estimate_cirs(rx, wf, regularization=-1.0)
+            estimate_pdp(rx, wf, regularization=-1.0)
 
     def test_nan_regularization_rejected(self):
         wf = small_waveform()
         with pytest.raises(ValidationError, match="regularization must be"):
-            estimate_cirs(build_sounding_signal(wf), wf, regularization=float("nan"))
+            estimate_pdp(build_sounding_signal(wf), wf, regularization=float("nan"))
 
     def test_infinite_regularization_rejected(self):
         wf = small_waveform()
         with pytest.raises(ValidationError, match="regularization must be finite"):
-            estimate_cirs(build_sounding_signal(wf), wf, regularization=float("inf"))
+            estimate_pdp(build_sounding_signal(wf), wf, regularization=float("inf"))
 
     # only exactly 0 turns the taper off
     @pytest.mark.parametrize("taper", [-0.2, -1e-9])
     def test_negative_taper_rejected(self, taper):
         wf = small_waveform()
         with pytest.raises(ValidationError, match="taper fraction must be 0 or lie in"):
-            estimate_cirs(build_sounding_signal(wf), wf, taper_fraction=taper)
+            estimate_pdp(build_sounding_signal(wf), wf, taper_fraction=taper)
 
     def test_linearity_in_capture(self):
         wf = small_waveform()
@@ -179,70 +181,63 @@ class TestEstimateCirs:
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.2j]))
         c = 0.8 - 1.3j
         scaled = IqSignal(c * rx.samples, RATE)
-        base = estimate_cirs(rx, wf, regularization=0.0, taper_fraction=0.0)
-        scaled_cirs = estimate_cirs(scaled, wf, regularization=0.0, taper_fraction=0.0)
-        for lhs, rhs in zip(scaled_cirs.taps, base.taps):
-            np.testing.assert_allclose(lhs, c * rhs, atol=1e-10)
+        base = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0).powers_linear
+        lhs = estimate_pdp(scaled, wf, regularization=0.0, taper_fraction=0.0).powers_linear
+        np.testing.assert_allclose(lhs, abs(c) ** 2 * base, atol=1e-10)
 
     def test_taper_bounds_checked(self):
         wf = small_waveform()
         rx = build_sounding_signal(wf)
         with pytest.raises(ValidationError):
-            estimate_cirs(rx, wf, taper_fraction=0.9)
+            estimate_pdp(rx, wf, taper_fraction=0.9)
 
 
-class TestChannelImpulseResponse:
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(ValidationError):
-            ChannelImpulseResponse([np.ones(4), np.ones(5)], 1 / RATE)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            ChannelImpulseResponse(np.ones((0, 4)), 1 / RATE)
-
-    def test_one_dimensional_rejected(self):
-        with pytest.raises(ValidationError, match="2-D"):
-            ChannelImpulseResponse(np.ones(4), 1 / RATE)
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValidationError, match="positive"):
-            ChannelImpulseResponse(np.ones((1, 4)), 0.0)
-
-    def test_taps_are_a_read_only_copy(self):
-        taps = np.ones((2, 4), dtype=np.complex128)
-        cir = ChannelImpulseResponse(taps, 1 / RATE)
-        taps[0, 0] = 5.0
-        assert cir.taps[0, 0] == 1.0
-        assert not cir.taps.flags.writeable
+def one_tap_periods(delays, gains, wf):
+    """A capture whose period p carries the single path ``gains[p]`` at
+    ``delays[p]`` taps: the base sequence rotated and scaled period by period."""
+    periods = [g * np.roll(wf.base_sequence, d) for d, g in zip(delays, gains)]
+    return IqSignal(np.concatenate(periods), RATE)
 
 
 class TestAveragePdp:
+    """The mean of the periods' squared magnitudes in ``estimate_pdp``."""
+
     def test_single_cir_squared_magnitude(self):
-        cir = ChannelImpulseResponse([[1.0, 0.5j]], 1 / RATE)
-        pdp = average_pdp(cir)
-        np.testing.assert_allclose(pdp.powers_linear, [1.0, 0.25], atol=1e-15)
+        wf = small_waveform(repetitions=1)
+        rx = IqSignal(wf.base_sequence + 0.5j * np.roll(wf.base_sequence, 1), RATE)
+        pdp = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0)
+        np.testing.assert_allclose(pdp.powers_linear[:2], [1.0, 0.25], atol=1e-15)
+        assert np.max(pdp.powers_linear[2:]) < 1e-15
 
     def test_two_cir_mean(self):
-        pdp = average_pdp(ChannelImpulseResponse([[1.0, 0.0], [0.0, 1.0]], 1 / RATE))
-        np.testing.assert_allclose(pdp.powers_linear, [0.5, 0.5], atol=1e-15)
+        wf = small_waveform(repetitions=2)
+        rx = one_tap_periods([0, 1], [1.0, 1.0], wf)
+        pdp = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0)
+        np.testing.assert_allclose(pdp.powers_linear[:2], [0.5, 0.5], atol=1e-15)
+        assert np.max(pdp.powers_linear[2:]) < 1e-15
 
     def test_matches_direct_mean_oracle(self):
         wf = small_waveform()
         tx = build_sounding_signal(wf)
         rx = add_awgn(apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5])), 20.0, 9)
-        cirs = estimate_cirs(rx, wf)
-        pdp = average_pdp(cirs)
+        pdp = estimate_pdp(rx, wf)
+        periods = [
+            estimate_pdp(IqSignal(rx.samples[p * wf.period : (p + 1) * wf.period], RATE), wf)
+            for p in range(wf.repetitions)
+        ]
         expected = [
-            sum(abs(taps[k]) ** 2 for taps in cirs.taps) / len(cirs.taps)
+            sum(period.powers_linear[k] for period in periods) / len(periods)
             for k in range(wf.period)
         ]
         np.testing.assert_allclose(pdp.powers_linear, expected, rtol=1e-12)
 
     def test_permutation_invariant(self):
+        wf = small_waveform(repetitions=4)
         rng = np.random.default_rng(11)
-        rows = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(4)]
-        forward = average_pdp(ChannelImpulseResponse(rows, 1 / RATE))
-        reverse = average_pdp(ChannelImpulseResponse(rows[::-1], 1 / RATE))
+        rows = [rng.standard_normal(wf.period) + 1j * rng.standard_normal(wf.period)
+                for _ in range(4)]
+        forward = estimate_pdp(IqSignal(np.concatenate(rows), RATE), wf)
+        reverse = estimate_pdp(IqSignal(np.concatenate(rows[::-1]), RATE), wf)
         scale = np.max(forward.powers_linear)
         np.testing.assert_allclose(
             forward.powers_linear, reverse.powers_linear, atol=1e-14 * scale
@@ -253,8 +248,7 @@ class TestEndToEnd:
     def test_identity_concentrates_power(self):
         wf = zadoff_chu_waveform()
         rx = build_sounding_signal(wf)
-        cirs = estimate_cirs(rx, wf, regularization=0.0, taper_fraction=0.0)
-        pdp = average_pdp(cirs)
+        pdp = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0)
         assert np.max(pdp.powers_linear) / np.sum(pdp.powers_linear) >= 0.999999
 
     def test_pdp_scales_with_capture_power(self):
@@ -262,10 +256,9 @@ class TestEndToEnd:
         tx = build_sounding_signal(wf)
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5]))
         c = 2.0 - 1.0j
-        pdp = average_pdp(estimate_cirs(rx, wf, regularization=0.0, taper_fraction=0.0))
-        scaled = average_pdp(
-            estimate_cirs(IqSignal(c * rx.samples, RATE), wf, regularization=0.0, taper_fraction=0.0)
-        )
+        pdp = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0)
+        scaled = estimate_pdp(IqSignal(c * rx.samples, RATE), wf, regularization=0.0,
+                              taper_fraction=0.0)
         expected = abs(c) ** 2 * pdp.powers_linear
         np.testing.assert_allclose(
             scaled.powers_linear, expected, atol=1e-12 * np.max(expected)

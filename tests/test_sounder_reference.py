@@ -1,15 +1,15 @@
 """The receive chain against the plain implementations it replaced.
 
 ``loop_estimate_cirs`` deconvolves one period at a time by the formula of
-``sounder.estimate_cirs``: the period, followed by its first N-1 samples,
+``sounder.estimate_pdp``: the period, followed by its first N-1 samples,
 convolved with the guard-rotated kernel through transforms of the padded
 length M. ``dft_estimate_cirs`` is the textbook per-period spectral
-division through DFTs of the period itself. ``reference_mitigate`` cleans a
-capture as ``mitigate_artifacts`` did before it repaired spikes in place:
-the median of a copy of the magnitudes, and interpolation over every good
-sample. The production code must reproduce ``loop_estimate_cirs`` and
-``reference_mitigate`` bit for bit (``np.array_equal``), and come within
-``DFT_TOLERANCE`` of the peak of ``dft_estimate_cirs``.
+division through DFTs of the period itself; the loop's CIRs come within
+``DFT_TOLERANCE`` of its peak. ``reference_mitigate`` cleans a capture as
+``mitigate_artifacts`` did before it repaired spikes in place: the median
+of a copy of the magnitudes, and interpolation over every good sample. The
+production code must reproduce ``reference_mitigate`` and the mean squared
+magnitude of the loop's CIRs bit for bit (``np.array_equal``).
 """
 
 from unittest import mock
@@ -25,9 +25,7 @@ from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.errors import ValidationError
 from cirkit.signal import IqSignal, is_prime
 from cirkit.sounder import (
-    average_pdp,
     build_sounding_signal,
-    estimate_cirs,
     estimate_pdp,
     mitigate_artifacts,
     zadoff_chu_waveform,
@@ -129,12 +127,10 @@ def capture(periods, extra_samples=0, seed=0):
 
 
 def assert_block_equals_loop(rx, waveform, regularization, taper):
-    block = estimate_cirs(rx, waveform, regularization, taper)
+    pdp = estimate_pdp(rx, waveform, regularization, taper)
     rows = loop_estimate_cirs(rx, waveform, regularization, taper)
-    assert block.taps.shape == (len(rows), waveform.period)
-    assert block.delay_step_s == 1.0 / rx.sample_rate_hz
-    assert np.array_equal(block.taps, np.array(rows))
-    assert np.array_equal(average_pdp(block).powers_linear, loop_average_powers(rows))
+    assert np.array_equal(pdp.delays_s, np.arange(waveform.period) * (1.0 / rx.sample_rate_hz))
+    assert np.array_equal(pdp.powers_linear, loop_average_powers(rows))
     assert_near_dft(rows, dft_estimate_cirs(rx, waveform, regularization, taper))
 
 
@@ -149,7 +145,7 @@ def test_block_equals_loop_reference(regularization, taper):
 def test_partial_last_period_equals_loop_reference(taper):
     rx, waveform = capture(periods=7, extra_samples=200, seed=4)
     assert_block_equals_loop(rx, waveform, None, taper)
-    assert estimate_cirs(rx, waveform, None, taper).taps.shape[0] == 7
+    assert len(loop_estimate_cirs(rx, waveform, None, taper)) == 7
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
@@ -208,11 +204,11 @@ def test_any_prime_equals_loop_reference(
     with mock.patch.object(sounder, "CHUNK_ROWS", chunk_rows), mock.patch.object(
         sounder, "_FFT_ROWS", fft_rows
     ):
-        block = estimate_cirs(aligned, waveform, regularization, taper).taps
         powers = estimate_pdp(rx, waveform, regularization, taper, start).powers_linear
+        from_aligned = estimate_pdp(aligned, waveform, regularization, taper).powers_linear
     rows = loop_estimate_cirs(aligned, waveform, regularization, taper)
-    assert np.array_equal(block, np.array(rows))
     assert np.array_equal(powers, loop_average_powers(rows))
+    assert np.array_equal(from_aligned, powers)
     assert_near_dft(rows, dft_estimate_cirs(aligned, waveform, regularization, taper))
 
 

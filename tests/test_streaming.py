@@ -2,7 +2,7 @@
 
 ``cirkit estimate`` reads its capture through ``io.IqReader`` a chunk at a
 time. Its raw averaged powers and its PDP CSV must equal, byte for byte,
-the chain that holds the whole capture: ``read_iq``, the reference
+the chain that holds the whole capture: one whole read, the reference
 mitigation (``np.mean``, ``np.median``, ``np.interp`` over every good
 sample), ``np.argmax`` synchronisation and the per-period loop estimate of
 ``test_sounder_reference``, whose CIRs lie within ``DFT_TOLERANCE`` of the
@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_io import read_whole
 from test_sounder_reference import (
     assert_near_dft,
     dft_estimate_cirs,
@@ -54,7 +55,7 @@ def with_spikes(samples, positions, seed=1):
 
 def whole_chain_powers(path, taper):
     """Raw averaged powers of the capture held whole, by the reference formulas."""
-    cleaned = reference_mitigate(io.read_iq(path))
+    cleaned = reference_mitigate(read_whole(path))
     corr = circular_cross_correlate(cleaned.samples[:N], zadoff_chu_waveform().base_sequence)
     offset = int(np.argmax(np.abs(corr)))
     aligned = IqSignal(cleaned.samples[offset:], cleaned.sample_rate_hz)
@@ -205,7 +206,7 @@ class TestSmallChunks:
         samples = with_spikes(noisy_samples(30, 5, 7), [0, chunk, chunk + 1, 3 * chunk])
         path = write_capture(tmp_path, samples)
         streamed = mitigate_artifacts(io.IqReader(path))
-        whole = reference_mitigate(io.read_iq(path))
+        whole = reference_mitigate(read_whole(path))
         assert np.array_equal(streamed.read(0, len(streamed)), whole.samples)
         edge = slice(chunk - 1, chunk + 2)
         assert np.array_equal(streamed.read(edge.start, edge.stop), whole.samples[edge])
