@@ -212,11 +212,8 @@ def _cmd_dataset(args) -> int:
     with _stage("load-config"):
         config = _load_config(args.config)
     with _stage("dataset"):
-        dataset = gbsm.generate_dataset(config, args.count, args.seed, path=args.out)
-    print(
-        f"wrote {dataset.snapshot_count} snapshots x {dataset.cir_length_taps} taps "
-        f"to {args.out}"
-    )
+        gbsm.generate_dataset(config, args.count, args.seed, path=args.out)
+    print(f"wrote {args.count} snapshots x {config.cir_length_taps} taps to {args.out}")
     return EXIT_OK
 
 

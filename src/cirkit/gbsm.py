@@ -51,6 +51,13 @@ DATASET_STREAM = 0
 SIMULATE_STREAM = 1
 # uniform words of the Box-Muller pair that gives a row's DS and K-factor
 LARGE_SCALE = slice(0, 2)
+# the range of a drawn DS and K-factor that the cluster arithmetic can take.
+# A row's spread is computed from squared delays, which lose their precision
+# below about 1e-150 s and overflow above about 1e150 s; the bounds leave room
+# for the cluster powers and delay ratios. The LOS power K/(K+1) rounds to 1
+# from K = 2**53 on; below 2**52 the clusters keep some power.
+_DS_RANGE_S = (1e-100, 1e100)
+_MAX_K_FACTOR_DB = 10.0 * math.log10(2.0**52)
 # dataset rows rendered at once inside a chunk: each temporary of the
 # kernel, (rows, paths, 16) floats, stays near 200 KB
 _RENDER_ROWS = 64
@@ -199,10 +206,11 @@ def _large_scale(words: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray,
     DS log-normal around its median, the K-factor normal in dB around its
     median (log-normal in linear) and absent (None) for NLOS configs."""
     z = _box_muller(words)
-    ds = 10.0 ** (math.log10(config.ds_median_s) + config.ds_sigma_log10 * z[:, 0])
-    if not config.los:
-        return ds, None
-    return ds, config.kf_median_db + config.kf_sigma_db * z[:, 1]
+    with np.errstate(over="ignore"):  # an extreme spread gives inf, rejected by _stream_block
+        ds = 10.0 ** (math.log10(config.ds_median_s) + config.ds_sigma_log10 * z[:, 0])
+        if not config.los:
+            return ds, None
+        return ds, config.kf_median_db + config.kf_sigma_db * z[:, 1]
 
 
 class _ClusterBlock(NamedTuple):
@@ -270,19 +278,41 @@ def _stream_block(
     words. A row whose largest delay does not fit the CIR span is drawn
     again, keeping its DS and K-factor, from the same row of the (root,
     stream, attempt) stream, up to ``MAX_CLUSTER_DRAWS`` draws in all;
-    other rows are untouched. The error raised when no draw fits names a
-    dataset row as its snapshot and ``simulate_pdp``'s one row by its seed.
+    other rows are untouched. Before any cluster is drawn, a DS outside
+    ``_DS_RANGE_S`` or a K-factor of ``_MAX_K_FACTOR_DB`` or more fails the
+    block, naming the first such row and the config's parameters, so an
+    extreme spread fails by name and not in the arithmetic. An error names
+    a dataset row as its snapshot and ``simulate_pdp``'s one row by its
+    seed.
     """
     width, clusters, phases = _layout(config)
     words = _stream_words(root, stream, start, rows, width)
     ds, kf = _large_scale(words[:, LARGE_SCALE], config)
-    if np.any(ds <= 0):
-        raise ValidationError(f"config {config.label!r}: a drawn delay spread is not > 0")
+    span = config.cir_length_taps / config.sample_rate_hz
+
+    def where(row) -> str:
+        if stream == DATASET_STREAM:
+            return f"config {config.label!r}, snapshot {start + int(row)}"
+        return f"config {config.label!r}, cluster set of simulate seed {root}"
+
+    low, high = _DS_RANGE_S
+    bad = np.nonzero(~((ds >= low) & (ds <= high)))[0]
+    if bad.size:
+        raise ValidationError(
+            f"{where(bad[0])}: drawn delay spread {ds[bad[0]]:.6g} s is not in [{low}, {high}] s; "
+            f"ds_median_s={config.ds_median_s}, ds_sigma_log10={config.ds_sigma_log10}"
+        )
     los = np.zeros(rows)
     if kf is not None:
+        bad = np.nonzero(kf >= _MAX_K_FACTOR_DB)[0]
+        if bad.size:
+            raise ValidationError(
+                f"{where(bad[0])}: drawn K-factor {kf[bad[0]]:.6g} dB leaves the clusters "
+                f"no power (it must be below {_MAX_K_FACTOR_DB:.4g} dB); "
+                f"kf_median_db={config.kf_median_db}, kf_sigma_db={config.kf_sigma_db}"
+            )
         k_linear = 10.0 ** (kf / 10.0)
         los = k_linear / (k_linear + 1.0)
-    span = config.cir_length_taps / config.sample_rate_hz
 
     block = _draw_clusters(ds, los, words[:, clusters], config)
     over = np.nonzero(block.delays.max(axis=-1) >= span)[0]
@@ -295,11 +325,8 @@ def _stream_block(
         block.powers[over] = redo.powers
         over = over[redo.delays.max(axis=-1) >= span]
     if over.size:
-        row = f"snapshot {start + int(over[0])}"
-        if stream != DATASET_STREAM:
-            row = f"cluster set of simulate seed {root}"
         raise ValidationError(
-            f"config {config.label!r}, {row}: cluster delays overflow the {span} s CIR span "
+            f"{where(over[0])}: cluster delays overflow the {span} s CIR span "
             f"in {MAX_CLUSTER_DRAWS} draws"
         )
     return words[:, phases], block
@@ -337,7 +364,8 @@ def _render_block(
     delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
 ) -> np.ndarray:
     """Render S CIRs from (S, K) cluster delays and powers, or (1, K) ones
-    that all S rows share, into ``out`` ((S, taps) complex128) or a new
+    that all S rows share, into ``out`` ((S, taps) complex128, or complex64,
+    whose parts then round as ``astype`` rounds them) or a new complex128
     array. Each cluster has amplitude sqrt(power) and phase 2 pi u from its
     (S, K) phase word u.
 
@@ -400,17 +428,19 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
 
 
 def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=None):
-    """Generate ``count`` independent channel snapshots, optionally writing them.
+    """Generate ``count`` independent channel snapshots, in memory or into a file.
 
     Every snapshot draws fresh large-scale parameters, clusters and phases
     from its own fixed run of words of one counter-based stream keyed by the
     root seed, so the first n snapshots are the same for any ``count`` >= n.
     Snapshots are drawn and rendered ``CHUNK_ROWS`` at a time, each chunk a
-    task of ``sounder._map_chunks`` that writes its own rows of the returned
-    block; the bytes do not depend on how many run at once. When ``path`` is
-    given, each chunk is written to the container file as soon as it is
-    rendered, and a failure leaves ``path`` as it was. Returns the in-memory
-    dataset.
+    task of ``sounder._map_chunks``; the bytes do not depend on how many run
+    at once. Without ``path``, each chunk renders into its rows of one
+    complex128 block and the in-memory dataset is returned. With ``path``,
+    each chunk renders into its task's float32 chunk buffer, which holds the
+    rows as the container file stores them, and is written as soon as it is
+    rendered: the call holds two such chunks, whatever ``count`` is, and
+    returns None. A failure leaves ``path`` as it was.
     """
     from . import io as cirkit_io  # deferred: io needs this module's types
 
@@ -422,12 +452,16 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=Non
             f"count {count} exceeds the {cirkit_io.MAX_DATASET_SNAPSHOTS} snapshots "
             "a dataset file can hold"
         )
-    snapshots = np.empty((count, config.cir_length_taps), dtype=np.complex128)
+    taps = config.cir_length_taps
+    snapshots = np.empty((count, taps), dtype=np.complex128) if path is None else None
 
-    def render_chunk(start: int, _) -> np.ndarray:
+    def chunk_buffer():
+        return None if path is None else np.empty((CHUNK_ROWS, taps), dtype="<c8")
+
+    def render_chunk(start: int, chunk) -> np.ndarray:
         rows = min(CHUNK_ROWS, count - start)
         phases, block = _stream_block(config, root, DATASET_STREAM, start, rows)
-        out = snapshots[start : start + rows]
+        out = snapshots[start : start + rows] if chunk is None else chunk[:rows]
         # a few rows at a time: a worker thread keeps what it allocates
         for lo in range(0, rows, _RENDER_ROWS):
             part = slice(lo, lo + _RENDER_ROWS)
@@ -437,14 +471,13 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=Non
 
     comments = (f"seed={root}", f"generator_version={__about__.__version__}")
     blob = cirkit_io.config_to_text(config, comments=comments)
-    chunks = _map_chunks(render_chunk, range(0, count, CHUNK_ROWS), lambda: None)
+    chunks = _map_chunks(render_chunk, range(0, count, CHUNK_ROWS), chunk_buffer)
     try:
-        if path is None:
-            for _ in chunks:
-                pass
-        else:
-            cirkit_io._write_chds(path, count, config.cir_length_taps, config.sample_rate_hz,
-                                  blob, chunks)
+        if path is not None:
+            cirkit_io._write_chds(path, count, taps, config.sample_rate_hz, blob, chunks)
+            return None
+        for _ in chunks:
+            pass
     finally:
         chunks.close()
     snapshots.setflags(write=False)

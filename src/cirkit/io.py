@@ -221,32 +221,47 @@ class IqReader:
 
     def read_into(self, lo: int, out: np.ndarray) -> None:
         """Fill the contiguous complex128 array ``out`` with the samples from
-        ``lo`` on, allocating nothing of its size.
-
-        The file's float32 pairs are read into the upper half of ``out``'s
-        bytes and widened to complex128 front first, in pieces that each end
-        before their own source begins.
-        """
-        size = out.size
-        hi = lo + size
+        ``lo`` on, allocating nothing of its size (``_read_widened``)."""
+        hi = lo + out.size
         self._check_range(lo, hi)
-        floats = out.view("<f4")[2 * size :]
+
+        def check_finite(floats):
+            # max and min are NaN, or infinite, when any float is; no temporary
+            if not (math.isfinite(floats.max(initial=0.0))
+                    and math.isfinite(floats.min(initial=0.0))):
+                first = lo + int(np.argmin(np.isfinite(floats))) // 2
+                raise CorruptFileError(f"{self.path}: sample {first} is not finite")
+
         with open(self.path, "rb") as fh:
             fh.seek(8 * lo)
-            got = fh.readinto(floats)
-        if got != floats.nbytes:
-            raise CorruptFileError(f"{self.path}: file shrank below sample {hi}")
-        # max and min are NaN, or infinite, when any float is; no temporary
-        if not (math.isfinite(floats.max(initial=0.0)) and math.isfinite(floats.min(initial=0.0))):
-            first = lo + int(np.argmin(np.isfinite(floats))) // 2
-            raise CorruptFileError(f"{self.path}: sample {first} is not finite")
-        pairs = floats.view("<c8")
-        done = 0
-        while size - done > 1:
-            end = (size + done) // 2  # out[done:end] ends where pairs[done] begins, or before
-            out[done:end] = pairs[done:end]
-            done = end
-        out[done:] = pairs[done:]  # the last pair overlaps its own output: numpy copies it
+            if not _read_widened(fh, out, check_finite):
+                raise CorruptFileError(f"{self.path}: file shrank below sample {hi}")
+
+
+def _read_widened(fh, out: np.ndarray, check=None) -> bool:
+    """Fill the C-contiguous complex128 array ``out`` with the ``<c8`` pairs
+    at ``fh``'s position, allocating nothing of its size; False, with
+    ``out`` not filled, when the file ends first.
+
+    The pairs are read into the upper half of ``out``'s bytes, handed to
+    ``check`` as float32 values when it is given, and widened to complex128
+    front first, in pieces that each end before their own source begins.
+    """
+    flat = out.reshape(-1)  # a view: out is contiguous
+    size = flat.size
+    floats = flat.view("<f4")[2 * size :]
+    if fh.readinto(floats) != floats.nbytes:
+        return False
+    if check is not None:
+        check(floats)
+    pairs = floats.view("<c8")
+    done = 0
+    while size - done > 1:
+        end = (size + done) // 2  # flat[done:end] ends where pairs[done] begins, or before
+        flat[done:end] = pairs[done:end]
+        done = end
+    flat[done:] = pairs[done:]  # the last pair overlaps its own output: numpy copies it
+    return True
 
 
 def config_to_text(config: ScenarioConfig, comments: tuple[str, ...] = ()) -> str:
@@ -392,10 +407,11 @@ class Dataset:
 
 def _write_chds(path, count: int, taps: int, sample_rate_hz: float, config_text: str, blocks):
     """Write a CHDS container whose ``count`` snapshots of ``taps`` taps
-    arrive as ``blocks``, 2-D complex arrays in snapshot order.
+    arrive as ``blocks``, C-contiguous 2-D complex arrays in snapshot order.
 
     The header and config blob go first, then each block as ``<c8`` pairs
-    as it arrives, so the caller may still be making the later blocks. The
+    as it arrives, so the caller may still be making the later blocks. A
+    ``<c8`` block is written as it is; any other is cast to ``<c8`` first. The
     file is written beside ``path`` under a temporary name and moved onto
     ``path`` once every block is in: when a block or a write fails, the
     temporary file is removed and ``path`` is left as it was. A ``path``
@@ -421,7 +437,7 @@ def _write_chds(path, count: int, taps: int, sample_rate_hz: float, config_text:
         with fh:
             fh.write(header + blob)
             for block in blocks:
-                fh.write(block.astype("<c8"))
+                fh.write(np.asarray(block, dtype="<c8"))
         if temporary is not None:
             os.replace(temporary, target)
     except BaseException:
@@ -431,27 +447,35 @@ def _write_chds(path, count: int, taps: int, sample_rate_hz: float, config_text:
 
 
 def read_dataset(path) -> Dataset:
-    """Read and validate a CHDS container; never trusts lengths beyond file size."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER_SIZE:
-        raise SizeMismatchError(f"{path}: {len(raw)} bytes is smaller than the header")
-    magic, version, count, taps, rate, blob_len = struct.unpack(
-        _HEADER_FMT, raw[:_HEADER_SIZE]
-    )
-    if magic != DATASET_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
-    if version != DATASET_VERSION:
-        raise BadVersionError(f"{path}: unsupported version {version}")
-    expected = _HEADER_SIZE + blob_len + count * taps * 8
-    if len(raw) != expected:
-        raise SizeMismatchError(
-            f"{path}: file is {len(raw)} bytes but header arithmetic gives {expected}"
+    """Read and validate a CHDS container; never trusts lengths beyond file size.
+
+    The header and config blob are read and checked before any payload
+    byte. The payload is then read into the upper half of the complex128
+    snapshot array and widened in place (``_read_widened``), so the read
+    holds twice the payload's bytes, the array itself, and no more.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER_SIZE:
+            raise SizeMismatchError(f"{path}: {size} bytes is smaller than the header")
+        magic, version, count, taps, rate, blob_len = struct.unpack(
+            _HEADER_FMT, fh.read(_HEADER_SIZE)
         )
-    try:
-        blob = raw[_HEADER_SIZE : _HEADER_SIZE + blob_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptFileError(f"{path}: config blob is not UTF-8 text") from exc
-    pairs = np.frombuffer(raw, dtype="<c8", offset=_HEADER_SIZE + blob_len)
-    snapshots = pairs.reshape(count, taps).astype(np.complex128)
+        if magic != DATASET_MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
+        if version != DATASET_VERSION:
+            raise BadVersionError(f"{path}: unsupported version {version}")
+        expected = _HEADER_SIZE + blob_len + count * taps * 8
+        if size != expected:
+            raise SizeMismatchError(
+                f"{path}: file is {size} bytes but header arithmetic gives {expected}"
+            )
+        try:
+            blob = fh.read(blob_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFileError(f"{path}: config blob is not UTF-8 text") from exc
+        snapshots = np.empty((count, taps), dtype=np.complex128)
+        if not _read_widened(fh, snapshots):
+            raise SizeMismatchError(f"{path}: file shrank while it was read")
     snapshots.setflags(write=False)
     return Dataset(snapshots, rate, blob)

@@ -116,7 +116,9 @@ def _map_chunks(kernel, items, make_buffers):
     """``kernel(item, buffers)`` for each of ``items``, yielded in order.
 
     It serves both the receive chain (mitigation and estimation) and the
-    dataset generator (``gbsm.generate_dataset``). Up to ``_MAX_WORKERS``
+    dataset generator (``gbsm.generate_dataset``, whose buffers are the
+    float32 chunk a call renders and the file writer then writes as it is,
+    so a dataset holds one chunk per slot). Up to ``_MAX_WORKERS``
     calls run at once on a thread pool, each with its own set of
     ``make_buffers()``, made here in the calling thread; numpy's FFTs and
     array loops release the GIL, so the calls share the cores. A result may

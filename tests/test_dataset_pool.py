@@ -105,12 +105,12 @@ def test_redraw_inside_a_later_chunk(tmp_path, monkeypatch, pooled):
 
 def test_in_memory_dataset_equals_the_file(tmp_path, pooled):
     config, count, path = gbsm.PRESETS["urban-los"], 3 * ROWS + 7, tmp_path / "x.chds"
-    dataset = gbsm.generate_dataset(config, count, 2, path=path)
+    assert gbsm.generate_dataset(config, count, 2, path=path) is None
+    dataset = gbsm.generate_dataset(config, count, 2)
     assert not dataset.snapshots.flags.writeable
     back = io.read_dataset(path)
     assert np.array_equal(back.snapshots, dataset.snapshots.astype(np.complex64))
     assert back.config_text == dataset.config_text
-    assert np.array_equal(gbsm.generate_dataset(config, count, 2).snapshots, dataset.snapshots)
 
 
 def test_two_failing_chunks_name_the_lowest_snapshot(monkeypatch, pooled):
@@ -178,8 +178,9 @@ def test_write_through_a_symbolic_link(tmp_path):
     target.write_bytes(b"earlier")
     link = tmp_path / "link.chds"
     link.symlink_to(target)
-    dataset = gbsm.generate_dataset(gbsm.PRESETS["urban-nlos"], 3, 0, path=link)
+    gbsm.generate_dataset(gbsm.PRESETS["urban-nlos"], 3, 0, path=link)
     assert link.is_symlink()
+    dataset = gbsm.generate_dataset(gbsm.PRESETS["urban-nlos"], 3, 0)
     assert np.array_equal(io.read_dataset(target).snapshots, dataset.snapshots.astype(np.complex64))
     assert sorted(path.name for path in tmp_path.iterdir()) == ["link.chds", "real.chds"]
 
@@ -244,3 +245,28 @@ def test_pool_peak_memory_stays_near_the_inline_run(tmp_path):
         )
         peaks[cpus] = int(out.stdout)
     assert peaks[2] <= peaks[1] + POOL_ALLOWANCE_KIB, peaks
+
+
+COUNT_PEAK = """
+import resource, sys
+from cirkit.cli import main
+main(["dataset", "--config", "campus-nlos", "--seed", "1", "--count", sys.argv[1],
+      "--out", sys.argv[2]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+# a 30000-snapshot complex128 block alone would be 169 MB
+COUNT_ALLOWANCE_KIB = 2048
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_dataset_memory_does_not_grow_with_count(tmp_path):
+    """Fresh processes writing 3000 and 30000 snapshots to a file: both hold
+    a chunk per task, so they peak alike."""
+    peaks = {}
+    for count in (3000, 30000):
+        out = subprocess.run(
+            [sys.executable, "-c", COUNT_PEAK, str(count), str(tmp_path / "x.chds")],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
+        )
+        peaks[count] = int(out.stdout.split()[-1])
+    assert peaks[30000] <= peaks[3000] + COUNT_ALLOWANCE_KIB, peaks

@@ -195,6 +195,27 @@ class TestDrawLargeScale:
         median = float(np.median(large_scale(config, 10_000)[0]))
         assert abs(median - 125 * NS) / (125 * NS) < 0.05
 
+    @pytest.mark.parametrize(
+        "preset, spread, value, seeds, snapshot",
+        [
+            # simulate seed 3 draws a DS that overflows, seed 4 one that underflows
+            ("urban-nlos", "ds_sigma_log10", 400.0, (3, 4), 0),
+            ("urban-los", "kf_sigma_db", 1e4, (4,), 1),
+        ],
+    )
+    def test_extreme_spread_fails_by_name(self, preset, spread, value, seeds, snapshot):
+        """A draw the cluster arithmetic cannot take fails before it is used,
+        naming config, row and parameter; the suite's warning filter turns a
+        RuntimeWarning on the way into an error."""
+        config = dataclasses.replace(PRESETS[preset], **{spread: value})
+        for seed in seeds:
+            message = rf"^config '{preset}', cluster set of simulate seed {seed}: drawn .*{spread}="
+            with pytest.raises(ValidationError, match=message):
+                simulate_pdp(config, seed, 10)
+        message = rf"^config '{preset}', snapshot {snapshot}: drawn .*{spread}="
+        with pytest.raises(ValidationError, match=message):
+            generate_dataset(config, 300, 1)
+
 
 class TestGenerateClusters:
     """The cluster sets of dataset-stream rows (``gbsm._stream_block``)."""
@@ -345,7 +366,8 @@ class TestSimulatePdp:
 class TestGenerateDataset:
     def test_single_snapshot_shape(self, tmp_path):
         path = tmp_path / "one.chds"
-        ds = generate_dataset(URBAN_NLOS, 1, 0, path=path)
+        generate_dataset(URBAN_NLOS, 1, 0, path=path)
+        ds = read_dataset(path)
         assert ds.snapshot_count == 1
         assert ds.cir_length_taps == URBAN_NLOS.cir_length_taps
         blob_len = len(ds.config_text.encode())

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,6 +415,22 @@ class TestDataset:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError, match="sample_rate_hz must be finite"):
             io.read_dataset(path)
+
+    def test_read_holds_twice_the_payload(self, tmp_path):
+        """The payload is widened in place in the complex128 snapshot array,
+        with no bytes copy and no float32 copy beside it."""
+        count, taps = 3000, 353
+        ramp = np.arange(count * taps).reshape(count, taps) * (1 - 2j)  # exact in float32
+        path = tmp_path / "big.chds"
+        io._write_chds(path, count, taps, 25.6e6, "label=test\n", [ramp])
+        tracemalloc.start()
+        try:
+            back = io.read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.snapshots, ramp)
+        assert peak <= 2.1 * count * taps * 8
 
     def test_header_smaller_than_minimum(self, tmp_path):
         path = tmp_path / "stub.chds"
