@@ -223,7 +223,7 @@ class _ClusterBlock(NamedTuple):
 
 
 def _draw_clusters(
-    ds: np.ndarray, los: np.ndarray, words: np.ndarray, config: ScenarioConfig
+    ds: np.ndarray, los: np.ndarray, words: np.ndarray, config: ScenarioConfig, where
 ) -> _ClusterBlock:
     """Cluster delay lines of S rows with (S,) delay spreads and LOS powers
     from their (S, C) cluster words: a delay word per stochastic cluster,
@@ -235,7 +235,8 @@ def _draw_clusters(
     verbatim. The cluster powers are scaled to 1 less the LOS power, and
     then every delay, fixed ones included, is rescaled by one factor so the
     exact RMS delay spread of the row's discrete set, LOS term included,
-    equals its DS. A single-cluster set has no spread to rescale.
+    equals its DS. A single-cluster set has no spread to rescale, and a
+    row whose set has none fails, named by ``where(row)``.
     """
     rows = ds.size
     n_stoch = config.num_clusters - len(config.fixed_clusters)
@@ -262,8 +263,11 @@ def _draw_clusters(
     all_delays = np.concatenate([delays, np.zeros((rows, 1))], axis=1)
     all_powers = np.concatenate([powers, los[:, None]], axis=1)
     sigma = discrete_delay_spread(all_delays, all_powers)
-    if np.any(sigma == 0.0):
-        raise ValidationError("degenerate cluster set (all delays equal); cannot scale")
+    degenerate = np.flatnonzero(sigma == 0.0)
+    if degenerate.size:
+        raise ValidationError(
+            f"{where(degenerate[0])}: degenerate cluster set (all delays equal); cannot scale"
+        )
     return _ClusterBlock(delays * (ds / sigma)[:, None], powers, los)
 
 
@@ -314,13 +318,13 @@ def _stream_block(
         k_linear = 10.0 ** (kf / 10.0)
         los = k_linear / (k_linear + 1.0)
 
-    block = _draw_clusters(ds, los, words[:, clusters], config)
+    block = _draw_clusters(ds, los, words[:, clusters], config, where)
     over = np.nonzero(block.delays.max(axis=-1) >= span)[0]
     for attempt in range(1, MAX_CLUSTER_DRAWS):
         if over.size == 0:
             break
         again = _stream_words(root, stream, start, rows, width, attempt)[over, clusters]
-        redo = _draw_clusters(ds[over], los[over], again, config)
+        redo = _draw_clusters(ds[over], los[over], again, config, lambda row: where(over[row]))
         block.delays[over] = redo.delays
         block.powers[over] = redo.powers
         over = over[redo.delays.max(axis=-1) >= span]

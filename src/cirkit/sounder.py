@@ -78,13 +78,7 @@ def build_sounding_signal(
 
 
 # samples per mitigation chunk: CHUNK_ROWS periods of the default sequence
-# (at least 64, the longest run numpy sums without splitting it)
 _CHUNK_SAMPLES = CHUNK_ROWS * DEFAULT_SEQUENCE_LENGTH
-# the median's histogram counts the top 20 bits of each magnitude (sign,
-# exponent and 8 mantissa bits: 256 bins an octave), then narrows an
-# oversized bin 16 bits at a time
-_TOP_BITS = 20
-_KEY_BITS = 16
 
 # chunk tasks that run at once; each holds one set of chunk buffers, so the
 # receive chain holds this many chunks whatever the capture length
@@ -156,16 +150,12 @@ def _map_chunks(kernel, items, make_buffers):
         wait(running)
 
 
-def _chunk_buffers(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One mitigation task's buffers for a capture of ``samples``: a chunk
-    widened by a sample on either side, or the whole capture when it is
-    shorter, its magnitudes, and two rows of flags."""
-    size = min(samples, _CHUNK_SAMPLES + 2)
-    return (
-        np.empty(size, dtype=np.complex128),
-        np.empty(size),
-        np.empty((2, size), dtype=bool),
-    )
+def _chunk_buffers(samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """One mitigation task's buffers for a capture of ``samples``: room for
+    a chunk widened by a sample on either side, or for the whole capture
+    and a sample when it is shorter, and for their magnitudes."""
+    size = min(samples + 1, _CHUNK_SAMPLES + 2)
+    return np.empty(size, dtype=np.complex128), np.empty(size)
 
 
 @dataclass(frozen=True)
@@ -208,35 +198,55 @@ class CleanedCapture:
         out[self.spike_index[first:last] - lo] = self.spike_value[first:last]
 
 
-def mitigate_artifacts(
-    rx, spike_threshold: float = _SPIKE_THRESHOLD
-) -> IqSignal | CleanedCapture:
+def mitigate_artifacts(rx) -> IqSignal | CleanedCapture:
     """Simplified capture clean-up: DC offset removal and spike suppression.
 
     The complex mean is subtracted, then any sample whose magnitude exceeds
-    ``spike_threshold`` times the median magnitude is replaced by linear
-    interpolation of its neighbours. This is a deliberately simple stand-in
-    for full iterative restoration of hardware artifacts.
+    ``_SPIKE_THRESHOLD`` (6) times the median magnitude of its chunk is
+    replaced by linear interpolation of its neighbours. This is a
+    deliberately simple stand-in for full iterative restoration of hardware
+    artifacts.
 
-    The capture is read in chunks of ``_CHUNK_SAMPLES`` samples, a few
-    times over: once for the mean (summed pairwise exactly as ``np.mean``
-    does), once for a histogram of the magnitudes' top bits, and once or
-    more to find the exact median inside the histogram and gather the
-    spikes. The chunks of each pass go through ``_map_chunks`` and are
-    combined in chunk order. Besides a few chunks this holds the spike list
-    and nothing that grows with the capture; the result equals the
-    whole-array formulas bit for bit. An ``IqSignal`` comes back as a
-    cleaned ``IqSignal``. Any other capture, such as an ``io.IqReader``,
-    comes back as a ``CleanedCapture`` that cleans each range as it is
-    read, so a capture larger than RAM streams through.
+    The capture is read twice, in chunks of ``_CHUNK_SAMPLES`` samples
+    (256 periods, 3.5 ms at 25.6 MS/s) through ``_map_chunks``. The first
+    pass adds the chunks' ``np.add.reduce`` sums in chunk order and divides
+    by the sample count as ``np.mean`` divides. The second takes each
+    chunk's median magnitude by ``np.median``'s rules (the mean of the
+    middle pair; NaN, which flags nothing, when a magnitude is NaN) and
+    flags the chunk's spikes; a short last chunk takes its median over the
+    capture's last ``_CHUNK_SAMPLES`` samples. A median per chunk follows a
+    capture whose level changes, such as one whose transmitter starts
+    late. Besides a few chunks this holds the spike list and nothing that
+    grows with the capture, and the result does not depend on the number
+    of threads. An ``IqSignal`` comes back as a cleaned ``IqSignal``. Any
+    other capture, such as an ``io.IqReader``, comes back as a
+    ``CleanedCapture`` that cleans each range as it is read, so a capture
+    larger than RAM streams through.
     """
-    if not spike_threshold >= 0:
-        raise ValidationError(f"spike_threshold must be >= 0, got {spike_threshold}")
     n = len(rx)
-    total = _pairwise_sum(rx, 0, n)
-    mean = total.dtype.type(total / np.intp(n))  # as np.mean divides
-    spike_index, spike_value = _spike_repairs(rx, mean, spike_threshold)
-    cleaned = CleanedCapture(rx, mean, spike_index, spike_value)
+    buffers = functools.partial(_chunk_buffers, n)
+
+    def chunk_sum(lo, buffers):
+        x = buffers[0][: min(_CHUNK_SAMPLES, n - lo)]
+        rx.read_into(lo, x)
+        return np.add.reduce(x)
+
+    mean = sum(_map_chunks(chunk_sum, range(0, n, _CHUNK_SAMPLES), buffers)) / np.intp(n)
+    # the last task takes a short last chunk along
+    tasks = range(0, max(n - _CHUNK_SAMPLES, 0) + 1, _CHUNK_SAMPLES)
+    found = _map_chunks(functools.partial(_chunk_spikes, rx, mean), tasks, buffers)
+    bad, near, values = (np.concatenate(part) for part in zip(*found))
+    repaired = np.empty(0, dtype=np.complex128)
+    if bad.size:
+        # a chunk's edge neighbour may be a spike of the chunk next to it;
+        # the good samples next to a run of spikes are the ones that
+        # bracket it, so interpolating from them alone equals interpolating
+        # from all
+        near, first = np.unique(near, return_index=True)
+        good = ~np.isin(near, bad)
+        near, values = near[good], values[first[good]]
+        repaired = np.interp(bad, near, values.real) + 1j * np.interp(bad, near, values.imag)
+    cleaned = CleanedCapture(rx, mean, bad, repaired)
     if not isinstance(rx, IqSignal):
         return cleaned
     x = cleaned.read(0, n)
@@ -244,231 +254,53 @@ def mitigate_artifacts(
     return IqSignal(x, rx.sample_rate_hz, rx.center_frequency_hz)
 
 
-def _pairwise_sum(rx, lo: int, hi: int) -> np.complex128:
-    """``np.add.reduce`` of samples ``lo`` to ``hi``, bit for bit, reading at
-    most one chunk at a time.
+def _chunk_spikes(rx, mean, lo: int, buffers):
+    """The spikes of the chunk from ``lo``, and of a short last chunk after
+    it: the indices of the samples whose ``|x - mean|`` exceeds
+    ``_SPIKE_THRESHOLD`` times their window's median magnitude, and the
+    indices and values of the samples next to them that are not flagged
+    with them.
 
-    numpy sums complex values pairwise over their float count: a run longer
-    than 128 floats splits at half its floats, rounded down to a multiple
-    of 8. Splitting the same way until a run fits a chunk, handing each
-    such run to numpy and adding the sums up the same tree gives the same
-    additions.
-    """
-
-    def leaf_sum(run, buffers):
-        x = buffers[0][: run[1] - run[0]]
-        rx.read_into(run[0], x)
-        return np.add.reduce(x)
-
-    sums = _map_chunks(
-        leaf_sum, _pairwise_runs(lo, hi), functools.partial(_chunk_buffers, hi - lo)
-    )
-    return _pairwise_combine(lo, hi, sums)
-
-
-def _pairwise_split(lo: int, hi: int) -> int:
-    floats = hi - lo  # half the float count of the run
-    return lo + (floats - floats % 8) // 2
-
-
-def _pairwise_runs(lo: int, hi: int):
-    """The runs of at most a chunk that ``_pairwise_sum`` hands to numpy, in order."""
-    if hi - lo <= _CHUNK_SAMPLES:
-        yield lo, hi
-        return
-    mid = _pairwise_split(lo, hi)
-    yield from _pairwise_runs(lo, mid)
-    yield from _pairwise_runs(mid, hi)
-
-
-def _pairwise_combine(lo: int, hi: int, sums) -> np.complex128:
-    """Add the runs' ``sums``, taken in order, up the tree of ``_pairwise_runs``."""
-    if hi - lo <= _CHUNK_SAMPLES:
-        return next(sums)
-    mid = _pairwise_split(lo, hi)
-    return _pairwise_combine(lo, mid, sums) + _pairwise_combine(mid, hi, sums)
-
-
-def _read_magnitudes(rx, mean, lo: int, pad: int, buffers):
-    """Read the chunk of ``_CHUNK_SAMPLES`` samples from ``lo``, widened by up
-    to ``pad`` samples on either side, into ``buffers`` as ``x - mean`` and
-    ``|x - mean|``; returns (offset, start, x, |x|): ``x`` starts at sample
-    ``start`` and the chunk ``offset`` samples into it."""
-    start = max(lo - pad, 0)
-    size = min(lo + _CHUNK_SAMPLES + pad, len(rx)) - start
-    x = buffers[0][:size]
-    rx.read_into(start, x)
-    x -= mean
-    return lo - start, start, x, np.abs(x, out=buffers[1][:size])
-
-
-def _spike_repairs(rx, mean, spike_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and repaired values of the samples whose ``|x - mean|``
-    exceeds ``spike_threshold`` times its median."""
-    histogram = _top_key_counts(rx, mean)
-    if histogram is None:  # np.median is NaN, and nothing exceeds it
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.complex128)
-    median, index, samples = _median_and_candidates(rx, mean, *histogram, spike_threshold)
-    threshold = spike_threshold * float(median)
-
-    is_bad = np.abs(samples) > threshold
-    bad = index[is_bad]
-    if bad.size == 0:
-        return bad, np.empty(0, dtype=np.complex128)
-    # the good samples next to a run of spikes are the ones that bracket
-    # it, so interpolating from them alone equals interpolating from all
-    near = np.concatenate([bad - 1, bad + 1])
-    near = near[(near >= 0) & (near < len(rx))]
-    near = np.unique(near[~is_bad[np.searchsorted(index, near)]])
-    if near.size == 0:
-        raise ValidationError("every sample flagged as a spike; capture unusable")
-    near_samples = samples[np.searchsorted(index, near)]
-    repaired = np.interp(bad, near, near_samples.real) + 1j * np.interp(
-        bad, near, near_samples.imag
-    )
-    return bad, repaired
-
-
-def _chunk_key_counts(rx, mean, lo: int, buffers) -> tuple[int, np.ndarray] | None:
-    """The lowest top-bits key of the chunk from ``lo`` and the counts of its
-    keys from that one on, or None when a magnitude is NaN."""
-    mag = _read_magnitudes(rx, mean, lo, 0, buffers)[3]
-    if np.isnan(mag.max()):
-        return None
-    keys = mag.view(np.uint64)
-    np.right_shift(keys, np.uint64(64 - _TOP_BITS), out=keys)
-    keys = keys.view(np.int64)
-    low = int(keys.min())
-    keys -= low
-    return low, np.bincount(keys)
-
-
-def _top_key_counts(rx, mean) -> tuple[int, np.ndarray] | None:
-    """Counts of the top ``_TOP_BITS`` bits of every ``|x - mean|``, as the
-    first key seen and the counts from it on, or None when a magnitude is
-    NaN. The counts span only the keys seen, a few thousand for a capture
-    with a few octaves of magnitudes."""
-    first, counts = None, None
-    kernel = functools.partial(_chunk_key_counts, rx, mean)
-    buffers = functools.partial(_chunk_buffers, len(rx))
-    for part in _map_chunks(kernel, range(0, len(rx), _CHUNK_SAMPLES), buffers):
-        if part is None:
-            return None
-        low, part = part
-        if counts is None:
-            first, counts = low, part
-            continue
-        start, end = min(first, low), max(first + counts.size, low + part.size)
-        if end - start > counts.size:
-            grown = np.zeros(end - start, dtype=np.int64)
-            grown[first - start : first - start + counts.size] = counts
-            first, counts = start, grown
-        counts[low - first : low - first + part.size] += part
-    return first, counts
-
-
-def _narrow(counts: np.ndarray, rank: int) -> tuple[int, int, int]:
-    """The bin of ``counts`` that holds ``rank``, the rank within that bin,
-    and the bin's count."""
-    cum = np.cumsum(counts)
-    key = int(np.searchsorted(cum, rank, side="right"))
-    return key, rank - int(cum[key] - counts[key]), int(counts[key])
-
-
-def _scan_chunk(rx, mean, groups: dict, floor: float | None, lo: int, buffers):
-    """One chunk's part of a median pass.
-
-    For each group ``(shift, prefix): count`` of magnitudes whose bits above
-    ``shift`` equal ``prefix``: the chunk's values in it when ``count`` fits
-    a chunk, else the counts of their next ``_KEY_BITS`` bits. With a
-    ``floor``, also the indices and values of the samples above it and of
-    their neighbours.
-    """
-    offset, start, x, mag = _read_magnitudes(rx, mean, lo, int(floor is not None), buffers)
-    core = mag[offset : offset + _CHUNK_SAMPLES]
-    keys = core.view(np.uint64)
-    flags, below = buffers[2][:, : keys.size]
-    parts = {}
-    for (shift, prefix), count in groups.items():
-        # (keys >> shift) == prefix, without a temporary of the keys' size
-        np.greater_equal(keys, np.uint64(prefix << shift), out=flags)
-        np.less(keys, np.uint64((prefix + 1) << shift), out=below)
-        flags &= below
-        in_group = keys[flags]
-        if count <= _CHUNK_SAMPLES:
-            parts[shift, prefix] = in_group.view(np.float64)
-        else:
-            bits = min(_KEY_BITS, shift)
-            sub = (in_group >> np.uint64(shift - bits)) & np.uint64((1 << bits) - 1)
-            parts[shift, prefix] = np.bincount(sub.view(np.int64), minlength=1 << _KEY_BITS)
-    if floor is None:
-        return parts, None
-    hits = np.flatnonzero(np.greater(core, floor, out=flags)) + offset
-    near = np.unique(np.concatenate([hits - 1, hits, hits + 1]))
-    near = near[(near >= 0) & (near < x.size)]
-    return parts, (near + start, x[near])
-
-
-def _median_and_candidates(
-    rx, mean, first_key: int, counts: np.ndarray, spike_threshold: float
-):
-    """The exact median of ``|x - mean|``, and the sorted indices and values
-    of a superset of the spikes and of the samples that bracket them.
-
-    Non-negative floats sort like their bits read as ``uint64``. So each
-    middle rank is found in the bin of ``counts`` (keys from ``first_key``
-    on) that holds it, by ``np.partition`` of the values in that bin; a bin
-    of more than one chunk of values is first narrowed on its next 16 bits,
-    pass by pass.
-    The first pass also keeps every sample above ``spike_threshold`` times
-    the lower edge of the median's bin, with its neighbours.
+    A chunk from sample ``first`` is read with a sample on either side,
+    sample ``first - 1 + p`` at position p of ``buffers``, and is its own
+    window. A short last chunk
+    is then read the same way over the front of the buffers. Its window,
+    the capture's last ``_CHUNK_SAMPLES`` samples, is its own magnitudes
+    followed by the end of the chunk's, which are still in place behind
+    them, so no sample is read for it a second time.
     """
     n = len(rx)
-    # each middle rank narrows to the values whose bits above ``shift``
-    # equal ``prefix``: its rank among them is ``within``, their number ``count``
-    ranks = sorted({(n - 1) // 2, n // 2})
-    state = {}
-    for rank in ranks:
-        key, within, count = _narrow(counts, rank)
-        state[rank] = (64 - _TOP_BITS, first_key + key, within, count)
-    shift, prefix = state[ranks[0]][:2]
-    floor = spike_threshold * float(np.uint64(prefix << shift).view(np.float64))
-    values: dict[int, float] = {}
-    near_index, near_value = [], []
-    while len(values) < len(ranks):
-        groups = {state[rank][:2]: state[rank][3] for rank in ranks if rank not in values}
-        gathered = {group: [] for group in groups}
-        refined = {group: np.zeros(1 << _KEY_BITS, dtype=np.int64) for group in groups}
-        kernel = functools.partial(_scan_chunk, rx, mean, groups, floor)
-        buffers = functools.partial(_chunk_buffers, n)
-        for parts, near in _map_chunks(kernel, range(0, n, _CHUNK_SAMPLES), buffers):
-            for group, part in parts.items():
-                if groups[group] <= _CHUNK_SAMPLES:
-                    gathered[group].append(part)
-                else:
-                    refined[group] += part
-            if near is not None:
-                near_index.append(near[0])
-                near_value.append(near[1])
-        floor = None  # the spike candidates are gathered in the first pass only
-        for rank in ranks:
-            if rank in values:
-                continue
-            shift, prefix, within, count = state[rank]
-            if count <= _CHUNK_SAMPLES:
-                group = np.concatenate(gathered[shift, prefix])
-                values[rank] = np.partition(group, within)[within]
-                continue
-            bits = min(_KEY_BITS, shift)
-            sub, within, count = _narrow(refined[shift, prefix], within)
-            shift, prefix = shift - bits, (prefix << bits) | sub
-            state[rank] = (shift, prefix, within, count)
-            if shift == 0:  # every bit is known
-                values[rank] = np.uint64(prefix).view(np.float64)
-    # np.median: the mean of the middle value or values
-    median = np.mean(np.array([values[rank] for rank in ranks]))
-    index, first = np.unique(np.concatenate(near_index), return_index=True)
-    return median, index, np.concatenate(near_value)[first]
+    x, mag = buffers
+    window = slice(1, min(n, _CHUNK_SAMPLES) + 1)
+    hi = min(lo + _CHUNK_SAMPLES, n)
+    spans = [(lo, hi)]
+    if 0 < n - hi < _CHUNK_SAMPLES:
+        spans.append((hi, n))
+    found = []
+    for first, last in spans:
+        read = slice(int(first == 0), min(last + 1, n) - first + 1)
+        rx.read_into(first - 1 + read.start, x[read])
+        x[read] -= mean
+        np.abs(x[read], out=mag[read])
+        threshold = _SPIKE_THRESHOLD * _median(mag[window])
+        np.abs(x[read], out=mag[read])  # in sample order again
+        hits = np.flatnonzero(mag[1 : last - first + 1] > threshold) + first
+        near = np.setdiff1d(np.concatenate([hits - 1, hits + 1]), hits)
+        near = near[(near >= 0) & (near < n)]
+        found.append((hits, near, x[near - first + 1]))
+    return tuple(np.concatenate(part) for part in zip(*found))
+
+
+def _median(mag: np.ndarray) -> float:
+    """``np.median(mag)``, found by partitioning ``mag`` in place around its
+    upper middle (one pivot: numpy partitions around several far slower)."""
+    half = mag.size // 2
+    mag.partition(half)
+    if np.isnan(mag[half:].max()):  # NaNs sort last; np.median is then NaN
+        return np.nan
+    if mag.size % 2:
+        return mag[half]
+    return (mag[:half].max() + mag[half]) / 2  # the mean of the middle pair, as np.mean adds
 
 
 def synchronize(rx, waveform: SoundingWaveform) -> int:

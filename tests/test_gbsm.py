@@ -270,11 +270,17 @@ class TestGenerateClusters:
             assert powers[j] / powers[i] == pytest.approx(3.0, rel=1e-12)
 
     def test_all_zero_delays_rejected(self):
+        """A set that cannot spread fails naming config and row, from either
+        entry point."""
         config = dataclasses.replace(
             URBAN_NLOS, num_clusters=2, fixed_clusters=((0.0, 1.0), (0.0, 2.0))
         )
-        with pytest.raises(ValidationError, match="degenerate"):
-            generate_dataset(config, 1, 0)
+        degenerate = r": degenerate cluster set \(all delays equal\); cannot scale$"
+        with pytest.raises(ValidationError, match=r"^config 'urban-nlos', snapshot 0" + degenerate):
+            generate_dataset(config, 10, 1)
+        message = r"^config 'urban-nlos', cluster set of simulate seed 1" + degenerate
+        with pytest.raises(ValidationError, match=message):
+            simulate_pdp(config, 1, 10)
 
 
 class TestSynthesizeCir:

@@ -5,11 +5,13 @@
 convolved with the guard-rotated kernel through transforms of the padded
 length M. ``dft_estimate_cirs`` is the textbook per-period spectral
 division through DFTs of the period itself; the loop's CIRs come within
-``DFT_TOLERANCE`` of its peak. ``reference_mitigate`` cleans a capture as
-``mitigate_artifacts`` did before it repaired spikes in place: the median
-of a copy of the magnitudes, and interpolation over every good sample. The
-production code must reproduce ``reference_mitigate`` and the mean squared
-magnitude of the loop's CIRs bit for bit (``np.array_equal``).
+``DFT_TOLERANCE`` of its peak. ``reference_mitigate`` cleans a capture held
+whole by the formula of ``mitigate_artifacts``: the chunks' sums added in
+order for the mean, ``np.median`` of each chunk's magnitudes (of the last
+``_CHUNK_SAMPLES`` samples for a short last chunk) for its threshold, and
+interpolation over every good sample. The production code must reproduce
+``reference_mitigate`` and the mean squared magnitude of the loop's CIRs
+bit for bit (``np.array_equal``).
 """
 
 from unittest import mock
@@ -22,7 +24,6 @@ from hypothesis import strategies as st
 from cirkit import sounder
 from cirkit.analysis import CHUNK_ROWS
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
-from cirkit.errors import ValidationError
 from cirkit.signal import IqSignal, is_prime
 from cirkit.sounder import (
     build_sounding_signal,
@@ -90,23 +91,19 @@ def assert_near_dft(rows, dft_rows):
     assert error <= DFT_TOLERANCE * np.max(np.abs(np.array(dft_rows)))
 
 
-def reference_mitigate(rx, spike_threshold=sounder._SPIKE_THRESHOLD):
-    x = rx.samples
-    if not np.any(x):
-        return rx
-    x = x - np.mean(x)
+def reference_mitigate(rx):
+    x, n, chunk = rx.samples, len(rx), sounder._CHUNK_SAMPLES
+    starts = range(0, n, chunk)
+    x = x - sum(np.add.reduce(x[lo : lo + chunk]) for lo in starts) / np.intp(n)
     mag = np.abs(x)
-    median = float(np.median(mag))
-    bad = mag > spike_threshold * median
-    if np.any(bad):
-        good = np.nonzero(~bad)[0]
-        if good.size == 0:
-            raise ValidationError("every sample flagged as a spike; capture unusable")
-        idx = np.arange(x.size)
-        x = x.copy()
-        x[bad] = np.interp(idx[bad], good, x.real[good]) + 1j * np.interp(
-            idx[bad], good, x.imag[good]
-        )
+    bad = np.zeros(n, dtype=bool)
+    for lo in starts:
+        # a short last chunk's window is the capture's last chunk of samples
+        window = mag[max(min(lo, n - chunk), 0) : lo + chunk]
+        threshold = sounder._SPIKE_THRESHOLD * float(np.median(window))
+        bad[lo : lo + chunk] = mag[lo : lo + chunk] > threshold
+    good, idx = np.flatnonzero(~bad), np.flatnonzero(bad)
+    x[bad] = np.interp(idx, good, x.real[good]) + 1j * np.interp(idx, good, x.imag[good])
     return IqSignal(x, rx.sample_rate_hz, rx.center_frequency_hz)
 
 

@@ -3,16 +3,22 @@
 ``cirkit estimate`` reads its capture through ``io.IqReader`` a chunk at a
 time. Its raw averaged powers and its PDP CSV must equal, byte for byte,
 the chain that holds the whole capture: one whole read, the reference
-mitigation (``np.mean``, ``np.median``, ``np.interp`` over every good
-sample), ``np.argmax`` synchronisation and the per-period loop estimate of
+mitigation of ``test_sounder_reference`` (the chunks' sums added in order,
+``np.median`` per chunk, ``np.interp`` over every good sample),
+``np.argmax`` synchronisation and the per-period loop estimate of
 ``test_sounder_reference``, whose CIRs lie within ``DFT_TOLERANCE`` of the
-textbook per-period DFT formula's.
+textbook per-period DFT formula's. Mitigation reads each sample twice, once
+per pass, besides the one sample on either side of a chunk.
 """
 
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_io import read_whole
 from test_sounder_reference import (
     assert_near_dft,
@@ -107,7 +113,15 @@ def test_estimate_equals_whole_chain(tmp_path, case, taper):
     expected = whole_chain_powers(path, taper)
     assert np.array_equal(streamed_powers(path, taper), expected)
     out = tmp_path / "pdp.csv"
-    assert main(["estimate", "--rx", str(path), "--taper", str(taper), "--pdp-out", str(out)]) == 0
+    rc = main(["estimate", "--rx", str(path), "--taper", str(taper), "--pdp-out", str(out)])
+    if case == "run-longer-than-a-chunk":
+        # the run fills the second chunk and so sets its median: there it
+        # stays, and swamps the profile, in the whole chain as well
+        with pytest.raises(ValidationError, match="no PDP bin exceeds the noise threshold"):
+            csv_bytes(tmp_path, expected)
+        assert rc == 1
+        return
+    assert rc == 0
     assert out.read_bytes() == csv_bytes(tmp_path, expected)
 
 
@@ -130,9 +144,53 @@ def test_nan_in_last_chunk_fails_at_read_iq(tmp_path, capsys):
     assert f"sample {samples.size - 2} is not finite" in err
 
 
-def test_negative_spike_threshold_rejected():
-    with pytest.raises(ValidationError, match="spike_threshold must be >= 0"):
-        mitigate_artifacts(IqSignal(np.ones(10), 1.0), -1.0)
+def test_late_transmitter_repairs_only_the_onset_chunk(tmp_path):
+    """A capture whose first 60% is noise alone: each chunk's own median
+    keeps the transmission after the chunk where it starts."""
+    waveform = zadoff_chu_waveform(repetitions=2000)
+    tx = apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.4j, 0.2]))
+    samples = tx.samples.copy()
+    onset = int(0.6 * samples.size)
+    samples[:onset] = 0.0
+    rx = add_awgn(IqSignal(samples, tx.sample_rate_hz), 20.0, 3)
+    cleaned = mitigate_artifacts(io.IqReader(write_capture(tmp_path, rx.samples)))
+    assert cleaned.spike_index.size > 0
+    assert np.all(cleaned.spike_index // CHUNK == onset // CHUNK)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 700),
+    chunk=st.integers(1, 300),
+    spikes=st.lists(st.integers(0, 699), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_any_length_and_chunk_equal_reference(n, chunk, spikes, seed):
+    """Captures shorter than a chunk, a chunk and a sample, a last chunk of
+    one sample, and spikes anywhere."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x[[s for s in spikes if s < n]] = 40.0
+    rx = IqSignal(x, 1.0)
+    with mock.patch.object(sounder, "_CHUNK_SAMPLES", chunk):
+        assert np.array_equal(mitigate_artifacts(rx).samples, reference_mitigate(rx).samples)
+
+
+class CountingCapture:
+    """An in-memory capture that counts how often each sample is read."""
+
+    def __init__(self, rx):
+        self.rx, self.reads = rx, np.zeros(len(rx), dtype=int)
+        self.sample_rate_hz, self.center_frequency_hz = rx.sample_rate_hz, 0.0
+        self.lock = threading.Lock()
+
+    def __len__(self):
+        return len(self.rx)
+
+    def read_into(self, lo, out):
+        with self.lock:
+            self.reads[lo : lo + out.size] += 1
+        self.rx.read_into(lo, out)
 
 
 class TestSmallChunks:
@@ -142,13 +200,6 @@ class TestSmallChunks:
     def chunk(self, request, monkeypatch):
         monkeypatch.setattr(sounder, "_CHUNK_SAMPLES", request.param)
         return request.param
-
-    def test_pairwise_sum_equals_numpy(self, chunk):
-        rng = np.random.default_rng(chunk)
-        for n in [1, 2, 63, 64, 65, 129, 1000, 4097, 20011]:
-            x = rng.standard_normal(n) * 1e3 + 1j * rng.standard_normal(n)
-            total = sounder._pairwise_sum(IqSignal(x, 1.0), 0, n)
-            assert total.tobytes() == np.add.reduce(x).tobytes()
 
     @pytest.mark.parametrize("n", [4000, 4001])
     def test_mitigate_equals_reference(self, chunk, n):
@@ -160,32 +211,38 @@ class TestSmallChunks:
         assert np.array_equal(mitigate_artifacts(rx).samples, reference_mitigate(rx).samples)
 
     def test_many_equal_magnitudes_narrow_to_the_last_bit(self, chunk):
-        # more than a chunk of equal magnitudes in the median's bin at
-        # every depth of the histogram
+        # ties: most chunks' middle magnitudes are equal
         x = np.full(9001, 1.0 + 0.5j)
         x[::7] = 2.0
         x[100:104] = 90.0
         rx = IqSignal(x, 1.0)
         assert np.array_equal(mitigate_artifacts(rx).samples, reference_mitigate(rx).samples)
 
-    # equal magnitudes narrow to the last bit; distinct ones to their rank
+    # equal body magnitudes, or distinct ones
     @pytest.mark.parametrize("step", [0.0, 2.0**-30])
     def test_threshold_uses_the_exact_median(self, chunk, step):
-        # real samples as a half and its negation, 500 each, so numpy's
-        # pairwise mean is exactly 0 and each magnitude is its sample's
-        # absolute value; 600 magnitudes within 2**-20 of each other hold
-        # the median, with bits down to the last 12
-        body = 1.0 + 2.0**-20 + 2.0**-50 + step * np.arange(300)
-        body = np.concatenate([body, np.full(198, 0.125), [1e3, 1e3]])  # the last two become spikes
-        m = np.median(np.abs(np.concatenate([body, -body])))
-        at_threshold, above = 6.0 * m, np.nextafter(6.0 * m, np.inf)
-        x = np.concatenate([body[:-2], [at_threshold, above]])
-        x = np.concatenate([x, -x])
-        rx = IqSignal(x, 1.0)
+        """A sample exactly at 6x its chunk's median is kept, the next float
+        up repaired. Four chunks: a body and its negation with magnitudes
+        near 2, then near 1, each chunk with one imaginary sample. The
+        values have few bits, so every sum is exact and the mean is 0; a
+        median over the whole capture would flag the first pair's samples
+        and keep the second's."""
+        body = 1.0 + 2.0**-20 + step * np.arange(chunk - 1)
+        chunks, special = [], []
+        for scale, kept in [(2.0, True), (1.0, False)]:
+            threshold = 6.0 * np.median(np.r_[scale * body, 1e3])
+            value = 1j * (threshold if kept else np.nextafter(threshold, np.inf))
+            for sign in (1.0, -1.0):
+                special.append(sign * value)
+                chunks.append(np.r_[sign * scale * body[: chunk // 2], special[-1],
+                                    sign * scale * body[chunk // 2 :]])
+        rx = IqSignal(np.concatenate(chunks), 1.0)
         cleaned = mitigate_artifacts(rx).samples
         assert np.array_equal(cleaned, reference_mitigate(rx).samples)
-        assert cleaned[498] == at_threshold  # on the threshold: kept
-        assert cleaned[499] != above  # past it: repaired
+        at = np.arange(4) * chunk + chunk // 2
+        assert np.array_equal(cleaned[at[:2]], special[:2])  # on the threshold: kept
+        assert np.all(cleaned[at[2:]] != special[2:])  # past it: repaired
+        assert np.all(np.abs(cleaned[at[2:]]) < 3.0)
 
     def test_nan_sample_cleans_like_the_reference(self, chunk):
         x = np.ones(3000, dtype=complex)
@@ -210,6 +267,32 @@ class TestSmallChunks:
         assert np.array_equal(streamed.read(0, len(streamed)), whole.samples)
         edge = slice(chunk - 1, chunk + 2)
         assert np.array_equal(streamed.read(edge.start, edge.stop), whole.samples[edge])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", [4000, 4001])
+    def test_pooled_and_inline_equal_reference(self, chunk, tmp_path, monkeypatch, cpus, n):
+        """Streamed and in memory, on the pool and inline, with and without
+        a short last chunk."""
+        monkeypatch.setattr(sounder, "_usable_cpus", lambda: cpus)
+        spikes = [0, chunk - 1, chunk, n // 2, n - chunk // 2, n - 1]
+        samples = with_spikes(noisy_samples(12, 5)[:n], spikes)
+        path = write_capture(tmp_path, samples)
+        whole = reference_mitigate(read_whole(path)).samples
+        streamed = mitigate_artifacts(io.IqReader(path))
+        assert np.array_equal(streamed.read(0, n), whole)
+        assert np.array_equal(mitigate_artifacts(read_whole(path)).samples, whole)
+
+    @pytest.mark.parametrize("n", [50, 4000, 4001])
+    def test_each_sample_is_read_twice(self, chunk, n):
+        """Once per pass, and a third time only as the neighbour of a chunk
+        edge: the last sample of a chunk and the first of the next."""
+        rx = CountingCapture(IqSignal(with_spikes(noisy_samples(12)[:n], [3]), 1.0))
+        mitigate_artifacts(rx)
+        edges = np.arange(chunk, n, chunk)
+        allowed = np.full(n, 2)
+        allowed[np.r_[edges - 1, edges]] = 3
+        assert np.all(rx.reads >= 2)
+        assert np.all(rx.reads <= allowed)
 
 
 def estimate_peak(tmp_path, periods):
