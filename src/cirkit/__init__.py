@@ -54,7 +54,7 @@ from .io import (
     write_pdp_csv,
     write_report,
 )
-from .signal import IqSignal, circular_cross_correlate, dft, idft, is_prime, zadoff_chu
+from .signal import IqSignal, circular_cross_correlate, is_prime, zadoff_chu
 from .sounder import (
     CleanedCapture,
     SoundingWaveform,
@@ -94,12 +94,10 @@ __all__ = [
     "compare_pdps",
     "config_from_parameters",
     "count_clusters",
-    "dft",
     "estimate_noise_floor",
     "estimate_pdp",
     "extract_parameters",
     "generate_dataset",
-    "idft",
     "is_prime",
     "k_factor",
     "mean_excess_delay",

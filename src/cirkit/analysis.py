@@ -327,12 +327,12 @@ def extract_parameters(
 ) -> ChannelParameters:
     """Run the full extraction chain on a raw PDP.
 
-    Noise floor estimation, thresholding, normalization, the delay-moment
-    formulas, the K-factor (LOS profiles only) and the cluster count, in
-    that order. A noise floor already attached to the profile is reused.
+    The noise floor of ``default_noise_floor`` (the attached one, else the
+    estimate, else 0 below 16 bins), thresholding, normalization, the
+    delay-moment formulas, the K-factor (LOS profiles only) and the cluster
+    count, in that order.
     """
-    if pdp.noise_floor_linear is None:
-        pdp = pdp.with_noise_floor(estimate_noise_floor(pdp))
+    pdp = pdp.with_noise_floor(default_noise_floor(pdp))
     cleaned = normalize_pdp(threshold_pdp(pdp, margin_db), margin_db)
     m1, m2 = _pdp_moments(cleaned)
     ds = _spread(m1, m2)

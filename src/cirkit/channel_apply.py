@@ -36,14 +36,6 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
-def seeded_rng(rng_seed) -> np.random.Generator:
-    """``np.random.default_rng(rng_seed)``: an integer seed must pass
-    ``check_seed``; a ``np.random.SeedSequence`` is taken as it is."""
-    if isinstance(rng_seed, (int, np.integer)):
-        rng_seed = check_seed(rng_seed)
-    return np.random.default_rng(rng_seed)
-
-
 def apply_channel(tx: IqSignal, channel: SyntheticChannel) -> IqSignal:
     """Circularly convolve a signal with a synthetic channel.
 
@@ -93,7 +85,7 @@ def add_awgn(signal: IqSignal, snr_db: float, rng_seed) -> IqSignal:
     noise_var = power / ratio
     if noise_var == math.inf:
         raise ValidationError(f"snr_db {snr_db} is out of range: the noise variance overflows")
-    rng = seeded_rng(rng_seed)
+    rng = np.random.default_rng(check_seed(rng_seed))
     out = np.empty(len(signal), dtype=np.complex128)
     out.real = rng.standard_normal(len(signal))
     out.imag = rng.standard_normal(len(signal))

@@ -20,7 +20,6 @@ import numpy as np
 from . import analysis, gbsm, io, sounder, svgplot
 from .channel_apply import SyntheticChannel, add_awgn, apply_channel
 from .errors import FileFormatError, InternalConsistencyError, ValidationError
-from .signal import IqSignal
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -83,12 +82,12 @@ def _estimation_flags(args) -> float | None:
     return _parse_regularization(args.regularization)
 
 
-def _waveform(args) -> sounder.SoundingWaveform:
+def _waveform(args, sample_rate_hz: float) -> sounder.SoundingWaveform:
     return sounder.zadoff_chu_waveform(
         root=args.zc_root,
         length=args.zc_length,
         repetitions=args.repetitions,
-        sample_rate_hz=args.sample_rate,
+        sample_rate_hz=sample_rate_hz,
     )
 
 
@@ -101,17 +100,13 @@ class _CaptureFile(io.IqReader):
             super().read_into(lo, out)
 
 
-def _estimate_pdp(read_capture, waveform, regularization, taper, margin_db):
+def _estimate_pdp(capture, waveform, regularization, taper, margin_db):
     """Shared receive chain: mitigate, synchronize, estimate and average,
-    normalize.
-
-    ``read_capture()`` returns the received signal, in memory or as a
-    ``_CaptureFile``. It is called here and its result is handed straight
-    to mitigation, so an in-memory capture is freed once it is cleaned; a
-    file is streamed through every stage a chunk at a time.
+    normalize. ``capture``, a ``_CaptureFile`` or the received signal in
+    memory, is read through every stage a chunk at a time.
     """
     with _stage("mitigate"):
-        cleaned = sounder.mitigate_artifacts(read_capture())
+        cleaned = sounder.mitigate_artifacts(capture)
     with _stage("synchronize"):
         offset = sounder.synchronize(cleaned, waveform)
     with _stage("estimate"):
@@ -129,7 +124,7 @@ def _cmd_generate_sounding(args) -> int:
                 "snapshot averaging degenerate (3 or more recommended)",
                 file=sys.stderr,
             )
-        waveform = _waveform(args)
+        waveform = _waveform(args, args.sample_rate)
         signal = sounder.build_sounding_signal(waveform, args.center_frequency)
     with _stage("write-iq"):
         io.write_iq(args.out, signal)
@@ -139,13 +134,10 @@ def _cmd_generate_sounding(args) -> int:
 
 def _cmd_estimate(args) -> int:
     regularization = _estimation_flags(args)
-    waveform = _waveform(args)
-
-    def read_capture() -> _CaptureFile:
-        with _stage("read-iq"):
-            return _CaptureFile(args.rx)
-
-    pdp = _estimate_pdp(read_capture, waveform, regularization, args.taper, args.margin_db)
+    with _stage("read-iq"):
+        capture = _CaptureFile(args.rx)
+    waveform = _waveform(args, capture.sample_rate_hz)
+    pdp = _estimate_pdp(capture, waveform, regularization, args.taper, args.margin_db)
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)
     print(f"wrote {len(pdp)}-bin PDP to {args.pdp_out}")
@@ -277,7 +269,7 @@ def _cmd_loopback(args) -> int:
     _finite_flag("--ds-tolerance-bins", args.ds_tolerance_bins, 0.0)
     with _stage("seed"):
         gbsm.check_seed(args.seed)
-    waveform = _waveform(args)
+    waveform = _waveform(args, args.sample_rate)
     with _stage("channel-spec"):
         channel, true_delays, true_powers = _parse_channel_spec(
             args.channel_spec, args.sample_rate
@@ -286,11 +278,8 @@ def _cmd_loopback(args) -> int:
             raise ValidationError("channel span exceeds one sounding period")
     with _stage("build"):
         tx = sounder.build_sounding_signal(waveform)
-
-    def received() -> IqSignal:
-        with _stage("apply-channel"):
-            return add_awgn(apply_channel(tx, channel), args.snr_db, args.seed)
-
+    with _stage("apply-channel"):
+        received = add_awgn(apply_channel(tx, channel), args.snr_db, args.seed)
     pdp = _estimate_pdp(received, waveform, regularization, args.taper, args.margin_db)
     with _stage("extract"):
         params = analysis.extract_parameters(pdp, los_flag=True, margin_db=args.margin_db)
@@ -315,7 +304,10 @@ def _cmd_loopback(args) -> int:
     return EXIT_OK
 
 
-def _add_waveform_flags(parser: argparse.ArgumentParser) -> None:
+def _add_waveform_flags(parser: argparse.ArgumentParser, transmit: bool = True) -> None:
+    """The sounding waveform's flags. Without ``transmit`` (``estimate``)
+    the sample rate is the capture's and every complete period in it is
+    averaged, so ``--sample-rate`` is left out."""
     parser.add_argument(
         "--zc-length", type=int, default=sounder.DEFAULT_SEQUENCE_LENGTH,
         help="Zadoff-Chu sequence length (must be prime)",
@@ -325,12 +317,14 @@ def _add_waveform_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--repetitions", type=int, default=sounder.DEFAULT_REPETITIONS,
-        help="number of tiled sequence periods",
+        help="number of tiled sequence periods" if transmit else
+        "tiled sequence periods of the sounding; every complete period of the capture is averaged",
     )
-    parser.add_argument(
-        "--sample-rate", type=float, default=sounder.DEFAULT_SAMPLE_RATE_HZ,
-        help="sample rate in Hz",
-    )
+    if transmit:
+        parser.add_argument(
+            "--sample-rate", type=float, default=sounder.DEFAULT_SAMPLE_RATE_HZ,
+            help="sample rate in Hz",
+        )
 
 
 def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
@@ -377,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("--rx", required=True, help="received IQ capture")
-    _add_waveform_flags(p)
+    _add_waveform_flags(p, transmit=False)
     _add_estimation_flags(p)
     p.add_argument("--pdp-out", required=True, help="output PDP CSV path")
     p.set_defaults(func=_cmd_estimate)

@@ -368,10 +368,10 @@ def _render_block(
     delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
 ) -> np.ndarray:
     """Render S CIRs from (S, K) cluster delays and powers, or (1, K) ones
-    that all S rows share, into ``out`` ((S, taps) complex128, or complex64,
-    whose parts then round as ``astype`` rounds them) or a new complex128
-    array. Each cluster has amplitude sqrt(power) and phase 2 pi u from its
-    (S, K) phase word u.
+    that all S rows share, into ``out``, an (S, taps) complex64 array whose
+    parts round as ``astype`` rounds them, or into a new complex128 array.
+    Each cluster has amplitude sqrt(power) and phase 2 pi u from its (S, K)
+    phase word u.
 
     Each path is the 16-slot kernel of ``_kernel`` at its fractional
     position. The slots are scattered into rows padded by 8 columns on each
@@ -431,20 +431,18 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
     return normalize_pdp(pdp.with_noise_floor(default_noise_floor(pdp)), DEFAULT_MARGIN_DB)
 
 
-def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=None):
-    """Generate ``count`` independent channel snapshots, in memory or into a file.
+def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) -> None:
+    """Write ``count`` independent channel snapshots into the dataset file ``path``.
 
     Every snapshot draws fresh large-scale parameters, clusters and phases
     from its own fixed run of words of one counter-based stream keyed by the
     root seed, so the first n snapshots are the same for any ``count`` >= n.
     Snapshots are drawn and rendered ``CHUNK_ROWS`` at a time, each chunk a
     task of ``sounder._map_chunks``; the bytes do not depend on how many run
-    at once. Without ``path``, each chunk renders into its rows of one
-    complex128 block and the in-memory dataset is returned. With ``path``,
-    each chunk renders into its task's float32 chunk buffer, which holds the
-    rows as the container file stores them, and is written as soon as it is
-    rendered: the call holds two such chunks, whatever ``count`` is, and
-    returns None. A failure leaves ``path`` as it was.
+    at once. Each chunk renders into its task's float32 chunk buffer, which
+    holds the rows as the container file stores them, and is written as
+    soon as it is rendered: the call holds two such chunks, whatever
+    ``count`` is. A failure leaves ``path`` as it was.
     """
     from . import io as cirkit_io  # deferred: io needs this module's types
 
@@ -457,15 +455,14 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=Non
             "a dataset file can hold"
         )
     taps = config.cir_length_taps
-    snapshots = np.empty((count, taps), dtype=np.complex128) if path is None else None
 
     def chunk_buffer():
-        return None if path is None else np.empty((CHUNK_ROWS, taps), dtype="<c8")
+        return np.empty((CHUNK_ROWS, taps), dtype="<c8")
 
     def render_chunk(start: int, chunk) -> np.ndarray:
         rows = min(CHUNK_ROWS, count - start)
         phases, block = _stream_block(config, root, DATASET_STREAM, start, rows)
-        out = snapshots[start : start + rows] if chunk is None else chunk[:rows]
+        out = chunk[:rows]
         # a few rows at a time: a worker thread keeps what it allocates
         for lo in range(0, rows, _RENDER_ROWS):
             part = slice(lo, lo + _RENDER_ROWS)
@@ -477,12 +474,6 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path=Non
     blob = cirkit_io.config_to_text(config, comments=comments)
     chunks = _map_chunks(render_chunk, range(0, count, CHUNK_ROWS), chunk_buffer)
     try:
-        if path is not None:
-            cirkit_io._write_chds(path, count, taps, config.sample_rate_hz, blob, chunks)
-            return None
-        for _ in chunks:
-            pass
+        cirkit_io._write_chds(path, count, taps, config.sample_rate_hz, blob, chunks)
     finally:
         chunks.close()
-    snapshots.setflags(write=False)
-    return cirkit_io.Dataset(snapshots, config.sample_rate_hz, blob)

@@ -1,4 +1,4 @@
-"""Complex baseband primitives: Zadoff-Chu sequences, transforms, correlation.
+"""Complex baseband primitives: Zadoff-Chu sequences and correlation.
 
 All functions are pure and all values are immutable after construction, so
 they are safe to share between threads. Domain objects adopt a frozen
@@ -85,10 +85,6 @@ class IqSignal:
             raise ValidationError(f"no samples [{lo}, {lo + out.size}) in {self.samples.size}")
         out[...] = self.samples[lo : lo + out.size]
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division (fine for sequence lengths)."""
@@ -124,31 +120,12 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
     return np.exp(-1j * np.pi * root * n * (n + 1.0) / length)
 
 
-def dft(samples) -> np.ndarray:
-    """Forward DFT, X[k] = sum_n x[n] exp(-2*pi*i*k*n/N).
-
-    Arbitrary lengths are supported, including primes; the sounding
-    sequences used here are prime-length so this is load-bearing.
-    """
-    x = np.asarray(samples)
-    if x.size == 0:
-        raise ValidationError("dft of empty input")
-    return np.fft.fft(x)
-
-
-def idft(spectrum) -> np.ndarray:
-    """Inverse DFT with 1/N normalization; idft(dft(x)) == x."""
-    x = np.asarray(spectrum)
-    if x.size == 0:
-        raise ValidationError("idft of empty input")
-    return np.fft.ifft(x)
-
-
 def circular_cross_correlate(a, b) -> np.ndarray:
     """Periodic cross-correlation r[k] = sum_n a[n] * conj(b[(n-k) mod N]).
 
-    Computed via transforms as idft(dft(a) * conj(dft(b))), which equals the
-    direct summation to rounding precision.
+    Computed via transforms as ifft(fft(a) * conj(fft(b))), numpy's DFTs of
+    any length, primes included, which equals the direct summation to
+    rounding precision.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)

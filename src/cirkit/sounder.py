@@ -198,7 +198,7 @@ class CleanedCapture:
         out[self.spike_index[first:last] - lo] = self.spike_value[first:last]
 
 
-def mitigate_artifacts(rx) -> IqSignal | CleanedCapture:
+def mitigate_artifacts(rx) -> CleanedCapture:
     """Simplified capture clean-up: DC offset removal and spike suppression.
 
     The complex mean is subtracted, then any sample whose magnitude exceeds
@@ -218,10 +218,8 @@ def mitigate_artifacts(rx) -> IqSignal | CleanedCapture:
     capture whose level changes, such as one whose transmitter starts
     late. Besides a few chunks this holds the spike list and nothing that
     grows with the capture, and the result does not depend on the number
-    of threads. An ``IqSignal`` comes back as a cleaned ``IqSignal``. Any
-    other capture, such as an ``io.IqReader``, comes back as a
-    ``CleanedCapture`` that cleans each range as it is read, so a capture
-    larger than RAM streams through.
+    of threads. The result is a ``CleanedCapture`` that cleans each range
+    of ``rx`` as it is read, so a capture larger than RAM streams through.
     """
     n = len(rx)
     buffers = functools.partial(_chunk_buffers, n)
@@ -246,12 +244,7 @@ def mitigate_artifacts(rx) -> IqSignal | CleanedCapture:
         good = ~np.isin(near, bad)
         near, values = near[good], values[first[good]]
         repaired = np.interp(bad, near, values.real) + 1j * np.interp(bad, near, values.imag)
-    cleaned = CleanedCapture(rx, mean, bad, repaired)
-    if not isinstance(rx, IqSignal):
-        return cleaned
-    x = cleaned.read(0, n)
-    x.setflags(write=False)
-    return IqSignal(x, rx.sample_rate_hz, rx.center_frequency_hz)
+    return CleanedCapture(rx, mean, bad, repaired)
 
 
 def _chunk_spikes(rx, mean, lo: int, buffers):
@@ -389,7 +382,7 @@ def estimate_pdp(
     chunk order, the order in which ``np.mean(..., axis=0)`` adds up all
     periods at once. The memory is a few chunks whatever the capture
     length. ``rx`` is an ``IqSignal`` or any capture read by range, such as
-    ``mitigate_artifacts``' result for an ``io.IqReader``.
+    ``mitigate_artifacts``' result.
     """
     n = waveform.period
     power = np.zeros(n)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from test_gbsm import stream_clusters
+from test_gbsm import read_back, stream_clusters
 
 from cirkit import analysis, gbsm, io, sounder
 from cirkit.analysis import PowerDelayProfile, extract_parameters
@@ -287,8 +287,8 @@ def test_c09_determinism(tmp_path):
     assert a.delays_s.tobytes() == b.delays_s.tobytes()
     assert a.powers_linear.tobytes() == b.powers_linear.tobytes()
 
-    long = gbsm.generate_dataset(preset, gbsm.CHUNK_ROWS + 1, 7).snapshots
-    short = gbsm.generate_dataset(preset, 16, 7).snapshots
+    long = read_back(tmp_path, preset, gbsm.CHUNK_ROWS + 1, 7, "long.chds").snapshots
+    short = read_back(tmp_path, preset, 16, 7, "short.chds").snapshots
     assert long[:16].tobytes() == short.tobytes()
 
     sig = IqSignal(np.ones(4096), 25.6e6)

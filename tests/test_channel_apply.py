@@ -109,16 +109,20 @@ class TestAddAwgn:
             add_awgn(random_signal(np.random.default_rng(9)), 10.0, -1)
 
     def test_seed_contract(self):
-        # an integer seed must lie in [0, 2**64); a SeedSequence is taken as
-        # it is, and an integer draws what its SeedSequence draws
+        # a seed is an integer in [0, 2**64), and draws what numpy's default
+        # generator of it draws: n real parts, then n imaginary parts
         sig = random_signal(np.random.default_rng(10))
         for bad in (-1, 2**64):
             with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 add_awgn(sig, 10.0, bad)
-        add_awgn(sig, 10.0, np.random.SeedSequence([4, 2]))
         add_awgn(sig, 10.0, np.uint64(2**64 - 1))
-        same = add_awgn(sig, 10.0, np.random.SeedSequence(7)).samples
-        assert add_awgn(sig, 10.0, 7).samples.tobytes() == same.tobytes()
+        rng = np.random.default_rng(7)
+        noise = np.empty(len(sig), dtype=complex)
+        noise.real = rng.standard_normal(len(sig))
+        noise.imag = rng.standard_normal(len(sig))
+        noise *= math.sqrt(float(np.mean(np.abs(sig.samples) ** 2)) / 10.0 / 2.0)
+        same = add_awgn(sig, 10.0, 7).samples
+        assert same.tobytes() == (noise + sig.samples).tobytes()
         assert add_awgn(sig, 10.0, 8).samples.tobytes() != same.tobytes()
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])

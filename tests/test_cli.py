@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,8 @@ import cirkit
 from cirkit import io
 from cirkit.analysis import PowerDelayProfile
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
-from cirkit.cli import main
+from cirkit.cli import _parse_channel_spec, main
+from cirkit.gbsm import PRESETS
 from cirkit.signal import IqSignal
 from cirkit.sounder import build_sounding_signal, zadoff_chu_waveform
 
@@ -99,6 +102,22 @@ class TestEstimate:
         assert rc == 0
         assert peak <= 3 * capture_bytes
 
+    def test_rate_comes_from_the_capture_and_every_period_is_averaged(self, tmp_path, capsys):
+        """``--sample-rate`` is no flag of ``estimate``; ``--repetitions`` is
+        accepted but changes no byte."""
+        rx = make_capture(tmp_path, snr_db=20.0)
+        out = tmp_path / "pdp.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--rx", str(rx), "--sample-rate", "1e6", "--pdp-out", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --sample-rate" in capsys.readouterr().err
+        assert not out.exists()
+        outputs = []
+        for flags in ([], ["--repetitions", "999"]):
+            assert main(["estimate", "--rx", str(rx), *flags, "--pdp-out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestExtract:
     def test_prints_parameter_row_and_writes_config(self, tmp_path, capsys):
@@ -128,6 +147,19 @@ class TestExtract:
         assert rc == 0
         assert " x " in capsys.readouterr().out
         assert io.read_config(cfg_path).kf_median_db is None
+
+    def test_simulated_cir_shorter_than_16_taps(self, tmp_path, capsys):
+        """Too few bins to estimate a noise floor: the floor is 0, as in
+        ``simulate`` and ``compare``, and ``extract`` takes the profile."""
+        config = tmp_path / "short.cfg"
+        io.write_config(config, dataclasses.replace(
+            PRESETS["urban-nlos"], num_clusters=2, cir_length_taps=12, ds_median_s=40e-9
+        ))
+        sim, out = tmp_path / "sim.csv", tmp_path / "out.cfg"
+        assert main(["simulate", "--config", str(config), "--pdp-out", str(sim)]) == 0
+        assert main(["extract", "--pdp", str(sim), "--out-config", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split()[1:] == ["40.7", "x", "2"]
+        assert io.read_config(out).num_clusters == 2
 
 
 class TestSimulateAndDataset:
@@ -255,6 +287,37 @@ class TestLoopback:
         )
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("taper", ["0.1", "0"])
+    @pytest.mark.parametrize(
+        "spec", ["0,1;1.2e-7,0.6;3.1e-7,0.3", "0,1;7.8125e-8,0.5", "0,0.5;1e-6,1"]
+    )
+    def test_agrees_with_estimate_and_extract(self, tmp_path, capsys, spec, taper):
+        """Loopback's received signal, written as a capture, gives ``estimate``
+        then ``extract`` the DS, KF and cluster count loopback prints: the
+        signal in memory takes the file's path. 700 periods span three
+        mitigation chunks. The last channel's strongest path comes second,
+        so its first path wraps to the end of the delay axis; both paths
+        recover the same wrong DS, and loopback exits 1."""
+        flags = ["--repetitions", "700", "--snr-db", "20", "--seed", "4", "--taper", taper]
+        main(["loopback", "--channel-spec", spec, *flags])
+        printed = capsys.readouterr().out
+        ds, clusters = re.search(r"recovered DS +([\d.]+) ns +\((\d+) clusters", printed).groups()
+        kf = re.search(r"recovered KF +(\S+)", printed).group(1)
+
+        waveform = zadoff_chu_waveform(repetitions=700)
+        channel, _, _ = _parse_channel_spec(spec, waveform.sample_rate_hz)
+        rx, pdp = tmp_path / "rx.iq", tmp_path / "pdp.csv"
+        io.write_iq(rx, add_awgn(apply_channel(build_sounding_signal(waveform), channel), 20.0, 4))
+        assert main(["estimate", "--rx", str(rx), "--taper", taper, "--pdp-out", str(pdp)]) == 0
+        assert main(["extract", "--pdp", str(pdp), "--los",
+                     "--out-config", str(tmp_path / "c.cfg")]) == 0
+        _, extracted_ds, extracted_kf, extracted_clusters = (
+            capsys.readouterr().out.splitlines()[-1].split()
+        )
+        # extract prints the DS to 0.1 ns, loopback to 0.01 ns
+        assert abs(float(extracted_ds) - float(ds)) <= 0.055
+        assert (extracted_kf, extracted_clusters) == (kf, clusters)
 
     def test_bad_channel_spec(self, capsys):
         rc = main(["loopback", "--channel-spec", "0"])

@@ -48,6 +48,13 @@ def stream_clusters(config, rows, seed=0):
     return *large_scale(config, rows, seed), block
 
 
+def read_back(tmp_path, config, count, seed, name="dataset.chds"):
+    """The dataset file ``generate_dataset`` writes, read by ``read_dataset``."""
+    path = tmp_path / name
+    generate_dataset(config, count, seed, path)
+    return read_dataset(path)
+
+
 def fixed_pair(delays, powers):
     """(i, j) of the only two clusters whose delays relate as 90 ns to
     200 ns and whose powers relate as 0.1 to 0.3: the fixed clusters of
@@ -203,7 +210,7 @@ class TestDrawLargeScale:
             ("urban-los", "kf_sigma_db", 1e4, (4,), 1),
         ],
     )
-    def test_extreme_spread_fails_by_name(self, preset, spread, value, seeds, snapshot):
+    def test_extreme_spread_fails_by_name(self, tmp_path, preset, spread, value, seeds, snapshot):
         """A draw the cluster arithmetic cannot take fails before it is used,
         naming config, row and parameter; the suite's warning filter turns a
         RuntimeWarning on the way into an error."""
@@ -214,7 +221,7 @@ class TestDrawLargeScale:
                 simulate_pdp(config, seed, 10)
         message = rf"^config '{preset}', snapshot {snapshot}: drawn .*{spread}="
         with pytest.raises(ValidationError, match=message):
-            generate_dataset(config, 300, 1)
+            generate_dataset(config, 300, 1, tmp_path / "x.chds")
 
 
 class TestGenerateClusters:
@@ -269,7 +276,7 @@ class TestGenerateClusters:
             i, j = fixed_pair(delays, powers)
             assert powers[j] / powers[i] == pytest.approx(3.0, rel=1e-12)
 
-    def test_all_zero_delays_rejected(self):
+    def test_all_zero_delays_rejected(self, tmp_path):
         """A set that cannot spread fails naming config and row, from either
         entry point."""
         config = dataclasses.replace(
@@ -277,7 +284,7 @@ class TestGenerateClusters:
         )
         degenerate = r": degenerate cluster set \(all delays equal\); cannot scale$"
         with pytest.raises(ValidationError, match=r"^config 'urban-nlos', snapshot 0" + degenerate):
-            generate_dataset(config, 10, 1)
+            generate_dataset(config, 10, 1, tmp_path / "x.chds")
         message = r"^config 'urban-nlos', cluster set of simulate seed 1" + degenerate
         with pytest.raises(ValidationError, match=message):
             simulate_pdp(config, 1, 10)
@@ -318,14 +325,14 @@ class TestSynthesizeCir:
         assert abs(sigma - 50 * NS) < 20 * NS
         assert step == pytest.approx(39.0625 * NS)
 
-    def test_delay_overflow_rejected(self):
+    def test_delay_overflow_rejected(self, tmp_path):
         # two fixed clusters 1 us apart rescaled to a 10 us DS sit 20 us
         # apart, past the 13.8 us CIR span, in every draw
         config = dataclasses.replace(
             URBAN_NLOS, ds_median_s=10e-6, num_clusters=2, fixed_clusters=((0.0, 1.0), (1e-6, 1.0))
         )
         with pytest.raises(ValidationError, match="overflow"):
-            generate_dataset(config, 1, 0)
+            generate_dataset(config, 1, 0, tmp_path / "x.chds")
 
     def test_phase_averaging_converges_to_cluster_power(self):
         # two clusters sharing the same bin neighbourhood interfere per
@@ -395,7 +402,7 @@ class TestGenerateDataset:
         assert prefix.tobytes() == read_dataset(short).snapshots.tobytes()
 
     def test_metadata_records_seed_and_version(self, tmp_path):
-        ds = generate_dataset(URBAN_NLOS, 1, 77)
+        ds = read_back(tmp_path, URBAN_NLOS, 1, 77)
         assert "# seed=77" in ds.config_text
         assert f"# generator_version={__about__.__version__}\n" in ds.config_text
 
@@ -405,10 +412,10 @@ class TestGenerateDataset:
         [version] = re.findall(r'^version = "([^"]*)"$', text, flags=re.MULTILINE)
         assert version == __about__.__version__
 
-    def test_snapshot_ds_distribution(self):
+    def test_snapshot_ds_distribution(self, tmp_path):
         # per-snapshot profiles are single realizations; the extracted DS
         # median over many snapshots stays near the configured median
-        ds = generate_dataset(URBAN_NLOS, 1000, 21)
+        ds = read_back(tmp_path, URBAN_NLOS, 1000, 21)
         values = []
         delays = np.arange(URBAN_NLOS.cir_length_taps) * (1.0 / URBAN_NLOS.sample_rate_hz)
         for taps in ds.snapshots:
@@ -418,15 +425,15 @@ class TestGenerateDataset:
         median = float(np.median(values))
         assert abs(median - 125 * NS) / (125 * NS) < 0.15
 
-    def test_invalid_count_rejected(self):
+    def test_invalid_count_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            generate_dataset(URBAN_NLOS, 0, 0)
+            generate_dataset(URBAN_NLOS, 0, 0, tmp_path / "x.chds")
 
-    def test_count_beyond_file_header_rejected_before_allocating(self):
+    def test_count_beyond_file_header_rejected_before_allocating(self, tmp_path):
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match="count 4294967296"):
-                generate_dataset(URBAN_NLOS, 2**32, 0)
+                generate_dataset(URBAN_NLOS, 2**32, 0, tmp_path / "x.chds")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -480,22 +487,22 @@ class TestSnapshotStreams:
         assert used.max() == 1 and width % 4 == 0
         assert used.sum() == 2 + 15 + 16 + 15
 
-    def test_prefix_for_any_count(self):
-        full = generate_dataset(URBAN_LOS, 3 * gbsm.CHUNK_ROWS + 5, 8).snapshots
+    def test_prefix_for_any_count(self, tmp_path):
+        full = read_back(tmp_path, URBAN_LOS, 3 * gbsm.CHUNK_ROWS + 5, 8, "full.chds").snapshots
         rng = np.random.default_rng(0)
         counts = {1, gbsm.CHUNK_ROWS, gbsm.CHUNK_ROWS + 1, *rng.integers(1, full.shape[0], 6)}
         for count in counts:
-            short = generate_dataset(URBAN_LOS, int(count), 8).snapshots
+            short = read_back(tmp_path, URBAN_LOS, int(count), 8).snapshots
             assert short.tobytes() == full[:count].tobytes(), count
 
 
-def test_check_seed_rejects_out_of_range():
+def test_check_seed_rejects_out_of_range(tmp_path):
     assert gbsm.check_seed(0) == 0
     assert gbsm.check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
     for bad in (-1, 2**64, 1.0, True, "3"):
         with pytest.raises(ValidationError, match=r"\[0, 2\*\*64\)"):
             gbsm.check_seed(bad)
     with pytest.raises(ValidationError, match="seed"):
-        generate_dataset(URBAN_NLOS, 1, -1)
+        generate_dataset(URBAN_NLOS, 1, -1, tmp_path / "x.chds")
     with pytest.raises(ValidationError, match="seed"):
         simulate_pdp(URBAN_NLOS, 2**64, 1)

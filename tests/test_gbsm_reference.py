@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_gbsm import read_back
 
 from cirkit import gbsm, io
 from cirkit.analysis import (
@@ -218,21 +219,29 @@ CONFIGS = {**PRESETS, "fixed": FIXED, "single": SINGLE, "single-los": SINGLE_LOS
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_dataset_equals_loop_reference(name):
+def test_dataset_equals_loop_reference(tmp_path, name):
+    """The file holds the loop's CIRs rounded to complex64, bit for bit."""
     config = CONFIGS[name]
     # one short chunk, one full chunk and one row, two full chunks and 3 rows
     counts = (gbsm.CHUNK_ROWS - 1, gbsm.CHUNK_ROWS + 1, 2 * gbsm.CHUNK_ROWS + 3)
     loop = loop_generate_dataset(config, max(counts), 13)
     for count in counts:
-        batched = gbsm.generate_dataset(config, count, 13).snapshots
-        assert np.array_equal(batched, loop[:count]), count
+        batched = read_back(tmp_path, config, count, 13).snapshots
+        assert np.array_equal(batched, loop[:count].astype(np.complex64)), count
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_dataset_within_rounding_of_sinc_kernel(name):
+    """The dataset stream's rows rendered at complex128, as ``simulate_pdp``
+    renders them, chunk by chunk as ``generate_dataset`` draws them."""
     config = CONFIGS[name]
     count = gbsm.CHUNK_ROWS + 1
-    batched = gbsm.generate_dataset(config, count, 13).snapshots
+    chunks = []
+    for start in range(0, count, gbsm.CHUNK_ROWS):
+        rows = min(gbsm.CHUNK_ROWS, count - start)
+        phases, block = gbsm._stream_block(config, 13, gbsm.DATASET_STREAM, start, rows)
+        chunks.append(gbsm._render_block(block.delays, block.powers, phases, block.los, config))
+    batched = np.vstack(chunks)
     reference = loop_generate_dataset(config, count, 13, kernel=sinc_kernel)
     peak = np.max(np.abs(reference), axis=1, keepdims=True)
     assert np.all(np.abs(batched - reference) <= 1e-14 * peak)
@@ -349,16 +358,16 @@ def test_span_overflow_redraws_only_that_snapshot(tmp_path):
     ds, kf = loop_large_scale(config, row)
     assert np.max(loop_clusters(ds, kf, config, row)[0]) >= span
 
-    batched = gbsm.generate_dataset(config, 2000, 1).snapshots
-    assert np.array_equal(batched, loop_generate_dataset(config, 2000, 1))
+    batched = io.read_dataset(out).snapshots
+    assert np.array_equal(batched, loop_generate_dataset(config, 2000, 1).astype(np.complex64))
 
 
-def test_span_overflow_gives_up_naming_snapshot_and_config():
+def test_span_overflow_gives_up_naming_snapshot_and_config(tmp_path):
     # a 20 us delay spread needs delays of at least 40 us: no draw fits
     config = dataclasses.replace(PRESETS["urban-nlos"], label="wide", ds_median_s=20e-6)
     message = rf"'wide', snapshot 0: .* in {gbsm.MAX_CLUSTER_DRAWS} draws"
     with pytest.raises(ValidationError, match=message):
-        gbsm.generate_dataset(config, 3, 0)
+        gbsm.generate_dataset(config, 3, 0, tmp_path / "x.chds")
     message = rf"^config 'wide', cluster set of simulate seed 5: .* in {gbsm.MAX_CLUSTER_DRAWS} "
     with pytest.raises(ValidationError, match=message):
         gbsm.simulate_pdp(config, 5, 4)

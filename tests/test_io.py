@@ -370,6 +370,7 @@ class TestDataset:
         write_chds(path, ds)
         back = io.read_dataset(path)
         np.testing.assert_array_equal(back.snapshots, ds.snapshots)
+        assert not back.snapshots.flags.writeable
         assert back.sample_rate_hz == ds.sample_rate_hz
         assert back.config_text == ds.config_text
         second = tmp_path / "ds2.chds"

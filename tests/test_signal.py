@@ -4,7 +4,7 @@ import pytest
 from cirkit.channel_apply import SyntheticChannel
 from cirkit.errors import ValidationError
 from cirkit.io import Dataset
-from cirkit.signal import IqSignal, circular_cross_correlate, dft, idft, is_prime, zadoff_chu
+from cirkit.signal import IqSignal, circular_cross_correlate, is_prime, zadoff_chu
 
 
 def direct_cross_correlate(a, b):
@@ -35,10 +35,6 @@ class TestIqSignal:
         sig = IqSignal([1.0, 2.0], 1e6)
         with pytest.raises(ValueError):
             sig.samples[0] = 0.0
-
-    def test_duration(self):
-        sig = IqSignal(np.ones(256), 25.6e6)
-        assert sig.duration_s == pytest.approx(1e-5)
 
 
 # each domain type that takes a complex array, and the array it then holds
@@ -119,39 +115,6 @@ class TestZadoffChu:
         zc = zadoff_chu(root, length)
         r = circular_cross_correlate(zc, zc)
         assert np.max(np.abs(r[1:])) / abs(r[0]) < 1e-9
-
-
-class TestTransforms:
-    def test_dc_only(self):
-        np.testing.assert_allclose(dft(np.ones(4)), [4, 0, 0, 0], atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            dft([])
-        with pytest.raises(ValidationError):
-            idft([])
-
-    def test_round_trip_prime_length(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(353) + 1j * rng.standard_normal(353)
-        back = idft(dft(x))
-        assert np.max(np.abs(back - x)) / np.max(np.abs(x)) < 1e-10
-
-    def test_round_trip_all_lengths(self):
-        # prime and mixed-radix lengths must all invert exactly
-        rng = np.random.default_rng(2)
-        lengths = list(range(1, 130)) + [353, 601, 1021, 2048, 4093, 4096]
-        for n in lengths:
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            err = np.max(np.abs(idft(dft(x)) - x)) / max(np.max(np.abs(x)), 1e-30)
-            assert err < 1e-10, f"round trip failed at length {n}"
-
-    def test_parseval_direct_summation(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(257) + 1j * rng.standard_normal(257)
-        time_energy = sum(abs(v) ** 2 for v in x)
-        spec_energy = sum(abs(v) ** 2 for v in dft(x)) / len(x)
-        assert abs(time_energy - spec_energy) / time_energy < 1e-10
 
 
 class TestCircularCrossCorrelate:
