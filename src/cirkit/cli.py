@@ -240,8 +240,11 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _parse_channel_spec(spec: str, sample_rate_hz: float) -> tuple[SyntheticChannel, np.ndarray, np.ndarray]:
-    """Parse 'delay_s,amp[;delay_s,amp...]' into grid taps plus truth arrays."""
+def _parse_channel_spec(
+    spec: str, sample_rate_hz: float, period: int
+) -> tuple[SyntheticChannel, np.ndarray, np.ndarray]:
+    """Parse 'delay_s,amp[;delay_s,amp...]' into grid taps plus truth arrays;
+    a delay whose tap lies beyond one ``period`` fails before any allocation."""
     delays = []
     amps = []
     for pair in spec.split(";"):
@@ -256,6 +259,10 @@ def _parse_channel_spec(spec: str, sample_rate_hz: float) -> tuple[SyntheticChan
         raise ValidationError("channel delays must be finite and >= 0")
     if all(a == 0 for a in amps):
         raise ValidationError("channel must have at least one nonzero amplitude")
+    if np.rint(max(delays) * sample_rate_hz) >= period:  # a float, so no int overflow
+        raise ValidationError(
+            f"channel delay {max(delays)} s lies beyond one sounding period of {period} samples"
+        )
     positions = np.rint(np.asarray(delays) * sample_rate_hz).astype(int)
     taps = np.zeros(int(positions.max()) + 1, dtype=np.complex128)
     for pos, amp in zip(positions, amps):
@@ -272,10 +279,8 @@ def _cmd_loopback(args) -> int:
     waveform = _waveform(args, args.sample_rate)
     with _stage("channel-spec"):
         channel, true_delays, true_powers = _parse_channel_spec(
-            args.channel_spec, args.sample_rate
+            args.channel_spec, args.sample_rate, waveform.period
         )
-        if channel.taps.size > waveform.period:
-            raise ValidationError("channel span exceeds one sounding period")
     with _stage("build"):
         tx = sounder.build_sounding_signal(waveform)
     with _stage("apply-channel"):

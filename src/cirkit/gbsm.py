@@ -2,10 +2,9 @@
 
 Draws log-normal large-scale parameters, synthesizes a cluster delay line
 (exponential delay drawing with a proportionality factor, exponential power
-decay, log-normal per-cluster shadowing, optional user-fixed clusters and a
-LOS component), rescales delays so the realized RMS delay spread matches the
-drawn target exactly, and renders band-limited CIRs on the sounder's sample
-grid.
+decay, log-normal per-cluster shadowing and a LOS component), rescales
+delays so the realized RMS delay spread matches the drawn target exactly,
+and renders band-limited CIRs on the sounder's sample grid.
 
 Datasets and simulated PDPs draw from counter-based Philox streams keyed
 by (root seed, stream): snapshot i owns a fixed run of uniform words, so
@@ -69,9 +68,7 @@ class ScenarioConfig:
 
     ``ds_sigma_log10`` is the standard deviation of log10(DS/1s);
     ``kf_sigma_db`` the standard deviation of the K-factor in dB (normal in
-    dB is log-normal in linear). ``fixed_clusters`` holds
-    (delay_s, relative_power_linear) pairs that join every draw's stochastic
-    clusters; the delay-spread rescaling scales their delays with the rest.
+    dB is log-normal in linear).
     """
 
     label: str
@@ -83,13 +80,10 @@ class ScenarioConfig:
     delay_proportionality_r_tau: float
     per_cluster_shadowing_db: float
     los: bool
-    fixed_clusters: tuple[tuple[float, float], ...]
     sample_rate_hz: float
     cir_length_taps: int
 
     def __post_init__(self):
-        fixed = tuple((float(d), float(p)) for d, p in self.fixed_clusters)
-        object.__setattr__(self, "fixed_clusters", fixed)
         if not self.ds_median_s > 0:
             raise ValidationError("ds_median_s must be > 0")
         if not (self.ds_sigma_log10 >= 0 and self.kf_sigma_db >= 0):
@@ -112,16 +106,6 @@ class ScenarioConfig:
                   self.delay_proportionality_r_tau, self.per_cluster_shadowing_db)
         if not all(map(math.isfinite, floats)):
             raise ValidationError("scenario parameters must be finite")
-        if self.num_clusters < len(self.fixed_clusters):
-            raise ValidationError("num_clusters smaller than the number of fixed clusters")
-        span = self.cir_length_taps / self.sample_rate_hz
-        for delay, power in self.fixed_clusters:
-            if not 0 <= delay < span:
-                raise ValidationError(
-                    f"fixed cluster delay {delay} s not representable in {span} s CIR span"
-                )
-            if not 0 < power < math.inf:
-                raise ValidationError("fixed cluster power must be finite and > 0")
 
 
 def _table_preset(label: str, ds_ns: float, kf_db: float | None, clusters: int) -> ScenarioConfig:
@@ -135,7 +119,6 @@ def _table_preset(label: str, ds_ns: float, kf_db: float | None, clusters: int) 
         delay_proportionality_r_tau=DEFAULT_R_TAU,
         per_cluster_shadowing_db=DEFAULT_SHADOWING_DB,
         los=kf_db is not None,
-        fixed_clusters=(),
         sample_rate_hz=25.6e6,
         cir_length_taps=353,
     )
@@ -153,12 +136,12 @@ PRESETS: dict[str, ScenarioConfig] = {
 
 def _layout(config: ScenarioConfig) -> tuple[int, slice, slice]:
     """(width, cluster words, phase words) of a snapshot's row of uniform
-    words: the ``LARGE_SCALE`` pair, a delay word per stochastic cluster,
-    its shadowing in Box-Muller pairs, one phase word per cluster, and
-    padding to a multiple of 4 words, one Philox block."""
-    n_stoch = config.num_clusters - len(config.fixed_clusters)
-    phases = LARGE_SCALE.stop + n_stoch + 2 * ((n_stoch + 1) // 2)
-    end = phases + config.num_clusters
+    words: the ``LARGE_SCALE`` pair, a delay word per cluster, its
+    shadowing in Box-Muller pairs, one phase word per cluster, and padding
+    to a multiple of 4 words, one Philox block."""
+    n = config.num_clusters
+    phases = LARGE_SCALE.stop + n + 2 * ((n + 1) // 2)
+    end = phases + n
     return -(-end // 4) * 4, slice(LARGE_SCALE.stop, phases), slice(phases, end)
 
 
@@ -192,6 +175,8 @@ def config_from_parameters(params: ChannelParameters, defaults: ScenarioConfig) 
     """
     if params.cluster_count == 0:
         raise ValidationError("cluster_count is 0; nothing to simulate")
+    if params.rms_delay_spread_s == 0:
+        raise ValidationError("rms_delay_spread_s is 0; one bin gives no spread to draw from")
     return replace(
         defaults,
         ds_median_s=params.rms_delay_spread_s,
@@ -226,39 +211,30 @@ def _draw_clusters(
     ds: np.ndarray, los: np.ndarray, words: np.ndarray, config: ScenarioConfig, where
 ) -> _ClusterBlock:
     """Cluster delay lines of S rows with (S,) delay spreads and LOS powers
-    from their (S, C) cluster words: a delay word per stochastic cluster,
-    then its shadowing by Box-Muller.
+    from their (S, C) cluster words: a delay word per cluster, then its
+    shadowing by Box-Muller.
 
-    Stochastic delays are drawn exponentially with proportionality factor
-    r_tau, sorted and shifted to start at 0; powers decay exponentially in
-    delay with log-normal per-cluster shadowing. Fixed clusters enter
-    verbatim. The cluster powers are scaled to 1 less the LOS power, and
-    then every delay, fixed ones included, is rescaled by one factor so the
-    exact RMS delay spread of the row's discrete set, LOS term included,
-    equals its DS. A single-cluster set has no spread to rescale, and a
-    row whose set has none fails, named by ``where(row)``.
+    Delays are drawn exponentially with proportionality factor r_tau,
+    sorted and shifted to start at 0; powers decay exponentially in delay
+    with log-normal per-cluster shadowing. The cluster powers are scaled to
+    1 less the LOS power, and then every delay is rescaled by one factor so
+    the exact RMS delay spread of the row's discrete set, LOS term included,
+    equals its DS. A single-cluster set has no spread to rescale, and a row
+    whose set has none fails, named by ``where(row)``.
     """
     rows = ds.size
-    n_stoch = config.num_clusters - len(config.fixed_clusters)
-    u = words[:, :n_stoch]  # 1-u is uniform on (0, 1]
-    shadowing = config.per_cluster_shadowing_db * _box_muller(words[:, n_stoch:])[:, :n_stoch]
+    n = config.num_clusters
+    u = words[:, :n]  # 1-u is uniform on (0, 1]
+    shadowing = config.per_cluster_shadowing_db * _box_muller(words[:, n:])[:, :n]
     r_tau = config.delay_proportionality_r_tau
     raw = (-r_tau * ds)[:, None] * np.log1p(-u)
     raw.sort(axis=-1)
-    stoch_delays = raw - raw[:, :1]
-    decay = np.exp(-stoch_delays * (r_tau - 1.0) / (r_tau * ds)[:, None])
-    stoch_weights = decay * 10.0 ** (-shadowing / 10.0)
-
-    fixed_delays = [d for d, _ in config.fixed_clusters]
-    fixed_weights = [p for _, p in config.fixed_clusters]
-    delays = np.concatenate([stoch_delays, np.tile(fixed_delays, (rows, 1))], axis=1)
-    weights = np.concatenate([stoch_weights, np.tile(fixed_weights, (rows, 1))], axis=1)
-    order = np.argsort(delays, axis=-1, kind="stable")
-    delays = np.take_along_axis(delays, order, axis=-1)
-    weights = np.take_along_axis(weights, order, axis=-1)
+    delays = raw - raw[:, :1]
+    decay = np.exp(-delays * (r_tau - 1.0) / (r_tau * ds)[:, None])
+    weights = decay * 10.0 ** (-shadowing / 10.0)
     powers = weights / weights.sum(axis=-1, keepdims=True) * (1.0 - los)[:, None]
 
-    if config.num_clusters == 1:
+    if n == 1:
         return _ClusterBlock(delays, powers, los)
     all_delays = np.concatenate([delays, np.zeros((rows, 1))], axis=1)
     all_powers = np.concatenate([powers, los[:, None]], axis=1)
@@ -266,7 +242,8 @@ def _draw_clusters(
     degenerate = np.flatnonzero(sigma == 0.0)
     if degenerate.size:
         raise ValidationError(
-            f"{where(degenerate[0])}: degenerate cluster set (all delays equal); cannot scale"
+            f"{where(degenerate[0])}: cluster set has no delay spread "
+            "(all power at one delay); cannot scale"
         )
     return _ClusterBlock(delays * (ds / sigma)[:, None], powers, los)
 

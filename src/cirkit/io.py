@@ -41,8 +41,7 @@ _HEADER_SIZE = struct.calcsize(_HEADER_FMT)  # 26 bytes
 MAX_DATASET_SNAPSHOTS = 2**32 - 1  # the header stores the count as uint32
 
 # file key -> (ScenarioConfig field, kind), in the canonical key order of the
-# text; identical configs produce identical bytes. A ``tuple`` key repeats,
-# one line per (delay_s, power_linear) pair.
+# text; identical configs produce identical bytes
 _CONFIG_TABLE = {
     "label": ("label", str),
     "ds_median_s": ("ds_median_s", float),
@@ -55,10 +54,9 @@ _CONFIG_TABLE = {
     "los": ("los", bool),
     "sample_rate_hz": ("sample_rate_hz", float),
     "cir_length_taps": ("cir_length_taps", int),
-    "fixed_cluster": ("fixed_clusters", tuple),
 }
 # the fields whose keys a config may leave out, and their values then
-_CONFIG_ABSENT = {"kf_median_db": None, "fixed_clusters": ()}
+_CONFIG_ABSENT = {"kf_median_db": None}
 _META_KEYS = ("sample_rate_hz", "center_frequency_hz")
 # how far a PDP-CSV delay may sit from its snapped grid: the six-decimal
 # rounding of the row and of the two end rows that set the grid, plus
@@ -139,16 +137,14 @@ def _read_numbers(path) -> dict[str, float]:
 
 
 def _format_value(value) -> str:
-    """``value`` as text: a flag, an integer, the text itself, a pair joined
-    by a comma, or the float's shortest round-trip repr."""
+    """``value`` as text: a flag, an integer, the text itself, or the
+    float's shortest round-trip repr."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(value)
     if isinstance(value, str):
         return value
-    if isinstance(value, tuple):
-        return ",".join(map(_format_value, value))
     return repr(float(value))
 
 
@@ -267,11 +263,9 @@ def _read_widened(fh, out: np.ndarray, check=None) -> bool:
 def config_to_text(config: ScenarioConfig, comments: tuple[str, ...] = ()) -> str:
     """Serialize a scenario config in canonical key order."""
     pairs = []
-    for key, (field, kind) in _CONFIG_TABLE.items():
+    for key, (field, _) in _CONFIG_TABLE.items():
         value = getattr(config, field)
-        if kind is tuple:
-            pairs += [(key, pair) for pair in value]
-        elif value is not None:
+        if value is not None:
             pairs.append((key, value))
     return _key_value_text(pairs, comments)
 
@@ -298,16 +292,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         if key not in _CONFIG_TABLE:
             raise ValidationError(f"{where}: unknown key {key!r}")
         field, kind = _CONFIG_TABLE[key]
-        if kind is tuple:
-            parts = value.split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"{where}: {key} needs <delay_s>,<power_linear>")
-            pair = tuple(_config_value(float, key, part, source, line_no) for part in parts)
-            found.setdefault(field, []).append(pair)
-        elif field in found:
+        if field in found:
             raise ValidationError(f"{where}: duplicate key {key!r}")
-        else:
-            found[field] = _config_value(kind, key, value, source, line_no)
+        found[field] = _config_value(kind, key, value, source, line_no)
     fields = {**_CONFIG_ABSENT, **found}
     missing = sorted(key for key, (field, _) in _CONFIG_TABLE.items() if field not in fields)
     if missing:

@@ -203,21 +203,16 @@ def test_c08_format_round_trips(tmp_path):
 
     for i in range(100):
         los = bool(rng.integers(0, 2))
-        n_fixed = int(rng.integers(0, 3))
-        fixed = tuple(
-            (float(rng.uniform(0, 1e-6)), float(rng.uniform(0.01, 1.0))) for _ in range(n_fixed)
-        )
         config = gbsm.ScenarioConfig(
             label=f"random-{i}",
             ds_median_s=float(rng.uniform(10, 500)) * NS,
             ds_sigma_log10=float(rng.uniform(0, 0.3)),
             kf_median_db=float(rng.uniform(0, 25)) if los else None,
             kf_sigma_db=float(rng.uniform(0, 3)),
-            num_clusters=int(rng.integers(max(1, n_fixed), 30) + n_fixed),
+            num_clusters=int(rng.integers(1, 30)),
             delay_proportionality_r_tau=float(rng.uniform(1.1, 4.0)),
             per_cluster_shadowing_db=float(rng.uniform(0, 6)),
             los=los,
-            fixed_clusters=fixed,
             sample_rate_hz=25.6e6,
             cir_length_taps=353,
         )

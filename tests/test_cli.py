@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,17 @@ class TestExtract:
         assert capsys.readouterr().out.splitlines()[-1].split()[1:] == ["40.7", "x", "2"]
         assert io.read_config(out).num_clusters == 2
 
+    def test_one_path_profile_fails_by_name_and_writes_no_config(self, tmp_path, capsys):
+        """A clean one-path capture without a taper leaves one resolvable
+        bin: no delay spread to draw clusters from, so no config."""
+        tx, pdp, out = tmp_path / "tx.iq", tmp_path / "p.csv", tmp_path / "c.cfg"
+        assert main(["generate-sounding", "--repetitions", "20", "--out", str(tx)]) == 0
+        assert main(["estimate", "--rx", str(tx), "--taper", "0", "--pdp-out", str(pdp)]) == 0
+        capsys.readouterr()
+        assert main(["extract", "--pdp", str(pdp), "--los", "--out-config", str(out)]) == 1
+        assert "extract: rms_delay_spread_s is 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateAndDataset:
     def test_simulate_preset(self, tmp_path):
@@ -192,6 +204,21 @@ class TestSimulateAndDataset:
         assert ds.snapshot_count == 4
         assert ds.cir_length_taps == 353
         assert "# seed=1" in ds.config_text
+
+    @pytest.mark.parametrize(
+        "command, flags", [("simulate", ["--pdp-out"]), ("dataset", ["--count", "10", "--out"])]
+    )
+    def test_fixed_cluster_line_fails_at_load_config(self, tmp_path, capsys, command, flags):
+        """A ``fixed_cluster`` line is an unknown key, named with its file:line."""
+        config = tmp_path / "old.cfg"
+        text = io.config_to_text(PRESETS["urban-nlos"])
+        config.write_text(text + "fixed_cluster=2e-6,0.5\n")
+        line_no = len(text.splitlines()) + 1
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), *flags, str(out)]) == 1
+        message = f"load-config: {config}:{line_no}: unknown key 'fixed_cluster'"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:
@@ -306,7 +333,7 @@ class TestLoopback:
         kf = re.search(r"recovered KF +(\S+)", printed).group(1)
 
         waveform = zadoff_chu_waveform(repetitions=700)
-        channel, _, _ = _parse_channel_spec(spec, waveform.sample_rate_hz)
+        channel, _, _ = _parse_channel_spec(spec, waveform.sample_rate_hz, waveform.period)
         rx, pdp = tmp_path / "rx.iq", tmp_path / "pdp.csv"
         io.write_iq(rx, add_awgn(apply_channel(build_sounding_signal(waveform), channel), 20.0, 4))
         assert main(["estimate", "--rx", str(rx), "--taper", taper, "--pdp-out", str(pdp)]) == 0
@@ -323,6 +350,30 @@ class TestLoopback:
         rc = main(["loopback", "--channel-spec", "0"])
         assert rc == 1
         assert "channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0.2,1", "1e300,1", "0,1;1.37890625e-5,1"])
+    def test_delay_beyond_one_period_fails_before_any_tap_array(self, capsys, spec):
+        """A delay at tap 353 or later fails at ``channel-spec``, naming the
+        delay and the period, with no warning and no tap array allocated."""
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["loopback", "--channel-spec", spec])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        delay = spec.split(";")[-1].split(",")[0]
+        err = capsys.readouterr().err
+        assert f"channel-spec: channel delay {float(delay)} s lies beyond" in err
+        assert "period of 353 samples" in err
+        assert peak < 4 * 2**20
+
+    def test_delay_at_the_last_tap_of_the_period_is_taken(self):
+        channel, delays, _ = _parse_channel_spec("0,1;1.375e-5,1", 25.6e6, 353)
+        assert channel.taps.size == 353
+        assert delays[-1] == pytest.approx(1.375e-5)
 
     @pytest.mark.parametrize(
         "flag, message",

@@ -88,7 +88,6 @@ def test_config_parser(tmp_path, data):
     else:
         fields = vars(config).values()
         assert_finite(v for v in fields if isinstance(v, (int, float)))
-        assert_finite(x for pair in config.fixed_clusters for x in pair)
 
 
 @FUZZ

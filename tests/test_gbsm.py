@@ -55,26 +55,12 @@ def read_back(tmp_path, config, count, seed, name="dataset.chds"):
     return read_dataset(path)
 
 
-def fixed_pair(delays, powers):
-    """(i, j) of the only two clusters whose delays relate as 90 ns to
-    200 ns and whose powers relate as 0.1 to 0.3: the fixed clusters of
-    ``FIXED_PAIR`` after the delay-spread rescaling."""
-    same_scale = np.isclose(delays[None, :], delays[:, None] * (200 / 90), rtol=1e-12, atol=0.0)
-    same_scale &= delays[:, None] > 0.0
-    [(i, j)] = [(i, j) for i, j in zip(*np.nonzero(same_scale))
-                if powers[j] / powers[i] == pytest.approx(3.0, rel=1e-12)]
-    return i, j
-
-
 def render(pairs, phase_words):
     """One ``URBAN_NLOS`` CIR of the (delay_s, power) ``pairs`` and their
     phase words, without a LOS term."""
     delays, powers = np.array(pairs, dtype=float).T
     return gbsm._render_block(delays[None], powers[None], np.reshape(phase_words, (1, -1)),
                               np.zeros(1), URBAN_NLOS)[0]
-
-
-FIXED_PAIR = dataclasses.replace(URBAN_NLOS, fixed_clusters=((200 * NS, 0.3), (90 * NS, 0.1)))
 
 
 class TestScenarioConfig:
@@ -105,16 +91,6 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError):
             dataclasses.replace(URBAN_NLOS, delay_proportionality_r_tau=1.0)
 
-    def test_fixed_cluster_must_fit_span(self):
-        with pytest.raises(ValidationError):
-            dataclasses.replace(URBAN_NLOS, fixed_clusters=((20e-6, 1.0),))
-
-    def test_num_clusters_covers_fixed(self):
-        with pytest.raises(ValidationError):
-            dataclasses.replace(
-                URBAN_NLOS, num_clusters=1, fixed_clusters=((0.0, 1.0), (1e-7, 1.0))
-            )
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field",
@@ -131,13 +107,6 @@ class TestScenarioConfig:
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ValidationError, match="must"):
             dataclasses.replace(URBAN_LOS, **{field: value})
-
-    @pytest.mark.parametrize(
-        "pair", [(math.nan, 1.0), (math.inf, 1.0), (1e-7, math.nan), (1e-7, math.inf)]
-    )
-    def test_non_finite_fixed_cluster_rejected(self, pair):
-        with pytest.raises(ValidationError, match="fixed cluster"):
-            dataclasses.replace(URBAN_NLOS, fixed_clusters=(pair,))
 
 
 class TestConfigFromParameters:
@@ -261,28 +230,12 @@ class TestGenerateClusters:
         _, _, block = stream_clusters(config, 20)
         assert np.all(np.diff(block.powers, axis=1) <= 0.0)
 
-    def test_fixed_clusters_scale_in_exact_mode(self):
-        # the rescaling to the exact DS moves the fixed clusters with the
-        # stochastic ones: their delays keep their ratio, not their values
-        ds, _, block = stream_clusters(FIXED_PAIR, 20, seed=5)
-        for target, delays, powers in zip(ds, block.delays, block.powers):
-            assert abs(cluster_sigma(delays, powers) - target) / target < 1e-9
-            i, j = fixed_pair(delays, powers)
-            assert delays[i] != pytest.approx(90 * NS, rel=1e-3)
-
-    def test_fixed_power_ratio_preserved(self):
-        _, _, block = stream_clusters(FIXED_PAIR, 20, seed=5)
-        for delays, powers in zip(block.delays, block.powers):
-            i, j = fixed_pair(delays, powers)
-            assert powers[j] / powers[i] == pytest.approx(3.0, rel=1e-12)
-
     def test_all_zero_delays_rejected(self, tmp_path):
         """A set that cannot spread fails naming config and row, from either
-        entry point."""
-        config = dataclasses.replace(
-            URBAN_NLOS, num_clusters=2, fixed_clusters=((0.0, 1.0), (0.0, 2.0))
-        )
-        degenerate = r": degenerate cluster set \(all delays equal\); cannot scale$"
+        entry point: 400 dB shadowing leaves all of a row's power on one of
+        its two clusters."""
+        config = dataclasses.replace(URBAN_NLOS, num_clusters=2, per_cluster_shadowing_db=400)
+        degenerate = r": cluster set has no delay spread \(all power at one delay\); cannot scale$"
         with pytest.raises(ValidationError, match=r"^config 'urban-nlos', snapshot 0" + degenerate):
             generate_dataset(config, 10, 1, tmp_path / "x.chds")
         message = r"^config 'urban-nlos', cluster set of simulate seed 1" + degenerate
@@ -326,11 +279,10 @@ class TestSynthesizeCir:
         assert step == pytest.approx(39.0625 * NS)
 
     def test_delay_overflow_rejected(self, tmp_path):
-        # two fixed clusters 1 us apart rescaled to a 10 us DS sit 20 us
-        # apart, past the 13.8 us CIR span, in every draw
-        config = dataclasses.replace(
-            URBAN_NLOS, ds_median_s=10e-6, num_clusters=2, fixed_clusters=((0.0, 1.0), (1e-6, 1.0))
-        )
+        # two clusters d apart have a DS of at most d / 2, so rescaled to a
+        # 10 us DS they sit 20 us or more apart, past the 13.8 us CIR span,
+        # in every draw
+        config = dataclasses.replace(URBAN_NLOS, ds_median_s=10e-6, num_clusters=2)
         with pytest.raises(ValidationError, match="overflow"):
             generate_dataset(config, 1, 0, tmp_path / "x.chds")
 

@@ -32,8 +32,6 @@ from cirkit.cli import main
 from cirkit.errors import ValidationError
 from cirkit.gbsm import PRESETS
 
-NS = 1e-9
-
 
 def loop_sigma(delays, powers):
     total = powers.sum()
@@ -44,11 +42,10 @@ def loop_sigma(delays, powers):
 
 def row_layout(config):
     """(width, delay words, shadowing words, phase words) of one row: DS and
-    K pair, a delay word per stochastic cluster, shadowing in whole
-    Box-Muller pairs, a phase word per cluster, padded to 4 words."""
-    n_stoch = config.num_clusters - len(config.fixed_clusters)
-    delays = slice(2, 2 + n_stoch)
-    shadowing = slice(delays.stop, delays.stop + 2 * math.ceil(n_stoch / 2))
+    K pair, a delay word per cluster, shadowing in whole Box-Muller pairs,
+    a phase word per cluster, padded to 4 words."""
+    delays = slice(2, 2 + config.num_clusters)
+    shadowing = slice(delays.stop, delays.stop + 2 * math.ceil(config.num_clusters / 2))
     phases = slice(shadowing.stop, shadowing.stop + config.num_clusters)
     return 4 * math.ceil(phases.stop / 4), delays, shadowing, phases
 
@@ -81,25 +78,14 @@ def loop_large_scale(config, row):
 def loop_clusters(ds_s, kf_db, config, row):
     """(delays, powers, LOS power) of one cluster set drawn from ``row``."""
     _, delay_words, shadowing_words, _ = row_layout(config)
-    n_fixed = len(config.fixed_clusters)
-    n_stoch = config.num_clusters - n_fixed
     r_tau = config.delay_proportionality_r_tau
-    if n_stoch > 0:
-        u = row[delay_words]
-        raw = -r_tau * ds_s * np.log1p(-u)
-        raw.sort()
-        stoch_delays = raw - raw[0]
-        shadowing = config.per_cluster_shadowing_db * loop_normals(row[shadowing_words])
-        stoch_weights = np.exp(-stoch_delays * (r_tau - 1.0) / (r_tau * ds_s)) * 10.0 ** (
-            -shadowing[:n_stoch] / 10.0
-        )
-    else:
-        stoch_delays = np.empty(0)
-        stoch_weights = np.empty(0)
-    delays = np.concatenate([stoch_delays, [d for d, _ in config.fixed_clusters]])
-    weights = np.concatenate([stoch_weights, [p for _, p in config.fixed_clusters]])
-    order = np.argsort(delays, kind="stable")
-    delays, weights = delays[order], weights[order]
+    raw = -r_tau * ds_s * np.log1p(-row[delay_words])
+    raw.sort()
+    delays = raw - raw[0]
+    shadowing = config.per_cluster_shadowing_db * loop_normals(row[shadowing_words])
+    weights = np.exp(-delays * (r_tau - 1.0) / (r_tau * ds_s)) * 10.0 ** (
+        -shadowing[:config.num_clusters] / 10.0
+    )
     if kf_db is not None:
         k_linear = 10.0 ** (kf_db / 10.0)
         los_power = k_linear / (k_linear + 1.0)
@@ -209,13 +195,10 @@ def loop_simulate_pdp(config, root, n_realizations):
     return normalize_pdp(pdp.with_noise_floor(floor), DEFAULT_MARGIN_DB)
 
 
-FIXED = dataclasses.replace(
-    PRESETS["urban-los"], fixed_clusters=((200 * NS, 0.3), (90 * NS, 0.1), (0.0, 0.05))
-)
 SINGLE = dataclasses.replace(PRESETS["urban-nlos"], num_clusters=1)
 SINGLE_LOS = dataclasses.replace(PRESETS["urban-los"], num_clusters=1)
 SPREAD = dataclasses.replace(PRESETS["campus-los"], ds_sigma_log10=0.15, kf_sigma_db=4.0)
-CONFIGS = {**PRESETS, "fixed": FIXED, "single": SINGLE, "single-los": SINGLE_LOS, "spread": SPREAD}
+CONFIGS = {**PRESETS, "single": SINGLE, "single-los": SINGLE_LOS, "spread": SPREAD}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -109,15 +109,6 @@ class TestConfig:
         if not PRESETS[name].los:
             assert "kf_median_db" not in path.read_text()
 
-    def test_fixed_clusters_round_trip_in_order(self, tmp_path):
-        config = dataclasses.replace(
-            PRESETS["urban-nlos"], fixed_clusters=((2e-7, 0.25), (1e-7, 0.5))
-        )
-        path = tmp_path / "fixed.cfg"
-        io.write_config(path, config)
-        back = io.read_config(path)
-        assert back.fixed_clusters == ((2e-7, 0.25), (1e-7, 0.5))
-
     def test_los_without_kf_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         text = io.config_to_text(PRESETS["urban-los"])
@@ -307,16 +298,6 @@ class TestNonFiniteNumbers:
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ValidationError, match=rf"bad.cfg:{line_no}: cannot parse {key} value"):
-            io.read_config(path)
-
-    @pytest.mark.parametrize("pair", ["nan,0.5", "1e-7,nan", "inf,0.5", "1e-7,inf", "1e-7,-inf"])
-    def test_config_fixed_cluster(self, tmp_path, pair):
-        path = tmp_path / "bad.cfg"
-        text = io.config_to_text(PRESETS["urban-nlos"])
-        path.write_text(text + f"fixed_cluster={pair}\n")
-        line_no = len(text.splitlines()) + 1
-        message = rf"bad.cfg:{line_no}: cannot parse fixed_cluster"
-        with pytest.raises(ValidationError, match=message):
             io.read_config(path)
 
     @pytest.mark.parametrize("value", NON_FINITE)
