@@ -84,9 +84,9 @@ class PowerDelayProfile:
 class ChannelParameters:
     """Large-scale channel quantities extracted from one PDP.
 
-    ``k_factor_db`` is ``None`` when no K-factor is available (NLOS profile,
-    or fewer than two bins survive thresholding); it is never a sentinel
-    number.
+    ``k_factor_db`` is ``None`` for an NLOS profile, which has no K-factor,
+    and ``+inf`` for a LOS profile of which one bin survives thresholding,
+    which has no scattered power; it is never a sentinel number.
     """
 
     rms_delay_spread_s: float
@@ -265,19 +265,20 @@ def rms_delay_spread(pdp: PowerDelayProfile) -> float:
     return _spread(*_pdp_moments(pdp))
 
 
-def k_factor(pdp: PowerDelayProfile) -> float | None:
+def k_factor(pdp: PowerDelayProfile) -> float:
     """Ricean K-factor in dB of a thresholded profile.
 
     Ratio of the strongest surviving bin to the aggregate power of all other
     surviving bins (the average power of the scattered component in the
-    Ricean sense). Returns None when fewer than two bins survive; callers
-    handling NLOS profiles simply do not ask for a K-factor.
+    Ricean sense). When one bin survives there is no scattered power and
+    the K-factor is unbounded: ``+inf``. Callers handling NLOS profiles
+    simply do not ask for a K-factor.
     """
     surviving = pdp.powers_linear[pdp.powers_linear > 0.0]
     if surviving.size == 0:
         raise EmptyProfileError("no surviving bin in thresholded PDP")
     if surviving.size < 2:
-        return None
+        return math.inf
     peak = float(np.max(surviving))
     rest = float(np.sum(surviving)) - peak
     return float(10.0 * np.log10(peak / rest))

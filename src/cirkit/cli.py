@@ -95,9 +95,9 @@ class _CaptureFile(io.IqReader):
     """A capture file whose every read, in whichever stage or worker thread,
     fails as the read-iq stage; ``read`` goes through ``read_into``."""
 
-    def read_into(self, lo: int, out: np.ndarray) -> None:
+    def read_into(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
         with _stage("read-iq"):
-            super().read_into(lo, out)
+            super().read_into(lo, out, scratch)
 
 
 def _estimate_pdp(capture, waveform, regularization, taper, margin_db):
@@ -136,8 +136,9 @@ def _cmd_estimate(args) -> int:
     regularization = _estimation_flags(args)
     with _stage("read-iq"):
         capture = _CaptureFile(args.rx)
-    waveform = _waveform(args, capture.sample_rate_hz)
-    pdp = _estimate_pdp(capture, waveform, regularization, args.taper, args.margin_db)
+    with capture:
+        waveform = _waveform(args, capture.sample_rate_hz)
+        pdp = _estimate_pdp(capture, waveform, regularization, args.taper, args.margin_db)
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)
     print(f"wrote {len(pdp)}-bin PDP to {args.pdp_out}")

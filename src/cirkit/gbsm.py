@@ -416,10 +416,11 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) ->
     root seed, so the first n snapshots are the same for any ``count`` >= n.
     Snapshots are drawn and rendered ``CHUNK_ROWS`` at a time, each chunk a
     task of ``sounder._map_chunks``; the bytes do not depend on how many run
-    at once. Each chunk renders into its task's float32 chunk buffer, which
-    holds the rows as the container file stores them, and is written as
-    soon as it is rendered: the call holds two such chunks, whatever
-    ``count`` is. A failure leaves ``path`` as it was.
+    at once. Each chunk renders into a float32 buffer that holds the rows
+    as the container file stores them, carved from its task's slot
+    workspace (the receive chain's workspaces), and is written as soon as
+    it is rendered: the call holds two such chunks, whatever ``count`` is.
+    A failure leaves ``path`` as it was.
     """
     from . import io as cirkit_io  # deferred: io needs this module's types
 
@@ -433,13 +434,10 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) ->
         )
     taps = config.cir_length_taps
 
-    def chunk_buffer():
-        return np.empty((CHUNK_ROWS, taps), dtype="<c8")
-
-    def render_chunk(start: int, chunk) -> np.ndarray:
+    def render_chunk(start: int, buffers) -> np.ndarray:
         rows = min(CHUNK_ROWS, count - start)
         phases, block = _stream_block(config, root, DATASET_STREAM, start, rows)
-        out = chunk[:rows]
+        out = buffers[0][:rows]
         # a few rows at a time: a worker thread keeps what it allocates
         for lo in range(0, rows, _RENDER_ROWS):
             part = slice(lo, lo + _RENDER_ROWS)
@@ -449,7 +447,8 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) ->
 
     comments = (f"seed={root}", f"generator_version={__about__.__version__}")
     blob = cirkit_io.config_to_text(config, comments=comments)
-    chunks = _map_chunks(render_chunk, range(0, count, CHUNK_ROWS), chunk_buffer)
+    layout = (((CHUNK_ROWS, taps), "<c8"),)
+    chunks = _map_chunks(render_chunk, range(0, count, CHUNK_ROWS), layout)
     try:
         cirkit_io._write_chds(path, count, taps, config.sample_rate_hz, blob, chunks)
     finally:

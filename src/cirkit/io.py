@@ -17,6 +17,7 @@ import math
 import os
 import struct
 import threading
+import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .gbsm import ScenarioConfig
-from .signal import IqSignal, _frozen_complex, check_capture
+from .signal import IqSignal, _frozen_complex, _read_target, check_capture
 
 DATASET_MAGIC = b"CHDS"
 DATASET_VERSION = 1
@@ -182,24 +183,41 @@ class IqReader:
 
     Opening checks the file size, the float count and the ``.meta``
     sidecar; each read checks that the samples it returns are finite.
-    Reads are positioned file reads, so a reader holds no samples itself
-    and a capture larger than RAM can be processed range by range.
+    The reader keeps the file open, and each read is one positioned read of
+    the file, safe from any thread; a reader holds no samples itself, so a
+    capture larger than RAM can be processed range by range. ``close``, or
+    the end of a ``with`` block or of the reader itself, closes the file.
     """
 
     def __init__(self, path):
         self.path = path
-        size = Path(path).stat().st_size
-        if size % 4 != 0:
-            raise CorruptFileError(f"{path}: size {size} is not a whole number of floats")
-        if size // 4 % 2 != 0:
-            raise CorruptFileError(
-                f"{path}: odd float count {size // 4}; interleaved I/Q expected"
-            )
-        meta = _read_meta(path)
-        self._samples = size // 8
-        self.sample_rate_hz = meta["sample_rate_hz"]
-        self.center_frequency_hz = meta["center_frequency_hz"]
-        check_capture(self._samples, self.sample_rate_hz, self.center_frequency_hz)
+        self._fd = os.open(path, os.O_RDONLY)
+        self._closer = weakref.finalize(self, os.close, self._fd)
+        try:
+            size = os.fstat(self._fd).st_size
+            if size % 4 != 0:
+                raise CorruptFileError(f"{path}: size {size} is not a whole number of floats")
+            if size // 4 % 2 != 0:
+                raise CorruptFileError(
+                    f"{path}: odd float count {size // 4}; interleaved I/Q expected"
+                )
+            meta = _read_meta(path)
+            self._samples = size // 8
+            self.sample_rate_hz = meta["sample_rate_hz"]
+            self.center_frequency_hz = meta["center_frequency_hz"]
+            check_capture(self._samples, self.sample_rate_hz, self.center_frequency_hz)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        self._closer()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __len__(self) -> int:
         return self._samples
@@ -212,44 +230,52 @@ class IqReader:
         """Samples ``lo`` to ``hi`` as a new complex128 array."""
         self._check_range(lo, hi)
         out = np.empty(hi - lo, dtype=np.complex128)
-        self.read_into(lo, out)
+        self.read_into(lo, out, np.empty(hi - lo))
         return out
 
-    def read_into(self, lo: int, out: np.ndarray) -> None:
-        """Fill the contiguous complex128 array ``out`` with the samples from
-        ``lo`` on, allocating nothing of its size (``_read_widened``)."""
-        hi = lo + out.size
+    def read_into(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Fill ``out``, a writable C-contiguous complex128 array, with the
+        samples from ``lo`` on.
+
+        Their ``<c8`` pairs are read in one positioned read into the first
+        8 bytes per sample of ``scratch``, a C-contiguous array whose
+        contents the read overwrites, and widened into ``out`` in one copy.
+        """
+        flat = _read_target(out)
+        hi = lo + flat.size
         self._check_range(lo, hi)
+        if not self._closer.alive:
+            raise ValidationError(f"{self.path}: read from a closed capture")
+        nbytes = 8 * flat.size
+        if not (isinstance(scratch, np.ndarray) and scratch.flags.c_contiguous
+                and scratch.nbytes >= nbytes):
+            raise ValidationError(f"read_into needs a C-contiguous scratch of {nbytes} bytes")
+        raw = scratch.reshape(-1).view(np.uint8)[:nbytes]
+        if os.preadv(self._fd, [raw], 8 * lo) != nbytes:
+            raise CorruptFileError(f"{self.path}: file shrank below sample {hi}")
+        floats = raw.view("<f4")
+        # max and min are NaN, or infinite, when any float is; no temporary
+        if not (math.isfinite(floats.max(initial=0.0))
+                and math.isfinite(floats.min(initial=0.0))):
+            first = lo + int(np.argmin(np.isfinite(floats))) // 2
+            raise CorruptFileError(f"{self.path}: sample {first} is not finite")
+        flat[...] = raw.view("<c8")
 
-        def check_finite(floats):
-            # max and min are NaN, or infinite, when any float is; no temporary
-            if not (math.isfinite(floats.max(initial=0.0))
-                    and math.isfinite(floats.min(initial=0.0))):
-                first = lo + int(np.argmin(np.isfinite(floats))) // 2
-                raise CorruptFileError(f"{self.path}: sample {first} is not finite")
 
-        with open(self.path, "rb") as fh:
-            fh.seek(8 * lo)
-            if not _read_widened(fh, out, check_finite):
-                raise CorruptFileError(f"{self.path}: file shrank below sample {hi}")
-
-
-def _read_widened(fh, out: np.ndarray, check=None) -> bool:
+def _read_widened(fh, out: np.ndarray) -> bool:
     """Fill the C-contiguous complex128 array ``out`` with the ``<c8`` pairs
     at ``fh``'s position, allocating nothing of its size; False, with
     ``out`` not filled, when the file ends first.
 
-    The pairs are read into the upper half of ``out``'s bytes, handed to
-    ``check`` as float32 values when it is given, and widened to complex128
-    front first, in pieces that each end before their own source begins.
+    The pairs are read into the upper half of ``out``'s bytes and widened
+    to complex128 front first, in pieces that each end before their own
+    source begins.
     """
     flat = out.reshape(-1)  # a view: out is contiguous
     size = flat.size
     floats = flat.view("<f4")[2 * size :]
     if fh.readinto(floats) != floats.nbytes:
         return False
-    if check is not None:
-        check(floats)
     pairs = floats.view("<c8")
     done = 0
     while size - done > 1:

@@ -41,6 +41,24 @@ def _frozen_complex(values) -> np.ndarray:
     return arr
 
 
+def _read_target(out) -> np.ndarray:
+    """``out`` as a flat view when it is a writable C-contiguous complex128
+    array, the only kind a capture's ``read_into`` fills; anything else
+    raises ``ValidationError`` before a sample is read, since a copy would
+    be filled in its place."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+            and out.flags.c_contiguous and out.flags.writeable):
+        what = type(out).__name__
+        if isinstance(out, np.ndarray):
+            read_only = "" if out.flags.writeable else "read-only "
+            strided = "" if out.flags.c_contiguous else "strided "
+            what = f"a {read_only}{strided}{out.dtype} array"
+        raise ValidationError(
+            f"read_into fills a writable C-contiguous complex128 array, not {what}"
+        )
+    return out.reshape(-1)
+
+
 def check_capture(samples: int, sample_rate_hz: float, center_frequency_hz: float) -> None:
     """The checks every capture passes, in memory or on disk: at least one
     sample, a finite positive rate and a non-negative carrier."""
@@ -79,11 +97,13 @@ class IqSignal:
         takes either."""
         return self.samples[lo:hi]
 
-    def read_into(self, lo: int, out: np.ndarray) -> None:
-        """Copy the samples from ``lo`` on into ``out``, as ``io.IqReader`` fills it."""
-        if not 0 <= lo <= lo + out.size <= self.samples.size:
-            raise ValidationError(f"no samples [{lo}, {lo + out.size}) in {self.samples.size}")
-        out[...] = self.samples[lo : lo + out.size]
+    def read_into(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Copy the samples from ``lo`` on into ``out``, as ``io.IqReader``
+        fills it; the samples are in memory already, so ``scratch`` is unused."""
+        flat = _read_target(out)
+        if not 0 <= lo <= lo + flat.size <= self.samples.size:
+            raise ValidationError(f"no samples [{lo}, {lo + flat.size}) in {self.samples.size}")
+        flat[...] = self.samples[lo : lo + flat.size]
 
 
 def is_prime(n: int) -> bool:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +82,12 @@ def build_sounding_signal(
 # samples per mitigation chunk: CHUNK_ROWS periods of the default sequence
 _CHUNK_SAMPLES = CHUNK_ROWS * DEFAULT_SEQUENCE_LENGTH
 
-# chunk tasks that run at once; each holds one set of chunk buffers, so the
-# receive chain holds this many chunks whatever the capture length
+# chunk tasks that run at once; each works in its own slot workspace, so
+# the receive chain holds this many chunks whatever the capture length
 _MAX_WORKERS = 2
+
+# the buffers of a slot workspace start at multiples of this many bytes
+_ALIGN = 64
 
 
 @functools.cache
@@ -94,10 +99,43 @@ def _pool():
     return ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="cirkit-chunks")
 
 
+class _Workspaces:
+    """The free list of slot workspaces: byte arenas, each the buffers of
+    one chunk slot, kept from one ``_map_chunks`` call to the next so that
+    no call makes and faults in its chunk buffers again."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._free = []  # smallest first
+
+    def take(self, count: int, nbytes: int) -> list[np.ndarray]:
+        """``count`` arenas of at least ``nbytes`` bytes that no other call
+        holds: the largest free ones, each replaced by a new arena of
+        ``nbytes`` when it is smaller, and new ones when too few are free."""
+        with self._lock:
+            taken = [self._free.pop() for _ in range(min(count, len(self._free)))]
+        taken = [arena for arena in taken if arena.size >= nbytes]  # the rest are freed
+        return taken + [np.empty(nbytes, dtype=np.uint8) for _ in range(count - len(taken))]
+
+    def give(self, arenas: list[np.ndarray]) -> None:
+        """Put ``arenas`` back; the free list keeps the ``_MAX_WORKERS`` largest."""
+        with self._lock:
+            self._free += arenas
+            self._free.sort(key=len)
+            del self._free[:-_MAX_WORKERS]
+
+
+@functools.cache
+def _workspaces() -> _Workspaces:
+    return _Workspaces()
+
+
 # a forked child inherits the pool but not its threads, and an idle pool
-# starts none for new work: the child must make its own
+# starts none for new work: the child must make its own. It makes its own
+# workspaces too, since a parent thread may have held their lock at the fork
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
+    os.register_at_fork(after_in_child=_workspaces.cache_clear)
 
 
 def _usable_cpus() -> int:
@@ -106,38 +144,61 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_chunks(kernel, items, make_buffers):
+def _buffer_bytes(shape, dtype) -> int:
+    """The bytes a buffer of ``shape`` and ``dtype`` takes in a workspace."""
+    return -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
+
+
+def _carve(arena: np.ndarray, layout) -> tuple[np.ndarray, ...]:
+    """One C-contiguous view of ``arena`` per ``(shape, dtype)`` of ``layout``, in turn."""
+    views = []
+    offset = 0
+    for shape, dtype in layout:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        views.append(arena[offset : offset + size].view(dtype).reshape(shape))
+        offset += _buffer_bytes(shape, dtype)
+    return tuple(views)
+
+
+def _map_chunks(kernel, items, layout):
     """``kernel(item, buffers)`` for each of ``items``, yielded in order.
 
     It serves both the receive chain (mitigation and estimation) and the
-    dataset generator (``gbsm.generate_dataset``, whose buffers are the
-    float32 chunk a call renders and the file writer then writes as it is,
-    so a dataset holds one chunk per slot). Up to ``_MAX_WORKERS``
-    calls run at once on a thread pool, each with its own set of
-    ``make_buffers()``, made here in the calling thread; numpy's FFTs and
-    array loops release the GIL, so the calls share the cores. A result may
-    be a view of its buffers: they go to a later call only once the caller
-    has asked for the next result. With one item or one usable CPU the
-    calls run inline on one set of buffers. Kernels write into their
-    buffers, or into rows the caller made, and allocate nothing large,
-    since memory a worker thread allocates stays in that thread's malloc
-    arena. When a call fails or the caller stops early, every call not yet
-    started is cancelled and every running one waited for, its result
-    dropped, so no task outlives this and keeps a buffer.
+    dataset generator (``gbsm.generate_dataset``, whose buffer is the
+    float32 chunk a call renders and the file writer then writes as it is).
+    ``buffers`` holds one C-contiguous array per ``(shape, dtype)`` of
+    ``layout``, carved from the workspace of the call's slot; its contents
+    are whatever an earlier call left. Up to ``_MAX_WORKERS`` calls run at
+    once on a thread pool, each in its own slot; numpy's FFTs and array
+    loops release the GIL, so the calls share the cores. A result may be a
+    view of its buffers: they go to a later call only once the caller has
+    asked for the next result. With one item or one usable CPU the calls
+    run inline in one slot.
+
+    The slot workspaces are byte arenas from ``_workspaces()``, checked out
+    when the first result is asked for and given back when this ends, so
+    concurrent calls hold distinct arenas. An arena grows to the largest
+    layout asked of it and is kept for the next call, by the receive chain
+    or the generator alike: the process holds ``_MAX_WORKERS`` of them
+    between calls, made in a calling thread and faulted in once. Kernels
+    write into their buffers, or into rows the caller made, and allocate
+    nothing large, since memory a worker thread allocates stays in that
+    thread's malloc arena. When a call fails or the caller stops early,
+    every call not yet started is cancelled and every running one waited
+    for, its result dropped, so no task outlives this and keeps a buffer.
     """
     items = list(items)
     slots = min(_MAX_WORKERS, len(items), _usable_cpus())
-    if slots <= 1:
-        buffers = make_buffers()
-        for item in items:
-            yield kernel(item, buffers)
-        return
-    from concurrent.futures import wait
-
-    pool = _pool()
-    buffers = [make_buffers() for _ in range(slots)]
+    workspaces = _workspaces()
+    arenas = workspaces.take(slots, sum(_buffer_bytes(*spec) for spec in layout))
     running = collections.deque()
     try:
+        buffers = [_carve(arena, layout) for arena in arenas]
+        if slots <= 1:
+            for item in items:
+                yield kernel(item, buffers[0])
+            return
+        pool = _pool()
         for i, item in enumerate(items):
             if len(running) == slots:
                 yield running.popleft().result()
@@ -145,17 +206,22 @@ def _map_chunks(kernel, items, make_buffers):
         while running:
             yield running.popleft().result()
     finally:
-        for future in running:
-            future.cancel()
-        wait(running)
+        if running:
+            from concurrent.futures import wait
+
+            for future in running:
+                future.cancel()
+            wait(running)
+        workspaces.give(arenas)
 
 
-def _chunk_buffers(samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """One mitigation task's buffers for a capture of ``samples``: room for
-    a chunk widened by a sample on either side, or for the whole capture
-    and a sample when it is shorter, and for their magnitudes."""
+def _chunk_layout(samples: int):
+    """A mitigation task's buffers for a capture of ``samples``: room for a
+    chunk widened by a sample on either side, or for the whole capture and
+    a sample when it is shorter, for their magnitudes, which are also the
+    read's scratch, and for their spike flags: 25 bytes per sample."""
     size = min(samples + 1, _CHUNK_SAMPLES + 2)
-    return np.empty(size, dtype=np.complex128), np.empty(size)
+    return ((size,), np.complex128), ((size,), np.float64), ((size,), np.bool_)
 
 
 @dataclass(frozen=True)
@@ -163,9 +229,11 @@ class CleanedCapture:
     """A capture read through its mitigation: each range read has the mean
     subtracted and the spikes at ``spike_index`` set to ``spike_value``.
 
-    ``source`` is anything with ``len``, ``read_into(lo, out)``,
+    ``source`` is anything with ``len``, ``read_into(lo, out, scratch)``,
     ``sample_rate_hz`` and ``center_frequency_hz``: an ``IqSignal`` or an
-    ``io.IqReader``.
+    ``io.IqReader``. A range read is the source's read into ``out``, through
+    ``scratch`` when the samples come from a file, then the clean-up in
+    place: it makes no copy of the range.
     """
 
     source: object
@@ -187,15 +255,18 @@ class CleanedCapture:
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Cleaned samples ``lo`` to ``hi`` as a new array."""
         out = np.empty(hi - lo, dtype=np.complex128)
-        self.read_into(lo, out)
+        self.read_into(lo, out, np.empty(hi - lo))
         return out
 
-    def read_into(self, lo: int, out: np.ndarray) -> None:
-        """Fill the complex128 array ``out`` with the cleaned samples from ``lo`` on."""
-        self.source.read_into(lo, out)
-        out -= self.mean
-        first, last = np.searchsorted(self.spike_index, (lo, lo + out.size))
-        out[self.spike_index[first:last] - lo] = self.spike_value[first:last]
+    def read_into(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Fill the writable C-contiguous complex128 array ``out`` with the
+        cleaned samples from ``lo`` on; ``scratch``, at least 8 bytes per
+        sample of ``out``, is the source's to overwrite."""
+        self.source.read_into(lo, out, scratch)
+        flat = out.reshape(-1)  # a view: the source took only a contiguous out
+        flat -= self.mean
+        first, last = np.searchsorted(self.spike_index, (lo, lo + flat.size))
+        flat[self.spike_index[first:last] - lo] = self.spike_value[first:last]
 
 
 def mitigate_artifacts(rx) -> CleanedCapture:
@@ -222,17 +293,18 @@ def mitigate_artifacts(rx) -> CleanedCapture:
     of ``rx`` as it is read, so a capture larger than RAM streams through.
     """
     n = len(rx)
-    buffers = functools.partial(_chunk_buffers, n)
+    layout = _chunk_layout(n)
 
     def chunk_sum(lo, buffers):
-        x = buffers[0][: min(_CHUNK_SAMPLES, n - lo)]
-        rx.read_into(lo, x)
+        size = min(_CHUNK_SAMPLES, n - lo)
+        x = buffers[0][:size]
+        rx.read_into(lo, x, buffers[1][:size])
         return np.add.reduce(x)
 
-    mean = sum(_map_chunks(chunk_sum, range(0, n, _CHUNK_SAMPLES), buffers)) / np.intp(n)
+    mean = sum(_map_chunks(chunk_sum, range(0, n, _CHUNK_SAMPLES), layout)) / np.intp(n)
     # the last task takes a short last chunk along
     tasks = range(0, max(n - _CHUNK_SAMPLES, 0) + 1, _CHUNK_SAMPLES)
-    found = _map_chunks(functools.partial(_chunk_spikes, rx, mean), tasks, buffers)
+    found = _map_chunks(functools.partial(_chunk_spikes, rx, mean), tasks, layout)
     bad, near, values = (np.concatenate(part) for part in zip(*found))
     repaired = np.empty(0, dtype=np.complex128)
     if bad.size:
@@ -256,14 +328,15 @@ def _chunk_spikes(rx, mean, lo: int, buffers):
 
     A chunk from sample ``first`` is read with a sample on either side,
     sample ``first - 1 + p`` at position p of ``buffers``, and is its own
-    window. A short last chunk
+    window; the magnitudes' positions are the read's scratch until the
+    magnitudes are taken. A short last chunk
     is then read the same way over the front of the buffers. Its window,
     the capture's last ``_CHUNK_SAMPLES`` samples, is its own magnitudes
     followed by the end of the chunk's, which are still in place behind
     them, so no sample is read for it a second time.
     """
     n = len(rx)
-    x, mag = buffers
+    x, mag, flags = buffers
     window = slice(1, min(n, _CHUNK_SAMPLES) + 1)
     hi = min(lo + _CHUNK_SAMPLES, n)
     spans = [(lo, hi)]
@@ -272,12 +345,13 @@ def _chunk_spikes(rx, mean, lo: int, buffers):
     found = []
     for first, last in spans:
         read = slice(int(first == 0), min(last + 1, n) - first + 1)
-        rx.read_into(first - 1 + read.start, x[read])
+        rx.read_into(first - 1 + read.start, x[read], mag[read])
         x[read] -= mean
         np.abs(x[read], out=mag[read])
         threshold = _SPIKE_THRESHOLD * _median(mag[window])
         np.abs(x[read], out=mag[read])  # in sample order again
-        hits = np.flatnonzero(mag[1 : last - first + 1] > threshold) + first
+        flagged = np.greater(mag[1 : last - first + 1], threshold, out=flags[: last - first])
+        hits = np.flatnonzero(flagged) + first
         near = np.setdiff1d(np.concatenate([hits - 1, hits + 1]), hits)
         near = near[(near >= 0) & (near < n)]
         found.append((hits, near, x[near - first + 1]))
@@ -396,6 +470,11 @@ def estimate_pdp(
 # periods transformed at once inside a chunk: 64 padded rows of about two
 # periods hold about as much as a chunk's 256 rows of squared magnitudes
 _FFT_ROWS = 64
+# elements of the kernel's spectrum tiled over rows, as many as the buffer
+# numpy allocates for a broadcast multiply holds: transformed periods are
+# multiplied by the tile a block of its rows at a time, and numpy multiplies
+# two contiguous blocks of one shape without a buffer
+_KERNEL_TILE = 8192
 
 
 def _cir_chunks(rx, waveform, regularization, taper_fraction, start):
@@ -412,7 +491,8 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start):
     rotated by the guard. ``_FFT_ROWS`` periods go through the transforms at
     once, and |h|^2 of each such block of CIRs h goes into the matching
     rows of a chunk's ``(rows, period)`` buffer; the chunks' buffers are
-    yielded in chunk order.
+    yielded in chunk order. Each block is read with those rows as the
+    read's scratch, and the work allocates nothing of a block's size.
     """
     n = waveform.period
     x_spec = np.fft.fft(waveform.base_sequence)
@@ -439,6 +519,7 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start):
 
     chunk_rows = min(CHUNK_ROWS, n_periods)
     fft_rows = min(_FFT_ROWS, chunk_rows)
+    kernel = np.tile(kernel, (max(1, min(fft_rows, _KERNEL_TILE // m)), 1))
 
     def deconvolve(first, buffers):
         padded, periods, out = buffers
@@ -446,23 +527,27 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start):
         for lo in range(0, rows, fft_rows):
             z = padded[: min(fft_rows, rows - lo)]
             y = periods[: len(z)]
-            rx.read_into(start + (first + lo) * n, y.reshape(-1))
+            squared = out[lo : lo + len(z)]
+            # the read's scratch is the rows the squared CIRs go to
+            rx.read_into(start + (first + lo) * n, y.reshape(-1), squared)
             z[:, :n] = y
             z[:, n : 2 * n - 1] = y[:, : n - 1]
             z[:, 2 * n - 1 :] = 0
             np.fft.fft(z, axis=-1, out=z)
-            z *= kernel
+            for row in range(0, len(z), len(kernel)):
+                block = z[row : row + len(kernel)]
+                block *= kernel[: len(block)]
             np.fft.ifft(z, axis=-1, out=z)
-            squared = out[lo : lo + len(z)]
-            np.abs(z[:, n - 1 : 2 * n - 1], out=squared)
+            # the CIRs into contiguous rows first: np.abs of the strided
+            # columns would allocate a buffer in this worker thread
+            y[...] = z[:, n - 1 : 2 * n - 1]
+            np.abs(y, out=squared)
             np.square(squared, out=squared)
         return out[:rows]
 
-    def make_buffers():
-        return (
-            np.empty((fft_rows, m), dtype=np.complex128),
-            np.empty((fft_rows, n), dtype=np.complex128),
-            np.empty((chunk_rows, n)),
-        )
-
-    return _map_chunks(deconvolve, range(0, n_periods, CHUNK_ROWS), make_buffers)
+    layout = (
+        ((fft_rows, m), np.complex128),
+        ((fft_rows, n), np.complex128),
+        ((chunk_rows, n), np.float64),
+    )
+    return _map_chunks(deconvolve, range(0, n_periods, CHUNK_ROWS), layout)

@@ -215,10 +215,10 @@ class TestKFactor:
         pdp = make_pdp(np.ones(20))
         assert k_factor(pdp) == pytest.approx(10 * np.log10(1 / 19), rel=1e-12)
 
-    def test_single_survivor_absent(self):
+    def test_single_survivor_unbounded(self):
         powers = np.zeros(8)
         powers[2] = 1.0
-        assert k_factor(make_pdp(powers)) is None
+        assert k_factor(make_pdp(powers)) == np.inf
 
     def test_empty_profile_rejected(self):
         with pytest.raises(EmptyProfileError):
@@ -279,7 +279,7 @@ class TestExtractParameters:
         params = extract_parameters(make_pdp(powers), los_flag=True)
         assert params.rms_delay_spread_s == 0.0
         assert params.cluster_count == 1
-        assert params.k_factor_db is None
+        assert params.k_factor_db == np.inf
 
     def test_composition_oracle(self):
         rng = np.random.default_rng(5)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_streaming import noisy_samples, with_spikes, write_capture
+from test_streaming import noisy_samples, whole_chain_powers, with_spikes, write_capture
 
 from cirkit import io, sounder
 from cirkit.cli import main
@@ -39,9 +39,9 @@ def thread_names(monkeypatch):
     names = []
     read_into = io.IqReader.read_into
 
-    def recorded(self, lo, out):
+    def recorded(self, lo, out, scratch):
         names.append(threading.current_thread().name)
-        return read_into(self, lo, out)
+        return read_into(self, lo, out, scratch)
 
     monkeypatch.setattr(io.IqReader, "read_into", recorded)
     return names
@@ -164,6 +164,61 @@ def test_forked_child_makes_its_own_pool(tmp_path, pooled):
     assert process.exitcode == 0
 
 
+def test_concurrent_calls_take_distinct_workspaces(tmp_path, pooled):
+    """Two threads run the chain on different captures at once, a thread
+    switch every microsecond: each gets the powers it gets alone."""
+    samples = [noisy_samples(2 * ROWS + 37, 5 * i, 11, seed=i) for i in range(2)]
+    paths = [
+        write_capture(tmp_path, with_spikes(x, [EDGE]), f"rx{i}.iq") for i, x in enumerate(samples)
+    ]
+    alone = [streamed_powers(path) for path in paths]
+    together = [[], []]
+    barrier = threading.Barrier(2)
+
+    def run(i):
+        barrier.wait(timeout=30)
+        for _ in range(3):
+            together[i].append(streamed_powers(paths[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(2):
+        assert len(together[i]) == 3
+        assert all(np.array_equal(powers, alone[i]) for powers in together[i])
+
+
+def test_calls_in_a_row_with_different_chunk_needs(tmp_path, monkeypatch, pooled):
+    """Each call carves its buffers from the workspaces the call before
+    left, whichever their size: a long capture, a short one, then smaller
+    chunks, then the long one again, each equal to the whole chain."""
+    long_path = write_capture(
+        tmp_path, with_spikes(noisy_samples(2 * ROWS + 37, 211, 101), [0, EDGE - 2, EDGE + 2]),
+        "long.iq",
+    )
+    short_samples = with_spikes(noisy_samples(20, 7, 3, seed=2), [9])
+    short_path = write_capture(tmp_path, short_samples, "short.iq")
+    for path, chunk_samples, chunk_rows in [
+        (long_path, EDGE, ROWS),
+        (short_path, EDGE, ROWS),
+        (long_path, 10007, 5),
+        (short_path, 1031, 3),
+        (long_path, EDGE, ROWS),
+    ]:
+        monkeypatch.setattr(sounder, "_CHUNK_SAMPLES", chunk_samples)
+        monkeypatch.setattr(sounder, "CHUNK_ROWS", chunk_rows)
+        expected = whole_chain_powers(path, 0.1)  # the reference runs no chunk task
+        assert np.array_equal(streamed_powers(path), expected), (path.name, chunk_samples)
+
+
 class TestMapChunks:
     """The helper itself: order, buffers, errors and early exits."""
 
@@ -177,12 +232,10 @@ class TestMapChunks:
         (5 ms by default) and fails at ``fail_at``; stop after ``take``."""
         sleeps = sleeps or {}
 
-        def make_buffers():
-            buffers = np.zeros(4)
-            calls["buffers"].append(weakref.ref(buffers))
-            return buffers
-
         def kernel(item, buffers):
+            (buffers,) = buffers
+            if not any(ref() is buffers for ref in calls["buffers"]):
+                calls["buffers"].append(weakref.ref(buffers))
             calls["started"].append(item)
             try:
                 time.sleep(sleeps.get(item, 0.005))
@@ -193,7 +246,7 @@ class TestMapChunks:
             finally:
                 calls["ended"].append(item)
 
-        results = sounder._map_chunks(kernel, items, make_buffers)
+        results = sounder._map_chunks(kernel, items, [((4,), np.float64)])
         taken = []
         try:
             for result in results:

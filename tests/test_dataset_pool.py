@@ -16,6 +16,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_gbsm_reference import CONFIGS, SPREAD
 
@@ -90,6 +91,30 @@ def test_more_workers_than_cores_switching_often(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown()
+    inline(monkeypatch)
+    assert dataset_bytes(tmp_path, config, 5 * ROWS + 9, 13, "inline.chds") == pooled_bytes
+
+
+def test_chunk_kept_until_the_writer_has_taken_it(tmp_path, monkeypatch, pooled):
+    """The writer holds each chunk a while before it takes it: no later
+    chunk renders into it meanwhile, and the bytes equal inline."""
+    write_chds = io._write_chds
+    checked = []
+
+    def slow_writer(path, count, taps, rate, blob, blocks):
+        def held():
+            for block in blocks:
+                rendered = block.copy()
+                time.sleep(0.02)
+                checked.append(np.array_equal(block, rendered))
+                yield block
+
+        write_chds(path, count, taps, rate, blob, held())
+
+    monkeypatch.setattr(io, "_write_chds", slow_writer)
+    config = CONFIGS["spread"]
+    pooled_bytes = dataset_bytes(tmp_path, config, 5 * ROWS + 9, 13, "pool.chds")
+    assert checked == [True] * 6
     inline(monkeypatch)
     assert dataset_bytes(tmp_path, config, 5 * ROWS + 9, 13, "inline.chds") == pooled_bytes
 

@@ -529,3 +529,54 @@ class TestIqReader:
         )
         with pytest.raises(ValidationError, match="non-empty"):
             io.IqReader(path)
+
+    def test_with_block_closes_the_file(self, tmp_path):
+        path = tmp_path / "capture.iq"
+        io.write_iq(path, f32_signal(np.random.default_rng(4), n=8))
+        with io.IqReader(path) as reader:
+            assert reader.read(0, 8).size == 8
+        with pytest.raises(ValidationError, match="closed capture"):
+            reader.read(0, 8)
+
+
+class TestReadInto:
+    """``read_into`` of a capture on disk and of one in memory, case by case alike."""
+
+    @pytest.fixture
+    def sources(self, tmp_path):
+        sig = f32_signal(np.random.default_rng(8), n=2890)
+        path = tmp_path / "capture.iq"
+        io.write_iq(path, sig)
+        with io.IqReader(path) as reader:
+            yield sig.samples, (reader, sig)
+
+    @pytest.mark.parametrize("shape", [(353,), (4, 720), (0,)])
+    def test_any_contiguous_target_filled_in_order(self, sources, shape):
+        samples, readers = sources
+        for reader in readers:
+            out = np.zeros(shape, dtype=np.complex128)
+            reader.read_into(7, out, np.empty(out.size))
+            assert np.array_equal(out.reshape(-1), samples[7 : 7 + out.size])
+
+    @pytest.mark.parametrize("target", ["strided", "float64", "complex64", "read-only", "list"])
+    def test_target_it_would_not_fill_rejected_before_the_read(self, sources, target):
+        _, readers = sources
+        for reader in readers:
+            z = np.zeros((4, 720), dtype=np.complex128)
+            frozen = np.zeros(353, dtype=np.complex128)
+            frozen.setflags(write=False)
+            out = {
+                "strided": z[:, :353],
+                "float64": np.zeros(353),
+                "complex64": np.zeros(353, dtype=np.complex64),
+                "read-only": frozen,
+                "list": [0j] * 353,
+            }[target]
+            with pytest.raises(ValidationError, match="writable C-contiguous complex128"):
+                reader.read_into(0, out, np.empty(4 * 720))
+            assert not z.any()
+
+    def test_scratch_too_small_rejected(self, sources):
+        _, (reader, _) = sources
+        with pytest.raises(ValidationError, match="scratch of 2824 bytes"):
+            reader.read_into(0, np.empty(353, dtype=np.complex128), np.empty(352))

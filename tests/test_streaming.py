@@ -188,10 +188,10 @@ class CountingCapture:
     def __len__(self):
         return len(self.rx)
 
-    def read_into(self, lo, out):
+    def read_into(self, lo, out, scratch):
         with self.lock:
             self.reads[lo : lo + out.size] += 1
-        self.rx.read_into(lo, out)
+        self.rx.read_into(lo, out, scratch)
 
 
 class TestSmallChunks:
