@@ -94,7 +94,6 @@ class ChannelParameters:
     second_moment_s2: float
     k_factor_db: float | None
     cluster_count: int
-    scenario_label: str = ""
 
     def __post_init__(self):
         if self.rms_delay_spread_s < 0 or self.second_moment_s2 < 0:
@@ -324,7 +323,6 @@ def extract_parameters(
     los_flag: bool,
     margin_db: float = DEFAULT_MARGIN_DB,
     min_separation_bins: int = DEFAULT_MIN_SEPARATION_BINS,
-    label: str = "",
 ) -> ChannelParameters:
     """Run the full extraction chain on a raw PDP.
 
@@ -345,7 +343,6 @@ def extract_parameters(
         second_moment_s2=m2,
         k_factor_db=kf,
         cluster_count=clusters,
-        scenario_label=label,
     )
 
 
@@ -358,7 +355,6 @@ def compare_pdps(
     measured: PowerDelayProfile,
     simulated: PowerDelayProfile,
     margin_db: float = DEFAULT_MARGIN_DB,
-    min_separation_bins: int = DEFAULT_MIN_SEPARATION_BINS,
 ) -> ComparisonReport:
     """Compare two normalized PDPs.
 
@@ -386,9 +382,7 @@ def compare_pdps(
     else:
         raise ValidationError("measured delay spread is 0; relative error undefined")
 
-    cluster_diff = count_clusters(simulated, margin_db, min_separation_bins) - count_clusters(
-        measured, margin_db, min_separation_bins
-    )
+    cluster_diff = count_clusters(simulated, margin_db) - count_clusters(measured, margin_db)
 
     _, aligned_m, aligned_s = align_to_finer_grid(measured, simulated)
     union = (aligned_m > _threshold_value(measured, margin_db)) | (

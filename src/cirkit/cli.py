@@ -9,6 +9,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -62,24 +63,10 @@ def _finite_flag(flag: str, value: float, minimum: float | None = None) -> float
     return value
 
 
-def _parse_regularization(value: str) -> float | None:
-    if value == "auto":
-        return None
-    try:
-        number = float(value)
-    except ValueError:
-        raise ValidationError(
-            f"--regularization must be 'auto' or a finite number >= 0, got {value!r}"
-        ) from None
-    return _finite_flag("--regularization", number, 0.0)
-
-
-def _estimation_flags(args) -> float | None:
-    """Check the flags of ``_add_estimation_flags``; returns the
-    regularization, None for 'auto'."""
+def _estimation_flags(args) -> None:
+    """Check the flags of ``_add_estimation_flags``."""
     sounder.check_taper(_finite_flag("--taper", args.taper, 0.0), "--taper")
     _finite_flag("--margin-db", args.margin_db)
-    return _parse_regularization(args.regularization)
 
 
 def _waveform(args, sample_rate_hz: float) -> sounder.SoundingWaveform:
@@ -100,7 +87,7 @@ class _CaptureFile(io.IqReader):
             super().read_into(lo, out, scratch)
 
 
-def _estimate_pdp(capture, waveform, regularization, taper, margin_db):
+def _estimate_pdp(capture, waveform, taper, margin_db):
     """Shared receive chain: mitigate, synchronize, estimate and average,
     normalize. ``capture``, a ``_CaptureFile`` or the received signal in
     memory, is read through every stage a chunk at a time.
@@ -110,7 +97,7 @@ def _estimate_pdp(capture, waveform, regularization, taper, margin_db):
     with _stage("synchronize"):
         offset = sounder.synchronize(cleaned, waveform)
     with _stage("estimate"):
-        raw = sounder.estimate_pdp(cleaned, waveform, regularization, taper, start=offset)
+        raw = sounder.estimate_pdp(cleaned, waveform, taper, start=offset)
     with _stage("normalize"):
         floor = analysis.default_noise_floor(raw)
         return analysis.normalize_pdp(raw.with_noise_floor(floor), margin_db)
@@ -133,12 +120,15 @@ def _cmd_generate_sounding(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    regularization = _estimation_flags(args)
+    _estimation_flags(args)
+    with _stage("waveform"):
+        # checked before the capture is opened, which sets the sample rate
+        waveform = _waveform(args, sounder.DEFAULT_SAMPLE_RATE_HZ)
     with _stage("read-iq"):
         capture = _CaptureFile(args.rx)
     with capture:
-        waveform = _waveform(args, capture.sample_rate_hz)
-        pdp = _estimate_pdp(capture, waveform, regularization, args.taper, args.margin_db)
+        waveform = dataclasses.replace(waveform, sample_rate_hz=capture.sample_rate_hz)
+        pdp = _estimate_pdp(capture, waveform, args.taper, args.margin_db)
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)
     print(f"wrote {len(pdp)}-bin PDP to {args.pdp_out}")
@@ -165,7 +155,6 @@ def _cmd_extract(args) -> int:
             los_flag=args.los,
             margin_db=args.margin_db,
             min_separation_bins=args.min_separation_bins,
-            label=defaults.label,
         )
         config = gbsm.config_from_parameters(params, defaults)
     with _stage("write-config"):
@@ -273,11 +262,12 @@ def _parse_channel_spec(
 
 
 def _cmd_loopback(args) -> int:
-    regularization = _estimation_flags(args)
+    _estimation_flags(args)
     _finite_flag("--ds-tolerance-bins", args.ds_tolerance_bins, 0.0)
     with _stage("seed"):
         gbsm.check_seed(args.seed)
-    waveform = _waveform(args, args.sample_rate)
+    with _stage("waveform"):
+        waveform = _waveform(args, args.sample_rate)
     with _stage("channel-spec"):
         channel, true_delays, true_powers = _parse_channel_spec(
             args.channel_spec, args.sample_rate, waveform.period
@@ -286,7 +276,7 @@ def _cmd_loopback(args) -> int:
         tx = sounder.build_sounding_signal(waveform)
     with _stage("apply-channel"):
         received = add_awgn(apply_channel(tx, channel), args.snr_db, args.seed)
-    pdp = _estimate_pdp(received, waveform, regularization, args.taper, args.margin_db)
+    pdp = _estimate_pdp(received, waveform, args.taper, args.margin_db)
     with _stage("extract"):
         params = analysis.extract_parameters(pdp, los_flag=True, margin_db=args.margin_db)
 
@@ -334,10 +324,6 @@ def _add_waveform_flags(parser: argparse.ArgumentParser, transmit: bool = True) 
 
 
 def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--regularization", default="auto",
-        help="ridge term for spectral division; 'auto' uses 1e-6 x mean reference power",
-    )
     parser.add_argument(
         "--taper", type=float, default=sounder.DEFAULT_TAPER_FRACTION,
         help="spectral edge taper fraction, 0 disables",

@@ -125,10 +125,11 @@ def is_prime(n: int) -> bool:
 def zadoff_chu(root: int, length: int) -> np.ndarray:
     """Generate a prime-length Zadoff-Chu sequence.
 
-    Uses the odd-length convention x[n] = exp(-i*pi*root*n*(n+1)/length).
-    Prime length guarantees the CAZAC property for every root in
-    1..length-1: unit magnitude everywhere and zero periodic
-    autocorrelation at all nonzero lags.
+    Uses x[n] = exp(-i*pi*root*n*(n + length mod 2)/length): n*(n+1) for
+    an odd length, n^2 for the one even prime, 2. Prime length guarantees
+    the CAZAC property for every root in 1..length-1: unit magnitude
+    everywhere and zero periodic autocorrelation at all nonzero lags, so
+    every DFT bin holds the same power, ``length``.
     """
     if not is_prime(length):
         raise ValidationError(f"Zadoff-Chu length must be prime, got {length}")
@@ -137,7 +138,7 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
             f"Zadoff-Chu root must satisfy 0 < root < length, got root={root}, length={length}"
         )
     n = np.arange(length, dtype=np.float64)
-    return np.exp(-1j * np.pi * root * n * (n + 1.0) / length)
+    return np.exp(-1j * np.pi * root * n * (n + length % 2) / length)
 
 
 def circular_cross_correlate(a, b) -> np.ndarray:

@@ -27,9 +27,6 @@ DEFAULT_REPETITIONS = 3
 DEFAULT_SAMPLE_RATE_HZ = 25.6e6
 DEFAULT_TAPER_FRACTION = 0.1
 
-# ridge term as a fraction of the mean reference spectral power
-_AUTO_REGULARIZATION = 1e-6
-
 _SPIKE_THRESHOLD = 6.0
 
 # circular pre-shift applied with tapering so the taper kernel's pre-cursor
@@ -427,7 +424,6 @@ def _smooth_length(size: int) -> int:
 def estimate_pdp(
     rx,
     waveform: SoundingWaveform,
-    regularization: float | None = None,
     taper_fraction: float = DEFAULT_TAPER_FRACTION,
     start: int = 0,
 ) -> PowerDelayProfile:
@@ -437,19 +433,18 @@ def estimate_pdp(
     downstream.
 
     Each period y is circularly convolved with the kernel
-    g = IDFT(conj(X[k]) W[k] / (|X[k]|^2 + regularization)), X the DFT of the
-    base sequence and W the edge taper (1 without it): the spectral division
-    H = Y conj(X) / (|X|^2 + regularization), tapered, done in the delay
-    domain. The convolution is a linear one of [y, y[:N-1]] with g, through
-    FFTs of the smallest 2^a 3^b 5^c length M >= 2N - 1, since the prime
-    period N itself has no fast transform; see ``_cir_chunks``. Each CIR
-    equals the per-period DFT formula to rounding (within 1e-12 of the
-    peak). ``regularization=None`` selects the default ridge term of 1e-6
-    times the mean reference spectral power; pass 0 for plain division.
-    With tapering enabled each CIR is additionally rotated right by a small
-    guard so the taper kernel's two-sided ringing lands at causal delays;
-    downstream normalization re-references delay zero, so only the raw tap
-    indices shift.
+    g = IDFT(conj(X[k]) W[k] / |X[k]|^2), X the DFT of the base sequence
+    and W the edge taper (1 without it): the spectral division
+    H = Y conj(X) / |X|^2, tapered, done in the delay domain. A prime-length
+    Zadoff-Chu sequence has |X[k]|^2 = N in every bin, so the division is
+    exact and needs no ridge term. The convolution is a linear one of
+    [y, y[:N-1]] with g, through FFTs of the smallest 2^a 3^b 5^c length
+    M >= 2N - 1, since the prime period N itself has no fast transform; see
+    ``_cir_chunks``. Each CIR equals the per-period DFT formula to rounding
+    (within 1e-12 of the peak). With tapering enabled each CIR is
+    additionally rotated right by a small guard so the taper kernel's
+    two-sided ringing lands at causal delays; downstream normalization
+    re-references delay zero, so only the raw tap indices shift.
 
     Each chunk of ``CHUNK_ROWS`` periods is read, deconvolved and squared,
     and the squared magnitudes are added into the powers row after row in
@@ -461,7 +456,7 @@ def estimate_pdp(
     n = waveform.period
     power = np.zeros(n)
     rows = 0
-    for block in _cir_chunks(rx, waveform, regularization, taper_fraction, start):
+    for block in _cir_chunks(rx, waveform, taper_fraction, start):
         add_rows(power, block)
         rows += len(block)
     return PowerDelayProfile(np.arange(n) * (1.0 / rx.sample_rate_hz), power / rows)
@@ -477,12 +472,14 @@ _FFT_ROWS = 64
 _KERNEL_TILE = 8192
 
 
-def _cir_chunks(rx, waveform, regularization, taper_fraction, start):
+def _cir_chunks(rx, waveform, taper_fraction, start):
     """Deconvolve the complete periods from sample ``start`` on,
     ``CHUNK_ROWS`` at a time, through ``_map_chunks``, and square the
     CIRs' magnitudes.
 
-    The kernel g of ``estimate_pdp`` is built once per call and rotated
+    A base sequence with a zero DFT bin, which no prime-length Zadoff-Chu
+    sequence has, is rejected naming that bin. The kernel g of
+    ``estimate_pdp`` is built once per call and rotated
     right by the taper guard less one, and G is the DFT of g zero-padded to
     M, the smallest 2^a 3^b 5^c >= 2N - 1. Each period y of N samples is
     written into a row of M as [y, y[:N-1], 0, ...], transformed, multiplied
@@ -497,12 +494,11 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start):
     n = waveform.period
     x_spec = np.fft.fft(waveform.base_sequence)
     ref_power = np.abs(x_spec) ** 2
-    if not np.any(ref_power):
-        raise ValidationError("reference sequence has zero energy")
-    if regularization is None:
-        regularization = _AUTO_REGULARIZATION * float(np.mean(ref_power))
-    if not 0 <= regularization < np.inf:
-        raise ValidationError(f"regularization must be finite and >= 0, got {regularization}")
+    if not ref_power.all():
+        # the first zero bin: the smallest of non-negative powers
+        raise ValidationError(
+            f"reference sequence has zero energy in DFT bin {int(np.argmin(ref_power))}"
+        )
 
     n_periods = (len(rx) - start) // n
     if n_periods <= 0:
@@ -511,7 +507,7 @@ def _cir_chunks(rx, waveform, regularization, taper_fraction, start):
     window = _taper_window(n, taper_fraction)
     guard = min(_TAPER_GUARD_TAPS, n // 2) if window is not None else 0
     spectrum = np.conj(x_spec) if window is None else np.conj(x_spec) * window
-    spectrum /= ref_power + regularization
+    spectrum /= ref_power
     m = _smooth_length(2 * n - 1)
     kernel = np.zeros(m, dtype=np.complex128)
     kernel[:n] = np.roll(np.fft.ifft(spectrum), guard - 1)

@@ -99,7 +99,7 @@ def test_c04_estimator_fidelity():
 
     # the 3 periods are identical, so their averaged profile carries each
     # period's path amplitudes
-    pdp = sounder.estimate_pdp(clean, waveform, regularization=0.0, taper_fraction=0.0)
+    pdp = sounder.estimate_pdp(clean, waveform, taper_fraction=0.0)
     mags = np.sqrt(pdp.powers_linear)
     assert set(np.argsort(mags)[-3:]) == set(positions)
     for pos, amp in zip(positions, amplitudes):
@@ -108,7 +108,7 @@ def test_c04_estimator_fidelity():
     median_errors = []
     for seed in range(100):
         noisy = add_awgn(clean, 20.0, seed)
-        pdp = sounder.estimate_pdp(noisy, waveform, regularization=0.0, taper_fraction=0.0)
+        pdp = sounder.estimate_pdp(noisy, waveform, taper_fraction=0.0)
         mags = np.sqrt(pdp.powers_linear)
         assert set(np.argsort(mags)[-3:]) == set(positions), f"positions wrong at seed {seed}"
         errs = [abs(mags[p] - a) / a for p, a in zip(positions, amplitudes)]

@@ -57,7 +57,7 @@ def streamed_powers(path, taper=sounder.DEFAULT_TAPER_FRACTION):
     waveform = zadoff_chu_waveform()
     cleaned = sounder.mitigate_artifacts(io.IqReader(path))
     offset = sounder.synchronize(cleaned, waveform)
-    return sounder.estimate_pdp(cleaned, waveform, None, taper, start=offset).powers_linear
+    return sounder.estimate_pdp(cleaned, waveform, taper, start=offset).powers_linear
 
 
 EDGE = sounder._CHUNK_SAMPLES

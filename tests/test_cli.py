@@ -380,7 +380,6 @@ class TestLoopback:
         [
             ("--channel-spec=nan,1", "channel delays must be finite"),
             ("--channel-spec=0,1;inf,1", "channel delays must be finite"),
-            ("--regularization=nan", "--regularization must be"),
         ],
     )
     def test_nan_flags_fail_by_name(self, capsys, flag, message):
@@ -401,9 +400,6 @@ BAD_NUMBER_FLAGS = [
     ("--margin-db=nan", "--margin-db must be finite, got nan"),
     ("--margin-db=inf", "--margin-db must be finite, got inf"),
     ("--margin-db=-inf", "--margin-db must be finite, got -inf"),
-    ("--regularization=inf", "--regularization must be finite and >= 0, got inf"),
-    ("--regularization=-1", "--regularization must be finite and >= 0, got -1.0"),
-    ("--regularization=abc", "--regularization must be 'auto' or a finite number >= 0, got 'abc'"),
     ("--taper=0.7", "--taper must be 0 or lie in (0, 0.5], got 0.7"),
 ]
 MISSING = {
@@ -436,6 +432,31 @@ def test_bad_number_flag_fails_by_name_before_any_work(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == f"cirkit {command}: {message}\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def _no_work(*args):
+    raise AssertionError("the capture was opened or the sounding built")
+
+
+@pytest.mark.parametrize("command", ["estimate", "loopback"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--zc-length=12", "Zadoff-Chu length must be prime, got 12"),
+        ("--zc-root=0", "Zadoff-Chu root must satisfy 0 < root < length, got root=0, length=353"),
+        ("--repetitions=0", "repetitions must be >= 1"),
+    ],
+)
+def test_bad_waveform_fails_at_the_waveform_stage(tmp_path, capsys, monkeypatch, command, flag, message):
+    """Named before the capture is opened or the loopback's sounding is built."""
+    monkeypatch.setattr("cirkit.cli._CaptureFile", _no_work)
+    monkeypatch.setattr("cirkit.sounder.build_sounding_signal", _no_work)
+    rc = main([command, flag, *(arg.format(tmp=tmp_path) for arg in MISSING[command])])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"cirkit {command}: waveform: {message}\n"
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
 

@@ -101,7 +101,7 @@ class TestEstimateCirs:
     def test_identity_channel(self):
         wf = small_waveform()
         rx = build_sounding_signal(wf)
-        powers = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0).powers_linear
+        powers = estimate_pdp(rx, wf, taper_fraction=0.0).powers_linear
         assert abs(powers[0] - 1.0) < 1e-9
         assert np.max(powers[1:]) < 1e-18
 
@@ -109,7 +109,7 @@ class TestEstimateCirs:
         wf = small_waveform()
         tx = build_sounding_signal(wf)
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5]))
-        powers = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0).powers_linear
+        powers = estimate_pdp(rx, wf, taper_fraction=0.0).powers_linear
         assert abs(np.sqrt(powers[0]) - 1.0) < 1e-6
         assert abs(np.sqrt(powers[2]) - 0.5) < 1e-6
         others = np.delete(powers, [0, 2])
@@ -119,10 +119,9 @@ class TestEstimateCirs:
         wf = small_waveform(repetitions=1)
         rng = np.random.default_rng(5)
         rx = IqSignal(rng.standard_normal(wf.period) + 1j * rng.standard_normal(wf.period), RATE)
-        reg = 0.3
-        powers = estimate_pdp(rx, wf, regularization=reg, taper_fraction=0.0).powers_linear
+        powers = estimate_pdp(rx, wf, taper_fraction=0.0).powers_linear
         x = np.fft.fft(wf.base_sequence)
-        expected = np.fft.ifft(np.fft.fft(rx.samples) * np.conj(x) / (np.abs(x) ** 2 + reg))
+        expected = np.fft.ifft(np.fft.fft(rx.samples) * np.conj(x) / np.abs(x) ** 2)
         # h within 1e-12 of the formula's e puts |h|^2 within
         # (|e| + 1e-12)^2 - |e|^2 of |e|^2
         bound = 2e-12 * np.abs(expected) + 1e-24
@@ -147,26 +146,17 @@ class TestEstimateCirs:
         with pytest.raises(ValidationError, match="zero energy"):
             estimate_pdp(rx, wf)
 
+    def test_zero_reference_bin_rejected_by_index(self):
+        # all ones: the whole energy in bin 0, bins 1 to 4 exactly zero
+        wf = SoundingWaveform(np.ones(5), 3, RATE)
+        rx = IqSignal(np.ones(15), RATE)
+        with pytest.raises(ValidationError, match="zero energy in DFT bin 1$"):
+            estimate_pdp(rx, wf)
+
     def test_no_complete_period_rejected(self):
         wf = small_waveform()
         with pytest.raises(ValidationError, match="period"):
             estimate_pdp(IqSignal(np.ones(10), RATE), wf)
-
-    def test_negative_regularization_rejected(self):
-        wf = small_waveform()
-        rx = build_sounding_signal(wf)
-        with pytest.raises(ValidationError):
-            estimate_pdp(rx, wf, regularization=-1.0)
-
-    def test_nan_regularization_rejected(self):
-        wf = small_waveform()
-        with pytest.raises(ValidationError, match="regularization must be"):
-            estimate_pdp(build_sounding_signal(wf), wf, regularization=float("nan"))
-
-    def test_infinite_regularization_rejected(self):
-        wf = small_waveform()
-        with pytest.raises(ValidationError, match="regularization must be finite"):
-            estimate_pdp(build_sounding_signal(wf), wf, regularization=float("inf"))
 
     # only exactly 0 turns the taper off
     @pytest.mark.parametrize("taper", [-0.2, -1e-9])
@@ -181,8 +171,8 @@ class TestEstimateCirs:
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.2j]))
         c = 0.8 - 1.3j
         scaled = IqSignal(c * rx.samples, RATE)
-        base = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0).powers_linear
-        lhs = estimate_pdp(scaled, wf, regularization=0.0, taper_fraction=0.0).powers_linear
+        base = estimate_pdp(rx, wf, taper_fraction=0.0).powers_linear
+        lhs = estimate_pdp(scaled, wf, taper_fraction=0.0).powers_linear
         np.testing.assert_allclose(lhs, abs(c) ** 2 * base, atol=1e-10)
 
     def test_taper_bounds_checked(self):
@@ -205,14 +195,14 @@ class TestAveragePdp:
     def test_single_cir_squared_magnitude(self):
         wf = small_waveform(repetitions=1)
         rx = IqSignal(wf.base_sequence + 0.5j * np.roll(wf.base_sequence, 1), RATE)
-        pdp = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0)
+        pdp = estimate_pdp(rx, wf, taper_fraction=0.0)
         np.testing.assert_allclose(pdp.powers_linear[:2], [1.0, 0.25], atol=1e-15)
         assert np.max(pdp.powers_linear[2:]) < 1e-15
 
     def test_two_cir_mean(self):
         wf = small_waveform(repetitions=2)
         rx = one_tap_periods([0, 1], [1.0, 1.0], wf)
-        pdp = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0)
+        pdp = estimate_pdp(rx, wf, taper_fraction=0.0)
         np.testing.assert_allclose(pdp.powers_linear[:2], [0.5, 0.5], atol=1e-15)
         assert np.max(pdp.powers_linear[2:]) < 1e-15
 
@@ -248,7 +238,7 @@ class TestEndToEnd:
     def test_identity_concentrates_power(self):
         wf = zadoff_chu_waveform()
         rx = build_sounding_signal(wf)
-        pdp = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0)
+        pdp = estimate_pdp(rx, wf, taper_fraction=0.0)
         assert np.max(pdp.powers_linear) / np.sum(pdp.powers_linear) >= 0.999999
 
     def test_pdp_scales_with_capture_power(self):
@@ -256,9 +246,8 @@ class TestEndToEnd:
         tx = build_sounding_signal(wf)
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5]))
         c = 2.0 - 1.0j
-        pdp = estimate_pdp(rx, wf, regularization=0.0, taper_fraction=0.0)
-        scaled = estimate_pdp(IqSignal(c * rx.samples, RATE), wf, regularization=0.0,
-                              taper_fraction=0.0)
+        pdp = estimate_pdp(rx, wf, taper_fraction=0.0)
+        scaled = estimate_pdp(IqSignal(c * rx.samples, RATE), wf, taper_fraction=0.0)
         expected = abs(c) ** 2 * pdp.powers_linear
         np.testing.assert_allclose(
             scaled.powers_linear, expected, atol=1e-12 * np.max(expected)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from cirkit import sounder
 from cirkit.analysis import CHUNK_ROWS
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
-from cirkit.signal import IqSignal, is_prime
+from cirkit.signal import IqSignal, is_prime, zadoff_chu
 from cirkit.sounder import (
     build_sounding_signal,
     estimate_pdp,
@@ -48,19 +48,16 @@ def smooth_length(size):
     )
 
 
-def ridge_and_guard(waveform, regularization, taper_fraction):
+def spectrum_and_guard(waveform, taper_fraction):
     x_spec = np.fft.fft(waveform.base_sequence)
-    ref_power = np.abs(x_spec) ** 2
-    if regularization is None:
-        regularization = sounder._AUTO_REGULARIZATION * float(np.mean(ref_power))
     window = sounder._taper_window(waveform.period, taper_fraction)
     guard = min(sounder._TAPER_GUARD_TAPS, waveform.period // 2) if window is not None else 0
-    return x_spec, ref_power + regularization, window, guard
+    return x_spec, np.abs(x_spec) ** 2, window, guard
 
 
-def loop_estimate_cirs(rx, waveform, regularization, taper_fraction):
+def loop_estimate_cirs(rx, waveform, taper_fraction):
     n = waveform.period
-    x_spec, denom, window, guard = ridge_and_guard(waveform, regularization, taper_fraction)
+    x_spec, denom, window, guard = spectrum_and_guard(waveform, taper_fraction)
     spectrum = np.conj(x_spec) if window is None else np.conj(x_spec) * window
     g = np.roll(np.fft.ifft(spectrum / denom), guard - 1)
     m = smooth_length(2 * n - 1)
@@ -73,9 +70,9 @@ def loop_estimate_cirs(rx, waveform, regularization, taper_fraction):
     return rows
 
 
-def dft_estimate_cirs(rx, waveform, regularization, taper_fraction):
+def dft_estimate_cirs(rx, waveform, taper_fraction):
     n = waveform.period
-    x_spec, denom, window, guard = ridge_and_guard(waveform, regularization, taper_fraction)
+    x_spec, denom, window, guard = spectrum_and_guard(waveform, taper_fraction)
     rows = []
     for p in range(len(rx) // n):
         y_spec = np.fft.fft(rx.samples[p * n : (p + 1) * n])
@@ -123,32 +120,31 @@ def capture(periods, extra_samples=0, seed=0):
     return IqSignal(samples, rx.sample_rate_hz), waveform
 
 
-def assert_block_equals_loop(rx, waveform, regularization, taper):
-    pdp = estimate_pdp(rx, waveform, regularization, taper)
-    rows = loop_estimate_cirs(rx, waveform, regularization, taper)
+def assert_block_equals_loop(rx, waveform, taper):
+    pdp = estimate_pdp(rx, waveform, taper)
+    rows = loop_estimate_cirs(rx, waveform, taper)
     assert np.array_equal(pdp.delays_s, np.arange(waveform.period) * (1.0 / rx.sample_rate_hz))
     assert np.array_equal(pdp.powers_linear, loop_average_powers(rows))
-    assert_near_dft(rows, dft_estimate_cirs(rx, waveform, regularization, taper))
+    assert_near_dft(rows, dft_estimate_cirs(rx, waveform, taper))
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
-@pytest.mark.parametrize("regularization", [0.0, None])
-def test_block_equals_loop_reference(regularization, taper):
+def test_block_equals_loop_reference(taper):
     rx, waveform = capture(periods=40, seed=3)
-    assert_block_equals_loop(rx, waveform, regularization, taper)
+    assert_block_equals_loop(rx, waveform, taper)
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
 def test_partial_last_period_equals_loop_reference(taper):
     rx, waveform = capture(periods=7, extra_samples=200, seed=4)
-    assert_block_equals_loop(rx, waveform, None, taper)
-    assert len(loop_estimate_cirs(rx, waveform, None, taper)) == 7
+    assert_block_equals_loop(rx, waveform, taper)
+    assert len(loop_estimate_cirs(rx, waveform, taper)) == 7
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
 def test_one_period_equals_loop_reference(taper):
     rx, waveform = capture(periods=1, seed=5)
-    assert_block_equals_loop(rx, waveform, None, taper)
+    assert_block_equals_loop(rx, waveform, taper)
 
 
 # one row past a chunk, and a sum carried over two chunk boundaries
@@ -156,7 +152,7 @@ def test_one_period_equals_loop_reference(taper):
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
 def test_chunk_boundary_equals_loop_reference(taper, periods):
     rx, waveform = capture(periods=periods, seed=6)
-    assert_block_equals_loop(rx, waveform, None, taper)
+    assert_block_equals_loop(rx, waveform, taper)
 
 
 def test_padded_length_is_the_smallest_smooth_length():
@@ -169,11 +165,23 @@ def test_padded_length_is_the_smallest_smooth_length():
 PRIMES = [p for p in range(2, 2000) if is_prime(p)]
 
 
+def test_zadoff_chu_spectrum_is_flat():
+    """|X[k]|^2 = N in every DFT bin of a prime-length Zadoff-Chu sequence,
+    so ``estimate_pdp`` divides by |X|^2 with no ridge term. Roots 1 and 2
+    hold it to 1e-9 N. Root N - 1 (the conjugate of root 1) holds it to
+    1e-7 N: its phase pi u n (n + 1) / N reaches about pi N^2 radians,
+    where a float64 keeps only about 8 digits after the point."""
+    for n in sorted({*PRIMES, 353, 8191}):
+        for root in sorted({1, 2, n - 1} & set(range(1, n))):
+            power = np.abs(np.fft.fft(zadoff_chu(root, n))) ** 2
+            bound = (1e-9 if root <= 2 else 1e-7) * n
+            assert np.max(np.abs(power - n)) <= bound, (n, root)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     n=st.sampled_from(PRIMES),
     taper=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True)),
-    regularization=st.sampled_from([0.0, None, 1e6]),
     periods=st.integers(1, 9),
     extra=st.floats(0.0, 1.0, exclude_max=True),
     start=st.floats(0.0, 1.0, exclude_max=True),
@@ -182,13 +190,13 @@ PRIMES = [p for p in range(2, 2000) if is_prime(p)]
     seed=st.integers(0, 2**32 - 1),
 )
 @example(
-    n=8191, taper=sounder.DEFAULT_TAPER_FRACTION, regularization=None, periods=3, extra=0.5,
-    start=0.25, chunk_rows=2, fft_rows=1, seed=0,
+    n=8191, taper=sounder.DEFAULT_TAPER_FRACTION, periods=3, extra=0.5, start=0.25,
+    chunk_rows=2, fft_rows=1, seed=0,
 )
 def test_any_prime_equals_loop_reference(
-    n, taper, regularization, periods, extra, start, chunk_rows, fft_rows, seed
+    n, taper, periods, extra, start, chunk_rows, fft_rows, seed
 ):
-    """Any prime period, taper and ridge; a partial last period, a start
+    """Any prime period and taper; a partial last period, a start
     inside the first period, and chunks and transform blocks of a few rows,
     so that either may end part-way."""
     waveform = zadoff_chu_waveform(length=n, repetitions=periods)
@@ -201,12 +209,12 @@ def test_any_prime_equals_loop_reference(
     with mock.patch.object(sounder, "CHUNK_ROWS", chunk_rows), mock.patch.object(
         sounder, "_FFT_ROWS", fft_rows
     ):
-        powers = estimate_pdp(rx, waveform, regularization, taper, start).powers_linear
-        from_aligned = estimate_pdp(aligned, waveform, regularization, taper).powers_linear
-    rows = loop_estimate_cirs(aligned, waveform, regularization, taper)
+        powers = estimate_pdp(rx, waveform, taper, start).powers_linear
+        from_aligned = estimate_pdp(aligned, waveform, taper).powers_linear
+    rows = loop_estimate_cirs(aligned, waveform, taper)
     assert np.array_equal(powers, loop_average_powers(rows))
     assert np.array_equal(from_aligned, powers)
-    assert_near_dft(rows, dft_estimate_cirs(aligned, waveform, regularization, taper))
+    assert_near_dft(rows, dft_estimate_cirs(aligned, waveform, taper))
 
 
 def spiked(positions, seed=7):

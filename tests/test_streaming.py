@@ -65,8 +65,8 @@ def whole_chain_powers(path, taper):
     corr = circular_cross_correlate(cleaned.samples[:N], zadoff_chu_waveform().base_sequence)
     offset = int(np.argmax(np.abs(corr)))
     aligned = IqSignal(cleaned.samples[offset:], cleaned.sample_rate_hz)
-    rows = loop_estimate_cirs(aligned, zadoff_chu_waveform(), None, taper)
-    assert_near_dft(rows, dft_estimate_cirs(aligned, zadoff_chu_waveform(), None, taper))
+    rows = loop_estimate_cirs(aligned, zadoff_chu_waveform(), taper)
+    assert_near_dft(rows, dft_estimate_cirs(aligned, zadoff_chu_waveform(), taper))
     return loop_average_powers(rows)
 
 
@@ -74,7 +74,7 @@ def streamed_powers(path, taper):
     waveform = zadoff_chu_waveform()
     cleaned = mitigate_artifacts(io.IqReader(path))
     offset = sounder.synchronize(cleaned, waveform)
-    return sounder.estimate_pdp(cleaned, waveform, None, taper, start=offset).powers_linear
+    return sounder.estimate_pdp(cleaned, waveform, taper, start=offset).powers_linear
 
 
 def csv_bytes(tmp_path, powers):
