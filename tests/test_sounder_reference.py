@@ -14,6 +14,7 @@ interpolation over every good sample. The production code must reproduce
 bit for bit (``np.array_equal``).
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -108,12 +109,13 @@ def loop_average_powers(rows):
     return np.mean([np.abs(taps) ** 2 for taps in rows], axis=0)
 
 
-def capture(periods, extra_samples=0, seed=0):
-    """A noisy 3-path capture of ``periods`` whole periods plus a partial one."""
+def capture(periods, extra_samples=0, seed=0, snr_db=20.0):
+    """A 3-path capture of ``periods`` whole periods plus a partial one, at
+    ``snr_db`` (None: noiseless)."""
     waveform = zadoff_chu_waveform(repetitions=periods + 1)
     rx = add_awgn(
         apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.4j, 0.2])),
-        20.0,
+        math.inf if snr_db is None else snr_db,
         seed,
     )
     samples = rx.samples[: periods * waveform.period + extra_samples]
@@ -129,8 +131,9 @@ def assert_block_equals_loop(rx, waveform, taper):
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
-def test_block_equals_loop_reference(taper):
-    rx, waveform = capture(periods=40, seed=3)
+@pytest.mark.parametrize("snr_db", [0.0, None])
+def test_block_equals_loop_reference(snr_db, taper):
+    rx, waveform = capture(periods=40, seed=3, snr_db=snr_db)
     assert_block_equals_loop(rx, waveform, taper)
 
 
