@@ -9,7 +9,6 @@ and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -122,12 +121,12 @@ def _cmd_generate_sounding(args) -> int:
 def _cmd_estimate(args) -> int:
     _estimation_flags(args)
     with _stage("waveform"):
-        # checked before the capture is opened, which sets the sample rate
+        # checked before the capture is opened; the delay step comes from
+        # the capture's rate, not the waveform's
         waveform = _waveform(args, sounder.DEFAULT_SAMPLE_RATE_HZ)
     with _stage("read-iq"):
         capture = _CaptureFile(args.rx)
     with capture:
-        waveform = dataclasses.replace(waveform, sample_rate_hz=capture.sample_rate_hz)
         pdp = _estimate_pdp(capture, waveform, args.taper, args.margin_db)
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)

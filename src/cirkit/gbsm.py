@@ -416,9 +416,8 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) ->
     root seed, so the first n snapshots are the same for any ``count`` >= n.
     Snapshots are drawn and rendered ``CHUNK_ROWS`` at a time, each chunk a
     task of ``sounder._map_chunks``; the bytes do not depend on how many run
-    at once. Each chunk renders into a float32 buffer that holds the rows
-    as the container file stores them, carved from its task's slot
-    workspace (the receive chain's workspaces), and is written as soon as
+    at once. Each chunk renders into its task's float32 buffer, which holds
+    the rows as the container file stores them, and is written as soon as
     it is rendered: the call holds two such chunks, whatever ``count`` is.
     A failure leaves ``path`` as it was.
     """

