@@ -38,7 +38,7 @@ def _stage(name: str):
         yield
     except _StageFailure:
         raise
-    except (ValueError, ArithmeticError, OSError, InternalConsistencyError) as err:
+    except (ValueError, ArithmeticError, OSError, InternalConsistencyError, MemoryError) as err:
         raise _StageFailure(name, err) from err
 
 

@@ -432,6 +432,11 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) ->
             "a dataset file can hold"
         )
     taps = config.cir_length_taps
+    if taps > cirkit_io.MAX_DATASET_TAPS:
+        raise ValidationError(
+            f"cir_length_taps {taps} exceeds the {cirkit_io.MAX_DATASET_TAPS} taps "
+            "a dataset file can hold"
+        )
 
     def render_chunk(start: int, buffers) -> np.ndarray:
         rows = min(CHUNK_ROWS, count - start)

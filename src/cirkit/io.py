@@ -3,8 +3,8 @@
 Raw IQ captures are headerless interleaved little-endian float32 (I then Q)
 with a ``<path>.meta`` text sidecar, for interoperability with common SDR
 tooling. Scenario configs are hand-editable ``key=value`` text. Datasets are
-a small binary container ("CHDS") holding float32 CIR snapshots plus the
-generating config as an embedded text blob.
+a small binary container ("CHDS") holding ``<c8`` CIR snapshots, read back
+as complex64, plus the generating config as an embedded text blob.
 
 Every text format goes through one layer: one line reader (blank lines and
 ``#`` comments skipped, ``key=value`` split), one parser of finite numbers
@@ -40,6 +40,7 @@ DATASET_VERSION = 1
 _HEADER_FMT = "<4sHIIdI"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)  # 26 bytes
 MAX_DATASET_SNAPSHOTS = 2**32 - 1  # the header stores the count as uint32
+MAX_DATASET_TAPS = 2**32 - 1  # and the taps per snapshot as uint32
 
 # file key -> (ScenarioConfig field, kind), in the canonical key order of the
 # text; identical configs produce identical bytes
@@ -72,10 +73,7 @@ def _meta_path(path) -> Path:
 
 def write_iq(path, signal: IqSignal) -> None:
     """Write interleaved float32 IQ plus the metadata sidecar."""
-    interleaved = np.empty(2 * len(signal), dtype="<f4")
-    interleaved[0::2] = signal.samples.real
-    interleaved[1::2] = signal.samples.imag
-    Path(path).write_bytes(interleaved.tobytes())
+    Path(path).write_bytes(signal.samples.astype("<c8"))
     _meta_path(path).write_text(
         _key_value_text((key, getattr(signal, key)) for key in _META_KEYS), encoding="utf-8"
     )
@@ -262,30 +260,6 @@ class IqReader:
         flat[...] = raw.view("<c8")
 
 
-def _read_widened(fh, out: np.ndarray) -> bool:
-    """Fill the C-contiguous complex128 array ``out`` with the ``<c8`` pairs
-    at ``fh``'s position, allocating nothing of its size; False, with
-    ``out`` not filled, when the file ends first.
-
-    The pairs are read into the upper half of ``out``'s bytes and widened
-    to complex128 front first, in pieces that each end before their own
-    source begins.
-    """
-    flat = out.reshape(-1)  # a view: out is contiguous
-    size = flat.size
-    floats = flat.view("<f4")[2 * size :]
-    if fh.readinto(floats) != floats.nbytes:
-        return False
-    pairs = floats.view("<c8")
-    done = 0
-    while size - done > 1:
-        end = (size + done) // 2  # flat[done:end] ends where pairs[done] begins, or before
-        flat[done:end] = pairs[done:end]
-        done = end
-    flat[done:] = pairs[done:]  # the last pair overlaps its own output: numpy copies it
-    return True
-
-
 def config_to_text(config: ScenarioConfig, comments: tuple[str, ...] = ()) -> str:
     """Serialize a scenario config in canonical key order."""
     pairs = []
@@ -395,14 +369,14 @@ def read_report(path) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class Dataset:
-    """In-memory dataset: stacked CIR snapshots plus the generating config text."""
+    """In-memory dataset: complex64 CIR snapshots plus the generating config text."""
 
     snapshots: np.ndarray
     sample_rate_hz: float
     config_text: str
 
     def __post_init__(self):
-        snaps = _frozen_complex(self.snapshots)
+        snaps = _frozen_complex(self.snapshots, np.complex64)
         object.__setattr__(self, "snapshots", snaps)
         if snaps.ndim != 2 or snaps.size == 0:
             raise ValidationError("dataset snapshots must be a non-empty 2-D array")
@@ -463,9 +437,9 @@ def read_dataset(path) -> Dataset:
     """Read and validate a CHDS container; never trusts lengths beyond file size.
 
     The header and config blob are read and checked before any payload
-    byte. The payload is then read into the upper half of the complex128
-    snapshot array and widened in place (``_read_widened``), so the read
-    holds twice the payload's bytes, the array itself, and no more.
+    byte. The payload is then read in one ``readinto`` straight into the
+    read-only complex64 (``<c8``) snapshot array the dataset holds, so the
+    read holds the payload's bytes once, and no more.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -487,8 +461,8 @@ def read_dataset(path) -> Dataset:
             blob = fh.read(blob_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptFileError(f"{path}: config blob is not UTF-8 text") from exc
-        snapshots = np.empty((count, taps), dtype=np.complex128)
-        if not _read_widened(fh, snapshots):
+        snapshots = np.empty((count, taps), dtype="<c8")
+        if fh.readinto(snapshots) != snapshots.nbytes:
             raise SizeMismatchError(f"{path}: file shrank while it was read")
     snapshots.setflags(write=False)
     return Dataset(snapshots, rate, blob)

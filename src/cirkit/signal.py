@@ -2,7 +2,7 @@
 
 All functions are pure and all values are immutable after construction, so
 they are safe to share between threads. Domain objects adopt a frozen
-complex128 array as it is and copy anything else.
+array of the complex dtype they store as it is and copy anything else.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ def _is_frozen(arr: np.ndarray) -> bool:
     return isinstance(arr, bytes)
 
 
-def _frozen_complex(values) -> np.ndarray:
-    """A read-only complex128 array of ``values``: adopted without a copy when
-    it already is one and frozen, copied otherwise, so no caller can change a
-    domain object behind its back."""
-    if type(values) is np.ndarray and values.dtype == np.complex128 and _is_frozen(values):
+def _frozen_complex(values, dtype=np.complex128) -> np.ndarray:
+    """A read-only ``dtype`` array of ``values``, the complex dtype its holder
+    stores: adopted without a copy when it already is one and frozen, copied
+    otherwise, so no caller can change a domain object behind its back."""
+    if type(values) is np.ndarray and values.dtype == dtype and _is_frozen(values):
         return values
     try:
-        arr = np.array(values, dtype=np.complex128)
+        arr = np.array(values, dtype=dtype)
     except ValueError as err:  # ragged rows or non-numeric values
         raise ValidationError(f"not an array of complex values: {err}") from err
     arr.setflags(write=False)

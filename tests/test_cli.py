@@ -489,6 +489,47 @@ def test_seed_outside_key_range_fails_at_seed_stage(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_taps_beyond_the_dataset_header_fail_at_the_dataset_stage(tmp_path, capsys):
+    config = tmp_path / "long.cfg"
+    long_cir = dataclasses.replace(PRESETS["urban-nlos"], cir_length_taps=5_000_000_000)
+    io.write_config(config, long_cir)
+    out = tmp_path / "d.chds"
+    rc = main(["dataset", "--config", str(config), "--count", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        "cirkit dataset: dataset: cir_length_taps 5000000000 exceeds the 4294967295 taps "
+        "a dataset file can hold\n"
+    )
+    assert not out.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 526. GiB for an array")
+
+
+@pytest.mark.parametrize(
+    "argv, target, stage",
+    [
+        (["loopback", "--repetitions", "100000000"],
+         "cirkit.sounder.build_sounding_signal", "build"),
+        (["dataset", "--config", "campus-nlos", "--count", "1", "--out", "{tmp}/d.chds"],
+         "cirkit.gbsm._map_chunks", "dataset"),
+    ],
+    ids=["loopback-build", "dataset-dataset"],
+)
+def test_out_of_memory_fails_at_its_stage(tmp_path, capsys, monkeypatch, argv, target, stage):
+    """A stage that cannot allocate exits 1 and names itself, with no traceback."""
+    monkeypatch.setattr(target, _out_of_memory)
+    rc = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        f"cirkit {argv[0]}: {stage}: Unable to allocate 526. GiB for an array\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
 class TestHelp:
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -391,6 +391,18 @@ class TestGenerateDataset:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_taps_beyond_file_header_rejected_before_allocating(self, tmp_path):
+        config = dataclasses.replace(URBAN_NLOS, cir_length_taps=5_000_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="cir_length_taps 5000000000 exceeds"):
+                generate_dataset(config, 1, 0, tmp_path / "x.chds")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert not list(tmp_path.iterdir())
+
 
 # two-sided Kolmogorov-Smirnov critical value at alpha = 0.01 is
 # KS_C_ALPHA / sqrt(n) for large n, with KS_C_ALPHA = sqrt(ln(2 / alpha) / 2)

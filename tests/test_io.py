@@ -15,7 +15,7 @@ from cirkit.errors import (
     SizeMismatchError,
     ValidationError,
 )
-from cirkit.gbsm import PRESETS
+from cirkit.gbsm import PRESETS, generate_dataset
 from cirkit.signal import IqSignal
 
 
@@ -336,8 +336,7 @@ class TestNonFiniteNumbers:
 class TestDataset:
     def _dataset(self, rng, count=10, taps=16):
         snaps = (rng.standard_normal((count, taps)) + 1j * rng.standard_normal((count, taps)))
-        snaps = snaps.astype(np.complex64).astype(np.complex128)
-        return io.Dataset(snaps, 25.6e6, "label=test\n")
+        return io.Dataset(snaps.astype(np.complex64), 25.6e6, "label=test\n")
 
     def test_size_arithmetic(self, tmp_path):
         ds = self._dataset(np.random.default_rng(3), count=1, taps=4)
@@ -398,9 +397,9 @@ class TestDataset:
         with pytest.raises(ValidationError, match="sample_rate_hz must be finite"):
             io.read_dataset(path)
 
-    def test_read_holds_twice_the_payload(self, tmp_path):
-        """The payload is widened in place in the complex128 snapshot array,
-        with no bytes copy and no float32 copy beside it."""
+    def test_read_holds_the_payload_once(self, tmp_path):
+        """The payload is read straight into the complex64 snapshot array the
+        dataset holds, with no bytes copy and no widened copy beside it."""
         count, taps = 3000, 353
         ramp = np.arange(count * taps).reshape(count, taps) * (1 - 2j)  # exact in float32
         path = tmp_path / "big.chds"
@@ -412,7 +411,19 @@ class TestDataset:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back.snapshots, ramp)
-        assert peak <= 2.1 * count * taps * 8
+        assert peak <= 1.1 * count * taps * 8
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_snapshots_are_the_payload_bytes(self, tmp_path, preset):
+        """``read_dataset`` hands back the file's ``<c8`` pairs as they are:
+        a read-only complex64 array whose bytes are the payload's."""
+        path = tmp_path / f"{preset}.chds"
+        generate_dataset(PRESETS[preset], 300, 2, path)
+        back = io.read_dataset(path)
+        assert back.snapshots.dtype == np.complex64
+        assert not back.snapshots.flags.writeable
+        payload = path.read_bytes()[struct.calcsize("<4sHIIdI") + len(back.config_text.encode()):]
+        assert back.snapshots.tobytes() == payload
 
     def test_header_smaller_than_minimum(self, tmp_path):
         path = tmp_path / "stub.chds"

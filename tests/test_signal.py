@@ -37,53 +37,60 @@ class TestIqSignal:
             sig.samples[0] = 0.0
 
 
-# each domain type that takes a complex array, and the array it then holds
+# each domain type that takes a complex array, the complex dtype it stores,
+# and the array it then holds
 HOLDERS = {
-    "IqSignal": lambda values: IqSignal(values.ravel(), 1e6).samples,
-    "Dataset": lambda values: Dataset(values, 1e6, "label=test\n").snapshots,
-    "SyntheticChannel": lambda values: SyntheticChannel(values.ravel()).taps,
+    "IqSignal": (np.complex128, lambda values: IqSignal(values.ravel(), 1e6).samples),
+    "Dataset": (np.complex64, lambda values: Dataset(values, 1e6, "label=test\n").snapshots),
+    "SyntheticChannel": (np.complex128, lambda values: SyntheticChannel(values.ravel()).taps),
 }
+OTHER_DTYPE = {np.complex128: np.complex64, np.complex64: np.complex128}
 
 
-def complex_block(seed=0):
+def complex_block(seed=0, dtype=np.complex128):
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    return (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))).astype(dtype)
 
 
 @pytest.mark.parametrize("holder", sorted(HOLDERS))
 class TestArrayAdoption:
     def test_frozen_owned_array_adopted(self, holder):
-        values = complex_block()
+        dtype, hold = HOLDERS[holder]
+        values = complex_block(dtype=dtype)
         values.setflags(write=False)
-        held = HOLDERS[holder](values)
+        held = hold(values)
         assert np.shares_memory(held, values)
         assert not held.flags.writeable
 
     def test_frozen_view_of_bytes_adopted(self, holder):
-        values = np.frombuffer(complex_block().tobytes(), dtype=np.complex128).reshape(3, 4)
-        assert np.shares_memory(HOLDERS[holder](values), values)
+        dtype, hold = HOLDERS[holder]
+        values = np.frombuffer(complex_block(dtype=dtype).tobytes(), dtype=dtype).reshape(3, 4)
+        assert np.shares_memory(hold(values), values)
 
     def test_read_only_view_of_writable_array_copied(self, holder):
-        base = complex_block()
+        dtype, hold = HOLDERS[holder]
+        base = complex_block(dtype=dtype)
         view = base[:]
         view.setflags(write=False)
-        held = HOLDERS[holder](view)
+        held = hold(view)
         expected = base.copy()
         assert not np.shares_memory(held, base)
         base[...] = 0.0
         assert np.array_equal(held.reshape(expected.shape), expected)
 
     def test_writable_array_copied(self, holder):
-        values = complex_block()
-        held = HOLDERS[holder](values)
+        dtype, hold = HOLDERS[holder]
+        values = complex_block(dtype=dtype)
+        held = hold(values)
         assert not np.shares_memory(held, values)
         assert not held.flags.writeable
 
     def test_other_dtype_copied(self, holder):
-        values = complex_block().astype(np.complex64)
+        dtype, hold = HOLDERS[holder]
+        values = complex_block(dtype=OTHER_DTYPE[dtype])
         values.setflags(write=False)
-        held = HOLDERS[holder](values)
-        assert held.dtype == np.complex128
+        held = hold(values)
+        assert held.dtype == dtype
         assert not np.shares_memory(held, values)
 
 
