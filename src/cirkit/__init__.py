@@ -18,10 +18,9 @@ from .analysis import (
     estimate_noise_floor,
     extract_parameters,
     k_factor,
-    mean_excess_delay,
+    noise_threshold,
     normalize_pdp,
     rms_delay_spread,
-    second_moment,
     threshold_pdp,
 )
 from .channel_apply import SyntheticChannel, add_awgn, apply_channel
@@ -100,14 +99,13 @@ __all__ = [
     "generate_dataset",
     "is_prime",
     "k_factor",
-    "mean_excess_delay",
     "mitigate_artifacts",
+    "noise_threshold",
     "normalize_pdp",
     "read_config",
     "read_dataset",
     "read_pdp_csv",
     "rms_delay_spread",
-    "second_moment",
     "simulate_pdp",
     "synchronize",
     "threshold_pdp",

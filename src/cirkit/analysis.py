@@ -4,19 +4,22 @@ The large-scale quantities extracted here are the RMS delay spread (square
 root of the second central moment of the PDP), the mean excess delay, the
 Ricean K-factor and the number of resolvable multipath clusters. They are
 the configuration inputs for the stochastic channel generator.
+
+Each is read above one noise threshold: :func:`noise_threshold` puts it a
+margin above the floor of :func:`estimate_noise_floor`, and thresholding,
+normalization and the cluster count take that number as it is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyProfileError, InternalConsistencyError, ValidationError
 
 DEFAULT_MARGIN_DB = 6.0
-DEFAULT_MIN_SEPARATION_BINS = 2
 
 # CIR rows (snapshots, periods or realizations) handled per array block;
 # output does not depend on it, peak memory and speed do
@@ -33,16 +36,10 @@ _STEP_JITTER_REL = 1e-12
 
 @dataclass(frozen=True)
 class PowerDelayProfile:
-    """Average of squared CIR magnitudes on a uniform delay grid.
-
-    ``noise_floor_linear`` is optional; it is attached by
-    :func:`estimate_noise_floor` (or by whoever knows the floor) before
-    thresholding and normalization.
-    """
+    """Average of squared CIR magnitudes on a uniform delay grid."""
 
     delays_s: np.ndarray
     powers_linear: np.ndarray
-    noise_floor_linear: float | None = None
 
     def __post_init__(self):
         delays = np.array(self.delays_s, dtype=np.float64)
@@ -64,8 +61,6 @@ class PowerDelayProfile:
                 raise ValidationError("PDP delays must be strictly increasing")
             if np.max(np.abs(steps - step)) > _STEP_JITTER_REL * delays[-1]:
                 raise ValidationError("PDP delay grid is not uniform")
-        if self.noise_floor_linear is not None and self.noise_floor_linear < 0:
-            raise ValidationError("noise floor must be >= 0")
 
     def __len__(self) -> int:
         return self.delays_s.size
@@ -75,9 +70,6 @@ class PowerDelayProfile:
         if len(self) < 2:
             return 0.0
         return float((self.delays_s[-1] - self.delays_s[0]) / (len(self) - 1))
-
-    def with_noise_floor(self, floor: float) -> "PowerDelayProfile":
-        return replace(self, noise_floor_linear=float(floor))
 
 
 @dataclass(frozen=True)
@@ -128,57 +120,40 @@ class ComparisonReport:
             raise ValidationError("comparison report fields must be finite")
 
 
-def _threshold_value(pdp: PowerDelayProfile, margin_db: float) -> float:
-    if pdp.noise_floor_linear is None:
-        raise ValidationError("PDP noise floor has not been computed yet")
-    return pdp.noise_floor_linear * 10.0 ** (margin_db / 10.0)
-
-
 def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     """Estimate the noise floor as the median of the weakest 25% of bins.
 
-    Requires at least 16 bins so the quartile is meaningfully populated.
+    A profile of fewer than 16 bins is too short to populate the quartile;
+    its floor is 0.
     """
     if len(pdp) < 16:
-        raise ValidationError(f"noise floor estimation needs >= 16 bins, got {len(pdp)}")
+        return 0.0
     quartile = np.sort(pdp.powers_linear)[: len(pdp) // 4]
     return float(np.median(quartile))
 
 
-def default_noise_floor(pdp: PowerDelayProfile) -> float:
-    """The attached noise floor, else the estimate when the profile has at
-    least 16 bins, else 0 (too few bins to estimate one)."""
-    if pdp.noise_floor_linear is not None:
-        return pdp.noise_floor_linear
-    if len(pdp) >= 16:
-        return estimate_noise_floor(pdp)
-    return 0.0
+def noise_threshold(pdp: PowerDelayProfile, margin_db: float = DEFAULT_MARGIN_DB) -> float:
+    """The power a bin of ``pdp`` must exceed to count as signal: the noise
+    floor of :func:`estimate_noise_floor` times 10^(margin_db/10)."""
+    return estimate_noise_floor(pdp) * 10.0 ** (margin_db / 10.0)
 
 
-def threshold_pdp(pdp: PowerDelayProfile, margin_db: float = DEFAULT_MARGIN_DB) -> PowerDelayProfile:
-    """Zero every bin below noise_floor * 10^(margin_db/10); grid is preserved."""
-    thresh = _threshold_value(pdp, margin_db)
-    powers = np.where(pdp.powers_linear < thresh, 0.0, pdp.powers_linear)
-    return PowerDelayProfile(pdp.delays_s, powers, pdp.noise_floor_linear)
+def threshold_pdp(pdp: PowerDelayProfile, threshold: float) -> PowerDelayProfile:
+    """Zero every bin below ``threshold``; grid is preserved."""
+    powers = np.where(pdp.powers_linear < threshold, 0.0, pdp.powers_linear)
+    return PowerDelayProfile(pdp.delays_s, powers)
 
 
-def normalize_pdp(pdp: PowerDelayProfile, margin_db: float = DEFAULT_MARGIN_DB) -> PowerDelayProfile:
-    """Align the first bin above threshold to delay 0 and scale peak power to 1.
-
-    Bins before the reference are discarded. The noise floor, when present,
-    is rescaled by the same power factor so later thresholding stays
-    consistent.
-    """
-    thresh = _threshold_value(pdp, margin_db)
-    above = np.nonzero(pdp.powers_linear > thresh)[0]
+def normalize_pdp(pdp: PowerDelayProfile, threshold: float) -> PowerDelayProfile:
+    """Align the first bin above ``threshold`` to delay 0 and scale peak
+    power to 1. Bins before that bin are discarded."""
+    above = np.nonzero(pdp.powers_linear > threshold)[0]
     if above.size == 0:
         raise EmptyProfileError("no PDP bin exceeds the noise threshold")
     first = int(above[0])
     delays = pdp.delays_s[first:] - pdp.delays_s[first]
     powers = pdp.powers_linear[first:]
-    peak = float(np.max(powers))
-    floor = pdp.noise_floor_linear / peak if pdp.noise_floor_linear is not None else None
-    return PowerDelayProfile(delays, powers / peak, floor)
+    return PowerDelayProfile(delays, powers / float(np.max(powers)))
 
 
 def _moments(delays_s: np.ndarray, powers: np.ndarray, total) -> tuple:
@@ -196,27 +171,6 @@ def _pdp_moments(pdp: PowerDelayProfile) -> tuple[float, float]:
         raise ValidationError("PDP has zero total power")
     m1, m2 = _moments(pdp.delays_s, pdp.powers_linear, total)
     return float(m1), float(m2)
-
-
-def mean_excess_delay(pdp: PowerDelayProfile) -> float:
-    """Power-weighted mean delay, sum P(tau)*tau / sum P(tau)."""
-    return _pdp_moments(pdp)[0]
-
-
-def second_moment(pdp: PowerDelayProfile) -> float:
-    """Power-weighted mean squared delay, sum P(tau)*tau^2 / sum P(tau)."""
-    return _pdp_moments(pdp)[1]
-
-
-def add_row_powers(power: np.ndarray, taps: np.ndarray) -> None:
-    """Add |taps|^2 of each row of a ``(rows, delay_taps)`` block into
-    ``power``, one row after another.
-
-    That is the order in which ``np.mean(..., axis=0)`` sums a C-ordered
-    block, so powers summed chunk by chunk and divided by the row count are
-    bit-identical to the mean over all rows at once.
-    """
-    add_rows(power, np.abs(taps) ** 2)
 
 
 def add_rows(power: np.ndarray, rows: np.ndarray) -> None:
@@ -283,60 +237,34 @@ def k_factor(pdp: PowerDelayProfile) -> float:
     return float(10.0 * np.log10(peak / rest))
 
 
-def count_clusters(
-    pdp: PowerDelayProfile,
-    margin_db: float = DEFAULT_MARGIN_DB,
-    min_separation_bins: int = DEFAULT_MIN_SEPARATION_BINS,
-) -> int:
-    """Count resolvable multipath components as local PDP maxima.
-
-    A bin is a candidate when it is strictly above the noise threshold and
-    strictly greater than both neighbours (boundary bins compare against
-    their single neighbour). Candidates closer than ``min_separation_bins``
-    keep only the stronger one.
-    """
-    if min_separation_bins < 1:
-        raise ValidationError("min_separation_bins must be >= 1")
-    thresh = _threshold_value(pdp, margin_db)
+def count_clusters(pdp: PowerDelayProfile, threshold: float) -> int:
+    """Count resolvable multipath components as local PDP maxima: the bins
+    strictly above ``threshold`` and strictly greater than both neighbours
+    (boundary bins compare against their single neighbour). Two such
+    maxima are never adjacent."""
     p = pdp.powers_linear
-    n = p.size
-    left = np.empty(n)
-    right = np.empty(n)
-    left[0] = -np.inf
-    left[1:] = p[:-1]
-    right[-1] = -np.inf
-    right[:-1] = p[1:]
-    candidates = np.nonzero((p > thresh) & (p > left) & (p > right))[0]
-    if candidates.size == 0:
-        return 0
-    # strongest-first greedy pruning against already-kept peaks
-    order = candidates[np.argsort(p[candidates], kind="stable")[::-1]]
-    kept: list[int] = []
-    for idx in order:
-        if all(abs(idx - k) >= min_separation_bins for k in kept):
-            kept.append(int(idx))
-    return len(kept)
+    peaks = p > threshold
+    peaks[1:] &= p[1:] > p[:-1]
+    peaks[:-1] &= p[:-1] > p[1:]
+    return int(np.count_nonzero(peaks))
 
 
 def extract_parameters(
-    pdp: PowerDelayProfile,
-    los_flag: bool,
-    margin_db: float = DEFAULT_MARGIN_DB,
-    min_separation_bins: int = DEFAULT_MIN_SEPARATION_BINS,
+    pdp: PowerDelayProfile, los_flag: bool, margin_db: float = DEFAULT_MARGIN_DB
 ) -> ChannelParameters:
-    """Run the full extraction chain on a raw PDP.
+    """Run the full extraction chain on a raw or a normalized PDP.
 
-    The noise floor of ``default_noise_floor`` (the attached one, else the
-    estimate, else 0 below 16 bins), thresholding, normalization, the
-    delay-moment formulas, the K-factor (LOS profiles only) and the cluster
-    count, in that order.
+    The threshold of :func:`noise_threshold`, thresholding, normalization,
+    the delay-moment formulas, the K-factor (LOS profiles only) and the
+    cluster count, in that order. Clusters are counted on the normalized
+    profile, against the threshold scaled by the same peak.
     """
-    pdp = pdp.with_noise_floor(default_noise_floor(pdp))
-    cleaned = normalize_pdp(threshold_pdp(pdp, margin_db), margin_db)
+    threshold = noise_threshold(pdp, margin_db)
+    cleaned = normalize_pdp(threshold_pdp(pdp, threshold), threshold)
     m1, m2 = _pdp_moments(cleaned)
     ds = _spread(m1, m2)
     kf = k_factor(cleaned) if los_flag else None
-    clusters = count_clusters(cleaned, margin_db, min_separation_bins)
+    clusters = count_clusters(cleaned, threshold / float(np.max(pdp.powers_linear)))
     return ChannelParameters(
         rms_delay_spread_s=ds,
         mean_excess_delay_s=m1,
@@ -369,11 +297,11 @@ def compare_pdps(
     """
     _require_normalized("measured", measured)
     _require_normalized("simulated", simulated)
-    measured = measured.with_noise_floor(default_noise_floor(measured))
-    simulated = simulated.with_noise_floor(default_noise_floor(simulated))
+    thresh_m = noise_threshold(measured, margin_db)
+    thresh_s = noise_threshold(simulated, margin_db)
 
-    ds_m = rms_delay_spread(threshold_pdp(measured, margin_db))
-    ds_s = rms_delay_spread(threshold_pdp(simulated, margin_db))
+    ds_m = rms_delay_spread(threshold_pdp(measured, thresh_m))
+    ds_s = rms_delay_spread(threshold_pdp(simulated, thresh_s))
     ds_error = abs(ds_s - ds_m)
     if ds_error == 0.0:
         ds_rel = 0.0
@@ -382,12 +310,10 @@ def compare_pdps(
     else:
         raise ValidationError("measured delay spread is 0; relative error undefined")
 
-    cluster_diff = count_clusters(simulated, margin_db) - count_clusters(measured, margin_db)
+    cluster_diff = count_clusters(simulated, thresh_s) - count_clusters(measured, thresh_m)
 
     _, aligned_m, aligned_s = align_to_finer_grid(measured, simulated)
-    union = (aligned_m > _threshold_value(measured, margin_db)) | (
-        aligned_s > _threshold_value(simulated, margin_db)
-    )
+    union = (aligned_m > thresh_m) | (aligned_s > thresh_s)
     if not np.any(union):
         raise EmptyProfileError("no bin above threshold in either profile")
     tiny = 1e-30

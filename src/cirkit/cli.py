@@ -3,7 +3,11 @@
 Each stage of the measurement-to-simulation flow is one subcommand; the
 ``loopback`` subcommand runs the whole chain against a synthetic channel as
 a desk-scale self check. Every subcommand is deterministic for fixed flags
-and seed.
+and seed. ``estimate`` writes its profile normalized above the noise
+threshold of ``--margin-db``. ``extract`` and ``loopback`` both call
+``analysis.extract_parameters``, which takes the threshold from the profile
+it is given: the normalized CSV profile in ``extract``, the raw averaged
+one in ``loopback``.
 """
 
 from __future__ import annotations
@@ -86,9 +90,9 @@ class _CaptureFile(io.IqReader):
             super().read_into(lo, out, scratch)
 
 
-def _estimate_pdp(capture, waveform, taper, margin_db):
-    """Shared receive chain: mitigate, synchronize, estimate and average,
-    normalize. ``capture``, a ``_CaptureFile`` or the received signal in
+def _estimate_pdp(capture, waveform, taper):
+    """Shared receive chain: mitigate, synchronize, estimate and average into
+    the raw PDP. ``capture``, a ``_CaptureFile`` or the received signal in
     memory, is read through every stage a chunk at a time.
     """
     with _stage("mitigate"):
@@ -96,10 +100,7 @@ def _estimate_pdp(capture, waveform, taper, margin_db):
     with _stage("synchronize"):
         offset = sounder.synchronize(cleaned, waveform)
     with _stage("estimate"):
-        raw = sounder.estimate_pdp(cleaned, waveform, taper, start=offset)
-    with _stage("normalize"):
-        floor = analysis.default_noise_floor(raw)
-        return analysis.normalize_pdp(raw.with_noise_floor(floor), margin_db)
+        return sounder.estimate_pdp(cleaned, waveform, taper, start=offset)
 
 
 def _cmd_generate_sounding(args) -> int:
@@ -127,7 +128,9 @@ def _cmd_estimate(args) -> int:
     with _stage("read-iq"):
         capture = _CaptureFile(args.rx)
     with capture:
-        pdp = _estimate_pdp(capture, waveform, args.taper, args.margin_db)
+        raw = _estimate_pdp(capture, waveform, args.taper)
+    with _stage("normalize"):
+        pdp = analysis.normalize_pdp(raw, analysis.noise_threshold(raw, args.margin_db))
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)
     print(f"wrote {len(pdp)}-bin PDP to {args.pdp_out}")
@@ -149,12 +152,7 @@ def _cmd_extract(args) -> int:
     with _stage("load-defaults"):
         defaults = _load_config(args.defaults)
     with _stage("extract"):
-        params = analysis.extract_parameters(
-            pdp,
-            los_flag=args.los,
-            margin_db=args.margin_db,
-            min_separation_bins=args.min_separation_bins,
-        )
+        params = analysis.extract_parameters(pdp, los_flag=args.los, margin_db=args.margin_db)
         config = gbsm.config_from_parameters(params, defaults)
     with _stage("write-config"):
         io.write_config(
@@ -162,8 +160,7 @@ def _cmd_extract(args) -> int:
             config,
             comments=(
                 f"extracted from {args.pdp}",
-                f"los={str(args.los).lower()} margin_db={args.margin_db!r} "
-                f"min_separation_bins={args.min_separation_bins}",
+                f"los={str(args.los).lower()} margin_db={args.margin_db!r}",
             ),
         )
     print(f"{'scenario':<14} {'DS [ns]':>10} {'KF [dB]':>8} {'# clusters':>10}")
@@ -275,9 +272,9 @@ def _cmd_loopback(args) -> int:
         tx = sounder.build_sounding_signal(waveform)
     with _stage("apply-channel"):
         received = add_awgn(apply_channel(tx, channel), args.snr_db, args.seed)
-    pdp = _estimate_pdp(received, waveform, args.taper, args.margin_db)
+    raw = _estimate_pdp(received, waveform, args.taper)
     with _stage("extract"):
-        params = analysis.extract_parameters(pdp, los_flag=True, margin_db=args.margin_db)
+        params = analysis.extract_parameters(raw, los_flag=True, margin_db=args.margin_db)
 
     true_ds = float(analysis.discrete_delay_spread(true_delays, true_powers))
     bin_s = 1.0 / args.sample_rate
@@ -381,10 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--margin-db", type=float, default=analysis.DEFAULT_MARGIN_DB,
         help="threshold margin above the noise floor in dB",
-    )
-    p.add_argument(
-        "--min-separation-bins", type=int, default=analysis.DEFAULT_MIN_SEPARATION_BINS,
-        help="minimum peak separation for cluster counting",
     )
     p.set_defaults(func=_cmd_extract)
 

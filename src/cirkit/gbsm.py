@@ -22,12 +22,11 @@ import numpy as np
 from . import __about__
 from .analysis import (
     CHUNK_ROWS,
-    DEFAULT_MARGIN_DB,
     ChannelParameters,
     PowerDelayProfile,
-    add_row_powers,
-    default_noise_floor,
+    add_rows,
     discrete_delay_spread,
+    noise_threshold,
     normalize_pdp,
 )
 from .channel_apply import check_seed
@@ -402,10 +401,10 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
         rows = min(CHUNK_ROWS, n_realizations - start)
         words = _stream_words(root, SIMULATE_STREAM, start, rows, width)[:, phases]
         taps = _render_block(block.delays, block.powers, words, block.los, config)
-        add_row_powers(power, taps)
+        add_rows(power, np.abs(taps) ** 2)
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
     pdp = PowerDelayProfile(delays, power / n_realizations)
-    return normalize_pdp(pdp.with_noise_floor(default_noise_floor(pdp)), DEFAULT_MARGIN_DB)
+    return normalize_pdp(pdp, noise_threshold(pdp))
 
 
 def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) -> None:

@@ -200,6 +200,8 @@ class IqReader:
                     f"{path}: odd float count {size // 4}; interleaved I/Q expected"
                 )
             meta = _read_meta(path)
+            if size == 0:
+                raise ValidationError(f"{path}: capture holds no samples")
             self._samples = size // 8
             self.sample_rate_hz = meta["sample_rate_hz"]
             self.center_frequency_hz = meta["center_frequency_hz"]

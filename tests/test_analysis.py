@@ -6,17 +6,15 @@ from cirkit.analysis import (
     CHUNK_ROWS,
     ChannelParameters,
     PowerDelayProfile,
-    add_row_powers,
     add_rows,
     compare_pdps,
     count_clusters,
     estimate_noise_floor,
     extract_parameters,
     k_factor,
-    mean_excess_delay,
+    noise_threshold,
     normalize_pdp,
     rms_delay_spread,
-    second_moment,
     threshold_pdp,
 )
 from cirkit.errors import EmptyProfileError, InternalConsistencyError, ValidationError
@@ -24,10 +22,21 @@ from cirkit.errors import EmptyProfileError, InternalConsistencyError, Validatio
 NS = 1e-9
 
 
-def make_pdp(powers, step_s=39.0625 * NS, floor=None, start_s=0.0):
+def make_pdp(powers, step_s=39.0625 * NS, start_s=0.0):
     powers = np.asarray(powers, dtype=float)
     delays = start_s + np.arange(powers.size) * step_s
-    return PowerDelayProfile(delays, powers, floor)
+    return PowerDelayProfile(delays, powers)
+
+
+def above(floor, margin_db=6.0):
+    """The threshold ``margin_db`` above a known noise floor."""
+    return floor * 10.0 ** (margin_db / 10.0)
+
+
+def cleaned_profile(pdp, margin_db=6.0):
+    """``pdp`` thresholded and normalized as ``extract_parameters`` does."""
+    threshold = noise_threshold(pdp, margin_db)
+    return normalize_pdp(threshold_pdp(pdp, threshold), threshold)
 
 
 def oracle_moments(pdp):
@@ -62,7 +71,8 @@ class TestPowerDelayProfile:
         # was once rejected as not uniform
         pdp = PowerDelayProfile(np.arange(bins) / rate_hz, np.ones(bins))
         assert len(pdp) == bins
-        normalized = normalize_pdp(make_pdp(np.r_[np.zeros(5000), np.ones(3192)], 1 / rate_hz, 0.1))
+        powers = np.r_[np.zeros(5000), np.ones(3192)]
+        normalized = normalize_pdp(make_pdp(powers, 1 / rate_hz), above(0.1))
         assert len(normalized) == 3192
 
     def test_long_grid_with_one_bad_step_rejected(self):
@@ -100,81 +110,99 @@ class TestNoiseFloor:
         floor = estimate_noise_floor(pdp)
         assert 0.5e-5 < floor < 2e-5
 
-    def test_short_profile_rejected(self):
-        with pytest.raises(ValidationError):
-            estimate_noise_floor(make_pdp(np.ones(15)))
+    def test_short_profile_has_zero_floor(self):
+        pdp = make_pdp(np.ones(15))
+        assert estimate_noise_floor(pdp) == 0.0
+        assert noise_threshold(pdp) == 0.0
+
+    def test_threshold_is_margin_above_floor(self):
+        pdp = make_pdp(np.full(32, 0.125))
+        assert noise_threshold(pdp, 6.0) == 0.125 * 10**0.6
+        assert noise_threshold(pdp) == noise_threshold(pdp, 6.0)
+        assert noise_threshold(pdp, 0.0) == 0.125
 
 
 class TestThreshold:
     def test_all_above_unchanged(self):
-        pdp = make_pdp(np.full(8, 1.0), floor=0.025)  # threshold ~0.1 at 6 dB
-        out = threshold_pdp(pdp, 6.0)
+        pdp = make_pdp(np.full(8, 1.0))
+        out = threshold_pdp(pdp, above(0.025))  # ~0.1
         np.testing.assert_array_equal(out.powers_linear, pdp.powers_linear)
 
     def test_all_below_zeroed(self):
-        pdp = make_pdp(np.full(8, 0.01), floor=1.0)
-        out = threshold_pdp(pdp, 6.0)
+        pdp = make_pdp(np.full(8, 0.01))
+        out = threshold_pdp(pdp, above(1.0))
         assert np.all(out.powers_linear == 0.0)
         assert len(out) == 8
 
     def test_exact_mask_oracle(self):
         rng = np.random.default_rng(0)
         powers = rng.uniform(0.0, 1.0, 64)
-        pdp = make_pdp(powers, floor=0.1)
-        out = threshold_pdp(pdp, 6.0)
+        pdp = make_pdp(powers)
+        out = threshold_pdp(pdp, above(0.1))
         cut = 0.1 * 10 ** 0.6
         for original, now in zip(powers, out.powers_linear):
             assert now == (original if original >= cut else 0.0)
 
-    def test_missing_floor_rejected(self):
-        with pytest.raises(ValidationError):
-            threshold_pdp(make_pdp([1.0, 1.0]))
+    def test_short_profile_keeps_every_bin(self):
+        pdp = make_pdp([1.0, 0.0, 1e-300])
+        out = threshold_pdp(pdp, noise_threshold(pdp))
+        np.testing.assert_array_equal(out.powers_linear, pdp.powers_linear)
 
 
 class TestNormalize:
     def test_single_tap_shift_and_scale(self):
-        pdp = PowerDelayProfile([3e-6], [4.0], noise_floor_linear=1e-6)
-        out = normalize_pdp(pdp)
+        pdp = PowerDelayProfile([3e-6], [4.0])
+        out = normalize_pdp(pdp, above(1e-6))
         assert out.delays_s[0] == 0.0
         assert out.powers_linear[0] == 1.0
 
     def test_first_peak_alignment(self):
-        pdp = PowerDelayProfile([1e-6, 2e-6], [0.5, 1.0], noise_floor_linear=1e-6)
-        out = normalize_pdp(pdp, 6.0)
+        pdp = PowerDelayProfile([1e-6, 2e-6], [0.5, 1.0])
+        out = normalize_pdp(pdp, above(1e-6))
         np.testing.assert_allclose(out.delays_s, [0.0, 1e-6])
         np.testing.assert_allclose(out.powers_linear, [0.5, 1.0])
 
     def test_all_below_threshold_rejected(self):
-        pdp = make_pdp(np.full(4, 0.01), floor=1.0)
+        pdp = make_pdp(np.full(4, 0.01))
         with pytest.raises(EmptyProfileError):
-            normalize_pdp(pdp)
+            normalize_pdp(pdp, above(1.0))
 
     def test_floor_rescaled(self):
-        pdp = PowerDelayProfile([0.0, 1e-6], [0.5, 4.0], noise_floor_linear=1e-3)
-        out = normalize_pdp(pdp)
-        assert out.noise_floor_linear == pytest.approx(1e-3 / 4.0)
+        # no bin dropped and a peak of 4: the floor of the normalized
+        # profile is the raw floor over the peak, exactly
+        powers = np.random.default_rng(11).uniform(1e-3, 4.0, 64)
+        powers[0] = 4.0
+        pdp = make_pdp(powers)
+        out = normalize_pdp(pdp, noise_threshold(pdp))
+        assert len(out) == len(pdp)
+        assert estimate_noise_floor(out) == estimate_noise_floor(pdp) / 4.0
 
 
 class TestMoments:
     def test_single_tap_at_zero(self):
         pdp = PowerDelayProfile([0.0], [1.0])
-        assert mean_excess_delay(pdp) == 0.0
-        assert second_moment(pdp) == 0.0
+        params = extract_parameters(pdp, los_flag=False)
+        assert params.mean_excess_delay_s == 0.0
+        assert params.second_moment_s2 == 0.0
         assert rms_delay_spread(pdp) == 0.0
 
     def test_equal_taps_symmetry(self):
         pdp = PowerDelayProfile([0.0, 100 * NS], [1.0, 1.0])
-        assert mean_excess_delay(pdp) == pytest.approx(50 * NS, rel=1e-15)
-        assert second_moment(pdp) == pytest.approx(5000 * NS**2, rel=1e-15)
+        params = extract_parameters(pdp, los_flag=False)
+        assert params.mean_excess_delay_s == pytest.approx(50 * NS, rel=1e-15)
+        assert params.second_moment_s2 == pytest.approx(5000 * NS**2, rel=1e-15)
         assert rms_delay_spread(pdp) == pytest.approx(50 * NS, rel=1e-15)
 
     def test_random_profile_against_oracle(self):
         rng = np.random.default_rng(1)
         pdp = make_pdp(rng.uniform(0.0, 1.0, 64))
         m1, m2 = oracle_moments(pdp)
-        assert mean_excess_delay(pdp) == pytest.approx(m1, rel=1e-12)
-        assert second_moment(pdp) == pytest.approx(m2, rel=1e-12)
         assert rms_delay_spread(pdp) == pytest.approx(np.sqrt(m2 - m1 * m1), rel=1e-12)
+        params = extract_parameters(pdp, los_flag=False)
+        m1, m2 = oracle_moments(cleaned_profile(pdp))
+        assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)
+        assert params.second_moment_s2 == pytest.approx(m2, rel=1e-12)
+        assert params.rms_delay_spread_s == pytest.approx(np.sqrt(m2 - m1 * m1), rel=1e-12)
 
     def test_truncated_exponential_against_quadrature(self):
         # fine 1 ns grid; reference from 1000x denser trapezoid quadrature
@@ -191,17 +219,19 @@ class TestMoments:
 
     def test_zero_power_rejected(self):
         pdp = make_pdp([0.0, 0.0])
-        for fn in (mean_excess_delay, second_moment, rms_delay_spread):
-            with pytest.raises(ValidationError):
-                fn(pdp)
+        with pytest.raises(ValidationError):
+            rms_delay_spread(pdp)
+        with pytest.raises(ValidationError):
+            extract_parameters(pdp, los_flag=False)
 
     def test_extraction_moments_equal_the_public_functions(self):
         rng = np.random.default_rng(4)
-        pdp = make_pdp(rng.uniform(0.0, 1.0, 64) ** 4, floor=1e-3)
+        pdp = make_pdp(rng.uniform(0.0, 1.0, 64) ** 4)
         params = extract_parameters(pdp, los_flag=False)
-        cleaned = normalize_pdp(threshold_pdp(pdp))
-        assert params.mean_excess_delay_s == mean_excess_delay(cleaned)
-        assert params.second_moment_s2 == second_moment(cleaned)
+        cleaned = cleaned_profile(pdp)
+        m1, m2 = oracle_moments(cleaned)
+        assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)
+        assert params.second_moment_s2 == pytest.approx(m2, rel=1e-12)
         assert params.rms_delay_spread_s == rms_delay_spread(cleaned)
 
 
@@ -229,46 +259,45 @@ class TestCountClusters:
     def test_single_tap(self):
         powers = np.full(32, 1e-6)
         powers[10] = 1.0
-        pdp = make_pdp(powers, floor=1e-6)
-        assert count_clusters(pdp) == 1
+        pdp = make_pdp(powers)
+        assert count_clusters(pdp, above(1e-6)) == 1
 
     def test_all_noise(self):
         rng = np.random.default_rng(2)
-        pdp = make_pdp(rng.uniform(0.9e-6, 1.1e-6, 64), floor=1e-6)
-        assert count_clusters(pdp, 6.0) == 0
+        pdp = make_pdp(rng.uniform(0.9e-6, 1.1e-6, 64))
+        assert count_clusters(pdp, above(1e-6)) == 0
 
     def test_synthetic_19_peaks(self):
         powers = np.full(80, 1e-3)
         positions = np.arange(2, 2 + 19 * 4, 4)
         powers[positions] = 1.0  # 10 dB above floor estimate would be fine; floor given
-        pdp = make_pdp(powers, floor=1e-3)
-        assert count_clusters(pdp, 6.0) == 19
+        pdp = make_pdp(powers)
+        assert count_clusters(pdp, above(1e-3)) == 19
 
     def test_boundary_peak_counted(self):
         powers = np.full(16, 1e-6)
         powers[0] = 1.0
-        pdp = make_pdp(powers, floor=1e-6)
-        assert count_clusters(pdp) == 1
+        pdp = make_pdp(powers)
+        assert count_clusters(pdp, above(1e-6)) == 1
 
-    def test_separation_keeps_stronger(self):
+    def test_peaks_two_bins_apart_both_counted(self):
         powers = np.full(32, 1e-6)
         powers[10] = 1.0
         powers[12] = 0.5
-        pdp = make_pdp(powers, floor=1e-6)
-        assert count_clusters(pdp, min_separation_bins=2) == 2
-        assert count_clusters(pdp, min_separation_bins=3) == 1
+        pdp = make_pdp(powers)
+        assert count_clusters(pdp, above(1e-6)) == 2
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(3)
         powers = rng.uniform(0.0, 1.0, 64)
-        a = make_pdp(powers, floor=0.05)
-        b = make_pdp(powers * 123.0, floor=0.05 * 123.0)
-        assert count_clusters(a) == count_clusters(b)
+        a = make_pdp(powers)
+        b = make_pdp(powers * 123.0)
+        assert count_clusters(a, above(0.05)) == count_clusters(b, above(0.05 * 123.0))
 
     def test_monotone_in_margin(self):
         rng = np.random.default_rng(4)
-        pdp = make_pdp(rng.uniform(0.0, 1.0, 128), floor=0.02)
-        counts = [count_clusters(pdp, margin) for margin in np.arange(0.0, 18.0, 1.5)]
+        pdp = make_pdp(rng.uniform(0.0, 1.0, 128))
+        counts = [count_clusters(pdp, above(0.02, margin)) for margin in np.arange(0.0, 18.0, 1.5)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -286,13 +315,14 @@ class TestExtractParameters:
         powers = rng.uniform(0.0, 1.0, 64) ** 4
         pdp = make_pdp(powers)
         params = extract_parameters(pdp, los_flag=True)
-        manual = pdp.with_noise_floor(estimate_noise_floor(pdp))
-        manual = normalize_pdp(threshold_pdp(manual, 6.0), 6.0)
-        assert params.mean_excess_delay_s == mean_excess_delay(manual)
-        assert params.second_moment_s2 == second_moment(manual)
+        threshold = noise_threshold(pdp, 6.0)
+        manual = normalize_pdp(threshold_pdp(pdp, threshold), threshold)
+        m1, m2 = oracle_moments(manual)
+        assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)
+        assert params.second_moment_s2 == pytest.approx(m2, rel=1e-12)
         assert params.rms_delay_spread_s == rms_delay_spread(manual)
         assert params.k_factor_db == k_factor(manual)
-        assert params.cluster_count == count_clusters(manual, 6.0)
+        assert params.cluster_count == count_clusters(manual, threshold / np.max(powers))
 
     def test_nlos_never_reports_k_factor(self):
         rng = np.random.default_rng(6)
@@ -304,13 +334,17 @@ class TestInvarianceProperties:
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         powers = rng.uniform(0.0, 1.0, 64)
-        a = make_pdp(powers, floor=0.01)
-        b = make_pdp(powers * 7.5, floor=0.075)
-        assert mean_excess_delay(a) == pytest.approx(mean_excess_delay(b), rel=1e-12)
-        assert second_moment(a) == pytest.approx(second_moment(b), rel=1e-12)
+        a = make_pdp(powers)
+        b = make_pdp(powers * 7.5)
+        pa = extract_parameters(a, los_flag=True)
+        pb = extract_parameters(b, los_flag=True)
+        assert pa.mean_excess_delay_s == pytest.approx(pb.mean_excess_delay_s, rel=1e-12)
+        assert pa.second_moment_s2 == pytest.approx(pb.second_moment_s2, rel=1e-12)
+        assert pa.k_factor_db == pytest.approx(pb.k_factor_db, rel=1e-12)
+        assert pa.cluster_count == pb.cluster_count
         assert rms_delay_spread(a) == pytest.approx(rms_delay_spread(b), rel=1e-12)
         assert k_factor(a) == pytest.approx(k_factor(b), rel=1e-12)
-        assert count_clusters(a) == count_clusters(b)
+        assert count_clusters(a, above(0.01)) == count_clusters(b, above(0.075))
 
     def test_delay_shift_covariance(self):
         rng = np.random.default_rng(8)
@@ -318,8 +352,11 @@ class TestInvarianceProperties:
         shift = 500 * NS
         a = make_pdp(powers)
         b = make_pdp(powers, start_s=shift)
-        assert mean_excess_delay(b) == pytest.approx(mean_excess_delay(a) + shift, rel=1e-12)
         assert rms_delay_spread(b) == pytest.approx(rms_delay_spread(a), rel=1e-9)
+        # extraction measures delays from the first bin above the threshold
+        pa = extract_parameters(a, los_flag=False)
+        pb = extract_parameters(b, los_flag=False)
+        assert pb.mean_excess_delay_s == pytest.approx(pa.mean_excess_delay_s, rel=1e-9)
 
 
 class TestChannelParameters:
@@ -336,11 +373,9 @@ class TestChannelParameters:
 
 
 class TestComparePdps:
-    def _normalized(self, powers, floor=None):
-        pdp = make_pdp(powers, floor=floor)
-        if pdp.noise_floor_linear is None:
-            pdp = pdp.with_noise_floor(estimate_noise_floor(pdp))
-        return normalize_pdp(pdp)
+    def _normalized(self, powers):
+        pdp = make_pdp(powers)
+        return normalize_pdp(pdp, noise_threshold(pdp))
 
     def test_identical_profiles(self):
         rng = np.random.default_rng(9)
@@ -373,12 +408,8 @@ class TestComparePdps:
         coarse_powers[0] = 1.0
         coarse_powers[4] = 0.5
         step = 39.0625 * NS
-        fine = normalize_pdp(
-            PowerDelayProfile(np.arange(64) * step, fine_powers, 1e-6)
-        )
-        coarse = normalize_pdp(
-            PowerDelayProfile(np.arange(32) * 2 * step, coarse_powers, 1e-6)
-        )
+        fine = normalize_pdp(make_pdp(fine_powers, step), above(1e-6))
+        coarse = normalize_pdp(make_pdp(coarse_powers, 2 * step), above(1e-6))
         report = compare_pdps(fine, coarse)
         assert report.ds_error_s == pytest.approx(0.0, abs=1e-20)
         assert report.cluster_count_diff == 0
@@ -394,7 +425,7 @@ class TestComparePdps:
         assert report.ds_relative_error < 0.1
 
     def test_unnormalized_rejected(self):
-        pdp = make_pdp([4.0, 1.0], floor=0.1)
+        pdp = make_pdp([4.0, 1.0])
         with pytest.raises(ValidationError, match="normalized"):
             compare_pdps(pdp, pdp)
 
@@ -406,7 +437,7 @@ class TestComparePdps:
 
 
 class TestRowPowers:
-    """``add_row_powers`` and ``add_rows`` against the row loop they replaced."""
+    """``add_rows`` against the row loop it replaced."""
 
     @pytest.mark.parametrize("columns", [1, 2, 17, 353])
     @pytest.mark.parametrize("rows", [1, 2, 8, 128, CHUNK_ROWS, CHUNK_ROWS + 1, 1000])
@@ -419,11 +450,7 @@ class TestRowPowers:
         for row in np.abs(taps) ** 2:
             looped += row
         power = start.copy()
-        add_row_powers(power, taps)
-        assert power.tobytes() == looped.tobytes()
-        squared = np.abs(taps) ** 2
-        power = start.copy()
-        add_rows(power, squared)
+        add_rows(power, np.abs(taps) ** 2)
         assert power.tobytes() == looped.tobytes()
 
     def test_mean_of_chunks_equals_numpy_mean(self):
@@ -431,6 +458,6 @@ class TestRowPowers:
         taps = rng.standard_normal((2 * CHUNK_ROWS + 3, 7)) + 1j * rng.standard_normal((2 * CHUNK_ROWS + 3, 7))
         power = np.zeros(7)
         for first in range(0, len(taps), CHUNK_ROWS):
-            add_row_powers(power, taps[first : first + CHUNK_ROWS])
+            add_rows(power, np.abs(taps[first : first + CHUNK_ROWS]) ** 2)
         expected = np.mean(np.abs(taps) ** 2, axis=0)
         assert (power / len(taps)).tobytes() == expected.tobytes()

@@ -139,6 +139,22 @@ class TestExtract:
         # two resolvable paths at 0 and 2 bins separated by <2 bins merge rules aside
         assert 0 < config.ds_median_s < 200e-9
 
+    def test_config_comments_name_the_flags_and_no_separation_flag(self, tmp_path, capsys):
+        """The config records the profile, ``--los`` and ``--margin-db``;
+        there is no peak-separation flag to record."""
+        rx = make_capture(tmp_path)
+        pdp_path, cfg_path = tmp_path / "pdp.csv", tmp_path / "scenario.cfg"
+        assert main(["estimate", "--rx", str(rx), "--pdp-out", str(pdp_path)]) == 0
+        argv = ["extract", "--pdp", str(pdp_path), "--los", "--out-config", str(cfg_path)]
+        assert main([*argv, "--margin-db", "7.5"]) == 0
+        comments = cfg_path.read_text().splitlines()[:2]
+        assert comments == [f"# extracted from {pdp_path}", "# los=true margin_db=7.5"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--min-separation-bins", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --min-separation-bins" in capsys.readouterr().err
+
     def test_nlos_extraction_has_no_kf(self, tmp_path, capsys):
         rx = make_capture(tmp_path)
         pdp_path = tmp_path / "pdp.csv"

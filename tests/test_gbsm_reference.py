@@ -25,7 +25,7 @@ from cirkit import gbsm, io
 from cirkit.analysis import (
     DEFAULT_MARGIN_DB,
     PowerDelayProfile,
-    estimate_noise_floor,
+    noise_threshold,
     normalize_pdp,
 )
 from cirkit.cli import main
@@ -191,8 +191,7 @@ def loop_simulate_pdp(config, root, n_realizations):
         power += np.abs(loop_synthesize_cir(clusters, config, phases)) ** 2
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
     pdp = PowerDelayProfile(delays, power / n_realizations)
-    floor = estimate_noise_floor(pdp) if len(pdp) >= 16 else 0.0
-    return normalize_pdp(pdp.with_noise_floor(floor), DEFAULT_MARGIN_DB)
+    return normalize_pdp(pdp, noise_threshold(pdp, DEFAULT_MARGIN_DB))
 
 
 SINGLE = dataclasses.replace(PRESETS["urban-nlos"], num_clusters=1)
@@ -238,7 +237,6 @@ def test_simulate_pdp_equals_loop_reference(name):
         loop = loop_simulate_pdp(config, seed, 40)
         assert np.array_equal(batched.delays_s, loop.delays_s)
         assert np.array_equal(batched.powers_linear, loop.powers_linear)
-        assert batched.noise_floor_linear == loop.noise_floor_linear
 
 
 def test_simulate_pdp_realizations_cross_chunks():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 import tracemalloc
 
@@ -171,9 +172,8 @@ class TestPdpCsv:
     def test_round_trip_within_db_tolerance(self, tmp_path):
         rng = np.random.default_rng(2)
         pdp = normalize_pdp(
-            PowerDelayProfile(
-                np.arange(64) / 25.6e6, rng.uniform(1e-6, 1.0, 64), noise_floor_linear=1e-7
-            )
+            PowerDelayProfile(np.arange(64) / 25.6e6, rng.uniform(1e-6, 1.0, 64)),
+            1e-7 * 10**0.6,
         )
         path = tmp_path / "pdp.csv"
         io.write_pdp_csv(path, pdp)
@@ -538,7 +538,8 @@ class TestIqReader:
         path.with_name(path.name + ".meta").write_text(
             "sample_rate_hz=1.0\ncenter_frequency_hz=0.0\n"
         )
-        with pytest.raises(ValidationError, match="non-empty"):
+        expected = f"^{re.escape(str(path))}: capture holds no samples$"
+        with pytest.raises(ValidationError, match=expected):
             io.IqReader(path)
 
     def test_with_block_closes_the_file(self, tmp_path):
