@@ -223,17 +223,18 @@ def k_factor(pdp: PowerDelayProfile) -> float:
 
     Ratio of the strongest surviving bin to the aggregate power of all other
     surviving bins (the average power of the scattered component in the
-    Ricean sense). When one bin survives there is no scattered power and
-    the K-factor is unbounded: ``+inf``. Callers handling NLOS profiles
-    simply do not ask for a K-factor.
+    Ricean sense). When no scattered power is left, because one bin
+    survives or the others sum to nothing beside the peak in float64, the
+    K-factor is unbounded: ``+inf``. Callers handling NLOS profiles simply
+    do not ask for a K-factor.
     """
     surviving = pdp.powers_linear[pdp.powers_linear > 0.0]
     if surviving.size == 0:
         raise EmptyProfileError("no surviving bin in thresholded PDP")
-    if surviving.size < 2:
-        return math.inf
     peak = float(np.max(surviving))
     rest = float(np.sum(surviving)) - peak
+    if rest <= 0.0:
+        return math.inf
     return float(10.0 * np.log10(peak / rest))
 
 

@@ -4,7 +4,8 @@ Draws log-normal large-scale parameters, synthesizes a cluster delay line
 (exponential delay drawing with a proportionality factor, exponential power
 decay, log-normal per-cluster shadowing and a LOS component), rescales
 delays so the realized RMS delay spread matches the drawn target exactly,
-and renders band-limited CIRs on the sounder's sample grid.
+and renders band-limited CIRs on the sounder's sample grid, computing only
+the taps that a block of cluster sets reaches.
 
 Datasets and simulated PDPs draw from counter-based Philox streams keyed
 by (root seed, stream): snapshot i owns a fixed run of uniform words, so
@@ -101,10 +102,12 @@ class ScenarioConfig:
             raise ValidationError("LOS scenario requires kf_median_db")
         if not self.los and self.kf_median_db is not None:
             raise ValidationError("NLOS scenario must not carry kf_median_db")
-        floats = (self.ds_median_s, self.ds_sigma_log10, self.kf_median_db or 0.0, self.kf_sigma_db,
-                  self.delay_proportionality_r_tau, self.per_cluster_shadowing_db)
-        if not all(map(math.isfinite, floats)):
-            raise ValidationError("scenario parameters must be finite")
+        floats = ("ds_median_s", "ds_sigma_log10", "kf_median_db", "kf_sigma_db",
+                  "delay_proportionality_r_tau", "per_cluster_shadowing_db")
+        for name in floats:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"scenario parameter {name} must be finite, got {value!r}")
 
 
 def _table_preset(label: str, ds_ns: float, kf_db: float | None, clusters: int) -> ScenarioConfig:
@@ -340,27 +343,29 @@ def _kernel(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first.astype(np.intp), kern
 
 
-def _render_block(
-    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
-) -> np.ndarray:
+def _render_support(
+    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config
+) -> tuple[slice, np.ndarray]:
     """Render S CIRs from (S, K) cluster delays and powers, or (1, K) ones
-    that all S rows share, into ``out``, an (S, taps) complex64 array whose
-    parts round as ``astype`` rounds them, or into a new complex128 array.
-    Each cluster has amplitude sqrt(power) and phase 2 pi u from its (S, K)
-    phase word u.
+    that all S rows share, on their delay support only. Each cluster has
+    amplitude sqrt(power) and phase 2 pi u from its (S, K) phase word u.
+    Returns the CIR columns ``cols`` of the support and a new C-contiguous
+    (S, cols width) complex128 block of those columns; every other tap of
+    every row is 0.
 
     Each path is the 16-slot kernel of ``_kernel`` at its fractional
-    position. The slots are scattered into rows padded by 8 columns on each
-    side, and the padding is sliced off, so taps outside the CIR are
+    position. The support runs from slot m = -8 of the earliest path to
+    slot m = 7 of the latest, so every slot of every path lands in it; its
+    columns outside the CIR are sliced off, so taps outside the CIR are
     dropped. The LOS term, with the real amplitude sqrt(``los_power``)
     ((S,) or (1,)) at delay 0, is added after the clusters when any row has
-    one. Each tap sums its contributions in path order, so a row equals
-    adding the paths one by one into a zero CIR. Boundary clipping and
+    one. Each tap sums its contributions in path order from 0.0, so a row
+    equals adding the paths one by one into a zero CIR, and the work
+    follows the support, not ``cir_length_taps``. Boundary clipping and
     residual tail interference keep a row's energy within about +-0.5 dB of
     the power sum when clusters sit a few taps apart; clusters sharing taps
     also interfere row by row, but their phase-averaged power still adds.
     """
-    n_taps = config.cir_length_taps
     amplitudes = np.sqrt(powers) * np.exp(1j * (2.0 * np.pi * phase_words))
     los_amplitude = np.sqrt(los_power)
     rows = amplitudes.shape[0]
@@ -370,16 +375,33 @@ def _render_block(
         amplitudes = np.concatenate([amplitudes, los_column], axis=1)
     first, kern = _kernel(delays * config.sample_rate_hz)
 
-    # in a row padded by 8 columns each side, slot m = -8 of a path lands
-    # in column ceil(pos)
-    pad = KERNEL_HALF_WIDTH
-    width = n_taps + 2 * pad
-    start = first + (np.arange(rows) * width)[:, None]
+    # a support row holds taps low to high - 1, which may overhang the CIR;
+    # slot m = -8 of a path lands in its column ceil(pos) - 8 - low
+    low = int(first.min()) - KERNEL_HALF_WIDTH
+    high = int(first.max()) + KERNEL_HALF_WIDTH
+    width = high - low
+    cols = slice(max(low, 0), min(high, config.cir_length_taps))
+    start = first - KERNEL_HALF_WIDTH - low + (np.arange(rows) * width)[:, None]
     flat = (start[..., None] + np.arange(_SLOTS.size)).ravel()
-    taps = np.empty((rows, n_taps), dtype=np.complex128) if out is None else out
+    support = np.empty((rows, cols.stop - cols.start), dtype=np.complex128)
     for part, values in (("real", amplitudes.real), ("imag", amplitudes.imag)):
         summed = np.bincount(flat, (values[..., None] * kern).ravel(), rows * width)
-        setattr(taps, part, summed.reshape(rows, width)[:, pad : pad + n_taps])
+        setattr(support, part, summed.reshape(rows, width)[:, cols.start - low : cols.stop - low])
+    return cols, support
+
+
+def _render_block(
+    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
+) -> np.ndarray:
+    """The CIRs of ``_render_support`` as whole (S, taps) rows, written into
+    ``out``, an (S, taps) complex64 array whose parts round as ``astype``
+    rounds them, or into a new complex128 array. Taps outside the support
+    are set to +0.0, whatever ``out`` held."""
+    cols, support = _render_support(delays, powers, phase_words, los_power, config)
+    taps = np.empty((support.shape[0], config.cir_length_taps), np.complex128) if out is None else out
+    taps[:, : cols.start] = 0.0
+    taps[:, cols] = support
+    taps[:, cols.stop :] = 0.0
     return taps
 
 
@@ -389,7 +411,12 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
     Cluster positions stay fixed across realizations; only the per-cluster
     phases are redrawn, mirroring consecutive snapshots of a static channel.
     Row 0 of the (rng_seed, ``SIMULATE_STREAM``) stream gives the DS,
-    K-factor and clusters, and row i the phases of realization i.
+    K-factor and clusters, and row i the phases of realization i. Each
+    realization is rendered and squared on the cluster set's delay support
+    only (``_render_support``), so the cost follows the largest cluster
+    delay, not ``cir_length_taps``; the taps beyond it hold exactly 0.0.
+    The support block is C-contiguous, so ``add_rows`` adds its rows one
+    after another, as adding whole CIRs did.
     """
     root = check_seed(rng_seed)
     if n_realizations < 1:
@@ -400,8 +427,8 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
     for start in range(0, n_realizations, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, n_realizations - start)
         words = _stream_words(root, SIMULATE_STREAM, start, rows, width)[:, phases]
-        taps = _render_block(block.delays, block.powers, words, block.los, config)
-        add_rows(power, np.abs(taps) ** 2)
+        cols, support = _render_support(block.delays, block.powers, words, block.los, config)
+        add_rows(power[cols], np.abs(support) ** 2)
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
     pdp = PowerDelayProfile(delays, power / n_realizations)
     return normalize_pdp(pdp, noise_threshold(pdp))

@@ -250,6 +250,10 @@ class TestKFactor:
         powers[2] = 1.0
         assert k_factor(make_pdp(powers)) == np.inf
 
+    def test_rest_below_rounding_unbounded(self):
+        # 1 + 1e-20 rounds to 1: the other survivor leaves no scattered power
+        assert k_factor(make_pdp([1.0, 1e-20])) == np.inf
+
     def test_empty_profile_rejected(self):
         with pytest.raises(EmptyProfileError):
             k_factor(make_pdp(np.zeros(4)))

@@ -4,9 +4,11 @@
 profile carries its noise floor, normalization rescales that floor by the
 peak, and the margin is applied to the carried floor at every step; the
 cluster count keeps the strict local maxima above the threshold, strongest
-first, at least ``REFERENCE_SEPARATION_BINS`` apart. ``extract_parameters``
-must return the same delay spread, moments, K-factor and cluster count,
-compared with ``==``.
+first, at least ``REFERENCE_SEPARATION_BINS`` apart. Its K-factor is
+``+inf`` where the survivors other than the peak sum to nothing beside it,
+as ``k_factor`` now has it; the earlier chain divided by zero there.
+``extract_parameters`` must return the same delay spread, moments, K-factor
+and cluster count, compared with ``==``.
 """
 
 import math
@@ -62,11 +64,9 @@ def reference_extract(delays, powers, los_flag, margin_db):
     kf = None
     if los_flag:
         surviving = powers[powers > 0.0]
-        if surviving.size < 2:
-            kf = math.inf
-        else:
-            strongest = float(np.max(surviving))
-            kf = float(10.0 * np.log10(strongest / (float(np.sum(surviving)) - strongest)))
+        strongest = float(np.max(surviving))
+        rest = float(np.sum(surviving)) - strongest
+        kf = math.inf if rest <= 0.0 else float(10.0 * np.log10(strongest / rest))
     return ds, m1, m2, kf, reference_count(powers, floor, margin_db)
 
 
@@ -92,6 +92,8 @@ def profiles(draw):
 @example(profile=(np.arange(32) * 1e-9, np.r_[1.0, np.zeros(31)]), los_flag=True, margin_db=6.0)
 @example(profile=(np.arange(15) * 1e-9, np.full(15, 2.0)), los_flag=True, margin_db=0.0)
 @example(profile=(np.arange(20) * 1e-9, np.zeros(20)), los_flag=False, margin_db=6.0)
+# the second bin rounds away beside the first: no scattered power, KF +inf
+@example(profile=(np.arange(2) * 1e-9, np.array([1.0, 1e-20])), los_flag=True, margin_db=6.0)
 # the last bin is a local maximum at exactly the threshold: not counted
 @example(
     profile=(np.arange(16) * 1e-9, np.r_[1.0, 1.0, np.full(12, 4.0), 0.0, 1.0]),
@@ -108,7 +110,7 @@ def test_extract_equals_reference(profile, los_flag, margin_db):
     pdp = PowerDelayProfile(delays, powers)
     try:
         expected = reference_extract(pdp.delays_s, pdp.powers_linear, los_flag, margin_db)
-    except (EmptyProfileError, ZeroDivisionError) as err:
+    except EmptyProfileError as err:
         with pytest.raises(type(err)):
             extract_parameters(pdp, los_flag, margin_db)
         return

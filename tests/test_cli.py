@@ -189,6 +189,16 @@ class TestExtract:
         assert "extract: rms_delay_spread_s is 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_peak_without_scattered_power_fails_by_name(self, tmp_path, capsys):
+        """A second bin 200 dB down sums to nothing beside the peak: the
+        K-factor is +inf, which no scenario config can hold."""
+        pdp, out = tmp_path / "kz.csv", tmp_path / "kz.cfg"
+        pdp.write_text("delay_ns,power_db\n0.000000,0.000000\n39.062500,-200.000000\n")
+        assert main(["extract", "--pdp", str(pdp), "--los", "--out-config", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "cirkit extract: extract: scenario parameter kf_median_db must be finite, got inf\n"
+        assert not out.exists()
+
 
 class TestSimulateAndDataset:
     def test_simulate_preset(self, tmp_path):

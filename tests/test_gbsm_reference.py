@@ -275,6 +275,80 @@ def test_synthesize_cir_equals_loop_reference():
         assert batched.shape == (1, config.cir_length_taps)
 
 
+# a 2.5 us spread in a 13.8 us CIR: kernels clipped at tap 0 (the first
+# cluster sits at delay 0) and, for some draws, at the last tap
+WIDE = dataclasses.replace(PRESETS["urban-nlos"], label="wide", ds_median_s=2.5e-6, num_clusters=4)
+# simulate seeds whose cluster set reaches past the last tap less 8
+WIDE_CLIPPED_SEEDS = (66, 76, 98)
+SUPPORT_CONFIGS = {**CONFIGS, "wide": WIDE}
+
+
+def support_stop(delays, config):
+    """The tap after the delay support of a render: the last kernel slot of
+    the latest path, plus one."""
+    return int(np.ceil(np.max(delays) * config.sample_rate_hz)) + gbsm.KERNEL_HALF_WIDTH
+
+
+def test_support_clipped_at_both_ends_equals_loop_reference(tmp_path):
+    """Renders whose support overhangs the CIR at tap 0 and at the last tap
+    give the loop's bytes, in ``simulate_pdp`` and in a dataset."""
+    for seed in WIDE_CLIPPED_SEEDS:
+        _, block = gbsm._stream_block(WIDE, seed, gbsm.SIMULATE_STREAM, 0, 1)
+        assert support_stop(block.delays, WIDE) > WIDE.cir_length_taps
+        for n in (1, 200):
+            batched = gbsm.simulate_pdp(WIDE, seed, n)
+            loop = loop_simulate_pdp(WIDE, seed, n)
+            assert np.array_equal(batched.powers_linear, loop.powers_linear), (seed, n)
+    count = gbsm.CHUNK_ROWS + 1
+    _, block = gbsm._stream_block(WIDE, 13, gbsm.DATASET_STREAM, 0, count)
+    stops = [support_stop(row, WIDE) for row in block.delays]
+    assert max(stops) > WIDE.cir_length_taps
+    batched = read_back(tmp_path, WIDE, count, 13).snapshots
+    assert np.array_equal(batched, loop_generate_dataset(WIDE, count, 13).astype(np.complex64))
+
+
+def test_los_only_set_equals_loop_reference():
+    """No cluster, the LOS term alone: a support of taps 0 to 7, in which
+    the kernel at a whole tap is sqrt(0.7) at tap 0 and 0 elsewhere."""
+    config = PRESETS["urban-los"]
+    args = (np.zeros((1, 0)), np.zeros((1, 0)), np.zeros((3, 0)), np.array([0.7]), config)
+    loop = loop_synthesize_cir((np.zeros(0), np.zeros(0), 0.7), config, [])
+    assert np.flatnonzero(loop).tolist() == [0]
+    taps = gbsm._render_block(*args)
+    assert np.array_equal(taps, np.broadcast_to(loop, taps.shape))
+    out = np.full(taps.shape, np.nan, dtype=np.complex64)
+    gbsm._render_block(*args, out=out)
+    assert np.array_equal(out, taps.astype(np.complex64))
+
+
+@pytest.mark.parametrize("name", ["urban-los", "campus-nlos", "single", "wide"])
+def test_simulated_power_outside_support_is_zero(name):
+    config = SUPPORT_CONFIGS[name]
+    for seed in range(6):
+        _, block = gbsm._stream_block(config, seed, gbsm.SIMULATE_STREAM, 0, 1)
+        stop = support_stop(block.delays, config)
+        powers = gbsm.simulate_pdp(config, seed, 40).powers_linear
+        assert np.all(powers[stop:] == 0.0), seed
+        assert not np.any(np.signbit(powers)), seed
+
+
+@pytest.mark.parametrize("name", ["urban-los", "urban-nlos", "single-los", "wide"])
+def test_render_into_dirty_buffer_zeroes_outside_support(name):
+    """``out`` holds NaN and -0.0 before the render: every tap outside the
+    support comes back +0.0, and the rows equal the loop's, rounded."""
+    config = SUPPORT_CONFIGS[name]
+    rows = 40
+    phases, block = gbsm._stream_block(config, 13, gbsm.DATASET_STREAM, 0, rows)
+    out = np.empty((rows, config.cir_length_taps), dtype=np.complex64)
+    out[::2], out[1::2] = np.nan, complex(-0.0, -0.0)
+    gbsm._render_block(block.delays, block.powers, phases, block.los, config, out)
+    loop = loop_generate_dataset(config, rows, 13)
+    assert np.array_equal(out, loop.astype(np.complex64))
+    stop = min(support_stop(block.delays, config), config.cir_length_taps)
+    assert stop < config.cir_length_taps or name == "wide"
+    assert not np.any(out.view(np.uint32)[:, 2 * stop :])
+
+
 @st.composite
 def path_positions(draw):
     """(CIR length, path position in taps): whole taps, the floats either
