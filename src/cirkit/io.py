@@ -4,7 +4,9 @@ Raw IQ captures are headerless interleaved little-endian float32 (I then Q)
 with a ``<path>.meta`` text sidecar, for interoperability with common SDR
 tooling. Scenario configs are hand-editable ``key=value`` text. Datasets are
 a small binary container ("CHDS") holding ``<c8`` CIR snapshots, read back
-as complex64, plus the generating config as an embedded text blob.
+as complex64, plus the generating config as an embedded text blob. Both
+binary formats go through one writer, which reserves the file at its final
+size and replaces the old file only once every byte is in.
 
 Every text format goes through one layer: one line reader (blank lines and
 ``#`` comments skipped, ``key=value`` split), one parser of finite numbers
@@ -13,6 +15,7 @@ that names ``file:line``, one ``key=value`` writer and one dB row writer.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import struct
@@ -72,8 +75,14 @@ def _meta_path(path) -> Path:
 
 
 def write_iq(path, signal: IqSignal) -> None:
-    """Write interleaved float32 IQ plus the metadata sidecar."""
-    Path(path).write_bytes(signal.samples.astype("<c8"))
+    """Write interleaved float32 IQ plus the metadata sidecar.
+
+    The samples go through the dataset writer (see :func:`_write_chds`), so
+    a failed write leaves an existing capture at ``path`` as it was; the
+    sidecar is then written as text. A capture has no header: one written
+    just before a power loss may read back as zero samples.
+    """
+    _write_binary(path, 8 * len(signal), b"", [signal.samples])
     _meta_path(path).write_text(
         _key_value_text((key, getattr(signal, key)) for key in _META_KEYS), encoding="utf-8"
     )
@@ -394,23 +403,48 @@ class Dataset:
         return self.snapshots.shape[1]
 
 
-def _write_chds(path, count: int, taps: int, sample_rate_hz: float, config_text: str, blocks):
-    """Write a CHDS container whose ``count`` snapshots of ``taps`` taps
-    arrive as ``blocks``, C-contiguous 2-D complex arrays in snapshot order.
+# posix_fallocate refusals after which the file is written unreserved: the
+# filesystem, or this kind of file, takes no reservation
+_UNRESERVABLE = (errno.EOPNOTSUPP, errno.EINVAL)
+# refusals that say the disk cannot hold the file
+_NO_ROOM = (errno.ENOSPC, errno.EFBIG, errno.EDQUOT)
 
-    The header and config blob go first, then each block as ``<c8`` pairs
-    as it arrives, so the caller may still be making the later blocks. A
-    ``<c8`` block is written as it is; any other is cast to ``<c8`` first. The
-    file is written beside ``path`` under a temporary name and moved onto
-    ``path`` once every block is in: when a block or a write fails, the
+
+def _reserve(fd: int, size: int, path) -> None:
+    """Allocate the first ``size`` bytes of the empty file ``fd``, which is
+    written as ``path``.
+
+    A disk that cannot hold them raises ``ValidationError`` naming ``path``;
+    a platform or filesystem without the call leaves the file unreserved.
+    """
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is None:
+        return
+    try:
+        fallocate(fd, 0, size)
+    except OSError as err:  # name the file asked for, not the temporary one
+        if err.errno in _UNRESERVABLE:
+            return
+        if err.errno in _NO_ROOM:
+            raise ValidationError(
+                f"{os.fspath(path)}: cannot reserve {size} bytes: "
+                f"[Errno {err.errno}] {err.strerror}"
+            ) from None
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+
+
+def _write_binary(path, size: int, head: bytes, blocks) -> None:
+    """Write ``head``, then each of ``blocks`` as ``<c8`` pairs, as the
+    ``size``-byte file ``path``.
+
+    The file is made beside ``path`` under a temporary name, reserved at
+    ``size`` bytes before the first byte is written, and moved onto
+    ``path`` once every block is in and the bytes written are ``size``.
+    When a block, the reservation, a write or that count fails, the
     temporary file is removed and ``path`` is left as it was. A ``path``
     that exists but is not a regular file, such as a device or a pipe, is
-    written in place.
+    written in place, unreserved.
     """
-    blob = config_text.encode("utf-8")
-    header = struct.pack(
-        _HEADER_FMT, DATASET_MAGIC, DATASET_VERSION, count, taps, sample_rate_hz, len(blob)
-    )
     target = os.path.realpath(path)
     temporary = None
     if os.path.isfile(target) or not os.path.exists(target):
@@ -424,15 +458,55 @@ def _write_chds(path, count: int, taps: int, sample_rate_hz: float, config_text:
         fh = open(path, "wb")
     try:
         with fh:
-            fh.write(header + blob)
+            if temporary is not None:
+                _reserve(fh.fileno(), size, path)
+            written = fh.write(head)
             for block in blocks:
-                fh.write(np.asarray(block, dtype="<c8"))
+                written += fh.write(np.asarray(block, dtype="<c8"))
+        if written != size:
+            raise SizeMismatchError(f"{path}: {written} bytes written, {size} expected")
         if temporary is not None:
             os.replace(temporary, target)
     except BaseException:
         if temporary is not None:
             os.unlink(temporary)
         raise
+
+
+def _write_chds(path, count: int, taps: int, sample_rate_hz: float, config_text: str, blocks):
+    """Write a CHDS container whose ``count`` snapshots of ``taps`` taps
+    arrive as ``blocks``, C-contiguous 2-D complex arrays in snapshot order.
+
+    The header and config blob go first, then each block as ``<c8`` pairs
+    as it arrives, so the caller may still be making the later blocks. A
+    ``<c8`` block is written as it is; any other is cast to ``<c8`` first.
+    Blocks that hold more or fewer than ``count`` snapshots raise
+    ``SizeMismatchError``. The file goes through :func:`_write_binary`: a
+    failure leaves ``path`` as it was, and a ``path`` that is not a
+    regular file, such as a device or a pipe, is written in place.
+
+    Before the header is written, ``os.posix_fallocate`` reserves the
+    temporary file at its final size, header + blob + count * taps * 8
+    bytes. So a dataset the disk cannot hold fails with a
+    ``ValidationError`` naming ``path`` before the first block is asked
+    for, and none of its snapshots is drawn. A reserved file also has no
+    delayed-allocation blocks left to flush when it replaces an existing
+    ``path``, which ext4 would otherwise do inside the rename. On a
+    filesystem without ``fallocate``, glibc emulates the call by writing
+    a zero byte to every block of the file before the data are written;
+    where the call is missing or refused as unsupported (``EOPNOTSUPP``,
+    ``EINVAL``), the file is written unreserved.
+
+    Nothing is fsynced. A file written in the last seconds before a power
+    loss may read back as zeros; ``read_dataset`` rejects it by its bad
+    magic, and the same seed writes the same bytes again.
+    """
+    blob = config_text.encode("utf-8")
+    header = struct.pack(
+        _HEADER_FMT, DATASET_MAGIC, DATASET_VERSION, count, taps, sample_rate_hz, len(blob)
+    )
+    size = _HEADER_SIZE + len(blob) + count * taps * 8
+    _write_binary(path, size, header + blob, blocks)
 
 
 def read_dataset(path) -> Dataset:

@@ -8,6 +8,7 @@ was.
 """
 
 import dataclasses
+import errno
 import os
 import stat
 import subprocess
@@ -19,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_gbsm_reference import CONFIGS, SPREAD
+from test_io import refused
 
-from cirkit import gbsm, io, sounder
+from cirkit import __about__, gbsm, io, sounder
 from cirkit.cli import main
 from cirkit.errors import ValidationError
 
@@ -185,6 +187,36 @@ def test_missing_folder_names_out_not_the_temporary_file(tmp_path, capsys):
     )
     assert not list(tmp_path.iterdir())
 
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EFBIG, errno.EDQUOT],
+                         ids=["ENOSPC", "EFBIG", "EDQUOT"])
+@pytest.mark.parametrize("earlier", [None, b"earlier"], ids=["new-out", "existing-out"])
+def test_disk_that_cannot_hold_out_fails_before_any_render(tmp_path, capsys, monkeypatch,
+                                                           pooled, code, earlier):
+    """The reservation is refused: ``cirkit dataset`` exits 1 at its
+    ``dataset`` stage naming ``--out``, and no snapshot is rendered."""
+    rendered = []
+    monkeypatch.setattr(os, "posix_fallocate", refused(code))
+    monkeypatch.setattr(gbsm, "_render_block", lambda *args: rendered.append(args))
+    out = tmp_path / "x.chds"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    argv = ["dataset", "--config", "campus-nlos", "--seed", "1", "--count", "3000"]
+    assert main([*argv, "--out", str(out)]) == 1
+    version = f"generator_version={__about__.__version__}"
+    blob = io.config_to_text(gbsm.PRESETS["campus-nlos"], ("seed=1", version)).encode()
+    size = 26 + len(blob) + 3000 * 353 * 8
+    assert capsys.readouterr().err == (
+        f"cirkit dataset: dataset: {out}: cannot reserve {size} bytes: "
+        f"[Errno {code}] {os.strerror(code)}\n"
+    )
+    assert rendered == []
+    if earlier is None:
+        assert not list(tmp_path.iterdir())
+    else:
+        assert [path.name for path in tmp_path.iterdir()] == ["x.chds"]
+        assert out.read_bytes() == earlier
 
 def test_write_through_a_symbolic_link(tmp_path):
     """The link stays a link; the file it points at gets the dataset."""

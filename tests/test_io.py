@@ -1,7 +1,12 @@
 import dataclasses
+import errno
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +445,121 @@ class TestDataset:
         path.write_bytes(bytes(raw))
         with pytest.raises(SizeMismatchError):
             io.read_dataset(path)
+
+
+def refused(code):
+    """A ``posix_fallocate`` that refuses every call with ``code``."""
+
+    def fallocate(fd, offset, length):
+        raise OSError(code, os.strerror(code))
+
+    return fallocate
+
+
+class TestReservedWriter:
+    """The one binary writer: reserve the file at its final size, write,
+    count the bytes, then move the file onto ``path``."""
+
+    COUNT, TAPS = 5, 7
+
+    def snapshots(self, count):
+        return np.arange(count * self.TAPS).reshape(count, self.TAPS) * (1 + 2j)
+
+    def write(self, path, rows):
+        io._write_chds(path, self.COUNT, self.TAPS, 25.6e6, "label=test\n",
+                       [self.snapshots(rows)])
+
+    def test_empty_file_reserved_at_its_final_size(self, tmp_path, monkeypatch):
+        calls = []
+        fallocate = os.posix_fallocate
+
+        def recorded(fd, offset, length):
+            calls.append((offset, length, os.fstat(fd).st_size))
+            fallocate(fd, offset, length)
+
+        monkeypatch.setattr(os, "posix_fallocate", recorded)
+        path = tmp_path / "x.chds"
+        self.write(path, self.COUNT)
+        size = path.stat().st_size
+        assert size == 26 + len(b"label=test\n") + self.COUNT * self.TAPS * 8
+        assert calls == [(0, size, 0)]
+
+    @pytest.mark.parametrize("rows", [COUNT - 1, COUNT + 1], ids=["row-short", "row-long"])
+    def test_stream_of_the_wrong_length_fails_before_the_rename(self, tmp_path, rows):
+        path = tmp_path / "x.chds"
+        size = 26 + len(b"label=test\n") + self.COUNT * self.TAPS * 8
+        written = size + (rows - self.COUNT) * self.TAPS * 8
+        with pytest.raises(SizeMismatchError) as failure:
+            self.write(path, rows)
+        assert str(failure.value) == f"{path}: {written} bytes written, {size} expected"
+        assert not list(tmp_path.iterdir())
+        path.write_bytes(b"earlier")
+        with pytest.raises(SizeMismatchError):
+            self.write(path, rows)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.chds"]
+        assert path.read_bytes() == b"earlier"
+
+    @pytest.mark.parametrize("how", ["EOPNOTSUPP", "EINVAL", "missing"])
+    def test_unreserved_fallback_writes_the_same_bytes(self, tmp_path, monkeypatch, how):
+        reserved = tmp_path / "reserved.chds"
+        generate_dataset(PRESETS["urban-nlos"], 300, 1, reserved)
+        if how == "missing":
+            monkeypatch.delattr(os, "posix_fallocate")
+        else:
+            monkeypatch.setattr(os, "posix_fallocate", refused(getattr(errno, how)))
+        path = tmp_path / "unreserved.chds"
+        for _ in range(2):  # a new file, then over it
+            generate_dataset(PRESETS["urban-nlos"], 300, 1, path)
+            assert path.read_bytes() == reserved.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reserved.chds", "unreserved.chds"]
+
+    def test_other_refusal_names_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "posix_fallocate", refused(errno.EIO))
+        path = tmp_path / "x.chds"
+        with pytest.raises(OSError) as failure:
+            self.write(path, self.COUNT)
+        assert failure.value.errno == errno.EIO
+        assert failure.value.filename == str(path)
+        assert not list(tmp_path.iterdir())
+
+
+# writes a capture over the one at argv[1] in a process that may write no
+# file past 4096 bytes, so the write stops partway; argv[2] says whether
+# the file is reserved first (the reservation then fails instead)
+PARTWAY = """
+import os, resource, signal, sys
+import numpy as np
+from cirkit import io
+from cirkit.signal import IqSignal
+if sys.argv[2] == "unreserved":
+    del os.posix_fallocate
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY))
+try:
+    io.write_iq(sys.argv[1], IqSignal(np.ones(100_000), 25.6e6, 2.48e9))
+except (OSError, ValueError) as err:
+    print(type(err).__name__, err)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate") or sys.platform != "linux",
+                    reason="needs RLIMIT_FSIZE and SIGXFSZ")
+@pytest.mark.parametrize("mode", ["reserved", "unreserved"])
+def test_iq_write_failing_partway_leaves_the_capture(tmp_path, mode):
+    path = tmp_path / "x.iq"
+    io.write_iq(path, f32_signal(np.random.default_rng(13), n=5000))
+    before = path.read_bytes(), path.with_name("x.iq.meta").read_bytes()
+    src = Path(io.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", PARTWAY, str(path), mode],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    if mode == "reserved":
+        assert done.stdout.startswith(f"ValidationError {path}: cannot reserve 800000 bytes: "
+                                      f"[Errno {errno.EFBIG}]")
+    else:
+        assert done.stdout.startswith(f"OSError [Errno {errno.EFBIG}]")
+    assert (path.read_bytes(), path.with_name("x.iq.meta").read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.iq", "x.iq.meta"]
 
 
 class TestNonUtf8Text:
