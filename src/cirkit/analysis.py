@@ -6,8 +6,8 @@ Ricean K-factor and the number of resolvable multipath clusters. They are
 the configuration inputs for the stochastic channel generator.
 
 Each is read above one noise threshold: :func:`noise_threshold` puts it a
-margin above the floor of :func:`estimate_noise_floor`, and thresholding,
-normalization and the cluster count take that number as it is.
+fixed 6 dB above the floor of :func:`estimate_noise_floor`, and
+thresholding, normalization and the cluster count take that number as it is.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import EmptyProfileError, InternalConsistencyError, ValidationError
 
-DEFAULT_MARGIN_DB = 6.0
+# how far above the noise floor a bin must lie to count as signal
+_MARGIN_DB = 6.0
 
 # CIR rows (snapshots, periods or realizations) handled per array block;
 # output does not depend on it, peak memory and speed do
@@ -132,10 +133,10 @@ def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     return float(np.median(quartile))
 
 
-def noise_threshold(pdp: PowerDelayProfile, margin_db: float = DEFAULT_MARGIN_DB) -> float:
+def noise_threshold(pdp: PowerDelayProfile) -> float:
     """The power a bin of ``pdp`` must exceed to count as signal: the noise
-    floor of :func:`estimate_noise_floor` times 10^(margin_db/10)."""
-    return estimate_noise_floor(pdp) * 10.0 ** (margin_db / 10.0)
+    floor of :func:`estimate_noise_floor`, 6 dB up."""
+    return estimate_noise_floor(pdp) * 10.0 ** (_MARGIN_DB / 10.0)
 
 
 def threshold_pdp(pdp: PowerDelayProfile, threshold: float) -> PowerDelayProfile:
@@ -250,9 +251,7 @@ def count_clusters(pdp: PowerDelayProfile, threshold: float) -> int:
     return int(np.count_nonzero(peaks))
 
 
-def extract_parameters(
-    pdp: PowerDelayProfile, los_flag: bool, margin_db: float = DEFAULT_MARGIN_DB
-) -> ChannelParameters:
+def extract_parameters(pdp: PowerDelayProfile, los_flag: bool) -> ChannelParameters:
     """Run the full extraction chain on a raw or a normalized PDP.
 
     The threshold of :func:`noise_threshold`, thresholding, normalization,
@@ -260,7 +259,7 @@ def extract_parameters(
     cluster count, in that order. Clusters are counted on the normalized
     profile, against the threshold scaled by the same peak.
     """
-    threshold = noise_threshold(pdp, margin_db)
+    threshold = noise_threshold(pdp)
     cleaned = normalize_pdp(threshold_pdp(pdp, threshold), threshold)
     m1, m2 = _pdp_moments(cleaned)
     ds = _spread(m1, m2)
@@ -280,11 +279,7 @@ def _require_normalized(name: str, pdp: PowerDelayProfile) -> None:
         raise ValidationError(f"{name} PDP must be normalized (peak 1 at delay 0)")
 
 
-def compare_pdps(
-    measured: PowerDelayProfile,
-    simulated: PowerDelayProfile,
-    margin_db: float = DEFAULT_MARGIN_DB,
-) -> ComparisonReport:
+def compare_pdps(measured: PowerDelayProfile, simulated: PowerDelayProfile) -> ComparisonReport:
     """Compare two normalized PDPs.
 
     Reports the absolute and relative RMS delay spread error, the cluster
@@ -298,8 +293,8 @@ def compare_pdps(
     """
     _require_normalized("measured", measured)
     _require_normalized("simulated", simulated)
-    thresh_m = noise_threshold(measured, margin_db)
-    thresh_s = noise_threshold(simulated, margin_db)
+    thresh_m = noise_threshold(measured)
+    thresh_s = noise_threshold(simulated)
 
     ds_m = rms_delay_spread(threshold_pdp(measured, thresh_m))
     ds_s = rms_delay_spread(threshold_pdp(simulated, thresh_s))

@@ -3,11 +3,12 @@
 Each stage of the measurement-to-simulation flow is one subcommand; the
 ``loopback`` subcommand runs the whole chain against a synthetic channel as
 a desk-scale self check. Every subcommand is deterministic for fixed flags
-and seed. ``estimate`` writes its profile normalized above the noise
-threshold of ``--margin-db``. ``extract`` and ``loopback`` both call
-``analysis.extract_parameters``, which takes the threshold from the profile
-it is given: the normalized CSV profile in ``extract``, the raw averaged
-one in ``loopback``.
+and seed. ``estimate`` writes its profile normalized above
+``analysis.noise_threshold``, 6 dB above the noise floor. ``extract``,
+``compare`` and ``loopback`` take that threshold from the profiles they
+are given: the normalized CSV profiles in ``extract`` and ``compare``, the
+raw averaged one in ``loopback``, which passes when the recovered delay
+spread lies within one delay bin of the channel's.
 """
 
 from __future__ import annotations
@@ -55,21 +56,6 @@ def _load_config(spec: str) -> gbsm.ScenarioConfig:
         f"--config {spec!r} is neither a preset ({', '.join(sorted(gbsm.PRESETS))}) "
         "nor an existing file"
     )
-
-
-def _finite_flag(flag: str, value: float, minimum: float | None = None) -> float:
-    """``value`` of the number flag ``flag``; a NaN, an infinity or a value
-    below ``minimum`` is rejected by name, before any work."""
-    if not math.isfinite(value) or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" and >= {minimum:g}"
-        raise ValidationError(f"{flag} must be finite{bound}, got {value!r}")
-    return value
-
-
-def _estimation_flags(args) -> None:
-    """Check the flags of ``_add_estimation_flags``."""
-    sounder.check_taper(_finite_flag("--taper", args.taper, 0.0), "--taper")
-    _finite_flag("--margin-db", args.margin_db)
 
 
 def _waveform(args, sample_rate_hz: float) -> sounder.SoundingWaveform:
@@ -120,7 +106,7 @@ def _cmd_generate_sounding(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    _estimation_flags(args)
+    sounder.check_taper(args.taper, "--taper")
     with _stage("waveform"):
         # checked before the capture is opened; the delay step comes from
         # the capture's rate, not the waveform's
@@ -130,7 +116,7 @@ def _cmd_estimate(args) -> int:
     with capture:
         raw = _estimate_pdp(capture, waveform, args.taper)
     with _stage("normalize"):
-        pdp = analysis.normalize_pdp(raw, analysis.noise_threshold(raw, args.margin_db))
+        pdp = analysis.normalize_pdp(raw, analysis.noise_threshold(raw))
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)
     print(f"wrote {len(pdp)}-bin PDP to {args.pdp_out}")
@@ -146,22 +132,18 @@ def _parameters_row(label: str, params: analysis.ChannelParameters) -> str:
 
 
 def _cmd_extract(args) -> int:
-    _finite_flag("--margin-db", args.margin_db)
     with _stage("read-pdp"):
         pdp = io.read_pdp_csv(args.pdp)
     with _stage("load-defaults"):
         defaults = _load_config(args.defaults)
     with _stage("extract"):
-        params = analysis.extract_parameters(pdp, los_flag=args.los, margin_db=args.margin_db)
+        params = analysis.extract_parameters(pdp, los_flag=args.los)
         config = gbsm.config_from_parameters(params, defaults)
     with _stage("write-config"):
         io.write_config(
             args.out_config,
             config,
-            comments=(
-                f"extracted from {args.pdp}",
-                f"los={str(args.los).lower()} margin_db={args.margin_db!r}",
-            ),
+            comments=(f"extracted from {args.pdp}", f"los={str(args.los).lower()}"),
         )
     print(f"{'scenario':<14} {'DS [ns]':>10} {'KF [dB]':>8} {'# clusters':>10}")
     print(_parameters_row(config.label, params))
@@ -196,20 +178,16 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _finite_flag("--margin-db", args.margin_db)
     with _stage("read-pdp"):
         measured = io.read_pdp_csv(args.measured)
         simulated = io.read_pdp_csv(args.simulated)
     with _stage("compare"):
-        report = analysis.compare_pdps(measured, simulated, margin_db=args.margin_db)
+        report = analysis.compare_pdps(measured, simulated)
     with _stage("write-report"):
         io.write_report(
             args.report_out,
             report,
-            comments=(
-                f"measured={args.measured} simulated={args.simulated}",
-                f"margin_db={args.margin_db!r}",
-            ),
+            comments=(f"measured={args.measured} simulated={args.simulated}",),
         )
     csv_out = args.csv_out or str(args.report_out) + ".aligned.csv"
     with _stage("write-plot"):
@@ -258,8 +236,7 @@ def _parse_channel_spec(
 
 
 def _cmd_loopback(args) -> int:
-    _estimation_flags(args)
-    _finite_flag("--ds-tolerance-bins", args.ds_tolerance_bins, 0.0)
+    sounder.check_taper(args.taper, "--taper")
     with _stage("seed"):
         gbsm.check_seed(args.seed)
     with _stage("waveform"):
@@ -274,12 +251,11 @@ def _cmd_loopback(args) -> int:
         received = add_awgn(apply_channel(tx, channel), args.snr_db, args.seed)
     raw = _estimate_pdp(received, waveform, args.taper)
     with _stage("extract"):
-        params = analysis.extract_parameters(raw, los_flag=True, margin_db=args.margin_db)
+        params = analysis.extract_parameters(raw, los_flag=True)
 
     true_ds = float(analysis.discrete_delay_spread(true_delays, true_powers))
-    bin_s = 1.0 / args.sample_rate
     ds_err = abs(params.rms_delay_spread_s - true_ds)
-    tolerance = args.ds_tolerance_bins * bin_s
+    tolerance = 1.0 / args.sample_rate  # one delay bin
 
     print(f"true DS       {true_ds * 1e9:10.2f} ns   ({len(true_delays)} paths)")
     print(
@@ -319,14 +295,10 @@ def _add_waveform_flags(parser: argparse.ArgumentParser, transmit: bool = True) 
         )
 
 
-def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
+def _add_taper_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--taper", type=float, default=sounder.DEFAULT_TAPER_FRACTION,
         help="spectral edge taper fraction, 0 disables",
-    )
-    parser.add_argument(
-        "--margin-db", type=float, default=analysis.DEFAULT_MARGIN_DB,
-        help="threshold margin above the noise floor in dB",
     )
 
 
@@ -360,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rx", required=True, help="received IQ capture")
     _add_waveform_flags(p, transmit=False)
-    _add_estimation_flags(p)
+    _add_taper_flag(p)
     p.add_argument("--pdp-out", required=True, help="output PDP CSV path")
     p.set_defaults(func=_cmd_estimate)
 
@@ -374,10 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--defaults", default="urban-nlos",
         help="base config: preset name or config file path",
-    )
-    p.add_argument(
-        "--margin-db", type=float, default=analysis.DEFAULT_MARGIN_DB,
-        help="threshold margin above the noise floor in dB",
     )
     p.set_defaults(func=_cmd_extract)
 
@@ -413,10 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--csv-out", default=None,
         help="aligned-profiles CSV path (default: <report-out>.aligned.csv)",
     )
-    p.add_argument(
-        "--margin-db", type=float, default=analysis.DEFAULT_MARGIN_DB,
-        help="threshold margin above the noise floor in dB",
-    )
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser(
@@ -430,11 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, default=math.inf, help="AWGN SNR; inf disables noise")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
     _add_waveform_flags(p)
-    _add_estimation_flags(p)
-    p.add_argument(
-        "--ds-tolerance-bins", type=float, default=1.0,
-        help="pass/fail tolerance on the recovered delay spread, in delay bins",
-    )
+    _add_taper_flag(p)
     p.set_defaults(func=_cmd_loopback)
 
     return parser

@@ -30,11 +30,7 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return np.linspace(lo, hi, count).tolist()
 
 
-def write_pdp_comparison_svg(
-    path,
-    profiles: list[tuple[str, PowerDelayProfile]],
-    title: str = "Measured vs simulated PDP",
-) -> None:
+def write_pdp_comparison_svg(path, profiles: list[tuple[str, PowerDelayProfile]]) -> None:
     """Render labelled PDPs as dB-versus-microseconds polylines."""
     if not profiles:
         raise ValidationError("nothing to plot")
@@ -57,7 +53,7 @@ def write_pdp_comparison_svg(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{title}</text>',
+        f'font-family="sans-serif" font-size="13">Measured vs simulated PDP</text>',
     ]
     # frame and grid
     parts.append(

@@ -33,9 +33,9 @@ def above(floor, margin_db=6.0):
     return floor * 10.0 ** (margin_db / 10.0)
 
 
-def cleaned_profile(pdp, margin_db=6.0):
+def cleaned_profile(pdp):
     """``pdp`` thresholded and normalized as ``extract_parameters`` does."""
-    threshold = noise_threshold(pdp, margin_db)
+    threshold = noise_threshold(pdp)
     return normalize_pdp(threshold_pdp(pdp, threshold), threshold)
 
 
@@ -117,9 +117,7 @@ class TestNoiseFloor:
 
     def test_threshold_is_margin_above_floor(self):
         pdp = make_pdp(np.full(32, 0.125))
-        assert noise_threshold(pdp, 6.0) == 0.125 * 10**0.6
-        assert noise_threshold(pdp) == noise_threshold(pdp, 6.0)
-        assert noise_threshold(pdp, 0.0) == 0.125
+        assert noise_threshold(pdp) == 0.125 * 10**0.6 == above(0.125)
 
 
 class TestThreshold:
@@ -319,7 +317,7 @@ class TestExtractParameters:
         powers = rng.uniform(0.0, 1.0, 64) ** 4
         pdp = make_pdp(powers)
         params = extract_parameters(pdp, los_flag=True)
-        threshold = noise_threshold(pdp, 6.0)
+        threshold = noise_threshold(pdp)
         manual = normalize_pdp(threshold_pdp(pdp, threshold), threshold)
         m1, m2 = oracle_moments(manual)
         assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)

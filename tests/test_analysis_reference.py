@@ -2,7 +2,7 @@
 
 ``reference_extract`` is the earlier chain, kept here as it was: the
 profile carries its noise floor, normalization rescales that floor by the
-peak, and the margin is applied to the carried floor at every step; the
+peak, and the 6 dB margin is applied to the carried floor at every step; the
 cluster count keeps the strict local maxima above the threshold, strongest
 first, at least ``REFERENCE_SEPARATION_BINS`` apart. Its K-factor is
 ``+inf`` where the survivors other than the peak sum to nothing beside it,
@@ -22,6 +22,7 @@ from cirkit.analysis import PowerDelayProfile, extract_parameters
 from cirkit.errors import EmptyProfileError
 
 REFERENCE_SEPARATION_BINS = 2
+REFERENCE_MARGIN_DB = 6.0
 
 
 def reference_floor(powers):
@@ -31,8 +32,8 @@ def reference_floor(powers):
     return float(np.median(np.sort(powers)[: powers.size // 4]))
 
 
-def reference_count(powers, floor, margin_db):
-    thresh = floor * 10.0 ** (margin_db / 10.0)
+def reference_count(powers, floor):
+    thresh = floor * 10.0 ** (REFERENCE_MARGIN_DB / 10.0)
     left = np.r_[-np.inf, powers[:-1]]
     right = np.r_[powers[1:], -np.inf]
     candidates = np.nonzero((powers > thresh) & (powers > left) & (powers > right))[0]
@@ -44,10 +45,10 @@ def reference_count(powers, floor, margin_db):
     return len(kept)
 
 
-def reference_extract(delays, powers, los_flag, margin_db):
+def reference_extract(delays, powers, los_flag):
     """(DS, m1, m2, KF, cluster count) of the earlier chain."""
     floor = reference_floor(powers)
-    thresh = floor * 10.0 ** (margin_db / 10.0)
+    thresh = floor * 10.0 ** (REFERENCE_MARGIN_DB / 10.0)
     powers = np.where(powers < thresh, 0.0, powers)
     above = np.nonzero(powers > thresh)[0]
     if above.size == 0:
@@ -67,7 +68,7 @@ def reference_extract(delays, powers, los_flag, margin_db):
         strongest = float(np.max(surviving))
         rest = float(np.sum(surviving)) - strongest
         kf = math.inf if rest <= 0.0 else float(10.0 * np.log10(strongest / rest))
-    return ds, m1, m2, kf, reference_count(powers, floor, margin_db)
+    return ds, m1, m2, kf, reference_count(powers, floor)
 
 
 @st.composite
@@ -84,37 +85,33 @@ def profiles(draw):
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
-@given(
-    profile=profiles(),
-    los_flag=st.booleans(),
-    margin_db=st.one_of(st.sampled_from([0.0, 6.0]), st.floats(-20.0, 30.0)),
-)
-@example(profile=(np.arange(32) * 1e-9, np.r_[1.0, np.zeros(31)]), los_flag=True, margin_db=6.0)
-@example(profile=(np.arange(15) * 1e-9, np.full(15, 2.0)), los_flag=True, margin_db=0.0)
-@example(profile=(np.arange(20) * 1e-9, np.zeros(20)), los_flag=False, margin_db=6.0)
+@given(profile=profiles(), los_flag=st.booleans())
+@example(profile=(np.arange(32) * 1e-9, np.r_[1.0, np.zeros(31)]), los_flag=True)
+# under 16 bins the floor, and so the threshold, is 0
+@example(profile=(np.arange(15) * 1e-9, np.full(15, 2.0)), los_flag=True)
+@example(profile=(np.arange(20) * 1e-9, np.zeros(20)), los_flag=False)
 # the second bin rounds away beside the first: no scattered power, KF +inf
-@example(profile=(np.arange(2) * 1e-9, np.array([1.0, 1e-20])), los_flag=True, margin_db=6.0)
-# the last bin is a local maximum at exactly the threshold: not counted
+@example(profile=(np.arange(2) * 1e-9, np.array([1.0, 1e-20])), los_flag=True)
+# the last bin is a local maximum at exactly the threshold, the floor of
+# 1.0 times the margin: not counted
 @example(
-    profile=(np.arange(16) * 1e-9, np.r_[1.0, 1.0, np.full(12, 4.0), 0.0, 1.0]),
+    profile=(np.arange(16) * 1e-9, np.r_[1.0, 1.0, np.full(12, 4.0), 0.0, 1.0 * 10.0**0.6]),
     los_flag=True,
-    margin_db=0.0,
 )
 @example(
     profile=(np.arange(32) * 1e-9, np.r_[np.full(16, 1e-6), 1.0, 0.5, 1.0, 0.5, np.full(12, 1e-6)]),
     los_flag=True,
-    margin_db=6.0,
 )
-def test_extract_equals_reference(profile, los_flag, margin_db):
+def test_extract_equals_reference(profile, los_flag):
     delays, powers = profile
     pdp = PowerDelayProfile(delays, powers)
     try:
-        expected = reference_extract(pdp.delays_s, pdp.powers_linear, los_flag, margin_db)
+        expected = reference_extract(pdp.delays_s, pdp.powers_linear, los_flag)
     except EmptyProfileError as err:
         with pytest.raises(type(err)):
-            extract_parameters(pdp, los_flag, margin_db)
+            extract_parameters(pdp, los_flag)
         return
-    params = extract_parameters(pdp, los_flag, margin_db)
+    params = extract_parameters(pdp, los_flag)
     got = (
         params.rms_delay_spread_s,
         params.mean_excess_delay_s,

@@ -140,15 +140,15 @@ class TestExtract:
         assert 0 < config.ds_median_s < 200e-9
 
     def test_config_comments_name_the_flags_and_no_separation_flag(self, tmp_path, capsys):
-        """The config records the profile, ``--los`` and ``--margin-db``;
-        there is no peak-separation flag to record."""
+        """The config records the profile and ``--los``; there is no
+        peak-separation flag to record."""
         rx = make_capture(tmp_path)
         pdp_path, cfg_path = tmp_path / "pdp.csv", tmp_path / "scenario.cfg"
         assert main(["estimate", "--rx", str(rx), "--pdp-out", str(pdp_path)]) == 0
         argv = ["extract", "--pdp", str(pdp_path), "--los", "--out-config", str(cfg_path)]
-        assert main([*argv, "--margin-db", "7.5"]) == 0
-        comments = cfg_path.read_text().splitlines()[:2]
-        assert comments == [f"# extracted from {pdp_path}", "# los=true margin_db=7.5"]
+        assert main(argv) == 0
+        comments = [line for line in cfg_path.read_text().splitlines() if line.startswith("#")]
+        assert comments == [f"# extracted from {pdp_path}", "# los=true"]
         capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--min-separation-bins", "2"])
@@ -304,6 +304,18 @@ class TestCompare:
         assert values["ds_error_s"] == 0.0
         assert values["mean_abs_db_deviation"] == 0.0
 
+    def test_report_comment_names_the_inputs_only(self, tmp_path):
+        a = tmp_path / "a.csv"
+        main(["simulate", "--config", "campus-nlos", "--seed", "4", "--pdp-out", str(a)])
+        report_path = tmp_path / "r.txt"
+        rc = main(
+            ["compare", "--measured", str(a), "--simulated", str(a),
+             "--report-out", str(report_path), "--plot-out", str(tmp_path / "p.svg")]
+        )
+        assert rc == 0
+        comments = [line for line in report_path.read_text().splitlines() if line.startswith("#")]
+        assert comments == [f"# measured={a} simulated={a}"]
+
     def test_zero_measured_delay_spread_fails_at_compare(self, tmp_path, capsys):
         measured, simulated = tmp_path / "m.csv", tmp_path / "s.csv"
         measured.write_text("delay_ns,power_db\n0.0,0.0\n")
@@ -420,12 +432,9 @@ class TestLoopback:
 
 
 BAD_NUMBER_FLAGS = [
-    ("--taper=-0.2", "--taper must be finite and >= 0, got -0.2"),
-    ("--taper=nan", "--taper must be finite and >= 0, got nan"),
-    ("--taper=inf", "--taper must be finite and >= 0, got inf"),
-    ("--margin-db=nan", "--margin-db must be finite, got nan"),
-    ("--margin-db=inf", "--margin-db must be finite, got inf"),
-    ("--margin-db=-inf", "--margin-db must be finite, got -inf"),
+    ("--taper=-0.2", "--taper must be 0 or lie in (0, 0.5], got -0.2"),
+    ("--taper=nan", "--taper must be 0 or lie in (0, 0.5], got nan"),
+    ("--taper=inf", "--taper must be 0 or lie in (0, 0.5], got inf"),
     ("--taper=0.7", "--taper must be 0 or lie in (0, 0.5], got 0.7"),
 ]
 MISSING = {
@@ -440,17 +449,7 @@ MISSING = {
 @pytest.mark.parametrize(
     "command, flag, message",
     [("estimate", *case) for case in BAD_NUMBER_FLAGS]
-    + [("loopback", *case) for case in BAD_NUMBER_FLAGS]
-    + [
-        (command, flag, f"--margin-db must be finite, got {flag.split('=')[1]}")
-        for command in ["extract", "compare"]
-        for flag in ["--margin-db=nan", "--margin-db=inf"]
-    ]
-    + [
-        ("loopback", "--ds-tolerance-bins=nan", "--ds-tolerance-bins must be finite and >= 0, got nan"),
-        ("loopback", "--ds-tolerance-bins=inf", "--ds-tolerance-bins must be finite and >= 0, got inf"),
-        ("loopback", "--ds-tolerance-bins=-1", "--ds-tolerance-bins must be finite and >= 0, got -1.0"),
-    ],
+    + [("loopback", *case) for case in BAD_NUMBER_FLAGS],
 )
 def test_bad_number_flag_fails_by_name_before_any_work(tmp_path, capsys, command, flag, message):
     """Named before the missing input files are opened or the loopback runs."""
@@ -459,6 +458,21 @@ def test_bad_number_flag_fails_by_name_before_any_work(tmp_path, capsys, command
     assert rc == 1
     assert captured.err == f"cirkit {command}: {message}\n"
     assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, "--margin-db=6") for command in ["estimate", "extract", "compare", "loopback"]]
+    + [("loopback", "--ds-tolerance-bins=1")],
+)
+def test_threshold_flags_are_gone(tmp_path, capsys, command, flag):
+    """The 6 dB margin and the one-bin loopback tolerance are fixed: no flag
+    sets them, and the command line naming one is refused before any work."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, flag, *(arg.format(tmp=tmp_path) for arg in MISSING[command])])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -22,12 +22,7 @@ from hypothesis import strategies as st
 from test_gbsm import read_back
 
 from cirkit import gbsm, io
-from cirkit.analysis import (
-    DEFAULT_MARGIN_DB,
-    PowerDelayProfile,
-    noise_threshold,
-    normalize_pdp,
-)
+from cirkit.analysis import PowerDelayProfile, noise_threshold, normalize_pdp
 from cirkit.cli import main
 from cirkit.errors import ValidationError
 from cirkit.gbsm import PRESETS
@@ -191,7 +186,7 @@ def loop_simulate_pdp(config, root, n_realizations):
         power += np.abs(loop_synthesize_cir(clusters, config, phases)) ** 2
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
     pdp = PowerDelayProfile(delays, power / n_realizations)
-    return normalize_pdp(pdp, noise_threshold(pdp, DEFAULT_MARGIN_DB))
+    return normalize_pdp(pdp, noise_threshold(pdp))
 
 
 SINGLE = dataclasses.replace(PRESETS["urban-nlos"], num_clusters=1)
