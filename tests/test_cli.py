@@ -444,19 +444,38 @@ MISSING = {
                 "--report-out", "{tmp}/r.txt", "--plot-out", "{tmp}/p.svg"],
     "loopback": [],
 }
+# Bad values of the flags that the fixed 6 dB margin and the fixed one-bin
+# loopback tolerance replaced: argparse refuses each one, naming it (exit 2).
+GONE_FLAG_VALUES = [
+    (command, f"--margin-db={value}", f"--margin-db={value}")
+    for command in ["estimate", "extract", "compare", "loopback"]
+    for value in ["nan", "inf", "-inf"]
+] + [
+    ("loopback", f"--ds-tolerance-bins={value}", f"--ds-tolerance-bins={value}")
+    for value in ["nan", "inf", "-1"]
+]
 
 
 @pytest.mark.parametrize(
     "command, flag, message",
     [("estimate", *case) for case in BAD_NUMBER_FLAGS]
-    + [("loopback", *case) for case in BAD_NUMBER_FLAGS],
+    + [("loopback", *case) for case in BAD_NUMBER_FLAGS]
+    + GONE_FLAG_VALUES,
 )
 def test_bad_number_flag_fails_by_name_before_any_work(tmp_path, capsys, command, flag, message):
     """Named before the missing input files are opened or the loopback runs."""
-    rc = main([command, flag, *(arg.format(tmp=tmp_path) for arg in MISSING[command])])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == f"cirkit {command}: {message}\n"
+    argv = [command, flag, *(arg.format(tmp=tmp_path) for arg in MISSING[command])]
+    if (command, flag, message) in GONE_FLAG_VALUES:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.err.endswith(f"error: unrecognized arguments: {message}\n")
+    else:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"cirkit {command}: {message}\n"
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
 
