@@ -22,6 +22,11 @@ from .errors import EmptyProfileError, InternalConsistencyError, ValidationError
 # how far above the noise floor a bin must lie to count as signal
 _MARGIN_DB = 6.0
 
+# the lowest level, in dB against a normalized profile's peak of 1, that a
+# comparison or a plot tells apart: a weaker bin, or one of exactly 0, reads
+# as this level
+_FLOOR_DB = -60.0
+
 # CIR rows (snapshots, periods or realizations) handled per array block;
 # output does not depend on it, peak memory and speed do
 CHUNK_ROWS = 256
@@ -285,7 +290,9 @@ def compare_pdps(measured: PowerDelayProfile, simulated: PowerDelayProfile) -> C
     Reports the absolute and relative RMS delay spread error, the cluster
     count difference (simulated minus measured) and the mean absolute
     dB-domain deviation over the union of above-threshold bins after
-    nearest-bin resampling of the coarser grid onto the finer one.
+    nearest-bin resampling of the coarser grid onto the finer one; each
+    side's level counts as at least ``_FLOOR_DB`` (-60 dB), so a bin that
+    is 0 on one side adds its distance to that floor, not an unbounded term.
     Resampling is nearest-bin rather than interpolation because PDPs are
     power histograms and interpolation would invent energy. When the
     measured delay spread is 0 and the simulated one is not, the relative
@@ -312,17 +319,19 @@ def compare_pdps(measured: PowerDelayProfile, simulated: PowerDelayProfile) -> C
     union = (aligned_m > thresh_m) | (aligned_s > thresh_s)
     if not np.any(union):
         raise EmptyProfileError("no bin above threshold in either profile")
-    tiny = 1e-30
-    dev = np.abs(
-        10.0 * np.log10(np.maximum(aligned_m[union], tiny))
-        - 10.0 * np.log10(np.maximum(aligned_s[union], tiny))
-    )
+    dev = np.abs(_clamped_db(aligned_m[union]) - _clamped_db(aligned_s[union]))
     return ComparisonReport(
         ds_error_s=float(ds_error),
         ds_relative_error=float(ds_rel),
         cluster_count_diff=int(cluster_diff),
         mean_abs_db_deviation=float(np.mean(dev)),
     )
+
+
+def _clamped_db(powers: np.ndarray) -> np.ndarray:
+    """``powers`` in dB, each at least :data:`_FLOOR_DB` (a zero power too)."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(10.0 * np.log10(powers), _FLOOR_DB)
 
 
 def align_to_finer_grid(

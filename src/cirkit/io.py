@@ -10,7 +10,10 @@ size and replaces the old file only once every byte is in.
 
 Every text format goes through one layer: one line reader (blank lines and
 ``#`` comments skipped, ``key=value`` split), one parser of finite numbers
-that names ``file:line``, one ``key=value`` writer and one dB row writer.
+that names ``file:line``, one ``key=value`` writer, one dB row writer and
+one file writer, :func:`_write_text`, which writes each text output in
+place: the file keeps its inode, mode and links, and ext4 is not made to
+flush a file truncated to zero when it is closed.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import errno
 import math
 import os
+import stat
 import struct
 import threading
 import weakref
@@ -79,13 +83,49 @@ def write_iq(path, signal: IqSignal) -> None:
 
     The samples go through the dataset writer (see :func:`_write_chds`), so
     a failed write leaves an existing capture at ``path`` as it was; the
-    sidecar is then written as text. A capture has no header: one written
-    just before a power loss may read back as zero samples.
+    sidecar is then written in place by :func:`_write_text`. A capture has
+    no header: one written just before a power loss may read back as zero
+    samples.
     """
     _write_binary(path, 8 * len(signal), b"", [signal.samples])
-    _meta_path(path).write_text(
-        _key_value_text((key, getattr(signal, key)) for key in _META_KEYS), encoding="utf-8"
-    )
+    meta = _key_value_text((key, getattr(signal, key)) for key in _META_KEYS)
+    _write_text(_meta_path(path), meta)
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file ``path``, in place.
+
+    The file is opened without ``O_TRUNC`` (a new one is made with mode
+    0o666 less the umask), written from its first byte, and a regular file
+    is then cut to the new length. On ext4 (default ``auto_da_alloc``),
+    closing a file that was truncated to zero and written again allocates
+    its blocks and starts its writeback; this way no such flush is asked
+    for. An existing file keeps its inode, mode and links, as it would
+    under ``O_TRUNC``, and a pipe or device is written and not cut.
+
+    A write that fails cuts a regular file to zero bytes and raises naming
+    ``path``, so no output is left half new and half old. A reader at the
+    same time, or a kill during the write, may see the new bytes followed
+    by the old ones. Nothing is fsynced.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except BaseException as err:
+            if regular:
+                os.ftruncate(fd, 0)
+            if isinstance(err, OSError):  # name the file, as open would
+                raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+            raise
+    finally:
+        os.close(fd)
 
 
 def _read_text(path, error=CorruptFileError) -> str:
@@ -171,7 +211,7 @@ def _write_db_rows(path, header: str, delays_s, *powers) -> None:
         columns = [(delays_s * 1e9).tolist()] + [(10.0 * np.log10(p)).tolist() for p in powers]
     row = ",".join(["{:.6f}"] * len(columns))
     rows = [header] + [row.format(*values) for values in zip(*columns)]
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(rows) + "\n")
 
 
 def _read_meta(path) -> dict[str, float]:
@@ -314,7 +354,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
 
 
 def write_config(path, config: ScenarioConfig, comments: tuple[str, ...] = ()) -> None:
-    Path(path).write_text(config_to_text(config, comments), encoding="utf-8")
+    _write_text(path, config_to_text(config, comments))
 
 
 def read_config(path) -> ScenarioConfig:
@@ -371,7 +411,7 @@ def read_pdp_csv(path) -> PowerDelayProfile:
 
 def write_report(path, report: ComparisonReport, comments: tuple[str, ...] = ()) -> None:
     """Write a comparison report as ``key=value`` lines."""
-    Path(path).write_text(_key_value_text(asdict(report).items(), comments), encoding="utf-8")
+    _write_text(path, _key_value_text(asdict(report).items(), comments))
 
 
 def read_report(path) -> dict[str, float]:

@@ -9,19 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import PowerDelayProfile
+from . import io
+from .analysis import _FLOOR_DB, PowerDelayProfile, _clamped_db
 from .errors import ValidationError
 
 _WIDTH, _HEIGHT = 720, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 28, 48
-_FLOOR_DB = -60.0
 _COLORS = ("#1f77b4", "#d62728")
-
-
-def _to_db(pdp: PowerDelayProfile) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(pdp.powers_linear)
-    return np.maximum(db, _FLOOR_DB)
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
@@ -92,7 +86,7 @@ def write_pdp_comparison_svg(path, profiles: list[tuple[str, PowerDelayProfile]]
     for i, (label, pdp) in enumerate(profiles):
         color = _COLORS[i % len(_COLORS)]
         # Python floats format faster than numpy scalars, to the same text
-        xs, ys = sx(pdp.delays_s * 1e6).tolist(), sy(_to_db(pdp)).tolist()
+        xs, ys = sx(pdp.delays_s * 1e6).tolist(), sy(_clamped_db(pdp.powers_linear)).tolist()
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -107,5 +101,4 @@ def write_pdp_comparison_svg(path, profiles: list[tuple[str, PowerDelayProfile]]
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts) + "\n")
+    io._write_text(path, "\n".join(parts) + "\n")

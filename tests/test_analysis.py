@@ -390,6 +390,18 @@ class TestComparePdps:
         assert report.cluster_count_diff == 0
         assert report.mean_abs_db_deviation == 0.0
 
+    def test_bin_zero_on_one_side_adds_its_distance_to_the_floor(self):
+        # under 16 bins the floor, and so the threshold, is 0: every bin that
+        # is not 0 on either side is in the union
+        measured = make_pdp([1.0, 0.5, 0.1, 1e-7])
+        simulated = make_pdp([1.0, 0.5, 0.0, 0.0])
+        report = compare_pdps(measured, simulated)
+        # 0.1 against 0 is -10 dB against the -60 dB floor; 1e-7 (-70 dB)
+        # and 0 both read as the floor
+        assert report.mean_abs_db_deviation == (10.0 * np.log10(0.1) + 60.0) / 4
+        swapped = compare_pdps(simulated, measured)
+        assert swapped.mean_abs_db_deviation == report.mean_abs_db_deviation
+
     def test_shift_removed_by_normalization(self):
         rng = np.random.default_rng(10)
         body = rng.uniform(0.2, 1.0, 48)

@@ -5,13 +5,14 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cirkit import io
+from cirkit import io, svgplot
 from cirkit.analysis import ComparisonReport, PowerDelayProfile, normalize_pdp
 from cirkit.errors import (
     BadMagicError,
@@ -560,6 +561,163 @@ def test_iq_write_failing_partway_leaves_the_capture(tmp_path, mode):
         assert done.stdout.startswith(f"OSError [Errno {errno.EFBIG}]")
     assert (path.read_bytes(), path.with_name("x.iq.meta").read_bytes()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.iq", "x.iq.meta"]
+
+
+# one profile with a zero bin, so the CSVs hold a -inf row
+PROFILE = PowerDelayProfile(np.arange(4) * 39.0625e-9, [1.0, 0.5, 0.0, 0.25])
+
+
+def write_iq_meta(path):
+    """Write a capture whose ``.meta`` sidecar is ``path``."""
+    io.write_iq(str(path)[: -len(".meta")], IqSignal(np.ones(4), 25.6e6, 2.48e9))
+
+
+# the six text writers, each writing one output at the path it is given
+TEXT_WRITERS = {
+    "pdp-csv": lambda path: io.write_pdp_csv(path, PROFILE),
+    "aligned-csv": lambda path: io.write_aligned_csv(
+        path, PROFILE.delays_s, PROFILE.powers_linear, PROFILE.powers_linear[::-1]),
+    "config": lambda path: io.write_config(path, PRESETS["urban-los"], ("a comment",)),
+    "report": lambda path: io.write_report(path, ComparisonReport(1.5e-9, 0.012, -2, 3.75)),
+    "iq-meta": write_iq_meta,
+    "svg": lambda path: svgplot.write_pdp_comparison_svg(
+        path, [("measured", PROFILE), ("simulated", PROFILE)]),
+}
+
+
+@pytest.fixture(params=list(TEXT_WRITERS), ids=list(TEXT_WRITERS))
+def text_writer(request):
+    return TEXT_WRITERS[request.param]
+
+
+def fresh_bytes(tmp_path, write):
+    """What ``write`` puts in a new file."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    write(fresh / "out.meta")
+    return (fresh / "out.meta").read_bytes()
+
+
+class TestTextWriter:
+    """Every text output goes through ``io._write_text``: in place, with no
+    ``O_TRUNC``, then cut to its new length when it is a regular file."""
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path, text_writer):
+        old = os.umask(0o027)
+        try:
+            text_writer(tmp_path / "out.meta")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.meta").stat().st_mode & 0o777 == 0o640
+
+    def test_longer_file_left_with_exactly_the_new_bytes(self, tmp_path, text_writer):
+        expected = fresh_bytes(tmp_path, text_writer)
+        out = tmp_path / "out.meta"
+        out.write_bytes(b"\xff" * (len(expected) + 65536))
+        text_writer(out)
+        assert out.read_bytes() == expected
+        text_writer(out)  # over a file of the same length
+        assert out.read_bytes() == expected
+
+    def test_inode_mode_and_links_kept(self, tmp_path, text_writer):
+        expected = fresh_bytes(tmp_path, text_writer)
+        out = tmp_path / "out.meta"
+        out.write_bytes(b"old " * 20000)
+        out.chmod(0o600)
+        inode = out.stat().st_ino
+        os.link(out, tmp_path / "hard")
+        link = tmp_path / "sym.meta"
+        link.symlink_to("out.meta")
+        text_writer(link)
+        assert link.is_symlink() and os.readlink(link) == "out.meta"
+        assert out.stat().st_ino == inode
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert out.stat().st_nlink == 2
+        assert out.read_bytes() == (tmp_path / "hard").read_bytes() == expected
+
+    def test_never_passes_o_trunc(self, tmp_path, text_writer, monkeypatch):
+        out = tmp_path / "out.meta"
+        out.write_bytes(b"old " * 20000)
+        calls = []
+        real_open = os.open
+
+        def recorded(path, flags, *args, **kwargs):
+            calls.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recorded)
+        text_writer(out)
+        assert [flags & (os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_RDWR)
+                for path, flags in calls if path == str(out)] == [os.O_WRONLY | os.O_CREAT]
+
+    def test_goes_through_the_one_writer(self, tmp_path, text_writer, monkeypatch):
+        written = []
+        real = io._write_text
+
+        def recorded(path, text):
+            written.append(os.fspath(path))
+            real(path, text)
+
+        monkeypatch.setattr(io, "_write_text", recorded)
+        text_writer(tmp_path / "out.meta")
+        assert written == [str(tmp_path / "out.meta")]
+
+    def test_fifo_written_and_not_cut(self, tmp_path, text_writer, monkeypatch):
+        expected = fresh_bytes(tmp_path, text_writer)
+        fifo = tmp_path / "out.meta"
+        os.mkfifo(fifo)
+        cut = []
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: cut.append(length))
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            text_writer(fifo)
+        finally:
+            reader.join(timeout=30)
+        assert got == [expected]
+        assert cut == []
+
+    def test_dev_null_written_and_not_cut(self, tmp_path, text_writer, monkeypatch):
+        out = Path(os.devnull)
+        if text_writer is write_iq_meta:  # the sidecar's name follows the capture's
+            out = tmp_path / "out.meta"
+            out.symlink_to(os.devnull)
+        cut = []
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: cut.append(length))
+        text_writer(out)
+        assert cut == []
+
+
+# writes a 1000-row PDP CSV to argv[1] in a process that may write no file
+# past 4096 bytes, so the write stops partway
+TEXT_PARTWAY = """
+import resource, signal, sys
+import numpy as np
+from cirkit import io
+from cirkit.analysis import PowerDelayProfile
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY))
+try:
+    io.write_pdp_csv(sys.argv[1], PowerDelayProfile(np.arange(1000) * 1e-9, np.ones(1000)))
+except OSError as err:
+    print(type(err).__name__, err)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+@pytest.mark.parametrize("before", [None, b"", b"old\n" * 16384], ids=["new", "empty", "longer"])
+def test_text_write_failing_partway_leaves_an_empty_file(tmp_path, before):
+    path = tmp_path / "x.csv"
+    if before is not None:
+        path.write_bytes(before)
+    src = Path(io.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", TEXT_PARTWAY, str(path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == f"OSError [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{path}'\n"
+    assert path.read_bytes() == b""
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 class TestNonUtf8Text:
