@@ -8,12 +8,16 @@ as complex64, plus the generating config as an embedded text blob. Both
 binary formats go through one writer, which reserves the file at its final
 size and replaces the old file only once every byte is in.
 
-Every text format goes through one layer: one line reader (blank lines and
-``#`` comments skipped, ``key=value`` split), one parser of finite numbers
-that names ``file:line``, one ``key=value`` writer, one dB row writer and
-one file writer, :func:`_write_text`, which writes each text output in
-place: the file keeps its inode, mode and links, and ext4 is not made to
-flush a file truncated to zero when it is closed.
+Every text format goes through one layer: one text reader (UTF-8, one
+leading byte-order mark dropped), one line reader (lines end at ``\n``,
+``\r\n`` or ``\r`` only; blank lines and ``#`` comments skipped,
+``key=value`` split), one rule for finite numbers that names ``file:line``,
+one ``key=value`` writer, one dB row writer and one file writer,
+:func:`_write_text`, which writes each text output in place: the file keeps
+its inode, mode and links, and ext4 is not made to flush a file truncated
+to zero when it is closed. The PDP CSV is parsed and printed a column at a
+time; a file that fails the column pass is walked row by row only to name
+its first bad line.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import struct
 import threading
 import weakref
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -129,21 +134,30 @@ def _write_text(path, text: str) -> None:
 
 
 def _read_text(path, error=CorruptFileError) -> str:
-    """A text file's UTF-8 contents; undecodable bytes raise ``error`` naming the file."""
-    raw = Path(path).read_bytes()
+    """A text file's UTF-8 contents, less one leading byte-order mark;
+    undecodable bytes raise ``error`` naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return text[1:] if text.startswith("\ufeff") else text
 
 
-def _lines(text: str):
+def _lines(text: str) -> list[tuple[int, str]]:
     """``(line_no, line)`` for every line of ``text`` that is neither blank
-    nor a ``#`` comment, stripped; line numbers count from 1 in the file."""
-    for line_no, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line_no, line
+    nor a ``#`` comment, stripped; line numbers count from 1 in the file.
+
+    Only ``\n``, ``\r\n`` and ``\r`` end a line: a form feed, a file
+    separator or a Unicode line separator inside a line stays part of it.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    numbered = filter(itemgetter(1), enumerate(map(str.strip, text.split("\n")), 1))
+    if "#" in text:
+        return [(line_no, line) for line_no, line in numbered if line[0] != "#"]
+    return list(numbered)
 
 
 def _key_values(text: str, source, error):
@@ -170,6 +184,17 @@ def _finite(text: str, source, line_no: int, what="bad number", error=CorruptFil
     except (ValueError, OverflowError):
         pass
     raise error(f"{source}:{line_no}: {what}")
+
+
+def _finite_column(cells, kind=float) -> np.ndarray | None:
+    """``kind`` of every cell as a float64 array when each is a finite
+    number by the rule of :func:`_finite`, else None; ``kind`` returns
+    floats."""
+    try:
+        numbers = np.fromiter(map(kind, cells), np.float64, len(cells))
+    except (ValueError, OverflowError):
+        return None
+    return numbers if np.isfinite(numbers).all() else None
 
 
 def _db_to_linear(text: str) -> float:
@@ -206,12 +231,13 @@ def _key_value_text(pairs, comments: tuple[str, ...] = ()) -> str:
 def _write_db_rows(path, header: str, delays_s, *powers) -> None:
     """Write ``header``, then one row per delay: the delay in ns and each
     power in dB, all at six decimals (a zero power is ``-inf``)."""
-    # Python floats format faster than numpy scalars, to the same text
     with np.errstate(divide="ignore"):
-        columns = [(delays_s * 1e9).tolist()] + [(10.0 * np.log10(p)).tolist() for p in powers]
-    row = ",".join(["{:.6f}"] * len(columns))
-    rows = [header] + [row.format(*values) for values in zip(*columns)]
-    _write_text(path, "\n".join(rows) + "\n")
+        columns = [delays_s * 1e9] + [10.0 * np.log10(p) for p in powers]
+    # the rows interleaved into one list of Python floats, which format
+    # faster than numpy scalars, to the same text, and all in one call
+    cells = np.stack(columns, axis=1).ravel().tolist()
+    row = ",".join(["%.6f"] * len(columns)) + "\n"
+    _write_text(path, f"{header}\n" + (row * len(delays_s)) % tuple(cells))
 
 
 def _read_meta(path) -> dict[str, float]:
@@ -371,42 +397,61 @@ def write_aligned_csv(path, delays_s, measured, simulated) -> None:
     _write_db_rows(path, "delay_ns,measured_db,simulated_db", delays_s, measured, simulated)
 
 
+def _pdp_columns(path, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The delays in ns and the linear powers of the PDP-CSV data ``rows``.
+
+    The rows are joined with an empty cell between each two and split into
+    cells once, and each column is converted as a whole. An empty cell is
+    no number, so when there are three cells a row less one and every
+    delay and power cell is a number, the empty ones fall between the rows
+    and each row held two cells. Otherwise the rows are walked in file
+    order to raise the first error a row-by-row read would: the column
+    count, then the delay, then the power.
+    """
+    cells = ",,".join(map(itemgetter(1), rows)).split(",")
+    if len(cells) == 3 * len(rows) - 1:
+        delays_ns = _finite_column(cells[0::3])
+        powers = _finite_column(cells[1::3], _db_to_linear)
+        if delays_ns is not None and powers is not None:
+            return delays_ns, powers
+    for line_no, line in rows:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CorruptFileError(f"{path}:{line_no}: expected two columns")
+        _finite(parts[0], path, line_no)
+        _finite(parts[1], path, line_no, kind=_db_to_linear)
+    raise AssertionError(f"{path}: the column pass failed on rows that all read")
+
+
 def read_pdp_csv(path) -> PowerDelayProfile:
     """Read a PDP CSV back; the uniform delay grid is snapped to its mean step.
 
     Every row's delay must lie on that grid, to within the six-decimal
-    rounding of :func:`write_pdp_csv`.
+    rounding of :func:`write_pdp_csv`. Every row is checked for two finite
+    numbers before the grid, so the error names the first bad line.
     """
     lines = _lines(_read_text(path))
-    if next(lines, (0, ""))[1] != "delay_ns,power_db":
+    if not lines or lines[0][1] != "delay_ns,power_db":
         raise CorruptFileError(f"{path}: missing 'delay_ns,power_db' header")
-    line_nos = []
-    delays_ns = []
-    powers = []
-    for line_no, line in lines:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise CorruptFileError(f"{path}:{line_no}: expected two columns")
-        line_nos.append(line_no)
-        delays_ns.append(_finite(parts[0], path, line_no))
-        powers.append(_finite(parts[1], path, line_no, kind=_db_to_linear))
-    if not delays_ns:
+    rows = lines[1:]
+    if not rows:
         raise CorruptFileError(f"{path}: no data rows")
+    delays_ns, powers = _pdp_columns(path, rows)
     n = len(delays_ns)
     if n == 1:
-        delays_s = np.array([delays_ns[0] * 1e-9])
+        delays_s = delays_ns * 1e-9
     else:
         step_ns = (delays_ns[-1] - delays_ns[0]) / (n - 1)
         if step_ns <= 0:
             raise CorruptFileError(f"{path}: delays not increasing")
         grid_ns = delays_ns[0] + np.arange(n) * step_ns
         tolerance_ns = _GRID_TOLERANCE_NS + _GRID_TOLERANCE_REL * np.abs(grid_ns)
-        off = np.abs(np.array(delays_ns) - grid_ns) > tolerance_ns
+        off = np.abs(delays_ns - grid_ns) > tolerance_ns
         if off.any():
             first = int(np.argmax(off))
-            raise CorruptFileError(f"{path}:{line_nos[first]}: delay off the uniform delay grid")
+            raise CorruptFileError(f"{path}:{rows[first][0]}: delay off the uniform delay grid")
         delays_s = grid_ns * 1e-9
-    return PowerDelayProfile(delays_s, np.array(powers))
+    return PowerDelayProfile(delays_s, powers)
 
 
 def write_report(path, report: ComparisonReport, comments: tuple[str, ...] = ()) -> None:

@@ -85,9 +85,10 @@ def write_pdp_comparison_svg(path, profiles: list[tuple[str, PowerDelayProfile]]
     # polylines and legend
     for i, (label, pdp) in enumerate(profiles):
         color = _COLORS[i % len(_COLORS)]
-        # Python floats format faster than numpy scalars, to the same text
-        xs, ys = sx(pdp.delays_s * 1e6).tolist(), sy(_clamped_db(pdp.powers_linear)).tolist()
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        # the points interleaved into one list of Python floats, which format
+        # faster than numpy scalars, to the same text, and all in one call
+        xy = np.stack([sx(pdp.delays_s * 1e6), sy(_clamped_db(pdp.powers_linear))], axis=1)
+        points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

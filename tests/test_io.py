@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import math
 import os
 import re
 import struct
@@ -11,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_fuzz_parsers import FUZZ, mutated, valid_pdp_csv
 
 from cirkit import io, svgplot
 from cirkit.analysis import ComparisonReport, PowerDelayProfile, normalize_pdp
@@ -18,6 +22,7 @@ from cirkit.errors import (
     BadMagicError,
     BadVersionError,
     CorruptFileError,
+    FileFormatError,
     MissingSidecarError,
     SizeMismatchError,
     ValidationError,
@@ -252,6 +257,252 @@ class TestAlignedCsv:
             "0.000000,0.000000,-inf\n"
             "2.500000,-3.010300,0.000000\n"
         )
+
+
+def reference_read_pdp_csv(path) -> PowerDelayProfile:
+    """The row-by-row PDP-CSV reader that ``io.read_pdp_csv``'s column pass
+    replaced, kept as its reference: each row split and each cell parsed
+    by ``io._finite`` in turn."""
+    lines = iter(io._lines(io._read_text(path)))
+    if next(lines, (0, ""))[1] != "delay_ns,power_db":
+        raise CorruptFileError(f"{path}: missing 'delay_ns,power_db' header")
+    line_nos = []
+    delays_ns = []
+    powers = []
+    for line_no, line in lines:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CorruptFileError(f"{path}:{line_no}: expected two columns")
+        line_nos.append(line_no)
+        delays_ns.append(io._finite(parts[0], path, line_no))
+        powers.append(io._finite(parts[1], path, line_no, kind=io._db_to_linear))
+    if not delays_ns:
+        raise CorruptFileError(f"{path}: no data rows")
+    n = len(delays_ns)
+    if n == 1:
+        delays_s = np.array([delays_ns[0] * 1e-9])
+    else:
+        step_ns = (delays_ns[-1] - delays_ns[0]) / (n - 1)
+        if step_ns <= 0:
+            raise CorruptFileError(f"{path}: delays not increasing")
+        grid_ns = delays_ns[0] + np.arange(n) * step_ns
+        tolerance_ns = io._GRID_TOLERANCE_NS + io._GRID_TOLERANCE_REL * np.abs(grid_ns)
+        off = np.abs(np.array(delays_ns) - grid_ns) > tolerance_ns
+        if off.any():
+            first = int(np.argmax(off))
+            raise CorruptFileError(f"{path}:{line_nos[first]}: delay off the uniform delay grid")
+        delays_s = grid_ns * 1e-9
+    return PowerDelayProfile(delays_s, np.array(powers))
+
+
+def read_outcome(read, path):
+    """The bytes of both columns ``read`` returns, or its error's class and message."""
+    try:
+        pdp = read(path)
+    except (FileFormatError, ValidationError) as err:
+        return type(err), str(err)
+    return pdp.delays_s.tobytes(), pdp.powers_linear.tobytes()
+
+
+PADDING = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def pdp_csv_texts(draw) -> str:
+    """PDP CSVs as people and ``write_pdp_csv`` make them: comments, blank
+    lines, any line ending, padding around cells, ``-inf`` and ``-0.000000``
+    powers, one row or many, and now and then a delay off the grid."""
+    n = draw(st.integers(1, 40))
+    step_ns = draw(st.sampled_from([39.0625, 32.552083, 1.0, 1e-3, 16.276042]))
+    first_ns = draw(st.sampled_from([0.0, -0.0, 1e-6, 250.0]))
+    delays = [first_ns + i * step_ns for i in range(n)]
+    if n > 2 and draw(st.booleans()):
+        delays[draw(st.integers(1, n - 2))] += draw(st.sampled_from([1e-7, 2e-6, 0.5]))
+    power = st.one_of(
+        st.floats(-400.0, 60.0),
+        st.sampled_from(["-inf", "-0.000000", "0.000000", "-3.010300", "-0"]),
+    )
+    lines = [f"{draw(PADDING)}delay_ns,power_db{draw(PADDING)}"]
+    for delay in delays:
+        value = draw(power)
+        cell = value if isinstance(value, str) else f"{value:.6f}"
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", "\t# a, b, c"]), max_size=2))
+        pads = [draw(PADDING) for _ in range(4)]
+        lines.append(f"{pads[0]}{delay:.6f}{pads[1]},{pads[2]}{cell}{pads[3]}")
+    lines = draw(st.lists(st.sampled_from(["# made by hand", ""]), max_size=2)) + lines
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestColumnPass:
+    """``read_pdp_csv`` converts whole columns; it must return the bytes,
+    or raise the error, of the row-by-row reference."""
+
+    @FUZZ
+    @given(text=pdp_csv_texts())
+    def test_equals_the_row_reader(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        assert read_outcome(io.read_pdp_csv, path) == read_outcome(reference_read_pdp_csv, path)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_files_fail_as_the_row_reader(self, tmp_path, data):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data.draw(mutated(valid_pdp_csv(tmp_path))))
+        assert read_outcome(io.read_pdp_csv, path) == read_outcome(reference_read_pdp_csv, path)
+
+    @pytest.mark.parametrize(
+        "bad_column, bad_number, message",
+        [
+            (True, True, "9: expected two columns"),
+            (False, True, "12: bad number"),
+            (False, False, "5: delay off the uniform delay grid"),
+        ],
+    )
+    def test_first_bad_line_is_named(self, tmp_path, bad_column, bad_number, message):
+        """Rows are checked in file order, each for its columns and numbers,
+        before the grid of all of them."""
+        rows = [f"{10.0 * i:.6f},-3.000000" for i in range(12)]
+        rows[3] = "999.000000,-3.000000"  # line 5: off the grid
+        if bad_column:
+            rows[7] += ",1.0"  # line 9
+        if bad_number:
+            rows[10] = "100.000000,x"  # line 12
+        path = tmp_path / "bad.csv"
+        path.write_text("delay_ns,power_db\n" + "\n".join(rows) + "\n")
+        with pytest.raises(CorruptFileError, match=f"bad.csv:{message}"):
+            io.read_pdp_csv(path)
+        assert read_outcome(reference_read_pdp_csv, path)[1].endswith(message)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the same four cells as two good rows, split one and three
+            ("0.0,0.0,10.0\n-3.0", "2: expected two columns"),
+            ("0.0\n0.0,10.0,-3.0", "2: expected two columns"),
+            ("0.0,,0.0\n10.0,-3.0", "2: expected two columns"),
+            ("0.0,0.0\n,\n10.0,-3.0", "3: bad number"),
+            ("0.0,0.0\n10.0,-3.0,", "3: expected two columns"),
+        ],
+    )
+    def test_rows_of_the_wrong_width_found_whatever_the_cell_count(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"delay_ns,power_db\n{rows}\n")
+        with pytest.raises(CorruptFileError, match=f"bad.csv:{message}"):
+            io.read_pdp_csv(path)
+
+
+finite_or_special = st.one_of(
+    st.floats(-1e290, 1e290),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+)
+non_negative_or_special = st.one_of(
+    st.floats(0.0, 1e308),
+    st.sampled_from([-0.0, 0.0, math.inf, math.nan, 5e-324, 1e300]),
+)
+
+
+class TestRowWriters:
+    """The dB row writer prints every cell with one ``%`` call; the text is
+    that of one f-string per row."""
+
+    @FUZZ
+    @given(
+        rows=st.lists(st.tuples(finite_or_special, non_negative_or_special,
+                                non_negative_or_special), min_size=0, max_size=30),
+        width=st.sampled_from([1, 2, 3]),
+    )
+    def test_rows_equal_per_row_f_strings(self, tmp_path, rows, width):
+        columns = [np.array([row[i] for row in rows], dtype=float) for i in range(width)]
+        path = tmp_path / "rows.csv"
+        io._write_db_rows(path, "head", *columns)
+        with np.errstate(divide="ignore"):
+            cells = [(columns[0] * 1e9).tolist()]
+            cells += [(10.0 * np.log10(p)).tolist() for p in columns[1:]]
+        expected = ["head"] + [",".join(f"{v:.6f}" for v in row) for row in zip(*cells)]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+
+# characters that str.splitlines ends a line at, though no newline does
+LINE_BREAKING_NON_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineRule:
+    """A line ends at \\n, \\r\\n or \\r only, in every text format."""
+
+    @pytest.mark.parametrize("char", LINE_BREAKING_NON_NEWLINES)
+    def test_pdp_csv_comment_stays_one_line(self, tmp_path, char):
+        path = tmp_path / "p.csv"
+        path.write_text(f"# note{char}more\ndelay_ns,power_db\n0.0,0.0\n1.0,x\n", newline="")
+        with pytest.raises(CorruptFileError, match="p.csv:4: bad number"):
+            io.read_pdp_csv(path)
+        path.write_text(f"# note{char}more\ndelay_ns,power_db\n0.0,0.0\n1.0,-3.0\n", newline="")
+        np.testing.assert_array_equal(io.read_pdp_csv(path).delays_s, [0.0, 1e-9])
+
+    @pytest.mark.parametrize("char", LINE_BREAKING_NON_NEWLINES)
+    def test_config_and_report_comments_stay_one_line(self, tmp_path, char):
+        text = io.config_to_text(PRESETS["urban-los"], (f"made{char}by hand",))
+        path = tmp_path / "c.cfg"
+        path.write_text(text, newline="")
+        assert io.read_config(path) == PRESETS["urban-los"]
+        path.write_text(text + "colour=blue\n", newline="")
+        line_no = text.count("\n") + 1
+        with pytest.raises(ValidationError, match=f"c.cfg:{line_no}: unknown key 'colour'"):
+            io.read_config(path)
+        report = tmp_path / "r.txt"
+        report.write_text(f"# a{char}b\nds_error_s=1.5\nds_relative_error=x\n", newline="")
+        with pytest.raises(CorruptFileError, match="r.txt:3: bad number for ds_relative_error"):
+            io.read_report(report)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_every_newline_counts_the_same_lines(self, tmp_path, newline):
+        path = tmp_path / "p.csv"
+        lines = ["# made by hand", "delay_ns,power_db", "", "0.0,0.0", "1.0,x"]
+        path.write_bytes(newline.join(lines).encode())
+        with pytest.raises(CorruptFileError, match="p.csv:5: bad number"):
+            io.read_pdp_csv(path)
+
+    def test_mixed_newlines(self):
+        text = "a\r\nb\rc\n\r\nd\r"
+        assert io._lines(text) == [(1, "a"), (2, "b"), (3, "c"), (5, "d")]
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark is dropped from every text file."""
+
+    BOM = "\ufeff".encode()
+
+    def test_pdp_csv(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        io.write_pdp_csv(plain, PowerDelayProfile([0.0, 1e-8], [1.0, 0.5]))
+        marked.write_bytes(self.BOM + plain.read_bytes())
+        assert read_outcome(io.read_pdp_csv, marked) == read_outcome(io.read_pdp_csv, plain)
+
+    def test_config_meta_and_report(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(self.BOM + io.config_to_text(PRESETS["urban-nlos"]).encode())
+        assert io.read_config(path) == PRESETS["urban-nlos"]
+        capture = tmp_path / "x.iq"
+        io.write_iq(capture, IqSignal([1.0, 1j], 25.6e6, 2.48e9))
+        meta = capture.with_name(capture.name + ".meta")
+        meta.write_bytes(self.BOM + meta.read_bytes())
+        assert io.IqReader(capture).sample_rate_hz == 25.6e6
+        report = tmp_path / "r.txt"
+        report.write_bytes(self.BOM + b"ds_error_s=1.5\n")
+        assert io.read_report(report) == {"ds_error_s": 1.5}
+
+    def test_only_one_mark_dropped(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(2 * self.BOM + io.config_to_text(PRESETS["urban-nlos"]).encode())
+        with pytest.raises(ValidationError, match=re.escape("c.cfg:1: unknown key '\\ufefflabel'")):
+            io.read_config(path)
+
+    def test_undecodable_byte_counted_in_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.BOM + b"delay_ns,power_db\n0.0,\xff\n")
+        with pytest.raises(CorruptFileError, match="bad.csv: not UTF-8 text \\(byte 25\\)"):
+            io.read_pdp_csv(path)
 
 
 class TestReport:

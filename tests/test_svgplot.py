@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cirkit import gbsm, svgplot
 from cirkit.analysis import PowerDelayProfile
@@ -68,3 +70,33 @@ def test_numbers_match_numpy_scalar_formatting(tmp_path, make):
                       r'font-size="10">([^<]*)</text>', svg) == x_ticks
     assert re.findall(r'<text x="\d+" y="([^"]*)" text-anchor="end" font-family="sans-serif" '
                       r'font-size="10">([^<]*)</text>', svg) == y_ticks
+
+
+POWERS = st.one_of(
+    st.floats(0.0, 1e308),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 1e300, 1.0]),
+)
+
+
+@st.composite
+def random_profiles(draw):
+    """One or two PDPs of random powers, the edge values among them, on
+    random uniform grids."""
+    profiles = []
+    for label in draw(st.sampled_from([["measured"], ["measured", "simulated"]])):
+        powers = draw(st.lists(POWERS, min_size=1, max_size=40))
+        step = draw(st.sampled_from([1 / 25.6e6, 1 / 61.44e6, 1e-9, 3.3e-7]))
+        first = draw(st.sampled_from([0.0, -0.0, 2e-8]))
+        delays = first + np.arange(len(powers)) * step
+        profiles.append((label, PowerDelayProfile(delays, powers)))
+    return profiles
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(profiles=random_profiles())
+def test_random_points_match_per_point_formatting(tmp_path, profiles):
+    path = tmp_path / "plot.svg"
+    svgplot.write_pdp_comparison_svg(path, profiles)
+    polylines = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    assert polylines == reference_numbers(profiles)[0]
