@@ -14,14 +14,10 @@ from .analysis import (
     ComparisonReport,
     PowerDelayProfile,
     compare_pdps,
-    count_clusters,
     estimate_noise_floor,
     extract_parameters,
-    k_factor,
     noise_threshold,
     normalize_pdp,
-    rms_delay_spread,
-    threshold_pdp,
 )
 from .channel_apply import SyntheticChannel, add_awgn, apply_channel
 from .errors import (
@@ -92,23 +88,19 @@ __all__ = [
     "circular_cross_correlate",
     "compare_pdps",
     "config_from_parameters",
-    "count_clusters",
     "estimate_noise_floor",
     "estimate_pdp",
     "extract_parameters",
     "generate_dataset",
     "is_prime",
-    "k_factor",
     "mitigate_artifacts",
     "noise_threshold",
     "normalize_pdp",
     "read_config",
     "read_dataset",
     "read_pdp_csv",
-    "rms_delay_spread",
     "simulate_pdp",
     "synchronize",
-    "threshold_pdp",
     "write_config",
     "write_iq",
     "write_pdp_csv",

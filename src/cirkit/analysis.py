@@ -6,8 +6,10 @@ Ricean K-factor and the number of resolvable multipath clusters. They are
 the configuration inputs for the stochastic channel generator.
 
 Each is read above one noise threshold: :func:`noise_threshold` puts it a
-fixed 6 dB above the floor of :func:`estimate_noise_floor`, and
-thresholding, normalization and the cluster count take that number as it is.
+fixed 6 dB above the floor of :func:`estimate_noise_floor`. One private
+step on arrays, ``_statistics`` of the thresholded powers (``_kept``),
+serves :func:`extract_parameters`, which aligns them first (``_aligned``),
+and :func:`compare_pdps`; ``_moments`` is the one delay-spread formula.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyProfileError, InternalConsistencyError, ValidationError
+from .signal import _freeze, _frozen
 
 # how far above the noise floor a bin must lie to count as signal
 _MARGIN_DB = 6.0
@@ -31,7 +34,7 @@ _FLOOR_DB = -60.0
 # output does not depend on it, peak memory and speed do
 CHUNK_ROWS = 256
 
-# |radicand| below this (in s^2) is treated as rounding noise and clamped to 0
+# the slack, in s^2, that ChannelParameters allows sigma^2 = m2 - m1^2
 _RADICAND_EPS_S2 = 1e-18
 
 # how far a PDP delay step may stray from the mean step, relative to the
@@ -42,16 +45,15 @@ _STEP_JITTER_REL = 1e-12
 
 @dataclass(frozen=True)
 class PowerDelayProfile:
-    """Average of squared CIR magnitudes on a uniform delay grid."""
+    """Average of squared CIR magnitudes on a uniform delay grid; it adopts
+    frozen float64 arrays and copies anything else (``signal._frozen``)."""
 
     delays_s: np.ndarray
     powers_linear: np.ndarray
 
     def __post_init__(self):
-        delays = np.array(self.delays_s, dtype=np.float64)
-        powers = np.array(self.powers_linear, dtype=np.float64)
-        delays.setflags(write=False)
-        powers.setflags(write=False)
+        delays = _frozen(self.delays_s, np.float64)
+        powers = _frozen(self.powers_linear, np.float64)
         object.__setattr__(self, "delays_s", delays)
         object.__setattr__(self, "powers_linear", powers)
         if delays.ndim != 1 or delays.size == 0 or delays.shape != powers.shape:
@@ -144,39 +146,66 @@ def noise_threshold(pdp: PowerDelayProfile) -> float:
     return estimate_noise_floor(pdp) * 10.0 ** (_MARGIN_DB / 10.0)
 
 
-def threshold_pdp(pdp: PowerDelayProfile, threshold: float) -> PowerDelayProfile:
-    """Zero every bin below ``threshold``; grid is preserved."""
-    powers = np.where(pdp.powers_linear < threshold, 0.0, pdp.powers_linear)
-    return PowerDelayProfile(pdp.delays_s, powers)
+def _kept(powers: np.ndarray, threshold: float) -> np.ndarray:
+    """``powers`` with every bin below ``threshold`` zeroed."""
+    return np.where(powers < threshold, 0.0, powers)
+
+
+def _aligned(delays_s: np.ndarray, powers: np.ndarray, threshold: float) -> tuple:
+    """The frozen delays and powers of :func:`normalize_pdp`."""
+    above = np.nonzero(powers > threshold)[0]
+    if above.size == 0:
+        raise EmptyProfileError("no PDP bin exceeds the noise threshold")
+    first = int(above[0])
+    powers = powers[first:]
+    return _freeze(delays_s[first:] - delays_s[first], powers / float(np.max(powers)))
 
 
 def normalize_pdp(pdp: PowerDelayProfile, threshold: float) -> PowerDelayProfile:
     """Align the first bin above ``threshold`` to delay 0 and scale peak
     power to 1. Bins before that bin are discarded."""
-    above = np.nonzero(pdp.powers_linear > threshold)[0]
-    if above.size == 0:
-        raise EmptyProfileError("no PDP bin exceeds the noise threshold")
-    first = int(above[0])
-    delays = pdp.delays_s[first:] - pdp.delays_s[first]
-    powers = pdp.powers_linear[first:]
-    return PowerDelayProfile(delays, powers / float(np.max(powers)))
+    return PowerDelayProfile(*_aligned(pdp.delays_s, pdp.powers_linear, threshold))
 
 
 def _moments(delays_s: np.ndarray, powers: np.ndarray, total) -> tuple:
-    """The power-weighted mean delay and mean squared delay along the last
-    axis, sum P(tau)*tau / total and sum P(tau)*tau^2 / total."""
-    return (
-        np.sum(powers * delays_s, axis=-1) / total,
-        np.sum(powers * delays_s**2, axis=-1) / total,
-    )
+    """sum P(tau)*tau / total, sum P(tau)*tau^2 / total and the RMS delay
+    spread sqrt(max(m2 - m1^2, 0)) of them, along the last axis."""
+    m1 = np.sum(powers * delays_s, axis=-1) / total
+    m2 = np.sum(powers * delays_s**2, axis=-1) / total
+    return m1, m2, np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
 
 
-def _pdp_moments(pdp: PowerDelayProfile) -> tuple[float, float]:
-    total = float(np.sum(pdp.powers_linear))
+def _statistics(delays_s: np.ndarray, kept: np.ndarray, threshold: float) -> tuple:
+    """m1, m2, RMS delay spread and cluster count of the thresholded powers
+    ``kept``. Clusters are the bins strictly above ``threshold`` and both
+    neighbours (the one neighbour at an end); zeroing the bins below
+    ``threshold`` neither makes nor hides one."""
+    total = float(np.sum(kept))
     if total <= 0.0:
         raise ValidationError("PDP has zero total power")
-    m1, m2 = _moments(pdp.delays_s, pdp.powers_linear, total)
-    return float(m1), float(m2)
+    m1, m2, spread = _moments(delays_s, kept, total)
+    peaks = kept > threshold
+    peaks[1:] &= kept[1:] > kept[:-1]
+    peaks[:-1] &= kept[:-1] > kept[1:]
+    return float(m1), float(m2), float(spread), int(np.count_nonzero(peaks))
+
+
+def _k_factor(kept: np.ndarray) -> float:
+    """Ricean K-factor in dB of the thresholded powers ``kept``.
+
+    Ratio of the strongest surviving bin to the aggregate power of all other
+    surviving bins (the average power of the scattered component in the
+    Ricean sense). When no scattered power is left, because one bin
+    survives or the others sum to nothing beside the peak in float64, the
+    K-factor is unbounded: ``+inf``."""
+    surviving = kept[kept > 0.0]
+    if surviving.size == 0:
+        raise EmptyProfileError("no surviving bin in thresholded PDP")
+    peak = float(np.max(surviving))
+    rest = float(np.sum(surviving)) - peak
+    if rest <= 0.0:
+        return math.inf
+    return float(10.0 * np.log10(peak / rest))
 
 
 def add_rows(power: np.ndarray, rows: np.ndarray) -> None:
@@ -203,78 +232,26 @@ def discrete_delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> np.ndarra
     Rows are sets of paths, for example a cluster set with its LOS term;
     powers need not sum to 1. A negative rounding residue clamps to 0.
     """
-    m1, m2 = _moments(delays_s, powers, powers.sum(axis=-1))
-    return np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
-
-
-def _spread(m1: float, m2: float) -> float:
-    """sqrt(m2 - m1^2); a negative radicand beyond rounding is an error."""
-    radicand = m2 - m1 * m1
-    if radicand < 0.0:
-        if radicand < -_RADICAND_EPS_S2:
-            raise InternalConsistencyError(
-                f"negative delay-spread radicand {radicand} s^2 exceeds rounding tolerance"
-            )
-        radicand = 0.0
-    return float(np.sqrt(radicand))
-
-
-def rms_delay_spread(pdp: PowerDelayProfile) -> float:
-    """Square root of the second central moment of the PDP."""
-    return _spread(*_pdp_moments(pdp))
-
-
-def k_factor(pdp: PowerDelayProfile) -> float:
-    """Ricean K-factor in dB of a thresholded profile.
-
-    Ratio of the strongest surviving bin to the aggregate power of all other
-    surviving bins (the average power of the scattered component in the
-    Ricean sense). When no scattered power is left, because one bin
-    survives or the others sum to nothing beside the peak in float64, the
-    K-factor is unbounded: ``+inf``. Callers handling NLOS profiles simply
-    do not ask for a K-factor.
-    """
-    surviving = pdp.powers_linear[pdp.powers_linear > 0.0]
-    if surviving.size == 0:
-        raise EmptyProfileError("no surviving bin in thresholded PDP")
-    peak = float(np.max(surviving))
-    rest = float(np.sum(surviving)) - peak
-    if rest <= 0.0:
-        return math.inf
-    return float(10.0 * np.log10(peak / rest))
-
-
-def count_clusters(pdp: PowerDelayProfile, threshold: float) -> int:
-    """Count resolvable multipath components as local PDP maxima: the bins
-    strictly above ``threshold`` and strictly greater than both neighbours
-    (boundary bins compare against their single neighbour). Two such
-    maxima are never adjacent."""
-    p = pdp.powers_linear
-    peaks = p > threshold
-    peaks[1:] &= p[1:] > p[:-1]
-    peaks[:-1] &= p[:-1] > p[1:]
-    return int(np.count_nonzero(peaks))
+    return _moments(delays_s, powers, powers.sum(axis=-1))[2]
 
 
 def extract_parameters(pdp: PowerDelayProfile, los_flag: bool) -> ChannelParameters:
     """Run the full extraction chain on a raw or a normalized PDP.
 
     The threshold of :func:`noise_threshold`, thresholding, normalization,
-    the delay-moment formulas, the K-factor (LOS profiles only) and the
-    cluster count, in that order. Clusters are counted on the normalized
-    profile, against the threshold scaled by the same peak.
+    then the statistics and the K-factor (LOS profiles only) of the
+    normalized profile, clusters counted against the threshold scaled by
+    the same peak.
     """
     threshold = noise_threshold(pdp)
-    cleaned = normalize_pdp(threshold_pdp(pdp, threshold), threshold)
-    m1, m2 = _pdp_moments(cleaned)
-    ds = _spread(m1, m2)
-    kf = k_factor(cleaned) if los_flag else None
-    clusters = count_clusters(cleaned, threshold / float(np.max(pdp.powers_linear)))
+    delays, kept = _aligned(pdp.delays_s, _kept(pdp.powers_linear, threshold), threshold)
+    peak = float(np.max(pdp.powers_linear))
+    m1, m2, ds, clusters = _statistics(delays, kept, threshold / peak)
     return ChannelParameters(
         rms_delay_spread_s=ds,
         mean_excess_delay_s=m1,
         second_moment_s2=m2,
-        k_factor_db=kf,
+        k_factor_db=_k_factor(kept) if los_flag else None,
         cluster_count=clusters,
     )
 
@@ -302,9 +279,12 @@ def compare_pdps(measured: PowerDelayProfile, simulated: PowerDelayProfile) -> C
     _require_normalized("simulated", simulated)
     thresh_m = noise_threshold(measured)
     thresh_s = noise_threshold(simulated)
-
-    ds_m = rms_delay_spread(threshold_pdp(measured, thresh_m))
-    ds_s = rms_delay_spread(threshold_pdp(simulated, thresh_s))
+    _, _, ds_m, count_m = _statistics(
+        measured.delays_s, _kept(measured.powers_linear, thresh_m), thresh_m
+    )
+    _, _, ds_s, count_s = _statistics(
+        simulated.delays_s, _kept(simulated.powers_linear, thresh_s), thresh_s
+    )
     ds_error = abs(ds_s - ds_m)
     if ds_error == 0.0:
         ds_rel = 0.0
@@ -312,8 +292,6 @@ def compare_pdps(measured: PowerDelayProfile, simulated: PowerDelayProfile) -> C
         ds_rel = ds_error / ds_m
     else:
         raise ValidationError("measured delay spread is 0; relative error undefined")
-
-    cluster_diff = count_clusters(simulated, thresh_s) - count_clusters(measured, thresh_m)
 
     _, aligned_m, aligned_s = align_to_finer_grid(measured, simulated)
     union = (aligned_m > thresh_m) | (aligned_s > thresh_s)
@@ -323,7 +301,7 @@ def compare_pdps(measured: PowerDelayProfile, simulated: PowerDelayProfile) -> C
     return ComparisonReport(
         ds_error_s=float(ds_error),
         ds_relative_error=float(ds_rel),
-        cluster_count_diff=int(cluster_diff),
+        cluster_count_diff=count_s - count_m,
         mean_abs_db_deviation=float(np.mean(dev)),
     )
 

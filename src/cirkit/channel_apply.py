@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .signal import IqSignal, _frozen_complex
+from .signal import IqSignal, _frozen
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class SyntheticChannel:
     taps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "taps", _frozen_complex(self.taps))
+        object.__setattr__(self, "taps", _frozen(self.taps, np.complex128))
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise ValidationError("channel taps must be a non-empty 1-D vector")
         if not np.all(np.isfinite(self.taps)):

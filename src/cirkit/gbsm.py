@@ -32,6 +32,7 @@ from .analysis import (
 )
 from .channel_apply import check_seed
 from .errors import ValidationError
+from .signal import _freeze
 from .sounder import _map_chunks
 
 DEFAULT_R_TAU = 2.3
@@ -57,6 +58,8 @@ LARGE_SCALE = slice(0, 2)
 # from K = 2**53 on; below 2**52 the clusters keep some power.
 _DS_RANGE_S = (1e-100, 1e100)
 _MAX_K_FACTOR_DB = 10.0 * math.log10(2.0**52)
+# the largest snapshot, tap or cluster count: a dataset header's uint32
+_MAX_COUNT = 2**32 - 1
 # dataset rows rendered at once inside a chunk: each temporary of the
 # kernel, (rows, paths, 16) floats, stays near 200 KB
 _RENDER_ROWS = 64
@@ -68,7 +71,8 @@ class ScenarioConfig:
 
     ``ds_sigma_log10`` is the standard deviation of log10(DS/1s);
     ``kf_sigma_db`` the standard deviation of the K-factor in dB (normal in
-    dB is log-normal in linear).
+    dB is log-normal in linear). A rejection of one field's finite value
+    starts with its name, for ``io.parse_config_text`` to read.
     """
 
     label: str
@@ -86,18 +90,19 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.ds_median_s > 0:
             raise ValidationError("ds_median_s must be > 0")
-        if not (self.ds_sigma_log10 >= 0 and self.kf_sigma_db >= 0):
-            raise ValidationError("spread parameters must be >= 0")
-        if self.num_clusters < 1:
-            raise ValidationError("num_clusters must be >= 1")
+        for name in ("ds_sigma_log10", "kf_sigma_db"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0")
+        for name in ("num_clusters", "cir_length_taps"):
+            count = getattr(self, name)
+            if not 1 <= count <= _MAX_COUNT:
+                raise ValidationError(f"{name} must be in [1, {_MAX_COUNT}], got {count}")
         if not self.delay_proportionality_r_tau > 1.0:
-            raise ValidationError("delay proportionality factor r_tau must be > 1")
+            raise ValidationError("delay_proportionality_r_tau must be > 1")
         if not self.per_cluster_shadowing_db >= 0:
             raise ValidationError("per_cluster_shadowing_db must be >= 0")
         if self.sample_rate_hz <= 0 or not math.isfinite(self.sample_rate_hz):
             raise ValidationError("sample_rate_hz must be finite and positive")
-        if self.cir_length_taps < 1:
-            raise ValidationError("cir_length_taps must be >= 1")
         if self.los and self.kf_median_db is None:
             raise ValidationError("LOS scenario requires kf_median_db")
         if not self.los and self.kf_median_db is not None:
@@ -430,7 +435,7 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> 
         cols, support = _render_support(block.delays, block.powers, words, block.los, config)
         add_rows(power[cols], np.abs(support) ** 2)
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
-    pdp = PowerDelayProfile(delays, power / n_realizations)
+    pdp = PowerDelayProfile(*_freeze(delays, power / n_realizations))
     return normalize_pdp(pdp, noise_threshold(pdp))
 
 
@@ -452,17 +457,11 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) ->
     root = check_seed(rng_seed)
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if count > cirkit_io.MAX_DATASET_SNAPSHOTS:
+    if count > _MAX_COUNT:
         raise ValidationError(
-            f"count {count} exceeds the {cirkit_io.MAX_DATASET_SNAPSHOTS} snapshots "
-            "a dataset file can hold"
+            f"count {count} exceeds the {_MAX_COUNT} snapshots a dataset file can hold"
         )
     taps = config.cir_length_taps
-    if taps > cirkit_io.MAX_DATASET_TAPS:
-        raise ValidationError(
-            f"cir_length_taps {taps} exceeds the {cirkit_io.MAX_DATASET_TAPS} taps "
-            "a dataset file can hold"
-        )
 
     def render_chunk(start: int, buffers) -> np.ndarray:
         rows = min(CHUNK_ROWS, count - start)

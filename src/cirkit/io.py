@@ -45,14 +45,12 @@ from .errors import (
     ValidationError,
 )
 from .gbsm import ScenarioConfig
-from .signal import IqSignal, _frozen_complex, _read_target, check_capture
+from .signal import IqSignal, _freeze, _frozen, _read_target, check_capture
 
 DATASET_MAGIC = b"CHDS"
 DATASET_VERSION = 1
 _HEADER_FMT = "<4sHIIdI"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)  # 26 bytes
-MAX_DATASET_SNAPSHOTS = 2**32 - 1  # the header stores the count as uint32
-MAX_DATASET_TAPS = 2**32 - 1  # and the taps per snapshot as uint32
 
 # file key -> (ScenarioConfig field, kind), in the canonical key order of the
 # text; identical configs produce identical bytes
@@ -362,8 +360,10 @@ def _config_value(kind, key: str, value: str, source: str, line_no: int):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Parse ``key=value`` scenario-config text into a validated config."""
+    """Parse ``key=value`` scenario-config text into a validated config; a
+    rejection names ``source``, and the line and key when one field is at fault."""
     found: dict = {}
+    keys: dict = {}  # field -> "source:line: key"
     for line_no, key, value in _key_values(text, source, ValidationError):
         where = f"{source}:{line_no}"
         if key not in _CONFIG_TABLE:
@@ -372,11 +372,17 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         if field in found:
             raise ValidationError(f"{where}: duplicate key {key!r}")
         found[field] = _config_value(kind, key, value, source, line_no)
+        keys[field] = f"{where}: {key}"
     fields = {**_CONFIG_ABSENT, **found}
     missing = sorted(key for key, (field, _) in _CONFIG_TABLE.items() if field not in fields)
     if missing:
         raise ValidationError(f"{source}: missing mandatory key {missing[0]!r}")
-    return ScenarioConfig(**fields)
+    try:
+        return ScenarioConfig(**fields)
+    except ValidationError as err:
+        field, _, rule = str(err).partition(" ")
+        message = f"{keys[field]} {rule}" if field in keys else f"{source}: {err}"
+        raise ValidationError(message) from err
 
 
 def write_config(path, config: ScenarioConfig, comments: tuple[str, ...] = ()) -> None:
@@ -451,7 +457,7 @@ def read_pdp_csv(path) -> PowerDelayProfile:
             first = int(np.argmax(off))
             raise CorruptFileError(f"{path}:{rows[first][0]}: delay off the uniform delay grid")
         delays_s = grid_ns * 1e-9
-    return PowerDelayProfile(delays_s, powers)
+    return PowerDelayProfile(*_freeze(delays_s, powers))
 
 
 def write_report(path, report: ComparisonReport, comments: tuple[str, ...] = ()) -> None:
@@ -472,7 +478,7 @@ class Dataset:
     config_text: str
 
     def __post_init__(self):
-        snaps = _frozen_complex(self.snapshots, np.complex64)
+        snaps = _frozen(self.snapshots, np.complex64)
         object.__setattr__(self, "snapshots", snaps)
         if snaps.ndim != 2 or snaps.size == 0:
             raise ValidationError("dataset snapshots must be a non-empty 2-D array")

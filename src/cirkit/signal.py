@@ -1,8 +1,10 @@
 """Complex baseband primitives: Zadoff-Chu sequences and correlation.
 
 All functions are pure and all values are immutable after construction, so
-they are safe to share between threads. Domain objects adopt a frozen
-array of the complex dtype they store as it is and copy anything else.
+they are safe to share between threads. Every domain object, a
+``PowerDelayProfile`` too, adopts a frozen array of the dtype it stores and
+copies anything else (:func:`_frozen`), so producers freeze (:func:`_freeze`)
+the fresh arrays they hand over.
 """
 
 from __future__ import annotations
@@ -27,18 +29,25 @@ def _is_frozen(arr: np.ndarray) -> bool:
     return isinstance(arr, bytes)
 
 
-def _frozen_complex(values, dtype=np.complex128) -> np.ndarray:
-    """A read-only ``dtype`` array of ``values``, the complex dtype its holder
-    stores: adopted without a copy when it already is one and frozen, copied
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only ``dtype`` array of ``values``, the dtype its holder stores:
+    adopted without a copy when it already is one and frozen, copied
     otherwise, so no caller can change a domain object behind its back."""
     if type(values) is np.ndarray and values.dtype == dtype and _is_frozen(values):
         return values
     try:
         arr = np.array(values, dtype=dtype)
     except ValueError as err:  # ragged rows or non-numeric values
-        raise ValidationError(f"not an array of complex values: {err}") from err
+        raise ValidationError(f"not an array of {np.dtype(dtype)} values: {err}") from err
     arr.setflags(write=False)
     return arr
+
+
+def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each made read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _read_target(out) -> np.ndarray:
@@ -83,7 +92,7 @@ class IqSignal:
     center_frequency_hz: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen_complex(self.samples))
+        object.__setattr__(self, "samples", _frozen(self.samples, np.complex128))
         if self.samples.ndim != 1:
             raise ValidationError("IqSignal requires a non-empty 1-D sample vector")
         check_capture(self.samples.size, self.sample_rate_hz, self.center_frequency_hz)

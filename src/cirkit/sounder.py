@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import CHUNK_ROWS, PowerDelayProfile, add_rows
 from .errors import ValidationError
-from .signal import IqSignal, _frozen_complex, circular_cross_correlate, is_prime, zadoff_chu
+from .signal import IqSignal, _freeze, _frozen, circular_cross_correlate, is_prime, zadoff_chu
 
 DEFAULT_SEQUENCE_LENGTH = 353
 DEFAULT_ROOT = 1
@@ -42,7 +42,7 @@ class SoundingWaveform:
     sample_rate_hz: float
 
     def __post_init__(self):
-        object.__setattr__(self, "base_sequence", _frozen_complex(self.base_sequence))
+        object.__setattr__(self, "base_sequence", _frozen(self.base_sequence, np.complex128))
         if not is_prime(self.base_sequence.size):
             raise ValidationError(
                 f"base sequence length must be prime, got {self.base_sequence.size}"
@@ -426,7 +426,7 @@ def estimate_pdp(
     for block in _cir_chunks(rx, waveform, taper_fraction, start):
         add_rows(power, block)
         rows += len(block)
-    return PowerDelayProfile(np.arange(n) * (1.0 / rx.sample_rate_hz), power / rows)
+    return PowerDelayProfile(*_freeze(np.arange(n) * (1.0 / rx.sample_rate_hz), power / rows))
 
 
 # periods transformed at once inside a chunk: 64 padded rows of about two

@@ -56,12 +56,14 @@ def test_c01_moment_formula_oracle_equivalence():
 
         m1, m2 = summed_moments(pdp)
         sigma = math.sqrt(max(m2 - m1 * m1, 0.0))
-        assert analysis.rms_delay_spread(pdp) == pytest.approx(sigma, rel=1e-12, abs=1e-30)
+        spread = analysis.discrete_delay_spread(pdp.delays_s, pdp.powers_linear)
+        assert spread == pytest.approx(sigma, rel=1e-12, abs=1e-30)
 
         # the moments extraction reports are those of the cleaned profile
         threshold = analysis.noise_threshold(pdp)
+        kept = np.where(powers < threshold, 0.0, powers)
         m1, m2 = summed_moments(
-            analysis.normalize_pdp(analysis.threshold_pdp(pdp, threshold), threshold)
+            analysis.normalize_pdp(PowerDelayProfile(pdp.delays_s, kept), threshold)
         )
         params = extract_parameters(pdp, los_flag=False)
         assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)
@@ -74,8 +76,8 @@ def test_c01_moment_formula_oracle_equivalence():
 @pytest.mark.parametrize("d", [1 * NS, 100 * NS, 1e-6])
 def test_c02_two_point_analytic_delay_spread(d):
     """Equal powers at separation d give sigma = d/2 to 1e-15 relative."""
-    pdp = PowerDelayProfile([0.0, d], [1.0, 1.0])
-    assert analysis.rms_delay_spread(pdp) == pytest.approx(d / 2.0, rel=1e-15)
+    spread = analysis.discrete_delay_spread(np.array([0.0, d]), np.array([1.0, 1.0]))
+    assert spread == pytest.approx(d / 2.0, rel=1e-15)
     report(2, f"two-point profile at d={d:.0e} s gives sigma=d/2 exactly")
 
 

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cirkit import gbsm
 from cirkit.analysis import (
     CHUNK_ROWS,
     ChannelParameters,
     PowerDelayProfile,
+    _k_factor,
+    _kept,
+    _statistics,
     add_rows,
     compare_pdps,
-    count_clusters,
+    discrete_delay_spread,
     estimate_noise_floor,
     extract_parameters,
-    k_factor,
     noise_threshold,
     normalize_pdp,
-    rms_delay_spread,
-    threshold_pdp,
 )
 from cirkit.errors import EmptyProfileError, InternalConsistencyError, ValidationError
 
@@ -36,7 +38,23 @@ def above(floor, margin_db=6.0):
 def cleaned_profile(pdp):
     """``pdp`` thresholded and normalized as ``extract_parameters`` does."""
     threshold = noise_threshold(pdp)
-    return normalize_pdp(threshold_pdp(pdp, threshold), threshold)
+    kept = PowerDelayProfile(pdp.delays_s, _kept(pdp.powers_linear, threshold))
+    return normalize_pdp(kept, threshold)
+
+
+def spread(pdp):
+    """The RMS delay spread of every bin of ``pdp``, by the one formula."""
+    return float(discrete_delay_spread(pdp.delays_s, pdp.powers_linear))
+
+
+def statistics(pdp, threshold):
+    """(m1, m2, DS, count) of ``pdp`` above ``threshold``: the step that
+    ``extract_parameters`` and ``compare_pdps`` share."""
+    return _statistics(pdp.delays_s, _kept(pdp.powers_linear, threshold), threshold)
+
+
+def count(pdp, threshold):
+    return statistics(pdp, threshold)[3]
 
 
 def oracle_moments(pdp):
@@ -92,6 +110,17 @@ class TestPowerDelayProfile:
             with pytest.raises(ValidationError, match="PDP delay"):
                 PowerDelayProfile([value], [1.0])
 
+    def test_frozen_float64_adopted_writable_copied(self):
+        delays = np.arange(4) * 1e-9
+        powers = np.ones(4)
+        delays.setflags(write=False)
+        pdp = PowerDelayProfile(delays, powers)
+        assert np.shares_memory(pdp.delays_s, delays)
+        assert not np.shares_memory(pdp.powers_linear, powers)
+        assert not pdp.powers_linear.flags.writeable
+        powers[0] = 0.0
+        assert pdp.powers_linear[0] == 1.0
+
 
 class TestNoiseFloor:
     def test_constant_profile(self):
@@ -123,28 +152,28 @@ class TestNoiseFloor:
 class TestThreshold:
     def test_all_above_unchanged(self):
         pdp = make_pdp(np.full(8, 1.0))
-        out = threshold_pdp(pdp, above(0.025))  # ~0.1
-        np.testing.assert_array_equal(out.powers_linear, pdp.powers_linear)
+        out = _kept(pdp.powers_linear, above(0.025))  # ~0.1
+        np.testing.assert_array_equal(out, pdp.powers_linear)
 
     def test_all_below_zeroed(self):
         pdp = make_pdp(np.full(8, 0.01))
-        out = threshold_pdp(pdp, above(1.0))
-        assert np.all(out.powers_linear == 0.0)
+        out = _kept(pdp.powers_linear, above(1.0))
+        assert np.all(out == 0.0)
         assert len(out) == 8
 
     def test_exact_mask_oracle(self):
         rng = np.random.default_rng(0)
         powers = rng.uniform(0.0, 1.0, 64)
         pdp = make_pdp(powers)
-        out = threshold_pdp(pdp, above(0.1))
+        out = _kept(pdp.powers_linear, above(0.1))
         cut = 0.1 * 10 ** 0.6
-        for original, now in zip(powers, out.powers_linear):
+        for original, now in zip(powers, out):
             assert now == (original if original >= cut else 0.0)
 
     def test_short_profile_keeps_every_bin(self):
         pdp = make_pdp([1.0, 0.0, 1e-300])
-        out = threshold_pdp(pdp, noise_threshold(pdp))
-        np.testing.assert_array_equal(out.powers_linear, pdp.powers_linear)
+        out = _kept(pdp.powers_linear, noise_threshold(pdp))
+        np.testing.assert_array_equal(out, pdp.powers_linear)
 
 
 class TestNormalize:
@@ -182,20 +211,22 @@ class TestMoments:
         params = extract_parameters(pdp, los_flag=False)
         assert params.mean_excess_delay_s == 0.0
         assert params.second_moment_s2 == 0.0
-        assert rms_delay_spread(pdp) == 0.0
+        assert params.rms_delay_spread_s == 0.0
+        assert spread(pdp) == 0.0
 
     def test_equal_taps_symmetry(self):
         pdp = PowerDelayProfile([0.0, 100 * NS], [1.0, 1.0])
         params = extract_parameters(pdp, los_flag=False)
         assert params.mean_excess_delay_s == pytest.approx(50 * NS, rel=1e-15)
         assert params.second_moment_s2 == pytest.approx(5000 * NS**2, rel=1e-15)
-        assert rms_delay_spread(pdp) == pytest.approx(50 * NS, rel=1e-15)
+        assert params.rms_delay_spread_s == pytest.approx(50 * NS, rel=1e-15)
+        assert spread(pdp) == pytest.approx(50 * NS, rel=1e-15)
 
     def test_random_profile_against_oracle(self):
         rng = np.random.default_rng(1)
         pdp = make_pdp(rng.uniform(0.0, 1.0, 64))
         m1, m2 = oracle_moments(pdp)
-        assert rms_delay_spread(pdp) == pytest.approx(np.sqrt(m2 - m1 * m1), rel=1e-12)
+        assert spread(pdp) == pytest.approx(np.sqrt(m2 - m1 * m1), rel=1e-12)
         params = extract_parameters(pdp, los_flag=False)
         m1, m2 = oracle_moments(cleaned_profile(pdp))
         assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)
@@ -213,12 +244,12 @@ class TestMoments:
         m1 = np.trapezoid(w * t, t) / np.trapezoid(w, t)
         m2 = np.trapezoid(w * t * t, t) / np.trapezoid(w, t)
         sigma_ref = np.sqrt(m2 - m1 * m1)
-        assert rms_delay_spread(pdp) == pytest.approx(sigma_ref, rel=5e-3)
+        assert spread(pdp) == pytest.approx(sigma_ref, rel=5e-3)
 
     def test_zero_power_rejected(self):
         pdp = make_pdp([0.0, 0.0])
-        with pytest.raises(ValidationError):
-            rms_delay_spread(pdp)
+        with pytest.raises(ValidationError, match="zero total power"):
+            statistics(pdp, 0.0)
         with pytest.raises(ValidationError):
             extract_parameters(pdp, los_flag=False)
 
@@ -230,31 +261,54 @@ class TestMoments:
         m1, m2 = oracle_moments(cleaned)
         assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)
         assert params.second_moment_s2 == pytest.approx(m2, rel=1e-12)
-        assert params.rms_delay_spread_s == rms_delay_spread(cleaned)
+        assert params.rms_delay_spread_s == spread(cleaned)
+
+    # equal delays: m2 - m1^2 is 0 in exact arithmetic and rounds below it,
+    # at 300 ns by 1.3e-29 s^2 and at 10 s by 1.4e-14 s^2
+    RADICAND_BELOW_ZERO = [
+        (3e-7, [0.13687617154257523, 0.1148748719756762]),
+        (10.0, [1 / 3, 2 / 3]),
+    ]
+
+    def test_radicand_below_zero_spreads_zero(self):
+        block_delays, block_powers = [], []
+        for delay, powers in self.RADICAND_BELOW_ZERO:
+            delays, powers = np.full(2, delay), np.array(powers)
+            m1 = np.sum(powers * delays) / powers.sum()
+            assert np.sum(powers * delays**2) / powers.sum() - m1 * m1 < 0.0
+            assert discrete_delay_spread(delays, powers) == 0.0
+            assert _statistics(delays, powers, 0.0)[2] == 0.0
+            block_delays.append(delays)
+            block_powers.append(powers)
+        spreads = discrete_delay_spread(np.array(block_delays), np.array(block_powers))
+        assert spreads.tolist() == [0.0, 0.0]
 
 
 class TestKFactor:
     def test_two_bin_definition(self):
-        pdp = make_pdp([1.0, 0.05])
-        assert k_factor(pdp) == pytest.approx(10 * np.log10(1 / 0.05), rel=1e-12)
+        kf = _k_factor(np.array([1.0, 0.05]))
+        assert kf == pytest.approx(10 * np.log10(1 / 0.05), rel=1e-12)
+        # under 16 bins nothing is thresholded away
+        params = extract_parameters(make_pdp([1.0, 0.05]), los_flag=True)
+        assert params.k_factor_db == kf
 
     def test_equal_taps_strongest_vs_rest(self):
         # 20 equal bins: strongest path over the aggregate of the 19 others
-        pdp = make_pdp(np.ones(20))
-        assert k_factor(pdp) == pytest.approx(10 * np.log10(1 / 19), rel=1e-12)
+        assert _k_factor(np.ones(20)) == pytest.approx(10 * np.log10(1 / 19), rel=1e-12)
 
     def test_single_survivor_unbounded(self):
         powers = np.zeros(8)
         powers[2] = 1.0
-        assert k_factor(make_pdp(powers)) == np.inf
+        assert _k_factor(powers) == np.inf
 
     def test_rest_below_rounding_unbounded(self):
         # 1 + 1e-20 rounds to 1: the other survivor leaves no scattered power
-        assert k_factor(make_pdp([1.0, 1e-20])) == np.inf
+        assert _k_factor(np.array([1.0, 1e-20])) == np.inf
+        assert extract_parameters(make_pdp([1.0, 1e-20]), los_flag=True).k_factor_db == np.inf
 
     def test_empty_profile_rejected(self):
         with pytest.raises(EmptyProfileError):
-            k_factor(make_pdp(np.zeros(4)))
+            _k_factor(np.zeros(4))
 
 
 class TestCountClusters:
@@ -262,44 +316,49 @@ class TestCountClusters:
         powers = np.full(32, 1e-6)
         powers[10] = 1.0
         pdp = make_pdp(powers)
-        assert count_clusters(pdp, above(1e-6)) == 1
+        assert count(pdp, above(1e-6)) == 1
 
     def test_all_noise(self):
         rng = np.random.default_rng(2)
         pdp = make_pdp(rng.uniform(0.9e-6, 1.1e-6, 64))
-        assert count_clusters(pdp, above(1e-6)) == 0
+        # noise alone leaves nothing to count: no bin reaches the statistics
+        assert not np.any(_kept(pdp.powers_linear, above(1e-6)))
+        with pytest.raises(ValidationError, match="zero total power"):
+            statistics(pdp, above(1e-6))
+        with pytest.raises(EmptyProfileError):
+            extract_parameters(pdp, los_flag=False)
 
     def test_synthetic_19_peaks(self):
         powers = np.full(80, 1e-3)
         positions = np.arange(2, 2 + 19 * 4, 4)
         powers[positions] = 1.0  # 10 dB above floor estimate would be fine; floor given
         pdp = make_pdp(powers)
-        assert count_clusters(pdp, above(1e-3)) == 19
+        assert count(pdp, above(1e-3)) == 19
 
     def test_boundary_peak_counted(self):
         powers = np.full(16, 1e-6)
         powers[0] = 1.0
         pdp = make_pdp(powers)
-        assert count_clusters(pdp, above(1e-6)) == 1
+        assert count(pdp, above(1e-6)) == 1
 
     def test_peaks_two_bins_apart_both_counted(self):
         powers = np.full(32, 1e-6)
         powers[10] = 1.0
         powers[12] = 0.5
         pdp = make_pdp(powers)
-        assert count_clusters(pdp, above(1e-6)) == 2
+        assert count(pdp, above(1e-6)) == 2
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(3)
         powers = rng.uniform(0.0, 1.0, 64)
         a = make_pdp(powers)
         b = make_pdp(powers * 123.0)
-        assert count_clusters(a, above(0.05)) == count_clusters(b, above(0.05 * 123.0))
+        assert count(a, above(0.05)) == count(b, above(0.05 * 123.0))
 
     def test_monotone_in_margin(self):
         rng = np.random.default_rng(4)
         pdp = make_pdp(rng.uniform(0.0, 1.0, 128))
-        counts = [count_clusters(pdp, above(0.02, margin)) for margin in np.arange(0.0, 18.0, 1.5)]
+        counts = [count(pdp, above(0.02, margin)) for margin in np.arange(0.0, 18.0, 1.5)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -317,14 +376,22 @@ class TestExtractParameters:
         powers = rng.uniform(0.0, 1.0, 64) ** 4
         pdp = make_pdp(powers)
         params = extract_parameters(pdp, los_flag=True)
-        threshold = noise_threshold(pdp)
-        manual = normalize_pdp(threshold_pdp(pdp, threshold), threshold)
+        manual = cleaned_profile(pdp)
         m1, m2 = oracle_moments(manual)
         assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)
         assert params.second_moment_s2 == pytest.approx(m2, rel=1e-12)
-        assert params.rms_delay_spread_s == rms_delay_spread(manual)
-        assert params.k_factor_db == k_factor(manual)
-        assert params.cluster_count == count_clusters(manual, threshold / np.max(powers))
+        assert params.rms_delay_spread_s == spread(manual)
+        surviving = manual.powers_linear[manual.powers_linear > 0]
+        kf = 10 * np.log10(surviving.max() / (surviving.sum() - surviving.max()))
+        assert params.k_factor_db == pytest.approx(kf, rel=1e-12)
+        p = manual.powers_linear
+        threshold = noise_threshold(pdp) / np.max(powers)
+        peaks = [
+            i for i in range(len(p))
+            if p[i] > threshold and (i == 0 or p[i] > p[i - 1])
+            and (i == len(p) - 1 or p[i] > p[i + 1])
+        ]
+        assert params.cluster_count == len(peaks)
 
     def test_nlos_never_reports_k_factor(self):
         rng = np.random.default_rng(6)
@@ -344,9 +411,9 @@ class TestInvarianceProperties:
         assert pa.second_moment_s2 == pytest.approx(pb.second_moment_s2, rel=1e-12)
         assert pa.k_factor_db == pytest.approx(pb.k_factor_db, rel=1e-12)
         assert pa.cluster_count == pb.cluster_count
-        assert rms_delay_spread(a) == pytest.approx(rms_delay_spread(b), rel=1e-12)
-        assert k_factor(a) == pytest.approx(k_factor(b), rel=1e-12)
-        assert count_clusters(a, above(0.01)) == count_clusters(b, above(0.075))
+        assert spread(a) == pytest.approx(spread(b), rel=1e-12)
+        assert _k_factor(powers) == pytest.approx(_k_factor(powers * 7.5), rel=1e-12)
+        assert count(a, above(0.01)) == count(b, above(0.075))
 
     def test_delay_shift_covariance(self):
         rng = np.random.default_rng(8)
@@ -354,7 +421,7 @@ class TestInvarianceProperties:
         shift = 500 * NS
         a = make_pdp(powers)
         b = make_pdp(powers, start_s=shift)
-        assert rms_delay_spread(b) == pytest.approx(rms_delay_spread(a), rel=1e-9)
+        assert spread(b) == pytest.approx(spread(a), rel=1e-9)
         # extraction measures delays from the first bin above the threshold
         pa = extract_parameters(a, los_flag=False)
         pb = extract_parameters(b, los_flag=False)
@@ -448,6 +515,35 @@ class TestComparePdps:
         with pytest.raises(ValidationError, match="measured delay spread is 0; relative error"):
             compare_pdps(single, make_pdp([1.0, 0.5]))
         assert compare_pdps(single, single).ds_relative_error == 0.0
+
+    # fourth powers of uniform draws: a floor of weak bins, some of them
+    # between it and the threshold, under a few strong ones
+    PROFILE = st.integers(1, 64).flatmap(
+        lambda n: st.lists(st.floats(0.0, 1.0).map(lambda x: x**4), min_size=n, max_size=n)
+    )
+    STEP = st.sampled_from([10 * NS, 39.0625 * NS, 78.125 * NS])
+
+    @settings(max_examples=150, deadline=None)
+    @given(PROFILE, STEP, PROFILE, STEP)
+    def test_ds_and_count_are_the_extraction_differences(self, measured, step_m,
+                                                         simulated, step_s):
+        """On normalized profiles whose first bin survives its own threshold,
+        extraction aligns nothing away, so both read the same statistics."""
+        sides = []
+        for powers, step in ((measured, step_m), (simulated, step_s)):
+            powers = np.array(powers)
+            assume(powers.max() > 0.0)
+            pdp = make_pdp(powers / powers.max(), step)
+            assume(pdp.powers_linear[0] > noise_threshold(pdp))
+            sides.append(pdp)
+        m, s = (extract_parameters(pdp, los_flag=False) for pdp in sides)
+        if m.rms_delay_spread_s == 0.0 and s.rms_delay_spread_s > 0.0:
+            with pytest.raises(ValidationError, match="measured delay spread is 0"):
+                compare_pdps(*sides)
+            return
+        report = compare_pdps(*sides)
+        assert report.ds_error_s == abs(s.rms_delay_spread_s - m.rms_delay_spread_s)
+        assert report.cluster_count_diff == s.cluster_count - m.cluster_count
 
 
 class TestRowPowers:

@@ -6,7 +6,7 @@ peak, and the 6 dB margin is applied to the carried floor at every step; the
 cluster count keeps the strict local maxima above the threshold, strongest
 first, at least ``REFERENCE_SEPARATION_BINS`` apart. Its K-factor is
 ``+inf`` where the survivors other than the peak sum to nothing beside it,
-as ``k_factor`` now has it; the earlier chain divided by zero there.
+as ``extract_parameters`` now has it; the earlier chain divided by zero there.
 ``extract_parameters`` must return the same delay spread, moments, K-factor
 and cluster count, compared with ``==``.
 """

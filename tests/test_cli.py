@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_io import replace_value
 
 import cirkit
 from cirkit import io
@@ -244,6 +245,32 @@ class TestSimulateAndDataset:
         assert main([command, "--config", str(config), *flags, str(out)]) == 1
         message = f"load-config: {config}:{line_no}: unknown key 'fixed_cluster'"
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("key", ["num_clusters", "cir_length_taps"])
+    @pytest.mark.parametrize(
+        "command, flags", [("simulate", ["--pdp-out"]), ("dataset", ["--count", "1", "--out"])]
+    )
+    def test_counts_beyond_a_dataset_header_fail_at_load_config(
+        self, tmp_path, capsys, monkeypatch, command, flags, key
+    ):
+        """A count of thirty 9s fails at load-config, naming file, line and
+        key, before any draw."""
+        text, line_no = replace_value(io.config_to_text(PRESETS["urban-nlos"]), key, "9" * 30)
+        config = tmp_path / "huge.cfg"
+        config.write_text(text)
+
+        def draw(*args):
+            raise AssertionError("drew from a config that cannot be")
+
+        monkeypatch.setattr("cirkit.gbsm._stream_block", draw)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), *flags, str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"cirkit {command}: load-config: {config}:{line_no}: {key} must be in "
+            f"[1, 4294967295], got {'9' * 30}\n"
+        )
         assert not out.exists()
 
 
@@ -546,21 +573,6 @@ def test_seed_outside_key_range_fails_at_seed_stage(tmp_path, capsys, argv):
     assert rc == 1
     assert "seed: seed must be an integer in [0, 2**64)" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-def test_taps_beyond_the_dataset_header_fail_at_the_dataset_stage(tmp_path, capsys):
-    config = tmp_path / "long.cfg"
-    long_cir = dataclasses.replace(PRESETS["urban-nlos"], cir_length_taps=5_000_000_000)
-    io.write_config(config, long_cir)
-    out = tmp_path / "d.chds"
-    rc = main(["dataset", "--config", str(config), "--count", "1", "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == (
-        "cirkit dataset: dataset: cir_length_taps 5000000000 exceeds the 4294967295 taps "
-        "a dataset file can hold\n"
-    )
-    assert not out.exists()
 
 
 def _out_of_memory(*args, **kwargs):

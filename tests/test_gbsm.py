@@ -87,6 +87,15 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError):
             dataclasses.replace(URBAN_NLOS, kf_median_db=5.0)
 
+    @pytest.mark.parametrize("field", ["num_clusters", "cir_length_taps"])
+    def test_counts_bounded_by_a_dataset_header(self, field):
+        largest = dataclasses.replace(URBAN_NLOS, **{field: 2**32 - 1})
+        assert getattr(largest, field) == 2**32 - 1
+        for value in (0, 2**32, int("9" * 30)):
+            message = rf"^{field} must be in \[1, 4294967295\], got {value}$"
+            with pytest.raises(ValidationError, match=message):
+                dataclasses.replace(URBAN_NLOS, **{field: value})
+
     def test_r_tau_must_exceed_one(self):
         with pytest.raises(ValidationError):
             dataclasses.replace(URBAN_NLOS, delay_proportionality_r_tau=1.0)
@@ -392,16 +401,16 @@ class TestGenerateDataset:
         assert peak < 1_000_000
 
     def test_taps_beyond_file_header_rejected_before_allocating(self, tmp_path):
-        config = dataclasses.replace(URBAN_NLOS, cir_length_taps=5_000_000_000)
+        # the config itself holds no more taps than a dataset header can
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match="cir_length_taps 5000000000 exceeds"):
-                generate_dataset(config, 1, 0, tmp_path / "x.chds")
+            with pytest.raises(ValidationError, match=r"^cir_length_taps must be in "
+                               r"\[1, 4294967295\], got 5000000000$"):
+                dataclasses.replace(URBAN_NLOS, cir_length_taps=5_000_000_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert not list(tmp_path.iterdir())
 
 
 # two-sided Kolmogorov-Smirnov critical value at alpha = 0.01 is

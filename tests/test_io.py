@@ -129,6 +129,32 @@ class TestConfig:
         with pytest.raises(ValidationError, match="kf_median_db"):
             io.read_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("num_clusters", "0", "num_clusters must be in [1, 4294967295], got 0"),
+            ("cir_length_taps", "4294967296",
+             "cir_length_taps must be in [1, 4294967295], got 4294967296"),
+            ("r_tau", "1.0", "r_tau must be > 1"),
+            ("kf_sigma_db", "-1.0", "kf_sigma_db must be >= 0"),
+        ],
+    )
+    def test_rejected_value_names_file_line_and_key(self, tmp_path, key, value, rule):
+        text, line_no = replace_value(io.config_to_text(PRESETS["urban-los"]), key, value)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:{line_no}: {rule}')}$"):
+            io.read_config(path)
+
+    def test_rejected_pair_names_the_file(self, tmp_path):
+        # two keys are at fault together, so no one line is named
+        text, _ = replace_value(io.config_to_text(PRESETS["urban-los"]), "los", "false")
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        message = f"{path}: NLOS scenario must not carry kf_median_db"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            io.read_config(path)
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "unknown.cfg"
         path.write_text(io.config_to_text(PRESETS["urban-nlos"]) + "mystery=1\n")
