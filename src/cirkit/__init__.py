@@ -1,7 +1,8 @@
 """cirkit: channel sounding, PDP analysis and cluster-based channel simulation.
 
-The pipeline runs measurement-side (sound a channel with a tiled prime-length
-Zadoff-Chu waveform, estimate impulse responses, average them into a power
+The pipeline runs measurement-side (sound a channel with a prime-length
+Zadoff-Chu base sequence, ``zadoff_chu``, tiled by ``build_sounding_signal``;
+estimate impulse responses by that same sequence, average them into a power
 delay profile, extract delay spread / K-factor / cluster count) and
 simulation-side (configure a stochastic cluster-delay-line generator from the
 extracted parameters and emit CIR datasets plus measured-vs-simulated
@@ -52,12 +53,10 @@ from .io import (
 from .signal import IqSignal, circular_cross_correlate, is_prime, zadoff_chu
 from .sounder import (
     CleanedCapture,
-    SoundingWaveform,
     build_sounding_signal,
     estimate_pdp,
     mitigate_artifacts,
     synchronize,
-    zadoff_chu_waveform,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "PowerDelayProfile",
     "ScenarioConfig",
     "SizeMismatchError",
-    "SoundingWaveform",
     "SyntheticChannel",
     "ValidationError",
     "add_awgn",
@@ -106,5 +104,4 @@ __all__ = [
     "write_pdp_csv",
     "write_report",
     "zadoff_chu",
-    "zadoff_chu_waveform",
 ]

@@ -25,6 +25,7 @@ import numpy as np
 from . import analysis, gbsm, io, sounder, svgplot
 from .channel_apply import SyntheticChannel, add_awgn, apply_channel
 from .errors import FileFormatError, InternalConsistencyError, ValidationError
+from .signal import _check_rate, zadoff_chu
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -58,13 +59,15 @@ def _load_config(spec: str) -> gbsm.ScenarioConfig:
     )
 
 
-def _waveform(args, sample_rate_hz: float) -> sounder.SoundingWaveform:
-    return sounder.zadoff_chu_waveform(
-        root=args.zc_root,
-        length=args.zc_length,
-        repetitions=args.repetitions,
-        sample_rate_hz=sample_rate_hz,
-    )
+def _base_sequence(args, transmit: bool = True) -> np.ndarray:
+    """The Zadoff-Chu base sequence of the waveform flags, with the
+    repetitions checked and, with ``transmit``, the sample rate: the
+    waveform's checks, made before any file is opened."""
+    sequence = zadoff_chu(args.zc_root, args.zc_length)
+    sounder._check_repetitions(args.repetitions)
+    if transmit:
+        _check_rate(args.sample_rate)
+    return sequence
 
 
 class _CaptureFile(io.IqReader):
@@ -76,7 +79,7 @@ class _CaptureFile(io.IqReader):
             super().read_into(lo, out, scratch)
 
 
-def _estimate_pdp(capture, waveform, taper):
+def _estimate_pdp(capture, sequence, taper):
     """Shared receive chain: mitigate, synchronize, estimate and average into
     the raw PDP. ``capture``, a ``_CaptureFile`` or the received signal in
     memory, is read through every stage a chunk at a time.
@@ -84,9 +87,9 @@ def _estimate_pdp(capture, waveform, taper):
     with _stage("mitigate"):
         cleaned = sounder.mitigate_artifacts(capture)
     with _stage("synchronize"):
-        offset = sounder.synchronize(cleaned, waveform)
+        offset = sounder.synchronize(cleaned, sequence)
     with _stage("estimate"):
-        return sounder.estimate_pdp(cleaned, waveform, taper, start=offset)
+        return sounder.estimate_pdp(cleaned, sequence, taper, start=offset)
 
 
 def _cmd_generate_sounding(args) -> int:
@@ -97,24 +100,25 @@ def _cmd_generate_sounding(args) -> int:
                 "snapshot averaging degenerate (3 or more recommended)",
                 file=sys.stderr,
             )
-        waveform = _waveform(args, args.sample_rate)
-        signal = sounder.build_sounding_signal(waveform, args.center_frequency)
+        sequence = _base_sequence(args)
+        signal = sounder.build_sounding_signal(
+            sequence, args.repetitions, args.sample_rate, args.center_frequency
+        )
     with _stage("write-iq"):
         io.write_iq(args.out, signal)
-    print(f"wrote {len(signal)} samples ({waveform.repetitions} x {waveform.period}) to {args.out}")
+    print(f"wrote {len(signal)} samples ({args.repetitions} x {sequence.size}) to {args.out}")
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
     sounder.check_taper(args.taper, "--taper")
     with _stage("waveform"):
-        # checked before the capture is opened; the delay step comes from
-        # the capture's rate, not the waveform's
-        waveform = _waveform(args, sounder.DEFAULT_SAMPLE_RATE_HZ)
+        # the delay step comes from the capture's rate
+        sequence = _base_sequence(args, transmit=False)
     with _stage("read-iq"):
         capture = _CaptureFile(args.rx)
     with capture:
-        raw = _estimate_pdp(capture, waveform, args.taper)
+        raw = _estimate_pdp(capture, sequence, args.taper)
     with _stage("normalize"):
         pdp = analysis.normalize_pdp(raw, analysis.noise_threshold(raw))
     with _stage("write-pdp"):
@@ -221,8 +225,6 @@ def _parse_channel_spec(
         amps.append(float(parts[1]))
     if not all(0 <= d < math.inf for d in delays):
         raise ValidationError("channel delays must be finite and >= 0")
-    if all(a == 0 for a in amps):
-        raise ValidationError("channel must have at least one nonzero amplitude")
     if np.rint(max(delays) * sample_rate_hz) >= period:  # a float, so no int overflow
         raise ValidationError(
             f"channel delay {max(delays)} s lies beyond one sounding period of {period} samples"
@@ -231,6 +233,8 @@ def _parse_channel_spec(
     taps = np.zeros(int(positions.max()) + 1, dtype=np.complex128)
     for pos, amp in zip(positions, amps):
         taps[pos] += amp
+    if not taps.any():  # paths that round to one tap may cancel
+        raise ValidationError("channel must have at least one nonzero amplitude on the tap grid")
     nonzero = np.nonzero(np.abs(taps) > 0)[0]
     return SyntheticChannel(taps), nonzero / sample_rate_hz, np.abs(taps[nonzero]) ** 2
 
@@ -240,16 +244,16 @@ def _cmd_loopback(args) -> int:
     with _stage("seed"):
         gbsm.check_seed(args.seed)
     with _stage("waveform"):
-        waveform = _waveform(args, args.sample_rate)
+        sequence = _base_sequence(args)
     with _stage("channel-spec"):
         channel, true_delays, true_powers = _parse_channel_spec(
-            args.channel_spec, args.sample_rate, waveform.period
+            args.channel_spec, args.sample_rate, sequence.size
         )
     with _stage("build"):
-        tx = sounder.build_sounding_signal(waveform)
+        tx = sounder.build_sounding_signal(sequence, args.repetitions, args.sample_rate)
     with _stage("apply-channel"):
         received = add_awgn(apply_channel(tx, channel), args.snr_db, args.seed)
-    raw = _estimate_pdp(received, waveform, args.taper)
+    raw = _estimate_pdp(received, sequence, args.taper)
     with _stage("extract"):
         params = analysis.extract_parameters(raw, los_flag=True)
 

@@ -32,8 +32,8 @@ from .analysis import (
 )
 from .channel_apply import check_seed
 from .errors import ValidationError
-from .signal import _freeze
-from .sounder import _map_chunks
+from .signal import _check_rate, _freeze
+from .sounder import DEFAULT_SAMPLE_RATE_HZ, DEFAULT_SEQUENCE_LENGTH, _map_chunks
 
 DEFAULT_R_TAU = 2.3
 DEFAULT_SHADOWING_DB = 3.0
@@ -101,8 +101,7 @@ class ScenarioConfig:
             raise ValidationError("delay_proportionality_r_tau must be > 1")
         if not self.per_cluster_shadowing_db >= 0:
             raise ValidationError("per_cluster_shadowing_db must be >= 0")
-        if self.sample_rate_hz <= 0 or not math.isfinite(self.sample_rate_hz):
-            raise ValidationError("sample_rate_hz must be finite and positive")
+        _check_rate(self.sample_rate_hz)
         if self.los and self.kf_median_db is None:
             raise ValidationError("LOS scenario requires kf_median_db")
         if not self.los and self.kf_median_db is not None:
@@ -126,8 +125,9 @@ def _table_preset(label: str, ds_ns: float, kf_db: float | None, clusters: int) 
         delay_proportionality_r_tau=DEFAULT_R_TAU,
         per_cluster_shadowing_db=DEFAULT_SHADOWING_DB,
         los=kf_db is not None,
-        sample_rate_hz=25.6e6,
-        cir_length_taps=353,
+        # the CIR spans one sounding period
+        sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
+        cir_length_taps=DEFAULT_SEQUENCE_LENGTH,
     )
 
 

@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .gbsm import ScenarioConfig
-from .signal import IqSignal, _freeze, _frozen, _read_target, check_capture
+from .signal import IqSignal, _check_rate, _freeze, _frozen, _read_target, check_capture
 
 DATASET_MAGIC = b"CHDS"
 DATASET_VERSION = 1
@@ -482,8 +482,7 @@ class Dataset:
         object.__setattr__(self, "snapshots", snaps)
         if snaps.ndim != 2 or snaps.size == 0:
             raise ValidationError("dataset snapshots must be a non-empty 2-D array")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ValidationError("sample_rate_hz must be finite and positive")
+        _check_rate(self.sample_rate_hz)
 
     @property
     def snapshot_count(self) -> int:

@@ -9,6 +9,7 @@ the fresh arrays they hand over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +69,19 @@ def _read_target(out) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _check_rate(sample_rate_hz: float) -> None:
+    """Raise ``ValidationError``, its message starting with the field's
+    name, unless ``sample_rate_hz`` is finite and positive."""
+    if not 0 < sample_rate_hz < math.inf:
+        raise ValidationError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
+
+
 def check_capture(samples: int, sample_rate_hz: float, center_frequency_hz: float) -> None:
     """The checks every capture passes, in memory or on disk: at least one
     sample, a finite positive rate and a non-negative carrier."""
     if samples == 0:
         raise ValidationError("IqSignal requires a non-empty 1-D sample vector")
-    if not np.isfinite(sample_rate_hz) or sample_rate_hz <= 0:
-        raise ValidationError(f"sample_rate_hz must be finite and positive, got {sample_rate_hz}")
+    _check_rate(sample_rate_hz)
     if not center_frequency_hz >= 0:
         raise ValidationError("center_frequency_hz must be >= 0")
 
@@ -132,7 +139,7 @@ def is_prime(n: int) -> bool:
 
 
 def zadoff_chu(root: int, length: int) -> np.ndarray:
-    """Generate a prime-length Zadoff-Chu sequence.
+    """Generate a prime-length Zadoff-Chu sequence, as a read-only array.
 
     Uses x[n] = exp(-i*pi*root*n*(n + length mod 2)/length): n*(n+1) for
     an odd length, n^2 for the one even prime, 2. Prime length guarantees
@@ -150,7 +157,7 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
     # that no root carries a large phase's rounding into the sequence
     n = np.arange(length, dtype=np.int64)
     k = n * (n + length % 2) % (2 * length) * root % (2 * length)
-    return np.exp(-1j * np.pi * k / length)
+    return _freeze(np.exp(-1j * np.pi * k / length))[0]
 
 
 def circular_cross_correlate(a, b) -> np.ndarray:

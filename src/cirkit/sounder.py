@@ -1,9 +1,10 @@
 """Channel sounding: from a received IQ capture to CIRs and an averaged PDP.
 
-The transmit side tiles a prime-length Zadoff-Chu sequence; the receive side
-removes capture artifacts, aligns to the sequence, deconvolves one channel
-impulse response per period and averages squared magnitudes into a power
-delay profile.
+The transmit side tiles a base sequence, by default a prime-length
+Zadoff-Chu one; the receive side takes the same sequence, removes capture
+artifacts, aligns to the sequence, deconvolves one channel impulse response
+per period of the sequence's length and averages squared magnitudes into a
+power delay profile. The sample rate is the capture's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .analysis import CHUNK_ROWS, PowerDelayProfile, add_rows
 from .errors import ValidationError
-from .signal import IqSignal, _freeze, _frozen, circular_cross_correlate, is_prime, zadoff_chu
+from .signal import IqSignal, _freeze, _frozen, circular_cross_correlate
 
 DEFAULT_SEQUENCE_LENGTH = 353
 DEFAULT_ROOT = 1
@@ -33,46 +34,30 @@ _SPIKE_THRESHOLD = 6.0
 _TAPER_GUARD_TAPS = 16
 
 
-@dataclass(frozen=True)
-class SoundingWaveform:
-    """A Zadoff-Chu base sequence tiled ``repetitions`` times."""
-
-    base_sequence: np.ndarray
-    repetitions: int
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_sequence", _frozen(self.base_sequence, np.complex128))
-        if not is_prime(self.base_sequence.size):
-            raise ValidationError(
-                f"base sequence length must be prime, got {self.base_sequence.size}"
-            )
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
-        if not np.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0:
-            raise ValidationError("sample_rate_hz must be finite and positive")
-
-    @property
-    def period(self) -> int:
-        return self.base_sequence.size
+def _sequence(values) -> np.ndarray:
+    """``values`` as a frozen complex128 base sequence, one period of the
+    sounding; anything but a non-empty 1-D array raises ``ValidationError``."""
+    sequence = _frozen(values, np.complex128)
+    if sequence.ndim != 1 or sequence.size == 0:
+        raise ValidationError(
+            f"base sequence must be a non-empty 1-D array, got shape {sequence.shape}"
+        )
+    return sequence
 
 
-def zadoff_chu_waveform(
-    root: int = DEFAULT_ROOT,
-    length: int = DEFAULT_SEQUENCE_LENGTH,
-    repetitions: int = DEFAULT_REPETITIONS,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-) -> SoundingWaveform:
-    """Build the standard sounding waveform (353 samples at 25.6 MS/s by default)."""
-    return SoundingWaveform(zadoff_chu(root, length), repetitions, sample_rate_hz)
+def _check_repetitions(repetitions: int) -> int:
+    """``repetitions`` when the sequence is tiled at least once."""
+    if not repetitions >= 1:
+        raise ValidationError("repetitions must be >= 1")
+    return repetitions
 
 
 def build_sounding_signal(
-    waveform: SoundingWaveform, center_frequency_hz: float = 0.0
+    sequence, repetitions: int, sample_rate_hz: float, center_frequency_hz: float = 0.0
 ) -> IqSignal:
-    """Concatenate ``repetitions`` copies of the base sequence."""
-    samples = np.tile(waveform.base_sequence, waveform.repetitions)
-    return IqSignal(samples, waveform.sample_rate_hz, center_frequency_hz)
+    """Concatenate ``repetitions`` copies of the base ``sequence``."""
+    samples = np.tile(_sequence(sequence), _check_repetitions(repetitions))
+    return IqSignal(samples, sample_rate_hz, center_frequency_hz)
 
 
 # samples per mitigation chunk: CHUNK_ROWS periods of the default sequence
@@ -334,20 +319,22 @@ def _median(mag: np.ndarray) -> float:
     return (mag[:half].max() + mag[half]) / 2  # the mean of the middle pair, as np.mean adds
 
 
-def synchronize(rx, waveform: SoundingWaveform) -> int:
-    """Locate the start of the first sequence period in the capture.
+def synchronize(rx, sequence) -> int:
+    """Locate the start of the first period of the base ``sequence`` in the
+    capture.
 
-    Correlates the first full window against the base sequence and returns
-    the lag with the largest correlation magnitude, in [0, period). ``rx``
-    is an ``IqSignal`` or any capture read by range; only the first period
-    is read.
+    Correlates the first full window against the sequence and returns the
+    lag with the largest correlation magnitude, in [0, period). ``rx`` is
+    an ``IqSignal`` or any capture read by range; only the first period is
+    read.
     """
-    n = waveform.period
+    sequence = _sequence(sequence)
+    n = sequence.size
     if len(rx) < 2 * n:
         raise ValidationError(
             f"capture too short to synchronize: {len(rx)} samples < 2 x {n}"
         )
-    corr = circular_cross_correlate(rx.read(0, n), waveform.base_sequence)
+    corr = circular_cross_correlate(rx.read(0, n), sequence)
     return int(np.argmax(np.abs(corr)))
 
 
@@ -390,23 +377,24 @@ def _smooth_length(size: int) -> int:
 
 def estimate_pdp(
     rx,
-    waveform: SoundingWaveform,
+    sequence,
     taper_fraction: float = DEFAULT_TAPER_FRACTION,
     start: int = 0,
 ) -> PowerDelayProfile:
-    """Estimate one CIR per complete sequence period of the capture from
-    sample ``start`` on, and average their squared magnitudes into a power
+    """Estimate one CIR per complete period of the base ``sequence`` in the
+    capture from sample ``start`` on, and average their squared magnitudes into a power
     delay profile. The noise floor is left unset; it is estimated
     downstream.
 
     Each period y is circularly convolved with the kernel
     g = IDFT(conj(X[k]) W[k] / |X[k]|^2), X the DFT of the base sequence
     and W the edge taper (1 without it): the spectral division
-    H = Y conj(X) / |X|^2, tapered, done in the delay domain. A prime-length
-    Zadoff-Chu sequence has |X[k]|^2 = N in every bin, so the division is
-    exact and needs no ridge term. The convolution is a linear one of
-    [y, y[:N-1]] with g, through FFTs of the smallest 2^a 3^b 5^c length
-    M >= 2N - 1, since the prime period N itself has no fast transform; see
+    H = Y conj(X) / |X|^2, tapered, done in the delay domain. The sequence
+    needs no zero DFT bin and nothing else: the division is exact and needs
+    no ridge term. A prime-length Zadoff-Chu sequence has |X[k]|^2 = N in
+    every bin. The convolution is a linear one of [y, y[:N-1]] with g,
+    through FFTs of the smallest 2^a 3^b 5^c length M >= 2N - 1, since the
+    period N, a prime by default, may have no fast transform; see
     ``_cir_chunks``. Each CIR equals the per-period DFT formula to rounding
     (within 1e-12 of the peak). With tapering enabled each CIR is
     additionally rotated right by a small guard so the taper kernel's
@@ -420,10 +408,11 @@ def estimate_pdp(
     length. ``rx`` is an ``IqSignal`` or any capture read by range, such as
     ``mitigate_artifacts``' result.
     """
-    n = waveform.period
+    sequence = _sequence(sequence)
+    n = sequence.size
     power = np.zeros(n)
     rows = 0
-    for block in _cir_chunks(rx, waveform, taper_fraction, start):
+    for block in _cir_chunks(rx, sequence, taper_fraction, start):
         add_rows(power, block)
         rows += len(block)
     return PowerDelayProfile(*_freeze(np.arange(n) * (1.0 / rx.sample_rate_hz), power / rows))
@@ -434,10 +423,10 @@ def estimate_pdp(
 _FFT_ROWS = 64
 
 
-def _cir_chunks(rx, waveform, taper_fraction, start):
-    """Deconvolve the complete periods from sample ``start`` on,
-    ``CHUNK_ROWS`` at a time, through ``_map_chunks``, and square the
-    CIRs' magnitudes.
+def _cir_chunks(rx, sequence, taper_fraction, start):
+    """Deconvolve the complete periods of the 1-D complex128 base
+    ``sequence`` from sample ``start`` on, ``CHUNK_ROWS`` at a time, through
+    ``_map_chunks``, and square the CIRs' magnitudes.
 
     A base sequence with a zero DFT bin, which no prime-length Zadoff-Chu
     sequence has, is rejected naming that bin. The kernel g of
@@ -453,8 +442,8 @@ def _cir_chunks(rx, waveform, taper_fraction, start):
     yielded in chunk order. Each block is read with those rows as the
     read's scratch.
     """
-    n = waveform.period
-    x_spec = np.fft.fft(waveform.base_sequence)
+    n = sequence.size
+    x_spec = np.fft.fft(sequence)
     ref_power = np.abs(x_spec) ** 2
     if not ref_power.all():
         # the first zero bin: the smallest of non-negative powers

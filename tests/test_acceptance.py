@@ -96,24 +96,27 @@ def test_c03_cazac_autocorrelation_floor():
 
 
 def _three_path_setup():
-    waveform = sounder.zadoff_chu_waveform()
+    sequence = zadoff_chu(sounder.DEFAULT_ROOT, sounder.DEFAULT_SEQUENCE_LENGTH)
     taps = np.zeros(9, dtype=complex)
     positions = (0, 3, 8)
     amplitudes = (1.0, 0.6, 0.3)
     for pos, amp in zip(positions, amplitudes):
         taps[pos] = amp
-    clean = apply_channel(sounder.build_sounding_signal(waveform), SyntheticChannel(taps))
-    return waveform, clean, positions, amplitudes
+    tx = sounder.build_sounding_signal(
+        sequence, sounder.DEFAULT_REPETITIONS, sounder.DEFAULT_SAMPLE_RATE_HZ
+    )
+    clean = apply_channel(tx, SyntheticChannel(taps))
+    return sequence, clean, positions, amplitudes
 
 
 def test_c04_estimator_fidelity():
     """Noiseless 3-path recovery to 1e-6; 20 dB median error < 10%, 100 seeds."""
     started = time.monotonic()
-    waveform, clean, positions, amplitudes = _three_path_setup()
+    sequence, clean, positions, amplitudes = _three_path_setup()
 
     # the 3 periods are identical, so their averaged profile carries each
     # period's path amplitudes
-    pdp = sounder.estimate_pdp(clean, waveform, taper_fraction=0.0)
+    pdp = sounder.estimate_pdp(clean, sequence, taper_fraction=0.0)
     mags = np.sqrt(pdp.powers_linear)
     assert set(np.argsort(mags)[-3:]) == set(positions)
     for pos, amp in zip(positions, amplitudes):
@@ -122,7 +125,7 @@ def test_c04_estimator_fidelity():
     median_errors = []
     for seed in range(100):
         noisy = add_awgn(clean, 20.0, seed)
-        pdp = sounder.estimate_pdp(noisy, waveform, taper_fraction=0.0)
+        pdp = sounder.estimate_pdp(noisy, sequence, taper_fraction=0.0)
         mags = np.sqrt(pdp.powers_linear)
         assert set(np.argsort(mags)[-3:]) == set(positions), f"positions wrong at seed {seed}"
         errs = [abs(mags[p] - a) / a for p, a in zip(positions, amplitudes)]

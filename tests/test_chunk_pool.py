@@ -22,7 +22,7 @@ from test_streaming import noisy_samples, whole_chain_powers, with_spikes, write
 
 from cirkit import io, sounder
 from cirkit.cli import main
-from cirkit.sounder import zadoff_chu_waveform
+from cirkit.signal import zadoff_chu
 
 ROWS = sounder.CHUNK_ROWS
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,10 +55,10 @@ def run_estimate(path, tmp_path, name, *flags):
 
 
 def streamed_powers(path, taper=sounder.DEFAULT_TAPER_FRACTION):
-    waveform = zadoff_chu_waveform()
+    sequence = zadoff_chu(sounder.DEFAULT_ROOT, sounder.DEFAULT_SEQUENCE_LENGTH)
     cleaned = sounder.mitigate_artifacts(io.IqReader(path))
-    offset = sounder.synchronize(cleaned, waveform)
-    return sounder.estimate_pdp(cleaned, waveform, taper, start=offset).powers_linear
+    offset = sounder.synchronize(cleaned, sequence)
+    return sounder.estimate_pdp(cleaned, sequence, taper, start=offset).powers_linear
 
 
 EDGE = sounder._CHUNK_SAMPLES

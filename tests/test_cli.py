@@ -17,14 +17,20 @@ from cirkit.analysis import PowerDelayProfile
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.cli import _parse_channel_spec, main
 from cirkit.gbsm import PRESETS
-from cirkit.signal import IqSignal
-from cirkit.sounder import build_sounding_signal, zadoff_chu_waveform
+from cirkit.signal import IqSignal, zadoff_chu
+from cirkit.sounder import DEFAULT_SAMPLE_RATE_HZ, build_sounding_signal
+
+SEQUENCE = zadoff_chu(1, 353)
+
+
+def sounding(repetitions=3):
+    """The default sounding: the length-353 root-1 sequence at 25.6 MS/s."""
+    return build_sounding_signal(SEQUENCE, repetitions, DEFAULT_SAMPLE_RATE_HZ)
 
 
 def make_capture(tmp_path, taps=(1.0, 0.0, 0.5), snr_db=None, seed=0):
     """Synthesize a received capture file through a known channel."""
-    waveform = zadoff_chu_waveform()
-    rx = apply_channel(build_sounding_signal(waveform), SyntheticChannel(list(taps)))
+    rx = apply_channel(sounding(), SyntheticChannel(list(taps)))
     if snr_db is not None:
         rx = add_awgn(rx, snr_db, seed)
     path = tmp_path / "rx.iq"
@@ -82,9 +88,8 @@ class TestEstimate:
         """The streamed receive chain holds one chunk and the spike list;
         three captures, the raw one, the cleaned one and its magnitudes,
         was the most the whole-array chain held and stays the ceiling."""
-        waveform = zadoff_chu_waveform(repetitions=1000)
         rx = add_awgn(
-            apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.5])),
+            apply_channel(sounding(1000), SyntheticChannel([1.0, 0.0, 0.5])),
             20.0,
             1,
         )
@@ -397,10 +402,9 @@ class TestLoopback:
         ds, clusters = re.search(r"recovered DS +([\d.]+) ns +\((\d+) clusters", printed).groups()
         kf = re.search(r"recovered KF +(\S+)", printed).group(1)
 
-        waveform = zadoff_chu_waveform(repetitions=700)
-        channel, _, _ = _parse_channel_spec(spec, waveform.sample_rate_hz, waveform.period)
+        channel, _, _ = _parse_channel_spec(spec, DEFAULT_SAMPLE_RATE_HZ, SEQUENCE.size)
         rx, pdp = tmp_path / "rx.iq", tmp_path / "pdp.csv"
-        io.write_iq(rx, add_awgn(apply_channel(build_sounding_signal(waveform), channel), 20.0, 4))
+        io.write_iq(rx, add_awgn(apply_channel(sounding(700), channel), 20.0, 4))
         assert main(["estimate", "--rx", str(rx), "--taper", taper, "--pdp-out", str(pdp)]) == 0
         assert main(["extract", "--pdp", str(pdp), "--los",
                      "--out-config", str(tmp_path / "c.cfg")]) == 0
@@ -434,6 +438,24 @@ class TestLoopback:
         assert f"channel-spec: channel delay {float(delay)} s lies beyond" in err
         assert "period of 353 samples" in err
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("snr", [[], ["--snr-db", "10"]], ids=["noiseless", "10dB"])
+    @pytest.mark.parametrize("spec", ["0,1;1e-8,-1", "0,0.5;0,-0.5", "0,0"])
+    def test_paths_that_cancel_on_the_tap_grid_fail_at_channel_spec(
+        self, capsys, monkeypatch, spec, snr
+    ):
+        """0 and 10 ns both round to tap 0 at 25.6 MS/s, where amplitudes 1
+        and -1 cancel: the spec is refused by name before the sounding is
+        built, not at ``extract`` or ``apply-channel``."""
+        monkeypatch.setattr("cirkit.sounder.build_sounding_signal", _no_work)
+        rc = main(["loopback", "--channel-spec", spec, *snr])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            "cirkit loopback: channel-spec: "
+            "channel must have at least one nonzero amplitude on the tap grid\n"
+        )
+        assert captured.out == ""
 
     def test_delay_at_the_last_tap_of_the_period_is_taken(self):
         channel, delays, _ = _parse_channel_spec("0,1;1.375e-5,1", 25.6e6, 353)
@@ -543,6 +565,27 @@ def test_bad_waveform_fails_at_the_waveform_stage(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == f"cirkit {command}: waveform: {message}\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, stage", [("generate-sounding", "generate-sounding"), ("loopback", "waveform")]
+)
+@pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
+def test_bad_sample_rate_fails_at_the_waveform_stage(
+    tmp_path, capsys, monkeypatch, command, stage, rate
+):
+    """Named by the capture's rule, before the channel spec is parsed, the
+    sounding built or a file written."""
+    monkeypatch.setattr("cirkit.sounder.build_sounding_signal", _no_work)
+    monkeypatch.setattr("cirkit.cli._parse_channel_spec", _no_work)
+    out = ["--out", str(tmp_path / "tx.iq")] if command == "generate-sounding" else []
+    rc = main([command, f"--sample-rate={rate}", *out])
+    captured = capsys.readouterr()
+    assert rc == 1
+    message = f"sample_rate_hz must be finite and positive, got {float(rate)}"
+    assert captured.err == f"cirkit {command}: {stage}: {message}\n"
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
 

@@ -137,6 +137,8 @@ class TestConfig:
              "cir_length_taps must be in [1, 4294967295], got 4294967296"),
             ("r_tau", "1.0", "r_tau must be > 1"),
             ("kf_sigma_db", "-1.0", "kf_sigma_db must be >= 0"),
+            ("sample_rate_hz", "0.0", "sample_rate_hz must be finite and positive, got 0.0"),
+            ("sample_rate_hz", "-1", "sample_rate_hz must be finite and positive, got -1.0"),
         ],
     )
     def test_rejected_value_names_file_line_and_key(self, tmp_path, key, value, rule):

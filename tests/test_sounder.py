@@ -4,43 +4,47 @@ import pytest
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.errors import ValidationError
 from cirkit.signal import IqSignal, zadoff_chu
-from cirkit.sounder import (
-    SoundingWaveform,
-    build_sounding_signal,
-    estimate_pdp,
-    mitigate_artifacts,
-    synchronize,
-    zadoff_chu_waveform,
-)
+from cirkit.sounder import build_sounding_signal, estimate_pdp, mitigate_artifacts, synchronize
 
 RATE = 25.6e6
+SEQ = zadoff_chu(1, 53)
+N = SEQ.size
 
 
-def small_waveform(repetitions=3):
-    return zadoff_chu_waveform(root=1, length=53, repetitions=repetitions, sample_rate_hz=RATE)
+def sounding(repetitions=3, sequence=SEQ):
+    return build_sounding_signal(sequence, repetitions, RATE)
 
 
 class TestSoundingWaveform:
-    def test_non_prime_length_rejected(self):
-        with pytest.raises(ValidationError, match="prime"):
-            SoundingWaveform(np.ones(12), 3, RATE)
+    """The tiled sounding waveform that ``build_sounding_signal`` builds."""
 
     def test_zero_repetitions_rejected(self):
-        with pytest.raises(ValidationError):
-            SoundingWaveform(zadoff_chu(1, 5), 0, RATE)
+        with pytest.raises(ValidationError, match="repetitions must be >= 1"):
+            build_sounding_signal(zadoff_chu(1, 5), 0, RATE)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_rate_rejected_by_name(self, rate):
+        message = f"^sample_rate_hz must be finite and positive, got {rate}$"
+        with pytest.raises(ValidationError, match=message):
+            build_sounding_signal(zadoff_chu(1, 5), 3, rate)
+
+    @pytest.mark.parametrize("sequence", [np.zeros(0), np.ones((2, 5))])
+    def test_sequence_that_is_not_one_period_rejected(self, sequence):
+        with pytest.raises(ValidationError, match="base sequence must be a non-empty 1-D array"):
+            build_sounding_signal(sequence, 3, RATE)
 
     def test_build_tiles_sequence(self):
-        wf = SoundingWaveform(zadoff_chu(1, 5), 3, RATE)
-        sig = build_sounding_signal(wf)
+        seq = zadoff_chu(1, 5)
+        sig = build_sounding_signal(seq, 3, RATE, 2.4e9)
         assert len(sig) == 15
-        np.testing.assert_array_equal(sig.samples, np.tile(wf.base_sequence, 3))
-        np.testing.assert_array_equal(sig.samples[:5], wf.base_sequence)
+        assert (sig.sample_rate_hz, sig.center_frequency_hz) == (RATE, 2.4e9)
+        np.testing.assert_array_equal(sig.samples, np.tile(seq, 3))
+        np.testing.assert_array_equal(sig.samples[:5], seq)
 
     def test_build_energy(self):
-        wf = small_waveform()
-        sig = build_sounding_signal(wf)
+        sig = sounding()
         energy = sum(abs(v) ** 2 for v in sig.samples)
-        assert abs(energy - wf.repetitions * wf.period) < 1e-10
+        assert abs(energy - 3 * N) < 1e-10
 
 
 class TestMitigateArtifacts:
@@ -59,7 +63,7 @@ class TestMitigateArtifacts:
         assert np.max(np.abs(out.read(0, tone.size) - tone)) < 1e-12
 
     def test_spike_suppressed(self):
-        sig = build_sounding_signal(small_waveform(repetitions=9))
+        sig = sounding(repetitions=9)
         corrupted = sig.samples.copy()
         corrupted[100] = 100.0 + 0.0j
         out = mitigate_artifacts(IqSignal(corrupted, RATE))
@@ -73,54 +77,47 @@ class TestMitigateArtifacts:
 
 class TestSynchronize:
     def test_ideal_capture_offset_zero(self):
-        wf = small_waveform()
-        assert synchronize(build_sounding_signal(wf), wf) == 0
+        assert synchronize(sounding(), SEQ) == 0
 
     def test_delayed_capture(self):
-        wf = small_waveform()
-        tx = build_sounding_signal(wf)
+        tx = sounding()
         rx = IqSignal(np.concatenate([np.zeros(7), tx.samples]), RATE)
-        assert synchronize(rx, wf) == 7
+        assert synchronize(rx, SEQ) == 7
 
     def test_delayed_capture_with_noise(self):
-        wf = small_waveform()
-        tx = build_sounding_signal(wf)
+        tx = sounding()
         rx = IqSignal(np.concatenate([np.zeros(7), tx.samples]), RATE)
         noisy = add_awgn(rx, 20.0, 123)
-        assert synchronize(noisy, wf) == 7
+        assert synchronize(noisy, SEQ) == 7
 
     def test_too_short_rejected(self):
-        wf = small_waveform()
         with pytest.raises(ValidationError, match="short"):
-            synchronize(IqSignal(np.ones(wf.period), RATE), wf)
+            synchronize(IqSignal(np.ones(N), RATE), SEQ)
 
 
 class TestEstimateCirs:
     """Per-period deconvolution, seen through ``estimate_pdp``'s average."""
 
     def test_identity_channel(self):
-        wf = small_waveform()
-        rx = build_sounding_signal(wf)
-        powers = estimate_pdp(rx, wf, taper_fraction=0.0).powers_linear
+        rx = sounding()
+        powers = estimate_pdp(rx, SEQ, taper_fraction=0.0).powers_linear
         assert abs(powers[0] - 1.0) < 1e-9
         assert np.max(powers[1:]) < 1e-18
 
     def test_two_tap_channel_recovered(self):
-        wf = small_waveform()
-        tx = build_sounding_signal(wf)
+        tx = sounding()
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5]))
-        powers = estimate_pdp(rx, wf, taper_fraction=0.0).powers_linear
+        powers = estimate_pdp(rx, SEQ, taper_fraction=0.0).powers_linear
         assert abs(np.sqrt(powers[0]) - 1.0) < 1e-6
         assert abs(np.sqrt(powers[2]) - 0.5) < 1e-6
         others = np.delete(powers, [0, 2])
         assert np.max(np.sqrt(others)) < 1e-6
 
     def test_matches_spectral_division_formula(self):
-        wf = small_waveform(repetitions=1)
         rng = np.random.default_rng(5)
-        rx = IqSignal(rng.standard_normal(wf.period) + 1j * rng.standard_normal(wf.period), RATE)
-        powers = estimate_pdp(rx, wf, taper_fraction=0.0).powers_linear
-        x = np.fft.fft(wf.base_sequence)
+        rx = IqSignal(rng.standard_normal(N) + 1j * rng.standard_normal(N), RATE)
+        powers = estimate_pdp(rx, SEQ, taper_fraction=0.0).powers_linear
+        x = np.fft.fft(SEQ)
         expected = np.fft.ifft(np.fft.fft(rx.samples) * np.conj(x) / np.abs(x) ** 2)
         # h within 1e-12 of the formula's e puts |h|^2 within
         # (|e| + 1e-12)^2 - |e|^2 of |e|^2
@@ -130,62 +127,77 @@ class TestEstimateCirs:
     def test_partial_capture_returns_explicit_count(self):
         # the partial third period is left out: the profile is the mean of
         # the first two periods' own profiles
-        wf = small_waveform(repetitions=3)
-        tx = build_sounding_signal(wf)
-        rx = IqSignal(tx.samples[: 2 * wf.period + 10], RATE)
+        tx = sounding(repetitions=3)
+        rx = IqSignal(tx.samples[: 2 * N + 10], RATE)
         periods = [
-            estimate_pdp(IqSignal(tx.samples[p * wf.period : (p + 1) * wf.period], RATE), wf)
+            estimate_pdp(IqSignal(tx.samples[p * N : (p + 1) * N], RATE), SEQ)
             for p in range(2)
         ]
         expected = (periods[0].powers_linear + periods[1].powers_linear) / 2
-        assert np.array_equal(estimate_pdp(rx, wf).powers_linear, expected)
+        assert np.array_equal(estimate_pdp(rx, SEQ).powers_linear, expected)
+
+    def test_sequence_of_any_length_without_a_zero_bin(self):
+        """Deconvolution needs a sequence with no zero DFT bin, not a prime
+        length: a random one of 12 samples recovers the channel exactly."""
+        rng = np.random.default_rng(1)
+        seq = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        assert np.abs(np.fft.fft(seq)).min() > 1.0
+        taps = np.array([1.0, 0.0, 0.4j, 0.2, 0.0, -0.1])
+        rx = apply_channel(build_sounding_signal(seq, 4, RATE), SyntheticChannel(taps))
+        assert synchronize(rx, seq) == 0
+        pdp = estimate_pdp(rx, seq, taper_fraction=0.0)
+        expected = np.zeros(12)
+        expected[: taps.size] = np.abs(taps) ** 2
+        assert np.array_equal(pdp.delays_s, np.arange(12) * (1.0 / RATE))
+        assert np.max(np.abs(pdp.powers_linear - expected)) <= 1e-12 * expected.max()
 
     def test_zero_energy_reference_rejected(self):
-        wf = SoundingWaveform(np.zeros(5), 3, RATE)
         rx = IqSignal(np.ones(15), RATE)
-        with pytest.raises(ValidationError, match="zero energy"):
-            estimate_pdp(rx, wf)
+        with pytest.raises(ValidationError, match="zero energy in DFT bin 0$"):
+            estimate_pdp(rx, np.zeros(5))
 
     def test_zero_reference_bin_rejected_by_index(self):
         # all ones: the whole energy in bin 0, bins 1 to 4 exactly zero
-        wf = SoundingWaveform(np.ones(5), 3, RATE)
         rx = IqSignal(np.ones(15), RATE)
         with pytest.raises(ValidationError, match="zero energy in DFT bin 1$"):
-            estimate_pdp(rx, wf)
+            estimate_pdp(rx, np.ones(5))
+
+    @pytest.mark.parametrize("sequence", [np.zeros(0), np.ones((3, 5)), [[]]])
+    def test_sequence_that_is_not_one_period_rejected(self, sequence):
+        rx = IqSignal(np.ones(15), RATE)
+        for call in (synchronize, estimate_pdp):
+            with pytest.raises(ValidationError, match="base sequence must be a non-empty 1-D"):
+                call(rx, sequence)
 
     def test_no_complete_period_rejected(self):
-        wf = small_waveform()
         with pytest.raises(ValidationError, match="period"):
-            estimate_pdp(IqSignal(np.ones(10), RATE), wf)
+            estimate_pdp(IqSignal(np.ones(10), RATE), SEQ)
 
     # only exactly 0 turns the taper off
     @pytest.mark.parametrize("taper", [-0.2, -1e-9])
     def test_negative_taper_rejected(self, taper):
-        wf = small_waveform()
         with pytest.raises(ValidationError, match="taper fraction must be 0 or lie in"):
-            estimate_pdp(build_sounding_signal(wf), wf, taper_fraction=taper)
+            estimate_pdp(sounding(), SEQ, taper_fraction=taper)
 
     def test_linearity_in_capture(self):
-        wf = small_waveform()
-        tx = build_sounding_signal(wf)
+        tx = sounding()
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.2j]))
         c = 0.8 - 1.3j
         scaled = IqSignal(c * rx.samples, RATE)
-        base = estimate_pdp(rx, wf, taper_fraction=0.0).powers_linear
-        lhs = estimate_pdp(scaled, wf, taper_fraction=0.0).powers_linear
+        base = estimate_pdp(rx, SEQ, taper_fraction=0.0).powers_linear
+        lhs = estimate_pdp(scaled, SEQ, taper_fraction=0.0).powers_linear
         np.testing.assert_allclose(lhs, abs(c) ** 2 * base, atol=1e-10)
 
     def test_taper_bounds_checked(self):
-        wf = small_waveform()
-        rx = build_sounding_signal(wf)
+        rx = sounding()
         with pytest.raises(ValidationError):
-            estimate_pdp(rx, wf, taper_fraction=0.9)
+            estimate_pdp(rx, SEQ, taper_fraction=0.9)
 
 
-def one_tap_periods(delays, gains, wf):
+def one_tap_periods(delays, gains, sequence):
     """A capture whose period p carries the single path ``gains[p]`` at
     ``delays[p]`` taps: the base sequence rotated and scaled period by period."""
-    periods = [g * np.roll(wf.base_sequence, d) for d, g in zip(delays, gains)]
+    periods = [g * np.roll(sequence, d) for d, g in zip(delays, gains)]
     return IqSignal(np.concatenate(periods), RATE)
 
 
@@ -193,41 +205,37 @@ class TestAveragePdp:
     """The mean of the periods' squared magnitudes in ``estimate_pdp``."""
 
     def test_single_cir_squared_magnitude(self):
-        wf = small_waveform(repetitions=1)
-        rx = IqSignal(wf.base_sequence + 0.5j * np.roll(wf.base_sequence, 1), RATE)
-        pdp = estimate_pdp(rx, wf, taper_fraction=0.0)
+        rx = IqSignal(SEQ + 0.5j * np.roll(SEQ, 1), RATE)
+        pdp = estimate_pdp(rx, SEQ, taper_fraction=0.0)
         np.testing.assert_allclose(pdp.powers_linear[:2], [1.0, 0.25], atol=1e-15)
         assert np.max(pdp.powers_linear[2:]) < 1e-15
 
     def test_two_cir_mean(self):
-        wf = small_waveform(repetitions=2)
-        rx = one_tap_periods([0, 1], [1.0, 1.0], wf)
-        pdp = estimate_pdp(rx, wf, taper_fraction=0.0)
+        rx = one_tap_periods([0, 1], [1.0, 1.0], SEQ)
+        pdp = estimate_pdp(rx, SEQ, taper_fraction=0.0)
         np.testing.assert_allclose(pdp.powers_linear[:2], [0.5, 0.5], atol=1e-15)
         assert np.max(pdp.powers_linear[2:]) < 1e-15
 
     def test_matches_direct_mean_oracle(self):
-        wf = small_waveform()
-        tx = build_sounding_signal(wf)
+        tx = sounding()
         rx = add_awgn(apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5])), 20.0, 9)
-        pdp = estimate_pdp(rx, wf)
+        pdp = estimate_pdp(rx, SEQ)
         periods = [
-            estimate_pdp(IqSignal(rx.samples[p * wf.period : (p + 1) * wf.period], RATE), wf)
-            for p in range(wf.repetitions)
+            estimate_pdp(IqSignal(rx.samples[p * N : (p + 1) * N], RATE), SEQ)
+            for p in range(3)
         ]
         expected = [
             sum(period.powers_linear[k] for period in periods) / len(periods)
-            for k in range(wf.period)
+            for k in range(N)
         ]
         np.testing.assert_allclose(pdp.powers_linear, expected, rtol=1e-12)
 
     def test_permutation_invariant(self):
-        wf = small_waveform(repetitions=4)
         rng = np.random.default_rng(11)
-        rows = [rng.standard_normal(wf.period) + 1j * rng.standard_normal(wf.period)
+        rows = [rng.standard_normal(N) + 1j * rng.standard_normal(N)
                 for _ in range(4)]
-        forward = estimate_pdp(IqSignal(np.concatenate(rows), RATE), wf)
-        reverse = estimate_pdp(IqSignal(np.concatenate(rows[::-1]), RATE), wf)
+        forward = estimate_pdp(IqSignal(np.concatenate(rows), RATE), SEQ)
+        reverse = estimate_pdp(IqSignal(np.concatenate(rows[::-1]), RATE), SEQ)
         scale = np.max(forward.powers_linear)
         np.testing.assert_allclose(
             forward.powers_linear, reverse.powers_linear, atol=1e-14 * scale
@@ -236,18 +244,17 @@ class TestAveragePdp:
 
 class TestEndToEnd:
     def test_identity_concentrates_power(self):
-        wf = zadoff_chu_waveform()
-        rx = build_sounding_signal(wf)
-        pdp = estimate_pdp(rx, wf, taper_fraction=0.0)
+        seq = zadoff_chu(1, 353)
+        rx = build_sounding_signal(seq, 3, RATE)
+        pdp = estimate_pdp(rx, seq, taper_fraction=0.0)
         assert np.max(pdp.powers_linear) / np.sum(pdp.powers_linear) >= 0.999999
 
     def test_pdp_scales_with_capture_power(self):
-        wf = small_waveform()
-        tx = build_sounding_signal(wf)
+        tx = sounding()
         rx = apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5]))
         c = 2.0 - 1.0j
-        pdp = estimate_pdp(rx, wf, taper_fraction=0.0)
-        scaled = estimate_pdp(IqSignal(c * rx.samples, RATE), wf, taper_fraction=0.0)
+        pdp = estimate_pdp(rx, SEQ, taper_fraction=0.0)
+        scaled = estimate_pdp(IqSignal(c * rx.samples, RATE), SEQ, taper_fraction=0.0)
         expected = abs(c) ** 2 * pdp.powers_linear
         np.testing.assert_allclose(
             scaled.powers_linear, expected, atol=1e-12 * np.max(expected)

@@ -26,12 +26,7 @@ from cirkit import sounder
 from cirkit.analysis import CHUNK_ROWS
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.signal import IqSignal, is_prime, zadoff_chu
-from cirkit.sounder import (
-    build_sounding_signal,
-    estimate_pdp,
-    mitigate_artifacts,
-    zadoff_chu_waveform,
-)
+from cirkit.sounder import build_sounding_signal, estimate_pdp, mitigate_artifacts
 
 # largest |h - h_dft| allowed, as a fraction of the largest |h_dft|
 DFT_TOLERANCE = 1e-12
@@ -49,16 +44,16 @@ def smooth_length(size):
     )
 
 
-def spectrum_and_guard(waveform, taper_fraction):
-    x_spec = np.fft.fft(waveform.base_sequence)
-    window = sounder._taper_window(waveform.period, taper_fraction)
-    guard = min(sounder._TAPER_GUARD_TAPS, waveform.period // 2) if window is not None else 0
+def spectrum_and_guard(sequence, taper_fraction):
+    x_spec = np.fft.fft(sequence)
+    window = sounder._taper_window(sequence.size, taper_fraction)
+    guard = min(sounder._TAPER_GUARD_TAPS, sequence.size // 2) if window is not None else 0
     return x_spec, np.abs(x_spec) ** 2, window, guard
 
 
-def loop_estimate_cirs(rx, waveform, taper_fraction):
-    n = waveform.period
-    x_spec, denom, window, guard = spectrum_and_guard(waveform, taper_fraction)
+def loop_estimate_cirs(rx, sequence, taper_fraction):
+    n = sequence.size
+    x_spec, denom, window, guard = spectrum_and_guard(sequence, taper_fraction)
     spectrum = np.conj(x_spec) if window is None else np.conj(x_spec) * window
     g = np.roll(np.fft.ifft(spectrum / denom), guard - 1)
     m = smooth_length(2 * n - 1)
@@ -71,9 +66,9 @@ def loop_estimate_cirs(rx, waveform, taper_fraction):
     return rows
 
 
-def dft_estimate_cirs(rx, waveform, taper_fraction):
-    n = waveform.period
-    x_spec, denom, window, guard = spectrum_and_guard(waveform, taper_fraction)
+def dft_estimate_cirs(rx, sequence, taper_fraction):
+    n = sequence.size
+    x_spec, denom, window, guard = spectrum_and_guard(sequence, taper_fraction)
     rows = []
     for p in range(len(rx) // n):
         y_spec = np.fft.fft(rx.samples[p * n : (p + 1) * n])
@@ -112,50 +107,51 @@ def loop_average_powers(rows):
 def capture(periods, extra_samples=0, seed=0, snr_db=20.0):
     """A 3-path capture of ``periods`` whole periods plus a partial one, at
     ``snr_db`` (None: noiseless)."""
-    waveform = zadoff_chu_waveform(repetitions=periods + 1)
+    sequence = zadoff_chu(sounder.DEFAULT_ROOT, sounder.DEFAULT_SEQUENCE_LENGTH)
+    tx = build_sounding_signal(sequence, periods + 1, sounder.DEFAULT_SAMPLE_RATE_HZ)
     rx = add_awgn(
-        apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.4j, 0.2])),
+        apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.4j, 0.2])),
         math.inf if snr_db is None else snr_db,
         seed,
     )
-    samples = rx.samples[: periods * waveform.period + extra_samples]
-    return IqSignal(samples, rx.sample_rate_hz), waveform
+    samples = rx.samples[: periods * sequence.size + extra_samples]
+    return IqSignal(samples, rx.sample_rate_hz), sequence
 
 
-def assert_block_equals_loop(rx, waveform, taper):
-    pdp = estimate_pdp(rx, waveform, taper)
-    rows = loop_estimate_cirs(rx, waveform, taper)
-    assert np.array_equal(pdp.delays_s, np.arange(waveform.period) * (1.0 / rx.sample_rate_hz))
+def assert_block_equals_loop(rx, sequence, taper):
+    pdp = estimate_pdp(rx, sequence, taper)
+    rows = loop_estimate_cirs(rx, sequence, taper)
+    assert np.array_equal(pdp.delays_s, np.arange(sequence.size) * (1.0 / rx.sample_rate_hz))
     assert np.array_equal(pdp.powers_linear, loop_average_powers(rows))
-    assert_near_dft(rows, dft_estimate_cirs(rx, waveform, taper))
+    assert_near_dft(rows, dft_estimate_cirs(rx, sequence, taper))
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
 @pytest.mark.parametrize("snr_db", [0.0, None])
 def test_block_equals_loop_reference(snr_db, taper):
-    rx, waveform = capture(periods=40, seed=3, snr_db=snr_db)
-    assert_block_equals_loop(rx, waveform, taper)
+    rx, sequence = capture(periods=40, seed=3, snr_db=snr_db)
+    assert_block_equals_loop(rx, sequence, taper)
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
 def test_partial_last_period_equals_loop_reference(taper):
-    rx, waveform = capture(periods=7, extra_samples=200, seed=4)
-    assert_block_equals_loop(rx, waveform, taper)
-    assert len(loop_estimate_cirs(rx, waveform, taper)) == 7
+    rx, sequence = capture(periods=7, extra_samples=200, seed=4)
+    assert_block_equals_loop(rx, sequence, taper)
+    assert len(loop_estimate_cirs(rx, sequence, taper)) == 7
 
 
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
 def test_one_period_equals_loop_reference(taper):
-    rx, waveform = capture(periods=1, seed=5)
-    assert_block_equals_loop(rx, waveform, taper)
+    rx, sequence = capture(periods=1, seed=5)
+    assert_block_equals_loop(rx, sequence, taper)
 
 
 # one row past a chunk, and a sum carried over two chunk boundaries
 @pytest.mark.parametrize("periods", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
 @pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
 def test_chunk_boundary_equals_loop_reference(taper, periods):
-    rx, waveform = capture(periods=periods, seed=6)
-    assert_block_equals_loop(rx, waveform, taper)
+    rx, sequence = capture(periods=periods, seed=6)
+    assert_block_equals_loop(rx, sequence, taper)
 
 
 def test_padded_length_is_the_smallest_smooth_length():
@@ -200,7 +196,7 @@ def test_any_prime_equals_loop_reference(
     """Any prime period and taper; a partial last period, a start
     inside the first period, and chunks and transform blocks of a few rows,
     so that either may end part-way."""
-    waveform = zadoff_chu_waveform(length=n, repetitions=periods)
+    sequence = zadoff_chu(1, n)
     start, extra = int(start * n), int(extra * n)
     rng = np.random.default_rng(seed)
     size = start + periods * n + extra
@@ -210,12 +206,30 @@ def test_any_prime_equals_loop_reference(
     with mock.patch.object(sounder, "CHUNK_ROWS", chunk_rows), mock.patch.object(
         sounder, "_FFT_ROWS", fft_rows
     ):
-        powers = estimate_pdp(rx, waveform, taper, start).powers_linear
-        from_aligned = estimate_pdp(aligned, waveform, taper).powers_linear
-    rows = loop_estimate_cirs(aligned, waveform, taper)
+        powers = estimate_pdp(rx, sequence, taper, start).powers_linear
+        from_aligned = estimate_pdp(aligned, sequence, taper).powers_linear
+    rows = loop_estimate_cirs(aligned, sequence, taper)
     assert np.array_equal(powers, loop_average_powers(rows))
     assert np.array_equal(from_aligned, powers)
-    assert_near_dft(rows, dft_estimate_cirs(aligned, waveform, taper))
+    assert_near_dft(rows, dft_estimate_cirs(aligned, sequence, taper))
+
+
+@pytest.mark.parametrize("n", [1, 4, 12, 64, 360])
+@pytest.mark.parametrize("taper", [0.0, sounder.DEFAULT_TAPER_FRACTION])
+def test_any_sequence_equals_loop_reference(n, taper):
+    """Deconvolution takes any sequence with no zero DFT bin, not only a
+    prime-length Zadoff-Chu one: random sequences of lengths that are not
+    prime, in chunks of two periods and a partial last one."""
+    rng = np.random.default_rng(n)
+    sequence = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    samples = rng.standard_normal(5 * n + n // 2) + 1j * rng.standard_normal(5 * n + n // 2)
+    rx = IqSignal(samples, 1e6)
+    with mock.patch.object(sounder, "CHUNK_ROWS", 2), mock.patch.object(sounder, "_FFT_ROWS", 1):
+        powers = estimate_pdp(rx, sequence, taper).powers_linear
+    rows = loop_estimate_cirs(rx, sequence, taper)
+    assert len(rows) == 5
+    assert np.array_equal(powers, loop_average_powers(rows))
+    assert_near_dft(rows, dft_estimate_cirs(rx, sequence, taper))
 
 
 def spiked(positions, seed=7):

@@ -32,19 +32,20 @@ from cirkit import analysis, io, sounder
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.cli import main
 from cirkit.errors import ValidationError
-from cirkit.signal import IqSignal, circular_cross_correlate
-from cirkit.sounder import build_sounding_signal, mitigate_artifacts, zadoff_chu_waveform
+from cirkit.signal import IqSignal, circular_cross_correlate, zadoff_chu
+from cirkit.sounder import build_sounding_signal, mitigate_artifacts
 
 N = sounder.DEFAULT_SEQUENCE_LENGTH
+SEQUENCE = zadoff_chu(sounder.DEFAULT_ROOT, N)
 CHUNK = sounder._CHUNK_SAMPLES
 
 
 def noisy_samples(periods, offset=0, extra=0, seed=0):
     """A 20 dB 3-path capture starting ``offset`` samples into a period,
     ``periods`` whole periods plus ``extra`` samples long, float32 exact."""
-    waveform = zadoff_chu_waveform(repetitions=periods + 2)
+    tx = build_sounding_signal(SEQUENCE, periods + 2, sounder.DEFAULT_SAMPLE_RATE_HZ)
     rx = add_awgn(
-        apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.4j, 0.2])),
+        apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.4j, 0.2])),
         20.0,
         seed,
     )
@@ -62,19 +63,18 @@ def with_spikes(samples, positions, seed=1):
 def whole_chain_powers(path, taper):
     """Raw averaged powers of the capture held whole, by the reference formulas."""
     cleaned = reference_mitigate(read_whole(path))
-    corr = circular_cross_correlate(cleaned.samples[:N], zadoff_chu_waveform().base_sequence)
+    corr = circular_cross_correlate(cleaned.samples[:N], SEQUENCE)
     offset = int(np.argmax(np.abs(corr)))
     aligned = IqSignal(cleaned.samples[offset:], cleaned.sample_rate_hz)
-    rows = loop_estimate_cirs(aligned, zadoff_chu_waveform(), taper)
-    assert_near_dft(rows, dft_estimate_cirs(aligned, zadoff_chu_waveform(), taper))
+    rows = loop_estimate_cirs(aligned, SEQUENCE, taper)
+    assert_near_dft(rows, dft_estimate_cirs(aligned, SEQUENCE, taper))
     return loop_average_powers(rows)
 
 
 def streamed_powers(path, taper):
-    waveform = zadoff_chu_waveform()
     cleaned = mitigate_artifacts(io.IqReader(path))
-    offset = sounder.synchronize(cleaned, waveform)
-    return sounder.estimate_pdp(cleaned, waveform, taper, start=offset).powers_linear
+    offset = sounder.synchronize(cleaned, SEQUENCE)
+    return sounder.estimate_pdp(cleaned, SEQUENCE, taper, start=offset).powers_linear
 
 
 def csv_bytes(tmp_path, powers):
@@ -147,8 +147,10 @@ def test_nan_in_last_chunk_fails_at_read_iq(tmp_path, capsys):
 def test_late_transmitter_repairs_only_the_onset_chunk(tmp_path):
     """A capture whose first 60% is noise alone: each chunk's own median
     keeps the transmission after the chunk where it starts."""
-    waveform = zadoff_chu_waveform(repetitions=2000)
-    tx = apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.4j, 0.2]))
+    tx = apply_channel(
+        build_sounding_signal(SEQUENCE, 2000, sounder.DEFAULT_SAMPLE_RATE_HZ),
+        SyntheticChannel([1.0, 0.0, 0.4j, 0.2]),
+    )
     samples = tx.samples.copy()
     onset = int(0.6 * samples.size)
     samples[:onset] = 0.0
@@ -299,15 +301,13 @@ class TestSmallChunks:
 
 
 def estimate_peak(tmp_path, periods):
-    waveform = zadoff_chu_waveform(repetitions=periods)
-    rx = add_awgn(
-        apply_channel(build_sounding_signal(waveform), SyntheticChannel([1.0, 0.0, 0.5])), 20.0, 1
-    )
+    tx = build_sounding_signal(SEQUENCE, periods, sounder.DEFAULT_SAMPLE_RATE_HZ)
+    rx = add_awgn(apply_channel(tx, SyntheticChannel([1.0, 0.0, 0.5])), 20.0, 1)
     samples = rx.samples.copy()
     samples[[0, 5000, 5001, 123456]] = 50.0
     path = write_capture(tmp_path, samples, f"rx{periods}.iq")
     capture_bytes = samples.nbytes
-    del rx, samples
+    del tx, rx, samples
     tracemalloc.start()
     try:
         rc = main(["estimate", "--rx", str(path), "--repetitions", str(periods),
