@@ -22,15 +22,15 @@ import numpy as np
 from .errors import EmptyProfileError, InternalConsistencyError, ValidationError
 from .signal import _freeze, _frozen
 
-# how far above the noise floor a bin must lie to count as signal
-_MARGIN_DB = 6.0
+# how far above the noise floor a bin must lie to count as signal: 6 dB
+_MARGIN = 10.0 ** (6.0 / 10.0)
 
 # the lowest level, in dB against a normalized profile's peak of 1, that a
 # comparison or a plot tells apart: a weaker bin, or one of exactly 0, reads
 # as this level
 _FLOOR_DB = -60.0
 
-# CIR rows (snapshots, periods or realizations) handled per array block;
+# CIR rows (snapshots or periods) handled per array block;
 # output does not depend on it, peak memory and speed do
 CHUNK_ROWS = 256
 
@@ -128,22 +128,27 @@ class ComparisonReport:
             raise ValidationError("comparison report fields must be finite")
 
 
+def _noise_floor(powers: np.ndarray) -> float:
+    """The floor of :func:`estimate_noise_floor` from a profile's powers."""
+    if powers.size < 16:
+        return 0.0
+    quartile = np.sort(powers)[: powers.size // 4]
+    return float(np.median(quartile))
+
+
 def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     """Estimate the noise floor as the median of the weakest 25% of bins.
 
     A profile of fewer than 16 bins is too short to populate the quartile;
     its floor is 0.
     """
-    if len(pdp) < 16:
-        return 0.0
-    quartile = np.sort(pdp.powers_linear)[: len(pdp) // 4]
-    return float(np.median(quartile))
+    return _noise_floor(pdp.powers_linear)
 
 
 def noise_threshold(pdp: PowerDelayProfile) -> float:
     """The power a bin of ``pdp`` must exceed to count as signal: the noise
     floor of :func:`estimate_noise_floor`, 6 dB up."""
-    return estimate_noise_floor(pdp) * 10.0 ** (_MARGIN_DB / 10.0)
+    return estimate_noise_floor(pdp) * _MARGIN
 
 
 def _kept(powers: np.ndarray, threshold: float) -> np.ndarray:
@@ -165,6 +170,12 @@ def normalize_pdp(pdp: PowerDelayProfile, threshold: float) -> PowerDelayProfile
     """Align the first bin above ``threshold`` to delay 0 and scale peak
     power to 1. Bins before that bin are discarded."""
     return PowerDelayProfile(*_aligned(pdp.delays_s, pdp.powers_linear, threshold))
+
+
+def _normalized(delays_s: np.ndarray, powers: np.ndarray) -> PowerDelayProfile:
+    """``normalize_pdp(pdp, noise_threshold(pdp))`` of the raw profile
+    ``pdp`` of these delays and powers, without building ``pdp``."""
+    return PowerDelayProfile(*_aligned(delays_s, powers, _noise_floor(powers) * _MARGIN))
 
 
 def _moments(delays_s: np.ndarray, powers: np.ndarray, total) -> tuple:

@@ -94,13 +94,13 @@ def _estimate_pdp(capture, sequence, taper):
 
 def _cmd_generate_sounding(args) -> int:
     with _stage("generate-sounding"):
+        sequence = _base_sequence(args)
         if args.repetitions < 3:
             print(
                 f"generate-sounding: warning: repetitions={args.repetitions} makes "
                 "snapshot averaging degenerate (3 or more recommended)",
                 file=sys.stderr,
             )
-        sequence = _base_sequence(args)
         signal = sounder.build_sounding_signal(
             sequence, args.repetitions, args.sample_rate, args.center_frequency
         )
@@ -160,13 +160,13 @@ def _cmd_simulate(args) -> int:
     with _stage("load-config"):
         config = _load_config(args.config)
     with _stage("simulate"):
-        pdp = gbsm.simulate_pdp(config, args.seed, args.realizations)
+        # the PDP is the closed-form mean over phases; the count is only checked
+        if args.realizations < 1:
+            raise ValidationError("n_realizations must be >= 1")
+        pdp = gbsm.simulate_pdp(config, args.seed)
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)
-    print(
-        f"simulated {config.label!r} with {args.realizations} realizations "
-        f"(seed {args.seed}) -> {args.pdp_out}"
-    )
+    print(f"simulated {config.label!r} (seed {args.seed}) -> {args.pdp_out}")
     return EXIT_OK
 
 
@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", required=True, help="preset name or config file path")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--realizations", type=int, default=100, help="phase realizations to average")
+    p.add_argument("--realizations", type=int, default=100, help="checked to be >= 1; no effect")
     p.add_argument("--pdp-out", required=True, help="output PDP CSV path")
     p.set_defaults(func=_cmd_simulate)
 

@@ -5,7 +5,8 @@ Draws log-normal large-scale parameters, synthesizes a cluster delay line
 decay, log-normal per-cluster shadowing and a LOS component), rescales
 delays so the realized RMS delay spread matches the drawn target exactly,
 and renders band-limited CIRs on the sounder's sample grid, computing only
-the taps that a block of cluster sets reaches.
+the taps that a block of cluster sets reaches. A simulated PDP is the
+closed-form mean power of one cluster set over uniform phases.
 
 Datasets and simulated PDPs draw from counter-based Philox streams keyed
 by (root seed, stream): snapshot i owns a fixed run of uniform words, so
@@ -25,14 +26,12 @@ from .analysis import (
     CHUNK_ROWS,
     ChannelParameters,
     PowerDelayProfile,
-    add_rows,
+    _normalized,
     discrete_delay_spread,
-    noise_threshold,
-    normalize_pdp,
 )
 from .channel_apply import check_seed
 from .errors import ValidationError
-from .signal import _check_rate, _freeze
+from .signal import _check_rate
 from .sounder import DEFAULT_SAMPLE_RATE_HZ, DEFAULT_SEQUENCE_LENGTH, _map_chunks
 
 DEFAULT_R_TAU = 2.3
@@ -348,28 +347,29 @@ def _kernel(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first.astype(np.intp), kern
 
 
-def _render_support(
-    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config
-) -> tuple[slice, np.ndarray]:
+def _render_block(
+    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
+) -> np.ndarray:
     """Render S CIRs from (S, K) cluster delays and powers, or (1, K) ones
-    that all S rows share, on their delay support only. Each cluster has
-    amplitude sqrt(power) and phase 2 pi u from its (S, K) phase word u.
-    Returns the CIR columns ``cols`` of the support and a new C-contiguous
-    (S, cols width) complex128 block of those columns; every other tap of
-    every row is 0.
+    that all S rows share, as whole (S, taps) rows written into ``out``, an
+    (S, taps) complex64 array whose parts round as ``astype`` rounds them,
+    or into a new complex128 array. Each cluster has amplitude sqrt(power)
+    and phase 2 pi u from its (S, K) phase word u.
 
     Each path is the 16-slot kernel of ``_kernel`` at its fractional
-    position. The support runs from slot m = -8 of the earliest path to
-    slot m = 7 of the latest, so every slot of every path lands in it; its
-    columns outside the CIR are sliced off, so taps outside the CIR are
-    dropped. The LOS term, with the real amplitude sqrt(``los_power``)
-    ((S,) or (1,)) at delay 0, is added after the clusters when any row has
-    one. Each tap sums its contributions in path order from 0.0, so a row
-    equals adding the paths one by one into a zero CIR, and the work
-    follows the support, not ``cir_length_taps``. Boundary clipping and
-    residual tail interference keep a row's energy within about +-0.5 dB of
-    the power sum when clusters sit a few taps apart; clusters sharing taps
-    also interfere row by row, but their phase-averaged power still adds.
+    position. Only the delay support is rendered: it runs from slot m = -8
+    of the earliest path to slot m = 7 of the latest, so every slot of every
+    path lands in it; its columns outside the CIR are sliced off, so taps
+    outside the CIR are dropped, and every other tap is set to +0.0,
+    whatever ``out`` held. The LOS term, with the real amplitude
+    sqrt(``los_power``) ((S,) or (1,)) at delay 0, is added after the
+    clusters when any row has one. Each tap sums its contributions in path
+    order from 0.0, so a row equals adding the paths one by one into a zero
+    CIR, and the work follows the support, not ``cir_length_taps``.
+    Boundary clipping and residual tail interference keep a row's energy
+    within about +-0.5 dB of the power sum when clusters sit a few taps
+    apart; clusters sharing taps also interfere row by row, but their
+    phase-averaged power still adds.
     """
     amplitudes = np.sqrt(powers) * np.exp(1j * (2.0 * np.pi * phase_words))
     los_amplitude = np.sqrt(los_power)
@@ -388,55 +388,39 @@ def _render_support(
     cols = slice(max(low, 0), min(high, config.cir_length_taps))
     start = first - KERNEL_HALF_WIDTH - low + (np.arange(rows) * width)[:, None]
     flat = (start[..., None] + np.arange(_SLOTS.size)).ravel()
-    support = np.empty((rows, cols.stop - cols.start), dtype=np.complex128)
-    for part, values in (("real", amplitudes.real), ("imag", amplitudes.imag)):
-        summed = np.bincount(flat, (values[..., None] * kern).ravel(), rows * width)
-        setattr(support, part, summed.reshape(rows, width)[:, cols.start - low : cols.stop - low])
-    return cols, support
-
-
-def _render_block(
-    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
-) -> np.ndarray:
-    """The CIRs of ``_render_support`` as whole (S, taps) rows, written into
-    ``out``, an (S, taps) complex64 array whose parts round as ``astype``
-    rounds them, or into a new complex128 array. Taps outside the support
-    are set to +0.0, whatever ``out`` held."""
-    cols, support = _render_support(delays, powers, phase_words, los_power, config)
-    taps = np.empty((support.shape[0], config.cir_length_taps), np.complex128) if out is None else out
+    taps = np.empty((rows, config.cir_length_taps), np.complex128) if out is None else out
     taps[:, : cols.start] = 0.0
-    taps[:, cols] = support
     taps[:, cols.stop :] = 0.0
+    for part, values in ((taps.real, amplitudes.real), (taps.imag, amplitudes.imag)):
+        summed = np.bincount(flat, (values[..., None] * kern).ravel(), rows * width)
+        part[:, cols] = summed.reshape(rows, width)[:, cols.start - low : cols.stop - low]
     return taps
 
 
-def simulate_pdp(config: ScenarioConfig, rng_seed: int, n_realizations: int) -> PowerDelayProfile:
-    """Simulate a normalized PDP: one cluster-set draw, many phase realizations.
+def simulate_pdp(config: ScenarioConfig, rng_seed: int) -> PowerDelayProfile:
+    """Simulate a normalized PDP: the mean power of one cluster set over
+    uniform phases.
 
-    Cluster positions stay fixed across realizations; only the per-cluster
-    phases are redrawn, mirroring consecutive snapshots of a static channel.
     Row 0 of the (rng_seed, ``SIMULATE_STREAM``) stream gives the DS,
-    K-factor and clusters, and row i the phases of realization i. Each
-    realization is rendered and squared on the cluster set's delay support
-    only (``_render_support``), so the cost follows the largest cluster
-    delay, not ``cir_length_taps``; the taps beyond it hold exactly 0.0.
-    The support block is C-contiguous, so ``add_rows`` adds its rows one
-    after another, as adding whole CIRs did.
+    K-factor and clusters; they stay fixed while the per-cluster phases
+    vary, as in consecutive snapshots of a static channel. The cluster
+    phases are independent and uniform, so the cross terms of |h|^2
+    average to 0 and the expected power is sum p_k kernel_k^2 over the
+    clusters and the LOS term, with the kernels of ``_kernel``. Each tap
+    sums its paths' p kernel^2 in path order from 0.0, taps outside the CIR
+    are dropped, and the taps beyond the latest path's kernel hold exactly
+    0.0. The profile is normalized as ``cirkit estimate`` normalizes a
+    measured one, and built once, from the normalized arrays.
     """
     root = check_seed(rng_seed)
-    if n_realizations < 1:
-        raise ValidationError("n_realizations must be >= 1")
     _, block = _stream_block(config, root, SIMULATE_STREAM, 0, 1)
-    width, _, phases = _layout(config)
-    power = np.zeros(config.cir_length_taps)
-    for start in range(0, n_realizations, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, n_realizations - start)
-        words = _stream_words(root, SIMULATE_STREAM, start, rows, width)[:, phases]
-        cols, support = _render_support(block.delays, block.powers, words, block.los, config)
-        add_rows(power[cols], np.abs(support) ** 2)
+    first, kern = _kernel(np.append(block.delays[0], 0.0) * config.sample_rate_hz)
+    taps = first[:, None] + _SLOTS
+    inside = (taps >= 0) & (taps < config.cir_length_taps)
+    weights = np.append(block.powers[0], block.los)[:, None] * kern**2
+    power = np.bincount(taps[inside], weights[inside], config.cir_length_taps)
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
-    pdp = PowerDelayProfile(*_freeze(delays, power / n_realizations))
-    return normalize_pdp(pdp, noise_threshold(pdp))
+    return _normalized(delays, power)
 
 
 def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) -> None:

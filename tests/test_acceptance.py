@@ -149,7 +149,7 @@ def test_c05_closed_loop_delay_spread_recovery(name):
     sigma = analysis.discrete_delay_spread(delays, powers)
     assert np.all(np.abs(sigma - ds) / ds < 1e-9)
 
-    pdp = simulate_pdp(preset, 11, 200)
+    pdp = simulate_pdp(preset, 11)
     params = extract_parameters(pdp, los_flag=preset.los)
     rel = abs(params.rms_delay_spread_s - preset.ds_median_s) / preset.ds_median_s
     elapsed = time.monotonic() - started
@@ -168,7 +168,7 @@ def test_c06_closed_loop_k_factor_recovery():
         preset = PRESETS[name]
         values = []
         for seed in range(200):
-            pdp = simulate_pdp(preset, seed, 64)
+            pdp = simulate_pdp(preset, seed)
             params = extract_parameters(pdp, los_flag=True)
             assert params.k_factor_db is not None
             values.append(params.k_factor_db)
@@ -180,7 +180,7 @@ def test_c06_closed_loop_k_factor_recovery():
         preset = PRESETS[name]
         _, kf, block = stream_clusters(preset, 50)
         assert kf is None and not np.any(block.los)
-        params = extract_parameters(simulate_pdp(preset, 1, 32), los_flag=False)
+        params = extract_parameters(simulate_pdp(preset, 1), los_flag=False)
         assert params.k_factor_db is None
     report(6, "NLOS presets never produce a K-factor")
 
@@ -294,8 +294,8 @@ def test_c09_determinism(tmp_path):
     """Seeded operations produce byte-identical outputs, however they are chunked."""
     preset = PRESETS["urban-nlos"]
 
-    a = simulate_pdp(preset, 42, 32)
-    b = simulate_pdp(preset, 42, 32)
+    a = simulate_pdp(preset, 42)
+    b = simulate_pdp(preset, 42)
     assert a.delays_s.tobytes() == b.delays_s.tobytes()
     assert a.powers_linear.tobytes() == b.powers_linear.tobytes()
 
@@ -345,7 +345,7 @@ def test_c10_end_to_end_pipeline(tmp_path):
     assert (
         main(
             ["simulate", "--config", str(config_path), "--seed", "1",
-             "--realizations", "200", "--pdp-out", str(simulated_csv)]
+             "--pdp-out", str(simulated_csv)]
         )
         == 0
     )

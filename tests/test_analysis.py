@@ -500,8 +500,8 @@ class TestComparePdps:
 
     def test_two_generator_draws_agree_on_ds(self):
         preset = gbsm.PRESETS["urban-nlos"]
-        a = gbsm.simulate_pdp(preset, 1, 100)
-        b = gbsm.simulate_pdp(preset, 2, 100)
+        a = gbsm.simulate_pdp(preset, 1)
+        b = gbsm.simulate_pdp(preset, 2)
         report = compare_pdps(a, b)
         assert report.ds_relative_error < 0.1
 

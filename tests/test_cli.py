@@ -59,6 +59,20 @@ class TestGenerateSounding:
         assert "degenerate" in captured.err
         assert len(io.IqReader(out)) == 353
 
+    def test_zero_repetitions_fail_without_a_warning(self, tmp_path, capsys):
+        """A count that is rejected is not also warned about; 2, which is
+        accepted, still is."""
+        out = tmp_path / "tx.iq"
+        rc = main(["generate-sounding", "--repetitions", "0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        message = "generate-sounding: repetitions must be >= 1"
+        assert captured.err == f"cirkit generate-sounding: {message}\n"
+        assert not out.exists()
+        assert main(["generate-sounding", "--repetitions", "2", "--out", str(out)]) == 0
+        warning = "warning: repetitions=2 makes snapshot averaging degenerate"
+        assert warning in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_writes_normalized_pdp(self, tmp_path):
@@ -224,6 +238,18 @@ class TestSimulateAndDataset:
         main(["simulate", "--config", "campus-los", "--seed", "5", "--pdp-out", str(a)])
         main(["simulate", "--config", "campus-los", "--seed", "5", "--pdp-out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_realizations_change_no_byte(self, tmp_path, capsys, preset):
+        """The PDP is the exact mean over phases: ``--realizations`` is only
+        checked, and 1 and 200 write the same file and print the same line."""
+        outputs = []
+        for count in ("1", "200"):
+            out = tmp_path / "sim.csv"
+            argv = ["simulate", "--config", preset, "--seed", "4", "--realizations", count]
+            assert main([*argv, "--pdp-out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
     def test_dataset_roundtrip(self, tmp_path):
         out = tmp_path / "train.chds"

@@ -9,6 +9,7 @@ import pytest
 
 from cirkit import __about__, gbsm
 from cirkit.analysis import PowerDelayProfile, extract_parameters
+from cirkit.cli import main
 from cirkit.errors import ValidationError
 from cirkit.gbsm import (
     PRESETS,
@@ -196,7 +197,7 @@ class TestDrawLargeScale:
         for seed in seeds:
             message = rf"^config '{preset}', cluster set of simulate seed {seed}: drawn .*{spread}="
             with pytest.raises(ValidationError, match=message):
-                simulate_pdp(config, seed, 10)
+                simulate_pdp(config, seed)
         message = rf"^config '{preset}', snapshot {snapshot}: drawn .*{spread}="
         with pytest.raises(ValidationError, match=message):
             generate_dataset(config, 300, 1, tmp_path / "x.chds")
@@ -249,7 +250,7 @@ class TestGenerateClusters:
             generate_dataset(config, 10, 1, tmp_path / "x.chds")
         message = r"^config 'urban-nlos', cluster set of simulate seed 1" + degenerate
         with pytest.raises(ValidationError, match=message):
-            simulate_pdp(config, 1, 10)
+            simulate_pdp(config, 1)
 
 
 class TestSynthesizeCir:
@@ -316,23 +317,27 @@ class TestSynthesizeCir:
 
 class TestSimulatePdp:
     def test_deterministic(self):
-        a = simulate_pdp(URBAN_NLOS, 5, 16)
-        b = simulate_pdp(URBAN_NLOS, 5, 16)
+        a = simulate_pdp(URBAN_NLOS, 5)
+        b = simulate_pdp(URBAN_NLOS, 5)
         np.testing.assert_array_equal(a.powers_linear, b.powers_linear)
         np.testing.assert_array_equal(a.delays_s, b.delays_s)
 
     def test_single_cluster_single_peak(self):
         config = dataclasses.replace(URBAN_NLOS, num_clusters=1)
-        pdp = simulate_pdp(config, 0, 1)
+        pdp = simulate_pdp(config, 0)
         assert int(np.argmax(pdp.powers_linear)) == 0
         assert pdp.powers_linear[0] == 1.0
 
-    def test_zero_realizations_rejected(self):
-        with pytest.raises(ValidationError):
-            simulate_pdp(URBAN_NLOS, 0, 0)
+    def test_zero_realizations_rejected(self, tmp_path, capsys):
+        """``simulate --realizations`` is only checked; 0 still fails by name."""
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--config", "urban-nlos", "--realizations", "0", "--pdp-out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "cirkit simulate: simulate: n_realizations must be >= 1\n"
+        assert not out.exists()
 
     def test_closed_loop_ds_recovery(self):
-        pdp = simulate_pdp(URBAN_NLOS, 7, 100)
+        pdp = simulate_pdp(URBAN_NLOS, 7)
         params = extract_parameters(pdp, los_flag=False)
         assert abs(params.rms_delay_spread_s - 125 * NS) / (125 * NS) < 0.15
 
@@ -478,4 +483,4 @@ def test_check_seed_rejects_out_of_range(tmp_path):
     with pytest.raises(ValidationError, match="seed"):
         generate_dataset(URBAN_NLOS, 1, -1, tmp_path / "x.chds")
     with pytest.raises(ValidationError, match="seed"):
-        simulate_pdp(URBAN_NLOS, 2**64, 1)
+        simulate_pdp(URBAN_NLOS, 2**64)

@@ -8,6 +8,9 @@ so any change to a drawn or rendered value fails here. The word layout of a
 row is written out here on its own, so a change to it fails here too.
 ``sinc_kernel`` keeps the 0.2.0 kernel formula (``np.sinc`` times the
 raised-cosine window), which the render must match to rounding.
+``loop_expected_power`` adds up the closed-form mean power of a simulated
+cluster set path by path; ``monte_carlo_power`` estimates the same mean
+from rendered phase realizations, with its standard error.
 """
 
 import dataclasses
@@ -21,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_gbsm import read_back
 
-from cirkit import gbsm, io
+from cirkit import __about__, gbsm, io
 from cirkit.analysis import PowerDelayProfile, noise_threshold, normalize_pdp
 from cirkit.cli import main
 from cirkit.errors import ValidationError
@@ -177,16 +180,49 @@ def loop_generate_dataset(config, count, root, kernel=loop_kernel):
     return np.vstack([loop_snapshot(config, root, i, kernel) for i in range(count)])
 
 
-def loop_simulate_pdp(config, root, n_realizations):
-    stream = gbsm.SIMULATE_STREAM
-    clusters = loop_stream_clusters(config, root, stream, 0)
-    power = np.zeros(config.cir_length_taps)
-    for i in range(n_realizations):
-        phases = loop_phases(config, root, stream, i)
-        power += np.abs(loop_synthesize_cir(clusters, config, phases)) ** 2
+def loop_expected_power(config, root):
+    """The mean power over phases of row 0's cluster set of the simulate
+    stream, path by path: each path adds p kernel^2 to the taps of its
+    kernel that lie in the CIR, the LOS term last."""
+    delays, powers, los_power = loop_stream_clusters(config, root, gbsm.SIMULATE_STREAM, 0)
+    n_taps = config.cir_length_taps
+    power = np.zeros(n_taps)
+    for delay_s, p in zip([*delays, 0.0], [*powers, los_power]):
+        idx, kern = loop_kernel(delay_s * config.sample_rate_hz)
+        valid = (idx >= 0) & (idx < n_taps)
+        power[idx[valid]] += p * kern[valid] ** 2
+    return power
+
+
+def loop_simulate_pdp(config, root):
+    power = loop_expected_power(config, root)
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
-    pdp = PowerDelayProfile(delays, power / n_realizations)
+    pdp = PowerDelayProfile(delays, power)
     return normalize_pdp(pdp, noise_threshold(pdp))
+
+
+def monte_carlo_power(config, root, realizations, rows=1000):
+    """Mean and standard error, per tap, of |h|^2 over ``realizations``
+    CIRs of row 0's cluster set of the simulate stream, each cluster at an
+    independent uniform phase and the LOS term at phase 0."""
+    delays, powers, los_power = loop_stream_clusters(config, root, gbsm.SIMULATE_STREAM, 0)
+    n_taps = config.cir_length_taps
+    rng = np.random.default_rng(root)
+    total, squares = np.zeros(n_taps), np.zeros(n_taps)
+    for _ in range(realizations // rows):
+        taps = np.zeros((rows, n_taps), dtype=np.complex128)
+        amplitudes = [*(math.sqrt(p) * np.exp(2j * np.pi * rng.random(rows)) for p in powers),
+                      np.full(rows, math.sqrt(los_power))]
+        for delay_s, amplitude in zip([*delays, 0.0], amplitudes):
+            idx, kern = loop_kernel(delay_s * config.sample_rate_hz)
+            valid = (idx >= 0) & (idx < n_taps)
+            taps[:, idx[valid]] += amplitude[:, None] * kern[valid]
+        power = np.abs(taps) ** 2
+        total += power.sum(axis=0)
+        squares += (power**2).sum(axis=0)
+    mean = total / realizations
+    variance = np.maximum(squares / realizations - mean**2, 0.0) * realizations / (realizations - 1)
+    return mean, np.sqrt(variance / realizations)
 
 
 SINGLE = dataclasses.replace(PRESETS["urban-nlos"], num_clusters=1)
@@ -207,10 +243,29 @@ def test_dataset_equals_loop_reference(tmp_path, name):
         assert np.array_equal(batched, loop[:count].astype(np.complex64)), count
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_dataset_payload_unchanged_by_version_bump(tmp_path, monkeypatch, name):
+    """Generator 0.4.0 changed simulated PDPs only: a preset's dataset holds
+    the loop's CIRs, as 0.3.0 wrote them, and its bytes differ from a file
+    written as version 0.3.0 only in the blob's generator_version line."""
+    config = PRESETS[name]
+    count = gbsm.CHUNK_ROWS + 1
+    new, old = tmp_path / "new.chds", tmp_path / "old.chds"
+    gbsm.generate_dataset(config, count, 13, new)
+    version = f"# generator_version={__about__.__version__}\n".encode()
+    monkeypatch.setattr(__about__, "__version__", "0.3.0")
+    gbsm.generate_dataset(config, count, 13, old)
+    data = new.read_bytes()
+    assert data.count(version) == 1
+    assert data.replace(version, b"# generator_version=0.3.0\n") == old.read_bytes()
+    loop = loop_generate_dataset(config, count, 13).astype(np.complex64)
+    assert np.array_equal(io.read_dataset(new).snapshots, loop)
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_dataset_within_rounding_of_sinc_kernel(name):
-    """The dataset stream's rows rendered at complex128, as ``simulate_pdp``
-    renders them, chunk by chunk as ``generate_dataset`` draws them."""
+    """The dataset stream's rows rendered at complex128, chunk by chunk as
+    ``generate_dataset`` draws them."""
     config = CONFIGS[name]
     count = gbsm.CHUNK_ROWS + 1
     chunks = []
@@ -228,17 +283,10 @@ def test_dataset_within_rounding_of_sinc_kernel(name):
 def test_simulate_pdp_equals_loop_reference(name):
     config = CONFIGS[name]
     for seed in range(6):
-        batched = gbsm.simulate_pdp(config, seed, 40)
-        loop = loop_simulate_pdp(config, seed, 40)
+        batched = gbsm.simulate_pdp(config, seed)
+        loop = loop_simulate_pdp(config, seed)
         assert np.array_equal(batched.delays_s, loop.delays_s)
         assert np.array_equal(batched.powers_linear, loop.powers_linear)
-
-
-def test_simulate_pdp_realizations_cross_chunks():
-    config = PRESETS["urban-nlos"]
-    n = 2 * gbsm.CHUNK_ROWS + 3
-    batched = gbsm.simulate_pdp(config, 4, n)
-    assert np.array_equal(batched.powers_linear, loop_simulate_pdp(config, 4, n).powers_linear)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -290,10 +338,8 @@ def test_support_clipped_at_both_ends_equals_loop_reference(tmp_path):
     for seed in WIDE_CLIPPED_SEEDS:
         _, block = gbsm._stream_block(WIDE, seed, gbsm.SIMULATE_STREAM, 0, 1)
         assert support_stop(block.delays, WIDE) > WIDE.cir_length_taps
-        for n in (1, 200):
-            batched = gbsm.simulate_pdp(WIDE, seed, n)
-            loop = loop_simulate_pdp(WIDE, seed, n)
-            assert np.array_equal(batched.powers_linear, loop.powers_linear), (seed, n)
+        batched = gbsm.simulate_pdp(WIDE, seed)
+        assert np.array_equal(batched.powers_linear, loop_simulate_pdp(WIDE, seed).powers_linear)
     count = gbsm.CHUNK_ROWS + 1
     _, block = gbsm._stream_block(WIDE, 13, gbsm.DATASET_STREAM, 0, count)
     stops = [support_stop(row, WIDE) for row in block.delays]
@@ -316,13 +362,29 @@ def test_los_only_set_equals_loop_reference():
     assert np.array_equal(out, taps.astype(np.complex64))
 
 
+def test_simulate_pdp_agrees_with_monte_carlo():
+    """10**4 phase realizations average to the closed form in every tap
+    within 5 standard errors plus 1e-12 of the peak, in the raw powers that
+    ``simulate_pdp`` aligns and scales: a tap that one path alone reaches
+    has no phase variance, so there both sides agree to rounding."""
+    for name, config in sorted(SUPPORT_CONFIGS.items()):
+        for seed in (0, 1):
+            pdp = gbsm.simulate_pdp(config, seed)
+            peak = np.max(loop_expected_power(config, seed))
+            mean, stderr = monte_carlo_power(config, seed, 10_000)
+            # the bins before simulate_pdp's first bin above its threshold are dropped
+            mean, stderr = mean[-len(pdp):], stderr[-len(pdp):]
+            error = np.abs(pdp.powers_linear * peak - mean)
+            assert np.all(error <= 5.0 * stderr + 1e-12 * peak), (name, seed)
+
+
 @pytest.mark.parametrize("name", ["urban-los", "campus-nlos", "single", "wide"])
 def test_simulated_power_outside_support_is_zero(name):
     config = SUPPORT_CONFIGS[name]
     for seed in range(6):
         _, block = gbsm._stream_block(config, seed, gbsm.SIMULATE_STREAM, 0, 1)
         stop = support_stop(block.delays, config)
-        powers = gbsm.simulate_pdp(config, seed, 40).powers_linear
+        powers = gbsm.simulate_pdp(config, seed).powers_linear
         assert np.all(powers[stop:] == 0.0), seed
         assert not np.any(np.signbit(powers)), seed
 
@@ -420,4 +482,4 @@ def test_span_overflow_gives_up_naming_snapshot_and_config(tmp_path):
         gbsm.generate_dataset(config, 3, 0, tmp_path / "x.chds")
     message = rf"^config 'wide', cluster set of simulate seed 5: .* in {gbsm.MAX_CLUSTER_DRAWS} "
     with pytest.raises(ValidationError, match=message):
-        gbsm.simulate_pdp(config, 5, 4)
+        gbsm.simulate_pdp(config, 5)

@@ -47,7 +47,7 @@ def with_clamped_and_zero_bins():
 
 
 def simulated():
-    return gbsm.simulate_pdp(gbsm.PRESETS["urban-nlos"], 4, 50)
+    return gbsm.simulate_pdp(gbsm.PRESETS["urban-nlos"], 4)
 
 
 @pytest.mark.parametrize(
