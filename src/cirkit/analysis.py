@@ -145,10 +145,15 @@ def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     return _noise_floor(pdp.powers_linear)
 
 
+def _threshold(powers: np.ndarray) -> float:
+    """The threshold of :func:`noise_threshold` from a profile's powers."""
+    return _noise_floor(powers) * _MARGIN
+
+
 def noise_threshold(pdp: PowerDelayProfile) -> float:
     """The power a bin of ``pdp`` must exceed to count as signal: the noise
     floor of :func:`estimate_noise_floor`, 6 dB up."""
-    return estimate_noise_floor(pdp) * _MARGIN
+    return _threshold(pdp.powers_linear)
 
 
 def _kept(powers: np.ndarray, threshold: float) -> np.ndarray:
@@ -175,7 +180,7 @@ def normalize_pdp(pdp: PowerDelayProfile, threshold: float) -> PowerDelayProfile
 def _normalized(delays_s: np.ndarray, powers: np.ndarray) -> PowerDelayProfile:
     """``normalize_pdp(pdp, noise_threshold(pdp))`` of the raw profile
     ``pdp`` of these delays and powers, without building ``pdp``."""
-    return PowerDelayProfile(*_aligned(delays_s, powers, _noise_floor(powers) * _MARGIN))
+    return PowerDelayProfile(*_aligned(delays_s, powers, _threshold(powers)))
 
 
 def _moments(delays_s: np.ndarray, powers: np.ndarray, total) -> tuple:

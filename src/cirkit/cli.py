@@ -162,7 +162,7 @@ def _cmd_simulate(args) -> int:
     with _stage("simulate"):
         # the PDP is the closed-form mean over phases; the count is only checked
         if args.realizations < 1:
-            raise ValidationError("n_realizations must be >= 1")
+            raise ValidationError("--realizations must be >= 1")
         pdp = gbsm.simulate_pdp(config, args.seed)
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)

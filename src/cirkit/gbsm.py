@@ -2,11 +2,14 @@
 
 Draws log-normal large-scale parameters, synthesizes a cluster delay line
 (exponential delay drawing with a proportionality factor, exponential power
-decay, log-normal per-cluster shadowing and a LOS component), rescales
-delays so the realized RMS delay spread matches the drawn target exactly,
-and renders band-limited CIRs on the sounder's sample grid, computing only
-the taps that a block of cluster sets reaches. A simulated PDP is the
-closed-form mean power of one cluster set over uniform phases.
+decay, log-normal per-cluster shadowing and a LOS component) as rows of
+path delays and powers, the LOS path last at delay 0, and rescales delays
+so the realized RMS delay spread matches the drawn target exactly. One
+placement step puts the paths' band-limited kernels on the sounder's
+sample grid, computing only the taps that a block of rows reaches: a
+dataset places each CIR's complex amplitudes, and a simulated PDP, the
+closed-form mean power of one cluster set over uniform phases, places its
+paths' powers times their squared kernels.
 
 Datasets and simulated PDPs draw from counter-based Philox streams keyed
 by (root seed, stream): snapshot i owns a fixed run of uniform words, so
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -204,61 +206,56 @@ def _large_scale(words: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray,
         return ds, config.kf_median_db + config.kf_sigma_db * z[:, 1]
 
 
-class _ClusterBlock(NamedTuple):
-    """Cluster sets of S snapshots as arrays: row r holds snapshot r's
-    clusters in delay order and its LOS power, which sits at delay 0."""
-
-    delays: np.ndarray  # (S, K) seconds
-    powers: np.ndarray  # (S, K)
-    los: np.ndarray  # (S,)
-
-
 def _draw_clusters(
     ds: np.ndarray, los: np.ndarray, words: np.ndarray, config: ScenarioConfig, where
-) -> _ClusterBlock:
-    """Cluster delay lines of S rows with (S,) delay spreads and LOS powers
-    from their (S, C) cluster words: a delay word per cluster, then its
-    shadowing by Box-Muller.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, K + 1) path delays and powers of S rows with (S,) delay spreads
+    and LOS powers, from their (S, C) cluster words: a delay word per
+    cluster, then its shadowing by Box-Muller. Columns 0 to K - 1 hold the
+    clusters in delay order, column K the LOS path at delay 0 (power 0 for
+    NLOS configs).
 
     Delays are drawn exponentially with proportionality factor r_tau,
     sorted and shifted to start at 0; powers decay exponentially in delay
     with log-normal per-cluster shadowing. The cluster powers are scaled to
     1 less the LOS power, and then every delay is rescaled by one factor so
-    the exact RMS delay spread of the row's discrete set, LOS term included,
-    equals its DS. A single-cluster set has no spread to rescale, and a row
-    whose set has none fails, named by ``where(row)``.
+    the exact RMS delay spread of the row's paths equals its DS. A
+    single-cluster set has no spread to rescale, and a row whose paths have
+    none fails, named by ``where(row)``.
     """
-    rows = ds.size
     n = config.num_clusters
     u = words[:, :n]  # 1-u is uniform on (0, 1]
     shadowing = config.per_cluster_shadowing_db * _box_muller(words[:, n:])[:, :n]
     r_tau = config.delay_proportionality_r_tau
     raw = (-r_tau * ds)[:, None] * np.log1p(-u)
     raw.sort(axis=-1)
-    delays = raw - raw[:, :1]
-    decay = np.exp(-delays * (r_tau - 1.0) / (r_tau * ds)[:, None])
+    delays = np.zeros((ds.size, n + 1))
+    powers = np.empty((ds.size, n + 1))
+    cluster_delays = delays[:, :n]
+    np.subtract(raw, raw[:, :1], out=cluster_delays)
+    decay = np.exp(-cluster_delays * (r_tau - 1.0) / (r_tau * ds)[:, None])
     weights = decay * 10.0 ** (-shadowing / 10.0)
-    powers = weights / weights.sum(axis=-1, keepdims=True) * (1.0 - los)[:, None]
+    powers[:, :n] = weights / weights.sum(axis=-1, keepdims=True) * (1.0 - los)[:, None]
+    powers[:, n] = los
 
     if n == 1:
-        return _ClusterBlock(delays, powers, los)
-    all_delays = np.concatenate([delays, np.zeros((rows, 1))], axis=1)
-    all_powers = np.concatenate([powers, los[:, None]], axis=1)
-    sigma = discrete_delay_spread(all_delays, all_powers)
+        return delays, powers
+    sigma = discrete_delay_spread(delays, powers)
     degenerate = np.flatnonzero(sigma == 0.0)
     if degenerate.size:
         raise ValidationError(
             f"{where(degenerate[0])}: cluster set has no delay spread "
             "(all power at one delay); cannot scale"
         )
-    return _ClusterBlock(delays * (ds / sigma)[:, None], powers, los)
+    cluster_delays *= (ds / sigma)[:, None]
+    return delays, powers
 
 
 def _stream_block(
     config: ScenarioConfig, root: int, stream: int, start: int, rows: int
-) -> tuple[np.ndarray, _ClusterBlock]:
-    """Phase words and cluster sets of rows ``start`` to ``start + rows - 1``
-    of the (root, stream) stream.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase words and the path delays and powers of ``_draw_clusters`` of
+    rows ``start`` to ``start + rows - 1`` of the (root, stream) stream.
 
     A row's DS and K-factor come from its ``LARGE_SCALE`` words; for LOS
     configs the LOS power is K/(K+1). Its clusters come from its cluster
@@ -301,22 +298,22 @@ def _stream_block(
         k_linear = 10.0 ** (kf / 10.0)
         los = k_linear / (k_linear + 1.0)
 
-    block = _draw_clusters(ds, los, words[:, clusters], config, where)
-    over = np.nonzero(block.delays.max(axis=-1) >= span)[0]
+    delays, powers = _draw_clusters(ds, los, words[:, clusters], config, where)
+    over = np.nonzero(delays.max(axis=-1) >= span)[0]
     for attempt in range(1, MAX_CLUSTER_DRAWS):
         if over.size == 0:
             break
         again = _stream_words(root, stream, start, rows, width, attempt)[over, clusters]
-        redo = _draw_clusters(ds[over], los[over], again, config, lambda row: where(over[row]))
-        block.delays[over] = redo.delays
-        block.powers[over] = redo.powers
-        over = over[redo.delays.max(axis=-1) >= span]
+        delays[over], powers[over] = _draw_clusters(
+            ds[over], los[over], again, config, lambda row: where(over[row])
+        )
+        over = over[delays[over].max(axis=-1) >= span]
     if over.size:
         raise ValidationError(
             f"{where(over[0])}: cluster delays overflow the {span} s CIR span "
             f"in {MAX_CLUSTER_DRAWS} draws"
         )
-    return words[:, phases], block
+    return words[:, phases], delays, powers
 
 
 def _kernel(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,54 +344,57 @@ def _kernel(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first.astype(np.intp), kern
 
 
-def _render_block(
-    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, los_power, config, out=None
-) -> np.ndarray:
-    """Render S CIRs from (S, K) cluster delays and powers, or (1, K) ones
-    that all S rows share, as whole (S, taps) rows written into ``out``, an
-    (S, taps) complex64 array whose parts round as ``astype`` rounds them,
-    or into a new complex128 array. Each cluster has amplitude sqrt(power)
-    and phase 2 pi u from its (S, K) phase word u.
+def _place(first: np.ndarray, kern: np.ndarray, parts) -> None:
+    """For each (values, out) of ``parts``, write into the real (S, taps)
+    array ``out`` the sum of the (S, P) ``values`` times ``kern`` over the
+    paths whose (S, P) ``first`` taps and (S, P, 16) slots ``_kernel``
+    gives: each tap sums its paths in path order from 0.0.
 
-    Each path is the 16-slot kernel of ``_kernel`` at its fractional
-    position. Only the delay support is rendered: it runs from slot m = -8
-    of the earliest path to slot m = 7 of the latest, so every slot of every
-    path lands in it; its columns outside the CIR are sliced off, so taps
-    outside the CIR are dropped, and every other tap is set to +0.0,
-    whatever ``out`` held. The LOS term, with the real amplitude
-    sqrt(``los_power``) ((S,) or (1,)) at delay 0, is added after the
-    clusters when any row has one. Each tap sums its contributions in path
-    order from 0.0, so a row equals adding the paths one by one into a zero
-    CIR, and the work follows the support, not ``cir_length_taps``.
-    Boundary clipping and residual tail interference keep a row's energy
-    within about +-0.5 dB of the power sum when clusters sit a few taps
-    apart; clusters sharing taps also interfere row by row, but their
-    phase-averaged power still adds.
+    Only the delay support is summed: it runs from slot m = -8 of the
+    earliest path to slot m = 7 of the latest, so every slot of every path
+    lands in it; its columns outside the CIR are sliced off, so taps outside
+    the CIR are dropped, and every other tap is set to +0.0, whatever
+    ``out`` held. The work follows the support, not the CIR length.
     """
-    amplitudes = np.sqrt(powers) * np.exp(1j * (2.0 * np.pi * phase_words))
-    los_amplitude = np.sqrt(los_power)
-    rows = amplitudes.shape[0]
-    if np.any(los_amplitude > 0.0):
-        delays = np.concatenate([delays, np.zeros((delays.shape[0], 1))], axis=1)
-        los_column = np.broadcast_to(los_amplitude, (rows,))[:, None]
-        amplitudes = np.concatenate([amplitudes, los_column], axis=1)
-    first, kern = _kernel(delays * config.sample_rate_hz)
-
+    rows, n_taps = parts[0][1].shape
     # a support row holds taps low to high - 1, which may overhang the CIR;
     # slot m = -8 of a path lands in its column ceil(pos) - 8 - low
     low = int(first.min()) - KERNEL_HALF_WIDTH
     high = int(first.max()) + KERNEL_HALF_WIDTH
     width = high - low
-    cols = slice(max(low, 0), min(high, config.cir_length_taps))
+    cols = slice(max(low, 0), min(high, n_taps))
     start = first - KERNEL_HALF_WIDTH - low + (np.arange(rows) * width)[:, None]
     flat = (start[..., None] + np.arange(_SLOTS.size)).ravel()
-    taps = np.empty((rows, config.cir_length_taps), np.complex128) if out is None else out
-    taps[:, : cols.start] = 0.0
-    taps[:, cols.stop :] = 0.0
-    for part, values in ((taps.real, amplitudes.real), (taps.imag, amplitudes.imag)):
+    for values, out in parts:
         summed = np.bincount(flat, (values[..., None] * kern).ravel(), rows * width)
-        part[:, cols] = summed.reshape(rows, width)[:, cols.start - low : cols.stop - low]
-    return taps
+        out[:, : cols.start] = 0.0
+        out[:, cols.stop :] = 0.0
+        out[:, cols] = summed.reshape(rows, width)[:, cols.start - low : cols.stop - low]
+
+
+def _render_block(
+    delays: np.ndarray, powers: np.ndarray, phase_words: np.ndarray, config, out: np.ndarray
+) -> np.ndarray:
+    """Render S CIRs from the (S, K + 1) path delays and powers of
+    ``_draw_clusters`` into ``out``, an (S, taps) complex array: a
+    complex64 one's parts round as ``astype`` rounds them. Cluster k has
+    amplitude sqrt(power) and phase 2 pi u from its (S, K) phase word u;
+    the LOS path, column K, has the real amplitude sqrt(power) and is
+    rendered for LOS configs only. One ``_place`` of the paths' kernels
+    sums the real and the imaginary parts, so a row equals adding the paths
+    one by one into a zero CIR. Boundary clipping and residual tail
+    interference keep a row's energy within about +-0.5 dB of the power sum
+    when clusters sit a few taps apart; clusters sharing taps also interfere
+    row by row, but their phase-averaged power still adds.
+    """
+    clusters = phase_words.shape[1]
+    paths = clusters + 1 if config.los else clusters
+    amplitudes = np.sqrt(powers[:, :paths]).astype(np.complex128)
+    # the LOS column keeps phase 0
+    amplitudes[:, :clusters] *= np.exp(1j * (2.0 * np.pi * phase_words))
+    first, kern = _kernel(delays[:, :paths] * config.sample_rate_hz)
+    _place(first, kern, ((amplitudes.real, out.real), (amplitudes.imag, out.imag)))
+    return out
 
 
 def simulate_pdp(config: ScenarioConfig, rng_seed: int) -> PowerDelayProfile:
@@ -402,25 +402,22 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int) -> PowerDelayProfile:
     uniform phases.
 
     Row 0 of the (rng_seed, ``SIMULATE_STREAM``) stream gives the DS,
-    K-factor and clusters; they stay fixed while the per-cluster phases
+    K-factor and paths; they stay fixed while the per-cluster phases
     vary, as in consecutive snapshots of a static channel. The cluster
     phases are independent and uniform, so the cross terms of |h|^2
     average to 0 and the expected power is sum p_k kernel_k^2 over the
-    clusters and the LOS term, with the kernels of ``_kernel``. Each tap
-    sums its paths' p kernel^2 in path order from 0.0, taps outside the CIR
-    are dropped, and the taps beyond the latest path's kernel hold exactly
-    0.0. The profile is normalized as ``cirkit estimate`` normalizes a
-    measured one, and built once, from the normalized arrays.
+    paths, LOS included: one ``_place`` of the paths' squared kernels,
+    the same placement a dataset row's parts take. The profile is
+    normalized as ``cirkit estimate`` normalizes a measured one, and built
+    once, from the normalized arrays.
     """
     root = check_seed(rng_seed)
-    _, block = _stream_block(config, root, SIMULATE_STREAM, 0, 1)
-    first, kern = _kernel(np.append(block.delays[0], 0.0) * config.sample_rate_hz)
-    taps = first[:, None] + _SLOTS
-    inside = (taps >= 0) & (taps < config.cir_length_taps)
-    weights = np.append(block.powers[0], block.los)[:, None] * kern**2
-    power = np.bincount(taps[inside], weights[inside], config.cir_length_taps)
-    delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
-    return _normalized(delays, power)
+    _, delays, powers = _stream_block(config, root, SIMULATE_STREAM, 0, 1)
+    first, kern = _kernel(delays * config.sample_rate_hz)
+    power = np.empty((1, config.cir_length_taps))
+    _place(first, kern**2, ((powers, power),))
+    bins = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
+    return _normalized(bins, power[0])
 
 
 def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) -> None:
@@ -449,13 +446,12 @@ def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) ->
 
     def render_chunk(start: int, buffers) -> np.ndarray:
         rows = min(CHUNK_ROWS, count - start)
-        phases, block = _stream_block(config, root, DATASET_STREAM, start, rows)
+        phases, delays, powers = _stream_block(config, root, DATASET_STREAM, start, rows)
         out = buffers[0][:rows]
         # a few rows at a time: a worker thread keeps what it allocates
         for lo in range(0, rows, _RENDER_ROWS):
             part = slice(lo, lo + _RENDER_ROWS)
-            _render_block(block.delays[part], block.powers[part], phases[part], block.los[part],
-                          config, out[part])
+            _render_block(delays[part], powers[part], phases[part], config, out[part])
         return out
 
     comments = (f"seed={root}", f"generator_version={__about__.__version__}")

@@ -143,9 +143,8 @@ def test_c05_closed_loop_delay_spread_recovery(name):
     preset = PRESETS[name]
     started = time.monotonic()
 
-    ds, _, block = stream_clusters(preset, 1000)
-    delays = np.concatenate([block.delays, np.zeros((ds.size, 1))], axis=1)
-    powers = np.concatenate([block.powers, block.los[:, None]], axis=1)
+    ds, _, delays, powers = stream_clusters(preset, 1000)
+    assert not np.any(delays[:, -1])
     sigma = analysis.discrete_delay_spread(delays, powers)
     assert np.all(np.abs(sigma - ds) / ds < 1e-9)
 
@@ -178,8 +177,8 @@ def test_c06_closed_loop_k_factor_recovery():
 
     for name in ("urban-nlos", "campus-nlos"):
         preset = PRESETS[name]
-        _, kf, block = stream_clusters(preset, 50)
-        assert kf is None and not np.any(block.los)
+        _, kf, _, powers = stream_clusters(preset, 50)
+        assert kf is None and not np.any(powers[:, -1])
         params = extract_parameters(simulate_pdp(preset, 1), los_flag=False)
         assert params.k_factor_db is None
     report(6, "NLOS presets never produce a K-factor")
@@ -189,8 +188,8 @@ def test_c06_closed_loop_k_factor_recovery():
 def test_c07_cluster_set_construction_identities(name):
     """1000 snapshots: power sum, LOS ratio identity, shadowing-free monotonicity."""
     preset = PRESETS[name]
-    _, kf, block = stream_clusters(preset, 1000)
-    for row, (powers, los) in enumerate(zip(block.powers, block.los)):
+    _, kf, _, paths = stream_clusters(preset, 1000)
+    for row, (*powers, los) in enumerate(paths):
         total = sum(powers) + los
         assert abs(total - 1.0) < 1e-12
         if preset.los:
@@ -200,7 +199,7 @@ def test_c07_cluster_set_construction_identities(name):
 
     if not preset.los:
         plain = dataclasses.replace(preset, per_cluster_shadowing_db=0.0)
-        for powers in stream_clusters(plain, 200)[2].powers:
+        for powers in stream_clusters(plain, 200)[3][:, :-1]:
             assert all(a >= b for a, b in zip(powers, powers[1:]))
     report(7, f"{name}: 1000-snapshot construction identities hold")
 

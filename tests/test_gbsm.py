@@ -42,11 +42,11 @@ def large_scale(config, rows, seed=0):
 
 
 def stream_clusters(config, rows, seed=0):
-    """(DS, K-factor in dB or None, cluster block) of the first ``rows``
-    rows of the dataset stream of ``seed``, as ``generate_dataset`` draws
-    them."""
-    _, block = gbsm._stream_block(config, seed, gbsm.DATASET_STREAM, 0, rows)
-    return *large_scale(config, rows, seed), block
+    """(DS, K-factor in dB or None, path delays, path powers) of the first
+    ``rows`` rows of the dataset stream of ``seed``, as ``generate_dataset``
+    draws them: columns 0 to K - 1 are the clusters, column K the LOS path."""
+    _, delays, powers = gbsm._stream_block(config, seed, gbsm.DATASET_STREAM, 0, rows)
+    return *large_scale(config, rows, seed), delays, powers
 
 
 def read_back(tmp_path, config, count, seed, name="dataset.chds"):
@@ -59,9 +59,10 @@ def read_back(tmp_path, config, count, seed, name="dataset.chds"):
 def render(pairs, phase_words):
     """One ``URBAN_NLOS`` CIR of the (delay_s, power) ``pairs`` and their
     phase words, without a LOS term."""
-    delays, powers = np.array(pairs, dtype=float).T
+    delays, powers = np.array([*pairs, (0.0, 0.0)], dtype=float).T
+    out = np.empty((1, URBAN_NLOS.cir_length_taps), np.complex128)
     return gbsm._render_block(delays[None], powers[None], np.reshape(phase_words, (1, -1)),
-                              np.zeros(1), URBAN_NLOS)[0]
+                              URBAN_NLOS, out)[0]
 
 
 class TestScenarioConfig:
@@ -173,8 +174,8 @@ class TestDrawLargeScale:
         for seed in range(20):
             _, kf = large_scale(URBAN_NLOS, 1, seed)
             assert kf is None
-        _, _, block = stream_clusters(URBAN_NLOS, 20)
-        assert not np.any(block.los)
+        _, _, _, powers = stream_clusters(URBAN_NLOS, 20)
+        assert not np.any(powers[:, -1])
 
     def test_median_of_lognormal_draws(self):
         config = dataclasses.replace(URBAN_NLOS, ds_sigma_log10=0.2)
@@ -207,38 +208,40 @@ class TestGenerateClusters:
     """The cluster sets of dataset-stream rows (``gbsm._stream_block``)."""
 
     def test_power_sums_to_one(self):
-        _, _, block = stream_clusters(URBAN_NLOS, 50)
-        assert np.all(np.abs(block.powers.sum(axis=1) + block.los - 1.0) < 1e-12)
+        _, _, _, powers = stream_clusters(URBAN_NLOS, 50)
+        assert np.all(np.abs(powers[:, :-1].sum(axis=1) + powers[:, -1] - 1.0) < 1e-12)
 
     def test_ds_enforced_exactly(self):
-        ds, _, block = stream_clusters(URBAN_NLOS, 50)
-        for target, delays, powers, los in zip(ds, block.delays, block.powers, block.los):
-            sigma = cluster_sigma(list(delays) + [0.0], list(powers) + [los])
+        ds, _, all_delays, all_powers = stream_clusters(URBAN_NLOS, 50)
+        for target, delays, powers in zip(ds, all_delays, all_powers):
+            assert delays[-1] == 0.0
+            sigma = cluster_sigma(list(delays), list(powers))
             assert abs(sigma - target) / target < 1e-9
             assert abs(sigma - 125 * NS) / (125 * NS) < 1e-9
 
     def test_los_ratio_identity(self):
-        _, _, block = stream_clusters(URBAN_LOS, 20, seed=7)
-        scattered = block.powers.sum(axis=1)
-        np.testing.assert_allclose(block.los / scattered, 10**1.3, rtol=1e-12)
+        _, _, _, powers = stream_clusters(URBAN_LOS, 20, seed=7)
+        scattered = powers[:, :-1].sum(axis=1)
+        np.testing.assert_allclose(powers[:, -1] / scattered, 10**1.3, rtol=1e-12)
 
     def test_single_cluster_marker(self):
         # a single-cluster set has no spread to rescale: its one cluster
         # sits at delay 0 with all the power
         config = dataclasses.replace(URBAN_NLOS, num_clusters=1)
-        _, _, block = stream_clusters(config, 20, seed=3)
-        assert block.delays.shape == (20, 1)
-        assert not np.any(block.delays)
-        np.testing.assert_allclose(block.powers, 1.0, rtol=1e-15)
+        _, _, delays, powers = stream_clusters(config, 20, seed=3)
+        assert delays.shape == (20, 2)
+        assert not np.any(delays)
+        np.testing.assert_allclose(powers[:, 0], 1.0, rtol=1e-15)
+        assert not np.any(powers[:, 1])
 
     def test_minimum_delay_is_zero(self):
-        _, _, block = stream_clusters(URBAN_NLOS, 50, seed=11)
-        assert np.all(block.delays.min(axis=1) == 0.0)
+        _, _, delays, _ = stream_clusters(URBAN_NLOS, 50, seed=11)
+        assert np.all(delays[:, :-1].min(axis=1) == 0.0)
 
     def test_monotone_powers_without_shadowing(self):
         config = dataclasses.replace(URBAN_NLOS, per_cluster_shadowing_db=0.0)
-        _, _, block = stream_clusters(config, 20)
-        assert np.all(np.diff(block.powers, axis=1) <= 0.0)
+        _, _, _, powers = stream_clusters(config, 20)
+        assert np.all(np.diff(powers[:, :-1], axis=1) <= 0.0)
 
     def test_all_zero_delays_rejected(self, tmp_path):
         """A set that cannot spread fails naming config and row, from either
@@ -304,8 +307,10 @@ class TestSynthesizeCir:
         phases = np.array([
             np.random.default_rng(np.random.SeedSequence([3, 2, i])).random(2) for i in range(n)
         ])
-        taps = gbsm._render_block(np.array([[20 * step, 20.5 * step]]), np.array([[0.6, 0.4]]),
-                                  phases, np.zeros(1), URBAN_NLOS)
+        delays = np.broadcast_to([20 * step, 20.5 * step, 0.0], (n, 3))
+        powers = np.broadcast_to([0.6, 0.4, 0.0], (n, 3))
+        out = np.empty((n, URBAN_NLOS.cir_length_taps), np.complex128)
+        taps = gbsm._render_block(delays, powers, phases, URBAN_NLOS, out)
         acc = np.mean(np.abs(taps) ** 2, axis=0)
         # per-cluster contributions rendered in isolation (magnitudes are
         # phase independent for a lone cluster)
@@ -333,7 +338,7 @@ class TestSimulatePdp:
         out = tmp_path / "x.csv"
         argv = ["simulate", "--config", "urban-nlos", "--realizations", "0", "--pdp-out", str(out)]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "cirkit simulate: simulate: n_realizations must be >= 1\n"
+        assert capsys.readouterr().err == "cirkit simulate: simulate: --realizations must be >= 1\n"
         assert not out.exists()
 
     def test_closed_loop_ds_recovery(self):

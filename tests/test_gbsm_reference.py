@@ -271,8 +271,9 @@ def test_dataset_within_rounding_of_sinc_kernel(name):
     chunks = []
     for start in range(0, count, gbsm.CHUNK_ROWS):
         rows = min(gbsm.CHUNK_ROWS, count - start)
-        phases, block = gbsm._stream_block(config, 13, gbsm.DATASET_STREAM, start, rows)
-        chunks.append(gbsm._render_block(block.delays, block.powers, phases, block.los, config))
+        phases, delays, powers = gbsm._stream_block(config, 13, gbsm.DATASET_STREAM, start, rows)
+        out = np.empty((rows, config.cir_length_taps), np.complex128)
+        chunks.append(gbsm._render_block(delays, powers, phases, config, out))
     batched = np.vstack(chunks)
     reference = loop_generate_dataset(config, count, 13, kernel=sinc_kernel)
     peak = np.max(np.abs(reference), axis=1, keepdims=True)
@@ -294,12 +295,11 @@ def test_stream_block_clusters_equal_loop_reference(name):
     config = CONFIGS[name]
     for stream in (gbsm.DATASET_STREAM, gbsm.SIMULATE_STREAM):
         rows = 2 * gbsm.CHUNK_ROWS + 3
-        phases, block = gbsm._stream_block(config, 13, stream, 0, rows)
+        phases, all_delays, all_powers = gbsm._stream_block(config, 13, stream, 0, rows)
         for index in range(rows):
             delays, powers, los = loop_stream_clusters(config, 13, stream, index)
-            assert np.array_equal(block.delays[index], delays), (stream, index)
-            assert np.array_equal(block.powers[index], powers), (stream, index)
-            assert block.los[index] == los, (stream, index)
+            assert np.array_equal(all_delays[index], np.append(delays, 0.0)), (stream, index)
+            assert np.array_equal(all_powers[index], np.append(powers, los)), (stream, index)
             loop = loop_phases(config, 13, stream, index)
             assert np.array_equal(2.0 * np.pi * phases[index], loop), (stream, index)
 
@@ -310,9 +310,11 @@ def test_synthesize_cir_equals_loop_reference():
     # integer, fractional, edge-clipped and LOS positions
     delays = np.array([0.0, 3.25 * step, 40 * step, 350.5 * step])
     powers = np.array([0.2, 0.2, 0.2, 0.1])
+    paths = np.append(delays, 0.0)[None], np.append(powers, 0.3)[None]
     for seed in range(5):
         words = np.random.default_rng(seed).random((1, delays.size))
-        batched = gbsm._render_block(delays[None], powers[None], words, np.array([0.3]), config)
+        out = np.empty((1, config.cir_length_taps), np.complex128)
+        batched = gbsm._render_block(*paths, words, config, out)
         loop = loop_synthesize_cir((delays, powers, 0.3), config, 2.0 * np.pi * words[0])
         assert np.array_equal(batched, loop[None])
         assert batched.shape == (1, config.cir_length_taps)
@@ -336,13 +338,13 @@ def test_support_clipped_at_both_ends_equals_loop_reference(tmp_path):
     """Renders whose support overhangs the CIR at tap 0 and at the last tap
     give the loop's bytes, in ``simulate_pdp`` and in a dataset."""
     for seed in WIDE_CLIPPED_SEEDS:
-        _, block = gbsm._stream_block(WIDE, seed, gbsm.SIMULATE_STREAM, 0, 1)
-        assert support_stop(block.delays, WIDE) > WIDE.cir_length_taps
+        _, delays, _ = gbsm._stream_block(WIDE, seed, gbsm.SIMULATE_STREAM, 0, 1)
+        assert support_stop(delays, WIDE) > WIDE.cir_length_taps
         batched = gbsm.simulate_pdp(WIDE, seed)
         assert np.array_equal(batched.powers_linear, loop_simulate_pdp(WIDE, seed).powers_linear)
     count = gbsm.CHUNK_ROWS + 1
-    _, block = gbsm._stream_block(WIDE, 13, gbsm.DATASET_STREAM, 0, count)
-    stops = [support_stop(row, WIDE) for row in block.delays]
+    _, delays, _ = gbsm._stream_block(WIDE, 13, gbsm.DATASET_STREAM, 0, count)
+    stops = [support_stop(row, WIDE) for row in delays]
     assert max(stops) > WIDE.cir_length_taps
     batched = read_back(tmp_path, WIDE, count, 13).snapshots
     assert np.array_equal(batched, loop_generate_dataset(WIDE, count, 13).astype(np.complex64))
@@ -352,13 +354,13 @@ def test_los_only_set_equals_loop_reference():
     """No cluster, the LOS term alone: a support of taps 0 to 7, in which
     the kernel at a whole tap is sqrt(0.7) at tap 0 and 0 elsewhere."""
     config = PRESETS["urban-los"]
-    args = (np.zeros((1, 0)), np.zeros((1, 0)), np.zeros((3, 0)), np.array([0.7]), config)
+    args = (np.zeros((3, 1)), np.full((3, 1), 0.7), np.zeros((3, 0)), config)
     loop = loop_synthesize_cir((np.zeros(0), np.zeros(0), 0.7), config, [])
     assert np.flatnonzero(loop).tolist() == [0]
-    taps = gbsm._render_block(*args)
+    taps = gbsm._render_block(*args, np.empty((3, config.cir_length_taps), np.complex128))
     assert np.array_equal(taps, np.broadcast_to(loop, taps.shape))
     out = np.full(taps.shape, np.nan, dtype=np.complex64)
-    gbsm._render_block(*args, out=out)
+    gbsm._render_block(*args, out)
     assert np.array_equal(out, taps.astype(np.complex64))
 
 
@@ -382,8 +384,8 @@ def test_simulate_pdp_agrees_with_monte_carlo():
 def test_simulated_power_outside_support_is_zero(name):
     config = SUPPORT_CONFIGS[name]
     for seed in range(6):
-        _, block = gbsm._stream_block(config, seed, gbsm.SIMULATE_STREAM, 0, 1)
-        stop = support_stop(block.delays, config)
+        _, delays, _ = gbsm._stream_block(config, seed, gbsm.SIMULATE_STREAM, 0, 1)
+        stop = support_stop(delays, config)
         powers = gbsm.simulate_pdp(config, seed).powers_linear
         assert np.all(powers[stop:] == 0.0), seed
         assert not np.any(np.signbit(powers)), seed
@@ -395,13 +397,13 @@ def test_render_into_dirty_buffer_zeroes_outside_support(name):
     support comes back +0.0, and the rows equal the loop's, rounded."""
     config = SUPPORT_CONFIGS[name]
     rows = 40
-    phases, block = gbsm._stream_block(config, 13, gbsm.DATASET_STREAM, 0, rows)
+    phases, delays, powers = gbsm._stream_block(config, 13, gbsm.DATASET_STREAM, 0, rows)
     out = np.empty((rows, config.cir_length_taps), dtype=np.complex64)
     out[::2], out[1::2] = np.nan, complex(-0.0, -0.0)
-    gbsm._render_block(block.delays, block.powers, phases, block.los, config, out)
+    gbsm._render_block(delays, powers, phases, config, out)
     loop = loop_generate_dataset(config, rows, 13)
     assert np.array_equal(out, loop.astype(np.complex64))
-    stop = min(support_stop(block.delays, config), config.cir_length_taps)
+    stop = min(support_stop(delays, config), config.cir_length_taps)
     assert stop < config.cir_length_taps or name == "wide"
     assert not np.any(out.view(np.uint32)[:, 2 * stop :])
 
@@ -437,8 +439,9 @@ def test_kernel_at_any_position(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         [first], [kern] = gbsm._kernel(np.array([pos]))
-        [row] = gbsm._render_block(np.array([[pos]]), np.ones((1, 1)), np.zeros((1, 1)),
-                                   np.zeros(1), config)
+        out = np.empty((1, n_taps), np.complex128)
+        [row] = gbsm._render_block(np.array([[pos, 0.0]]), np.array([[1.0, 0.0]]),
+                                   np.zeros((1, 1)), config, out)
     # unit energy before clipping
     assert abs(float(np.sum(kern**2)) - 1.0) <= 1e-14
     # the np.sinc formula, over the union of both kernels' taps
