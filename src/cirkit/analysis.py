@@ -30,10 +30,6 @@ _MARGIN = 10.0 ** (6.0 / 10.0)
 # as this level
 _FLOOR_DB = -60.0
 
-# CIR rows (snapshots or periods) handled per array block;
-# output does not depend on it, peak memory and speed do
-CHUNK_ROWS = 256
-
 # the slack, in s^2, that ChannelParameters allows sigma^2 = m2 - m1^2
 _RADICAND_EPS_S2 = 1e-18
 
@@ -222,24 +218,6 @@ def _k_factor(kept: np.ndarray) -> float:
     if rest <= 0.0:
         return math.inf
     return float(10.0 * np.log10(peak / rest))
-
-
-def add_rows(power: np.ndarray, rows: np.ndarray) -> None:
-    """Add each row of the float block ``rows`` into ``power``, one row after
-    another, as ``for row in rows: power += row`` does; ``rows`` is changed.
-
-    The running total goes into row 0, then numpy adds the rows up in one
-    call. ``np.add.reduce(rows, axis=0)`` adds a C-ordered block of two or
-    more columns row after row, and is the fastest such call; on a
-    one-column block it adds pairwise, so that one goes through
-    ``np.add.accumulate``, which always adds in order but reads a wide
-    block column by column, six times slower than the reduction.
-    """
-    rows[0] += power
-    if rows.shape[1] > 1:
-        np.add.reduce(rows, axis=0, out=power)
-    else:
-        power[...] = np.add.accumulate(rows, axis=0, out=rows)[-1]
 
 
 def discrete_delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> np.ndarray:

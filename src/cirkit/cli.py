@@ -72,7 +72,7 @@ def _base_sequence(args, transmit: bool = True) -> np.ndarray:
 
 class _CaptureFile(io.IqReader):
     """A capture file whose every read, in whichever stage or worker thread,
-    fails as the read-iq stage; ``read`` goes through ``read_into``."""
+    fails as the read-iq stage."""
 
     def read_into(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
         with _stage("read-iq"):

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __about__
 from .analysis import (
-    CHUNK_ROWS,
     ChannelParameters,
     PowerDelayProfile,
     _normalized,
@@ -34,7 +33,7 @@ from .analysis import (
 from .channel_apply import check_seed
 from .errors import ValidationError
 from .signal import _check_rate
-from .sounder import DEFAULT_SAMPLE_RATE_HZ, DEFAULT_SEQUENCE_LENGTH, _map_chunks
+from .sounder import CHUNK_ROWS, DEFAULT_SAMPLE_RATE_HZ, DEFAULT_SEQUENCE_LENGTH, _map_chunks
 
 DEFAULT_R_TAU = 2.3
 DEFAULT_SHADOWING_DB = 3.0

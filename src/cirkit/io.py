@@ -250,10 +250,12 @@ def _read_meta(path) -> dict[str, float]:
 
 
 class IqReader:
-    """A raw IQ capture opened for reading by sample range.
+    """A raw IQ capture opened for reading by sample range, ``read_into``,
+    with the ``len`` and ``sample_rate_hz`` of an ``IqSignal``, and its
+    ``center_frequency_hz`` from the sidecar.
 
     Opening checks the file size, the float count and the ``.meta``
-    sidecar; each read checks that the samples it returns are finite.
+    sidecar; each read checks that the samples it fills are finite.
     The reader keeps the file open, and each read is one positioned read of
     the file, safe from any thread; a reader holds no samples itself, so a
     capture larger than RAM can be processed range by range. ``close``, or
@@ -295,17 +297,6 @@ class IqReader:
     def __len__(self) -> int:
         return self._samples
 
-    def _check_range(self, lo: int, hi: int) -> None:
-        if not 0 <= lo <= hi <= self._samples:
-            raise ValidationError(f"{self.path}: no samples [{lo}, {hi}) in {self._samples}")
-
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples ``lo`` to ``hi`` as a new complex128 array."""
-        self._check_range(lo, hi)
-        out = np.empty(hi - lo, dtype=np.complex128)
-        self.read_into(lo, out, np.empty(hi - lo))
-        return out
-
     def read_into(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
         """Fill ``out``, a writable C-contiguous complex128 array, with the
         samples from ``lo`` on.
@@ -314,9 +305,8 @@ class IqReader:
         8 bytes per sample of ``scratch``, a C-contiguous array whose
         contents the read overwrites, and widened into ``out`` in one copy.
         """
-        flat = _read_target(out)
+        flat = _read_target(out, lo, self._samples, f"{self.path}: ")
         hi = lo + flat.size
-        self._check_range(lo, hi)
         if not self._closer.alive:
             raise ValidationError(f"{self.path}: read from a closed capture")
         nbytes = 8 * flat.size

@@ -51,11 +51,13 @@ def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _read_target(out) -> np.ndarray:
+def _read_target(out, lo: int, samples: int, where: str = "") -> np.ndarray:
     """``out`` as a flat view when it is a writable C-contiguous complex128
-    array, the only kind a capture's ``read_into`` fills; anything else
+    array, the only kind a capture's ``read_into`` fills, and the samples
+    it takes from ``lo`` on lie in a capture of ``samples``. Anything else
     raises ``ValidationError`` before a sample is read, since a copy would
-    be filled in its place."""
+    be filled in its place; ``where``, a file's path and a colon, starts
+    the range error."""
     if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
             and out.flags.c_contiguous and out.flags.writeable):
         what = type(out).__name__
@@ -66,7 +68,10 @@ def _read_target(out) -> np.ndarray:
         raise ValidationError(
             f"read_into fills a writable C-contiguous complex128 array, not {what}"
         )
-    return out.reshape(-1)
+    flat = out.reshape(-1)
+    if not 0 <= lo <= lo + flat.size <= samples:
+        raise ValidationError(f"{where}no samples [{lo}, {lo + flat.size}) in {samples}")
+    return flat
 
 
 def _check_rate(sample_rate_hz: float) -> None:
@@ -90,8 +95,10 @@ def check_capture(samples: int, sample_rate_hz: float, center_frequency_hz: floa
 class IqSignal:
     """Complex baseband sample stream.
 
-    ``center_frequency_hz`` is carried as metadata only; no operation in this
-    package mixes signals up or down.
+    A capture the receive chain reads needs three members, which this and
+    ``io.IqReader`` both have: ``len``, ``sample_rate_hz`` and
+    ``read_into``. ``center_frequency_hz`` is carried as metadata only, for
+    ``io.write_iq``; no operation in this package mixes signals up or down.
     """
 
     samples: np.ndarray
@@ -107,18 +114,10 @@ class IqSignal:
     def __len__(self) -> int:
         return self.samples.size
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples ``lo`` to ``hi`` as a read-only view: the range read that
-        ``io.IqReader`` offers for a capture on disk, so the receive chain
-        takes either."""
-        return self.samples[lo:hi]
-
     def read_into(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
         """Copy the samples from ``lo`` on into ``out``, as ``io.IqReader``
         fills it; the samples are in memory already, so ``scratch`` is unused."""
-        flat = _read_target(out)
-        if not 0 <= lo <= lo + flat.size <= self.samples.size:
-            raise ValidationError(f"no samples [{lo}, {lo + flat.size}) in {self.samples.size}")
+        flat = _read_target(out, lo, self.samples.size)
         flat[...] = self.samples[lo : lo + flat.size]
 
 

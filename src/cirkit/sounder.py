@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CHUNK_ROWS, PowerDelayProfile, add_rows
+from .analysis import PowerDelayProfile
 from .errors import ValidationError
 from .signal import IqSignal, _freeze, _frozen, circular_cross_correlate
 
@@ -60,8 +60,13 @@ def build_sounding_signal(
     return IqSignal(samples, sample_rate_hz, center_frequency_hz)
 
 
-# samples per mitigation chunk: CHUNK_ROWS periods of the default sequence
-_CHUNK_SAMPLES = CHUNK_ROWS * DEFAULT_SEQUENCE_LENGTH
+# samples per mitigation chunk, each chunk its own spike-median window:
+# 256 periods of the default sequence, 3.5 ms at 25.6 MS/s
+_CHUNK_SAMPLES = 90_368
+
+# CIR rows (snapshots or periods) handled per array block;
+# output does not depend on it, peak memory and speed do
+CHUNK_ROWS = 256
 
 # chunk tasks that run at once; each works in its own slot's buffers, so
 # the receive chain holds this many chunks whatever the capture length
@@ -164,6 +169,24 @@ def _map_chunks(kernel, items, layout):
             wait(running)
 
 
+def add_rows(power: np.ndarray, rows: np.ndarray) -> None:
+    """Add each row of the float block ``rows`` into ``power``, one row after
+    another, as ``for row in rows: power += row`` does; ``rows`` is changed.
+
+    The running total goes into row 0, then numpy adds the rows up in one
+    call. ``np.add.reduce(rows, axis=0)`` adds a C-ordered block of two or
+    more columns row after row, and is the fastest such call; on a
+    one-column block it adds pairwise, so that one goes through
+    ``np.add.accumulate``, which always adds in order but reads a wide
+    block column by column, six times slower than the reduction.
+    """
+    rows[0] += power
+    if rows.shape[1] > 1:
+        np.add.reduce(rows, axis=0, out=power)
+    else:
+        power[...] = np.add.accumulate(rows, axis=0, out=rows)[-1]
+
+
 def _chunk_layout(samples: int):
     """A mitigation task's buffers for a capture of ``samples``: room for a
     chunk widened by a sample on either side, or for the whole capture and
@@ -178,11 +201,11 @@ class CleanedCapture:
     """A capture read through its mitigation: each range read has the mean
     subtracted and the spikes at ``spike_index`` set to ``spike_value``.
 
-    ``source`` is anything with ``len``, ``read_into(lo, out, scratch)``,
-    ``sample_rate_hz`` and ``center_frequency_hz``: an ``IqSignal`` or an
-    ``io.IqReader``. A range read is the source's read into ``out``, through
-    ``scratch`` when the samples come from a file, then the clean-up in
-    place: it makes no copy of the range.
+    ``source`` is any capture with ``len``, ``sample_rate_hz`` and
+    ``read_into(lo, out, scratch)``, such as an ``IqSignal`` or an
+    ``io.IqReader``, and so is the result. A range read is the source's
+    read into ``out``, through ``scratch`` when the samples come from a
+    file, then the clean-up in place: it makes no copy of the range.
     """
 
     source: object
@@ -194,18 +217,8 @@ class CleanedCapture:
     def sample_rate_hz(self) -> float:
         return self.source.sample_rate_hz
 
-    @property
-    def center_frequency_hz(self) -> float:
-        return self.source.center_frequency_hz
-
     def __len__(self) -> int:
         return len(self.source)
-
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Cleaned samples ``lo`` to ``hi`` as a new array."""
-        out = np.empty(hi - lo, dtype=np.complex128)
-        self.read_into(lo, out, np.empty(hi - lo))
-        return out
 
     def read_into(self, lo: int, out: np.ndarray, scratch: np.ndarray) -> None:
         """Fill the writable C-contiguous complex128 array ``out`` with the
@@ -326,7 +339,7 @@ def synchronize(rx, sequence) -> int:
     Correlates the first full window against the sequence and returns the
     lag with the largest correlation magnitude, in [0, period). ``rx`` is
     an ``IqSignal`` or any capture read by range; only the first period is
-    read.
+    read, through ``read_into``.
     """
     sequence = _sequence(sequence)
     n = sequence.size
@@ -334,7 +347,9 @@ def synchronize(rx, sequence) -> int:
         raise ValidationError(
             f"capture too short to synchronize: {len(rx)} samples < 2 x {n}"
         )
-    corr = circular_cross_correlate(rx.read(0, n), sequence)
+    window = np.empty(n, dtype=np.complex128)
+    rx.read_into(0, window, np.empty(n))
+    corr = circular_cross_correlate(window, sequence)
     return int(np.argmax(np.abs(corr)))
 
 

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from test_gbsm import read_back, stream_clusters
+from test_io import read_range
 
 from cirkit import analysis, gbsm, io, sounder
 from cirkit.analysis import PowerDelayProfile, extract_parameters
@@ -215,7 +216,7 @@ def test_c08_format_round_trips(tmp_path):
         path = tmp_path / f"iq_{i}.iq"
         io.write_iq(path, sig)
         reader = io.IqReader(path)
-        np.testing.assert_array_equal(reader.read(0, len(reader)), sig.samples)
+        np.testing.assert_array_equal(read_range(reader, 0, len(reader)), sig.samples)
 
     for i in range(100):
         los = bool(rng.integers(0, 2))
@@ -321,7 +322,9 @@ def test_c10_end_to_end_pipeline(tmp_path):
     assert main(["generate-sounding", "--out", str(tx_path)] + reps) == 0
 
     reader = io.IqReader(tx_path)
-    tx = IqSignal(reader.read(0, len(reader)), reader.sample_rate_hz, reader.center_frequency_hz)
+    tx = IqSignal(
+        read_range(reader, 0, len(reader)), reader.sample_rate_hz, reader.center_frequency_hz
+    )
     taps = np.zeros(9, dtype=complex)
     taps[0], taps[3], taps[8] = 1.0, 0.6, 0.3
     rx = add_awgn(apply_channel(tx, SyntheticChannel(taps)), 30.0, 5)

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from cirkit import gbsm
 from cirkit.analysis import (
-    CHUNK_ROWS,
     ChannelParameters,
     PowerDelayProfile,
     _k_factor,
     _kept,
     _statistics,
-    add_rows,
     compare_pdps,
     discrete_delay_spread,
     estimate_noise_floor,
@@ -20,6 +18,7 @@ from cirkit.analysis import (
     normalize_pdp,
 )
 from cirkit.errors import EmptyProfileError, InternalConsistencyError, ValidationError
+from cirkit.sounder import CHUNK_ROWS, add_rows
 
 NS = 1e-9
 

@@ -2,14 +2,22 @@
 
 The digests change only together with a ``generator_version`` bump
 recorded in CHANGES.md: a refactor of ``gbsm`` must leave every one of
-them as it is. They were computed with numpy 2.4 on x86-64; numpy's SIMD
-transcendentals may round differently on another CPU or numpy release.
+them as it is. They were computed with numpy 2.4.6 on x86-64 and depend on
+the SIMD level numpy dispatches to: its float64 ``log1p``, ``exp`` and
+``power`` round differently at X86_V3 (AVX2) and at X86_V4 (AVX-512), so
+the digests are recorded per level. A host at a level with no digests, or
+on another CPU family, fails naming numpy's version and the level; run
+there with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` to
+dispatch at X86_V3, or record its digests.
 """
 
 import dataclasses
 import hashlib
+import platform
 
+import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from cirkit import __about__, gbsm, io
 from cirkit.gbsm import PRESETS
@@ -20,17 +28,28 @@ DATASET_CONFIGS = {**PRESETS, "campus-los-spread": SPREAD_CAMPUS_LOS}
 
 GENERATOR_VERSION = "0.4.0"
 
-# sha256 of read_dataset(...).snapshots.tobytes(), 3000 snapshots at seed 1
+# sha256 of read_dataset(...).snapshots.tobytes(), 3000 snapshots at seed 1,
+# by the SIMD level of numpy's dispatch
 DATASET_DIGESTS = {
-    "urban-los": "096aa234b68acba24246c063b993589e00b15ccb42149068a6ffbd18aa4b5bf5",
-    "urban-nlos": "ec6a24462e9e6dd80720e27a8bd00b22f41c1fe54632ebfeb4e20f44b95ba544",
-    "campus-los": "c2d9ea5084ca96a1918816e8f28d8dc5c253c6d8308ac995353261eb9a9b6354",
-    "campus-nlos": "e9fd1a4443a56c3d077feb5cbdf5afc69b23c739afff23926b7e9dd2389a7edd",
-    "campus-los-spread": "ce8ed2f91dba5975a8f56a1257348f6e5917d90aad92276617b1de8af5128fc3",
+    "X86_V4": {
+        "urban-los": "096aa234b68acba24246c063b993589e00b15ccb42149068a6ffbd18aa4b5bf5",
+        "urban-nlos": "ec6a24462e9e6dd80720e27a8bd00b22f41c1fe54632ebfeb4e20f44b95ba544",
+        "campus-los": "c2d9ea5084ca96a1918816e8f28d8dc5c253c6d8308ac995353261eb9a9b6354",
+        "campus-nlos": "e9fd1a4443a56c3d077feb5cbdf5afc69b23c739afff23926b7e9dd2389a7edd",
+        "campus-los-spread": "ce8ed2f91dba5975a8f56a1257348f6e5917d90aad92276617b1de8af5128fc3",
+    },
+    "X86_V3": {
+        "urban-los": "096aa234b68acba24246c063b993589e00b15ccb42149068a6ffbd18aa4b5bf5",
+        "urban-nlos": "ec6a24462e9e6dd80720e27a8bd00b22f41c1fe54632ebfeb4e20f44b95ba544",
+        "campus-los": "c2d9ea5084ca96a1918816e8f28d8dc5c253c6d8308ac995353261eb9a9b6354",
+        "campus-nlos": "e9fd1a4443a56c3d077feb5cbdf5afc69b23c739afff23926b7e9dd2389a7edd",
+        "campus-los-spread": "0c043b21d8c9b5be3d17b720ea2c1b7de874263af34b925351d07a659aec8560",
+    },
 }
 
-# sha256 of the write_pdp_csv bytes of simulate_pdp(preset, seed), seeds 0 to 4
-SIMULATE_DIGESTS = {
+# sha256 of the write_pdp_csv bytes of simulate_pdp(preset, seed), seeds 0 to 4:
+# the same at X86_V3 and X86_V4
+SIMULATE = {
     "urban-los": [
         "fb3412b9ce1daab43dd7935f015ed8b3f18421e3e183e2dd0f6a660d4ea2b531",
         "d08aafb984946cce283ef8d3fa1a792b370c68e07c76d38e525e2e75126f7282",
@@ -62,6 +81,24 @@ SIMULATE_DIGESTS = {
 }
 
 
+SIMULATE_DIGESTS = {"X86_V4": SIMULATE, "X86_V3": SIMULATE}
+
+
+def simd_level() -> str:
+    """The highest x86-64 level numpy dispatches to on this host, or the
+    machine's name when it reports none."""
+    levels = ("X86_V4", "X86_V3", "X86_V2")
+    return next((level for level in levels if __cpu_features__.get(level)), platform.machine())
+
+
+def recorded(digests: dict):
+    """The digests of this host's SIMD level; a level with none fails."""
+    level = simd_level()
+    if level not in digests:
+        pytest.fail(f"no digests recorded for numpy {np.__version__} at {level}")
+    return digests[level]
+
+
 def test_digests_belong_to_this_generator_version():
     assert __about__.__version__ == GENERATOR_VERSION
 
@@ -71,7 +108,7 @@ def test_dataset_payload_digest(tmp_path, name):
     path = tmp_path / "x.chds"
     gbsm.generate_dataset(DATASET_CONFIGS[name], 3000, 1, path)
     payload = io.read_dataset(path).snapshots.tobytes()
-    assert hashlib.sha256(payload).hexdigest() == DATASET_DIGESTS[name]
+    assert hashlib.sha256(payload).hexdigest() == recorded(DATASET_DIGESTS)[name]
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -81,4 +118,4 @@ def test_simulate_csv_digests(tmp_path, name):
         path = tmp_path / f"{seed}.csv"
         io.write_pdp_csv(path, gbsm.simulate_pdp(PRESETS[name], seed))
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-    assert digests == SIMULATE_DIGESTS[name]
+    assert digests == recorded(SIMULATE_DIGESTS)[name]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_io import read_range
 
 from cirkit.channel_apply import SyntheticChannel, add_awgn, apply_channel
 from cirkit.errors import ValidationError
@@ -54,25 +55,25 @@ class TestMitigateArtifacts:
         clean -= np.mean(clean)
         rx = IqSignal(clean + (0.7 - 0.3j), RATE)
         out = mitigate_artifacts(rx)
-        assert abs(np.mean(out.read(0, len(rx)))) < 1e-12
+        assert abs(np.mean(read_range(out, 0, len(rx)))) < 1e-12
 
     def test_clean_signal_untouched(self):
         n = np.arange(512)
         tone = np.exp(2j * np.pi * 16 * n / 512)  # zero mean over full periods
         out = mitigate_artifacts(IqSignal(tone, RATE))
-        assert np.max(np.abs(out.read(0, tone.size) - tone)) < 1e-12
+        assert np.max(np.abs(read_range(out, 0, tone.size) - tone)) < 1e-12
 
     def test_spike_suppressed(self):
         sig = sounding(repetitions=9)
         corrupted = sig.samples.copy()
         corrupted[100] = 100.0 + 0.0j
         out = mitigate_artifacts(IqSignal(corrupted, RATE))
-        assert abs(out.read(100, 101)[0]) < 2.0
+        assert abs(read_range(out, 100, 101)[0]) < 2.0
 
     def test_all_zero_returned_unchanged(self):
         rx = IqSignal(np.zeros(32), RATE)
         out = mitigate_artifacts(rx)
-        np.testing.assert_array_equal(out.read(0, len(rx)), rx.samples)
+        np.testing.assert_array_equal(read_range(out, 0, len(rx)), rx.samples)
 
 
 class TestSynchronize:

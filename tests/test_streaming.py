@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_io import read_whole
+from test_io import read_range, read_whole
 from test_sounder_reference import (
     assert_near_dft,
     dft_estimate_cirs,
@@ -175,7 +175,7 @@ def test_any_length_and_chunk_equal_reference(n, chunk, spikes, seed):
     x[[s for s in spikes if s < n]] = 40.0
     rx = IqSignal(x, 1.0)
     with mock.patch.object(sounder, "_CHUNK_SAMPLES", chunk):
-        cleaned = mitigate_artifacts(rx).read(0, len(rx))
+        cleaned = read_range(mitigate_artifacts(rx), 0, len(rx))
         assert np.array_equal(cleaned, reference_mitigate(rx).samples)
 
 
@@ -184,7 +184,7 @@ class CountingCapture:
 
     def __init__(self, rx):
         self.rx, self.reads = rx, np.zeros(len(rx), dtype=int)
-        self.sample_rate_hz, self.center_frequency_hz = rx.sample_rate_hz, 0.0
+        self.sample_rate_hz = rx.sample_rate_hz
         self.lock = threading.Lock()
 
     def __len__(self):
@@ -194,6 +194,40 @@ class CountingCapture:
         with self.lock:
             self.reads[lo : lo + out.size] += 1
         self.rx.read_into(lo, out, scratch)
+
+
+class ArrayCapture:
+    """A capture with the three members the receive chain reads and no other."""
+
+    __slots__ = ("_samples", "sample_rate_hz")
+
+    def __init__(self, samples, sample_rate_hz):
+        self._samples, self.sample_rate_hz = samples, sample_rate_hz
+
+    def __len__(self):
+        return self._samples.size
+
+    def read_into(self, lo, out, scratch):
+        out.reshape(-1)[...] = self._samples[lo : lo + out.size]
+
+
+@pytest.mark.parametrize("taper", [0.0, 0.1])
+def test_three_member_capture_equals_iq_signal(taper):
+    x = with_spikes(
+        noisy_samples(300, offset=117, extra=40), [5, 1000, 1001, CHUNK - 1, CHUNK, 100_000]
+    )
+
+    def chain(rx):
+        cleaned = mitigate_artifacts(rx)
+        offset = sounder.synchronize(cleaned, SEQUENCE)
+        return offset, sounder.estimate_pdp(cleaned, SEQUENCE, taper, start=offset)
+
+    offset, expected = chain(IqSignal(x, sounder.DEFAULT_SAMPLE_RATE_HZ))
+    assert offset == N - 117
+    got_offset, pdp = chain(ArrayCapture(x, sounder.DEFAULT_SAMPLE_RATE_HZ))
+    assert got_offset == offset
+    assert pdp.delays_s.tobytes() == expected.delays_s.tobytes()
+    assert pdp.powers_linear.tobytes() == expected.powers_linear.tobytes()
 
 
 class TestSmallChunks:
@@ -211,7 +245,7 @@ class TestSmallChunks:
         bad = np.r_[0, n - 1, chunk - 2 : chunk + 3, 2 * chunk : 2 * chunk + chunk + 5]
         x[bad] = 40.0
         rx = IqSignal(x, 1.0)
-        cleaned = mitigate_artifacts(rx).read(0, len(rx))
+        cleaned = read_range(mitigate_artifacts(rx), 0, len(rx))
         assert np.array_equal(cleaned, reference_mitigate(rx).samples)
 
     def test_many_equal_magnitudes_narrow_to_the_last_bit(self, chunk):
@@ -220,7 +254,7 @@ class TestSmallChunks:
         x[::7] = 2.0
         x[100:104] = 90.0
         rx = IqSignal(x, 1.0)
-        cleaned = mitigate_artifacts(rx).read(0, len(rx))
+        cleaned = read_range(mitigate_artifacts(rx), 0, len(rx))
         assert np.array_equal(cleaned, reference_mitigate(rx).samples)
 
     # equal body magnitudes, or distinct ones
@@ -242,7 +276,7 @@ class TestSmallChunks:
                 chunks.append(np.r_[sign * scale * body[: chunk // 2], special[-1],
                                     sign * scale * body[chunk // 2 :]])
         rx = IqSignal(np.concatenate(chunks), 1.0)
-        cleaned = mitigate_artifacts(rx).read(0, len(rx))
+        cleaned = read_range(mitigate_artifacts(rx), 0, len(rx))
         assert np.array_equal(cleaned, reference_mitigate(rx).samples)
         at = np.arange(4) * chunk + chunk // 2
         assert np.array_equal(cleaned[at[:2]], special[:2])  # on the threshold: kept
@@ -254,14 +288,16 @@ class TestSmallChunks:
         x[2500] = np.nan
         rx = IqSignal(x, 1.0)
         assert np.array_equal(
-            mitigate_artifacts(rx).read(0, len(rx)), reference_mitigate(rx).samples, equal_nan=True
+            read_range(mitigate_artifacts(rx), 0, len(rx)),
+            reference_mitigate(rx).samples,
+            equal_nan=True,
         )
 
     def test_even_count_takes_the_mean_of_the_middle_pair(self, chunk):
         # middle magnitudes 1.0 and 1.5: the threshold is 6 x 1.25 = 7.5
         x = np.array([0.5, 1.0, 1.5, 7.0, -0.5, -1.0, -1.5, -7.0], dtype=complex)
         rx = IqSignal(x, 1.0)
-        assert np.array_equal(mitigate_artifacts(rx).read(0, x.size), x)
+        assert np.array_equal(read_range(mitigate_artifacts(rx), 0, x.size), x)
         assert np.array_equal(reference_mitigate(rx).samples, x)
 
     def test_streamed_reads_equal_whole(self, chunk, tmp_path):
@@ -269,9 +305,9 @@ class TestSmallChunks:
         path = write_capture(tmp_path, samples)
         streamed = mitigate_artifacts(io.IqReader(path))
         whole = reference_mitigate(read_whole(path))
-        assert np.array_equal(streamed.read(0, len(streamed)), whole.samples)
+        assert np.array_equal(read_range(streamed, 0, len(streamed)), whole.samples)
         edge = slice(chunk - 1, chunk + 2)
-        assert np.array_equal(streamed.read(edge.start, edge.stop), whole.samples[edge])
+        assert np.array_equal(read_range(streamed, edge.start, edge.stop), whole.samples[edge])
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("n", [4000, 4001])
@@ -284,8 +320,8 @@ class TestSmallChunks:
         path = write_capture(tmp_path, samples)
         whole = reference_mitigate(read_whole(path)).samples
         streamed = mitigate_artifacts(io.IqReader(path))
-        assert np.array_equal(streamed.read(0, n), whole)
-        assert np.array_equal(mitigate_artifacts(read_whole(path)).read(0, n), whole)
+        assert np.array_equal(read_range(streamed, 0, n), whole)
+        assert np.array_equal(read_range(mitigate_artifacts(read_whole(path)), 0, n), whole)
 
     @pytest.mark.parametrize("n", [50, 4000, 4001])
     def test_each_sample_is_read_twice(self, chunk, n):
