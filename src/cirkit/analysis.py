@@ -8,8 +8,9 @@ the configuration inputs for the stochastic channel generator.
 Each is read above one noise threshold: :func:`noise_threshold` puts it a
 fixed 6 dB above the floor of :func:`estimate_noise_floor`. One private
 step on arrays, ``_statistics`` of the thresholded powers (``_kept``),
-serves :func:`extract_parameters`, which aligns them first (``_aligned``),
-and :func:`compare_pdps`; ``_moments`` is the one delay-spread formula.
+serves :func:`extract_parameters`, which aligns them first (``_aligned``,
+as :func:`normalize_pdp` does), and :func:`compare_pdps`; ``_moments`` is
+the one delay-spread formula. Every delay lies in ``_DELAY_RANGE_S``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ _FLOOR_DB = -60.0
 
 # the slack, in s^2, that ChannelParameters allows sigma^2 = m2 - m1^2
 _RADICAND_EPS_S2 = 1e-18
+
+# the range of a profile's delay step and delays and of a drawn delay spread,
+# in s: squared delays lose their precision below about 1e-150 s and overflow
+# above about 1e150 s; the bounds leave room for powers and delay ratios
+_DELAY_RANGE_S = (1e-100, 1e100)
 
 # how far a PDP delay step may stray from the mean step, relative to the
 # largest delay: float64 rounding of a grid such as ``np.arange(n) / fs``
@@ -56,14 +62,14 @@ class PowerDelayProfile:
             raise ValidationError("PDP needs non-empty, equal-length delay and power vectors")
         if np.any(powers < 0) or not np.all(np.isfinite(powers)):
             raise ValidationError("PDP powers must be finite and non-negative")
-        if delays[0] < 0 or not np.all(np.isfinite(delays)):
-            raise ValidationError("PDP delays must be finite and >= 0")
+        low, high = _DELAY_RANGE_S
+        if not (delays[0] >= 0 and np.all(delays <= high)):  # a NaN fails too
+            raise ValidationError(f"PDP delays must lie in [0, {high}] s")
         if delays.size > 1:
-            steps = np.diff(delays)
             step = (delays[-1] - delays[0]) / (delays.size - 1)
-            if step <= 0:
-                raise ValidationError("PDP delays must be strictly increasing")
-            if np.max(np.abs(steps - step)) > _STEP_JITTER_REL * delays[-1]:
+            if step < low:
+                raise ValidationError(f"PDP delay step {step:.6g} s is below {low} s")
+            if np.max(np.abs(np.diff(delays) - step)) > _STEP_JITTER_REL * delays[-1]:
                 raise ValidationError("PDP delay grid is not uniform")
 
     def __len__(self) -> int:
@@ -158,7 +164,8 @@ def _kept(powers: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def _aligned(delays_s: np.ndarray, powers: np.ndarray, threshold: float) -> tuple:
-    """The frozen delays and powers of :func:`normalize_pdp`."""
+    """The frozen delays and powers from the first bin above ``threshold``
+    on, that bin moved to delay 0 and the peak power scaled to 1."""
     above = np.nonzero(powers > threshold)[0]
     if above.size == 0:
         raise EmptyProfileError("no PDP bin exceeds the noise threshold")
@@ -167,16 +174,16 @@ def _aligned(delays_s: np.ndarray, powers: np.ndarray, threshold: float) -> tupl
     return _freeze(delays_s[first:] - delays_s[first], powers / float(np.max(powers)))
 
 
-def normalize_pdp(pdp: PowerDelayProfile, threshold: float) -> PowerDelayProfile:
-    """Align the first bin above ``threshold`` to delay 0 and scale peak
-    power to 1. Bins before that bin are discarded."""
-    return PowerDelayProfile(*_aligned(pdp.delays_s, pdp.powers_linear, threshold))
-
-
 def _normalized(delays_s: np.ndarray, powers: np.ndarray) -> PowerDelayProfile:
-    """``normalize_pdp(pdp, noise_threshold(pdp))`` of the raw profile
-    ``pdp`` of these delays and powers, without building ``pdp``."""
+    """``normalize_pdp`` of the raw profile of these delays and powers,
+    without building that profile."""
     return PowerDelayProfile(*_aligned(delays_s, powers, _threshold(powers)))
+
+
+def normalize_pdp(pdp: PowerDelayProfile) -> PowerDelayProfile:
+    """Align the first bin above :func:`noise_threshold` to delay 0 and
+    scale peak power to 1. Bins before that bin are discarded."""
+    return _normalized(pdp.delays_s, pdp.powers_linear)
 
 
 def _moments(delays_s: np.ndarray, powers: np.ndarray, total) -> tuple:

@@ -9,6 +9,10 @@ and seed. ``estimate`` writes its profile normalized above
 are given: the normalized CSV profiles in ``extract`` and ``compare``, the
 raw averaged one in ``loopback``, which passes when the recovered delay
 spread lies within one delay bin of the channel's.
+
+A failing ``_stage`` tags its error with its name, and ``main`` prints
+``cirkit <cmd>: <stage>: <error>``: exit 2 for a file-format or OS error, 1
+for any other.
 """
 
 from __future__ import annotations
@@ -32,20 +36,19 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-class _StageFailure(Exception):
-    def __init__(self, stage: str, err: Exception):
-        super().__init__(f"{stage}: {err}")
-        self.err = err
+# the errors a stage names and ``main`` turns into an exit code
+_FAILURES = (ValueError, ArithmeticError, OSError, InternalConsistencyError, MemoryError)
 
 
 @contextmanager
 def _stage(name: str):
+    """Re-raise an error of ``_FAILURES`` tagged with ``name``, unless an
+    inner stage, maybe in a chunk worker, tagged it first."""
     try:
         yield
-    except _StageFailure:
+    except _FAILURES as err:
+        vars(err).setdefault("_cirkit_stage", name)
         raise
-    except (ValueError, ArithmeticError, OSError, InternalConsistencyError, MemoryError) as err:
-        raise _StageFailure(name, err) from err
 
 
 def _load_config(spec: str) -> gbsm.ScenarioConfig:
@@ -120,7 +123,7 @@ def _cmd_estimate(args) -> int:
     with capture:
         raw = _estimate_pdp(capture, sequence, args.taper)
     with _stage("normalize"):
-        pdp = analysis.normalize_pdp(raw, analysis.noise_threshold(raw))
+        pdp = analysis.normalize_pdp(raw)
     with _stage("write-pdp"):
         io.write_pdp_csv(args.pdp_out, pdp)
     print(f"wrote {len(pdp)}-bin PDP to {args.pdp_out}")
@@ -408,19 +411,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _StageFailure as failure:
-        print(f"cirkit {args.command}: {failure}", file=sys.stderr)
-        if isinstance(failure.err, (FileFormatError, OSError)) and not isinstance(
-            failure.err, ValidationError
-        ):
-            return EXIT_IO
-        return EXIT_VALIDATION
-    except (ValueError, ArithmeticError, InternalConsistencyError) as err:
-        print(f"cirkit {args.command}: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as err:
-        print(f"cirkit {args.command}: {err}", file=sys.stderr)
-        return EXIT_IO
+    except _FAILURES as err:
+        stage = getattr(err, "_cirkit_stage", None)
+        where = "" if stage is None else f"{stage}: "
+        print(f"cirkit {args.command}: {where}{err}", file=sys.stderr)
+        return EXIT_IO if isinstance(err, (FileFormatError, OSError)) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

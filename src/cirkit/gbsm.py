@@ -27,6 +27,7 @@ from . import __about__
 from .analysis import (
     ChannelParameters,
     PowerDelayProfile,
+    _DELAY_RANGE_S,
     _normalized,
     discrete_delay_spread,
 )
@@ -51,12 +52,8 @@ DATASET_STREAM = 0
 SIMULATE_STREAM = 1
 # uniform words of the Box-Muller pair that gives a row's DS and K-factor
 LARGE_SCALE = slice(0, 2)
-# the range of a drawn DS and K-factor that the cluster arithmetic can take.
-# A row's spread is computed from squared delays, which lose their precision
-# below about 1e-150 s and overflow above about 1e150 s; the bounds leave room
-# for the cluster powers and delay ratios. The LOS power K/(K+1) rounds to 1
-# from K = 2**53 on; below 2**52 the clusters keep some power.
-_DS_RANGE_S = (1e-100, 1e100)
+# the bound on a drawn K-factor: the LOS power K/(K+1) rounds to 1 from
+# K = 2**53 on; below 2**52 the clusters keep some power
 _MAX_K_FACTOR_DB = 10.0 * math.log10(2.0**52)
 # the largest snapshot, tap or cluster count: a dataset header's uint32
 _MAX_COUNT = 2**32 - 1
@@ -262,7 +259,7 @@ def _stream_block(
     again, keeping its DS and K-factor, from the same row of the (root,
     stream, attempt) stream, up to ``MAX_CLUSTER_DRAWS`` draws in all;
     other rows are untouched. Before any cluster is drawn, a DS outside
-    ``_DS_RANGE_S`` or a K-factor of ``_MAX_K_FACTOR_DB`` or more fails the
+    ``_DELAY_RANGE_S`` or a K-factor of ``_MAX_K_FACTOR_DB`` or more fails the
     block, naming the first such row and the config's parameters, so an
     extreme spread fails by name and not in the arithmetic. An error names
     a dataset row as its snapshot and ``simulate_pdp``'s one row by its
@@ -278,7 +275,7 @@ def _stream_block(
             return f"config {config.label!r}, snapshot {start + int(row)}"
         return f"config {config.label!r}, cluster set of simulate seed {root}"
 
-    low, high = _DS_RANGE_S
+    low, high = _DELAY_RANGE_S
     bad = np.nonzero(~((ds >= low) & (ds <= high)))[0]
     if bad.size:
         raise ValidationError(

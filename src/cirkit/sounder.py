@@ -270,7 +270,7 @@ def mitigate_artifacts(rx) -> CleanedCapture:
     bad, near, values = (np.concatenate(part) for part in zip(*found))
     repaired = np.empty(0, dtype=np.complex128)
     if bad.size:
-        # a chunk's edge neighbour may be a spike of the chunk next to it;
+        # a neighbour may be a spike itself, of its own chunk or the next;
         # the good samples next to a run of spikes are the ones that
         # bracket it, so interpolating from them alone equals interpolating
         # from all
@@ -285,8 +285,8 @@ def _chunk_spikes(rx, mean, lo: int, buffers):
     """The spikes of the chunk from ``lo``, and of a short last chunk after
     it: the indices of the samples whose ``|x - mean|`` exceeds
     ``_SPIKE_THRESHOLD`` times their window's median magnitude, and the
-    indices and values of the samples next to them that are not flagged
-    with them.
+    indices and values of the samples next to them, flagged ones too:
+    ``mitigate_artifacts`` drops every flagged neighbour once.
 
     A chunk from sample ``first`` is read with a sample on either side,
     sample ``first - 1 + p`` at position p of ``buffers``, and is its own
@@ -314,7 +314,7 @@ def _chunk_spikes(rx, mean, lo: int, buffers):
         np.abs(x[read], out=mag[read])  # in sample order again
         flagged = np.greater(mag[1 : last - first + 1], threshold, out=flags[: last - first])
         hits = np.flatnonzero(flagged) + first
-        near = np.setdiff1d(np.concatenate([hits - 1, hits + 1]), hits)
+        near = np.concatenate([hits - 1, hits + 1])
         near = near[(near >= 0) & (near < n)]
         found.append((hits, near, x[near - first + 1]))
     return tuple(np.concatenate(part) for part in zip(*found))

@@ -64,7 +64,7 @@ def test_c01_moment_formula_oracle_equivalence():
         threshold = analysis.noise_threshold(pdp)
         kept = np.where(powers < threshold, 0.0, powers)
         m1, m2 = summed_moments(
-            analysis.normalize_pdp(PowerDelayProfile(pdp.delays_s, kept), threshold)
+            PowerDelayProfile(*analysis._aligned(pdp.delays_s, kept, threshold))
         )
         params = extract_parameters(pdp, los_flag=False)
         assert params.mean_excess_delay_s == pytest.approx(m1, rel=1e-12)

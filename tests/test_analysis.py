@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from cirkit import gbsm
 from cirkit.analysis import (
     ChannelParameters,
     PowerDelayProfile,
+    _aligned,
     _k_factor,
     _kept,
     _statistics,
@@ -34,11 +37,17 @@ def above(floor, margin_db=6.0):
     return floor * 10.0 ** (margin_db / 10.0)
 
 
+def normalized_above(pdp, threshold):
+    """``pdp`` aligned and scaled as ``normalize_pdp`` does, but from its
+    first bin above ``threshold`` on."""
+    return PowerDelayProfile(*_aligned(pdp.delays_s, pdp.powers_linear, threshold))
+
+
 def cleaned_profile(pdp):
     """``pdp`` thresholded and normalized as ``extract_parameters`` does."""
     threshold = noise_threshold(pdp)
     kept = PowerDelayProfile(pdp.delays_s, _kept(pdp.powers_linear, threshold))
-    return normalize_pdp(kept, threshold)
+    return normalized_above(kept, threshold)
 
 
 def spread(pdp):
@@ -77,6 +86,26 @@ class TestPowerDelayProfile:
         with pytest.raises(ValidationError):
             PowerDelayProfile([0.0, 1e-9, 3e-9], [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "delays, message",
+        [
+            ([0.0, 5e-101], "PDP delay step 5e-101 s is below 1e-100 s"),
+            ([0.0, 1e-309, 2e-309], "PDP delay step 1e-309 s is below 1e-100 s"),
+            ([0.0, 2e100], "PDP delays must lie in [0, 1e+100] s"),
+            ([2e141], "PDP delays must lie in [0, 1e+100] s"),
+        ],
+    )
+    def test_grid_outside_the_delay_range_rejected(self, delays, message):
+        """Outside the delay range the delay moments and the CSV's ns
+        column would lose their precision or overflow."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PowerDelayProfile(delays, np.ones(len(delays)))
+
+    @pytest.mark.parametrize("delays", [[0.0, 1e-100], [0.0, 5e99, 1e100], [1e100]])
+    def test_grid_at_the_ends_of_the_delay_range_accepted(self, delays):
+        pdp = PowerDelayProfile(delays, np.ones(len(delays)))
+        assert pdp.delays_s[-1] == delays[-1]
+
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValidationError):
             PowerDelayProfile([1e-9, 0.0], [1.0, 1.0])
@@ -89,7 +118,7 @@ class TestPowerDelayProfile:
         pdp = PowerDelayProfile(np.arange(bins) / rate_hz, np.ones(bins))
         assert len(pdp) == bins
         powers = np.r_[np.zeros(5000), np.ones(3192)]
-        normalized = normalize_pdp(make_pdp(powers, 1 / rate_hz), above(0.1))
+        normalized = normalized_above(make_pdp(powers, 1 / rate_hz), above(0.1))
         assert len(normalized) == 3192
 
     def test_long_grid_with_one_bad_step_rejected(self):
@@ -178,20 +207,20 @@ class TestThreshold:
 class TestNormalize:
     def test_single_tap_shift_and_scale(self):
         pdp = PowerDelayProfile([3e-6], [4.0])
-        out = normalize_pdp(pdp, above(1e-6))
+        out = normalized_above(pdp, above(1e-6))
         assert out.delays_s[0] == 0.0
         assert out.powers_linear[0] == 1.0
 
     def test_first_peak_alignment(self):
         pdp = PowerDelayProfile([1e-6, 2e-6], [0.5, 1.0])
-        out = normalize_pdp(pdp, above(1e-6))
+        out = normalized_above(pdp, above(1e-6))
         np.testing.assert_allclose(out.delays_s, [0.0, 1e-6])
         np.testing.assert_allclose(out.powers_linear, [0.5, 1.0])
 
     def test_all_below_threshold_rejected(self):
         pdp = make_pdp(np.full(4, 0.01))
         with pytest.raises(EmptyProfileError):
-            normalize_pdp(pdp, above(1.0))
+            normalized_above(pdp, above(1.0))
 
     def test_floor_rescaled(self):
         # no bin dropped and a peak of 4: the floor of the normalized
@@ -199,7 +228,7 @@ class TestNormalize:
         powers = np.random.default_rng(11).uniform(1e-3, 4.0, 64)
         powers[0] = 4.0
         pdp = make_pdp(powers)
-        out = normalize_pdp(pdp, noise_threshold(pdp))
+        out = normalize_pdp(pdp)
         assert len(out) == len(pdp)
         assert estimate_noise_floor(out) == estimate_noise_floor(pdp) / 4.0
 
@@ -443,7 +472,7 @@ class TestChannelParameters:
 class TestComparePdps:
     def _normalized(self, powers):
         pdp = make_pdp(powers)
-        return normalize_pdp(pdp, noise_threshold(pdp))
+        return normalize_pdp(pdp)
 
     def test_identical_profiles(self):
         rng = np.random.default_rng(9)
@@ -488,8 +517,8 @@ class TestComparePdps:
         coarse_powers[0] = 1.0
         coarse_powers[4] = 0.5
         step = 39.0625 * NS
-        fine = normalize_pdp(make_pdp(fine_powers, step), above(1e-6))
-        coarse = normalize_pdp(make_pdp(coarse_powers, 2 * step), above(1e-6))
+        fine = normalized_above(make_pdp(fine_powers, step), above(1e-6))
+        coarse = normalized_above(make_pdp(coarse_powers, 2 * step), above(1e-6))
         report = compare_pdps(fine, coarse)
         assert report.ds_error_s == pytest.approx(0.0, abs=1e-20)
         assert report.cluster_count_diff == 0

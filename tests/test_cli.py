@@ -670,6 +670,129 @@ def test_out_of_memory_fails_at_its_stage(tmp_path, capsys, monkeypatch, argv, t
     assert not list(tmp_path.iterdir())
 
 
+def _simulated_pdp(tmp_path, capsys) -> Path:
+    """A simulated profile in ``tmp_path``, the stdout of writing it dropped."""
+    pdp = tmp_path / "pdp.csv"
+    assert main(["simulate", "--config", "urban-los", "--pdp-out", str(pdp)]) == 0
+    capsys.readouterr()
+    return pdp
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["generate-sounding", "--out", "{out}"], "write-iq"),
+        (["simulate", "--config", "urban-los", "--pdp-out", "{out}"], "write-pdp"),
+        (["extract", "--pdp", "{pdp}", "--out-config", "{out}"], "write-config"),
+        (["compare", "--measured", "{pdp}", "--simulated", "{pdp}",
+          "--report-out", "{tmp}/r.txt", "--plot-out", "{out}"], "write-plot"),
+    ],
+    ids=["write-iq", "write-pdp", "write-config", "write-plot"],
+)
+def test_output_in_a_missing_folder_fails_at_its_write_stage(tmp_path, capsys, argv, stage):
+    pdp = _simulated_pdp(tmp_path, capsys)
+    out = tmp_path / "missing" / "out"
+    rc = main([arg.format(tmp=tmp_path, pdp=pdp, out=out) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        f"cirkit {argv[0]}: {stage}: [Errno 2] No such file or directory: '{out}'\n"
+    )
+    assert captured.out == ""
+
+
+def test_report_over_a_folder_fails_at_write_report(tmp_path, capsys):
+    pdp = _simulated_pdp(tmp_path, capsys)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    rc = main(
+        ["compare", "--measured", str(pdp), "--simulated", str(pdp),
+         "--report-out", str(folder), "--plot-out", str(tmp_path / "p.svg")]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"cirkit compare: write-report: [Errno 21] Is a directory: '{folder}'\n"
+    assert captured.out == ""
+
+
+def test_unreadable_profile_number_fails_at_read_pdp(tmp_path, capsys):
+    pdp = tmp_path / "pdp.csv"
+    pdp.write_text("delay_ns,power_db\n0.0,x\n")
+    rc = main(["extract", "--pdp", str(pdp), "--out-config", str(tmp_path / "o.cfg")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"cirkit extract: read-pdp: {pdp}:2: bad number\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pdp.csv"]
+
+
+class TestDelaysOutOfRange:
+    """A profile's delays lie within ``analysis._DELAY_RANGE_S``. Outside it
+    a command exits 1 with one line naming the stage that built the
+    profile, before any floating-point warning (which fails a test) and
+    before its output is written."""
+
+    def test_estimate_of_a_capture_at_a_tiny_rate(self, tmp_path, capsys):
+        rx = make_capture(tmp_path)
+        meta = rx.with_name(rx.name + ".meta")
+        meta.write_text(replace_value(meta.read_text(), "sample_rate_hz", "1e-300")[0])
+        out = tmp_path / "pdp.csv"
+        rc = main(["estimate", "--rx", str(rx), "--pdp-out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            "cirkit estimate: estimate: PDP delays must lie in [0, 1e+100] s\n"
+        )
+        assert not out.exists()
+
+    def test_simulate_of_a_config_at_a_tiny_rate(self, tmp_path, capsys):
+        config = tmp_path / "slow.cfg"
+        io.write_config(config, dataclasses.replace(PRESETS["urban-los"], sample_rate_hz=1e-300))
+        out = tmp_path / "pdp.csv"
+        rc = main(["simulate", "--config", str(config), "--pdp-out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            "cirkit simulate: simulate: PDP delays must lie in [0, 1e+100] s\n"
+        )
+        assert not out.exists()
+
+    def test_loopback_at_a_huge_rate(self, capsys):
+        """Its one-bin tolerance would be 0 ns."""
+        rc = main(["loopback", "--sample-rate", "1e300"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            "cirkit loopback: estimate: PDP delay step 1e-300 s is below 1e-100 s\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "delays_ns, message",
+        [
+            ("0,1e300,2e300", "PDP delays must lie in [0, 1e+100] s"),
+            ("0,1e150,2e150", "PDP delays must lie in [0, 1e+100] s"),
+            ("0,1e-300,2e-300", "PDP delay step 1e-309 s is below 1e-100 s"),
+        ],
+        ids=["overflowing-moments", "overflowing-config", "subnormal-step"],
+    )
+    @pytest.mark.parametrize("command", ["extract", "compare"])
+    def test_profile_file_fails_at_read_pdp(self, tmp_path, capsys, command, delays_ns, message):
+        pdp = tmp_path / "pdp.csv"
+        rows = zip(delays_ns.split(","), ["0", "-3", "-6"])
+        pdp.write_text("delay_ns,power_db\n" + "".join(f"{d},{p}\n" for d, p in rows))
+        if command == "extract":
+            argv = ["extract", "--pdp", str(pdp), "--out-config", str(tmp_path / "o.cfg")]
+        else:
+            argv = ["compare", "--measured", str(pdp), "--simulated", str(pdp),
+                    "--report-out", str(tmp_path / "r.txt"), "--plot-out", str(tmp_path / "p.svg")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"cirkit {command}: read-pdp: {message}\n"
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["pdp.csv"]
+
+
 class TestHelp:
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from test_gbsm import read_back
 
 from cirkit import __about__, gbsm, io
-from cirkit.analysis import PowerDelayProfile, noise_threshold, normalize_pdp
+from cirkit.analysis import PowerDelayProfile, normalize_pdp
 from cirkit.cli import main
 from cirkit.errors import ValidationError
 from cirkit.gbsm import PRESETS
@@ -198,7 +198,7 @@ def loop_simulate_pdp(config, root):
     power = loop_expected_power(config, root)
     delays = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
     pdp = PowerDelayProfile(delays, power)
-    return normalize_pdp(pdp, noise_threshold(pdp))
+    return normalize_pdp(pdp)
 
 
 def monte_carlo_power(config, root, realizations, rows=1000):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from test_fuzz_parsers import FUZZ, mutated, valid_pdp_csv
 
 from cirkit import io, svgplot
-from cirkit.analysis import ComparisonReport, PowerDelayProfile, normalize_pdp
+from cirkit.analysis import ComparisonReport, PowerDelayProfile, _aligned
 from cirkit.errors import (
     BadMagicError,
     BadVersionError,
@@ -218,9 +218,8 @@ class TestPdpCsv:
 
     def test_round_trip_within_db_tolerance(self, tmp_path):
         rng = np.random.default_rng(2)
-        pdp = normalize_pdp(
-            PowerDelayProfile(np.arange(64) / 25.6e6, rng.uniform(1e-6, 1.0, 64)),
-            1e-7 * 10**0.6,
+        pdp = PowerDelayProfile(
+            *_aligned(np.arange(64) / 25.6e6, rng.uniform(1e-6, 1.0, 64), 1e-7 * 10**0.6)
         )
         path = tmp_path / "pdp.csv"
         io.write_pdp_csv(path, pdp)

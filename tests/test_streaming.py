@@ -79,7 +79,7 @@ def streamed_powers(path, taper):
 
 def csv_bytes(tmp_path, powers):
     raw = analysis.PowerDelayProfile(np.arange(N) / sounder.DEFAULT_SAMPLE_RATE_HZ, powers)
-    pdp = analysis.normalize_pdp(raw, analysis.noise_threshold(raw))
+    pdp = analysis.normalize_pdp(raw)
     path = tmp_path / "whole.csv"
     io.write_pdp_csv(path, pdp)
     return path.read_bytes()
