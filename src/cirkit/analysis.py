@@ -5,12 +5,15 @@ root of the second central moment of the PDP), the mean excess delay, the
 Ricean K-factor and the number of resolvable multipath clusters. They are
 the configuration inputs for the stochastic channel generator.
 
-Each is read above one noise threshold: :func:`noise_threshold` puts it a
-fixed 6 dB above the floor of :func:`estimate_noise_floor`. One private
-step on arrays, ``_statistics`` of the thresholded powers (``_kept``),
-serves :func:`extract_parameters`, which aligns them first (``_aligned``,
-as :func:`normalize_pdp` does), and :func:`compare_pdps`; ``_moments`` is
-the one delay-spread formula. Every delay lies in ``_DELAY_RANGE_S``.
+Each step that judges or normalizes a profile is one public function of a
+:class:`PowerDelayProfile`, and a measured and a simulated profile take the
+same calls: :func:`estimate_noise_floor`, :func:`noise_threshold` a fixed
+6 dB above that floor, and :func:`normalize_pdp`. Every quantity is read
+above that one threshold. One private step on arrays, ``_statistics`` of
+the thresholded powers (``_kept``), serves :func:`extract_parameters`,
+which aligns them first (``_aligned``, as :func:`normalize_pdp` does), and
+:func:`compare_pdps`; ``_moments`` is the one delay-spread formula. Every
+delay lies in ``_DELAY_RANGE_S``.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class PowerDelayProfile:
         if not (delays[0] >= 0 and np.all(delays <= high)):  # a NaN fails too
             raise ValidationError(f"PDP delays must lie in [0, {high}] s")
         if delays.size > 1:
-            step = (delays[-1] - delays[0]) / (delays.size - 1)
+            step = self.delay_step_s
             if step < low:
                 raise ValidationError(f"PDP delay step {step:.6g} s is below {low} s")
             if np.max(np.abs(np.diff(delays) - step)) > _STEP_JITTER_REL * delays[-1]:
@@ -130,32 +133,23 @@ class ComparisonReport:
             raise ValidationError("comparison report fields must be finite")
 
 
-def _noise_floor(powers: np.ndarray) -> float:
-    """The floor of :func:`estimate_noise_floor` from a profile's powers."""
-    if powers.size < 16:
-        return 0.0
-    quartile = np.sort(powers)[: powers.size // 4]
-    return float(np.median(quartile))
-
-
 def estimate_noise_floor(pdp: PowerDelayProfile) -> float:
     """Estimate the noise floor as the median of the weakest 25% of bins.
 
     A profile of fewer than 16 bins is too short to populate the quartile;
     its floor is 0.
     """
-    return _noise_floor(pdp.powers_linear)
-
-
-def _threshold(powers: np.ndarray) -> float:
-    """The threshold of :func:`noise_threshold` from a profile's powers."""
-    return _noise_floor(powers) * _MARGIN
+    powers = pdp.powers_linear
+    if powers.size < 16:
+        return 0.0
+    quartile = np.sort(powers)[: powers.size // 4]
+    return float(np.median(quartile))
 
 
 def noise_threshold(pdp: PowerDelayProfile) -> float:
     """The power a bin of ``pdp`` must exceed to count as signal: the noise
     floor of :func:`estimate_noise_floor`, 6 dB up."""
-    return _threshold(pdp.powers_linear)
+    return estimate_noise_floor(pdp) * _MARGIN
 
 
 def _kept(powers: np.ndarray, threshold: float) -> np.ndarray:
@@ -174,16 +168,10 @@ def _aligned(delays_s: np.ndarray, powers: np.ndarray, threshold: float) -> tupl
     return _freeze(delays_s[first:] - delays_s[first], powers / float(np.max(powers)))
 
 
-def _normalized(delays_s: np.ndarray, powers: np.ndarray) -> PowerDelayProfile:
-    """``normalize_pdp`` of the raw profile of these delays and powers,
-    without building that profile."""
-    return PowerDelayProfile(*_aligned(delays_s, powers, _threshold(powers)))
-
-
 def normalize_pdp(pdp: PowerDelayProfile) -> PowerDelayProfile:
     """Align the first bin above :func:`noise_threshold` to delay 0 and
     scale peak power to 1. Bins before that bin are discarded."""
-    return _normalized(pdp.delays_s, pdp.powers_linear)
+    return PowerDelayProfile(*_aligned(pdp.delays_s, pdp.powers_linear, noise_threshold(pdp)))
 
 
 def _moments(delays_s: np.ndarray, powers: np.ndarray, total) -> tuple:

@@ -114,8 +114,8 @@ def _cmd_generate_sounding(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    sounder.check_taper(args.taper, "--taper")
     with _stage("waveform"):
+        sounder.check_taper(args.taper, "--taper")
         # the delay step comes from the capture's rate
         sequence = _base_sequence(args, transmit=False)
     with _stage("read-iq"):
@@ -243,10 +243,10 @@ def _parse_channel_spec(
 
 
 def _cmd_loopback(args) -> int:
-    sounder.check_taper(args.taper, "--taper")
     with _stage("seed"):
         gbsm.check_seed(args.seed)
     with _stage("waveform"):
+        sounder.check_taper(args.taper, "--taper")
         sequence = _base_sequence(args)
     with _stage("channel-spec"):
         channel, true_delays, true_powers = _parse_channel_spec(

@@ -28,12 +28,12 @@ from .analysis import (
     ChannelParameters,
     PowerDelayProfile,
     _DELAY_RANGE_S,
-    _normalized,
     discrete_delay_spread,
+    normalize_pdp,
 )
 from .channel_apply import check_seed
 from .errors import ValidationError
-from .signal import _check_rate
+from .signal import _check_rate, _freeze
 from .sounder import CHUNK_ROWS, DEFAULT_SAMPLE_RATE_HZ, DEFAULT_SEQUENCE_LENGTH, _map_chunks
 
 DEFAULT_R_TAU = 2.3
@@ -403,17 +403,17 @@ def simulate_pdp(config: ScenarioConfig, rng_seed: int) -> PowerDelayProfile:
     phases are independent and uniform, so the cross terms of |h|^2
     average to 0 and the expected power is sum p_k kernel_k^2 over the
     paths, LOS included: one ``_place`` of the paths' squared kernels,
-    the same placement a dataset row's parts take. The profile is
-    normalized as ``cirkit estimate`` normalizes a measured one, and built
-    once, from the normalized arrays.
+    the same placement a dataset row's parts take. The raw profile of
+    those powers goes through ``normalize_pdp``, the call ``cirkit
+    estimate`` makes on a measured one.
     """
     root = check_seed(rng_seed)
     _, delays, powers = _stream_block(config, root, SIMULATE_STREAM, 0, 1)
     first, kern = _kernel(delays * config.sample_rate_hz)
-    power = np.empty((1, config.cir_length_taps))
-    _place(first, kern**2, ((powers, power),))
+    power = np.empty(config.cir_length_taps)
+    _place(first, kern**2, ((powers, power[np.newaxis]),))
     bins = np.arange(config.cir_length_taps) * (1.0 / config.sample_rate_hz)
-    return _normalized(bins, power[0])
+    return normalize_pdp(PowerDelayProfile(*_freeze(bins, power)))
 
 
 def generate_dataset(config: ScenarioConfig, count: int, rng_seed: int, path) -> None:

@@ -424,7 +424,9 @@ def read_pdp_csv(path) -> PowerDelayProfile:
 
     Every row's delay must lie on that grid, to within the six-decimal
     rounding of :func:`write_pdp_csv`. Every row is checked for two finite
-    numbers before the grid, so the error names the first bad line.
+    numbers before the grid, so the error names the first bad line. The
+    step is the profile's to judge: delays that decrease or stay equal fail
+    on the step rule of :class:`PowerDelayProfile`.
     """
     lines = _lines(_read_text(path))
     if not lines or lines[0][1] != "delay_ns,power_db":
@@ -438,8 +440,6 @@ def read_pdp_csv(path) -> PowerDelayProfile:
         delays_s = delays_ns * 1e-9
     else:
         step_ns = (delays_ns[-1] - delays_ns[0]) / (n - 1)
-        if step_ns <= 0:
-            raise CorruptFileError(f"{path}: delays not increasing")
         grid_ns = delays_ns[0] + np.arange(n) * step_ns
         tolerance_ns = _GRID_TOLERANCE_NS + _GRID_TOLERANCE_REL * np.abs(grid_ns)
         off = np.abs(delays_ns - grid_ns) > tolerance_ns

@@ -390,6 +390,11 @@ def _smooth_length(size: int) -> int:
         size += 1
 
 
+# periods transformed at once inside a chunk: 64 padded rows of about two
+# periods hold about as much as a chunk's 256 rows of squared magnitudes
+_FFT_ROWS = 64
+
+
 def estimate_pdp(
     rx,
     sequence,
@@ -406,57 +411,32 @@ def estimate_pdp(
     and W the edge taper (1 without it): the spectral division
     H = Y conj(X) / |X|^2, tapered, done in the delay domain. The sequence
     needs no zero DFT bin and nothing else: the division is exact and needs
-    no ridge term. A prime-length Zadoff-Chu sequence has |X[k]|^2 = N in
-    every bin. The convolution is a linear one of [y, y[:N-1]] with g,
-    through FFTs of the smallest 2^a 3^b 5^c length M >= 2N - 1, since the
-    period N, a prime by default, may have no fast transform; see
-    ``_cir_chunks``. Each CIR equals the per-period DFT formula to rounding
+    no ridge term. A sequence with a zero bin, which no prime-length
+    Zadoff-Chu sequence has (its |X[k]|^2 = N in every bin), is rejected
+    naming that bin. Each CIR equals the per-period DFT formula to rounding
     (within 1e-12 of the peak). With tapering enabled each CIR is
     additionally rotated right by a small guard so the taper kernel's
     two-sided ringing lands at causal delays; downstream normalization
     re-references delay zero, so only the raw tap indices shift.
 
-    Each chunk of ``CHUNK_ROWS`` periods is read, deconvolved and squared,
-    and the squared magnitudes are added into the powers row after row in
-    chunk order, the order in which ``np.mean(..., axis=0)`` adds up all
+    The convolution is a linear one, through FFTs of the smallest
+    2^a 3^b 5^c length M >= 2N - 1, since the period N, a prime by default,
+    may have no fast transform. g is built once per call and rotated right
+    by the taper guard less one, and G is the DFT of g zero-padded to M.
+    Each period is written into a row of M as [y, y[:N-1], 0, ...],
+    transformed, multiplied by G and transformed back; the row's columns
+    N-1 to 2N-2 are the period's CIR, already rotated by the guard.
+
+    The periods go ``CHUNK_ROWS`` at a time through ``_map_chunks``, and
+    ``_FFT_ROWS`` of a chunk through the transforms at once; each such block
+    is read with the chunk rows its squared magnitudes go to as the read's
+    scratch. The squared magnitudes are added into the powers row after row
+    in chunk order, the order in which ``np.mean(..., axis=0)`` adds up all
     periods at once. The memory is a few chunks whatever the capture
     length. ``rx`` is an ``IqSignal`` or any capture read by range, such as
     ``mitigate_artifacts``' result.
     """
     sequence = _sequence(sequence)
-    n = sequence.size
-    power = np.zeros(n)
-    rows = 0
-    for block in _cir_chunks(rx, sequence, taper_fraction, start):
-        add_rows(power, block)
-        rows += len(block)
-    return PowerDelayProfile(*_freeze(np.arange(n) * (1.0 / rx.sample_rate_hz), power / rows))
-
-
-# periods transformed at once inside a chunk: 64 padded rows of about two
-# periods hold about as much as a chunk's 256 rows of squared magnitudes
-_FFT_ROWS = 64
-
-
-def _cir_chunks(rx, sequence, taper_fraction, start):
-    """Deconvolve the complete periods of the 1-D complex128 base
-    ``sequence`` from sample ``start`` on, ``CHUNK_ROWS`` at a time, through
-    ``_map_chunks``, and square the CIRs' magnitudes.
-
-    A base sequence with a zero DFT bin, which no prime-length Zadoff-Chu
-    sequence has, is rejected naming that bin. The kernel g of
-    ``estimate_pdp`` is built once per call and rotated
-    right by the taper guard less one, and G is the DFT of g zero-padded to
-    M, the smallest 2^a 3^b 5^c >= 2N - 1. Each period y of N samples is
-    written into a row of M as [y, y[:N-1], 0, ...], transformed, multiplied
-    by G and transformed back: that is the linear convolution with the
-    rotated g, and its columns N-1 to 2N-2 are the period's CIR, already
-    rotated by the guard. ``_FFT_ROWS`` periods go through the transforms at
-    once, and |h|^2 of each such block of CIRs h goes into the matching
-    rows of a chunk's ``(rows, period)`` buffer; the chunks' buffers are
-    yielded in chunk order. Each block is read with those rows as the
-    read's scratch.
-    """
     n = sequence.size
     x_spec = np.fft.fft(sequence)
     ref_power = np.abs(x_spec) ** 2
@@ -506,4 +486,7 @@ def _cir_chunks(rx, sequence, taper_fraction, start):
         ((fft_rows, n), np.complex128),
         ((chunk_rows, n), np.float64),
     )
-    return _map_chunks(deconvolve, range(0, n_periods, CHUNK_ROWS), layout)
+    power = np.zeros(n)
+    for block in _map_chunks(deconvolve, range(0, n_periods, CHUNK_ROWS), layout):
+        add_rows(power, block)
+    return PowerDelayProfile(*_freeze(np.arange(n) * (1.0 / rx.sample_rate_hz), power / n_periods))

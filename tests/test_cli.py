@@ -550,7 +550,7 @@ def test_bad_number_flag_fails_by_name_before_any_work(tmp_path, capsys, command
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err == f"cirkit {command}: {message}\n"
+        assert captured.err == f"cirkit {command}: waveform: {message}\n"
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
 
@@ -772,8 +772,11 @@ class TestDelaysOutOfRange:
             ("0,1e300,2e300", "PDP delays must lie in [0, 1e+100] s"),
             ("0,1e150,2e150", "PDP delays must lie in [0, 1e+100] s"),
             ("0,1e-300,2e-300", "PDP delay step 1e-309 s is below 1e-100 s"),
+            ("2,1,0", "PDP delay step -1e-09 s is below 1e-100 s"),
+            ("1,1,1", "PDP delay step 0 s is below 1e-100 s"),
         ],
-        ids=["overflowing-moments", "overflowing-config", "subnormal-step"],
+        ids=["overflowing-moments", "overflowing-config", "subnormal-step",
+             "decreasing-delays", "equal-delays"],
     )
     @pytest.mark.parametrize("command", ["extract", "compare"])
     def test_profile_file_fails_at_read_pdp(self, tmp_path, capsys, command, delays_ns, message):

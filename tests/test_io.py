@@ -318,8 +318,6 @@ def reference_read_pdp_csv(path) -> PowerDelayProfile:
         delays_s = np.array([delays_ns[0] * 1e-9])
     else:
         step_ns = (delays_ns[-1] - delays_ns[0]) / (n - 1)
-        if step_ns <= 0:
-            raise CorruptFileError(f"{path}: delays not increasing")
         grid_ns = delays_ns[0] + np.arange(n) * step_ns
         tolerance_ns = io._GRID_TOLERANCE_NS + io._GRID_TOLERANCE_REL * np.abs(grid_ns)
         off = np.abs(np.array(delays_ns) - grid_ns) > tolerance_ns
@@ -346,9 +344,10 @@ PADDING = st.sampled_from(["", " ", "\t", "  "])
 def pdp_csv_texts(draw) -> str:
     """PDP CSVs as people and ``write_pdp_csv`` make them: comments, blank
     lines, any line ending, padding around cells, ``-inf`` and ``-0.000000``
-    powers, one row or many, and now and then a delay off the grid."""
+    powers, one row or many, now and then a step of 0 or below, which the
+    profile rejects, and now and then a delay off the grid."""
     n = draw(st.integers(1, 40))
-    step_ns = draw(st.sampled_from([39.0625, 32.552083, 1.0, 1e-3, 16.276042]))
+    step_ns = draw(st.sampled_from([39.0625, 32.552083, 1.0, 1e-3, 16.276042, 0.0, -2.5]))
     first_ns = draw(st.sampled_from([0.0, -0.0, 1e-6, 250.0]))
     delays = [first_ns + i * step_ns for i in range(n)]
     if n > 2 and draw(st.booleans()):
